@@ -15,22 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc
 
+from .batch import BLOCK_SHOTS, CIRCUITS, run_block
 from .errors import ValidationError
-from .gates import ANCILLA_PLUS, cnot, entangler, entangler_45, parity_gate
-from .measurement import HomodyneRecord
-from .states import HybridState, ProbeMode, fidelity, new_state
+from .states import ProbeMode, check_normalized
 
 #: fidelity below which a shot counts as a logical error
 LOGICAL_ERROR_FIDELITY = 1.0 - 1e-6
 
-EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
-
-
-def _validate_regime(alpha: float, theta: float) -> None:
-    if not (alpha >= 0.0 and math.isfinite(alpha)):
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
-    if not (0.0 <= theta <= math.pi):
-        raise ValidationError(f"theta must lie in [0, pi], got {theta}")
+EXPERIMENTS = tuple(CIRCUITS)
 
 
 @dataclass(frozen=True)
@@ -43,18 +35,18 @@ class DiscriminationGeometry:
 
 
 def geometry(alpha: float, theta: float) -> DiscriminationGeometry:
-    _validate_regime(alpha, theta)
+    probe = ProbeMode(alpha, theta)  # validates the regime
+    # 1 - cos theta = 2 sin^2(theta / 2), without the cancellation at small theta
     return DiscriminationGeometry(
-        x0=alpha * (1.0 + math.cos(theta)),
-        xd=2.0 * alpha * (1.0 - math.cos(theta)),
+        x0=probe.x0,
+        xd=4.0 * alpha * math.sin(0.5 * theta) ** 2,
         alpha_theta_sq=alpha * theta**2,
     )
 
 
 def p_error(alpha: float, theta: float) -> float:
     """Midpoint-threshold misclassification probability, in [0, 1/2]."""
-    _validate_regime(alpha, theta)
-    xd = 2.0 * alpha * (1.0 - math.cos(theta))
+    xd = geometry(alpha, theta).xd
     return 0.5 * float(erfc(xd / (2.0 * math.sqrt(2.0))))
 
 
@@ -68,70 +60,6 @@ class ShotStats:
     error_ci: float
     mean_fidelity: float
     parity_frequencies: tuple[float, float]
-
-
-def _normalized_or_none(branches, n_qubits) -> HybridState | None:
-    total = sum(abs(amp) ** 2 for amp, _, _ in branches)
-    if total <= 1e-300:
-        return None
-    scale = 1.0 / math.sqrt(total)
-    return HybridState.from_branches(
-        n_qubits, [(amp * scale, basis, ()) for amp, basis, _ in branches]
-    )
-
-
-def _ideal_parity(c, d, record: HomodyneRecord) -> HybridState | None:
-    c0, c1 = c
-    d0, d1 = d
-    if record.parity == "even":
-        branches = [(c0 * d0, "HH", ()), (c1 * d1, "VV", ())]
-    else:
-        ph = np.exp(1j * record.phi)
-        branches = [(c0 * d1 * ph, "HV", ()), (c1 * d0 / ph, "VH", ())]
-    return _normalized_or_none(branches, 2)
-
-
-def _ideal_entangler(c, d, record: HomodyneRecord) -> HybridState | None:
-    c0, c1 = c
-    d0, d1 = d
-    if record.parity == "even":
-        branches = [(c0 * d0, "HH", ()), (c1 * d1, "VV", ())]
-    else:
-        branches = [(c0 * d1, "HH", ()), (c1 * d0, "VV", ())]
-    return _normalized_or_none(branches, 2)
-
-
-def _ideal_entangler45(c, d, record: HomodyneRecord) -> HybridState | None:
-    c0, c1 = (complex(v) for v in c)
-    d0, d1 = (complex(v) for v in d)
-    if record.parity == "odd":
-        # the odd branch, after its corrections, equals the even form of the
-        # sign-flipped first input
-        c1 = -c1
-    p_d, p_db = (c0 + c1) / 2, (c0 - c1) / 2
-    q_d, q_db = (d0 + d1) / 2, (d0 - d1) / 2
-    # p_d q_d |DD> + p_db q_db |DbDb>, expanded over the computational basis
-    dd, dbdb = p_d * q_d, p_db * q_db
-    branches = [
-        (dd + dbdb, "HH", ()),
-        (dd - dbdb, "HV", ()),
-        (dd - dbdb, "VH", ()),
-        (dd + dbdb, "VV", ()),
-    ]
-    return _normalized_or_none(branches, 2)
-
-
-def _ideal_cnot(c, d, photon: str) -> HybridState:
-    c0, c1 = c
-    d0, d1 = d
-    a = photon
-    branches = [
-        (c0 * d0, ("H", a, "H"), ()),
-        (c0 * d1, ("H", a, "V"), ()),
-        (c1 * d0, ("V", a, "V"), ()),
-        (c1 * d1, ("V", a, "H"), ()),
-    ]
-    return HybridState.from_branches(3, branches)
 
 
 def run_shots(
@@ -152,9 +80,16 @@ def run_shots(
     That threshold separates corrected states from misclassification
     casualties only when the peaks are well split (roughly ``xd >= 12``); at
     poor discrimination the collapse keeps visible weight on both parity
-    components and the reported rate saturates accordingly.  Identical
-    arguments give identical results: shot ``i`` always draws from
-    ``default_rng([seed, i])`` and the aggregation is order-independent.
+    components and the reported rate saturates accordingly.
+
+    Shots run in fixed-size blocks through :mod:`kerrgate.batch`.  RNG
+    contract: shot ``i`` draws only from its own ``default_rng([seed, i])``,
+    in circuit order -- ``random()`` then ``standard_normal()`` for each
+    homodyne measurement (branch pick, then noise), then ``random()`` for the
+    CNOT's photon readout -- exactly the draws the scalar gates in
+    :mod:`kerrgate.gates` make on that generator.  Identical arguments
+    therefore give identical results, and shot ``i`` can be replayed through
+    the scalar gates.
     """
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
@@ -163,39 +98,17 @@ def run_shots(
     inputs = [tuple(complex(v) for v in pair) for pair in inputs]
     if len(inputs) != 2:
         raise ValidationError(f"{experiment} takes two qubit amplitude pairs")
+    check_normalized(inputs)
     probe = ProbeMode(alpha, theta)
-    c, d = inputs
 
     errors = 0
     fidelity_sum = 0.0
     even = 0
-    for i in range(shots):
-        rng = np.random.default_rng([seed, i])
-        if experiment == "parity":
-            state = new_state(inputs)
-            record, final = parity_gate(state, 0, 1, probe, "computational", rng)
-            ideal = _ideal_parity(c, d, record)
-        elif experiment == "entangler":
-            state = new_state(inputs)
-            trace, final = entangler(state, 0, 1, probe, "computational", rng)
-            record = trace.records[0]
-            ideal = _ideal_entangler(c, d, record)
-        elif experiment == "entangler45":
-            state = new_state(inputs)
-            trace, final = entangler_45(state, 0, 1, probe, rng)
-            record = trace.records[0]
-            ideal = _ideal_entangler45(c, d, record)
-        else:
-            state = new_state([c, ANCILLA_PLUS, d])
-            trace, final = cnot(state, 0, 1, 2, (probe, probe), rng)
-            record = trace.records[0]
-            ideal = _ideal_cnot(c, d, trace.photon_outcomes[0][1])
-        if record.parity == "even":
-            even += 1
-        fid = fidelity(final, ideal) if ideal is not None else 0.0
-        fidelity_sum += fid
-        if fid < LOGICAL_ERROR_FIDELITY:
-            errors += 1
+    for start in range(0, shots, BLOCK_SHOTS):
+        block = run_block(experiment, inputs, probe, seed, start, min(start + BLOCK_SHOTS, shots))
+        even += int(np.count_nonzero(~block.odd[:, 0]))
+        fidelity_sum += float(np.sum(block.fidelity))
+        errors += int(np.count_nonzero(block.fidelity < LOGICAL_ERROR_FIDELITY))
 
     rate = errors / shots
     ci = 3.0 * math.sqrt(rate * (1.0 - rate) / shots)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ContractError, ValidationError
 from .measurement import HomodyneRecord, qnd_photon_measure, sample_and_collapse
 from .optics import (
     apply_cross_kerr,
@@ -54,8 +54,10 @@ _ANCILLA_TOL = 1e-9
 class FeedForwardRule:
     """Conditional actions for one outcome of one measurement.
 
-    ``actions`` are symbolic, e.g. ``("undo-phase:0", "flip:1")``; qubit
-    numbers refer to the gate's argument order, not absolute indices.
+    ``actions`` are symbolic ``kind:slot`` strings, e.g.
+    ``("undo-phase:0", "flip:1")``; a slot names a qubit by its role in the
+    gate (argument position for the entanglers, ``control``/``target`` for
+    the CNOT controller), never by absolute index.
     """
 
     measurement: str
@@ -108,6 +110,45 @@ def cnot_plan() -> FeedForwardPlan:
             FeedForwardRule("photon", "V", ("flip:target",)),
         )
     )
+
+
+#: fixed single-qubit gate behind each feed-forward action kind; the remaining
+#: kind, ``undo-phase``, depends on the measured phase (see :func:`_undo_phase`)
+FIXED_ACTIONS = {"flip": bit_flip, "sign-flip": sign_flip}
+
+
+def resolve_action(action: str, slots: dict[str, int]) -> tuple[str, int]:
+    """Split a plan action ``kind:slot`` into its kind and absolute qubit.
+
+    ``slots`` maps the gate's slot names to qubit indices.  Both shot engines
+    read their corrections through this, so the plans stay the one source of
+    the feed-forward wiring.
+    """
+    kind, _, slot = action.partition(":")
+    if kind != "undo-phase" and kind not in FIXED_ACTIONS:
+        raise ContractError(f"unknown feed-forward action {action!r}")
+    if slot not in slots:
+        raise ContractError(f"feed-forward action {action!r} names no qubit of this gate")
+    return kind, slots[slot]
+
+
+def _apply_actions(
+    state: HybridState,
+    actions: tuple[str, ...],
+    slots: dict[str, int],
+    phi: float | None = None,
+) -> tuple[HybridState, list[str]]:
+    applied = []
+    for action in actions:
+        kind, qubit = resolve_action(action, slots)
+        if kind == "undo-phase":
+            if phi is None:
+                raise ContractError(f"{action!r} follows no homodyne record")
+            state = _undo_phase(state, qubit, phi)
+        else:
+            state = apply_single_qubit(state, FIXED_ACTIONS[kind](qubit))
+        applied.append(f"{kind}:q{qubit}")
+    return state, applied
 
 
 @dataclass(frozen=True)
@@ -178,17 +219,12 @@ def _entangler_core(
 ) -> tuple[HomodyneRecord, HybridState, tuple[str, ...]]:
     """Computational-basis parity gate plus its conditional corrections."""
     record, state = parity_gate(state, qubit_a, qubit_b, probe, "computational", rng, force_x)
-    applied = []
-    for action in plan.actions_for("homodyne", record.parity):
-        kind, _, slot = action.partition(":")
-        qubit = (qubit_a, qubit_b)[int(slot)]
-        if kind == "undo-phase":
-            state = _undo_phase(state, qubit, record.phi)
-        elif kind == "flip":
-            state = apply_single_qubit(state, bit_flip(qubit))
-        else:
-            raise ValidationError(f"unknown feed-forward action {action!r}")
-        applied.append(f"{kind}:q{qubit}")
+    state, applied = _apply_actions(
+        state,
+        plan.actions_for("homodyne", record.parity),
+        {"0": qubit_a, "1": qubit_b},
+        record.phi,
+    )
     return record, merge_and_prune(state), tuple(applied)
 
 
@@ -293,28 +329,21 @@ def cnot(
         state.require_qubit(q)
     _check_ancilla_plus(state, ancilla)
     plan = cnot_plan()
-    corrections: list[str] = []
+    slots = {"control": control, "target": target}
 
     trace1, state = entangler(state, control, ancilla, probes[0], "computational", rng, force_x1)
-    corrections += list(trace1.corrections)
-
     trace2, state = entangler_45(state, ancilla, target, probes[1], rng, force_x2)
-    corrections += list(trace2.corrections)
-    for action in plan.actions_for("homodyne-45", trace2.records[0].parity):
-        assert action == "sign-flip:control"
-        state = apply_single_qubit(state, sign_flip(control))
-        corrections.append(f"sign-flip:q{control}")
-
+    state, signed = _apply_actions(
+        state, plan.actions_for("homodyne-45", trace2.records[0].parity), slots
+    )
     outcome, state = qnd_photon_measure(state, ancilla, rng, force_outcome=force_photon)
-    for action in plan.actions_for("photon", outcome):
-        assert action == "flip:target"
-        state = apply_single_qubit(state, bit_flip(target))
-        corrections.append(f"flip:q{target}")
+    state, flipped = _apply_actions(state, plan.actions_for("photon", outcome), slots)
+    corrections = trace1.corrections + trace2.corrections + tuple(signed + flipped)
 
     trace = GateTrace(
         records=trace1.records + trace2.records,
         photon_outcomes=((ancilla, outcome),),
-        corrections=tuple(corrections),
+        corrections=corrections,
         ancilla_consumed=0,
     )
     return trace, merge_and_prune(state)

@@ -215,11 +215,13 @@ def sample_and_collapse(
         x = float(sample_quadrature(state, probe_index, rng, 1)[0])
     else:
         x = float(force_x)
-    x0 = probe.alpha * (1.0 + math.cos(probe.theta))
+    x0 = probe.x0
     parity = "even" if x > x0 else "odd"
-    phi = (
-        kernel_phase(x, probe.label(1)) - kernel_phase(x, probe.label(0))
-    ) % _TWO_PI
+    # reduce through sin/cos, which reduce the float argument exactly, as the
+    # collapse's kernel does; ``p % _TWO_PI`` would reduce by the float
+    # nearest 2 pi and be off by ~0.01 rad once |p| ~ 1e14 (alpha ~ 1e9)
+    p = kernel_phase(x, probe.label(1)) - kernel_phase(x, probe.label(0))
+    phi = math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
     record = HomodyneRecord(x=x, x0=x0, parity=parity, phi=phi)
 
     weighted = [

@@ -66,6 +66,12 @@ class ProbeMode:
         """Coherent label alpha * exp(i k theta) for phase index ``k``."""
         return self.alpha * cmath.exp(1j * k * self.theta)
 
+    @property
+    def x0(self) -> float:
+        """Homodyne threshold ``alpha (1 + cos theta)``, midway between the
+        even-parity peak ``2 alpha`` and the odd-parity peak ``2 alpha cos theta``."""
+        return self.alpha * (1.0 + math.cos(self.theta))
+
 
 def coherent_overlap(bra: complex, ket: complex) -> complex:
     """Overlap <bra|ket> of two coherent states.
@@ -186,13 +192,8 @@ class HybridState:
         return sum((b.amplitude for b in self.branches if b.basis == key), 0j)
 
 
-def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
-    """Prepare a product state from per-qubit amplitude pairs ``(c_H, c_V)``.
-
-    Each pair must be normalized to 1 within 1e-12.  The product is expanded
-    into explicit branches (zero-amplitude branches pruned); no probes are
-    active on the result.
-    """
+def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
+    """Each qubit amplitude pair ``(c_H, c_V)`` must be normalized to 1 within 1e-12."""
     if len(qubit_specs) == 0:
         raise ValidationError("need at least one qubit amplitude pair")
     for i, (c0, c1) in enumerate(qubit_specs):
@@ -201,6 +202,16 @@ def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
             raise ValidationError(
                 f"qubit {i} amplitude pair is not normalized: |c0|^2+|c1|^2 = {s!r}"
             )
+
+
+def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
+    """Prepare a product state from per-qubit amplitude pairs ``(c_H, c_V)``.
+
+    Each pair must pass :func:`check_normalized`.  The product is expanded
+    into explicit branches (zero-amplitude branches pruned); no probes are
+    active on the result.
+    """
+    check_normalized(qubit_specs)
     n = len(qubit_specs)
     branches: list[tuple[complex, str, tuple[int, ...]]] = [(1.0 + 0j, "", ())]
     for c0, c1 in qubit_specs:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrgate import ValidationError, geometry, p_error, run_shots
+from kerrgate import ProbeMode, ValidationError, geometry, p_error, run_shots
 from kerrgate.analysis import ShotStats
 
 # 0.5 * erfc(9 / (2 sqrt 2)), frozen from an independent 40-digit evaluation
@@ -75,6 +75,16 @@ class TestGeometry:
             geo = geometry(100.0, theta)
             assert abs(geo.xd - geo.alpha_theta_sq) / geo.alpha_theta_sq < 0.01
 
+    def test_separation_free_of_cancellation_at_tiny_theta(self):
+        # xd = 2 alpha (1 - cos theta) = alpha theta^2 (1 - theta^2 / 12 + ...);
+        # 1 - cos theta in floating point is off by ~1e-3 relative at theta = 1e-7
+        alpha, theta = 1e14, 1e-7
+        geo = geometry(alpha, theta)
+        assert geo.xd == pytest.approx(alpha * theta**2 * (1 - theta**2 / 12), rel=1e-14)
+
+    def test_threshold_is_the_probe_threshold(self):
+        assert geometry(36.0, 0.5).x0 == ProbeMode(36.0, 0.5).x0
+
     @given(st.floats(0.0, 1e6), st.floats(0.0, math.pi))
     @settings(max_examples=80, deadline=None)
     def test_midpoint_identity(self, alpha, theta):
@@ -138,6 +148,21 @@ class TestRunShots:
     def test_full_runs_are_reproducible(self):
         kwargs = dict(inputs=[UNIFORM, UNIFORM], alpha=10.0, theta=0.6, shots=300, seed=44)
         assert run_shots("cnot", **kwargs) == run_shots("cnot", **kwargs)
+
+    @pytest.mark.parametrize("experiment", ["parity", "entangler", "entangler45", "cnot"])
+    def test_weak_kerr_limit_is_error_free_at_fixed_separation(self, experiment):
+        """Hold xd = 20 (analytic error ~1e-23) while alpha grows to 1e11 and
+        theta shrinks: the measured phases reach ~1e17 rad, and the
+        feed-forward must still undo exactly the phase the collapse added."""
+        rng = np.random.default_rng(8)
+        for alpha in (1e3, 1e5, 1e7, 1e9, 1e11):
+            theta = 2.0 * math.asin(math.sqrt(20.0 / (4.0 * alpha)))
+            assert geometry(alpha, theta).xd == pytest.approx(20.0, rel=1e-12)
+            pairs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            inputs = [tuple(p / np.linalg.norm(p)) for p in pairs]
+            stats = run_shots(experiment, inputs, alpha, theta, 400, 12)
+            assert stats.logical_error_rate == 0.0, alpha
+            assert stats.mean_fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import pytest
 
 from kerrgate import (
     ANCILLA_PLUS,
+    ContractError,
     HybridState,
     ProbeMode,
     ValidationError,
@@ -22,7 +23,7 @@ from kerrgate import (
     sign_flip,
 )
 from kerrgate.analysis import p_error
-from kerrgate.gates import cnot_plan, entangler_45_plan, entangler_plan
+from kerrgate.gates import cnot_plan, entangler_45_plan, entangler_plan, resolve_action
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 UNIFORM = (SQRT_HALF, SQRT_HALF)
@@ -340,6 +341,19 @@ class TestFeedForwardPlans:
     def test_even_outcomes_need_no_action(self):
         assert entangler_plan().actions_for("homodyne", "even") == ()
         assert cnot_plan().actions_for("photon", "H") == ()
+
+    def test_actions_resolve_to_absolute_qubits(self):
+        assert resolve_action("undo-phase:0", {"0": 4, "1": 2}) == ("undo-phase", 4)
+        assert resolve_action("sign-flip:control", {"control": 3}) == ("sign-flip", 3)
+
+    @pytest.mark.parametrize(
+        "action,slots",
+        [("teleport:0", {"0": 0}), ("flip:target", {"0": 0}), ("flip", {"0": 0})],
+    )
+    def test_malformed_actions_raise_contract_errors(self, action, slots):
+        # raised, not asserted, so the check survives python -O
+        with pytest.raises(ContractError):
+            resolve_action(action, slots)
 
     def test_unknown_measurement_is_rejected(self):
         with pytest.raises(ValidationError):

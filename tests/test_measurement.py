@@ -261,6 +261,27 @@ class TestSampleAndCollapse:
             )
             assert fidelity(corrected, target) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha", [1e3, 1e5, 1e7, 1e9, 1e11])
+    def test_phase_undo_is_exact_in_the_weak_kerr_limit(self, alpha):
+        """At fixed xd = 20 the odd-branch phase grows like alpha^2 theta ~ 1e17
+        rad; the recorded phi must still equal the collapse's phase mod 2 pi."""
+        theta = 2.0 * math.asin(math.sqrt(20.0 / (4.0 * alpha)))
+        c0, c1, d0, d1 = 0.6, 0.8, 0.28, 0.96
+        state = parity_state((c0, c1), (d0, d1), alpha, theta)
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            x = 2 * alpha * math.cos(theta) + rng.standard_normal()
+            record, collapsed = sample_and_collapse(state, 0, rng, force_x=x)
+            assert record.parity == "odd"
+            assert 0.0 <= record.phi <= 2 * math.pi
+            corrected = apply_single_qubit(
+                collapsed, diagonal_gate(0, -record.phi, record.phi)
+            )
+            target = HybridState.from_branches(
+                2, [(c0 * d1, "HV", ()), (c1 * d0, "VH", ())]
+            )
+            assert fidelity(corrected, target) == pytest.approx(1.0, abs=1e-12)
+
     def test_force_x_bypasses_sampling_deterministically(self):
         state = uniform_parity_state(5.0, 0.5)
         r1, s1 = sample_and_collapse(state, 0, np.random.default_rng(0), force_x=9.0)
