@@ -103,15 +103,7 @@ class _Shots:
 
     def __init__(self, count: int, probe: ProbeMode, seed: int, start: int):
         self.probe = probe
-        if 0 <= seed < 2**32:
-            # the uint32 words SeedSequence derives from [seed, i] itself; the
-            # array form skips its per-integer coercion, the same stream
-            entropy = np.empty((count, 2), np.uint32)
-            entropy[:, 0] = seed
-            entropy[:, 1] = np.arange(start, start + count)
-        else:
-            entropy = [[seed, i] for i in range(start, start + count)]
-        self.rngs = [np.random.default_rng(e) for e in entropy]
+        self.rngs = [np.random.default_rng([seed, i]) for i in range(start, start + count)]
         self.records: list[Record] = []
         self.photon_v = np.zeros(count, bool)
 

@@ -171,9 +171,14 @@ def test_batched_shots_replay_through_scalar_gates(experiment, alpha, xd, make):
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70])
 def test_every_seed_width_keeps_the_per_shot_stream(seed):
-    """Seeds that fit one uint32 word take a faster route to the same generator."""
     inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
     assert_replays("cnot", inputs, ProbeMode(8.0, theta_for(8.0, 4.0)), seed, shots=6)
+
+
+def test_non_integer_seed_is_rejected():
+    """A float seed must not be truncated into another seed's shots."""
+    with pytest.raises(TypeError):
+        run_shots("parity", [(1, 0), (1, 0)], 8.0, theta_for(8.0, 20.0), 2, 3.5)
 
 
 def test_replays_see_errors_at_poor_separation():
