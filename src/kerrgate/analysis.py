@@ -89,7 +89,11 @@ def run_shots(
     CNOT's photon readout -- exactly the draws the scalar gates in
     :mod:`kerrgate.gates` make on that generator.  Identical arguments
     therefore give identical results, and shot ``i`` can be replayed through
-    the scalar gates.
+    the scalar gates.  The engine derives those streams a block at a time,
+    from NumPy's documented ``SeedSequence`` hash, without building a
+    generator per shot; the numbers are the same.  ``seed`` must be a
+    non-negative integer (``TypeError`` for a float or string, ``ValueError``
+    when negative).
     """
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")

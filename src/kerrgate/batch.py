@@ -25,14 +25,23 @@ Shot ``i`` draws from its own ``default_rng([seed, i])`` in the scalar order
 numbers the scalar gates in :mod:`kerrgate.gates` would.  Those gates stay
 the reference: replaying a shot through them, with the same generator or
 with its recorded outcomes forced, gives the same records and final state.
+
+No generator is built per shot.  NumPy's ``SeedSequence`` hash is ported to
+uint32 array arithmetic, so the PCG64 seed words of every shot in a block
+come out of one pass; each shot's 128-bit state is then set into one reused
+``PCG64`` per thread, and NumPy's own ``Generator`` makes that shot's
+declared draws (:attr:`Circuit.draws`) into a ``(shots, draws)`` table.  The
+streams are the ones ``default_rng([seed, i])`` gives, number for number.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -89,6 +98,121 @@ def _lifted(n: int, qubit: int, factory: Callable) -> np.ndarray:
     return _frozen(np.kron(full, np.eye(1 << (n - 1 - qubit))).T.copy())
 
 
+# -- per-shot streams: default_rng([seed, i]) rebuilt a block at a time -------
+#
+# NumPy documents SeedSequence's hash as stable: the entropy ``[seed, i]`` is
+# split into little-endian uint32 words, mixed into a pool of 4 words, and the
+# pool is hashed out into PCG64's 128-bit seed and stream.  Each hash call's
+# constants depend only on how many calls went before, never on the data, so
+# one constant sequence serves every shot and each step is an array operation
+# across the block.  The constants are NumPy's.
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+_local = threading.local()
+
+
+def _words(value: int) -> list[int]:
+    """``value``'s uint32 words, least significant first, as SeedSequence splits it."""
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+@lru_cache(maxsize=None)
+def _hash_calls(init: int, mult: int, calls: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the constants of the hash calls ``calls``: call ``k`` xors
+    with ``init * mult**k`` and multiplies by ``init * mult**(k + 1)``, mod 2**32."""
+
+    def column(powers):
+        values = [init * pow(mult, k, 1 << 32) & _M32 for k in powers]
+        return _frozen(np.array(values, np.uint32)[:, None])
+
+    return column(calls), column([k + 1 for k in calls])
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (values ^ xor) * mul
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    v = x * _MIX_L - y * _MIX_R
+    return v ^ (v >> 16)
+
+
+def _seed_words(seed: int, start: int, count: int) -> np.ndarray:
+    """``(4, count)``: ``SeedSequence([seed, i]).generate_state(4, np.uint64)``
+    for ``i = start .. start + count - 1``, one column per shot."""
+    if start >> 32 != (start + count - 1) >> 32:
+        raise ContractError(f"shots {start} .. {start + count - 1} straddle a multiple of 2**32")
+    head = _words(seed)
+    tail = _words(start >> 32) if start >> 32 else []
+    width = len(head) + 1 + len(tail)
+    entropy = np.zeros((max(width, _POOL), count), np.uint32)  # zeros pad a short pool
+    entropy[: len(head)] = np.array(head, np.uint32)[:, None]
+    entropy[len(head)] = np.arange(start & _M32, (start & _M32) + count, dtype=np.uint32)
+    entropy[len(head) + 1 : width] = np.array(tail, np.uint32)[:, None]
+
+    pool = _hashmix(entropy[:_POOL], *_hash_calls(_INIT_A, _MULT_A, tuple(range(_POOL))))
+    k = _POOL
+    for src in range(_POOL):
+        # every other pool word takes in hash call k, k + 1, k + 2 of this
+        # one, in row order; the source row's own result is discarded
+        calls = tuple(k + d - (d > src) for d in range(_POOL))
+        mixed = _mix(pool, _hashmix(pool[src], *_hash_calls(_INIT_A, _MULT_A, calls)))
+        mixed[src] = pool[src]
+        pool = mixed
+        k += _POOL - 1
+    for src in range(_POOL, width):  # entropy past the pool, into every pool word
+        calls = tuple(range(k, k + _POOL))
+        pool = _mix(pool, _hashmix(entropy[src], *_hash_calls(_INIT_A, _MULT_A, calls)))
+        k += _POOL
+
+    out = _hashmix(
+        np.concatenate((pool, pool)), *_hash_calls(_INIT_B, _MULT_B, tuple(range(2 * _POOL)))
+    ).astype(np.uint64)
+    return out[0::2] | (out[1::2] << np.uint64(32))
+
+
+def _generator() -> np.random.Generator:
+    """This thread's generator, re-seeded for every shot."""
+    gen = getattr(_local, "generator", None)
+    if gen is None:
+        gen = _local.generator = np.random.Generator(np.random.PCG64(0))
+    return gen
+
+
+def _draw_table(seed: int, start: int, count: int, draws: tuple[str, ...]) -> np.ndarray:
+    """``(count, len(draws))``: row ``r`` holds what ``default_rng([seed, start + r])``
+    returns for the ``Generator`` methods ``draws``, called in order."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    gen = _generator()
+    pcg = gen.bit_generator
+    calls = [getattr(gen, method) for method in draws]
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    rows = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*_seed_words(seed, start, count).tolist()):
+        # PCG64's srandom: inc = 2 q + 1, state = (inc + s) * MULT + inc
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _M128
+        s = (s_hi << 64) | s_lo
+        state["state"] = {"state": ((inc + s) * _PCG_MULT + inc) & _M128, "inc": inc}
+        pcg.state = state
+        rows.append([call() for call in calls])
+    return np.array(rows, float).reshape(count, len(draws))
+
+
 @dataclass(frozen=True)
 class Record:
     """One homodyne measurement across the shots of a block."""
@@ -99,11 +223,16 @@ class Record:
 
 
 class _Shots:
-    """Amplitudes and per-shot generators of one block, advanced in place."""
+    """Amplitudes and per-shot random numbers of one block, advanced in place."""
 
-    def __init__(self, count: int, probe: ProbeMode, seed: int, start: int):
+    def __init__(
+        self, count: int, probe: ProbeMode, seed: int, start: int, draws: tuple[str, ...]
+    ):
         self.probe = probe
-        self.rngs = [np.random.default_rng([seed, i]) for i in range(start, start + count)]
+        self.count = count
+        self.draws = draws
+        self.table = _draw_table(seed, start, count, draws)
+        self.drawn = 0
         self.records: list[Record] = []
         self.photon_v = np.zeros(count, bool)
 
@@ -113,10 +242,15 @@ class _Shots:
         for pair in pairs:
             product = np.multiply.outer(product, np.asarray(pair, complex)).ravel()
         self.n = len(pairs)
-        self.amp = np.repeat(product[None, :], len(self.rngs), axis=0)
+        self.amp = np.repeat(product[None, :], self.count, axis=0)
 
     def _draw(self, method: str) -> np.ndarray:
-        return np.array([getattr(rng, method)() for rng in self.rngs])
+        """Every shot's next draw, which must be the declared ``method``."""
+        k = self.drawn
+        if k >= len(self.draws) or self.draws[k] != method:
+            raise ContractError(f"draw {k} is {method!r}; the circuit declares {self.draws}")
+        self.drawn = k + 1
+        return self.table[:, k]
 
     def gate(self, qubit: int, factory: Callable, rows: np.ndarray | None = None) -> None:
         """Apply the single-qubit gate ``factory(qubit)`` to every shot, or to
@@ -286,12 +420,22 @@ def _cnot(shots: _Shots, c, d) -> np.ndarray:
     return _pick(v, on_h, on_v)
 
 
+class Circuit(NamedTuple):
+    """A circuit and the ``Generator`` draws each of its shots makes, in order."""
+
+    run: Callable[[_Shots, tuple, tuple], np.ndarray]
+    draws: tuple[str, ...]
+
+
+#: one homodyne measurement's draws: branch pick, then noise
+_HOMODYNE = ("random", "standard_normal")
+
 #: experiment name -> circuit, in the order the CLI lists them
-CIRCUITS: dict[str, Callable[[_Shots, tuple, tuple], np.ndarray]] = {
-    "parity": _parity,
-    "entangler": _entangler,
-    "entangler45": _entangler45,
-    "cnot": _cnot,
+CIRCUITS: dict[str, Circuit] = {
+    "parity": Circuit(_parity, _HOMODYNE),
+    "entangler": Circuit(_entangler, _HOMODYNE),
+    "entangler45": Circuit(_entangler45, _HOMODYNE),
+    "cnot": Circuit(_cnot, 2 * _HOMODYNE + ("random",)),  # then the photon readout
 }
 
 
@@ -331,8 +475,11 @@ def run_block(
     ``inputs`` are two normalized amplitude pairs, as for ``run_shots``; both
     probes of the CNOT are ``probe``.
     """
-    shots = _Shots(stop - start, probe, seed, start)
-    ideal = CIRCUITS[experiment](shots, *inputs)
+    circuit = CIRCUITS[experiment]
+    shots = _Shots(stop - start, probe, seed, start, circuit.draws)
+    ideal = circuit.run(shots, *inputs)
+    if shots.drawn != len(circuit.draws):
+        raise ContractError(f"{experiment} made {shots.drawn} of its draws {circuit.draws}")
     return ShotBlock(
         x=np.stack([r.x for r in shots.records], axis=1),
         odd=np.stack([r.odd for r in shots.records], axis=1),

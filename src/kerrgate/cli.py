@@ -22,7 +22,7 @@ from .measurement import outcome_density
 from .optics import apply_cross_kerr, build_parity_coupling_pair
 from .states import ProbeMode, new_state
 
-EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot", "sweep", "validate-oracle")
+EXPERIMENTS = analysis.EXPERIMENTS + ("sweep", "validate-oracle")
 
 CSV_HEADER = "experiment,alpha,theta,shots,seed,x0,xd,p_error_analytic,error_rate,error_ci,mean_fidelity"
 
@@ -254,7 +254,7 @@ def _validate_oracle(config: ExperimentConfig) -> tuple[dict, bool]:
     n_trunc = fock.required_truncation(config.alpha) + 5
 
     embedded = fock.oracle_embed(state, n_trunc)
-    for coupling in build_parity_coupling_pair(0, 1, 0, "computational"):
+    for coupling in build_parity_coupling_pair(0, 1, 0):
         state = apply_cross_kerr(state, coupling)
         embedded = fock.oracle_cross_kerr(embedded, coupling)
     re_embedded = fock.oracle_embed(state, n_trunc)

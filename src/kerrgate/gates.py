@@ -190,7 +190,7 @@ def parity_gate(
     if rotate:
         state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
         state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
-    for coupling in build_parity_coupling_pair(qubit_a, qubit_b, probe_index, basis):
+    for coupling in build_parity_coupling_pair(qubit_a, qubit_b, probe_index):
         state = apply_cross_kerr(state, coupling)
     record, state = sample_and_collapse(state, probe_index, rng, force_x=force_x)
     if rotate:

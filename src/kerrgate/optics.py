@@ -128,12 +128,7 @@ def apply_cross_kerr(state: HybridState, coupling: KerrCoupling) -> HybridState:
     return HybridState.from_branches(state.n_qubits, out, state.probes, state.pruned_mass)
 
 
-def build_parity_coupling_pair(
-    qubit_a: int,
-    qubit_b: int,
-    probe_index: int,
-    basis: str = "computational",
-) -> list[KerrCoupling]:
+def build_parity_coupling_pair(qubit_a: int, qubit_b: int, probe_index: int) -> list[KerrCoupling]:
     """The two kicks of the parity detector: +theta on qubit_a's H rail and
     -theta on qubit_b's H rail.
 
@@ -142,8 +137,6 @@ def build_parity_coupling_pair(
     check conjugates the whole circuit by :func:`diagonal_basis_change`
     instead of altering the kicks (see the gates module).
     """
-    if basis not in ("computational", "diagonal"):
-        raise ValidationError(f"unknown parity basis {basis!r}")
     if qubit_a == qubit_b:
         raise ValidationError("parity coupling needs two distinct qubits")
     return [

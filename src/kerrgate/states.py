@@ -179,18 +179,6 @@ class HybridState:
                 f"qubit index {qubit_index} out of range for {self.n_qubits} qubits"
             )
 
-    def branch_labels(self, probe_index: int) -> list[complex]:
-        """Coherent label of each branch for one probe, in branch order."""
-        probe = self.require_probe(probe_index)
-        return [probe.label(b.phases[probe_index]) for b in self.branches]
-
-    def amplitude_of(self, basis: PolBasisString | str) -> complex:
-        """Total amplitude on one basis string (0 if absent); probe-free states only."""
-        if self.probes:
-            raise ContractError("amplitude_of is defined for probe-free states")
-        key = tuple(basis)
-        return sum((b.amplitude for b in self.branches if b.basis == key), 0j)
-
 
 def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
     """Each qubit amplitude pair ``(c_H, c_V)`` must be normalized to 1 within 1e-12."""
@@ -198,7 +186,7 @@ def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
         raise ValidationError("need at least one qubit amplitude pair")
     for i, (c0, c1) in enumerate(qubit_specs):
         s = abs(complex(c0)) ** 2 + abs(complex(c1)) ** 2
-        if abs(s - 1.0) > _NORM_TOL:
+        if not (abs(s - 1.0) <= _NORM_TOL):  # also catches NaN
             raise ValidationError(
                 f"qubit {i} amplitude pair is not normalized: |c0|^2+|c1|^2 = {s!r}"
             )

@@ -9,6 +9,8 @@ the paper's formulas, independently of the engine's dense ones.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from kerrgate import (
     ANCILLA_PLUS,
+    ContractError,
     HybridState,
     ProbeMode,
     ValidationError,
@@ -131,11 +134,11 @@ def scalar_errors(experiment, inputs, probe, shots, seed):
     return errors
 
 
-def assert_replays(experiment, inputs, probe, seed, shots=SHOTS):
-    block = batch.run_block(experiment, inputs, probe, seed, 0, shots)
+def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
+    block = batch.run_block(experiment, inputs, probe, seed, start, start + shots)
     for i in range(shots):
         records, photon, final = scalar_shot(
-            experiment, *inputs, probe, np.random.default_rng([seed, i])
+            experiment, *inputs, probe, np.random.default_rng([seed, start + i])
         )
         assert [r.parity == "odd" for r in records] == list(block.odd[i])
         for r, x, phi in zip(records, block.x[i], block.phi[i]):
@@ -179,6 +182,85 @@ def test_non_integer_seed_is_rejected():
     """A float seed must not be truncated into another seed's shots."""
     with pytest.raises(TypeError):
         run_shots("parity", [(1, 0), (1, 0)], 8.0, theta_for(8.0, 20.0), 2, 3.5)
+
+
+#: seeds of 1 to 5 uint32 words: SeedSequence mixes words past the fourth in a
+#: separate tail loop, and a shot index past 2**32 adds a word of its own
+SEED_WIDTHS = [0, 2**31 - 1, 2**32, 2**64 + 1, 2**96 + 7, 2**128 + 3]
+
+
+@pytest.mark.parametrize("start", [0, 1024, 2**32])
+@pytest.mark.parametrize("seed", SEED_WIDTHS)
+def test_draw_table_rows_are_the_default_rng_streams(seed, start):
+    for circuit in batch.CIRCUITS.values():
+        table = batch._draw_table(seed, start, 5, circuit.draws)
+        for r, row in enumerate(table):
+            rng = np.random.default_rng([seed, start + r])
+            assert list(row) == [getattr(rng, method)() for method in circuit.draws]
+
+
+@pytest.mark.parametrize("seed", SEED_WIDTHS)
+def test_blocks_past_2_32_replay_through_scalar_gates(seed):
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    probe = ProbeMode(8.0, theta_for(8.0, 4.0))
+    assert_replays("cnot", inputs, probe, seed, shots=4, start=2**32)
+
+
+def test_a_block_may_not_straddle_a_multiple_of_2_32():
+    probe = ProbeMode(8.0, theta_for(8.0, 20.0))
+    with pytest.raises(ContractError, match="straddle"):
+        batch.run_block("parity", ((1, 0), (1, 0)), probe, 0, 2**32 - 2, 2**32 + 2)
+
+
+@pytest.mark.parametrize("seed,error", [("7", TypeError), (-1, ValueError), (-(2**40), ValueError)])
+def test_string_and_negative_seeds_are_rejected(seed, error):
+    with pytest.raises(error):
+        run_shots("parity", [(1, 0), (1, 0)], 8.0, theta_for(8.0, 20.0), 2, seed)
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [("standard_normal", "random"), ("random",), ("random", "standard_normal", "random")],
+    ids=["out-of-order", "too-few", "too-many"],
+)
+def test_circuits_draw_exactly_what_they_declare(monkeypatch, draws):
+    monkeypatch.setitem(batch.CIRCUITS, "parity", batch.Circuit(batch._parity, draws))
+    with pytest.raises(ContractError):
+        batch.run_block("parity", ((1, 0), (1, 0)), ProbeMode(5.0, 0.5), 0, 0, 4)
+
+
+def test_threads_keep_their_own_streams():
+    """Blocks drawn in several threads at once equal the same blocks drawn alone."""
+    probe = ProbeMode(8.0, theta_for(8.0, 4.0))
+    inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
+    seeds = range(8)
+    alone = {s: batch.run_block("cnot", inputs, probe, s, 0, 64).x for s in seeds}
+    together, failures = {}, []
+
+    def work(seed):
+        try:
+            for _ in range(5):
+                together.setdefault(seed, []).append(
+                    batch.run_block("cnot", inputs, probe, seed, 0, 64).x
+                )
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    for s in seeds:
+        assert len(together[s]) == 5
+        assert all(np.array_equal(x, alone[s]) for x in together[s])
 
 
 def test_replays_see_errors_at_poor_separation():

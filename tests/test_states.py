@@ -18,6 +18,7 @@ from kerrgate import (
     new_state,
     norm,
     norm_squared,
+    run_shots,
 )
 from kerrgate.fock import oracle_embed, oracle_inner
 
@@ -50,6 +51,21 @@ def test_tensor_product_expansion_by_hand():
 def test_new_state_rejects_unnormalized_pair():
     with pytest.raises(ValidationError):
         new_state([(0.6, 0.7)])
+
+
+@pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.inf), (complex(math.nan, 0), 1.0)])
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda pairs: new_state(pairs),
+        lambda pairs: run_shots("parity", pairs, 8.0, 0.5, 4, 0),
+    ],
+    ids=["new_state", "run_shots"],
+)
+def test_non_finite_pairs_are_not_normalized(prepare, bad):
+    """NaN fails every comparison, so it must not slip past as 'close to 1'."""
+    with pytest.raises(ValidationError, match="qubit 1 amplitude pair is not normalized"):
+        prepare([(1.0, 0.0), bad])
 
 
 def test_new_state_rejects_zero_qubits():
