@@ -7,6 +7,8 @@ from the clock, and repeated invocations write byte-identical files.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import sys
@@ -64,7 +66,12 @@ def _parse_pairs(text: str) -> tuple[tuple[complex, complex], ...]:
             c0, c1 = complex(parts[0]), complex(parts[1])
         except ValueError as exc:
             raise ConfigError(f"input: bad amplitude in {chunk!r}: {exc}") from exc
-        nrm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+        if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
+            raise ConfigError(f"input: amplitudes must be finite, got {chunk!r}")
+        try:
+            nrm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+        except OverflowError as exc:
+            raise ConfigError(f"input: amplitudes too large to normalize in {chunk!r}") from exc
         if nrm == 0:
             raise ConfigError(f"input: zero amplitude pair {chunk!r}")
         pairs.append((c0 / nrm, c1 / nrm))
@@ -123,7 +130,10 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The flag parser, built once; ``parse_args`` leaves it unchanged, so
+    every call shares it."""
     parser = argparse.ArgumentParser(
         prog="kerrgate",
         description="Run weak-Kerr QND parity/entangler/CNOT experiments.",
@@ -200,6 +210,8 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"theta: must lie in [0, pi], got {config.theta}")
     if config.shots < 1:
         raise ConfigError(f"shots: must be >= 1, got {config.shots}")
+    if config.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {config.seed}")
     if config.output_format not in ("csv", "json"):
         raise ConfigError(f"format: must be csv or json, got {config.output_format!r}")
     if config.experiment == "sweep":

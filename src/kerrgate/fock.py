@@ -5,7 +5,10 @@ evolves the full vector, so it shares no code path with the branch model: a
 cross-Kerr kick is a diagonal phase per photon number, and the homodyne
 density is assembled from harmonic-oscillator eigenfunctions.  It is only
 meant for small probe amplitudes (Fock cutoffs up to ~80); the branch model
-itself is exact at any amplitude.
+itself is exact at any amplitude.  The cutoff is chosen from the truncation
+loss, the Poisson upper tail of |alpha>'s photon number, which
+``scipy.special.pdtrc`` gives directly; ``scipy.stats`` is not imported,
+because loading it dominated the package's start-up time and memory.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ValidationError
 from .optics import KerrCoupling, SingleQubitGate
@@ -26,8 +29,19 @@ TRUNCATION_BOUND = 1e-10
 
 
 def truncation_loss(alpha: float, n_trunc: int) -> float:
-    """Probability mass of |alpha> beyond Fock level ``n_trunc``."""
-    return float(stats.poisson.sf(n_trunc, alpha**2)) if alpha > 0 else 0.0
+    """Probability mass of |alpha> beyond Fock level ``n_trunc``.
+
+    This is the Poisson upper tail P(n > n_trunc) at mean alpha**2,
+    ``scipy.special.pdtrc(n_trunc, alpha**2)``, the same function
+    ``scipy.stats.poisson.sf`` evaluates, so every value is bit-identical to
+    it.  A negative cutoff keeps no level: its loss is 1 (``pdtrc`` would
+    return NaN there).
+    """
+    if not alpha > 0:
+        return 0.0
+    if n_trunc < 0:
+        return 1.0
+    return float(special.pdtrc(n_trunc, alpha**2))
 
 
 def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:

@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import kerrgate
 from kerrgate.cli import (
     CSV_HEADER,
     ConfigError,
@@ -82,6 +85,93 @@ class TestParseConfig:
     def test_oracle_alpha_cap(self):
         with pytest.raises(ConfigError, match="alpha"):
             parse_config("--experiment validate-oracle --alpha 9 --theta 0.5".split())
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = "--experiment parity --alpha 20 --theta 0.5 --shots 10 --seed -3".split()
+        assert main(args + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: seed: must be >= 0, got -3" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config_file_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("experiment = cnot\nalpha = 20\ntheta = 0.5\nseed = -1\n")
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(["--config", str(cfg)])
+
+    @pytest.mark.parametrize("experiment", ["parity", "cnot", "validate-oracle"])
+    @pytest.mark.parametrize("pairs", ["nan,1;1,0", "inf,1;1,0", "1,0;0,-inf", "1,nanj;1,0"])
+    def test_non_finite_input_exits_2(self, experiment, pairs, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        args = ["--experiment", experiment, "--alpha", "2", "--theta", "0.5",
+                "--shots", "10", "--input", pairs, "--output", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error: input: amplitudes must be finite" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+    def test_overflowing_input_exits_2(self, capsys):
+        args = ["--experiment", "parity", "--alpha", "2", "--theta", "0.5",
+                "--input", "1e200,1;1,0"]
+        assert main(args) == 2
+        assert "error: input: amplitudes too large to normalize" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """One parser serves every call; no call may leave state behind."""
+
+    BASE = ["--experiment", "parity", "--alpha", "8", "--theta", "0.5"]
+
+    def test_seed_flag_does_not_carry_over(self):
+        assert parse_config(self.BASE + ["--seed", "99"]).seed == 99
+        assert parse_config(self.BASE).seed == 42
+
+    def test_config_file_values_do_not_carry_over(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "experiment = cnot\nalpha = 20\ntheta = 0.3\nshots = 7\nseed = 5\n"
+            "input = 1,0;0,1\nformat = json\noutput = elsewhere.json\n"
+        )
+        first = parse_config(["--config", str(cfg)])
+        assert (first.experiment, first.shots, first.seed) == ("cnot", 7, 5)
+        assert parse_config(self.BASE) == ExperimentConfig(
+            experiment="parity", alpha=8.0, theta=0.5
+        )
+
+    def test_bad_experiment_still_exits_2_after_good_call(self, capsys):
+        parse_config(self.BASE)
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--experiment", "teleport", "--alpha", "8", "--theta", "0.5"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'teleport'" in capsys.readouterr().err
+        assert parse_config(self.BASE).experiment == "parity"
+
+    @pytest.mark.parametrize("experiment", ["validate-oracle", "cnot"])
+    def test_repeated_main_calls_write_identical_files(self, experiment, tmp_path):
+        out = tmp_path / "run.json"
+        args = ["--experiment", experiment, "--alpha", "2.2", "--theta", "0.7",
+                "--shots", "64", "--seed", "17", "--input", "0.6,0.8j;1,2",
+                "--format", "json", "--output", str(out)]
+        assert main(args) == 0
+        first = out.read_bytes()
+        out.unlink()
+        assert main(args) == 0
+        assert out.read_bytes() == first
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominated start-up time and memory; the CLI path needs none of it
+    src = os.path.dirname(os.path.dirname(kerrgate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, kerrgate.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestRun:

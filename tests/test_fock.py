@@ -72,6 +72,35 @@ class TestEmbedding:
         assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
+LOSS_ALPHAS = [0.0, 1e-8, *np.linspace(0.1, 10.0, 100)]
+
+
+def poisson_truncation(alpha, bound):
+    """The cutoff search as written against ``scipy.stats.poisson.sf``."""
+    n = max(int(alpha**2), 1)
+    while (float(stats.poisson.sf(n, alpha**2)) if alpha > 0 else 0.0) > bound:
+        n += 1
+    return n
+
+
+class TestTruncationLoss:
+    def test_matches_poisson_sf_bit_for_bit(self):
+        for alpha in LOSS_ALPHAS:
+            for n in range(81):
+                expected = float(stats.poisson.sf(n, alpha**2))
+                got = truncation_loss(alpha, n)
+                assert got.hex() == expected.hex(), (alpha, n)
+
+    def test_negative_cutoff_loses_all_mass(self):
+        for alpha in (1e-8, 0.5, 3.0):
+            assert truncation_loss(alpha, -1) == 1.0
+
+    @pytest.mark.parametrize("bound", [1e-10, 1e-14])
+    def test_required_truncation_matches_poisson_search(self, bound):
+        for alpha in np.linspace(0.0, 10.0, 101):
+            assert required_truncation(alpha, bound) == poisson_truncation(alpha, bound), alpha
+
+
 class TestOracleCrossKerr:
     def test_untriggered_basis_is_identity(self):
         state = new_state([(1, 0)]).activate_probe(ProbeMode(2.0, 0.3))
