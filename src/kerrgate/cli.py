@@ -372,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return run(config)
-    except ConfigError as exc:
+    except ValidationError as exc:  # includes ConfigError: input the simulator cannot represent
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure -> exit 1, per contract

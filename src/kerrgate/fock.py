@@ -3,12 +3,14 @@
 The oracle expands every coherent label into explicit Fock coefficients and
 evolves the full vector, so it shares no code path with the branch model: a
 cross-Kerr kick is a diagonal phase per photon number, and the homodyne
-density is assembled from harmonic-oscillator eigenfunctions.  It is only
-meant for small probe amplitudes (Fock cutoffs up to ~80); the branch model
-itself is exact at any amplitude.  The cutoff is chosen from the truncation
-loss, the Poisson upper tail of |alpha>'s photon number, which
-``scipy.special.pdtrc`` gives directly; ``scipy.stats`` is not imported,
-because loading it dominated the package's start-up time and memory.
+density is assembled from harmonic-oscillator eigenfunctions.  Those are
+real, so the density is evaluated in real arithmetic, from the real and the
+imaginary parts of the Fock coefficients.  It is only meant for small probe
+amplitudes (Fock cutoffs up to ~80); the branch model itself is exact at any
+amplitude.  The cutoff is chosen from the truncation loss, the Poisson upper
+tail of |alpha>'s photon number, which ``scipy.special.pdtrc`` gives
+directly; ``scipy.stats`` is not imported, because loading it dominated the
+package's start-up time and memory.
 """
 
 from __future__ import annotations
@@ -94,10 +96,16 @@ def oracle_embed(state: HybridState, n_trunc: int) -> FockOracleState:
             )
     shape = (2**state.n_qubits,) + (n_trunc + 1,) * len(state.probes)
     vector = np.zeros(shape, dtype=complex)
+    # branches share few labels (a parity kick leaves at most three), and the
+    # coefficients depend on nothing else, so each label is expanded once
+    expansions: dict[complex, np.ndarray] = {}
     for b in state.branches:
         block = np.array(b.amplitude)
         for p, probe in enumerate(state.probes):
-            block = np.multiply.outer(block, coherent_coefficients(probe.label(b.phases[p]), n_trunc))
+            label = probe.label(b.phases[p])
+            if label not in expansions:
+                expansions[label] = coherent_coefficients(label, n_trunc)
+            block = np.multiply.outer(block, expansions[label])
         vector[_basis_index(b.basis)] += block
     return FockOracleState(state.n_qubits, n_trunc, vector, state.probes)
 
@@ -158,31 +166,49 @@ def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
 
     psi_n(x) = (2 pi)^{-1/4} (2^n n!)^{-1/2} H_n(x / sqrt 2) e^{-x^2/4},
     evaluated by the orthonormal three-term recurrence (the raw Hermite
-    polynomials overflow near n = 60; the normalized functions stay bounded).
+    polynomials overflow near n = 60; the normalized functions stay bounded)
+
+        psi_{n+1} = sqrt(2 / (n + 1)) u psi_n - sqrt(n / (n + 1)) psi_{n-1},
+
+    with u = x / sqrt 2.  Each row is written in place, in that operation
+    order, so no row allocates a temporary.
     """
     x = np.asarray(x, dtype=float)
     u = x / math.sqrt(2.0)
     psi = np.empty((n_max + 1, x.size), dtype=float)
     psi[0] = (2.0 * math.pi) ** -0.25 * np.exp(-0.25 * x**2)
     if n_max >= 1:
-        psi[1] = math.sqrt(2.0) * u * psi[0]
+        np.multiply(u, math.sqrt(2.0), out=psi[1])
+        psi[1] *= psi[0]
+    tail = np.empty_like(u)
     for n in range(1, n_max):
-        psi[n + 1] = math.sqrt(2.0 / (n + 1)) * u * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+        row = psi[n + 1]
+        np.multiply(u, math.sqrt(2.0 / (n + 1)), out=row)
+        row *= psi[n]
+        np.multiply(psi[n - 1], math.sqrt(n / (n + 1)), out=tail)
+        row -= tail
     return psi
 
 
 def oracle_homodyne_density(state: FockOracleState) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact X-quadrature density of a single-probe oracle state."""
+    """Exact X-quadrature density of a single-probe oracle state.
+
+    The density is sum_s |sum_n c_sn psi_n(x)|^2 over basis strings s.  The
+    eigenfunctions are real, so it is evaluated as
+    sum_s (Re c_s . psi)^2 + (Im c_s . psi)^2: one real matrix product with
+    the real and imaginary coefficient rows stacked.
+    """
     if len(state.probes) != 1:
         raise ValidationError("oracle homodyne density is defined for exactly one probe")
 
-    coeffs = state.vector  # (2**n, n_trunc + 1)
+    # (2 * 2**n, n_trunc + 1): the real rows, then the imaginary rows
+    parts = np.concatenate([state.vector.real, state.vector.imag])
 
     def density(x):
         x = np.asarray(x, dtype=float)
         psi = oscillator_eigenfunctions(state.n_trunc, np.atleast_1d(x))
-        waves = coeffs @ psi  # (2**n, len(x))
-        out = np.sum(np.abs(waves) ** 2, axis=0)
+        waves = parts @ psi  # (2 * 2**n, len(x))
+        out = np.einsum("sx,sx->x", waves, waves)
         return out if x.shape else float(out[0])
 
     return density

@@ -30,6 +30,7 @@ identical generators give identical outcomes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Literal
@@ -95,13 +96,6 @@ class HomodyneRecord:
 SamplingStrategy = Literal["exact-mixture", "grid-inverse-cdf"]
 
 
-def _basis_groups(state: HybridState) -> dict[tuple[str, ...], list[Branch]]:
-    groups: dict[tuple[str, ...], list[Branch]] = {}
-    for b in state.branches:
-        groups.setdefault(b.basis, []).append(b)
-    return groups
-
-
 def _other_probe_overlap(state: HybridState, probe_index: int, b: Branch, bp: Branch) -> complex:
     ov = 1.0 + 0j
     for p, probe in enumerate(state.probes):
@@ -111,42 +105,60 @@ def _other_probe_overlap(state: HybridState, probe_index: int, b: Branch, bp: Br
     return ov
 
 
+def _same_basis_pairs(state: HybridState) -> list[tuple[int, int]]:
+    """Index pairs ``i < j`` of branches that share a basis string."""
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i, b in enumerate(state.branches):
+        groups.setdefault(b.basis, []).append(i)
+    return [pair for group in groups.values() for pair in itertools.combinations(group, 2)]
+
+
 def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarray], np.ndarray]:
     """Exact probability density of the X outcome when measuring one probe.
 
-    Same-basis branches interfere coherently (weighted by the overlap of any
-    other, unmeasured probes); distinct basis strings add incoherently.  The
-    returned callable accepts scalars or arrays and integrates to the state's
-    squared norm (1 for normalized states).
+    With ``v_i(x) = a_i <x|l_i>`` the wavefunction of branch ``i`` and
+    ``G_ij`` the overlap of any other, unmeasured probes (``G_ii = 1``),
+
+        p(x) = sum_i |a_i|^2 K^2 exp(-(x - 2 Re l_i)^2 / 2)
+               + sum_{i<j, same basis} 2 Re(v_i G_ij conj v_j),
+
+    where ``K`` is the kernel peak.  The diagonal terms are real Gaussians,
+    all branches in one matrix product; only same-basis pairs interfere and
+    need the complex kernel, and distinct basis strings add incoherently.
+    When every basis string has one branch (every circuit built here) the
+    pair list is empty.  The returned callable accepts scalars or arrays and
+    integrates to the state's squared norm (1 for normalized states).
     """
     probe = state.require_probe(probe_index)
-    groups = list(_basis_groups(state).values())
-    # per group: amplitudes, labels, and the x-independent Gram matrix of the
-    # other probes' overlaps
-    prepared = []
-    for group in groups:
-        amps = np.array([b.amplitude for b in group])
-        labels = np.array([probe.label(b.phases[probe_index]) for b in group])
-        gram = np.array(
-            [[_other_probe_overlap(state, probe_index, b, bp) for bp in group] for b in group]
+    branches = state.branches
+    amps = np.array([b.amplitude for b in branches], dtype=complex)
+    labels = np.array([probe.label(b.phases[probe_index]) for b in branches], dtype=complex)
+    means = 2.0 * labels.real[:, None]
+    weights = (amps.real**2 + amps.imag**2) * KERNEL_PEAK**2
+    pairs = _same_basis_pairs(state)
+    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+    gram = np.array(
+        [_other_probe_overlap(state, probe_index, branches[i], branches[j]) for i, j in pairs],
+        dtype=complex,
+    )[:, None]
+
+    def waves(index, xs):
+        # v_i(x) = a_i * <x|l_i> for the branches in ``index``
+        re = labels.real[index, None]
+        im = labels.imag[index, None]
+        return (
+            amps[index, None]
+            * KERNEL_PEAK
+            * np.exp(-0.25 * (xs - 2.0 * re) ** 2)
+            * np.exp(1j * im * (xs - re))
         )
-        prepared.append((amps, labels, gram))
 
     def density(x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        for amps, labels, gram in prepared:
-            # v[i] = amp_i * <x|label_i>, wavefunction of each branch at x
-            re = labels.real[:, None]
-            im = labels.imag[:, None]
-            v = (
-                amps[:, None]
-                * KERNEL_PEAK
-                * np.exp(-0.25 * (xs[None, :] - 2.0 * re) ** 2)
-                * np.exp(1j * im * (xs[None, :] - re))
-            )
-            out += np.real(np.einsum("ix,ij,jx->x", v, gram, v.conj()))
+        out = weights @ np.exp(-0.5 * (xs - means) ** 2)
+        cross = waves(first, xs) * gram * waves(second, xs).conj()
+        out += 2.0 * np.sum(cross.real, axis=0)
         return float(out[0]) if scalar else out
 
     return density

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import kerrgate
+from kerrgate import ContractError, cli
 from kerrgate.cli import (
     CSV_HEADER,
     ConfigError,
@@ -113,6 +114,26 @@ class TestParseConfig:
         assert "internal error" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_unrepresentable_alpha_exits_2(self, tmp_path, capsys):
+        # alpha = 1e300 passes the config checks, but the collapse cannot
+        # represent the outcome: a ValidationError, reported as an input error
+        out = tmp_path / "run.csv"
+        args = "--experiment parity --alpha 1e300 --theta 0.5 --shots 10".split()
+        assert main(args + ["--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: collapse at x=" in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+    def test_other_failures_stay_internal_errors(self, monkeypatch, capsys):
+        def broken(config):
+            raise ContractError("no such plan")
+
+        monkeypatch.setattr(cli, "run", broken)
+        assert main("--experiment parity --alpha 20 --theta 0.5".split()) == 1
+        assert "internal error: no such plan" in capsys.readouterr().err
+
     def test_overflowing_input_exits_2(self, capsys):
         args = ["--experiment", "parity", "--alpha", "2", "--theta", "0.5",
                 "--input", "1e200,1;1,0"]
@@ -172,6 +193,35 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+#: ``validate-oracle`` rows at theta = 0.7, input "0.6,0.8j;0.28,0.96", as
+#: written when the homodyne densities were evaluated in complex arithmetic
+ORACLE_GOLDEN = {
+    0.3: "validate-oracle,0.29999999999999999,0.69999999999999996,10000,42,0.52945265618534654,"
+    "0.14109468762930694,0.47187900973731739,4.0536463075113716e-12,0,1",
+    1.0: "validate-oracle,1,0.69999999999999996,10000,42,1.7648421872844886,"
+    "0.47031562543102312,0.40704312423212635,2.4956364752526383e-09,0,1.0000000000000002",
+    2.2: "validate-oracle,2.2000000000000002,0.69999999999999996,10000,42,3.8826528120258752,"
+    "1.034694375948251,0.30245690952976234,2.9560537850858992e-08,0,1",
+    3.0: "validate-oracle,3,0.69999999999999996,10000,42,5.2945265618534663,"
+    "1.4109468762930693,0.24025782809800372,3.3965341539321514e-08,0,1",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(ORACLE_GOLDEN))
+def test_validate_oracle_rows_move_only_in_error_rate_roundoff(alpha, tmp_path):
+    """Real-arithmetic densities change ``error_rate`` in its last digits only;
+    every other column is the same string."""
+    out = tmp_path / "oracle.csv"
+    assert main(["--experiment", "validate-oracle", "--alpha", repr(alpha), "--theta", "0.7",
+                 "--input", "0.6,0.8j;0.28,0.96", "--output", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header == CSV_HEADER
+    got = dict(zip(CSV_HEADER.split(","), row.split(",")))
+    golden = dict(zip(CSV_HEADER.split(","), ORACLE_GOLDEN[alpha].split(",")))
+    assert abs(float(got.pop("error_rate")) - float(golden.pop("error_rate"))) <= 1e-15
+    assert got == golden
 
 
 class TestRun:

@@ -67,6 +67,27 @@ class TestEmbedding:
         exact = coherent_overlap(probe.label(0), probe.label(1))
         assert dense == pytest.approx(exact, abs=1e-9)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.5, math.pi])
+    def test_shared_labels_embed_as_one_expansion_per_branch(self, theta):
+        # two probes, same-basis branches, and at theta = 0 or pi labels that
+        # coincide across phase indices
+        probes = (ProbeMode(1.4, theta), ProbeMode(0.9, 0.8))
+        state = new_state([(0.6, 0.8j), (0.28, 0.96)]).activate_probe(probes[0])
+        for coupling in build_parity_coupling_pair(0, 1, 0):
+            state = apply_cross_kerr(state, coupling)
+        state = apply_single_qubit(state, diagonal_basis_change(0))
+        state = state.activate_probe(probes[1])
+        for coupling in build_parity_coupling_pair(0, 1, 1):
+            state = apply_cross_kerr(state, coupling)
+        n = required_truncation(1.4) + 5
+        expected = np.zeros((4, n + 1, n + 1), dtype=complex)
+        for b in state.branches:
+            block = np.array(b.amplitude)
+            for p, probe in enumerate(probes):
+                block = np.multiply.outer(block, coherent_coefficients(probe.label(b.phases[p]), n))
+            expected[int("".join("1" if lab == "V" else "0" for lab in b.basis), 2)] += block
+        np.testing.assert_array_equal(oracle_embed(state, n).vector, expected)
+
     def test_coherent_coefficients_are_normalized(self):
         coeffs = coherent_coefficients(2.5 * np.exp(0.3j), 60)
         assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(1.0, abs=1e-10)
@@ -157,8 +178,42 @@ class TestOracleHomodyneDensity:
         )
         assert deviation < 1e-6
 
+    @pytest.mark.parametrize(
+        "alpha, theta, c, d",
+        [(0.3, 0.7, (0.6, 0.8j), (0.28, 0.96)), (2.2, 1.9, (SQRT_HALF, SQRT_HALF), (0.8, -0.6j)),
+         (3.0, 0.0, (0.6, 0.8), (1.0, 0.0))],
+    )
+    def test_matches_complex_matmul(self, alpha, theta, c, d):
+        # the real-arithmetic density against |C psi|^2 with complex C
+        embedded = oracle_embed(parity_state(alpha, theta, c, d), required_truncation(alpha) + 5)
+        grid = np.linspace(2 * alpha * math.cos(theta) - 10, 2 * alpha + 10, 2001)
+        psi = oscillator_eigenfunctions(embedded.n_trunc, grid)
+        expected = np.sum(np.abs(embedded.vector @ psi) ** 2, 0)
+        got = oracle_homodyne_density(embedded)(grid)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(expected)
+        assert oracle_homodyne_density(embedded)(grid[700]) == pytest.approx(got[700], rel=1e-14)
+
+
+def recurrence_eigenfunctions(n_max, x):
+    """The oscillator recurrence as one expression per row."""
+    u = x / math.sqrt(2.0)
+    psi = np.empty((n_max + 1, x.size))
+    psi[0] = (2.0 * math.pi) ** -0.25 * np.exp(-0.25 * x**2)
+    if n_max >= 1:
+        psi[1] = math.sqrt(2.0) * u * psi[0]
+    for n in range(1, n_max):
+        psi[n + 1] = math.sqrt(2.0 / (n + 1)) * u * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+    return psi
+
 
 class TestOscillatorEigenfunctions:
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 45])
+    def test_in_place_rows_equal_the_recurrence(self, n_max):
+        x = np.linspace(-25.0, 31.0, 2001)
+        np.testing.assert_array_equal(
+            oscillator_eigenfunctions(n_max, x), recurrence_eigenfunctions(n_max, x)
+        )
+
     def test_ground_state_matches_kernel_normalization(self):
         x = np.linspace(-5, 5, 11)
         psi = oscillator_eigenfunctions(0, x)

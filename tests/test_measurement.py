@@ -13,6 +13,8 @@ from kerrgate import (
     apply_cross_kerr,
     apply_single_qubit,
     build_parity_coupling_pair,
+    coherent_overlap,
+    diagonal_basis_change,
     diagonal_gate,
     fidelity,
     kernel_value,
@@ -131,6 +133,102 @@ class TestOutcomeDensity:
     def test_inactive_probe_is_contract_error(self):
         with pytest.raises(ContractError):
             outcome_density(new_state([(1, 0)]), 0)
+
+
+def two_probe_state(c, d, probes):
+    """Parity kick on probe 0, both qubits to the diagonal basis, parity kick
+    on probe 1: 12 branches (16 before merging), three labels of probe 0 per
+    basis string, so same-basis branches interfere."""
+    state = new_state([c, d]).activate_probe(probes[0])
+    for coupling in build_parity_coupling_pair(0, 1, 0):
+        state = apply_cross_kerr(state, coupling)
+    state = apply_single_qubit(state, diagonal_basis_change(0))
+    state = apply_single_qubit(state, diagonal_basis_change(1))
+    state = state.activate_probe(probes[1])
+    for coupling in build_parity_coupling_pair(0, 1, 1):
+        state = apply_cross_kerr(state, coupling)
+    return state
+
+
+def einsum_density(state, probe_index, xs):
+    """The outcome density as a per-basis-group einsum over complex kernels,
+    with the full Gram matrix of the other probes' overlaps."""
+    probe = state.probes[probe_index]
+    groups = {}
+    for b in state.branches:
+        groups.setdefault(b.basis, []).append(b)
+    out = np.zeros_like(xs)
+    for group in groups.values():
+        amps = np.array([b.amplitude for b in group])
+        labels = np.array([probe.label(b.phases[probe_index]) for b in group])
+        gram = np.ones((len(group), len(group)), dtype=complex)
+        for i, b in enumerate(group):
+            for j, bp in enumerate(group):
+                for p, other in enumerate(state.probes):
+                    if p != probe_index:
+                        gram[i, j] *= coherent_overlap(
+                            other.label(bp.phases[p]), other.label(b.phases[p])
+                        )
+        re, im = labels.real[:, None], labels.imag[:, None]
+        v = (
+            amps[:, None]
+            * TWO_PI_QUARTER
+            * np.exp(-0.25 * (xs[None, :] - 2.0 * re) ** 2)
+            * np.exp(1j * im * (xs[None, :] - re))
+        )
+        out += np.real(np.einsum("ix,ij,jx->x", v, gram, v.conj()))
+    return out
+
+
+#: 12 branches over 4 basis strings: same-basis branches interfere
+CROSS_STATE = two_probe_state((0.6, 0.8j), (0.28, 0.96), (ProbeMode(1.3, 0.9), ProbeMode(2.1, 0.6)))
+
+
+def diagonal_density(state, probe_index, xs):
+    """The density without its same-basis pair terms."""
+    probe = state.probes[probe_index]
+    return sum(
+        abs(b.amplitude) ** 2
+        * TWO_PI_QUARTER**2
+        * np.exp(-0.5 * (xs - 2.0 * probe.label(b.phases[probe_index]).real) ** 2)
+        for b in state.branches
+    )
+
+
+class TestOutcomeDensityCrossTerms:
+    """The same-basis pair terms, which no circuit's pre-measurement state
+    reaches, against the einsum over every pair."""
+
+    XS = np.linspace(-8.0, 14.0, 2001)
+
+    def test_state_has_same_basis_branches(self):
+        bases = [b.basis for b in CROSS_STATE.branches]
+        assert (len(bases), len(set(bases))) == (12, 4)
+
+    @pytest.mark.parametrize(
+        "state, probe_index",
+        [(CROSS_STATE, 0), (CROSS_STATE, 1), (parity_state((0.6, 0.8j), (0.28, 0.96), 2.4, 1.1), 0)],
+        ids=["two-probe-0", "two-probe-1", "one-branch-per-basis"],
+    )
+    def test_matches_einsum_over_all_pairs(self, state, probe_index):
+        expected = einsum_density(state, probe_index, self.XS)
+        got = outcome_density(state, probe_index)(self.XS)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * max(1.0, np.max(expected))
+
+    def test_cross_terms_shape_the_second_probe(self):
+        got = outcome_density(CROSS_STATE, 1)(self.XS)
+        assert np.max(np.abs(got - diagonal_density(CROSS_STATE, 1, self.XS))) > 1e-3
+
+    def test_later_qubit_gates_leave_first_probe_density_unchanged(self):
+        # each basis string's pair terms are non-zero, but they cancel across
+        # basis strings: probe 0 reads out as the plain parity state
+        plain = outcome_density(parity_state((0.6, 0.8j), (0.28, 0.96), 1.3, 0.9), 0)(self.XS)
+        assert np.max(np.abs(outcome_density(CROSS_STATE, 0)(self.XS) - plain)) <= 1e-15
+
+    @pytest.mark.parametrize("probe_index", [0, 1])
+    def test_integrates_to_one(self, probe_index):
+        mass, _ = integrate.quad(outcome_density(CROSS_STATE, probe_index), -15, 20, limit=200)
+        assert mass == pytest.approx(1.0, abs=1e-9)
 
 
 def test_collapse_consistency_density_equals_weighted_norm():
