@@ -4,7 +4,8 @@ The homodyne outcome is a pair of unit-variance Gaussians centred on
 ``2 alpha`` (even parity) and ``2 alpha cos theta`` (odd parity), so the
 threshold sits at ``x0 = alpha (1 + cos theta)`` and the peaks are separated
 by ``xd = 2 alpha (1 - cos theta)``.  Classifying by the midpoint threshold
-misreads a peak's tail with probability ``p_error = erfc(xd / (2 sqrt 2)) / 2``.
+misreads a peak's tail with probability ``p_error = erfc(xd / (2 sqrt 2)) / 2``,
+evaluated with the standard library's ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .batch import BLOCK_SHOTS, CIRCUITS, run_block
 from .errors import ValidationError
@@ -47,7 +47,7 @@ def geometry(alpha: float, theta: float) -> DiscriminationGeometry:
 def p_error(alpha: float, theta: float) -> float:
     """Midpoint-threshold misclassification probability, in [0, 1/2]."""
     xd = geometry(alpha, theta).xd
-    return 0.5 * float(erfc(xd / (2.0 * math.sqrt(2.0))))
+    return 0.5 * math.erfc(xd / (2.0 * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)

@@ -155,9 +155,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_input_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--input VALUE`` as ``--input=VALUE`` when VALUE starts with '-'.
+
+    argparse reads a separate argument starting with '-' as a flag unless it
+    is a plain negative number, so ``--input -0.6,0.8;1,0`` would fail with
+    "expected one argument".  Abbreviations of ``--input`` count too.
+    """
+    argv = list(argv)
+    for i in range(len(argv) - 2, -1, -1):
+        flag, value = argv[i], argv[i + 1]
+        is_input = flag.startswith("--i") and "--input".startswith(flag)
+        if is_input and value.startswith("-") and not value.startswith("--"):
+            argv[i : i + 2] = [f"{flag}={value}"]
+    return argv
+
+
 def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Merge config file and flags (flags win) into a validated config."""
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_attach_input_values(sys.argv[1:] if argv is None else argv))
     values = _read_config_file(args.config) if args.config else {}
     for key, flag in (
         ("experiment", args.experiment),

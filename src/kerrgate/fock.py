@@ -8,9 +8,8 @@ real, so the density is evaluated in real arithmetic, from the real and the
 imaginary parts of the Fock coefficients.  It is only meant for small probe
 amplitudes (Fock cutoffs up to ~80); the branch model itself is exact at any
 amplitude.  The cutoff is chosen from the truncation loss, the Poisson upper
-tail of |alpha>'s photon number, which ``scipy.special.pdtrc`` gives
-directly; ``scipy.stats`` is not imported, because loading it dominated the
-package's start-up time and memory.
+tail of |alpha>'s photon number, summed here in plain floating point: the
+runtime needs NumPy and the standard library only.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .optics import KerrCoupling, SingleQubitGate
@@ -30,27 +28,96 @@ from .states import HybridState, ProbeMode
 TRUNCATION_BOUND = 1e-10
 
 
+#: below this mean photon number e^-lam is a normal double, so a Poisson term
+#: is built as a product; above it the term starts from its logarithm
+_PRODUCT_LAM_MAX = 700.0
+
+#: a Poisson tail stops at the first term this far below its largest one
+_NEGLIGIBLE = 2.0**-60
+
+
+def _poisson_term(k: int, lam: float) -> float:
+    """P(N = k) for N ~ Poisson(lam), lam > 0.
+
+    As the product e^-lam (lam / 1) ... (lam / k) every factor rounds once,
+    so the relative error stays near k ulp.  The logarithmic form
+    exp(k log lam - lam - lgamma(k + 1)) loses about (k log lam) ulp to the
+    rounding of its exponent (~1e-13 at lam = 100, ~5e-12 at lam = 1600), so
+    it serves only the means where e^-lam underflows.
+    """
+    if lam >= _PRODUCT_LAM_MAX:
+        return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    p = math.exp(-lam)
+    for j in range(1, k + 1):
+        p *= lam / j
+    return p
+
+
+def _tail_terms(lam: float, k: int, scale: float | None = None) -> list[float]:
+    """Poisson terms p_k, p_{k+1}, ..., which must decrease (k + 1 > lam),
+    until one falls to ``_NEGLIGIBLE`` times ``scale`` (by default p_k) or
+    underflows."""
+    p = _poisson_term(k, lam)
+    floor = (p if scale is None else scale) * _NEGLIGIBLE
+    terms = []
+    while p > floor and p > 0.0:
+        terms.append(p)
+        k += 1
+        p *= lam / k
+    return terms
+
+
 def truncation_loss(alpha: float, n_trunc: int) -> float:
     """Probability mass of |alpha> beyond Fock level ``n_trunc``.
 
-    This is the Poisson upper tail P(n > n_trunc) at mean alpha**2,
-    ``scipy.special.pdtrc(n_trunc, alpha**2)``, the same function
-    ``scipy.stats.poisson.sf`` evaluates, so every value is bit-identical to
-    it.  A negative cutoff keeps no level: its loss is 1 (``pdtrc`` would
-    return NaN there).
+    This is the Poisson upper tail P(n > n_trunc) at mean lam = alpha**2,
+    summed over its smaller side.  When the terms beyond ``n_trunc``
+    decrease (n_trunc + 2 > lam) the tail is their sum.  Otherwise the
+    cutoff lies below lam - ln 2, a lower bound on the Poisson median, so
+    the tail exceeds 1/2 and 1 - P(n <= n_trunc) is good to an ulp.
+    Against 50-digit ``mpmath.gammainc`` the relative error is below 1e-14
+    for alpha <= 10, n_trunc <= 80 wherever the tail is at least 1e-290.
+    An empty mode (alpha = 0) loses nothing, and a negative cutoff keeps no
+    level: its loss is 1.
     """
     if not alpha > 0:
         return 0.0
     if n_trunc < 0:
         return 1.0
-    return float(special.pdtrc(n_trunc, alpha**2))
+    lam = alpha**2
+    if n_trunc + 2 > lam:
+        return math.fsum(_tail_terms(lam, n_trunc + 1))
+    # the head terms decrease from p_n towards p_0
+    p = _poisson_term(n_trunc, lam)
+    head = [p]
+    for k in range(n_trunc, 0, -1):
+        p *= k / lam
+        if p <= head[0] * _NEGLIGIBLE:
+            break
+        head.append(p)
+    return 1.0 - math.fsum(head)
 
 
 def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:
-    """Smallest cutoff meeting the truncation bound for amplitude ``alpha``."""
+    """Smallest cutoff n >= max(int(alpha**2), 1) meeting the truncation bound
+    for amplitude ``alpha``.
+
+    One pass: the Poisson terms beyond the first candidate decrease, so they
+    are listed once, down to far below ``bound``, and summed from the far
+    end; the tails P(n > m) grow as m falls, and the cutoff is the last m
+    before the tail exceeds ``bound``.
+    """
+    if bound < 0:
+        raise ValidationError(f"truncation bound must be >= 0, got {bound}")
     n = max(int(alpha**2), 1)
-    while truncation_loss(alpha, n) > bound:
-        n += 1
+    if not alpha > 0:
+        return n
+    terms = _tail_terms(alpha**2, n + 1, scale=bound)
+    tail = 0.0
+    for i in range(len(terms) - 1, -1, -1):
+        tail += terms[i]  # P(N > n + i)
+        if tail > bound:
+            return n + i + 1
     return n
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,22 @@ class TestPError:
             p_error(4.0, 3.5)
         with pytest.raises(ValidationError):
             p_error(-1.0, 0.5)
+
+    @pytest.mark.parametrize("theta", [math.pi / 2, 0.5, 0.05])
+    def test_within_4_ulp_of_mpmath_up_to_separation_80(self, theta):
+        # the reference takes the double argument xd / (2 sqrt 2) that
+        # p_error forms: that rounding is the formula's input, not erfc's
+        # error.  Up to xd ~ 77 the value is still a (subnormal) double;
+        # SciPy's erfc returned 0 from xd ~ 75.1 on
+        with mpmath.workdps(50):
+            for target in np.linspace(0.0, 80.0, 2001):
+                alpha = target / (4.0 * math.sin(0.5 * theta) ** 2)
+                xd = geometry(alpha, theta).xd
+                expected = mpmath.erfc(mpmath.mpf(xd / (2.0 * math.sqrt(2.0)))) / 2
+                got = p_error(alpha, theta)
+                assert abs(got - expected) <= 4 * math.ulp(float(expected)), (xd, got)
+                if expected >= 2.0**-1074:
+                    assert got > 0.0, xd
 
     def test_strictly_decreasing_in_alpha(self):
         theta = 0.4

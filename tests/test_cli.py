@@ -134,6 +134,24 @@ class TestParseConfig:
         assert main("--experiment parity --alpha 20 --theta 0.5".split()) == 1
         assert "internal error: no such plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--input", "--inp"])
+    def test_input_starting_with_minus_needs_no_equals_sign(self, flag, tmp_path):
+        base = ["--experiment", "parity", "--alpha", "20", "--theta", "0.5",
+                "--shots", "50", "--seed", "9"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(base + [flag, "-0.6,0.8;1,0", "--output", str(spaced)]) == 0
+        assert main(base + ["--input=-0.6,0.8;1,0", "--output", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("extra", [["--bogus", "-1"], ["--input", "--seed", "3"]])
+    def test_unknown_flag_and_missing_input_still_exit_2(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["--experiment", "parity", "--alpha", "20", "--theta", "0.5", *extra])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments" if extra[0] == "--bogus" else "expected one argument") in (
+            capsys.readouterr().err
+        )
+
     def test_overflowing_input_exits_2(self, capsys):
         args = ["--experiment", "parity", "--alpha", "2", "--theta", "0.5",
                 "--input", "1e200,1;1,0"]
@@ -193,6 +211,125 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_cli_runs_load_no_scipy_module():
+    # the runtime needs NumPy and the standard library only; SciPy serves
+    # the tests as an independent reference
+    src = os.path.dirname(os.path.dirname(kerrgate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    point = ["--alpha", "20", "--theta", "0.5", "--shots", "4", "--seed", "1"]
+    runs = [["--experiment", e, *point] for e in ("parity", "entangler", "entangler45", "cnot")]
+    runs.append(["--experiment", "sweep", *point, "--grid-alpha", "20:20:1", "--grid-theta", "0.5:0.5:1"])
+    runs.append(["--experiment", "validate-oracle", "--alpha", "1.0", "--theta", "0.5"])
+    code = (
+        "import contextlib, io, os, sys, tempfile\n"
+        "from kerrgate import cli\n"
+        "out = os.path.join(tempfile.mkdtemp(), 'run.csv')\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv + ['--output', out]) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def _shot_args(experiment, theta):
+    return ["--experiment", experiment, "--alpha", "20", "--theta", theta,
+            "--shots", "200", "--seed", "4242"]
+
+
+#: CLI rows as written while ``p_error`` called ``scipy.special.erfc``; each
+#: entry is (argv, rows).  ``math.erfc`` moved ``p_error_analytic`` once, in
+#: its last digits, and left every other column as it was.
+ERFC_GOLDEN = {
+    "parity-0.3": (_shot_args("parity", "0.3"), [
+        "parity,20,0.29999999999999999,200,4242,39.106729782512119,1.786540434975759,"
+        "0.18585624154237917,1,0,0.79204855548023145",
+    ]),
+    "parity-0.9": (_shot_args("parity", "0.9"), [
+        "parity,20,0.90000000000000002,200,4242,32.43219936541329,15.135601269173424,"
+        "1.8979797331643401e-14,0,0,1",
+    ]),
+    "entangler-0.3": (_shot_args("entangler", "0.3"), [
+        "entangler,20,0.29999999999999999,200,4242,39.106729782512119,1.786540434975759,"
+        "0.18585624154237917,1,0,0.79204855548023145",
+    ]),
+    "entangler-0.9": (_shot_args("entangler", "0.9"), [
+        "entangler,20,0.90000000000000002,200,4242,32.43219936541329,15.135601269173424,"
+        "1.8979797331643401e-14,0,0,1",
+    ]),
+    "entangler45-0.3": (_shot_args("entangler45", "0.3"), [
+        "entangler45,20,0.29999999999999999,200,4242,39.106729782512119,1.786540434975759,"
+        "0.18585624154237917,0.17499999999999999,0.080603194725767532,0.82499999999999996",
+    ]),
+    "entangler45-0.9": (_shot_args("entangler45", "0.9"), [
+        "entangler45,20,0.90000000000000002,200,4242,32.43219936541329,15.135601269173424,"
+        "1.8979797331643401e-14,0,0,1",
+    ]),
+    "cnot-0.3": (_shot_args("cnot", "0.3"), [
+        "cnot,20,0.29999999999999999,200,4242,39.106729782512119,1.786540434975759,"
+        "0.18585624154237917,1,0,0.7595723125300935",
+    ]),
+    "cnot-0.9": (_shot_args("cnot", "0.9"), [
+        "cnot,20,0.90000000000000002,200,4242,32.43219936541329,15.135601269173424,"
+        "1.8979797331643401e-14,0,0,1",
+    ]),
+    "sweep": (["--experiment", "sweep", "--alpha", "20", "--theta", "0.5",
+               "--grid-alpha", "5:45:2", "--grid-theta", "0.2:1.1:2", "--sweep-gate", "cnot",
+               "--shots", "40", "--seed", "4242"], [
+        "cnot,5,0.20000000000000001,40,4242,9.9003328892062079,0.19933422158758371,"
+        "0.46030430613840601,1,0,0.51583698097858788",
+        "cnot,5,1.1000000000000001,40,4242,7.2679806071278863,5.4640387857442274,"
+        "0.0031473717845409599,0.69999999999999996,0.21737065119284157,0.99879740218541857",
+        "cnot,45,0.20000000000000001,40,4242,89.102996002855875,1.7940079942882534,"
+        "0.1848583920625122,1,0,0.70066486928778882",
+        "cnot,45,1.1000000000000001,40,4242,65.411825464150979,49.176349071698048,"
+        "8.4518685489841914e-134,0,0,1",
+    ]),
+    **{
+        f"validate-oracle-{alpha}": (
+            ["--experiment", "validate-oracle", "--alpha", alpha, "--theta", "0.5"], [row]
+        )
+        for alpha, row in [
+            ("0.3", "validate-oracle,0.29999999999999999,0.5,10000,42,0.56327476856711178,"
+                    "0.073450462865776375,0.48535204521804526,8.3427154073945076e-12,0,"
+                    "0.99999999999999989"),
+            ("1.0", "validate-oracle,1,0.5,10000,42,1.8775825618903728,0.24483487621925459,"
+                    "0.45128421438166233,9.6803745575080313e-10,0,1"),
+            ("2.2", "validate-oracle,2.2000000000000002,0.5,10000,42,4.1306816361588208,"
+                    "0.53863672768236015,0.393842350889896,3.4755622713156242e-08,0,1"),
+            ("3.0", "validate-oracle,3,0.5,10000,42,5.6327476856711183,0.73450462865776378,"
+                    "0.35671541010713748,2.5014308221993353e-08,0,1.0000000000000002"),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(ERFC_GOLDEN))
+def test_rows_move_only_in_p_error_roundoff(case, fmt, tmp_path):
+    argv, golden_rows = ERFC_GOLDEN[case]
+    out = tmp_path / f"run.{fmt}"
+    assert main([*argv, "--format", fmt, "--output", str(out)]) == 0
+    text = out.read_text()
+    if fmt == "csv":
+        header, *lines = text.splitlines()
+        assert header == CSV_HEADER
+        rows = [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines]
+    else:
+        # every number as the token written, to compare it with the CSV text
+        rows = json.loads(text, parse_float=str, parse_int=str)
+    assert len(rows) == len(golden_rows)
+    for got, line in zip(rows, golden_rows):
+        golden = dict(zip(CSV_HEADER.split(","), line.split(",")))
+        p_got, p_golden = float(got.pop("p_error_analytic")), float(golden.pop("p_error_analytic"))
+        assert abs(p_got - p_golden) <= 1e-12 * p_golden
+        assert got == golden
 
 
 #: ``validate-oracle`` rows at theta = 0.7, input "0.6,0.8j;0.28,0.96", as

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -104,13 +105,41 @@ def poisson_truncation(alpha, bound):
     return n
 
 
+#: 3000 amplitudes over the oracle's working range, where the cutoffs are small
+DENSE_ALPHAS = np.linspace(0.25, 3.0, 3000)
+
+
 class TestTruncationLoss:
-    def test_matches_poisson_sf_bit_for_bit(self):
-        for alpha in LOSS_ALPHAS:
-            for n in range(81):
-                expected = float(stats.poisson.sf(n, alpha**2))
-                got = truncation_loss(alpha, n)
-                assert got.hex() == expected.hex(), (alpha, n)
+    def test_matches_mpmath_poisson_tail(self):
+        # P(n > N) at mean alpha^2 is the regularized lower incomplete gamma
+        # function P(N + 1, alpha^2), here at 50 digits from the exact square
+        # of the double alpha; SciPy's own worst case on this grid is 1.4e-13.
+        # At alpha = 1e-8, n = 0 the tail is 1e-16, which 1 - P(n <= 0) would
+        # round to 2**-53
+        with mpmath.workdps(50):
+            for alpha in LOSS_ALPHAS:
+                lam = mpmath.mpf(float(alpha)) ** 2
+                for n in range(81):
+                    got = truncation_loss(alpha, n)
+                    if alpha == 0:
+                        assert got == 0.0
+                        continue
+                    expected = mpmath.gammainc(n + 1, 0, lam, regularized=True)
+                    if expected < 1e-290:
+                        continue
+                    assert abs(got / expected - 1) <= 2e-13, (alpha, n, got)
+
+    def test_large_means_start_from_the_logarithm(self):
+        # e^-lam underflows beyond lam ~ 708; there the first term comes from
+        # exp(k log lam - lam - lgamma(k + 1)), whose exponent of order 1e4
+        # costs up to about 5e-12 in rounding
+        with mpmath.workdps(50):
+            for alpha in (27.0, 40.0):
+                lam = mpmath.mpf(alpha) ** 2
+                for n in range(int(0.6 * alpha**2), int(1.6 * alpha**2), 37):
+                    expected = mpmath.gammainc(n + 1, 0, lam, regularized=True)
+                    if expected >= 1e-290:
+                        assert abs(truncation_loss(alpha, n) / expected - 1) <= 2e-11, (alpha, n)
 
     def test_negative_cutoff_loses_all_mass(self):
         for alpha in (1e-8, 0.5, 3.0):
@@ -118,8 +147,19 @@ class TestTruncationLoss:
 
     @pytest.mark.parametrize("bound", [1e-10, 1e-14])
     def test_required_truncation_matches_poisson_search(self, bound):
-        for alpha in np.linspace(0.0, 10.0, 101):
+        for alpha in [*np.linspace(0.0, 10.0, 101), *DENSE_ALPHAS]:
             assert required_truncation(alpha, bound) == poisson_truncation(alpha, bound), alpha
+
+    @pytest.mark.parametrize("bound", [1e-10, 1e-30, 0.5])
+    def test_required_truncation_is_the_first_cutoff_within_bound(self, bound):
+        for alpha in DENSE_ALPHAS[::50]:
+            n = required_truncation(alpha, bound)
+            assert truncation_loss(alpha, n) <= bound
+            assert n == max(int(alpha**2), 1) or truncation_loss(alpha, n - 1) > bound
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValidationError, match="bound"):
+            required_truncation(1.0, -1e-10)
 
 
 class TestOracleCrossKerr:
