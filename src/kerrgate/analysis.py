@@ -90,8 +90,11 @@ def run_shots(
     :mod:`kerrgate.gates` make on that generator.  Identical arguments
     therefore give identical results, and shot ``i`` can be replayed through
     the scalar gates.  The engine derives those streams a block at a time,
-    from NumPy's documented ``SeedSequence`` hash, without building a
-    generator per shot; the numbers are the same.  ``seed`` must be a
+    from NumPy's documented ``SeedSequence`` hash and PCG64/ziggurat integer
+    arithmetic, without building a generator per shot; the few shots whose
+    normal draw leaves the ziggurat's fast path, and small blocks, are made
+    by NumPy's ``Generator`` from the same state.  The numbers are the same,
+    bit for bit.  ``seed`` must be a
     non-negative integer (``TypeError`` for a float or string, ``ValueError``
     when negative).
     """

@@ -6,6 +6,11 @@ records, and once with its recorded outcomes forced through ``force_x*`` and
 ``force_photon``.  Both replays must land on the batched final state.  The
 record-conditional ideal outputs are rebuilt here as branch-label states from
 the paper's formulas, independently of the engine's dense ones.
+
+The per-shot draw tables are checked bit for bit against
+``default_rng([seed, i])`` on both of ``_draw_table``'s paths and on pinned
+rows whose normal draws leave the ziggurat's one-word fast path; the
+ziggurat tables themselves are probed out of the installed NumPy.
 """
 
 import math
@@ -189,14 +194,144 @@ def test_non_integer_seed_is_rejected():
 SEED_WIDTHS = [0, 2**31 - 1, 2**32, 2**64 + 1, 2**96 + 7, 2**128 + 3]
 
 
+def bits(values) -> list[int]:
+    """Float64 bit patterns, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, np.float64).view(np.uint64).tolist()
+
+
+def default_rng_rows(seed, start, count, draws) -> np.ndarray:
+    """The reference: one ``default_rng([seed, i])`` per row, called in order."""
+    rows = []
+    for i in range(start, start + count):
+        rng = np.random.default_rng([seed, i])
+        rows.append([getattr(rng, method)() for method in draws])
+    return np.array(rows).reshape(count, len(draws))
+
+
+#: both sides of the block size below which _draw_table sets a Generator per row
+DRAW_COUNTS = (5, 40)
+
+
 @pytest.mark.parametrize("start", [0, 1024, 2**32])
 @pytest.mark.parametrize("seed", SEED_WIDTHS)
 def test_draw_table_rows_are_the_default_rng_streams(seed, start):
+    assert DRAW_COUNTS[0] < batch._ARRAY_MIN_SHOTS <= DRAW_COUNTS[1]
     for circuit in batch.CIRCUITS.values():
-        table = batch._draw_table(seed, start, 5, circuit.draws)
-        for r, row in enumerate(table):
-            rng = np.random.default_rng([seed, start + r])
-            assert list(row) == [getattr(rng, method)() for method in circuit.draws]
+        for count in DRAW_COUNTS:
+            table = batch._draw_table(seed, start, count, circuit.draws)
+            assert bits(table) == bits(default_rng_rows(seed, start, count, circuit.draws))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(EXPERIMENTS),
+    seed=st.integers(0, 2**160),
+    high=st.integers(0, 2**31),
+    low=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 100),
+)
+def test_draw_table_property(name, seed, high, low, count):
+    start = (high << 32) | min(low, 2**32 - count)  # no straddle of a multiple of 2**32
+    draws = batch.CIRCUITS[name].draws
+    table = batch._draw_table(seed, start, count, draws)
+    assert bits(table) == bits(default_rng_rows(seed, start, count, draws))
+
+
+def state_emitting(word: int) -> dict:
+    """PCG64 state whose next 64-bit output is ``word``: with inc = 1 the next
+    state is ``word`` itself, and its high half 0 makes XSL-RR return the low
+    half unchanged."""
+    inverse = pow(batch._PCG_MULT, -1, 1 << 128)
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": (word - 1) * inverse % (1 << 128), "inc": 1},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def test_ziggurat_tables_are_the_installed_numpys():
+    """Probe every layer's wi and ki out of Generator.standard_normal: a NumPy
+    release that changes its normal stream (NEP 19 allows it) fails here."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = gen.bit_generator
+
+    def normal(layer, rabs):
+        """The draw for word (rabs, sign 0, layer), and whether it took one word."""
+        word = (rabs << 9) | layer
+        pcg.state = state_emitting(word)
+        x = gen.standard_normal()
+        return x, pcg.state["state"]["state"] == word
+
+    for layer in range(256):
+        assert bits(normal(layer, 1)[0]) == bits(batch._ZIGGURAT_WI[layer])
+        lo, hi = 0, 1 << 52  # smallest rabs that takes more than one word
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if normal(layer, mid)[1] else (lo, mid)
+        assert lo == batch._ZIGGURAT_KI[layer], layer
+
+
+def test_ziggurat_fast_path_matches_the_generator_at_its_edges():
+    """Words at rabs = 0, 1, ki - 1, ki and the top, with either sign, in
+    every layer: same bits as NumPy where it takes one word, and rejected
+    exactly where NumPy reads more (rabs = 0 with the sign bit is -0.0)."""
+    gen = np.random.Generator(np.random.PCG64(0))
+    top = (1 << 52) - 1
+    words = [
+        (rabs << 9) | (sign << 8) | layer
+        for layer in range(256)
+        for ki in [int(batch._ZIGGURAT_KI[layer])]
+        for rabs in {0, 1, max(ki - 1, 0), min(ki, top), top}
+        for sign in (0, 1)
+    ]
+    x, accepted = batch._ziggurat_fast_path(np.array(words, np.uint64))
+    for word, xi, ok in zip(words, x, accepted):
+        gen.bit_generator.state = state_emitting(word)
+        expected = gen.standard_normal()
+        assert ok == (gen.bit_generator.state["state"]["state"] == word), hex(word)
+        if ok:
+            assert bits(xi) == bits(expected), hex(word)
+
+
+#: cnot shots (seed 0 unless given) whose normals leave the ziggurat's fast
+#: path, with the words each draw takes: (seed, shot, words per draw, kind)
+FALLBACK_SHOTS = [
+    (0, 296, (1, 2, 1, 1, 1), "wedge"),  # wedge test accepts
+    (0, 110, (1, 3, 1, 1, 1), "wedge"),  # wedge test rejects once
+    (0, 50, (1, 1, 1, 2, 1), "wedge"),  # on the second normal only
+    (0, 194, (1, 2, 1, 1, 1), "idx1"),  # ki[1] = 0
+    (0, 117, (1, 1, 1, 3, 1), "idx1"),  # whose wedge test rejects once
+    (0, 3543, (1, 3, 1, 1, 1), "tail"),
+    (0, 9416, (1, 1, 1, 3, 1), "tail"),
+    (2, 25831, (1, 5, 1, 1, 1), "tail"),  # the tail loop rejects once
+]
+
+
+@pytest.mark.parametrize("seed,shot,words,kind", FALLBACK_SHOTS)
+def test_fallback_rows_are_the_default_rng_streams(seed, shot, words, kind):
+    draws = batch.CIRCUITS["cnot"].draws
+    # the pinned shot takes the path it is pinned for: count the words each
+    # draw takes by matching states along the raw stream
+    walk = np.random.PCG64(np.random.SeedSequence([seed, shot]))
+    raw, states = [], [walk.state["state"]["state"]]
+    for _ in range(sum(words)):
+        raw.append(int(walk.random_raw()))
+        states.append(walk.state["state"]["state"])
+    rng = np.random.default_rng([seed, shot])
+    ends = []
+    for method in draws:
+        getattr(rng, method)()
+        ends.append(states.index(rng.bit_generator.state["state"]["state"]))
+    assert tuple(np.diff([0] + ends)) == words
+    first = next(k for k, n in enumerate(words) if n > 1)
+    layer = raw[ends[first - 1]] & 0xFF  # of the word that left the fast path
+    assert {"tail": layer == 0, "idx1": layer == 1, "wedge": layer >= 2}[kind]
+
+    # its row, inside a block on the array path, is the default_rng stream
+    start = shot - shot % 64
+    table = batch._draw_table(seed, start, 64, draws)
+    assert bits(table[shot - start]) == bits(default_rng_rows(seed, shot, 1, draws)[0])
 
 
 @pytest.mark.parametrize("seed", SEED_WIDTHS)

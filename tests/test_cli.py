@@ -114,10 +114,11 @@ class TestParseConfig:
         assert "internal error" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_unrepresentable_alpha_exits_2(self, tmp_path, capsys):
         # alpha = 1e300 passes the config checks, but the collapse cannot
-        # represent the outcome: a ValidationError, reported as an input error
+        # represent the outcome: a ValidationError, reported as an input error,
+        # and no raw NumPy warning before it
         out = tmp_path / "run.csv"
         args = "--experiment parity --alpha 1e300 --theta 0.5 --shots 10".split()
         assert main(args + ["--output", str(out)]) == 2
