@@ -1,0 +1,94 @@
+"""Micro-benchmarks of ``kerrgate.batch``, the shot engine behind ``run_shots``,
+one step at a time.
+
+Times, at 10, 50 and 1024 shots:
+
+- ``run_block`` for each experiment, a whole block end to end;
+- ``_Shots.homodyne`` on 2 qubits (the entanglers) and on 3 (the CNOT's
+  first parity check), from a freshly prepared block;
+- ``_Shots.feed_forward`` for each plan and measurement the circuits use,
+  with half of the shots on each outcome.
+
+The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
+``cnot-deep`` workload.  ``bench_draw_table.py`` times the block's draw
+table.  Run from a checkout with
+
+    OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/bench_shot_engine.py \
+        --benchmark-json=OUT.json
+
+One BLAS thread, as ``perfbench`` pins it: with more, OpenBLAS threads the
+``(1024, 8)`` frame-rotation products of a 3-qubit block, and on a 2-core
+shared machine ``run_block("cnot", ...)`` at 1024 shots then takes about
+30 ms instead of 2-3 ms.
+
+``testpaths = ["tests"]`` in ``pyproject.toml`` keeps this file out of the
+default test run.  ``BENCH_shot_engine.json`` holds committed results.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kerrgate import ANCILLA_PLUS, ProbeMode, batch
+from kerrgate.gates import cnot_plan, entangler_45_plan, entangler_plan
+
+SEED = 4242
+SHOTS = [10, 50, 1024]
+ALPHA = 100.0
+PROBE = ProbeMode(ALPHA, 2.0 * math.asin(math.sqrt(20.0 / (4.0 * ALPHA))))
+INPUTS = ((0.6 + 0j, 0.8j), (0.28 + 0j, -0.96 + 0j))
+
+PARITY = ("even", "odd")
+CNOT_SLOTS = (("control", 0), ("target", 2))
+#: plan and measurement -> (qubits, plan, measurement, outcomes, slot wiring)
+FEED_FORWARDS = {
+    "entangler": (2, entangler_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
+    "entangler45": (2, entangler_45_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
+    "cnot-homodyne45": (3, cnot_plan, "homodyne-45", PARITY, CNOT_SLOTS),
+    "cnot-photon": (3, cnot_plan, "photon", ("H", "V"), CNOT_SLOTS),
+}
+
+
+def prepared(shots: int, qubits: int) -> batch._Shots:
+    """A block with the CNOT's draws, holding the 2- or 3-qubit product input."""
+    block = batch._Shots(shots, PROBE, SEED, 0, batch.CIRCUITS["cnot"].draws)
+    c, d = INPUTS
+    block.prepare(*((c, ANCILLA_PLUS, d) if qubits == 3 else (c, d)))
+    return block
+
+
+@pytest.mark.parametrize("shots", SHOTS)
+@pytest.mark.parametrize("experiment", list(batch.CIRCUITS))
+def test_run_block(benchmark, experiment, shots):
+    block = benchmark(batch.run_block, experiment, INPUTS, PROBE, SEED, 0, shots)
+    assert block.fidelity.shape == (shots,)
+
+
+@pytest.mark.parametrize("shots", SHOTS)
+@pytest.mark.parametrize("qubits", [2, 3])
+def test_homodyne(benchmark, qubits, shots):
+    block = prepared(shots, qubits)
+    amp = block.amp
+
+    def fresh():
+        # each round measures the block's first record from the same input
+        block.amp, block.drawn, block.measured = amp.copy(), 0, 0
+        return (block, 0, 1), {}
+
+    record = benchmark.pedantic(
+        batch._Shots.homodyne, setup=fresh, rounds=max(50, 20_000 // shots), warmup_rounds=5
+    )
+    assert record.x.shape == (shots,)
+
+
+@pytest.mark.parametrize("shots", SHOTS)
+@pytest.mark.parametrize("case", list(FEED_FORWARDS))
+def test_feed_forward(benchmark, case, shots):
+    qubits, plan, measurement, outcomes, slots = FEED_FORWARDS[case]
+    block = prepared(shots, qubits)
+    rng = np.random.default_rng(SEED)
+    flag = rng.random(shots) < 0.5
+    phi = rng.uniform(0.0, 2.0 * math.pi, shots)
+    benchmark(block.feed_forward, plan, measurement, outcomes, slots, flag, phi)
+    assert block.amp.shape == (shots, 1 << qubits)

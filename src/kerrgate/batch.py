@@ -12,8 +12,11 @@ array operation on it:
   ``cumsum(|a|^2)`` and adds the shot's unit normal to that branch's peak;
 - collapse multiplies by the measurement kernel ``<x|beta_k>`` and
   renormalizes;
-- feed-forward applies a 2x2 gate to the shots whose outcome calls for it,
-  read from the same plans the scalar gates execute;
+- feed-forward reads the same plans the scalar gates execute, resolved once
+  per circuit into column steps (a flip is a column permutation, a sign flip
+  negates the qubit's V columns, the phase undo multiplies by
+  ``e^{+-i phi}``); each outcome's steps act on the whole block, and every
+  shot keeps the row of its own outcome;
 - the QND photon readout is ``u < p_V``;
 - fidelity with the record-conditional ideal output is one contraction.
 
@@ -30,9 +33,11 @@ No generator is built per shot.  NumPy's ``SeedSequence`` hash is ported to
 uint32 array arithmetic, so the PCG64 seed words of every shot in a block
 come out of one pass.  PCG64 and the one-word fast path of NumPy's ziggurat
 normal sampler are integer arithmetic as well, so the block's declared draws
-(:attr:`Circuit.draws`) become one ``(shots, draws)`` table of uint64 array
-operations.  The rows of shots with a normal draw that leaves the fast path
-(about 1.5% of normal draws), and every row of a block under
+(:attr:`Circuit.draws`) become one table of uint64 array operations.  The
+table is computed draws-major, ``(draws, shots)``, so every operation runs
+one loop over the block's shots per draw, and is read as its transposed
+``(shots, draws)`` view.  The rows of shots with a normal draw that leaves
+the fast path (about 1.5% of normal draws), and every row of a block under
 ``_ARRAY_MIN_SHOTS`` shots, are made by setting the shot's state into one
 reused ``PCG64`` per thread and calling NumPy's own ``Generator``.  The
 streams are the ones ``default_rng([seed, i])`` gives, bit for bit.
@@ -52,7 +57,6 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .gates import (
     ANCILLA_PLUS,
-    FIXED_ACTIONS,
     FeedForwardPlan,
     cnot_plan,
     entangler_45_plan,
@@ -85,10 +89,11 @@ def _v_bits(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _phase_index(n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
-    """Probe phase index of each column after the parity detector's kicks."""
+def _label_columns(n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
+    """Each column's probe label after the parity detector's kicks, as its
+    index ``k + 1`` into the labels ``(-1, 0, +1)``, ``k`` its phase index."""
     v = _v_bits(n)
-    k = np.zeros(1 << n, np.int64)
+    k = np.ones(1 << n, np.intp)
     for kick in build_parity_coupling_pair(qubit_a, qubit_b, 0):
         k += kick.sign * (v[:, kick.qubit_index] == (kick.trigger_polarization == "V"))
     return _frozen(k)
@@ -227,8 +232,8 @@ def _seed_words(seed: int, start: int, count: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _stream_constants(draws: tuple[str, ...]) -> tuple:
     """``M**(k+1)`` and ``1 + M + ... + M**k`` for draw ``k = 1 .. len(draws)``
-    as uint64 limbs of shape ``(2, 1, len(draws))`` (high word, low word, and
-    the low word's low and high 32-bit halves), and the columns of the
+    as uint64 limbs of shape ``(2, len(draws), 1)`` (high word, low word, and
+    the low word's low and high 32-bit halves), and the rows of the
     ``random`` and of the ``standard_normal`` draws."""
     if not set(draws) <= set(_METHODS):
         raise ContractError(f"draws {draws} must each be one of {_METHODS}")
@@ -238,7 +243,7 @@ def _stream_constants(draws: tuple[str, ...]) -> tuple:
         power.append(p)
         series.append(c)
         p, c = p * _PCG_MULT & _M128, (c * _PCG_MULT + 1) & _M128
-    big = np.array([[power], [series]], object)
+    big = np.array([power, series], object)[:, :, None]
     limbs = tuple(
         _frozen((big >> shift & mask).astype(np.uint64))
         for shift, mask in ((64, _M64), (0, _M64), (0, _M32), (32, _M32))
@@ -298,8 +303,10 @@ def _draw_table(seed: int, start: int, count: int, draws: tuple[str, ...]) -> np
     returns for the ``Generator`` methods ``draws``, called in order.
 
     A block of ``_ARRAY_MIN_SHOTS`` or more shots is computed in uint64 array
-    arithmetic; smaller blocks, and rows whose normal draw leaves the
-    ziggurat's fast path, come from ``_generator_rows``."""
+    arithmetic on a ``(len(draws), count)`` table, so each operation runs a
+    loop of ``count`` elements per draw, and returned as its transposed view;
+    smaller blocks, and rows whose normal draw leaves the ziggurat's fast
+    path, come from ``_generator_rows``."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -316,19 +323,19 @@ def _draw_table(seed: int, start: int, count: int, draws: tuple[str, ...]) -> np
     inc[1] |= _1
     np.add(inc, words[:2], out=v[0])
     v[0, 0] += v[0, 1] < s_lo  # the carry out of the low word
-    hi, lo = _mul128(v[:, 0, :, None], v[:, 1, :, None], const)
+    hi, lo = _mul128(v[:, None, 0], v[:, None, 1], const)
     lo_sum = lo[0] + lo[1]
     hi = hi[0] + hi[1] + (lo_sum < lo[1])  # with the low words' carry
     xor, rot = hi ^ lo_sum, hi >> _58
     word = (xor >> rot) | (xor << ((_64 - rot) & _63))
 
-    table = np.empty((count, len(draws)))
-    table[:, uniform] = (word[:, uniform] >> _11) * 2.0**-53
-    table[:, normal], accepted = _ziggurat_fast_path(word[:, normal])
-    rejected = np.flatnonzero(~accepted.all(axis=1))
+    table = np.empty((len(draws), count))
+    table[uniform] = (word[uniform] >> _11) * 2.0**-53
+    table[normal], accepted = _ziggurat_fast_path(word[normal])
+    rejected = np.flatnonzero(~accepted.all(axis=0))
     if len(rejected):
-        table[rejected] = _generator_rows(words[:, rejected], draws)
-    return table
+        table[:, rejected] = np.array(_generator_rows(words[:, rejected], draws)).T
+    return table.T
 
 
 class Record(NamedTuple):
@@ -339,6 +346,57 @@ class Record(NamedTuple):
     phi: np.ndarray
 
 
+class _Step(NamedTuple):
+    """One feed-forward action as an operation on a block's columns.
+
+    ``flip`` moves column ``table[j]`` to column ``j``; ``sign-flip``
+    multiplies column ``j`` by ``table[j]`` (-1 on the qubit's V columns, 1
+    elsewhere); ``undo-phase`` multiplies the qubit's V columns (``table``)
+    by ``e^{i phi}`` and the others by ``e^{-i phi}``, one ``phi`` per shot.
+    """
+
+    kind: str
+    table: np.ndarray
+
+    def apply(self, amp: np.ndarray, phi: np.ndarray | None) -> np.ndarray:
+        if self.kind == "flip":
+            return amp[:, self.table]
+        if self.kind == "sign-flip":
+            return amp * self.table
+        if phi is None:
+            raise ContractError("an undo-phase action follows no homodyne record")
+        ph = np.exp(1j * phi)[:, None]
+        return amp * np.where(self.table, ph, ph.conj())
+
+
+def _step(n: int, kind: str, qubit: int) -> _Step:
+    if kind == "flip":
+        return _Step(kind, _frozen(np.arange(1 << n) ^ (1 << (n - 1 - qubit))))
+    v = _v_bits(n)[:, qubit]
+    return _Step(kind, _frozen(np.where(v, -1.0, 1.0)) if kind == "sign-flip" else v)
+
+
+@lru_cache(maxsize=None)
+def _correction(
+    n: int,
+    plan: Callable[[], FeedForwardPlan],
+    measurement: str,
+    outcomes: tuple[str, str],
+    slots: tuple[tuple[str, int], ...],
+) -> tuple[tuple[_Step, ...], tuple[_Step, ...]]:
+    """The actions ``plan()`` takes after each of the two ``outcomes`` of
+    ``measurement``, wired to ``n`` qubits by the ``(slot, qubit)`` pairs
+    ``slots`` and resolved into column steps, once per circuit."""
+    wiring = dict(slots)
+    return tuple(
+        tuple(
+            _step(n, *resolve_action(action, wiring))
+            for action in plan().actions_for(measurement, outcome)
+        )
+        for outcome in outcomes
+    )
+
+
 class _Shots:
     """Amplitudes and per-shot random numbers of one block, advanced in place."""
 
@@ -347,15 +405,17 @@ class _Shots:
     ):
         self.probe = probe
         self.labels = np.array([probe.label(-1), probe.label(0), probe.label(1)])
+        #: the homodyne peak 2 Re(label) of each label
+        self.peaks = 2.0 * self.labels.real
         self.count = count
         self.draws = draws
         self.table = _draw_table(seed, start, count, draws)
         self.drawn = 0
-        # one homodyne record per standard_normal draw, a column each
+        # one homodyne record per standard_normal draw, a row each
         records = draws.count("standard_normal")
-        self.x = np.empty((count, records))
-        self.odd = np.empty((count, records), bool)
-        self.phi = np.empty((count, records))
+        self.x = np.empty((records, count))
+        self.odd = np.empty((records, count), bool)
+        self.phi = np.empty((records, count))
         self.measured = 0
         self.photon_v = np.zeros(count, bool)
 
@@ -375,19 +435,10 @@ class _Shots:
         self.drawn = k + 1
         return self.table[:, k]
 
-    def gate(self, qubit: int, factory: Callable, rows: np.ndarray | None = None) -> None:
-        """Apply the single-qubit gate ``factory(qubit)`` to every shot, or to
-        the shots in the ``rows`` mask."""
-        lifted = _lifted(self.n, qubit, factory)
-        if rows is None:
-            self.amp = self.amp @ lifted
-        else:
-            self.amp[rows] = self.amp[rows] @ lifted
-
     def rotate(self, *qubits: int) -> None:
         """Enter (or, being self-inverse, leave) the diagonal frame."""
         for q in qubits:
-            self.gate(q, diagonal_basis_change)
+            self.amp = self.amp @ _lifted(self.n, q, diagonal_basis_change)
 
     def _renormalize(self, what: str, x: np.ndarray | None = None) -> None:
         n2 = (np.abs(self.amp) ** 2).sum(axis=1)
@@ -399,36 +450,38 @@ class _Shots:
 
     def homodyne(self, qubit_a: int, qubit_b: int) -> Record:
         """Parity kicks on a fresh probe, X-quadrature sample, collapse."""
-        k = _phase_index(self.n, qubit_a, qubit_b)
-        labels = self.labels
+        cols = _label_columns(self.n, qubit_a, qubit_b)
+        peaks = self.peaks
+        u, noise = self._draw("random"), self._draw("standard_normal")
+        j = self.measured
+        self.measured = j + 1
+        x, odd, phi = self.x[j], self.odd[j], self.phi[j]
         # exact-mixture sampling, as sample_quadrature draws it
         weights = np.abs(self.amp) ** 2
         cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
-        u = self._draw("random")
         pick = (cdf <= u[:, None]).sum(axis=1)
-        x = 2.0 * labels.real[k[pick] + 1] + self._draw("standard_normal")
-        # collapse onto <x|beta_k>; label(0) is real, label(+-1) carry the
-        # phases +-p, p = kernel_phase(x, label(1)), reduced exactly by sin/cos
-        a, b = labels[2].real, labels[2].imag
+        np.add(peaks[cols[pick]], noise, out=x)
+        # collapse onto <x|beta_k>, one kernel row per label; label(0) is
+        # real, label(+-1) carry the phases +-p, p = kernel_phase(x, label(1)),
+        # reduced exactly by sin/cos
+        a, b = self.labels[2].real, self.labels[2].imag
+        kernel = np.empty((3, self.count), complex)
         # an outcome too large to represent overflows to inf or nan here; the
         # zero-norm check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             p = b * (x - a)
             cos_p, sin_p = np.cos(p), np.sin(p)
-            mag = KERNEL_PEAK * np.exp(-0.25 * (x - 2.0 * a) ** 2)
-            kernel = np.empty((len(x), 3), complex)
-            kernel[:, 0] = mag * (cos_p - 1j * sin_p)
-            kernel[:, 1] = KERNEL_PEAK * np.exp(-0.25 * (x - 2.0 * labels[1].real) ** 2)
-            kernel[:, 2] = mag * (cos_p + 1j * sin_p)
-            self.amp = self.amp * kernel[:, k + 1]
+            i_sin = 1j * sin_p
+            mag = KERNEL_PEAK * np.exp(-0.25 * (x - peaks[2]) ** 2)
+            np.multiply(mag, np.subtract(cos_p, i_sin, out=kernel[0]), out=kernel[0])
+            np.multiply(KERNEL_PEAK, np.exp(-0.25 * (x - peaks[1]) ** 2), out=kernel[1])
+            np.multiply(mag, np.add(cos_p, i_sin, out=kernel[2]), out=kernel[2])
+            self.amp *= kernel.T[:, cols]
         self._renormalize("collapse", x)
-        j = self.measured
-        self.measured = j + 1
-        self.x[:, j] = x
-        self.odd[:, j] = ~(x > self.probe.x0)
-        self.phi[:, j] = np.arctan2(sin_p, cos_p) % _TWO_PI
-        return Record(self.x[:, j], self.odd[:, j], self.phi[:, j])
+        np.logical_not(x > self.probe.x0, out=odd)
+        np.remainder(np.arctan2(sin_p, cos_p, out=phi), _TWO_PI, out=phi)
+        return Record(x, odd, phi)
 
     def photon(self, qubit: int) -> np.ndarray:
         """QND {H, V} readout of ``qubit``; returns True where it read V."""
@@ -443,45 +496,43 @@ class _Shots:
 
     def feed_forward(
         self,
-        plan: FeedForwardPlan,
+        plan: Callable[[], FeedForwardPlan],
         measurement: str,
-        outcomes: dict[str, np.ndarray],
-        slots: dict[str, int],
+        outcomes: tuple[str, str],
+        slots: tuple[tuple[str, int], ...],
+        flag: np.ndarray,
         phi: np.ndarray | None = None,
     ) -> None:
-        """Apply the plan's actions for each outcome to the shots that had it."""
-        for outcome, rows in outcomes.items():
-            if not rows.any():
+        """Apply ``plan()``'s actions for ``measurement``: those of
+        ``outcomes[1]`` to the shots where ``flag`` is set, those of
+        ``outcomes[0]`` to the others.  Each outcome's steps act on the whole
+        block, and every shot keeps the row of its own outcome."""
+        steps_by_outcome = _correction(self.n, plan, measurement, outcomes, slots)
+        for steps, rows in zip(steps_by_outcome, (~flag, flag)):
+            if not steps:
                 continue
-            for action in plan.actions_for(measurement, outcome):
-                kind, qubit = resolve_action(action, slots)
-                if kind != "undo-phase":
-                    self.gate(qubit, FIXED_ACTIONS[kind], rows)
-                    continue
-                if phi is None:
-                    raise ContractError(f"{action!r} follows no homodyne record")
-                # diag(e^{-i phi}, e^{i phi}) on the qubit, one phi per shot
-                ph = np.exp(1j * phi[rows])[:, None]
-                self.amp[rows] *= np.where(_v_bits(self.n)[:, qubit], ph, ph.conj())
+            corrected = self.amp
+            for step in steps:
+                corrected = step.apply(corrected, phi)
+            self.amp = np.where(rows[:, None], corrected, self.amp)
 
     def entangler(
-        self, qubit_a: int, qubit_b: int, plan: FeedForwardPlan, diagonal: bool
+        self, qubit_a: int, qubit_b: int, plan: Callable[[], FeedForwardPlan], diagonal: bool
     ) -> Record:
         """Parity gate plus its plan's corrections, optionally in the diagonal
         frame (:func:`kerrgate.gates.entangler` / ``entangler_45``)."""
         if diagonal:
             self.rotate(qubit_a, qubit_b)
         record = self.homodyne(qubit_a, qubit_b)
-        self.feed_forward(
-            plan,
-            "homodyne",
-            {"even": ~record.odd, "odd": record.odd},
-            {"0": qubit_a, "1": qubit_b},
-            record.phi,
-        )
+        slots = (("0", qubit_a), ("1", qubit_b))
+        self.feed_forward(plan, "homodyne", _PARITY, slots, record.odd, record.phi)
         if diagonal:
             self.rotate(qubit_a, qubit_b)
         return record
+
+
+#: a homodyne record's outcomes, in the order (x above x0, odd)
+_PARITY = ("even", "odd")
 
 
 # -- circuits: each prepares its input, runs, and returns its ideal outputs ---
@@ -506,7 +557,7 @@ def _parity(shots: _Shots, c, d) -> np.ndarray:
 def _entangler(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     shots.prepare(c, d)
-    record = shots.entangler(0, 1, entangler_plan(), diagonal=False)
+    record = shots.entangler(0, 1, entangler_plan, diagonal=False)
     return _pick(
         record.odd, np.array([c0 * d0, 0, 0, c1 * d1]), np.array([c0 * d1, 0, 0, c1 * d0])
     )
@@ -522,7 +573,7 @@ def _diagonal_pair_form(c0, c1, d0, d1) -> np.ndarray:
 def _entangler45(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     shots.prepare(c, d)
-    record = shots.entangler(0, 1, entangler_45_plan(), diagonal=True)
+    record = shots.entangler(0, 1, entangler_45_plan, diagonal=True)
     # the odd branch, after its corrections, equals the even form of the
     # sign-flipped first input
     return _pick(
@@ -533,13 +584,13 @@ def _entangler45(shots: _Shots, c, d) -> np.ndarray:
 def _cnot(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     control, ancilla, target = 0, 1, 2
-    plan, slots = cnot_plan(), {"control": control, "target": target}
+    slots = (("control", control), ("target", target))
     shots.prepare(c, ANCILLA_PLUS, d)
-    shots.entangler(control, ancilla, entangler_plan(), diagonal=False)
-    second = shots.entangler(ancilla, target, entangler_45_plan(), diagonal=True)
-    shots.feed_forward(plan, "homodyne-45", {"even": ~second.odd, "odd": second.odd}, slots)
+    shots.entangler(control, ancilla, entangler_plan, diagonal=False)
+    second = shots.entangler(ancilla, target, entangler_45_plan, diagonal=True)
+    shots.feed_forward(cnot_plan, "homodyne-45", _PARITY, slots, second.odd)
     v = shots.photon(ancilla)
-    shots.feed_forward(plan, "photon", {"H": ~v, "V": v}, slots)
+    shots.feed_forward(cnot_plan, "photon", ("H", "V"), slots, v)
     # columns (control, ancilla, target): c0 d0 |H a H> + c0 d1 |H a V>
     # + c1 d0 |V a V> + c1 d1 |V a H>, a the ancilla's reading
     on_h = np.array([c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0, 0, 0])
@@ -610,9 +661,9 @@ def run_block(
     if shots.drawn != len(circuit.draws):
         raise ContractError(f"{experiment} made {shots.drawn} of its draws {circuit.draws}")
     return ShotBlock(
-        x=shots.x,
-        odd=shots.odd,
-        phi=shots.phi,
+        x=shots.x.T,
+        odd=shots.odd.T,
+        phi=shots.phi.T,
         photon_v=shots.photon_v,
         final=shots.amp,
         fidelity=_fidelity(shots.amp, ideal),

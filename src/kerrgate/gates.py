@@ -77,9 +77,6 @@ class FeedForwardPlan:
             f"plan has no rule for {measurement}={outcome}; plans must be exhaustive"
         )
 
-    def outcomes_covered(self, measurement: str) -> set[str]:
-        return {r.outcome for r in self.rules if r.measurement == measurement}
-
 
 def entangler_plan() -> FeedForwardPlan:
     return FeedForwardPlan(

@@ -41,6 +41,7 @@ from .errors import ValidationError
 from .states import (
     Branch,
     HybridState,
+    _merged_state,
     coherent_overlap,
     merge_and_prune,
     norm_squared,
@@ -240,10 +241,11 @@ def sample_and_collapse(
         Branch(b.amplitude * kernel_value(x, probe.label(b.phases[probe_index])), b.basis, b.phases)
         for b in state.branches
     ]
-    collapsed = HybridState.from_branches(
+    collapsed = _merged_state(
         state.n_qubits, weighted, state.probes, state.pruned_mass
     ).drop_probe(probe_index)
-    if norm_squared(collapsed) <= 0.0:
+    # also rejects a nan outcome, whose amplitudes are nan
+    if not norm_squared(collapsed) > 0.0:
         raise ValidationError(f"collapse at x={x} leaves a zero-norm state")
     return record, merge_and_prune(renormalized(collapsed))
 

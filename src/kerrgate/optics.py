@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .states import Branch, HybridState
+from .states import Branch, HybridState, _merged_state
 
 _UNITARY_TOL = 1e-12
 
@@ -97,17 +97,17 @@ def apply_single_qubit(state: HybridState, gate: SingleQubitGate) -> HybridState
     """Apply a single-qubit unitary, splitting and re-merging branches."""
     state.require_qubit(gate.qubit_index)
     q = gate.qubit_index
-    m = gate.matrix
+    m = gate.matrix.tolist()  # Python complex: the same products, without NumPy scalars
     out = []
     for b in state.branches:
         col = _IDX[b.basis[q]]
         for row, lab in ((0, "H"), (1, "V")):
-            coeff = m[row, col]
+            coeff = m[row][col]
             if coeff == 0:
                 continue
             basis = b.basis[:q] + (lab,) + b.basis[q + 1 :]
             out.append(Branch(b.amplitude * coeff, basis, b.phases))
-    return HybridState.from_branches(state.n_qubits, out, state.probes, state.pruned_mass)
+    return _merged_state(state.n_qubits, out, state.probes, state.pruned_mass)
 
 
 def apply_cross_kerr(state: HybridState, coupling: KerrCoupling) -> HybridState:
@@ -125,7 +125,7 @@ def apply_cross_kerr(state: HybridState, coupling: KerrCoupling) -> HybridState:
             out.append(Branch(b.amplitude, b.basis, phases))
         else:
             out.append(b)
-    return HybridState.from_branches(state.n_qubits, out, state.probes, state.pruned_mass)
+    return _merged_state(state.n_qubits, out, state.probes, state.pruned_mass)
 
 
 def build_parity_coupling_pair(qubit_a: int, qubit_b: int, probe_index: int) -> list[KerrCoupling]:

@@ -116,7 +116,7 @@ class HybridState:
         if n_qubits < 1:
             raise ValidationError("a state needs at least one qubit")
         probes = tuple(probes)
-        merged: dict[tuple[PolBasisString, tuple[int, ...]], complex] = {}
+        checked = []
         for br in branches:
             amp, basis, phases = br
             basis = tuple(basis)
@@ -134,14 +134,8 @@ class HybridState:
             amp = complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValidationError("branch amplitude must be finite")
-            key = (basis, phases)
-            merged[key] = merged.get(key, 0j) + amp
-        kept = tuple(
-            Branch(amp, basis, phases)
-            for (basis, phases), amp in sorted(merged.items())
-            if amp != 0
-        )
-        return cls(n_qubits, kept, probes, pruned_mass)
+            checked.append(Branch(amp, basis, phases))
+        return _merged_state(n_qubits, checked, probes, pruned_mass)
 
     # -- probe registry plumbing -------------------------------------------
 
@@ -164,7 +158,7 @@ class HybridState:
             for b in self.branches
         ]
         probes = self.probes[:probe_index] + self.probes[probe_index + 1 :]
-        return HybridState.from_branches(self.n_qubits, branches, probes, self.pruned_mass)
+        return _merged_state(self.n_qubits, branches, probes, self.pruned_mass)
 
     def require_probe(self, probe_index: int) -> ProbeMode:
         if not (0 <= probe_index < len(self.probes)):
@@ -178,6 +172,31 @@ class HybridState:
             raise ValidationError(
                 f"qubit index {qubit_index} out of range for {self.n_qubits} qubits"
             )
+
+
+def _merged_state(
+    n_qubits: int,
+    branches: Iterable[Branch],
+    probes: tuple[ProbeMode, ...],
+    pruned_mass: float,
+) -> HybridState:
+    """:meth:`HybridState.from_branches` without its checks, for this package's
+    own operations on a valid state.
+
+    The ``branches`` must already be :class:`Branch` tuples with a finite
+    ``complex`` amplitude, ``n_qubits`` H/V labels and one phase index per
+    probe.  They are merged and ordered exactly as ``from_branches`` does.
+    """
+    merged: dict[tuple[PolBasisString, tuple[int, ...]], complex] = {}
+    for amp, basis, phases in branches:
+        key = (basis, phases)
+        merged[key] = merged.get(key, 0j) + amp
+    kept = tuple(
+        Branch(amp, basis, phases)
+        for (basis, phases), amp in sorted(merged.items())
+        if amp != 0
+    )
+    return HybridState(n_qubits, kept, probes, pruned_mass)
 
 
 def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
@@ -250,9 +269,7 @@ def merge_and_prune(state: HybridState, epsilon: float = DEFAULT_PRUNE_EPS) -> H
     """
     if epsilon < 0:
         raise ValidationError("epsilon must be >= 0")
-    merged = HybridState.from_branches(
-        state.n_qubits, state.branches, state.probes, state.pruned_mass
-    )
+    merged = _merged_state(state.n_qubits, state.branches, state.probes, state.pruned_mass)
     kept = []
     lost = 0.0
     for b in merged.branches:

@@ -7,6 +7,9 @@ records, and once with its recorded outcomes forced through ``force_x*`` and
 record-conditional ideal outputs are rebuilt here as branch-label states from
 the paper's formulas, independently of the engine's dense ones.
 
+Each feed-forward the circuits make is checked against the per-outcome
+masked matrix products it replaces, on random blocks.
+
 The per-shot draw tables are checked bit for bit against
 ``default_rng([seed, i])`` on both of ``_draw_table``'s paths and on pinned
 rows whose normal draws leave the ziggurat's one-word fast path; the
@@ -38,6 +41,13 @@ from kerrgate import (
 )
 from kerrgate import analysis, batch
 from kerrgate.analysis import LOGICAL_ERROR_FIDELITY
+from kerrgate.gates import (
+    FIXED_ACTIONS,
+    cnot_plan,
+    entangler_45_plan,
+    entangler_plan,
+    resolve_action,
+)
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
 SHOTS = 48
@@ -177,6 +187,76 @@ def test_batched_shots_replay_through_scalar_gates(experiment, alpha, xd, make):
     assert_replays(experiment, inputs, ProbeMode(alpha, theta_for(alpha, xd)), seed=91)
 
 
+#: every feed-forward the four circuits make, as the key of batch._correction:
+#: (qubits, plan, measurement, outcomes, slot wiring)
+PARITY = ("even", "odd")
+CNOT_SLOTS = (("control", 0), ("target", 2))
+FEED_FORWARDS = [
+    (2, entangler_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
+    (2, entangler_45_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
+    (3, entangler_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
+    (3, entangler_45_plan, "homodyne", PARITY, (("0", 1), ("1", 2))),
+    (3, cnot_plan, "homodyne-45", PARITY, CNOT_SLOTS),
+    (3, cnot_plan, "photon", ("H", "V"), CNOT_SLOTS),
+]
+
+
+def test_feed_forward_cases_are_the_ones_the_circuits_make(monkeypatch):
+    made = set()
+    correction = batch._correction
+
+    def recording(*key):
+        made.add(key)
+        return correction(*key)
+
+    monkeypatch.setattr(batch, "_correction", recording)
+    inputs = ((SQRT_HALF, SQRT_HALF), (0.6, 0.8j))
+    for experiment in EXPERIMENTS:
+        batch.run_block(experiment, inputs, ProbeMode(8.0, theta_for(8.0, 4.0)), 0, 0, 64)
+    assert made == set(FEED_FORWARDS)
+
+
+def masked_feed_forward(amp, n, plan, measurement, outcomes, slots, flag, phi):
+    """The reference: each outcome's actions as lifted 2x2 matrices (or the
+    per-shot phase gate) on the rows that had that outcome."""
+    amp = amp.copy()
+    for outcome, rows in zip(outcomes, (~flag, flag)):
+        if not rows.any():
+            continue
+        for action in plan().actions_for(measurement, outcome):
+            kind, qubit = resolve_action(action, dict(slots))
+            if kind != "undo-phase":
+                amp[rows] = amp[rows] @ batch._lifted(n, qubit, FIXED_ACTIONS[kind])
+                continue
+            ph = np.exp(1j * phi[rows])[:, None]
+            amp[rows] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
+    return amp
+
+
+@pytest.mark.parametrize("case", FEED_FORWARDS, ids=lambda c: f"{c[1].__name__}-{c[2]}-{c[0]}q")
+@pytest.mark.parametrize("flags", ["mixed", "none", "all"])
+def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
+    n, plan, measurement, outcomes, slots = case
+    rng = np.random.default_rng([n, len(measurement), len(flags)])
+    count = 37
+    amp = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+    amp[rng.random(amp.shape) < 0.2] = 0.0  # zero amplitudes, of either sign
+    amp.imag[rng.random(amp.shape) < 0.2] = -0.0
+    flag = {
+        "mixed": rng.random(count) < 0.5,
+        "none": np.zeros(count, bool),
+        "all": np.ones(count, bool),
+    }[flags]
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+
+    shots = batch._Shots(count, ProbeMode(8.0, 0.5), 0, 0, ("random",))
+    shots.n, shots.amp = n, amp.copy()
+    shots.feed_forward(plan, measurement, outcomes, slots, flag, phi)
+    expected = masked_feed_forward(amp, n, plan, measurement, outcomes, slots, flag, phi)
+    # equal as numbers; the sign of a zero may differ from the matrix product's
+    assert np.array_equal(shots.amp, expected)
+
+
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70])
 def test_every_seed_width_keeps_the_per_shot_stream(seed):
     inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
@@ -208,8 +288,9 @@ def default_rng_rows(seed, start, count, draws) -> np.ndarray:
     return np.array(rows).reshape(count, len(draws))
 
 
-#: both sides of the block size below which _draw_table sets a Generator per row
-DRAW_COUNTS = (5, 40)
+#: both sides of the block size below which _draw_table sets a Generator per row,
+#: and a full block
+DRAW_COUNTS = (5, 40, 1024)
 
 
 @pytest.mark.parametrize("start", [0, 1024, 2**32])

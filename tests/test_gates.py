@@ -335,8 +335,13 @@ class TestFeedForwardPlans:
         ],
     )
     def test_plans_cover_both_outcomes_of_every_measurement(self, plan, measurements):
+        # actions_for raises ValidationError on an outcome without a rule
         for measurement, outcomes in measurements.items():
-            assert plan.outcomes_covered(measurement) == outcomes
+            for outcome in outcomes:
+                plan.actions_for(measurement, outcome)
+        assert {(r.measurement, r.outcome) for r in plan.rules} == {
+            (m, o) for m, outcomes in measurements.items() for o in outcomes
+        }
 
     def test_even_outcomes_need_no_action(self):
         assert entangler_plan().actions_for("homodyne", "even") == ()

@@ -10,6 +10,7 @@ from kerrgate import (
     ContractError,
     HybridState,
     ProbeMode,
+    ValidationError,
     apply_cross_kerr,
     apply_single_qubit,
     build_parity_coupling_pair,
@@ -283,6 +284,13 @@ class TestSamplingStrategy:
 
 
 class TestSampleAndCollapse:
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_nan_outcome_is_rejected(self, theta):
+        """A nan outcome makes every amplitude nan; it must not leave a state."""
+        state = parity_state((0.6, 0.8), (0.28, 0.96), 5.0, theta)
+        with pytest.raises(ValidationError):
+            sample_and_collapse(state, 0, np.random.default_rng(0), force_x=math.nan)
+
     def test_even_outcome_projects_onto_even_subspace(self):
         # x > x0 -> c0 d0 |HH> + c1 d1 |VV>
         alpha, theta = 50.0, math.acos(1 - 9.0 / (2 * 50.0))  # X_d = 9

@@ -21,6 +21,8 @@ from kerrgate import (
     run_shots,
 )
 from kerrgate.fock import oracle_embed, oracle_inner
+from kerrgate.measurement import sample_and_collapse
+from kerrgate.optics import KerrCoupling, apply_cross_kerr, apply_single_qubit, diagonal_basis_change
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -131,6 +133,33 @@ def test_overlap_magnitude_decreases_with_label_distance(re, im, step):
 def test_merge_sums_identical_keys():
     state = HybridState.from_branches(1, [(0.3, "H", ()), (0.2, "H", ())])
     assert state.branches == (((0.5 + 0j), ("H",), ()),)
+
+
+def branch_keys(state):
+    return [(b.basis, b.phases) for b in state.branches]
+
+
+def test_every_operation_keeps_branches_merged_and_sorted():
+    """from_branches, and the operations that merge without its checks, leave
+    one branch per (basis, phases) key, in key order."""
+    state = HybridState.from_branches(
+        2, [(0.5, "VV", ()), (0.5j, "HV", ()), (-0.5, "VH", ()), (0.5, "HH", ()), (0.0, "VH", ())]
+    )
+    probe = ProbeMode(3.0, 0.4)
+    steps = [
+        lambda s: s.activate_probe(probe).activate_probe(probe),
+        lambda s: apply_cross_kerr(s, KerrCoupling(0, "H", 0, 1)),
+        lambda s: apply_cross_kerr(s, KerrCoupling(1, "V", 1, -1)),
+        lambda s: apply_single_qubit(s, diagonal_basis_change(0)),
+        lambda s: sample_and_collapse(s, 1, None, force_x=5.0)[1],
+        lambda s: apply_single_qubit(s, diagonal_basis_change(0)),
+        lambda s: s.drop_probe(0),
+        merge_and_prune,
+    ]
+    for step in [lambda s: s] + steps:
+        state = step(state)
+        assert branch_keys(state) == sorted(set(branch_keys(state)))
+        assert len(state.branches) > 1
 
 
 def test_prune_reports_lost_mass():
