@@ -13,13 +13,12 @@ The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
 ``cnot-deep`` workload.  ``bench_draw_table.py`` times the block's draw
 table.  Run from a checkout with
 
-    OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/bench_shot_engine.py \
-        --benchmark-json=OUT.json
+    python -m pytest benchmarks/bench_shot_engine.py --benchmark-json=OUT.json
 
-One BLAS thread, as ``perfbench`` pins it: with more, OpenBLAS threads the
-``(1024, 8)`` frame-rotation products of a 3-qubit block, and on a 2-core
-shared machine ``run_block("cnot", ...)`` at 1024 shots then takes about
-30 ms instead of 2-3 ms.
+``conftest.py`` pins one BLAS thread, as ``perfbench`` does: with more,
+OpenBLAS threads the ``(1024, 8)`` frame-rotation products of a 3-qubit
+block, and on a 2-core shared machine ``run_block("cnot", ...)`` at 1024
+shots then takes about 30 ms instead of 2-3 ms.
 
 ``testpaths = ["tests"]`` in ``pyproject.toml`` keeps this file out of the
 default test run.  ``BENCH_shot_engine.json`` holds committed results.

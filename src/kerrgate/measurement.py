@@ -127,8 +127,9 @@ def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarra
     all branches in one matrix product; only same-basis pairs interfere and
     need the complex kernel, and distinct basis strings add incoherently.
     When every basis string has one branch (every circuit built here) the
-    pair list is empty.  The returned callable accepts scalars or arrays and
-    integrates to the state's squared norm (1 for normalized states).
+    pair list is empty and the interference term is skipped.  The returned
+    callable accepts scalars or arrays and integrates to the state's squared
+    norm (1 for normalized states).
     """
     probe = state.require_probe(probe_index)
     branches = state.branches
@@ -137,11 +138,12 @@ def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarra
     means = 2.0 * labels.real[:, None]
     weights = (amps.real**2 + amps.imag**2) * KERNEL_PEAK**2
     pairs = _same_basis_pairs(state)
-    first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
-    gram = np.array(
-        [_other_probe_overlap(state, probe_index, branches[i], branches[j]) for i, j in pairs],
-        dtype=complex,
-    )[:, None]
+    if pairs:
+        first, second = np.array(pairs, dtype=int).T
+        gram = np.array(
+            [_other_probe_overlap(state, probe_index, branches[i], branches[j]) for i, j in pairs],
+            dtype=complex,
+        )[:, None]
 
     def waves(index, xs):
         # v_i(x) = a_i * <x|l_i> for the branches in ``index``
@@ -158,8 +160,9 @@ def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarra
         scalar = np.isscalar(x) or np.ndim(x) == 0
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = weights @ np.exp(-0.5 * (xs - means) ** 2)
-        cross = waves(first, xs) * gram * waves(second, xs).conj()
-        out += 2.0 * np.sum(cross.real, axis=0)
+        if pairs:
+            cross = waves(first, xs) * gram * waves(second, xs).conj()
+            out += 2.0 * np.sum(cross.real, axis=0)
         return float(out[0]) if scalar else out
 
     return density
@@ -196,8 +199,14 @@ def sample_quadrature(
     means = np.array([2.0 * probe.label(b.phases[probe_index]).real for b in state.branches])
     if strategy == "exact-mixture":
         weights = np.array([abs(b.amplitude) ** 2 for b in state.branches])
-        weights = weights / weights.sum()
-        picks = rng.choice(len(weights), size=n, p=weights)
+        total = weights.sum()
+        if not total > 0.0:
+            raise ValidationError("cannot sample a state with no branch weight")
+        # what rng.choice(len(weights), size=n, p=weights / total) runs, less
+        # its checks of p: the same one random(n) draw and the same picks
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        picks = cdf.searchsorted(rng.random(n), side="right")
         return means[picks] + rng.standard_normal(n)
     if strategy != "grid-inverse-cdf":
         raise ValidationError(f"unknown sampling strategy {strategy!r}")
