@@ -122,39 +122,13 @@ def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:
     return n
 
 
-def _scalar_coefficients(beta: complex, n_trunc: int) -> np.ndarray:
-    """The recurrence of :func:`coherent_coefficients` in NumPy complex scalars."""
+def coherent_coefficients(beta: complex, n_trunc: int) -> np.ndarray:
+    """Fock coefficients e^{-|beta|^2/2} beta^n / sqrt(n!), built iteratively."""
     coeffs = np.empty(n_trunc + 1, dtype=complex)
     coeffs[0] = math.exp(-0.5 * abs(beta) ** 2)
     for n in range(1, n_trunc + 1):
         coeffs[n] = coeffs[n - 1] * beta / math.sqrt(n)
     return coeffs
-
-
-def coherent_coefficients(beta: complex, n_trunc: int) -> np.ndarray:
-    """Fock coefficients e^{-|beta|^2/2} beta^n / sqrt(n!), built iteratively
-    as c_n = c_{n-1} beta (1 / sqrt n).
-
-    The recurrence runs in Python ``complex``, which gives the values of the
-    NumPy complex-scalar recurrence ``_scalar_coefficients``.  NumPy divides
-    by sqrt(n) as by sqrt(n) + 0j, multiplying by the reciprocal, and the
-    zero cross terms of that division can give a zero component the other
-    sign.  So where a zero appears the NumPy recurrence is rerun and its
-    result returned, unless beta is a positive real with imaginary part +0
-    (the unkicked probe label), whose imaginary parts stay +0 on both paths.
-    """
-    beta = complex(beta)
-    c = complex(math.exp(-0.5 * abs(beta) ** 2))
-    values = [c]
-    for n in range(1, n_trunc + 1):
-        c = c * beta * (1.0 / math.sqrt(n))
-        values.append(c)
-    coeffs = np.array(values, dtype=complex)
-    positive_real = beta.real > 0 and beta.imag == 0 and math.copysign(1.0, beta.imag) > 0
-    # no zero component but c_0's imaginary part
-    if positive_real or np.count_nonzero(coeffs.view(float)) == 2 * n_trunc + 1:
-        return coeffs
-    return _scalar_coefficients(beta, n_trunc)
 
 
 @dataclass(frozen=True)

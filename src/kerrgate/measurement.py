@@ -199,14 +199,8 @@ def sample_quadrature(
     means = np.array([2.0 * probe.label(b.phases[probe_index]).real for b in state.branches])
     if strategy == "exact-mixture":
         weights = np.array([abs(b.amplitude) ** 2 for b in state.branches])
-        total = weights.sum()
-        if not total > 0.0:
-            raise ValidationError("cannot sample a state with no branch weight")
-        # what rng.choice(len(weights), size=n, p=weights / total) runs, less
-        # its checks of p: the same one random(n) draw and the same picks
-        cdf = (weights / total).cumsum()
-        cdf /= cdf[-1]
-        picks = cdf.searchsorted(rng.random(n), side="right")
+        weights = weights / weights.sum()
+        picks = rng.choice(len(weights), size=n, p=weights)
         return means[picks] + rng.standard_normal(n)
     if strategy != "grid-inverse-cdf":
         raise ValidationError(f"unknown sampling strategy {strategy!r}")

@@ -5,8 +5,6 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from kerrgate import (
@@ -110,56 +108,6 @@ def poisson_truncation(alpha, bound):
 
 #: 3000 amplitudes over the oracle's working range, where the cutoffs are small
 DENSE_ALPHAS = np.linspace(0.25, 3.0, 3000)
-
-
-def numpy_scalar_coefficients(beta, n_trunc):
-    """The coefficient recurrence in NumPy complex scalars: the reference
-    ``coherent_coefficients`` must match bit for bit, zero signs included."""
-    coeffs = np.empty(n_trunc + 1, dtype=complex)
-    coeffs[0] = math.exp(-0.5 * abs(beta) ** 2)
-    for n in range(1, n_trunc + 1):
-        coeffs[n] = coeffs[n - 1] * beta / math.sqrt(n)
-    return coeffs
-
-
-SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
-COMPONENTS = st.floats(-3.0, 3.0)
-#: |beta| <= 3: any complex, real floats, and complex numbers on either axis,
-#: whose zero parts carry both signs
-BETAS = st.one_of(
-    st.complex_numbers(max_magnitude=3.0),
-    COMPONENTS,
-    st.builds(complex, COMPONENTS, SIGNED_ZEROS),
-    st.builds(complex, SIGNED_ZEROS, COMPONENTS),
-)
-
-
-class TestCoherentCoefficients:
-    @settings(max_examples=500, deadline=None)
-    @given(beta=BETAS, n_trunc=st.integers(0, 45))
-    @example(beta=0.0, n_trunc=45)
-    @example(beta=0j, n_trunc=45)
-    @example(beta=complex(-0.0, -0.0), n_trunc=45)
-    @example(beta=-2.5, n_trunc=45)
-    @example(beta=-3j, n_trunc=45)
-    @example(beta=complex(2.9, -0.0), n_trunc=45)
-    @example(beta=1e-300 + 1e-300j, n_trunc=45)
-    def test_equals_numpy_scalar_recurrence_to_the_bit(self, beta, n_trunc):
-        got = coherent_coefficients(beta, n_trunc).view(float)
-        want = numpy_scalar_coefficients(beta, n_trunc).view(float)
-        np.testing.assert_array_equal(got, want)
-        # assert_array_equal takes -0.0 == 0.0; the signs must match as well
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-
-    def test_probe_labels_match_to_the_bit(self):
-        # the labels the validate-oracle CLI expands, the unkicked one a
-        # positive real
-        for alpha in (0.25, 1.0, 2.9):
-            probe = ProbeMode(alpha, 0.7)
-            for k in (-1, 0, 1):
-                got = coherent_coefficients(probe.label(k), 40)
-                want = numpy_scalar_coefficients(probe.label(k), 40)
-                assert got.tobytes() == want.tobytes()
 
 
 class TestTruncationLoss:

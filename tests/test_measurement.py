@@ -28,7 +28,6 @@ from kerrgate import (
     sampling_strategy,
 )
 from kerrgate.analysis import p_error
-from kerrgate.states import Branch
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 TWO_PI_QUARTER = (2.0 * math.pi) ** -0.25
@@ -278,33 +277,6 @@ class TestSamplingStrategy:
         xs_grid = sample_quadrature(state, 0, np.random.default_rng(12), n, "grid-inverse-cdf")
         result = stats.ks_2samp(xs_exact, xs_grid)
         assert result.pvalue > 0.01
-
-
-class TestExactMixturePick:
-    @pytest.mark.parametrize("n", [1, 7, 1000])
-    @pytest.mark.parametrize("seed", [0, 5, 99])
-    def test_picks_equal_generator_choice(self, seed, n):
-        """The branch picks and the normals after them are Generator.choice's,
-        from equal generators, to the bit."""
-        state = parity_state((0.6, 0.8j), (0.28, 0.96), 2.0, 0.7)
-        probe = state.probes[0]
-        means = np.array([2.0 * probe.label(b.phases[0]).real for b in state.branches])
-        weights = np.array([abs(b.amplitude) ** 2 for b in state.branches])
-        rng = np.random.default_rng(seed)
-        picks = rng.choice(len(weights), size=n, p=weights / weights.sum())
-        want = means[picks] + rng.standard_normal(n)
-        got = sample_quadrature(state, 0, np.random.default_rng(seed), n, "exact-mixture")
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("amplitudes", [(0j, 0j), ()])
-    def test_weightless_state_raises(self, amplitudes):
-        probe = ProbeMode(2.0, 0.5)
-        branches = tuple(
-            Branch(a, ("H",) if k == 0 else ("V",), (k,)) for k, a in enumerate(amplitudes)
-        )
-        state = HybridState(1, branches, (probe,), 0.0)
-        with pytest.raises(ValidationError, match="no branch weight"):
-            sample_quadrature(state, 0, np.random.default_rng(1), 3, "exact-mixture")
 
 
 # ---------------------------------------------------------------------------
