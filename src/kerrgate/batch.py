@@ -100,10 +100,10 @@ def _label_columns(n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _lifted(n: int, qubit: int, factory: Callable) -> np.ndarray:
-    """``factory(qubit)``'s 2x2 matrix lifted to ``n`` qubits, transposed so
+def _rotation(n: int, qubit: int) -> np.ndarray:
+    """``diagonal_basis_change(qubit)`` lifted to ``n`` qubits, transposed so
     that it right-multiplies a block's rows."""
-    full = np.kron(np.eye(1 << qubit), factory(qubit).matrix)
+    full = np.kron(np.eye(1 << qubit), diagonal_basis_change(qubit).matrix)
     return _frozen(np.kron(full, np.eye(1 << (n - 1 - qubit))).T.copy())
 
 
@@ -438,7 +438,7 @@ class _Shots:
     def rotate(self, *qubits: int) -> None:
         """Enter (or, being self-inverse, leave) the diagonal frame."""
         for q in qubits:
-            self.amp = self.amp @ _lifted(self.n, q, diagonal_basis_change)
+            self.amp = self.amp @ _rotation(self.n, q)
 
     def _renormalize(self, what: str, x: np.ndarray | None = None) -> None:
         n2 = (np.abs(self.amp) ** 2).sum(axis=1)

@@ -155,25 +155,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_input_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--input VALUE`` as ``--input=VALUE`` when VALUE starts with '-'.
+#: flags whose value may start with '-': an amplitude list or a grid
+_SIGNED_VALUE_FLAGS = ("--input", "--grid-alpha", "--grid-theta")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--flag VALUE`` as ``--flag=VALUE`` when VALUE starts with '-'.
 
     argparse reads a separate argument starting with '-' as a flag unless it
-    is a plain negative number, so ``--input -0.6,0.8;1,0`` would fail with
-    "expected one argument".  Abbreviations of ``--input`` count too.
+    is a plain negative number, so ``--input -0.6,0.8;1,0`` or
+    ``--grid-alpha -1:4:2`` would fail with "expected one argument".
+    Abbreviations of the flags count too.
     """
     argv = list(argv)
     for i in range(len(argv) - 2, -1, -1):
         flag, value = argv[i], argv[i + 1]
-        is_input = flag.startswith("--i") and "--input".startswith(flag)
-        if is_input and value.startswith("-") and not value.startswith("--"):
+        takes_signed = len(flag) > 2 and any(f.startswith(flag) for f in _SIGNED_VALUE_FLAGS)
+        if takes_signed and value.startswith("-") and not value.startswith("--"):
             argv[i : i + 2] = [f"{flag}={value}"]
     return argv
 
 
 def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     """Merge config file and flags (flags win) into a validated config."""
-    args = _build_parser().parse_args(_attach_input_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_signed_values(argv))
     values = _read_config_file(args.config) if args.config else {}
     for key, flag in (
         ("experiment", args.experiment),
@@ -219,11 +225,19 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     return config
 
 
+def _require_probe(key: str, alpha: float, theta: float) -> None:
+    """``ProbeMode``'s range checks, as a ``ConfigError`` naming ``key``."""
+    try:
+        ProbeMode(alpha, theta)
+    except ValidationError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def _validate_config(config: ExperimentConfig) -> None:
-    if not (config.alpha >= 0 and math.isfinite(config.alpha)):
-        raise ConfigError(f"alpha: must be finite and >= 0, got {config.alpha}")
-    if not (0.0 <= config.theta <= math.pi):
-        raise ConfigError(f"theta: must lie in [0, pi], got {config.theta}")
+    # theta = 0 is always valid, so the first check can fail on alpha only,
+    # and each later check on the one value it names
+    _require_probe("alpha", config.alpha, 0.0)
+    _require_probe("theta", config.alpha, config.theta)
     if config.shots < 1:
         raise ConfigError(f"shots: must be >= 1, got {config.shots}")
     if config.seed < 0:
@@ -236,11 +250,9 @@ def _validate_config(config: ExperimentConfig) -> None:
         if config.sweep_gate not in analysis.EXPERIMENTS:
             raise ConfigError(f"sweep_gate: unknown gate {config.sweep_gate!r}")
         for a in config.sweep_alpha:
-            if not (a >= 0 and math.isfinite(a)):
-                raise ConfigError(f"grid_alpha: bad value {a}")
+            _require_probe("grid_alpha", a, config.theta)
         for t in config.sweep_theta:
-            if not (0.0 <= t <= math.pi):
-                raise ConfigError(f"grid_theta: value {t} outside [0, pi]")
+            _require_probe("grid_theta", config.alpha, t)
     if config.experiment == "validate-oracle" and config.alpha > ORACLE_ALPHA_MAX:
         raise ConfigError(
             f"alpha: validate-oracle needs alpha <= {ORACLE_ALPHA_MAX} "

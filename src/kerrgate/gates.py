@@ -5,6 +5,12 @@ conditions them.  Each gate carries a declarative :class:`FeedForwardPlan`
 covering both outcomes of every measurement, and the executed actions are
 recorded on the returned :class:`GateTrace`.
 
+:func:`parity_gate` and :func:`entangler` measure parity in the
+computational basis, and the three gates share one signature,
+``(state, qubit_a, qubit_b, probe, rng, force_x=None)``.  Only
+:func:`entangler_45` and :func:`recycle_ancilla` rotate into the diagonal
+frame.
+
 Odd-outcome corrections
 -----------------------
 The parity measurement leaves the odd branch as
@@ -163,40 +169,28 @@ def parity_gate(
     qubit_a: int,
     qubit_b: int,
     probe: ProbeMode,
-    basis: str,
     rng: np.random.Generator,
     force_x: float | None = None,
 ) -> tuple[HomodyneRecord, HybridState]:
     """Two-qubit polarization parity measurement via a shared probe.
 
     Activates the probe, applies the +theta/-theta kicks, measures the X
-    quadrature and collapses.  ``basis='diagonal'`` conjugates the circuit by
-    the diagonal-basis change on both qubits.  No feed-forward is applied;
-    the odd branch keeps its measurement-dependent phases.
+    quadrature and collapses.  It measures parity in the computational basis;
+    a caller wanting diagonal parity conjugates it by
+    :func:`~kerrgate.optics.diagonal_basis_change` on both qubits, as
+    :func:`entangler_45` does.  No feed-forward is applied; the odd branch
+    keeps its measurement-dependent phases.
     """
     state.require_qubit(qubit_a)
     state.require_qubit(qubit_b)
     if qubit_a == qubit_b:
         raise ValidationError("parity gate needs two distinct qubits")
-    rotate = basis == "diagonal"
-    if not rotate and basis != "computational":
-        raise ValidationError(f"unknown parity basis {basis!r}")
 
     state = state.activate_probe(probe)
     probe_index = len(state.probes) - 1
-    if rotate:
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
     for coupling in build_parity_coupling_pair(qubit_a, qubit_b, probe_index):
         state = apply_cross_kerr(state, coupling)
-    record, state = sample_and_collapse(state, probe_index, rng, force_x=force_x)
-    if rotate:
-        # the probe is already measured, so leaving the rotated frame after
-        # the collapse is equivalent to leaving it before
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
-        state = merge_and_prune(state)
-    return record, state
+    return sample_and_collapse(state, probe_index, rng, force_x=force_x)
 
 
 def _undo_phase(state: HybridState, qubit: int, phi: float) -> HybridState:
@@ -215,7 +209,7 @@ def _entangler_core(
     plan: FeedForwardPlan,
 ) -> tuple[HomodyneRecord, HybridState, tuple[str, ...]]:
     """Computational-basis parity gate plus its conditional corrections."""
-    record, state = parity_gate(state, qubit_a, qubit_b, probe, "computational", rng, force_x)
+    record, state = parity_gate(state, qubit_a, qubit_b, probe, rng, force_x)
     state, applied = _apply_actions(
         state,
         plan.actions_for("homodyne", record.parity),
@@ -230,31 +224,18 @@ def entangler(
     qubit_a: int,
     qubit_b: int,
     probe: ProbeMode,
-    basis: str,
     rng: np.random.Generator,
     force_x: float | None = None,
 ) -> tuple[GateTrace, HybridState]:
     """Parity gate plus feed-forward: the output support is the even-parity
-    form (``HH``/``VV``, or ``DD``/``DbarDbar`` for ``basis='diagonal'``) for
-    both measurement outcomes.
+    form ``HH``/``VV`` for both measurement outcomes.
 
     On odd outcomes the measured-phase undo acts on ``qubit_a`` and the bit
-    flip on ``qubit_b``; in the diagonal basis the whole procedure is
-    conjugated by the basis change.
+    flip on ``qubit_b``.
     """
-    rotate = basis == "diagonal"
-    if not rotate and basis != "computational":
-        raise ValidationError(f"unknown parity basis {basis!r}")
-    if rotate:
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
     record, state, applied = _entangler_core(
         state, qubit_a, qubit_b, probe, rng, force_x, entangler_plan()
     )
-    if rotate:
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
-        state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
-        state = merge_and_prune(state)
     return GateTrace(records=(record,), corrections=applied), state
 
 
@@ -328,7 +309,7 @@ def cnot(
     plan = cnot_plan()
     slots = {"control": control, "target": target}
 
-    trace1, state = entangler(state, control, ancilla, probes[0], "computational", rng, force_x1)
+    trace1, state = entangler(state, control, ancilla, probes[0], rng, force_x1)
     trace2, state = entangler_45(state, ancilla, target, probes[1], rng, force_x2)
     state, signed = _apply_actions(
         state, plan.actions_for("homodyne-45", trace2.records[0].parity), slots

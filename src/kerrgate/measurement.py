@@ -24,6 +24,14 @@ gates module always use the kernel-derived value, so they undo exactly the
 phases the collapse produced; the discrepancy is a fixed offset and is
 documented here rather than silently reconciled.
 
+Sampling
+--------
+Every circuit built here keeps one branch per polarization basis string, so
+an X outcome is drawn exactly from a mixture of unit-variance Gaussians, one
+per branch.  :func:`outcome_density` also evaluates states whose branches
+interfere (a basis string attached to two probe labels); sampling such a
+state raises ``ValidationError``.
+
 Every stochastic operation takes an explicit ``numpy.random.Generator``;
 identical generators give identical outcomes.
 """
@@ -51,11 +59,6 @@ from .states import (
 _TWO_PI = 2.0 * math.pi
 #: (2 pi)^(-1/4), the kernel peak value
 KERNEL_PEAK = _TWO_PI ** -0.25
-
-#: minimum grid resolution for the fallback inverse-CDF sampler
-GRID_POINTS = 4096
-#: half-width (in units of the unit standard deviation) around each peak
-GRID_PADDING = 8.0
 
 
 def kernel_value(x: float, beta: complex) -> complex:
@@ -94,9 +97,6 @@ class HomodyneRecord:
     phi: float
 
 
-SamplingStrategy = Literal["exact-mixture", "grid-inverse-cdf"]
-
-
 def _other_probe_overlap(state: HybridState, probe_index: int, b: Branch, bp: Branch) -> complex:
     ov = 1.0 + 0j
     for p, probe in enumerate(state.probes):
@@ -108,6 +108,8 @@ def _other_probe_overlap(state: HybridState, probe_index: int, b: Branch, bp: Br
 
 def _same_basis_pairs(state: HybridState) -> list[tuple[int, int]]:
     """Index pairs ``i < j`` of branches that share a basis string."""
+    if len({b.basis for b in state.branches}) == len(state.branches):
+        return []  # every circuit built here
     groups: dict[tuple[str, ...], list[int]] = {}
     for i, b in enumerate(state.branches):
         groups.setdefault(b.basis, []).append(i)
@@ -168,49 +170,30 @@ def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarra
     return density
 
 
-def sampling_strategy(state: HybridState, probe_index: int) -> SamplingStrategy:
-    """Pick how to draw an X sample for this state.
-
-    ``exact-mixture`` applies when every basis string appears in exactly one
-    branch (true for every circuit built here): the density is then literally
-    a mixture of unit-variance Gaussians, one per branch.  Otherwise a dense
-    inverse-CDF grid is used.
-    """
-    state.require_probe(probe_index)
-    seen = set()
-    for b in state.branches:
-        if b.basis in seen:
-            return "grid-inverse-cdf"
-        seen.add(b.basis)
-    return "exact-mixture"
-
-
 def sample_quadrature(
-    state: HybridState,
-    probe_index: int,
-    rng: np.random.Generator,
-    n: int = 1,
-    strategy: SamplingStrategy | None = None,
+    state: HybridState, probe_index: int, rng: np.random.Generator, n: int = 1
 ) -> np.ndarray:
-    """Draw ``n`` independent X samples from the outcome density."""
+    """Draw ``n`` independent X samples from the outcome density.
+
+    With one branch per basis string (every circuit built here) the density
+    is exactly a mixture of unit-variance Gaussians, one per branch: each
+    sample picks a branch by its weight (``rng.choice``) and adds a standard
+    normal.  A state where some basis string holds two branches has
+    interfering peaks and raises ``ValidationError``, as does a zero-norm
+    state.
+    """
     probe = state.require_probe(probe_index)
-    if strategy is None:
-        strategy = sampling_strategy(state, probe_index)
+    if _same_basis_pairs(state):
+        raise ValidationError(
+            "sampling needs one branch per basis string; this state has interfering branches"
+        )
+    weights = np.array([abs(b.amplitude) ** 2 for b in state.branches])
+    total = weights.sum()
+    if not total > 0.0:
+        raise ValidationError("cannot sample a zero-norm state")
     means = np.array([2.0 * probe.label(b.phases[probe_index]).real for b in state.branches])
-    if strategy == "exact-mixture":
-        weights = np.array([abs(b.amplitude) ** 2 for b in state.branches])
-        weights = weights / weights.sum()
-        picks = rng.choice(len(weights), size=n, p=weights)
-        return means[picks] + rng.standard_normal(n)
-    if strategy != "grid-inverse-cdf":
-        raise ValidationError(f"unknown sampling strategy {strategy!r}")
-    lo = means.min() - GRID_PADDING
-    hi = means.max() + GRID_PADDING
-    grid = np.linspace(lo, hi, GRID_POINTS)
-    p = outcome_density(state, probe_index)(grid)
-    cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(grid))])
-    cdf /= cdf[-1]
-    return np.interp(rng.random(n), cdf, grid)
+    picks = rng.choice(len(weights), size=n, p=weights / total)
+    return means[picks] + rng.standard_normal(n)
 
 
 def sample_and_collapse(
@@ -265,6 +248,8 @@ def qnd_photon_measure(
     """
     state.require_qubit(qubit_index)
     total = norm_squared(state)
+    if not total > 0.0:
+        raise ValidationError("cannot measure a zero-norm state")
     projected_v = HybridState(
         state.n_qubits,
         tuple(b for b in state.branches if b.basis[qubit_index] == "V"),

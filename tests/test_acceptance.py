@@ -127,7 +127,7 @@ def test_criterion_2_parity_projection():
     for i in range(shots):
         state = new_state([UNIFORM, UNIFORM])
         record, post = parity_gate(
-            state, 0, 1, probe, "computational", np.random.default_rng([2, i])
+            state, 0, 1, probe, np.random.default_rng([2, i])
         )
         if record.parity == "even":
             even_count += 1

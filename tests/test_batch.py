@@ -72,10 +72,10 @@ def basis_pair(rng):
 def scalar_shot(experiment, c, d, probe, rng, xs=(None, None), photon=None):
     """One shot through the scalar gates: (records, photon outcome, final state)."""
     if experiment == "parity":
-        record, final = parity_gate(new_state([c, d]), 0, 1, probe, "computational", rng, xs[0])
+        record, final = parity_gate(new_state([c, d]), 0, 1, probe, rng, xs[0])
         return (record,), None, final
     if experiment == "entangler":
-        trace, final = entangler(new_state([c, d]), 0, 1, probe, "computational", rng, xs[0])
+        trace, final = entangler(new_state([c, d]), 0, 1, probe, rng, xs[0])
     elif experiment == "entangler45":
         trace, final = entangler_45(new_state([c, d]), 0, 1, probe, rng, xs[0])
     else:
@@ -216,6 +216,13 @@ def test_feed_forward_cases_are_the_ones_the_circuits_make(monkeypatch):
     assert made == set(FEED_FORWARDS)
 
 
+def lifted(n, gate):
+    """``gate``'s 2x2 matrix on ``n`` qubits, transposed to right-multiply rows."""
+    q = gate.qubit_index
+    full = np.kron(np.kron(np.eye(1 << q), gate.matrix), np.eye(1 << (n - 1 - q)))
+    return full.T
+
+
 def masked_feed_forward(amp, n, plan, measurement, outcomes, slots, flag, phi):
     """The reference: each outcome's actions as lifted 2x2 matrices (or the
     per-shot phase gate) on the rows that had that outcome."""
@@ -226,7 +233,7 @@ def masked_feed_forward(amp, n, plan, measurement, outcomes, slots, flag, phi):
         for action in plan().actions_for(measurement, outcome):
             kind, qubit = resolve_action(action, dict(slots))
             if kind != "undo-phase":
-                amp[rows] = amp[rows] @ batch._lifted(n, qubit, FIXED_ACTIONS[kind])
+                amp[rows] = amp[rows] @ lifted(n, FIXED_ACTIONS[kind](qubit))
                 continue
             ph = np.exp(1j * phi[rows])[:, None]
             amp[rows] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())

@@ -47,6 +47,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="theta"):
             parse_config(["--config", str(cfg)])
 
+    @pytest.mark.parametrize(
+        "flag,value,key",
+        [
+            ("--alpha", "inf", "alpha"),
+            ("--theta", "-0.1", "theta"),
+            ("--grid-theta", "0.1:3.5:2", "grid_theta"),
+            ("--grid-alpha", "-1:4:2", "grid_alpha"),
+        ],
+    )
+    def test_out_of_regime_value_exits_2_naming_its_key(self, flag, value, key, capsys):
+        values = {"--alpha": "8", "--theta": "0.5", "--grid-alpha": "5:10:2",
+                  "--grid-theta": "0.2:0.5:2", flag: value}
+        args = ["--experiment", "sweep", *(arg for item in values.items() for arg in item)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
     def test_sweep_without_grid_rejected(self):
         with pytest.raises(ConfigError, match="grid"):
             parse_config("--experiment sweep --alpha 8 --theta 0.5".split())

@@ -13,6 +13,7 @@ from kerrgate import (
     ValidationError,
     apply_single_qubit,
     cnot,
+    diagonal_basis_change,
     entangler,
     entangler_45,
     fidelity,
@@ -39,6 +40,13 @@ X_EVEN = 2.0 * STRONG.alpha
 X_ODD = 2.0 * STRONG.alpha * math.cos(STRONG.theta)
 
 
+def in_diagonal_frame(state, *qubits):
+    """Enter (or, the change being self-inverse, leave) the diagonal frame."""
+    for q in qubits:
+        state = apply_single_qubit(state, diagonal_basis_change(q))
+    return state
+
+
 def bell_state():
     return HybridState.from_branches(2, [(SQRT_HALF, "HH", ()), (SQRT_HALF, "VV", ())])
 
@@ -60,9 +68,7 @@ def ideal_cnot_output(c, d, photon):
 class TestParityGate:
     def test_uniform_input_even_collapse_is_bell_state(self):
         state = new_state([UNIFORM, UNIFORM])
-        record, post = parity_gate(
-            state, 0, 1, STRONG, "computational", np.random.default_rng(0), force_x=X_EVEN
-        )
+        record, post = parity_gate(state, 0, 1, STRONG, np.random.default_rng(0), force_x=X_EVEN)
         assert record.parity == "even"
         assert fidelity(post, bell_state()) == pytest.approx(1.0, abs=1e-10)
 
@@ -70,9 +76,8 @@ class TestParityGate:
         shots, even = 4000, 0
         for i in range(shots):
             state = new_state([UNIFORM, UNIFORM])
-            record, _ = parity_gate(
-                state, 0, 1, ProbeMode(8.0, 0.5), "computational", np.random.default_rng([31, i])
-            )
+            rng = np.random.default_rng([31, i])
+            record, _ = parity_gate(state, 0, 1, ProbeMode(8.0, 0.5), rng)
             even += record.parity == "even"
         assert abs(even / shots - 0.5) < 3 * math.sqrt(0.25 / shots)
 
@@ -80,9 +85,7 @@ class TestParityGate:
         state = new_state([(1, 0), (0, 1)])  # |HV>
         shots, odd = 300, 0
         for i in range(shots):
-            record, post = parity_gate(
-                state, 0, 1, STRONG, "computational", np.random.default_rng([32, i])
-            )
+            record, post = parity_gate(state, 0, 1, STRONG, np.random.default_rng([32, i]))
             odd += record.parity == "odd"
             # state is |HV> up to the measured phase
             assert fidelity(post, state) == pytest.approx(1.0, abs=1e-12)
@@ -91,32 +94,29 @@ class TestParityGate:
     def test_zero_coupling_leaves_input_untouched(self):
         # theta = 0: classification carries no information, state unchanged
         state = new_state([(0.6, 0.8), UNIFORM])
-        record, post = parity_gate(
-            state, 0, 1, ProbeMode(5.0, 0.0), "computational", np.random.default_rng(2)
-        )
+        record, post = parity_gate(state, 0, 1, ProbeMode(5.0, 0.0), np.random.default_rng(2))
         assert fidelity(post, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_basis_distinguishes_diagonal_parity(self):
-        # |DD> is even in the diagonal basis: collapse leaves it unchanged
+        # |DD> is even in the diagonal basis: conjugated by the basis change,
+        # the computational parity gate collapses it onto itself
         state = new_state([UNIFORM, UNIFORM])
         record, post = parity_gate(
-            state, 0, 1, STRONG, "diagonal", np.random.default_rng(0), force_x=X_EVEN
+            in_diagonal_frame(state, 0, 1), 0, 1, STRONG, np.random.default_rng(0), force_x=X_EVEN
         )
-        assert fidelity(post, state) == pytest.approx(1.0, abs=1e-10)
+        assert record.parity == "even"
+        assert fidelity(in_diagonal_frame(post, 0, 1), state) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_same_qubit(self):
         with pytest.raises(ValidationError):
-            parity_gate(new_state([UNIFORM, UNIFORM]), 1, 1, STRONG, "computational",
-                        np.random.default_rng(0))
+            parity_gate(new_state([UNIFORM, UNIFORM]), 1, 1, STRONG, np.random.default_rng(0))
 
 
 class TestEntangler:
     def test_creates_maximally_entangled_state_from_uniform(self):
         for i in range(50):
             state = new_state([UNIFORM, UNIFORM])
-            trace, post = entangler(
-                state, 0, 1, STRONG, "computational", np.random.default_rng([40, i])
-            )
+            trace, post = entangler(state, 0, 1, STRONG, np.random.default_rng([40, i]))
             assert fidelity(post, bell_state()) == pytest.approx(1.0, abs=1e-9)
 
     def test_copies_control_amplitudes_onto_even_form(self):
@@ -124,30 +124,25 @@ class TestEntangler:
         target = HybridState.from_branches(2, [(c0, "HH", ()), (c1, "VV", ())])
         for i in range(50):
             state = new_state([(c0, c1), UNIFORM])
-            trace, post = entangler(
-                state, 0, 1, STRONG, "computational", np.random.default_rng([41, i])
-            )
+            trace, post = entangler(state, 0, 1, STRONG, np.random.default_rng([41, i]))
             assert fidelity(post, target) == pytest.approx(1.0, abs=1e-9)
 
     def test_even_eigenstate_passes_through(self):
         state = new_state([(1, 0), (1, 0)])
-        trace, post = entangler(
-            state, 0, 1, STRONG, "computational", np.random.default_rng(1), force_x=X_EVEN
-        )
+        trace, post = entangler(state, 0, 1, STRONG, np.random.default_rng(1), force_x=X_EVEN)
         assert trace.records[0].parity == "even"
         assert fidelity(post, state) == pytest.approx(1.0, abs=1e-10)
 
     def test_odd_branch_receives_corrections(self):
         state = new_state([UNIFORM, UNIFORM])
-        trace, post = entangler(
-            state, 0, 1, STRONG, "computational", np.random.default_rng(1), force_x=X_ODD
-        )
+        trace, post = entangler(state, 0, 1, STRONG, np.random.default_rng(1), force_x=X_ODD)
         assert trace.records[0].parity == "odd"
         assert trace.corrections == ("undo-phase:q0", "flip:q1")
         assert fidelity(post, bell_state()) == pytest.approx(1.0, abs=1e-10)
 
     def test_diagonal_basis_entangles_in_rotated_frame(self):
-        # (c0|D> + c1|Db>) x |D>  ->  c0|DD> + c1|DbDb>, both outcomes
+        # (c0|D> + c1|Db>) x |D>  ->  c0|DD> + c1|DbDb>, both outcomes, with
+        # the computational entangler conjugated by the basis change
         c0, c1 = 0.6, 0.8
         first = ((c0 + c1) * SQRT_HALF, (c0 - c1) * SQRT_HALF)
         target = HybridState.from_branches(
@@ -161,10 +156,9 @@ class TestEntangler:
         )
         for force_x in (X_EVEN, X_ODD):
             state = new_state([first, (1, 0)])  # second qubit |H> = (|D>+|Db>)/sqrt2
-            trace, post = entangler(
-                state, 0, 1, STRONG, "diagonal", np.random.default_rng(2), force_x=force_x
-            )
-            assert fidelity(post, target) == pytest.approx(1.0, abs=1e-9)
+            rotated = in_diagonal_frame(state, 0, 1)
+            trace, post = entangler(rotated, 0, 1, STRONG, np.random.default_rng(2), force_x=force_x)
+            assert fidelity(in_diagonal_frame(post, 0, 1), target) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestEntangler45:

@@ -1,4 +1,4 @@
-"""Homodyne kernel, outcome density, samplers, collapse, and QND readout."""
+"""Homodyne kernel, outcome density, sampler, collapse, and QND readout."""
 
 import math
 
@@ -25,7 +25,6 @@ from kerrgate import (
     qnd_photon_measure,
     sample_and_collapse,
     sample_quadrature,
-    sampling_strategy,
 )
 from kerrgate.analysis import p_error
 
@@ -250,33 +249,49 @@ def test_collapse_consistency_density_equals_weighted_norm():
 
 
 # ---------------------------------------------------------------------------
-# sampling strategies
+# sample_quadrature
 
 
-class TestSamplingStrategy:
-    def test_parity_state_uses_exact_mixture(self):
-        state = uniform_parity_state(6.0, 0.4)
-        assert sampling_strategy(state, 0) == "exact-mixture"
+def zero_norm_state():
+    return HybridState.from_branches(1, [], probes=[ProbeMode(2.0, 0.5)])
 
-    def test_basis_with_two_labels_falls_back_to_grid(self):
+
+class TestSampleQuadrature:
+    @pytest.mark.parametrize("theta", [0.4, 0.0])
+    def test_samples_follow_the_two_peak_mixture(self, theta):
+        """One-sample KS against the exact mixture CDF, fixed seed."""
+        alpha = 6.0
+        state = uniform_parity_state(alpha, theta)
+        xs = sample_quadrature(state, 0, np.random.default_rng(11), 20_000)
+
+        def cdf(x):
+            return 0.5 * stats.norm.cdf(x, loc=2 * alpha) + 0.5 * stats.norm.cdf(
+                x, loc=2 * alpha * math.cos(theta)
+            )
+
+        assert stats.kstest(xs, cdf).pvalue > 0.01
+
+    def test_basis_with_two_labels_is_rejected(self):
+        # one basis string on two probe labels: the peaks interfere, so the
+        # outcome is no Gaussian mixture; only a forced collapse accepts it
         probe = ProbeMode(2.0, 0.5)
         state = HybridState.from_branches(
             1, [(SQRT_HALF, "H", (0,)), (SQRT_HALF, "H", (1,))], probes=[probe]
         )
-        assert sampling_strategy(state, 0) == "grid-inverse-cdf"
+        with pytest.raises(ValidationError, match="one branch per basis string"):
+            sample_quadrature(state, 0, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="one branch per basis string"):
+            sample_and_collapse(state, 0, np.random.default_rng(0))
+        _, post = sample_and_collapse(state, 0, np.random.default_rng(0), force_x=probe.x0)
+        assert norm_squared(post) == pytest.approx(1.0)
 
-    def test_zero_theta_state_uses_exact_mixture(self):
-        state = uniform_parity_state(6.0, 0.0)
-        assert sampling_strategy(state, 0) == "exact-mixture"
+    def test_zero_norm_state_is_rejected(self):
+        with pytest.raises(ValidationError, match="zero-norm"):
+            sample_quadrature(zero_norm_state(), 0, np.random.default_rng(0))
 
-    def test_samplers_statistically_indistinguishable(self):
-        """Two-sample KS between the exact and grid samplers, fixed seeds."""
-        state = uniform_parity_state(8.0, 0.5)
-        n = 100_000
-        xs_exact = sample_quadrature(state, 0, np.random.default_rng(11), n, "exact-mixture")
-        xs_grid = sample_quadrature(state, 0, np.random.default_rng(12), n, "grid-inverse-cdf")
-        result = stats.ks_2samp(xs_exact, xs_grid)
-        assert result.pvalue > 0.01
+    def test_zero_norm_state_is_rejected_by_collapse(self):
+        with pytest.raises(ValidationError, match="zero-norm"):
+            sample_and_collapse(zero_norm_state(), 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -428,3 +443,7 @@ class TestQndPhotonMeasure:
             v_count += outcome == "V"
         sigma = math.sqrt(0.25 / shots)
         assert abs(v_count / shots - 0.5) < 3 * sigma
+
+    def test_zero_norm_state_is_rejected(self):
+        with pytest.raises(ValidationError, match="zero-norm"):
+            qnd_photon_measure(zero_norm_state(), 0, np.random.default_rng(0))
