@@ -6,8 +6,8 @@ Times, at 10, 50 and 1024 shots:
 - ``run_block`` for each experiment, a whole block end to end;
 - ``_Shots.homodyne`` on 2 qubits (the entanglers) and on 3 (the CNOT's
   first parity check), from a freshly prepared block;
-- ``_Shots.feed_forward`` for each plan and measurement the circuits use,
-  with half of the shots on each outcome.
+- ``_Shots.feed_forward`` for each feed-forward step of the circuits, with
+  half of the shots on each outcome.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
 ``cnot-deep`` workload.  ``bench_draw_table.py`` times the block's draw
@@ -15,10 +15,10 @@ table.  Run from a checkout with
 
     python -m pytest benchmarks/bench_shot_engine.py --benchmark-json=OUT.json
 
-``conftest.py`` pins one BLAS thread, as ``perfbench`` does: with more,
-OpenBLAS threads the ``(1024, 8)`` frame-rotation products of a 3-qubit
-block, and on a 2-core shared machine ``run_block("cnot", ...)`` at 1024
-shots then takes about 30 ms instead of 2-3 ms.
+``conftest.py`` pins one BLAS thread, as ``perfbench`` does.  On a 2-core
+x86 machine (OpenBLAS 0.3.31) ``run_block("cnot", ...)`` at 1024 shots took
+a median of 3.2-3.7 ms with OpenBLAS's default threads and 3.1-3.8 ms with
+one.
 
 ``testpaths = ["tests"]`` in ``pyproject.toml`` keeps this file out of the
 default test run.  ``BENCH_shot_engine.json`` holds committed results.
@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 from kerrgate import ANCILLA_PLUS, ProbeMode, batch
-from kerrgate.gates import cnot_plan, entangler_45_plan, entangler_plan
 
 SEED = 4242
 SHOTS = [10, 50, 1024]
@@ -38,14 +37,13 @@ ALPHA = 100.0
 PROBE = ProbeMode(ALPHA, 2.0 * math.asin(math.sqrt(20.0 / (4.0 * ALPHA))))
 INPUTS = ((0.6 + 0j, 0.8j), (0.28 + 0j, -0.96 + 0j))
 
-PARITY = ("even", "odd")
-CNOT_SLOTS = (("control", 0), ("target", 2))
-#: plan and measurement -> (qubits, plan, measurement, outcomes, slot wiring)
+#: experiment and step index -> (qubits, plan, slot wiring) of every
+#: feed-forward step of the circuits
 FEED_FORWARDS = {
-    "entangler": (2, entangler_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
-    "entangler45": (2, entangler_45_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
-    "cnot-homodyne45": (3, cnot_plan, "homodyne-45", PARITY, CNOT_SLOTS),
-    "cnot-photon": (3, cnot_plan, "photon", ("H", "V"), CNOT_SLOTS),
+    f"{name}-{k}": (3 if circuit.ancilla else 2, *args)
+    for name, circuit in batch.CIRCUITS.items()
+    for k, (method, *args) in enumerate(circuit.steps)
+    if method is batch._Shots.feed_forward
 }
 
 
@@ -75,19 +73,19 @@ def test_homodyne(benchmark, qubits, shots):
         block.amp, block.drawn, block.measured = amp.copy(), 0, 0
         return (block, 0, 1), {}
 
-    record = benchmark.pedantic(
+    benchmark.pedantic(
         batch._Shots.homodyne, setup=fresh, rounds=max(50, 20_000 // shots), warmup_rounds=5
     )
-    assert record.x.shape == (shots,)
+    assert block.x[0].shape == (shots,)
 
 
 @pytest.mark.parametrize("shots", SHOTS)
 @pytest.mark.parametrize("case", list(FEED_FORWARDS))
 def test_feed_forward(benchmark, case, shots):
-    qubits, plan, measurement, outcomes, slots = FEED_FORWARDS[case]
+    qubits, plan, slots = FEED_FORWARDS[case]
     block = prepared(shots, qubits)
     rng = np.random.default_rng(SEED)
-    flag = rng.random(shots) < 0.5
-    phi = rng.uniform(0.0, 2.0 * math.pi, shots)
-    benchmark(block.feed_forward, plan, measurement, outcomes, slots, flag, phi)
+    block.flag = rng.random(shots) < 0.5
+    block.flag_phi = rng.uniform(0.0, 2.0 * math.pi, shots)
+    benchmark(block.feed_forward, plan, slots)
     assert block.amp.shape == (shots, 1 << qubits)

@@ -3,9 +3,10 @@
 The pools read their sizes when NumPy loads, so this conftest sets them
 before any benchmark module imports NumPy, as ``perfbench/bootstrap.py``
 does for the end-to-end benchmark.  ``python -m pytest benchmarks/...`` then
-measures what ``perfbench`` measures.  With OpenBLAS's default threads the
-shot engine's ``(1024, 8)`` frame-rotation products of a 3-qubit block take
-about 30 ms a block on a 2-core machine instead of 2-3 ms.
+measures what ``perfbench`` measures.  On a 2-core x86 machine (OpenBLAS
+0.3.31) the pinning changes little: ``run_block("cnot", ...)`` at 1024 shots
+took a median of 3.2-3.7 ms with OpenBLAS's default threads and 3.1-3.8 ms
+with one.
 """
 
 import os

@@ -5,20 +5,27 @@ and has at most one probe active at a time.  A shot's branch-label state is
 therefore a dense vector of ``2**n`` amplitudes plus one probe phase index
 per basis string, and that phase-index table belongs to the parity gate, not
 to the shot (``HH -> 0``, ``HV -> +1``, ``VH -> -1``, ``VV -> 0``).  A block
-of shots is one ``(shots, 2**n)`` complex array, and each circuit step is one
-array operation on it:
+of shots is one ``(shots, 2**n)`` complex array.
 
-- homodyne sampling picks each shot's branch by a ``searchsorted`` on its
-  ``cumsum(|a|^2)`` and adds the shot's unit normal to that branch's peak;
-- collapse multiplies by the measurement kernel ``<x|beta_k>`` and
+Each experiment is a :class:`Circuit`: a tuple of steps, its hand-written
+ideal output, and whether it holds the CNOT ancilla.  A step is one array
+operation on the block:
+
+- ``rotate(*qubits)`` enters or leaves the diagonal frame, one cached
+  ``2**n x 2**n`` product per qubit;
+- ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch by a
+  ``searchsorted`` on its ``cumsum(|a|^2)``, adds the shot's unit normal to
+  that branch's peak, multiplies by the measurement kernel ``<x|beta_k>`` and
   renormalizes;
-- feed-forward reads the same plans the scalar gates execute, resolved once
-  per circuit into column steps (a flip is a column permutation, a sign flip
-  negates the qubit's V columns, the phase undo multiplies by
-  ``e^{+-i phi}``); each outcome's steps act on the whole block, and every
-  shot keeps the row of its own outcome;
-- the QND photon readout is ``u < p_V``;
-- fidelity with the record-conditional ideal output is one contraction.
+- ``feed_forward(plan, slots)`` applies one of the plans in
+  :mod:`kerrgate.gates` (the ones the scalar gates execute) after the last
+  measurement, resolved once per circuit into column steps (a flip is a
+  column permutation, a sign flip negates the qubit's V columns, the phase
+  undo multiplies by ``e^{+-i phi}``); each outcome's steps act on the whole
+  block, and every shot keeps the row of its own outcome;
+- ``photon(q)`` is the QND photon readout, ``u < p_V``.
+
+Fidelity with the record-conditional ideal output is one contraction.
 
 Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
 ``n - 1 - q`` of ``j`` is set: the scalar engine's sorted branch order.
@@ -32,15 +39,16 @@ with its recorded outcomes forced, gives the same records and final state.
 No generator is built per shot.  NumPy's ``SeedSequence`` hash is ported to
 uint32 array arithmetic, so the PCG64 seed words of every shot in a block
 come out of one pass.  PCG64 and the one-word fast path of NumPy's ziggurat
-normal sampler are integer arithmetic as well, so the block's declared draws
-(:attr:`Circuit.draws`) become one table of uint64 array operations.  The
-table is computed draws-major, ``(draws, shots)``, so every operation runs
-one loop over the block's shots per draw, and is read as its transposed
-``(shots, draws)`` view.  The rows of shots with a normal draw that leaves
-the fast path (about 1.5% of normal draws), and every row of a block under
-``_ARRAY_MIN_SHOTS`` shots, are made by setting the shot's state into one
-reused ``PCG64`` per thread and calling NumPy's own ``Generator``.  The
-streams are the ones ``default_rng([seed, i])`` gives, bit for bit.
+normal sampler are integer arithmetic as well, so the block's draws, which
+:class:`Circuit` derives once from its steps (:attr:`Circuit.draws`), become
+one table of uint64 array operations.  The table is computed draws-major,
+``(draws, shots)``, so every operation runs one loop over the block's shots
+per draw, and is read as its transposed ``(shots, draws)`` view.  The rows of
+shots with a normal draw that leaves the fast path (about 1.5% of normal
+draws), and every row of a block under ``_ARRAY_MIN_SHOTS`` shots, are made
+by setting the shot's state into one reused ``PCG64`` per thread and calling
+NumPy's own ``Generator``.  The streams are the ones ``default_rng([seed,
+i])`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -57,10 +65,11 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .gates import (
     ANCILLA_PLUS,
+    CNOT_PHOTON_PLAN,
+    CNOT_SIGN_PLAN,
+    ENTANGLER_45_PLAN,
+    ENTANGLER_PLAN,
     FeedForwardPlan,
-    cnot_plan,
-    entangler_45_plan,
-    entangler_plan,
     resolve_action,
 )
 from .measurement import KERNEL_PEAK
@@ -338,14 +347,6 @@ def _draw_table(seed: int, start: int, count: int, draws: tuple[str, ...]) -> np
     return table.T
 
 
-class Record(NamedTuple):
-    """One homodyne measurement across the shots of a block."""
-
-    x: np.ndarray
-    odd: np.ndarray
-    phi: np.ndarray
-
-
 class _Step(NamedTuple):
     """One feed-forward action as an operation on a block's columns.
 
@@ -378,27 +379,27 @@ def _step(n: int, kind: str, qubit: int) -> _Step:
 
 @lru_cache(maxsize=None)
 def _correction(
-    n: int,
-    plan: Callable[[], FeedForwardPlan],
-    measurement: str,
-    outcomes: tuple[str, str],
-    slots: tuple[tuple[str, int], ...],
+    n: int, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]
 ) -> tuple[tuple[_Step, ...], tuple[_Step, ...]]:
-    """The actions ``plan()`` takes after each of the two ``outcomes`` of
-    ``measurement``, wired to ``n`` qubits by the ``(slot, qubit)`` pairs
-    ``slots`` and resolved into column steps, once per circuit."""
+    """``plan``'s actions after each of its two outcomes, wired to ``n`` qubits
+    by the ``(slot, qubit)`` pairs ``slots`` and resolved into column steps,
+    once per circuit."""
     wiring = dict(slots)
     return tuple(
-        tuple(
-            _step(n, *resolve_action(action, wiring))
-            for action in plan().actions_for(measurement, outcome)
-        )
-        for outcome in outcomes
+        tuple(_step(n, *resolve_action(action, wiring)) for action in actions)
+        for actions in plan.actions
     )
 
 
 class _Shots:
-    """Amplitudes and per-shot random numbers of one block, advanced in place."""
+    """Amplitudes and per-shot random numbers of one block, advanced in place.
+
+    ``rotate``, ``homodyne``, ``feed_forward`` and ``photon`` are the steps a
+    :class:`Circuit` is made of.  Each measurement leaves its outcome as
+    ``flag`` (set where a homodyne read odd or the photon read V) and its
+    phase as ``flag_phi`` (``None`` after a photon readout), for the
+    ``feed_forward`` that follows it.
+    """
 
     def __init__(
         self, count: int, probe: ProbeMode, seed: int, start: int, draws: tuple[str, ...]
@@ -408,7 +409,6 @@ class _Shots:
         #: the homodyne peak 2 Re(label) of each label
         self.peaks = 2.0 * self.labels.real
         self.count = count
-        self.draws = draws
         self.table = _draw_table(seed, start, count, draws)
         self.drawn = 0
         # one homodyne record per standard_normal draw, a row each
@@ -427,11 +427,9 @@ class _Shots:
         self.n = len(pairs)
         self.amp = np.repeat(product[None, :], self.count, axis=0)
 
-    def _draw(self, method: str) -> np.ndarray:
-        """Every shot's next draw, which must be the declared ``method``."""
+    def _draw(self) -> np.ndarray:
+        """Every shot's next draw."""
         k = self.drawn
-        if k >= len(self.draws) or self.draws[k] != method:
-            raise ContractError(f"draw {k} is {method!r}; the circuit declares {self.draws}")
         self.drawn = k + 1
         return self.table[:, k]
 
@@ -448,11 +446,11 @@ class _Shots:
             raise ValidationError(f"{what}{at} leaves a zero-norm state")
         self.amp *= (1.0 / np.sqrt(n2))[:, None]
 
-    def homodyne(self, qubit_a: int, qubit_b: int) -> Record:
+    def homodyne(self, qubit_a: int, qubit_b: int) -> None:
         """Parity kicks on a fresh probe, X-quadrature sample, collapse."""
         cols = _label_columns(self.n, qubit_a, qubit_b)
         peaks = self.peaks
-        u, noise = self._draw("random"), self._draw("standard_normal")
+        u, noise = self._draw(), self._draw()
         j = self.measured
         self.measured = j + 1
         x, odd, phi = self.x[j], self.odd[j], self.phi[j]
@@ -481,61 +479,78 @@ class _Shots:
         self._renormalize("collapse", x)
         np.logical_not(x > self.probe.x0, out=odd)
         np.remainder(np.arctan2(sin_p, cos_p, out=phi), _TWO_PI, out=phi)
-        return Record(x, odd, phi)
+        self.flag, self.flag_phi = odd, phi
 
-    def photon(self, qubit: int) -> np.ndarray:
-        """QND {H, V} readout of ``qubit``; returns True where it read V."""
+    def photon(self, qubit: int) -> None:
+        """QND {H, V} readout of ``qubit``."""
         v_cols = _v_bits(self.n)[:, qubit]
         weights = np.abs(self.amp) ** 2
         p_v = weights[:, v_cols].sum(axis=1) / weights.sum(axis=1)
-        v = self._draw("random") < p_v
+        v = self._draw() < p_v
         self.amp = np.where(v[:, None] == v_cols[None, :], self.amp, 0j)
         self._renormalize("photon readout")
-        self.photon_v = v
-        return v
+        self.photon_v = self.flag = v
+        self.flag_phi = None
 
-    def feed_forward(
-        self,
-        plan: Callable[[], FeedForwardPlan],
-        measurement: str,
-        outcomes: tuple[str, str],
-        slots: tuple[tuple[str, int], ...],
-        flag: np.ndarray,
-        phi: np.ndarray | None = None,
-    ) -> None:
-        """Apply ``plan()``'s actions for ``measurement``: those of
-        ``outcomes[1]`` to the shots where ``flag`` is set, those of
-        ``outcomes[0]`` to the others.  Each outcome's steps act on the whole
-        block, and every shot keeps the row of its own outcome."""
-        steps_by_outcome = _correction(self.n, plan, measurement, outcomes, slots)
-        for steps, rows in zip(steps_by_outcome, (~flag, flag)):
+    def feed_forward(self, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]) -> None:
+        """Apply ``plan``'s actions after the last measurement, wired by the
+        ``(slot, qubit)`` pairs ``slots``: those of its second outcome to the
+        shots whose ``flag`` is set, those of its first to the others.  Each
+        outcome's steps act on the whole block, and every shot keeps the row
+        of its own outcome."""
+        flag = self.flag
+        for steps, rows in zip(_correction(self.n, plan, slots), (~flag, flag)):
             if not steps:
                 continue
             corrected = self.amp
             for step in steps:
-                corrected = step.apply(corrected, phi)
+                corrected = step.apply(corrected, self.flag_phi)
             self.amp = np.where(rows[:, None], corrected, self.amp)
 
-    def entangler(
-        self, qubit_a: int, qubit_b: int, plan: Callable[[], FeedForwardPlan], diagonal: bool
-    ) -> Record:
-        """Parity gate plus its plan's corrections, optionally in the diagonal
-        frame (:func:`kerrgate.gates.entangler` / ``entangler_45``)."""
-        if diagonal:
-            self.rotate(qubit_a, qubit_b)
-        record = self.homodyne(qubit_a, qubit_b)
-        slots = (("0", qubit_a), ("1", qubit_b))
-        self.feed_forward(plan, "homodyne", _PARITY, slots, record.odd, record.phi)
-        if diagonal:
-            self.rotate(qubit_a, qubit_b)
-        return record
+
+#: the ``Generator`` draws each kind of step makes, in order, on every shot;
+#: ``rotate`` and ``feed_forward`` draw nothing
+_DRAWS = {
+    _Shots.homodyne: ("random", "standard_normal"),  # branch pick, then noise
+    _Shots.photon: ("random",),
+}
 
 
-#: a homodyne record's outcomes, in the order (x above x0, odd)
-_PARITY = ("even", "odd")
+@dataclass(frozen=True)
+class Circuit:
+    """An experiment as data.
+
+    ``steps`` are ``_Shots`` calls, each ``(method, *args)``, run in order on
+    a block that holds the experiment's two input qubits, with the CNOT
+    ancilla ``ANCILLA_PLUS`` between them when ``ancilla`` is set.
+    ``ideal(shots, c, d)`` gives each shot's record-conditional ideal output
+    for inputs ``c`` and ``d``.  ``draws``, derived from the steps, lists the
+    ``Generator`` draws each shot makes, in order.
+    """
+
+    ancilla: bool
+    steps: tuple[tuple, ...]
+    ideal: Callable[[_Shots, tuple, tuple], np.ndarray]
+    draws: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        draws = tuple(d for method, *_ in self.steps for d in _DRAWS.get(method, ()))
+        object.__setattr__(self, "draws", draws)
 
 
-# -- circuits: each prepares its input, runs, and returns its ideal outputs ---
+def _entangler(qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN) -> tuple:
+    """Parity gate plus its plan's corrections (:func:`kerrgate.gates.entangler`)."""
+    slots = (("0", qubit_a), ("1", qubit_b))
+    return (_Shots.homodyne, qubit_a, qubit_b), (_Shots.feed_forward, plan, slots)
+
+
+def _entangler_45(qubit_a: int, qubit_b: int) -> tuple:
+    """The same in the diagonal frame (:func:`kerrgate.gates.entangler_45`)."""
+    frame = (_Shots.rotate, qubit_a, qubit_b)
+    return (frame, *_entangler(qubit_a, qubit_b, ENTANGLER_45_PLAN), frame)
+
+
+# -- ideal outputs, written out from the paper's formulas ----------------------
 
 
 def _pick(odd: np.ndarray, even_form, odd_form) -> np.ndarray:
@@ -543,23 +558,19 @@ def _pick(odd: np.ndarray, even_form, odd_form) -> np.ndarray:
     return np.where(odd[:, None], odd_form, even_form)
 
 
-def _parity(shots: _Shots, c, d) -> np.ndarray:
+def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    shots.prepare(c, d)
-    record = shots.homodyne(0, 1)
-    ph = np.exp(1j * record.phi)
+    ph = np.exp(1j * shots.phi[0])
     odd = np.zeros((len(ph), 4), complex)
     odd[:, 1] = c0 * d1 * ph
     odd[:, 2] = c1 * d0 / ph
-    return _pick(record.odd, np.array([c0 * d0, 0, 0, c1 * d1]), odd)
+    return _pick(shots.odd[0], np.array([c0 * d0, 0, 0, c1 * d1]), odd)
 
 
-def _entangler(shots: _Shots, c, d) -> np.ndarray:
+def _entangler_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    shots.prepare(c, d)
-    record = shots.entangler(0, 1, entangler_plan, diagonal=False)
     return _pick(
-        record.odd, np.array([c0 * d0, 0, 0, c1 * d1]), np.array([c0 * d1, 0, 0, c1 * d0])
+        shots.odd[0], np.array([c0 * d0, 0, 0, c1 * d1]), np.array([c0 * d1, 0, 0, c1 * d0])
     )
 
 
@@ -570,50 +581,43 @@ def _diagonal_pair_form(c0, c1, d0, d1) -> np.ndarray:
     return np.array([dd + dbdb, dd - dbdb, dd - dbdb, dd + dbdb])
 
 
-def _entangler45(shots: _Shots, c, d) -> np.ndarray:
+def _entangler45_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    shots.prepare(c, d)
-    record = shots.entangler(0, 1, entangler_45_plan, diagonal=True)
     # the odd branch, after its corrections, equals the even form of the
     # sign-flipped first input
     return _pick(
-        record.odd, _diagonal_pair_form(c0, c1, d0, d1), _diagonal_pair_form(c0, -c1, d0, d1)
+        shots.odd[0], _diagonal_pair_form(c0, c1, d0, d1), _diagonal_pair_form(c0, -c1, d0, d1)
     )
 
 
-def _cnot(shots: _Shots, c, d) -> np.ndarray:
+def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    control, ancilla, target = 0, 1, 2
-    slots = (("control", control), ("target", target))
-    shots.prepare(c, ANCILLA_PLUS, d)
-    shots.entangler(control, ancilla, entangler_plan, diagonal=False)
-    second = shots.entangler(ancilla, target, entangler_45_plan, diagonal=True)
-    shots.feed_forward(cnot_plan, "homodyne-45", _PARITY, slots, second.odd)
-    v = shots.photon(ancilla)
-    shots.feed_forward(cnot_plan, "photon", ("H", "V"), slots, v)
     # columns (control, ancilla, target): c0 d0 |H a H> + c0 d1 |H a V>
     # + c1 d0 |V a V> + c1 d1 |V a H>, a the ancilla's reading
     on_h = np.array([c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0, 0, 0])
     on_v = np.array([0, 0, c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0])
-    return _pick(v, on_h, on_v)
+    return _pick(shots.photon_v, on_h, on_v)
 
 
-class Circuit(NamedTuple):
-    """A circuit and the ``Generator`` draws each of its shots makes, in order."""
+_CNOT_SLOTS = (("control", 0), ("target", 2))
 
-    run: Callable[[_Shots, tuple, tuple], np.ndarray]
-    draws: tuple[str, ...]
-
-
-#: one homodyne measurement's draws: branch pick, then noise
-_HOMODYNE = ("random", "standard_normal")
-
-#: experiment name -> circuit, in the order the CLI lists them
+#: experiment name -> circuit, in the order the CLI lists them; the CNOT's
+#: qubits are (control, ancilla, target)
 CIRCUITS: dict[str, Circuit] = {
-    "parity": Circuit(_parity, _HOMODYNE),
-    "entangler": Circuit(_entangler, _HOMODYNE),
-    "entangler45": Circuit(_entangler45, _HOMODYNE),
-    "cnot": Circuit(_cnot, 2 * _HOMODYNE + ("random",)),  # then the photon readout
+    "parity": Circuit(False, ((_Shots.homodyne, 0, 1),), _parity_ideal),
+    "entangler": Circuit(False, _entangler(0, 1), _entangler_ideal),
+    "entangler45": Circuit(False, _entangler_45(0, 1), _entangler45_ideal),
+    "cnot": Circuit(
+        True,
+        (
+            *_entangler(0, 1),
+            *_entangler_45(1, 2),
+            (_Shots.feed_forward, CNOT_SIGN_PLAN, _CNOT_SLOTS),
+            (_Shots.photon, 1),
+            (_Shots.feed_forward, CNOT_PHOTON_PLAN, _CNOT_SLOTS),
+        ),
+        _cnot_ideal,
+    ),
 }
 
 
@@ -657,16 +661,17 @@ def run_block(
     """
     circuit = CIRCUITS[experiment]
     shots = _Shots(stop - start, probe, seed, start, circuit.draws)
-    ideal = circuit.run(shots, *inputs)
-    if shots.drawn != len(circuit.draws):
-        raise ContractError(f"{experiment} made {shots.drawn} of its draws {circuit.draws}")
+    c, d = inputs
+    shots.prepare(*((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d)))
+    for method, *args in circuit.steps:
+        method(shots, *args)
     return ShotBlock(
         x=shots.x.T,
         odd=shots.odd.T,
         phi=shots.phi.T,
         photon_v=shots.photon_v,
         final=shots.amp,
-        fidelity=_fidelity(shots.amp, ideal),
+        fidelity=_fidelity(shots.amp, circuit.ideal(shots, c, d)),
     )
 
 

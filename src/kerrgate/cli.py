@@ -282,14 +282,13 @@ def _row(experiment, alpha, theta, shots, seed, stats=None, fidelity=None, devia
     }
 
 
-def _validate_oracle(config: ExperimentConfig) -> tuple[dict, bool]:
+def _validate_oracle(config: ExperimentConfig, inputs) -> tuple[dict, bool]:
     """Cross-check the branch model against the Fock oracle at one (alpha, theta).
 
-    Runs the parity-detector circuit on a uniform input along both paths and
+    Runs the parity-detector circuit on ``inputs`` along both paths and
     reports the worst state-fidelity deficit and homodyne-density deviation.
     """
     probe = ProbeMode(config.alpha, config.theta)
-    inputs = config.input_state or (_UNIFORM, _UNIFORM)
     state = new_state(list(inputs)).activate_probe(probe)
     n_trunc = fock.required_truncation(config.alpha) + 5
 
@@ -318,7 +317,7 @@ def _validate_oracle(config: ExperimentConfig) -> tuple[dict, bool]:
     return row, ok
 
 
-def _format_value(key, value):
+def _format_value(value):
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -327,7 +326,7 @@ def _format_value(key, value):
 def _render_csv(rows: list[dict]) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join(_format_value(k, row[k]) for k in _FIELDS))
+        lines.append(",".join(_format_value(row[k]) for k in _FIELDS))
     return "\n".join(lines) + "\n"
 
 
@@ -338,7 +337,7 @@ def _render_json(rows: list[dict]) -> str:
         fields = []
         for k in _FIELDS:
             v = row[k]
-            rendered = _format_value(k, v) if isinstance(v, (int, float)) else json.dumps(v)
+            rendered = _format_value(v) if isinstance(v, (int, float)) else json.dumps(v)
             fields.append(f'"{k}": {rendered}')
         parts.append("  {" + ", ".join(fields) + "}")
     return "[\n" + ",\n".join(parts) + "\n]\n"
@@ -349,11 +348,11 @@ def run(config: ExperimentConfig) -> int:
     start = time.perf_counter()
     rows: list[dict] = []
     ok = True
+    inputs = config.input_state or (_UNIFORM, _UNIFORM)
     if config.experiment == "validate-oracle":
-        row, ok = _validate_oracle(config)
+        row, ok = _validate_oracle(config, inputs)
         rows.append(row)
     elif config.experiment == "sweep":
-        inputs = config.input_state or (_UNIFORM, _UNIFORM)
         for alpha in config.sweep_alpha:
             for theta in config.sweep_theta:
                 stats = analysis.run_shots(
@@ -363,7 +362,6 @@ def run(config: ExperimentConfig) -> int:
                     _row(config.sweep_gate, alpha, theta, config.shots, config.seed, stats)
                 )
     else:
-        inputs = config.input_state or (_UNIFORM, _UNIFORM)
         stats = analysis.run_shots(
             config.experiment, inputs, config.alpha, config.theta, config.shots, config.seed
         )

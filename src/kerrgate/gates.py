@@ -1,9 +1,13 @@
 """Composite gate procedures: parity detector, entanglers, and the CNOT.
 
 Feed-forward corrections are applied immediately after the measurement that
-conditions them.  Each gate carries a declarative :class:`FeedForwardPlan`
-covering both outcomes of every measurement, and the executed actions are
-recorded on the returned :class:`GateTrace`.
+conditions them.  Each measurement has one :class:`FeedForwardPlan`, a module
+constant that lists the actions after both of its outcomes:
+:data:`ENTANGLER_PLAN` and :data:`ENTANGLER_45_PLAN` after an entangler's
+homodyne, :data:`CNOT_SIGN_PLAN` and :data:`CNOT_PHOTON_PLAN` for the CNOT
+controller.  The batched engine in :mod:`kerrgate.batch` reads the same
+constants.  The executed actions are recorded on the returned
+:class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
 computational basis, and the three gates share one signature,
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,63 +61,36 @@ ANCILLA_PLUS = (_SQRT_HALF, _SQRT_HALF)
 _ANCILLA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FeedForwardRule:
-    """Conditional actions for one outcome of one measurement.
+#: one feed-forward action, ``(kind, slot)``: the kind is ``undo-phase`` or a
+#: key of :data:`FIXED_ACTIONS`, and the slot names a qubit by its role in the
+#: gate (argument position ``"0"``/``"1"`` for the entanglers,
+#: ``"control"``/``"target"`` for the CNOT controller), never by absolute index
+Action = tuple[str, str]
 
-    ``actions`` are symbolic ``kind:slot`` strings, e.g.
-    ``("undo-phase:0", "flip:1")``; a slot names a qubit by its role in the
-    gate (argument position for the entanglers, ``control``/``target`` for
-    the CNOT controller), never by absolute index.
+
+class FeedForwardPlan(NamedTuple):
+    """The actions that follow each of one measurement's two outcomes.
+
+    ``outcomes`` lists them with the batch engine's flag clear, then set:
+    ``("even", "odd")`` for a homodyne parity record, ``("H", "V")`` for the
+    photon readout.  ``actions`` holds each outcome's actions in that order.
     """
 
-    measurement: str
-    outcome: str
-    actions: tuple[str, ...]
+    outcomes: tuple[str, str]
+    actions: tuple[tuple[Action, ...], tuple[Action, ...]]
+
+    def actions_for(self, outcome: str) -> tuple[Action, ...]:
+        return self.actions[self.outcomes.index(outcome)]
 
 
-@dataclass(frozen=True)
-class FeedForwardPlan:
-    rules: tuple[FeedForwardRule, ...]
-
-    def actions_for(self, measurement: str, outcome: str) -> tuple[str, ...]:
-        for rule in self.rules:
-            if rule.measurement == measurement and rule.outcome == outcome:
-                return rule.actions
-        raise ValidationError(
-            f"plan has no rule for {measurement}={outcome}; plans must be exhaustive"
-        )
-
-
-def entangler_plan() -> FeedForwardPlan:
-    return FeedForwardPlan(
-        (
-            FeedForwardRule("homodyne", "even", ()),
-            FeedForwardRule("homodyne", "odd", ("undo-phase:0", "flip:1")),
-        )
-    )
-
-
-def entangler_45_plan() -> FeedForwardPlan:
-    # actions are applied inside the rotated (diagonal) frame
-    return FeedForwardPlan(
-        (
-            FeedForwardRule("homodyne", "even", ()),
-            FeedForwardRule("homodyne", "odd", ("undo-phase:0", "flip:0")),
-        )
-    )
-
-
-def cnot_plan() -> FeedForwardPlan:
-    """Controller-level rules on top of the two entanglers' own plans."""
-    return FeedForwardPlan(
-        (
-            FeedForwardRule("homodyne-45", "even", ()),
-            FeedForwardRule("homodyne-45", "odd", ("sign-flip:control",)),
-            FeedForwardRule("photon", "H", ()),
-            FeedForwardRule("photon", "V", ("flip:target",)),
-        )
-    )
+_PARITY = ("even", "odd")
+ENTANGLER_PLAN = FeedForwardPlan(_PARITY, ((), (("undo-phase", "0"), ("flip", "1"))))
+#: applied inside the rotated (diagonal) frame
+ENTANGLER_45_PLAN = FeedForwardPlan(_PARITY, ((), (("undo-phase", "0"), ("flip", "0"))))
+#: the CNOT controller's rules on top of the two entanglers' own plans: after
+#: the second (diagonal-frame) homodyne, and after the ancilla's photon readout
+CNOT_SIGN_PLAN = FeedForwardPlan(_PARITY, ((), (("sign-flip", "control"),)))
+CNOT_PHOTON_PLAN = FeedForwardPlan(("H", "V"), ((), (("flip", "target"),)))
 
 
 #: fixed single-qubit gate behind each feed-forward action kind; the remaining
@@ -120,24 +98,24 @@ def cnot_plan() -> FeedForwardPlan:
 FIXED_ACTIONS = {"flip": bit_flip, "sign-flip": sign_flip}
 
 
-def resolve_action(action: str, slots: dict[str, int]) -> tuple[str, int]:
-    """Split a plan action ``kind:slot`` into its kind and absolute qubit.
+def resolve_action(action: Action, slots: dict[str, int]) -> tuple[str, int]:
+    """A plan action's kind and absolute qubit.
 
     ``slots`` maps the gate's slot names to qubit indices.  Both shot engines
     read their corrections through this, so the plans stay the one source of
     the feed-forward wiring.
     """
-    kind, _, slot = action.partition(":")
+    kind, slot = action
     if kind != "undo-phase" and kind not in FIXED_ACTIONS:
-        raise ContractError(f"unknown feed-forward action {action!r}")
+        raise ContractError(f"unknown feed-forward action {kind!r}")
     if slot not in slots:
-        raise ContractError(f"feed-forward action {action!r} names no qubit of this gate")
+        raise ContractError(f"feed-forward slot {slot!r} names no qubit of this gate")
     return kind, slots[slot]
 
 
 def _apply_actions(
     state: HybridState,
-    actions: tuple[str, ...],
+    actions: tuple[Action, ...],
     slots: dict[str, int],
     phi: float | None = None,
 ) -> tuple[HybridState, list[str]]:
@@ -146,7 +124,7 @@ def _apply_actions(
         kind, qubit = resolve_action(action, slots)
         if kind == "undo-phase":
             if phi is None:
-                raise ContractError(f"{action!r} follows no homodyne record")
+                raise ContractError("an undo-phase action follows no homodyne record")
             state = _undo_phase(state, qubit, phi)
         else:
             state = apply_single_qubit(state, FIXED_ACTIONS[kind](qubit))
@@ -211,10 +189,7 @@ def _entangler_core(
     """Computational-basis parity gate plus its conditional corrections."""
     record, state = parity_gate(state, qubit_a, qubit_b, probe, rng, force_x)
     state, applied = _apply_actions(
-        state,
-        plan.actions_for("homodyne", record.parity),
-        {"0": qubit_a, "1": qubit_b},
-        record.phi,
+        state, plan.actions_for(record.parity), {"0": qubit_a, "1": qubit_b}, record.phi
     )
     return record, merge_and_prune(state), tuple(applied)
 
@@ -234,7 +209,7 @@ def entangler(
     flip on ``qubit_b``.
     """
     record, state, applied = _entangler_core(
-        state, qubit_a, qubit_b, probe, rng, force_x, entangler_plan()
+        state, qubit_a, qubit_b, probe, rng, force_x, ENTANGLER_PLAN
     )
     return GateTrace(records=(record,), corrections=applied), state
 
@@ -259,7 +234,7 @@ def entangler_45(
     state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
     state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
     record, state, applied = _entangler_core(
-        state, qubit_a, qubit_b, probe, rng, force_x, entangler_45_plan()
+        state, qubit_a, qubit_b, probe, rng, force_x, ENTANGLER_45_PLAN
     )
     state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
     state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
@@ -306,16 +281,15 @@ def cnot(
     for q in (control, ancilla, target):
         state.require_qubit(q)
     _check_ancilla_plus(state, ancilla)
-    plan = cnot_plan()
     slots = {"control": control, "target": target}
 
     trace1, state = entangler(state, control, ancilla, probes[0], rng, force_x1)
     trace2, state = entangler_45(state, ancilla, target, probes[1], rng, force_x2)
     state, signed = _apply_actions(
-        state, plan.actions_for("homodyne-45", trace2.records[0].parity), slots
+        state, CNOT_SIGN_PLAN.actions_for(trace2.records[0].parity), slots
     )
     outcome, state = qnd_photon_measure(state, ancilla, rng, force_outcome=force_photon)
-    state, flipped = _apply_actions(state, plan.actions_for("photon", outcome), slots)
+    state, flipped = _apply_actions(state, CNOT_PHOTON_PLAN.actions_for(outcome), slots)
     corrections = trace1.corrections + trace2.corrections + tuple(signed + flipped)
 
     trace = GateTrace(

@@ -203,7 +203,11 @@ def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
     """Each qubit amplitude pair ``(c_H, c_V)`` must be normalized to 1 within 1e-12."""
     if len(qubit_specs) == 0:
         raise ValidationError("need at least one qubit amplitude pair")
-    for i, (c0, c1) in enumerate(qubit_specs):
+    for i, pair in enumerate(qubit_specs):
+        try:
+            c0, c1 = pair
+        except (TypeError, ValueError):
+            raise ValidationError(f"qubit {i} spec {pair!r} is not an amplitude pair") from None
         s = abs(complex(c0)) ** 2 + abs(complex(c1)) ** 2
         if not (abs(s - 1.0) <= _NORM_TOL):  # also catches NaN
             raise ValidationError(

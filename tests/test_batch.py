@@ -42,10 +42,11 @@ from kerrgate import (
 from kerrgate import analysis, batch
 from kerrgate.analysis import LOGICAL_ERROR_FIDELITY
 from kerrgate.gates import (
+    CNOT_PHOTON_PLAN,
+    CNOT_SIGN_PLAN,
+    ENTANGLER_45_PLAN,
+    ENTANGLER_PLAN,
     FIXED_ACTIONS,
-    cnot_plan,
-    entangler_45_plan,
-    entangler_plan,
     resolve_action,
 )
 
@@ -187,33 +188,14 @@ def test_batched_shots_replay_through_scalar_gates(experiment, alpha, xd, make):
     assert_replays(experiment, inputs, ProbeMode(alpha, theta_for(alpha, xd)), seed=91)
 
 
-#: every feed-forward the four circuits make, as the key of batch._correction:
-#: (qubits, plan, measurement, outcomes, slot wiring)
-PARITY = ("even", "odd")
-CNOT_SLOTS = (("control", 0), ("target", 2))
-FEED_FORWARDS = [
-    (2, entangler_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
-    (2, entangler_45_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
-    (3, entangler_plan, "homodyne", PARITY, (("0", 0), ("1", 1))),
-    (3, entangler_45_plan, "homodyne", PARITY, (("0", 1), ("1", 2))),
-    (3, cnot_plan, "homodyne-45", PARITY, CNOT_SLOTS),
-    (3, cnot_plan, "photon", ("H", "V"), CNOT_SLOTS),
-]
-
-
-def test_feed_forward_cases_are_the_ones_the_circuits_make(monkeypatch):
-    made = set()
-    correction = batch._correction
-
-    def recording(*key):
-        made.add(key)
-        return correction(*key)
-
-    monkeypatch.setattr(batch, "_correction", recording)
-    inputs = ((SQRT_HALF, SQRT_HALF), (0.6, 0.8j))
-    for experiment in EXPERIMENTS:
-        batch.run_block(experiment, inputs, ProbeMode(8.0, theta_for(8.0, 4.0)), 0, 0, 64)
-    assert made == set(FEED_FORWARDS)
+#: every feed-forward step of the four circuits, as the key of batch._correction,
+#: (qubits, plan, slot wiring), with its experiment and step index as test id
+FEED_FORWARDS = {
+    f"{name}-{k}": (3 if circuit.ancilla else 2, *args)
+    for name, circuit in batch.CIRCUITS.items()
+    for k, (method, *args) in enumerate(circuit.steps)
+    if method is batch._Shots.feed_forward
+}
 
 
 def lifted(n, gate):
@@ -223,14 +205,14 @@ def lifted(n, gate):
     return full.T
 
 
-def masked_feed_forward(amp, n, plan, measurement, outcomes, slots, flag, phi):
+def masked_feed_forward(amp, n, plan, slots, flag, phi):
     """The reference: each outcome's actions as lifted 2x2 matrices (or the
     per-shot phase gate) on the rows that had that outcome."""
     amp = amp.copy()
-    for outcome, rows in zip(outcomes, (~flag, flag)):
+    for outcome, rows in zip(plan.outcomes, (~flag, flag)):
         if not rows.any():
             continue
-        for action in plan().actions_for(measurement, outcome):
+        for action in plan.actions_for(outcome):
             kind, qubit = resolve_action(action, dict(slots))
             if kind != "undo-phase":
                 amp[rows] = amp[rows] @ lifted(n, FIXED_ACTIONS[kind](qubit))
@@ -240,11 +222,16 @@ def masked_feed_forward(amp, n, plan, measurement, outcomes, slots, flag, phi):
     return amp
 
 
-@pytest.mark.parametrize("case", FEED_FORWARDS, ids=lambda c: f"{c[1].__name__}-{c[2]}-{c[0]}q")
+def test_the_circuits_feed_forward_through_every_plan():
+    plans = {plan for _, plan, _ in FEED_FORWARDS.values()}
+    assert plans == {ENTANGLER_PLAN, ENTANGLER_45_PLAN, CNOT_SIGN_PLAN, CNOT_PHOTON_PLAN}
+
+
+@pytest.mark.parametrize("case", list(FEED_FORWARDS))
 @pytest.mark.parametrize("flags", ["mixed", "none", "all"])
 def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
-    n, plan, measurement, outcomes, slots = case
-    rng = np.random.default_rng([n, len(measurement), len(flags)])
+    n, plan, slots = FEED_FORWARDS[case]
+    rng = np.random.default_rng([n, len(case), len(flags)])
     count = 37
     amp = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
     amp[rng.random(amp.shape) < 0.2] = 0.0  # zero amplitudes, of either sign
@@ -257,9 +244,9 @@ def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
 
     shots = batch._Shots(count, ProbeMode(8.0, 0.5), 0, 0, ("random",))
-    shots.n, shots.amp = n, amp.copy()
-    shots.feed_forward(plan, measurement, outcomes, slots, flag, phi)
-    expected = masked_feed_forward(amp, n, plan, measurement, outcomes, slots, flag, phi)
+    shots.n, shots.amp, shots.flag, shots.flag_phi = n, amp.copy(), flag, phi
+    shots.feed_forward(plan, slots)
+    expected = masked_feed_forward(amp, n, plan, slots, flag, phi)
     # equal as numbers; the sign of a zero may differ from the matrix product's
     assert np.array_equal(shots.amp, expected)
 
@@ -441,17 +428,6 @@ def test_string_and_negative_seeds_are_rejected(seed, error):
         run_shots("parity", [(1, 0), (1, 0)], 8.0, theta_for(8.0, 20.0), 2, seed)
 
 
-@pytest.mark.parametrize(
-    "draws",
-    [("standard_normal", "random"), ("random",), ("random", "standard_normal", "random")],
-    ids=["out-of-order", "too-few", "too-many"],
-)
-def test_circuits_draw_exactly_what_they_declare(monkeypatch, draws):
-    monkeypatch.setitem(batch.CIRCUITS, "parity", batch.Circuit(batch._parity, draws))
-    with pytest.raises(ContractError):
-        batch.run_block("parity", ((1, 0), (1, 0)), ProbeMode(5.0, 0.5), 0, 0, 4)
-
-
 def test_threads_keep_their_own_streams():
     """Blocks drawn in several threads at once equal the same blocks drawn alone."""
     probe = ProbeMode(8.0, theta_for(8.0, 4.0))
@@ -526,9 +502,9 @@ def test_zero_norm_collapse_is_rejected(monkeypatch):
     """A sample far outside every peak underflows every kernel value."""
     draw = batch._Shots._draw
 
-    def far_noise(self, method):
-        values = draw(self, method)
-        return values + 1e3 if method == "standard_normal" else values
+    def far_noise(self):
+        values = draw(self)
+        return values + 1e3 if self.drawn == 2 else values  # the homodyne's noise
 
     monkeypatch.setattr(batch._Shots, "_draw", far_noise)
     with pytest.raises(ValidationError, match="zero-norm"):

@@ -24,7 +24,13 @@ from kerrgate import (
     sign_flip,
 )
 from kerrgate.analysis import p_error
-from kerrgate.gates import cnot_plan, entangler_45_plan, entangler_plan, resolve_action
+from kerrgate.gates import (
+    CNOT_PHOTON_PLAN,
+    CNOT_SIGN_PLAN,
+    ENTANGLER_45_PLAN,
+    ENTANGLER_PLAN,
+    resolve_action,
+)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 UNIFORM = (SQRT_HALF, SQRT_HALF)
@@ -319,41 +325,37 @@ class TestResourceClaims:
         assert norm(state) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestFeedForwardPlans:
-    @pytest.mark.parametrize(
-        "plan,measurements",
-        [
-            (entangler_plan(), {"homodyne": {"even", "odd"}}),
-            (entangler_45_plan(), {"homodyne": {"even", "odd"}}),
-            (cnot_plan(), {"homodyne-45": {"even", "odd"}, "photon": {"H", "V"}}),
-        ],
-    )
-    def test_plans_cover_both_outcomes_of_every_measurement(self, plan, measurements):
-        # actions_for raises ValidationError on an outcome without a rule
-        for measurement, outcomes in measurements.items():
-            for outcome in outcomes:
-                plan.actions_for(measurement, outcome)
-        assert {(r.measurement, r.outcome) for r in plan.rules} == {
-            (m, o) for m, outcomes in measurements.items() for o in outcomes
-        }
+PLANS = {
+    "entangler": ENTANGLER_PLAN,
+    "entangler45": ENTANGLER_45_PLAN,
+    "cnot-sign": CNOT_SIGN_PLAN,
+    "cnot-photon": CNOT_PHOTON_PLAN,
+}
 
-    def test_even_outcomes_need_no_action(self):
-        assert entangler_plan().actions_for("homodyne", "even") == ()
-        assert cnot_plan().actions_for("photon", "H") == ()
+
+class TestFeedForwardPlans:
+    @pytest.mark.parametrize("plan", list(PLANS.values()), ids=list(PLANS))
+    def test_each_plan_has_exactly_two_outcomes(self, plan):
+        assert len(plan.outcomes) == len(set(plan.outcomes)) == len(plan.actions) == 2
+        for outcome, actions in zip(plan.outcomes, plan.actions):
+            assert plan.actions_for(outcome) == actions
+
+    @pytest.mark.parametrize("plan", list(PLANS.values()), ids=list(PLANS))
+    def test_even_and_h_outcomes_need_no_action(self, plan):
+        assert plan.outcomes in (("even", "odd"), ("H", "V"))
+        assert plan.actions_for(plan.outcomes[0]) == ()
+        assert plan.actions_for(plan.outcomes[1]) != ()
 
     def test_actions_resolve_to_absolute_qubits(self):
-        assert resolve_action("undo-phase:0", {"0": 4, "1": 2}) == ("undo-phase", 4)
-        assert resolve_action("sign-flip:control", {"control": 3}) == ("sign-flip", 3)
+        assert resolve_action(("undo-phase", "0"), {"0": 4, "1": 2}) == ("undo-phase", 4)
+        assert resolve_action(("sign-flip", "control"), {"control": 3}) == ("sign-flip", 3)
 
     @pytest.mark.parametrize(
         "action,slots",
-        [("teleport:0", {"0": 0}), ("flip:target", {"0": 0}), ("flip", {"0": 0})],
+        [(("teleport", "0"), {"0": 0}), (("flip", "target"), {"0": 0})],
+        ids=["unknown-kind", "unknown-slot"],
     )
     def test_malformed_actions_raise_contract_errors(self, action, slots):
         # raised, not asserted, so the check survives python -O
         with pytest.raises(ContractError):
             resolve_action(action, slots)
-
-    def test_unknown_measurement_is_rejected(self):
-        with pytest.raises(ValidationError):
-            entangler_plan().actions_for("voltmeter", "even")

@@ -70,6 +70,20 @@ def test_non_finite_pairs_are_not_normalized(prepare, bad):
         prepare([(1.0, 0.0), bad])
 
 
+@pytest.mark.parametrize("specs", [[(1, 0, 0), (1, 0)], [(1,), (1, 0)]], ids=["three", "one"])
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        lambda pairs: new_state(pairs),
+        lambda pairs: run_shots("parity", pairs, 20.0, 0.5, 3, 1),
+    ],
+    ids=["new_state", "run_shots"],
+)
+def test_specs_that_are_not_amplitude_pairs_are_rejected(prepare, specs):
+    with pytest.raises(ValidationError, match="qubit 0 spec .* is not an amplitude pair"):
+        prepare(specs)
+
+
 def test_new_state_rejects_zero_qubits():
     with pytest.raises(ValidationError):
         new_state([])
