@@ -70,7 +70,7 @@ def run_shots(
     shots: int,
     seed: int,
 ) -> ShotStats:
-    """Run a gate ``shots`` times with per-shot derived seeds and aggregate.
+    """Run a gate ``shots`` times on one seeded stream and aggregate.
 
     ``inputs`` is a pair of qubit amplitude pairs: the two gated qubits for
     parity/entangler experiments, or (control, target) for the CNOT, whose
@@ -83,29 +83,28 @@ def run_shots(
     components and the reported rate saturates accordingly.
 
     Shots run in fixed-size blocks through :mod:`kerrgate.batch`.  RNG
-    contract: shot ``i`` draws only from its own ``default_rng([seed, i])``,
-    in circuit order -- ``random()`` then ``standard_normal()`` for each
-    homodyne measurement (branch pick, then noise), then ``random()`` for the
-    CNOT's photon readout -- exactly the draws the scalar gates in
-    :mod:`kerrgate.gates` make on that generator.  Identical arguments
-    therefore give identical results, and shot ``i`` can be replayed through
-    the scalar gates.  The engine derives those streams a block at a time,
-    from NumPy's documented ``SeedSequence`` hash and PCG64/ziggurat integer
-    arithmetic, without building a generator per shot; the few shots whose
-    normal draw leaves the ziggurat's fast path, and small blocks, are made
-    by NumPy's ``Generator`` from the same state.  The numbers are the same,
-    bit for bit.  ``seed`` must be a
-    non-negative integer (``TypeError`` for a float or string, ``ValueError``
-    when negative).
+    contract: the run reads one stream, ``np.random.default_rng(seed).random()``,
+    and shot ``i`` takes its words ``i K .. i K + K - 1``, ``K`` being the
+    circuit's ``Circuit.words``.  In circuit order a homodyne measurement
+    reads one word for its branch pick and two for its noise, which
+    :func:`kerrgate.measurement.gaussian` turns into a standard normal, and
+    the CNOT's photon readout one word -- exactly what the scalar gates in
+    :mod:`kerrgate.gates` read from a generator.  Identical arguments
+    therefore give identical results whatever the block size, and shot ``i``
+    replays through the scalar gates on ``default_rng(seed)`` advanced by
+    ``i K`` (``Generator.bit_generator.advance``).  ``seed`` must be a
+    non-negative integer (``TypeError`` for a float, string, sequence,
+    ``SeedSequence`` or ``Generator``; ``ValueError`` when negative).
     """
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    inputs = [tuple(complex(v) for v in pair) for pair in inputs]
+    inputs = list(inputs)
     if len(inputs) != 2:
         raise ValidationError(f"{experiment} takes two qubit amplitude pairs")
     check_normalized(inputs)
+    inputs = [(complex(c0), complex(c1)) for c0, c1 in inputs]
     probe = ProbeMode(alpha, theta)
 
     errors = 0

@@ -206,9 +206,9 @@ def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
     for i, pair in enumerate(qubit_specs):
         try:
             c0, c1 = pair
+            s = abs(complex(c0)) ** 2 + abs(complex(c1)) ** 2
         except (TypeError, ValueError):
             raise ValidationError(f"qubit {i} spec {pair!r} is not an amplitude pair") from None
-        s = abs(complex(c0)) ** 2 + abs(complex(c1)) ** 2
         if not (abs(s - 1.0) <= _NORM_TOL):  # also catches NaN
             raise ValidationError(
                 f"qubit {i} amplitude pair is not normalized: |c0|^2+|c1|^2 = {s!r}"

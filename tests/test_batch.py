@@ -1,19 +1,19 @@
 """Batched shot engine against the scalar gates, shot for shot.
 
-Every batched shot is replayed through the scalar gates twice: once with its
-own generator ``default_rng([seed, i])``, which must reproduce the same
-records, and once with its recorded outcomes forced through ``force_x*`` and
-``force_photon``.  Both replays must land on the batched final state.  The
-record-conditional ideal outputs are rebuilt here as branch-label states from
-the paper's formulas, independently of the engine's dense ones.
+Every batched shot is replayed through the scalar gates twice: once on its
+own generator, the run's ``default_rng(seed)`` advanced to the shot's words,
+which must reproduce the same records, and once with its recorded outcomes
+forced through ``force_x*`` and ``force_photon``.  Both replays must land on
+the batched final state.  The record-conditional ideal outputs are rebuilt
+here as branch-label states from the paper's formulas, independently of the
+engine's dense ones.
 
 Each feed-forward the circuits make is checked against the per-outcome
 masked matrix products it replaces, on random blocks.
 
-The per-shot draw tables are checked bit for bit against
-``default_rng([seed, i])`` on both of ``_draw_table``'s paths and on pinned
-rows whose normal draws leave the ziggurat's one-word fast path; the
-ziggurat tables themselves are probed out of the installed NumPy.
+The per-shot draw tables are checked bit for bit against those replay
+generators, for seeds of one to five 32-bit words and for blocks at and
+across ``2**32``.
 """
 
 import math
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from kerrgate import (
     ANCILLA_PLUS,
-    ContractError,
     HybridState,
     ProbeMode,
     ValidationError,
@@ -49,6 +48,7 @@ from kerrgate.gates import (
     FIXED_ACTIONS,
     resolve_action,
 )
+from kerrgate.measurement import gaussian
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
 SHOTS = 48
@@ -138,12 +138,21 @@ def state_fidelity(u, v):
     return abs(np.vdot(u, v)) ** 2 / (np.vdot(u, u).real * np.vdot(v, v).real)
 
 
+def shot_rng(seed, shot, words):
+    """Shot ``shot``'s generator: the run's stream advanced past the ``words``
+    words each earlier shot takes."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(shot * words)
+    return rng
+
+
 def scalar_errors(experiment, inputs, probe, shots, seed):
     """Logical errors of the scalar reference over shots 0 .. shots - 1."""
+    words = batch.CIRCUITS[experiment].words
     errors = 0
     for i in range(shots):
         records, photon, final = scalar_shot(
-            experiment, *inputs, probe, np.random.default_rng([seed, i])
+            experiment, *inputs, probe, shot_rng(seed, i, words)
         )
         ideal = ideal_state(experiment, *inputs, records[0], photon)
         errors += (fidelity(final, ideal) if ideal is not None else 0.0) < LOGICAL_ERROR_FIDELITY
@@ -152,9 +161,10 @@ def scalar_errors(experiment, inputs, probe, shots, seed):
 
 def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
     block = batch.run_block(experiment, inputs, probe, seed, start, start + shots)
+    words = batch.CIRCUITS[experiment].words
     for i in range(shots):
         records, photon, final = scalar_shot(
-            experiment, *inputs, probe, np.random.default_rng([seed, start + i])
+            experiment, *inputs, probe, shot_rng(seed, start + i, words)
         )
         assert [r.parity == "odd" for r in records] == list(block.odd[i])
         for r, x, phi in zip(records, block.x[i], block.phi[i]):
@@ -263,8 +273,7 @@ def test_non_integer_seed_is_rejected():
         run_shots("parity", [(1, 0), (1, 0)], 8.0, theta_for(8.0, 20.0), 2, 3.5)
 
 
-#: seeds of 1 to 5 uint32 words: SeedSequence mixes words past the fourth in a
-#: separate tail loop, and a shot index past 2**32 adds a word of its own
+#: seeds of 1 to 5 uint32 words, as SeedSequence splits them
 SEED_WIDTHS = [0, 2**31 - 1, 2**32, 2**64 + 1, 2**96 + 7, 2**128 + 3]
 
 
@@ -273,140 +282,47 @@ def bits(values) -> list[int]:
     return np.asarray(values, np.float64).view(np.uint64).tolist()
 
 
-def default_rng_rows(seed, start, count, draws) -> np.ndarray:
-    """The reference: one ``default_rng([seed, i])`` per row, called in order."""
+def replay_rows(seed, start, count, draws) -> np.ndarray:
+    """The reference: each shot's replay generator, read as the scalar
+    engine reads it (a normal from ``rng.random((1, 2))``)."""
+    words = sum(2 if method == "standard_normal" else 1 for method in draws)
     rows = []
     for i in range(start, start + count):
-        rng = np.random.default_rng([seed, i])
-        rows.append([getattr(rng, method)() for method in draws])
+        rng = shot_rng(seed, i, words)
+        row = []
+        for method in draws:
+            if method == "random":
+                row.append(rng.random())
+            else:
+                u = rng.random((1, 2))
+                row.append(gaussian(u[:, 0], u[:, 1])[0])
+        rows.append(row)
     return np.array(rows).reshape(count, len(draws))
-
-
-#: both sides of the block size below which _draw_table sets a Generator per row,
-#: and a full block
-DRAW_COUNTS = (5, 40, 1024)
 
 
 @pytest.mark.parametrize("start", [0, 1024, 2**32])
 @pytest.mark.parametrize("seed", SEED_WIDTHS)
 def test_draw_table_rows_are_the_default_rng_streams(seed, start):
-    assert DRAW_COUNTS[0] < batch._ARRAY_MIN_SHOTS <= DRAW_COUNTS[1]
+    """Rows of one, 40 and 1024-shot tables are, bit for bit, the draws of
+    the shots' replay generators, ``default_rng(seed)`` advanced."""
     for circuit in batch.CIRCUITS.values():
-        for count in DRAW_COUNTS:
+        for count in (1, 40, 1024):
             table = batch._draw_table(seed, start, count, circuit.draws)
-            assert bits(table) == bits(default_rng_rows(seed, start, count, circuit.draws))
+            assert bits(table) == bits(replay_rows(seed, start, count, circuit.draws))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(EXPERIMENTS),
     seed=st.integers(0, 2**160),
-    high=st.integers(0, 2**31),
-    low=st.integers(0, 2**32 - 1),
+    start=st.integers(0, 2**64),
     count=st.integers(1, 100),
 )
-def test_draw_table_property(name, seed, high, low, count):
-    start = (high << 32) | min(low, 2**32 - count)  # no straddle of a multiple of 2**32
+def test_draw_table_property(name, seed, start, count):
+    """Every row, bit for bit, is its shot's replay generator's draws."""
     draws = batch.CIRCUITS[name].draws
     table = batch._draw_table(seed, start, count, draws)
-    assert bits(table) == bits(default_rng_rows(seed, start, count, draws))
-
-
-def state_emitting(word: int) -> dict:
-    """PCG64 state whose next 64-bit output is ``word``: with inc = 1 the next
-    state is ``word`` itself, and its high half 0 makes XSL-RR return the low
-    half unchanged."""
-    inverse = pow(batch._PCG_MULT, -1, 1 << 128)
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": (word - 1) * inverse % (1 << 128), "inc": 1},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def test_ziggurat_tables_are_the_installed_numpys():
-    """Probe every layer's wi and ki out of Generator.standard_normal: a NumPy
-    release that changes its normal stream (NEP 19 allows it) fails here."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    pcg = gen.bit_generator
-
-    def normal(layer, rabs):
-        """The draw for word (rabs, sign 0, layer), and whether it took one word."""
-        word = (rabs << 9) | layer
-        pcg.state = state_emitting(word)
-        x = gen.standard_normal()
-        return x, pcg.state["state"]["state"] == word
-
-    for layer in range(256):
-        assert bits(normal(layer, 1)[0]) == bits(batch._ZIGGURAT_WI[layer])
-        lo, hi = 0, 1 << 52  # smallest rabs that takes more than one word
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if normal(layer, mid)[1] else (lo, mid)
-        assert lo == batch._ZIGGURAT_KI[layer], layer
-
-
-def test_ziggurat_fast_path_matches_the_generator_at_its_edges():
-    """Words at rabs = 0, 1, ki - 1, ki and the top, with either sign, in
-    every layer: same bits as NumPy where it takes one word, and rejected
-    exactly where NumPy reads more (rabs = 0 with the sign bit is -0.0)."""
-    gen = np.random.Generator(np.random.PCG64(0))
-    top = (1 << 52) - 1
-    words = [
-        (rabs << 9) | (sign << 8) | layer
-        for layer in range(256)
-        for ki in [int(batch._ZIGGURAT_KI[layer])]
-        for rabs in {0, 1, max(ki - 1, 0), min(ki, top), top}
-        for sign in (0, 1)
-    ]
-    x, accepted = batch._ziggurat_fast_path(np.array(words, np.uint64))
-    for word, xi, ok in zip(words, x, accepted):
-        gen.bit_generator.state = state_emitting(word)
-        expected = gen.standard_normal()
-        assert ok == (gen.bit_generator.state["state"]["state"] == word), hex(word)
-        if ok:
-            assert bits(xi) == bits(expected), hex(word)
-
-
-#: cnot shots (seed 0 unless given) whose normals leave the ziggurat's fast
-#: path, with the words each draw takes: (seed, shot, words per draw, kind)
-FALLBACK_SHOTS = [
-    (0, 296, (1, 2, 1, 1, 1), "wedge"),  # wedge test accepts
-    (0, 110, (1, 3, 1, 1, 1), "wedge"),  # wedge test rejects once
-    (0, 50, (1, 1, 1, 2, 1), "wedge"),  # on the second normal only
-    (0, 194, (1, 2, 1, 1, 1), "idx1"),  # ki[1] = 0
-    (0, 117, (1, 1, 1, 3, 1), "idx1"),  # whose wedge test rejects once
-    (0, 3543, (1, 3, 1, 1, 1), "tail"),
-    (0, 9416, (1, 1, 1, 3, 1), "tail"),
-    (2, 25831, (1, 5, 1, 1, 1), "tail"),  # the tail loop rejects once
-]
-
-
-@pytest.mark.parametrize("seed,shot,words,kind", FALLBACK_SHOTS)
-def test_fallback_rows_are_the_default_rng_streams(seed, shot, words, kind):
-    draws = batch.CIRCUITS["cnot"].draws
-    # the pinned shot takes the path it is pinned for: count the words each
-    # draw takes by matching states along the raw stream
-    walk = np.random.PCG64(np.random.SeedSequence([seed, shot]))
-    raw, states = [], [walk.state["state"]["state"]]
-    for _ in range(sum(words)):
-        raw.append(int(walk.random_raw()))
-        states.append(walk.state["state"]["state"])
-    rng = np.random.default_rng([seed, shot])
-    ends = []
-    for method in draws:
-        getattr(rng, method)()
-        ends.append(states.index(rng.bit_generator.state["state"]["state"]))
-    assert tuple(np.diff([0] + ends)) == words
-    first = next(k for k, n in enumerate(words) if n > 1)
-    layer = raw[ends[first - 1]] & 0xFF  # of the word that left the fast path
-    assert {"tail": layer == 0, "idx1": layer == 1, "wedge": layer >= 2}[kind]
-
-    # its row, inside a block on the array path, is the default_rng stream
-    start = shot - shot % 64
-    table = batch._draw_table(seed, start, 64, draws)
-    assert bits(table[shot - start]) == bits(default_rng_rows(seed, shot, 1, draws)[0])
+    assert bits(table) == bits(replay_rows(seed, start, count, draws))
 
 
 @pytest.mark.parametrize("seed", SEED_WIDTHS)
@@ -416,14 +332,32 @@ def test_blocks_past_2_32_replay_through_scalar_gates(seed):
     assert_replays("cnot", inputs, probe, seed, shots=4, start=2**32)
 
 
-def test_a_block_may_not_straddle_a_multiple_of_2_32():
-    probe = ProbeMode(8.0, theta_for(8.0, 20.0))
-    with pytest.raises(ContractError, match="straddle"):
-        batch.run_block("parity", ((1, 0), (1, 0)), probe, 0, 2**32 - 2, 2**32 + 2)
+def test_a_block_across_2_32_equals_two_blocks_split_there():
+    probe = ProbeMode(8.0, theta_for(8.0, 4.0))
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    across = batch.run_block("cnot", inputs, probe, 7, 2**32 - 3, 2**32 + 3)
+    below = batch.run_block("cnot", inputs, probe, 7, 2**32 - 3, 2**32)
+    above = batch.run_block("cnot", inputs, probe, 7, 2**32, 2**32 + 3)
+    for field in ("x", "odd", "phi", "photon_v", "final", "fidelity"):
+        split = np.concatenate((getattr(below, field), getattr(above, field)))
+        assert np.array_equal(getattr(across, field), split), field
 
 
-@pytest.mark.parametrize("seed,error", [("7", TypeError), (-1, ValueError), (-(2**40), ValueError)])
+@pytest.mark.parametrize(
+    "seed,error",
+    [
+        ("7", TypeError),
+        (-1, ValueError),
+        (-(2**40), ValueError),
+        ([1, 2], TypeError),
+        (np.random.SeedSequence(1), TypeError),
+        (np.random.default_rng(0), TypeError),
+    ],
+)
 def test_string_and_negative_seeds_are_rejected(seed, error):
+    """Only a non-negative integer seeds a run: default_rng would also take a
+    sequence, a SeedSequence or a Generator, and advancing a caller's
+    Generator would move it in place."""
     with pytest.raises(error):
         run_shots("parity", [(1, 0), (1, 0)], 8.0, theta_for(8.0, 20.0), 2, seed)
 
@@ -541,3 +475,44 @@ def test_run_shots_error_count_equals_scalar_replay(experiment, c, d, alpha, xd,
     stats = run_shots(experiment, [c, d], alpha, theta, shots, seed)
     expected = scalar_errors(experiment, (c, d), ProbeMode(alpha, theta), shots, seed)
     assert round(stats.logical_error_rate * shots) == expected
+
+
+def log_binomial_tail(k, n, p):
+    """Smaller of P(X <= k) and P(X >= k) for X ~ Binomial(n, p), summed in
+    log space so that large ``n`` neither overflows nor underflows."""
+    base = math.lgamma(n + 1)
+    log_pmf = [
+        base - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+        + j * math.log(p) + (n - j) * math.log1p(-p)
+        for j in range(n + 1)
+    ]
+    top = max(log_pmf)
+    pmf = [math.exp(v - top) for v in log_pmf]
+    scale = math.exp(top)
+    return min(math.fsum(pmf[: k + 1]), math.fsum(pmf[k:])) * scale
+
+
+#: Born-rule probability that the first homodyne record reads even, for
+#: (0.6, 0.8) and (0.28, 0.96); the entangler45 reads it in the diagonal
+#: basis and the cnot on (control, ancilla |+>)
+BORN_EVEN = {
+    "parity": (0.6 * 0.28) ** 2 + (0.8 * 0.96) ** 2,
+    "entangler": (0.6 * 0.28) ** 2 + (0.8 * 0.96) ** 2,
+    "entangler45": ((0.6 + 0.8) * (0.28 + 0.96) / 2) ** 2
+    + ((0.6 - 0.8) * (0.28 - 0.96) / 2) ** 2,
+    "cnot": 0.5,
+}
+#: false-alarm probability of each experiment's count
+BORN_FALSE_ALARM = 1e-9
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_first_record_parity_counts_follow_the_born_rule(experiment):
+    """Even first records summed over 40 seeds of 1024 shots, at xd = 20
+    (misreads ~1e-23), against the exact binomial tail, as the benchmark
+    checks each call."""
+    probe = ProbeMode(100.0, theta_for(100.0, 20.0))
+    inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
+    blocks = [batch.run_block(experiment, inputs, probe, seed, 0, 1024) for seed in range(40)]
+    even = sum(int(np.count_nonzero(~b.odd[:, 0])) for b in blocks)
+    assert log_binomial_tail(even, 40 * 1024, BORN_EVEN[experiment]) > BORN_FALSE_ALARM

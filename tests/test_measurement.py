@@ -26,7 +26,9 @@ from kerrgate import (
     sample_and_collapse,
     sample_quadrature,
 )
+from kerrgate import batch
 from kerrgate.analysis import p_error
+from kerrgate.measurement import gaussian
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 TWO_PI_QUARTER = (2.0 * math.pi) ** -0.25
@@ -254,6 +256,54 @@ def test_collapse_consistency_density_equals_weighted_norm():
 
 def zero_norm_state():
     return HybridState.from_branches(1, [], probes=[ProbeMode(2.0, 0.5)])
+
+
+#: ``gaussian``'s largest |z|, at ``1 - u1 = 2**-53``
+BOX_MULLER_EDGE = math.sqrt(-2.0 * math.log(2.0**-53))
+
+
+class TestGaussian:
+    """Box-Muller normals checked against the standard library only: both
+    engines draw their noise from :func:`gaussian`, so replaying one engine
+    through the other cannot certify it."""
+
+    #: draws, and the false-alarm probability each statistical check allows
+    N = 100_000
+    FALSE_ALARM = 1e-6
+
+    @pytest.fixture(scope="class")
+    def z(self):
+        # the normal columns of a cnot draw table: two per shot
+        table = batch._draw_table(2024, 0, self.N // 2, batch.CIRCUITS["cnot"].draws)
+        return np.sort(table[:, [1, 3]].ravel())
+
+    def test_kolmogorov_smirnov_against_math_erfc(self, z):
+        """Dvoretzky-Kiefer-Wolfowitz with Massart's constant,
+        P(D > eps) <= 2 exp(-2 N eps**2), sets eps for a false alarm of at
+        most 1e-6 (eps ~ 0.0085 at N = 1e5)."""
+        eps = math.sqrt(math.log(2.0 / self.FALSE_ALARM) / (2.0 * self.N))
+        phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])
+        n = len(z)
+        d = max(np.max(np.arange(1, n + 1) / n - phi), np.max(phi - np.arange(n) / n))
+        assert d < eps
+
+    def test_draws_are_bounded_and_symmetric(self, z):
+        """Signs: Hoeffding, P(|k - N/2| >= t) <= 2 exp(-2 t**2 / N), sets t
+        for a false alarm of at most 1e-6."""
+        assert BOX_MULLER_EDGE == pytest.approx(8.5717, abs=1e-4)
+        assert np.all(np.abs(z) <= BOX_MULLER_EDGE)
+        t = math.sqrt(self.N * math.log(2.0 / self.FALSE_ALARM) / 2.0)
+        assert abs(np.count_nonzero(z > 0) - self.N / 2) < t
+
+    def test_edges(self):
+        top = np.nextafter(1.0, 0.0)  # the largest random()
+        u1 = np.array([0.0, top, top, 0.5])
+        u2 = np.array([0.3, 0.0, 0.5, 0.25])
+        z = gaussian(u1, u2)
+        assert z[0] == 0.0
+        assert z[1] == pytest.approx(BOX_MULLER_EDGE, rel=1e-15)
+        assert z[2] == pytest.approx(-BOX_MULLER_EDGE, rel=1e-15)
+        assert abs(z[3]) < 1e-15
 
 
 class TestSampleQuadrature:

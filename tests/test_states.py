@@ -70,7 +70,11 @@ def test_non_finite_pairs_are_not_normalized(prepare, bad):
         prepare([(1.0, 0.0), bad])
 
 
-@pytest.mark.parametrize("specs", [[(1, 0, 0), (1, 0)], [(1,), (1, 0)]], ids=["three", "one"])
+@pytest.mark.parametrize(
+    "specs",
+    [[(1, 0, 0), (1, 0)], [(1,), (1, 0)], [("x", 1), (1, 0)], [(None, 1), (1, 0)]],
+    ids=["three", "one", "string", "none"],
+)
 @pytest.mark.parametrize(
     "prepare",
     [
