@@ -181,19 +181,8 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_signed_values(argv))
     values = _read_config_file(args.config) if args.config else {}
-    for key, flag in (
-        ("experiment", args.experiment),
-        ("alpha", args.alpha),
-        ("theta", args.theta),
-        ("shots", args.shots),
-        ("seed", args.seed),
-        ("input", args.input),
-        ("grid_alpha", args.grid_alpha),
-        ("grid_theta", args.grid_theta),
-        ("sweep_gate", args.sweep_gate),
-        ("output", args.output),
-        ("format", args.format),
-    ):
+    for key in _FILE_KEYS:  # each flag's dest is its config key
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
 

@@ -161,9 +161,6 @@ def parity_gate(
     """
     state.require_qubit(qubit_a)
     state.require_qubit(qubit_b)
-    if qubit_a == qubit_b:
-        raise ValidationError("parity gate needs two distinct qubits")
-
     state = state.activate_probe(probe)
     probe_index = len(state.probes) - 1
     for coupling in build_parity_coupling_pair(qubit_a, qubit_b, probe_index):

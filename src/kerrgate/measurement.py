@@ -237,17 +237,23 @@ def sample_and_collapse(
     phi = math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
     record = HomodyneRecord(x=x, x0=x0, parity=parity, phi=phi)
 
+    # weighting and dropping the probe's column in one merge: two labels of
+    # one basis string become one branch here
     weighted = [
-        Branch(b.amplitude * kernel_value(x, probe.label(b.phases[probe_index])), b.basis, b.phases)
+        Branch(
+            b.amplitude * kernel_value(x, probe.label(b.phases[probe_index])),
+            b.basis,
+            b.phases[:probe_index] + b.phases[probe_index + 1 :],
+        )
         for b in state.branches
     ]
-    collapsed = _merged_state(
-        state.n_qubits, weighted, state.probes, state.pruned_mass
-    ).drop_probe(probe_index)
-    # also rejects a nan outcome, whose amplitudes are nan
-    if not norm_squared(collapsed) > 0.0:
-        raise ValidationError(f"collapse at x={x} leaves a zero-norm state")
-    return record, merge_and_prune(renormalized(collapsed))
+    probes = state.probes[:probe_index] + state.probes[probe_index + 1 :]
+    collapsed = _merged_state(state.n_qubits, weighted, probes, state.pruned_mass)
+    try:
+        collapsed = renormalized(collapsed)
+    except ValidationError:  # also a nan outcome, whose amplitudes are nan
+        raise ValidationError(f"collapse at x={x} leaves a zero-norm state") from None
+    return record, merge_and_prune(collapsed)
 
 
 def qnd_photon_measure(

@@ -52,7 +52,7 @@ class SingleQubitGate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError("gate matrix must be 2x2")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > _UNITARY_TOL:
+        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= _UNITARY_TOL:  # also catches NaN
             raise ValidationError("gate matrix is not unitary within 1e-12")
         m.setflags(write=False)  # gates are shared and cached; keep them frozen
         object.__setattr__(self, "matrix", m)
@@ -125,7 +125,8 @@ def apply_cross_kerr(state: HybridState, coupling: KerrCoupling) -> HybridState:
             out.append(Branch(b.amplitude, b.basis, phases))
         else:
             out.append(b)
-    return _merged_state(state.n_qubits, out, state.probes, state.pruned_mass)
+    # every branch of one basis string moves by the same kick: keys stay distinct and sorted
+    return HybridState(state.n_qubits, tuple(out), state.probes, state.pruned_mass)
 
 
 def build_parity_coupling_pair(qubit_a: int, qubit_b: int, probe_index: int) -> list[KerrCoupling]:

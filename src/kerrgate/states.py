@@ -89,6 +89,12 @@ def coherent_overlap(bra: complex, ket: complex) -> complex:
 class HybridState:
     """Joint state of ``n_qubits`` polarization qubits and any active probes.
 
+    Invariant: ``branches`` holds one branch per ``(basis, phases)`` key, in
+    key order, and no branch has an exactly zero amplitude.  The raw
+    constructor trusts its arguments to keep it; :meth:`from_branches`
+    validates and merges them.  Only a single-qubit gate and a probe
+    measurement can make two keys equal, so only those re-merge.
+
     ``pruned_mass`` accumulates the squared amplitude discarded by
     :func:`merge_and_prune` over the state's history; it is diagnostic only
     and never triggers renormalization.
@@ -140,25 +146,11 @@ class HybridState:
     # -- probe registry plumbing -------------------------------------------
 
     def activate_probe(self, probe: ProbeMode) -> "HybridState":
-        """Attach a fresh probe (phase index 0 on every branch); returns its index."""
+        """Attach a fresh probe as the last column (phase index 0 on every branch)."""
         branches = tuple(
             Branch(b.amplitude, b.basis, b.phases + (0,)) for b in self.branches
         )
         return HybridState(self.n_qubits, branches, self.probes + (probe,), self.pruned_mass)
-
-    def drop_probe(self, probe_index: int) -> "HybridState":
-        """Remove a probe column (used after its quadrature has been measured)."""
-        self.require_probe(probe_index)
-        branches = [
-            Branch(
-                b.amplitude,
-                b.basis,
-                b.phases[:probe_index] + b.phases[probe_index + 1 :],
-            )
-            for b in self.branches
-        ]
-        probes = self.probes[:probe_index] + self.probes[probe_index + 1 :]
-        return _merged_state(self.n_qubits, branches, probes, self.pruned_mass)
 
     def require_probe(self, probe_index: int) -> ProbeMode:
         if not (0 <= probe_index < len(self.probes)):
@@ -185,7 +177,8 @@ def _merged_state(
 
     The ``branches`` must already be :class:`Branch` tuples with a finite
     ``complex`` amplitude, ``n_qubits`` H/V labels and one phase index per
-    probe.  They are merged and ordered exactly as ``from_branches`` does.
+    probe.  Summing equal keys, sorting and dropping exact zeros establishes
+    the :class:`HybridState` invariant.
     """
     merged: dict[tuple[PolBasisString, tuple[int, ...]], complex] = {}
     for amp, basis, phases in branches:
@@ -223,16 +216,15 @@ def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
     active on the result.
     """
     check_normalized(qubit_specs)
-    n = len(qubit_specs)
-    branches: list[tuple[complex, str, tuple[int, ...]]] = [(1.0 + 0j, "", ())]
+    branches = [Branch(1.0 + 0j, (), ())]
     for c0, c1 in qubit_specs:
         branches = [
-            (amp * coeff, basis + lab, ())
-            for amp, basis, _ in branches
+            Branch(b.amplitude * coeff, b.basis + (lab,), ())
+            for b in branches
             for coeff, lab in ((complex(c0), "H"), (complex(c1), "V"))
             if coeff != 0
         ]
-    return HybridState.from_branches(n, branches)
+    return _merged_state(len(qubit_specs), branches, (), 0.0)
 
 
 def norm_squared(state: HybridState) -> float:
@@ -258,7 +250,7 @@ def norm(state: HybridState) -> float:
 
 def renormalized(state: HybridState) -> HybridState:
     n2 = norm_squared(state)
-    if n2 <= 0.0:
+    if not n2 > 0.0:  # also catches NaN
         raise ValidationError("cannot renormalize a zero-norm state")
     scale = 1.0 / math.sqrt(n2)
     branches = tuple(Branch(b.amplitude * scale, b.basis, b.phases) for b in state.branches)
@@ -266,24 +258,23 @@ def renormalized(state: HybridState) -> HybridState:
 
 
 def merge_and_prune(state: HybridState, epsilon: float = DEFAULT_PRUNE_EPS) -> HybridState:
-    """Merge identical-key branches and drop branches with |amplitude| < epsilon.
+    """Drop branches with |amplitude| < epsilon.
 
-    Discarded squared amplitude is added to ``pruned_mass``.  The state is
-    deliberately *not* renormalized, so pruning loss stays observable.
+    The branches are already merged (a :class:`HybridState` invariant), so
+    this only prunes.  Discarded squared amplitude is added to
+    ``pruned_mass``.  The state is deliberately *not* renormalized, so
+    pruning loss stays observable.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # also catches NaN, which would prune nothing
         raise ValidationError("epsilon must be >= 0")
-    merged = _merged_state(state.n_qubits, state.branches, state.probes, state.pruned_mass)
     kept = []
     lost = 0.0
-    for b in merged.branches:
+    for b in state.branches:
         if abs(b.amplitude) < epsilon:
             lost += abs(b.amplitude) ** 2
         else:
             kept.append(b)
-    return HybridState(
-        merged.n_qubits, tuple(kept), merged.probes, merged.pruned_mass + lost
-    )
+    return HybridState(state.n_qubits, tuple(kept), state.probes, state.pruned_mass + lost)
 
 
 def fidelity(state: HybridState, reference: HybridState) -> float:
@@ -300,6 +291,6 @@ def fidelity(state: HybridState, reference: HybridState) -> float:
         (r.amplitude.conjugate() * amps.get(r.basis, 0j) for r in reference.branches), 0j
     )
     denom = norm_squared(state) * norm_squared(reference)
-    if denom <= 0.0:
-        raise ValidationError("fidelity of a zero-norm state is undefined")
+    if not (denom > 0.0 and math.isfinite(denom)):
+        raise ValidationError("fidelity needs states of finite, nonzero norm")
     return abs(overlap) ** 2 / denom

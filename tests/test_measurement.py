@@ -356,6 +356,31 @@ class TestSampleAndCollapse:
         with pytest.raises(ValidationError):
             sample_and_collapse(state, 0, np.random.default_rng(0), force_x=math.nan)
 
+    def test_labels_of_one_basis_string_merge_in_the_collapse(self):
+        # H on labels (0, 0) and (1, 0): measuring probe 0 leaves both on key
+        # (H, (0,)), whose amplitude is their kernel-weighted sum; H on (1, 1)
+        # keeps its own key through the other probe's column
+        probes = (ProbeMode(1.5, 0.6), ProbeMode(2.0, 0.4))
+        amps = {("H", (0, 0)): 0.5, ("H", (1, 0)): 0.5j, ("H", (1, 1)): -0.5, ("V", (0, 0)): 0.5}
+        state = HybridState.from_branches(
+            1, [(a, basis, phases) for (basis, phases), a in amps.items()], probes=probes
+        )
+        x = 2.2
+        _, post = sample_and_collapse(state, 0, None, force_x=x)
+        k0, k1 = kernel_value(x, probes[0].label(0)), kernel_value(x, probes[0].label(1))
+        expected = {
+            (("H",), (0,)): 0.5 * k0 + 0.5j * k1,
+            (("H",), (1,)): -0.5 * k1,
+            (("V",), (0,)): 0.5 * k0,
+        }
+        assert post.probes == probes[1:]
+        assert [(b.basis, b.phases) for b in post.branches] == sorted(expected)
+        scale = post.branches[0].amplitude / expected[(("H",), (0,))]
+        assert scale.real > 0.0 and scale.imag == pytest.approx(0.0, abs=1e-12)
+        for b in post.branches:
+            assert b.amplitude == pytest.approx(scale * expected[(b.basis, b.phases)], abs=1e-14)
+        assert norm_squared(post) == pytest.approx(1.0, abs=1e-12)
+
     def test_even_outcome_projects_onto_even_subspace(self):
         # x > x0 -> c0 d0 |HH> + c1 d1 |VV>
         alpha, theta = 50.0, math.acos(1 - 9.0 / (2 * 50.0))  # X_d = 9

@@ -16,6 +16,7 @@ from kerrgate import (
     bit_flip,
     build_parity_coupling_pair,
     diagonal_basis_change,
+    diagonal_gate,
     new_state,
     norm,
     phase_gate,
@@ -50,6 +51,23 @@ class TestSingleQubitGates:
     def test_non_unitary_matrix_rejected(self):
         with pytest.raises(ValidationError):
             SingleQubitGate(np.array([[1, 0], [0, 0.5]]), 0)
+
+    # NumPy warns on the inf arithmetic before the check rejects it
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SingleQubitGate(np.array([[math.nan, 0], [0, 1]]), 0),
+            lambda: SingleQubitGate(np.array([[1, 0], [0, math.inf]]), 0),
+            lambda: diagonal_gate(0, math.nan, 0.0),
+            lambda: diagonal_gate(0, math.inf, 0.0),
+            lambda: phase_gate(0, -math.inf),
+        ],
+        ids=["nan-entry", "inf-entry", "nan-phase", "inf-phase", "minus-inf-phase"],
+    )
+    def test_non_finite_gate_rejected(self, make):
+        with pytest.raises(ValidationError, match="not unitary"):
+            make()
 
     def test_basis_change_round_trip_is_identity(self):
         state = new_state([(0.6, 0.8j)])

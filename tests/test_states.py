@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,10 +22,20 @@ from kerrgate import (
     run_shots,
 )
 from kerrgate.fock import oracle_embed, oracle_inner
-from kerrgate.measurement import sample_and_collapse
-from kerrgate.optics import KerrCoupling, apply_cross_kerr, apply_single_qubit, diagonal_basis_change
+from kerrgate.measurement import qnd_photon_measure, sample_and_collapse
+from kerrgate.optics import (
+    KerrCoupling,
+    SingleQubitGate,
+    apply_cross_kerr,
+    apply_single_qubit,
+    diagonal_basis_change,
+)
+from kerrgate.states import _merged_state, renormalized
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+#: a valid state whose squared norm overflows to inf
+HUGE = HybridState.from_branches(1, [(1e200, "H", ())])
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +169,8 @@ def branch_keys(state):
 
 
 def test_every_operation_keeps_branches_merged_and_sorted():
-    """from_branches, and the operations that merge without its checks, leave
-    one branch per (basis, phases) key, in key order."""
+    """from_branches and every operation leave one branch per (basis, phases)
+    key, in key order."""
     state = HybridState.from_branches(
         2, [(0.5, "VV", ()), (0.5j, "HV", ()), (-0.5, "VH", ()), (0.5, "HH", ()), (0.0, "VH", ())]
     )
@@ -171,7 +182,7 @@ def test_every_operation_keeps_branches_merged_and_sorted():
         lambda s: apply_single_qubit(s, diagonal_basis_change(0)),
         lambda s: sample_and_collapse(s, 1, None, force_x=5.0)[1],
         lambda s: apply_single_qubit(s, diagonal_basis_change(0)),
-        lambda s: s.drop_probe(0),
+        lambda s: sample_and_collapse(s, 0, None, force_x=4.0)[1],
         merge_and_prune,
     ]
     for step in [lambda s: s] + steps:
@@ -187,6 +198,12 @@ def test_prune_reports_lost_mass():
     assert pruned.pruned_mass == pytest.approx(1e-30, rel=1e-6)
     # no renormalization happened
     assert norm(pruned) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("epsilon", [-1e-12, math.nan])
+def test_prune_rejects_bad_epsilon(epsilon):
+    with pytest.raises(ValidationError, match="epsilon"):
+        merge_and_prune(new_state([(0.6, 0.8)]), epsilon)
 
 
 def test_prune_is_noop_on_distinct_large_branches():
@@ -225,6 +242,22 @@ def test_fidelity_projection_onto_component():
     assert fidelity(bell, hh) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "state, reference",
+    [
+        (HUGE, HUGE),
+        (HUGE, new_state([(1, 0)])),
+        (new_state([(1, 0)]), HUGE),
+        (HybridState(1, ()), new_state([(1, 0)])),
+    ],
+    ids=["huge-both", "huge-state", "huge-reference", "zero"],
+)
+def test_fidelity_rejects_zero_or_non_finite_norm(state, reference):
+    # |1e200|^2 overflows to inf, and inf / inf would be reported as nan
+    with pytest.raises(ValidationError, match="finite, nonzero norm"):
+        fidelity(state, reference)
+
+
 def test_fidelity_rejects_active_probes():
     state = new_state([(1, 0)]).activate_probe(ProbeMode(1.0, 0.3))
     with pytest.raises(ContractError):
@@ -233,6 +266,80 @@ def test_fidelity_rejects_active_probes():
 
 # ---------------------------------------------------------------------------
 # invariants
+
+angles = st.floats(-math.pi, math.pi)
+
+
+@st.composite
+def unitaries(draw):
+    """e^{ia} [[e^{ib} cos t, e^{ic} sin t], [-e^{-ic} sin t, e^{-ib} cos t]]."""
+    a, b, c, t = (draw(angles) for _ in range(4))
+    cos, sin = math.cos(t), math.sin(t)
+    return cmath.exp(1j * a) * np.array(
+        [
+            [cmath.exp(1j * b) * cos, cmath.exp(1j * c) * sin],
+            [-cmath.exp(-1j * c) * sin, cmath.exp(-1j * b) * cos],
+        ]
+    )
+
+
+#: kicks and rotations twice, so that basis strings often hold several probe
+#: labels that a later rotation or collapse has to merge
+OPERATIONS = (
+    "kick", "kick", "rotate", "rotate", "collapse", "activate", "photon", "renormalize", "prune"
+)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_merging_again_after_any_operation_changes_nothing(data):
+    """Every operation leaves the HybridState invariant in place, so the
+    operations that skip the merge (kicks, photon readout, renormalization,
+    pruning) skip only a no-op."""
+    n_qubits = data.draw(st.integers(1, 3), label="qubits")
+    specs = []
+    for _ in range(n_qubits):
+        t, p = data.draw(angles), data.draw(angles)
+        specs.append((math.cos(t), cmath.exp(1j * p) * math.sin(t)))
+    state = new_state(specs)
+    qubits = st.integers(0, n_qubits - 1)
+    # theta > 0: at theta = 0 distinct phase indices name one coherent state,
+    # and their branches could cancel to a zero norm
+    probes = st.builds(ProbeMode, st.floats(0.5, 3.0), st.floats(0.1, math.pi))
+    for _ in range(data.draw(st.integers(1, 2), label="probes")):
+        state = state.activate_probe(data.draw(probes))
+    for op in data.draw(st.lists(st.sampled_from(OPERATIONS), min_size=1, max_size=16)):
+        n_probes = len(state.probes)
+        if op == "activate" or (n_probes == 0 and op in ("kick", "collapse")):
+            if n_probes < 2:
+                state = state.activate_probe(data.draw(probes))
+        elif op == "kick":
+            coupling = KerrCoupling(
+                data.draw(qubits),
+                data.draw(st.sampled_from("HV")),
+                data.draw(st.integers(0, n_probes - 1)),
+                data.draw(st.sampled_from((1, -1))),
+            )
+            state = apply_cross_kerr(state, coupling)
+        elif op == "rotate":
+            gate = SingleQubitGate(data.draw(unitaries()), data.draw(qubits))
+            state = apply_single_qubit(state, gate)
+        elif op == "collapse":
+            probe_index = data.draw(st.integers(0, n_probes - 1))
+            x = data.draw(st.floats(-2.0, 8.0))
+            state = sample_and_collapse(state, probe_index, None, force_x=x)[1]
+        elif op == "photon":
+            q = data.draw(qubits)
+            # an outcome whose probability underflows to 0 cannot be renormalized
+            likely = {b.basis[q] for b in state.branches if abs(b.amplitude) > 1e-6}
+            outcome = data.draw(st.sampled_from(sorted(likely)))
+            state = qnd_photon_measure(state, q, None, force_outcome=outcome)[1]
+        elif op == "renormalize":
+            state = renormalized(state)
+        else:
+            state = merge_and_prune(state)
+        merged = _merged_state(state.n_qubits, state.branches, state.probes, state.pruned_mass)
+        assert merged == state
 
 
 def test_branch_count_bound_per_phase_configuration():
