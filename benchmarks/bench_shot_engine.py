@@ -5,13 +5,14 @@ Times, at 10, 50 and 1024 shots:
 
 - ``run_block`` for each experiment, a whole block end to end;
 - ``_Shots.homodyne`` on 2 qubits (the entanglers) and on 3 (the CNOT's
-  first parity check), from a freshly prepared block;
+  first parity check), from a freshly prepared block, whose one input row
+  the first collapse repeats into a row per shot;
 - ``_Shots.feed_forward`` for each feed-forward step of the circuits, with
   half of the shots on each outcome.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
-``cnot-deep`` workload.  ``bench_draw_table.py`` times the block's draw
-table.  Run from a checkout with
+``cnot-deep`` workload.  ``bench_draw_table.py`` times the block's random
+draws.  Run from a checkout with
 
     python -m pytest benchmarks/bench_shot_engine.py --benchmark-json=OUT.json
 
@@ -70,7 +71,7 @@ def test_homodyne(benchmark, qubits, shots):
 
     def fresh():
         # each round measures the block's first record from the same input
-        block.amp, block.drawn, block.measured = amp.copy(), 0, 0
+        block.amp, block.read, block.measured = amp.copy(), 0, 0
         return (block, 0, 1), {}
 
     benchmark.pedantic(

@@ -109,13 +109,14 @@ def run_shots(
 
     errors = 0
     fidelity_sum = 0.0
-    even = 0
+    odd = 0
     for start in range(0, shots, BLOCK_SHOTS):
         block = run_block(experiment, inputs, probe, seed, start, min(start + BLOCK_SHOTS, shots))
-        even += int(np.count_nonzero(~block.odd[:, 0]))
-        fidelity_sum += float(np.sum(block.fidelity))
+        odd += int(np.count_nonzero(block.odd[:, 0]))
+        fidelity_sum += float(np.add.reduce(block.fidelity))
         errors += int(np.count_nonzero(block.fidelity < LOGICAL_ERROR_FIDELITY))
 
+    even = shots - odd
     rate = errors / shots
     ci = 3.0 * math.sqrt(rate * (1.0 - rate) / shots)
     return ShotStats(

@@ -5,7 +5,11 @@ and has at most one probe active at a time.  A shot's branch-label state is
 therefore a dense vector of ``2**n`` amplitudes plus one probe phase index
 per basis string, and that phase-index table belongs to the parity gate, not
 to the shot (``HH -> 0``, ``HV -> +1``, ``VH -> -1``, ``VV -> 0``).  A block
-of shots is one ``(shots, 2**n)`` complex array.
+of shots is one complex array of ``2**n`` columns: a single row, the product
+input every shot shares, until the first measurement, then one row per shot.
+At 10 to 50 shots a block's cost is mostly the number of NumPy calls it
+makes, so the steps make few, and reductions call the ufuncs
+(``np.add.reduce``, ``np.add.accumulate``) that ``sum`` and ``cumsum`` wrap.
 
 Each experiment is a :class:`Circuit`: a tuple of steps, its hand-written
 ideal output, and whether it holds the CNOT ancilla.  A step is one array
@@ -13,10 +17,10 @@ operation on the block:
 
 - ``rotate(*qubits)`` enters or leaves the diagonal frame, one cached
   ``2**n x 2**n`` product per qubit;
-- ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch by a
-  ``searchsorted`` on its ``cumsum(|a|^2)``, adds the shot's unit normal to
-  that branch's peak, multiplies by the measurement kernel ``<x|beta_k>`` and
-  renormalizes;
+- ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch from the
+  CDF of its ``|a|^2`` (one ``searchsorted`` over the shared row at the
+  first measurement), adds the shot's unit normal to that branch's peak,
+  multiplies by the measurement kernel ``<x|beta_k>`` and renormalizes;
 - ``feed_forward(plan, slots)`` applies one of the plans in
   :mod:`kerrgate.gates` (the ones the scalar gates execute) after the last
   measurement, resolved once per circuit into column steps (a flip is a
@@ -37,11 +41,11 @@ Shot ``i`` takes words ``i K .. i K + K - 1`` of it, where ``K``
 the noise ``z`` per homodyne, then ``u`` for the photon.  A normal is
 :func:`kerrgate.measurement.gaussian` of its two words, which is how the
 scalar gates in :mod:`kerrgate.gates` draw their noise too.  So a block's
-draws are one ``Generator.random`` call after advancing the stream by
-``start K``, and shot ``i`` is the same in any block.  The scalar gates stay
-the reference: replaying a shot through them, on ``default_rng(s)`` advanced
-by ``i K`` or with its recorded outcomes forced, gives the same records and
-final state.
+words are one ``Generator.random`` call after advancing the stream by
+``start K``, each draw is read from them in place, and shot ``i`` is the
+same in any block.  The scalar gates stay the reference: replaying a shot
+through them, on ``default_rng(s)`` advanced by ``i K`` or with its recorded
+outcomes forced, gives the same records and final state.
 """
 
 from __future__ import annotations
@@ -82,6 +86,10 @@ def _frozen(table: np.ndarray) -> np.ndarray:
     return table
 
 
+#: the empty product every block's input starts from
+_ONE = _frozen(np.ones(1, complex))
+
+
 @lru_cache(maxsize=None)
 def _v_bits(n: int) -> np.ndarray:
     """``(2**n, n)`` table: True where qubit ``q`` of column ``j`` is V."""
@@ -115,31 +123,26 @@ def _rotation(n: int, qubit: int) -> np.ndarray:
 _WORDS = {"random": 1, "standard_normal": 2}
 
 
+@lru_cache(maxsize=None)
 def _words(draws: tuple[str, ...]) -> int:
     """Stream words a shot making ``draws`` takes."""
     return sum(_WORDS[d] for d in draws)
 
 
-def _draw_table(seed: int, start: int, count: int, draws: tuple[str, ...]) -> np.ndarray:
-    """``(count, len(draws))``: row ``r`` holds shot ``start + r``'s draws ``draws``.
+def _block_words(seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """``(count, width)``: row ``r`` holds shot ``start + r``'s ``width`` words.
 
     Shot ``i`` reads words ``i K .. i K + K - 1`` of ``default_rng(seed).random()``,
-    ``K = _words(draws)``, in order: a ``random`` draw is its word, a
-    ``standard_normal`` draw is :func:`gaussian` of its two.  The block's
-    words are one ``random((count, K))`` call.  The table is built
-    draws-major and returned as its transposed view, so each draw is a
-    contiguous column.
+    ``K = width``; the block's words are one ``random((count, K))`` call after
+    advancing the stream by ``start K``.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    width = _words(draws)
     rng = np.random.default_rng(seed)
-    rng.bit_generator.advance(start * width)
-    columns = iter(rng.random((count, width)).T)
-    return np.array(
-        [next(columns) if d == "random" else gaussian(next(columns), next(columns)) for d in draws]
-    ).T
+    if start:
+        rng.bit_generator.advance(start * width)
+    return rng.random((count, width))
 
 
 class _Step(NamedTuple):
@@ -187,25 +190,26 @@ def _correction(
 
 
 class _Shots:
-    """Amplitudes and per-shot random numbers of one block, advanced in place.
+    """Amplitudes and per-shot random words of one block, advanced in place.
 
     ``rotate``, ``homodyne``, ``feed_forward`` and ``photon`` are the steps a
-    :class:`Circuit` is made of.  Each measurement leaves its outcome as
-    ``flag`` (set where a homodyne read odd or the photon read V) and its
-    phase as ``flag_phi`` (``None`` after a photon readout), for the
-    ``feed_forward`` that follows it.
+    :class:`Circuit` is made of.  Until the first homodyne every shot holds
+    the same product input, so ``amp`` is one ``(1, 2**n)`` row that
+    ``rotate`` acts on; the first collapse repeats it into one row per shot.
+    Each shot's draws are read in place from its row of the block's words
+    (``words``): a uniform is one column, a normal :func:`gaussian` of two.
+    Each measurement leaves its outcome as ``flag`` (set where a homodyne
+    read odd or the photon read V) and its phase as ``flag_phi`` (``None``
+    after a photon readout), for the ``feed_forward`` that follows it.
     """
 
     def __init__(
         self, count: int, probe: ProbeMode, seed: int, start: int, draws: tuple[str, ...]
     ):
         self.probe = probe
-        self.labels = np.array([probe.label(-1), probe.label(0), probe.label(1)])
-        #: the homodyne peak 2 Re(label) of each label
-        self.peaks = 2.0 * self.labels.real
         self.count = count
-        self.table = _draw_table(seed, start, count, draws)
-        self.drawn = 0
+        self.words = _block_words(seed, start, count, _words(draws))
+        self.read = 0
         # one homodyne record per standard_normal draw, a row each
         records = draws.count("standard_normal")
         self.x = np.empty((records, count))
@@ -215,18 +219,24 @@ class _Shots:
         self.photon_v = np.zeros(count, bool)
 
     def prepare(self, *pairs) -> None:
-        """Product input, one ``(c_H, c_V)`` pair per qubit, on every shot."""
-        product = np.ones(1, complex)
+        """Product input, one ``(c_H, c_V)`` pair per qubit, as one row."""
+        product = _ONE
         for pair in pairs:
             product = np.multiply.outer(product, np.asarray(pair, complex)).ravel()
         self.n = len(pairs)
-        self.amp = np.repeat(product[None, :], self.count, axis=0)
+        self.amp = product[None, :]
 
-    def _draw(self) -> np.ndarray:
-        """Every shot's next draw."""
-        k = self.drawn
-        self.drawn = k + 1
-        return self.table[:, k]
+    def _uniform(self) -> np.ndarray:
+        """Every shot's next ``random`` draw: a column of the words."""
+        k = self.read
+        self.read = k + 1
+        return self.words[:, k]
+
+    def _normal(self) -> np.ndarray:
+        """Every shot's next ``standard_normal`` draw, from two words."""
+        k = self.read
+        self.read = k + 2
+        return gaussian(self.words[:, k], self.words[:, k + 1])
 
     def rotate(self, *qubits: int) -> None:
         """Enter (or, being self-inverse, leave) the diagonal frame."""
@@ -234,9 +244,10 @@ class _Shots:
             self.amp = self.amp @ _rotation(self.n, q)
 
     def _renormalize(self, what: str, x: np.ndarray | None = None) -> None:
-        n2 = (np.abs(self.amp) ** 2).sum(axis=1)
-        bad = ~(n2 > 0.0)
-        if bad.any():
+        n2 = np.add.reduce(np.abs(self.amp) ** 2, axis=1)
+        # the smallest squared norm, inf for no shots; nan fails the test too
+        if not np.minimum.reduce(n2, initial=math.inf) > 0.0:
+            bad = ~(n2 > 0.0)
             at = f" at x={x[bad][0]}" if x is not None else ""
             raise ValidationError(f"{what}{at} leaves a zero-norm state")
         self.amp *= (1.0 / np.sqrt(n2))[:, None]
@@ -244,44 +255,52 @@ class _Shots:
     def homodyne(self, qubit_a: int, qubit_b: int) -> None:
         """Parity kicks on a fresh probe, X-quadrature sample, collapse."""
         cols = _label_columns(self.n, qubit_a, qubit_b)
-        peaks = self.peaks
-        u, noise = self._draw(), self._draw()
+        peaks, a, b, x0 = self.probe.collapse_constants
+        u, noise = self._uniform(), self._normal()
         j = self.measured
         self.measured = j + 1
         x, odd, phi = self.x[j], self.odd[j], self.phi[j]
         # exact-mixture sampling, as sample_quadrature draws it
         weights = np.abs(self.amp) ** 2
-        cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+        cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
-        pick = (cdf <= u[:, None]).sum(axis=1)
+        if len(cdf) == 1:
+            # the shared input row: a sorted CDF, so the count of entries <= u
+            pick = cdf[0].searchsorted(u, side="right")
+            self.amp = self.amp.repeat(self.count, axis=0)
+        else:
+            pick = (cdf <= u[:, None]).sum(axis=1)
         np.add(peaks[cols[pick]], noise, out=x)
         # collapse onto <x|beta_k>, one kernel row per label; label(0) is
         # real, label(+-1) carry the phases +-p, p = kernel_phase(x, label(1)),
-        # reduced exactly by sin/cos
-        a, b = self.labels[2].real, self.labels[2].imag
+        # reduced exactly by sin/cos into e^{ip}, which label -1 conjugates
         kernel = np.empty((3, self.count), complex)
+        eip = kernel[2]
         # an outcome too large to represent overflows to inf or nan here; the
         # zero-norm check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             p = b * (x - a)
-            cos_p, sin_p = np.cos(p), np.sin(p)
-            i_sin = 1j * sin_p
-            mag = KERNEL_PEAK * np.exp(-0.25 * (x - peaks[2]) ** 2)
-            np.multiply(mag, np.subtract(cos_p, i_sin, out=kernel[0]), out=kernel[0])
-            np.multiply(KERNEL_PEAK, np.exp(-0.25 * (x - peaks[1]) ** 2), out=kernel[1])
-            np.multiply(mag, np.add(cos_p, i_sin, out=kernel[2]), out=kernel[2])
+            np.cos(p, out=eip.real)
+            np.sin(p, out=eip.imag)
+            np.arctan2(eip.imag, eip.real, out=phi)
+            # one exp over the two distinct peaks: peaks[:0:-1] is label +1's
+            # (the magnitude of labels +-1) and label 0's
+            mag = KERNEL_PEAK * np.exp(-0.25 * (x - peaks[:0:-1, None]) ** 2)
+            np.multiply(mag[0], np.conjugate(eip, out=kernel[0]), out=kernel[0])
+            np.multiply(mag[0], eip, out=eip)
+            kernel[1] = mag[1]
             self.amp *= kernel.T[:, cols]
         self._renormalize("collapse", x)
-        np.logical_not(x > self.probe.x0, out=odd)
-        np.remainder(np.arctan2(sin_p, cos_p, out=phi), _TWO_PI, out=phi)
+        np.less_equal(x, x0, out=odd)
+        np.remainder(phi, _TWO_PI, out=phi)
         self.flag, self.flag_phi = odd, phi
 
     def photon(self, qubit: int) -> None:
         """QND {H, V} readout of ``qubit``."""
         v_cols = _v_bits(self.n)[:, qubit]
         weights = np.abs(self.amp) ** 2
-        p_v = weights[:, v_cols].sum(axis=1) / weights.sum(axis=1)
-        v = self._draw() < p_v
+        p_v = np.add.reduce(weights[:, v_cols], axis=1) / np.add.reduce(weights, axis=1)
+        v = self._uniform() < p_v
         self.amp = np.where(v[:, None] == v_cols[None, :], self.amp, 0j)
         self._renormalize("photon readout")
         self.photon_v = self.flag = v
@@ -293,10 +312,10 @@ class _Shots:
         shots whose ``flag`` is set, those of its first to the others.  Each
         outcome's steps act on the whole block, and every shot keeps the row
         of its own outcome."""
-        flag = self.flag
-        for steps, rows in zip(_correction(self.n, plan, slots), (~flag, flag)):
+        for steps, flagged in zip(_correction(self.n, plan, slots), (False, True)):
             if not steps:
                 continue
+            rows = self.flag if flagged else ~self.flag
             corrected = self.amp
             for step in steps:
                 corrected = step.apply(corrected, self.flag_phi)
@@ -437,8 +456,8 @@ class ShotBlock:
 
 
 def _fidelity(final: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    ideal_n2 = (np.abs(ideal) ** 2).sum(axis=1)
-    final_n2 = (np.abs(final) ** 2).sum(axis=1)
+    ideal_n2 = np.add.reduce(np.abs(ideal) ** 2, axis=1)
+    final_n2 = np.add.reduce(np.abs(final) ** 2, axis=1)
     overlap = np.einsum("si,si->s", ideal.conj(), final)
     return np.divide(
         np.abs(overlap) ** 2,

@@ -284,7 +284,8 @@ def qnd_photon_measure(
             raise ValidationError("forced outcome must be 'H' or 'V'")
         outcome = force_outcome
     kept = tuple(b for b in state.branches if b.basis[qubit_index] == outcome)
-    if not kept:
-        raise ValidationError(f"forced outcome {outcome!r} has zero probability")
     collapsed = HybridState(state.n_qubits, kept, state.probes, state.pruned_mass)
+    # the kept mass, not the kept branches: amplitudes ~1e-200 square to zero
+    if not norm_squared(collapsed) > 0.0:
+        raise ValidationError(f"forced outcome {outcome!r} has zero probability")
     return outcome, renormalized(collapsed)

@@ -52,7 +52,10 @@ class SingleQubitGate:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError("gate matrix must be 2x2")
-        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= _UNITARY_TOL:  # also catches NaN
+        # before any arithmetic, which would warn on an inf or nan entry
+        if not np.isfinite(m).all():
+            raise ValidationError("gate matrix is not unitary: it has a non-finite entry")
+        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= _UNITARY_TOL:
             raise ValidationError("gate matrix is not unitary within 1e-12")
         m.setflags(write=False)  # gates are shared and cached; keep them frozen
         object.__setattr__(self, "matrix", m)
@@ -77,6 +80,8 @@ def phase_gate(qubit_index: int, phi: float) -> SingleQubitGate:
 
 def diagonal_gate(qubit_index: int, phase_h: float, phase_v: float) -> SingleQubitGate:
     """diag(e^{i phase_h}, e^{i phase_v})."""
+    if not (math.isfinite(phase_h) and math.isfinite(phase_v)):
+        raise ValidationError(f"gate matrix is not unitary: phases {phase_h}, {phase_v}")
     m = np.array(
         [[np.exp(1j * phase_h), 0], [0, np.exp(1j * phase_v)]], dtype=complex
     )

@@ -11,11 +11,12 @@ engine's dense ones.
 Each feed-forward the circuits make is checked against the per-outcome
 masked matrix products it replaces, on random blocks.
 
-The per-shot draw tables are checked bit for bit against those replay
-generators, for seeds of one to five 32-bit words and for blocks at and
-across ``2**32``.
+The draws each block's shots read from its words are checked bit for bit
+against those replay generators, for seeds of one to five 32-bit words and
+for blocks at and across ``2**32``.
 """
 
+import itertools
 import math
 import sys
 import threading
@@ -300,14 +301,22 @@ def replay_rows(seed, start, count, draws) -> np.ndarray:
     return np.array(rows).reshape(count, len(draws))
 
 
+def engine_rows(seed, start, count, draws) -> np.ndarray:
+    """The draws of a block's shots, read in circuit order from the block's
+    words as the engine's steps read them, one row per shot."""
+    shots = batch._Shots(count, ProbeMode(8.0, 0.5), seed, start, draws)
+    read = {"random": shots._uniform, "standard_normal": shots._normal}
+    return np.array([read[method]() for method in draws]).T
+
+
 @pytest.mark.parametrize("start", [0, 1024, 2**32])
 @pytest.mark.parametrize("seed", SEED_WIDTHS)
 def test_draw_table_rows_are_the_default_rng_streams(seed, start):
-    """Rows of one, 40 and 1024-shot tables are, bit for bit, the draws of
-    the shots' replay generators, ``default_rng(seed)`` advanced."""
+    """The draws one, 40 and 1024-shot blocks read are, bit for bit, the
+    draws of the shots' replay generators, ``default_rng(seed)`` advanced."""
     for circuit in batch.CIRCUITS.values():
         for count in (1, 40, 1024):
-            table = batch._draw_table(seed, start, count, circuit.draws)
+            table = engine_rows(seed, start, count, circuit.draws)
             assert bits(table) == bits(replay_rows(seed, start, count, circuit.draws))
 
 
@@ -319,9 +328,9 @@ def test_draw_table_rows_are_the_default_rng_streams(seed, start):
     count=st.integers(1, 100),
 )
 def test_draw_table_property(name, seed, start, count):
-    """Every row, bit for bit, is its shot's replay generator's draws."""
+    """Every shot's draws, bit for bit, are its replay generator's draws."""
     draws = batch.CIRCUITS[name].draws
-    table = batch._draw_table(seed, start, count, draws)
+    table = engine_rows(seed, start, count, draws)
     assert bits(table) == bits(replay_rows(seed, start, count, draws))
 
 
@@ -405,14 +414,18 @@ def test_replays_see_errors_at_poor_separation():
 
 
 def test_shots_are_independent_of_their_block():
-    """Shot i is the same whether it runs first in a block or deep inside one."""
+    """Shot i is the same whether it runs first in a block or deep inside one,
+    and whether its block is one shot, a few or many."""
     probe = ProbeMode(8.0, theta_for(8.0, 4.0))
     inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
-    whole = batch.run_block("cnot", inputs, probe, 5, 0, 30)
-    tail = batch.run_block("cnot", inputs, probe, 5, 17, 30)
-    assert np.array_equal(whole.x[17:], tail.x)
-    assert np.array_equal(whole.photon_v[17:], tail.photon_v)
-    assert np.allclose(whole.final[17:], tail.final, rtol=0, atol=1e-15)
+    for experiment in EXPERIMENTS:
+        whole = batch.run_block(experiment, inputs, probe, 5, 0, 30)
+        for size in (1, 2, 7):
+            part = batch.run_block(experiment, inputs, probe, 5, 17, 17 + size)
+            rows = slice(17, 17 + size)
+            for field in ("x", "odd", "phi", "photon_v"):
+                assert np.array_equal(getattr(whole, field)[rows], getattr(part, field))
+            assert np.allclose(whole.final[rows], part.final, rtol=0, atol=1e-15)
 
 
 def test_run_shots_does_not_depend_on_block_size(monkeypatch):
@@ -432,17 +445,32 @@ def test_run_shots_does_not_depend_on_block_size(monkeypatch):
     assert split.mean_fidelity == pytest.approx(reference.mean_fidelity, abs=1e-14)
 
 
+def far_noise(monkeypatch, record):
+    """Push every shot's noise in homodyne record ``record`` (from 0) far
+    outside every peak, where every kernel value underflows."""
+    normals = itertools.count()
+    draw = batch.gaussian
+
+    def shifted(u1, u2):
+        z = draw(u1, u2)
+        return z + 1e3 if next(normals) == record else z
+
+    monkeypatch.setattr(batch, "gaussian", shifted)
+
+
 def test_zero_norm_collapse_is_rejected(monkeypatch):
     """A sample far outside every peak underflows every kernel value."""
-    draw = batch._Shots._draw
-
-    def far_noise(self):
-        values = draw(self)
-        return values + 1e3 if self.drawn == 2 else values  # the homodyne's noise
-
-    monkeypatch.setattr(batch._Shots, "_draw", far_noise)
-    with pytest.raises(ValidationError, match="zero-norm"):
+    far_noise(monkeypatch, 0)
+    with pytest.raises(ValidationError, match="at x=.*zero-norm"):
         batch.run_block("parity", ((1, 0), (1, 0)), ProbeMode(5.0, 0.5), 0, 0, 4)
+
+
+def test_zero_norm_second_collapse_is_rejected(monkeypatch):
+    """The same in the CNOT's second homodyne, where each shot has a row."""
+    far_noise(monkeypatch, 1)
+    inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
+    with pytest.raises(ValidationError, match="at x=.*zero-norm"):
+        batch.run_block("cnot", inputs, ProbeMode(5.0, 0.5), 0, 0, 4)
 
 
 ALPHAS = (10.0, 100.0, 1e5, 1e9)

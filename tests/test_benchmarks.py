@@ -1,11 +1,12 @@
 """The micro-benchmarks in ``benchmarks/`` still run against this checkout.
 
-They call private names of :mod:`kerrgate.batch` (``_Shots``, ``_draw_table``,
-the circuits' steps), which nothing else in the default test run exercises
-the same way.  Each case runs once, untimed, in a pytest process of its own:
-``benchmarks/conftest.py`` pins the native thread pools before NumPy loads
-and refuses a process that has already imported it.  The files are named one
-by one because pytest collects only ``test_*.py`` from a directory.
+They call private names of :mod:`kerrgate.batch` (``_Shots``, its draw
+readers ``_uniform`` and ``_normal``, the circuits' steps), which nothing
+else in the default test run exercises the same way.  Each case runs once,
+untimed, in a pytest process of its own: ``benchmarks/conftest.py`` pins the
+native thread pools before NumPy loads and refuses a process that has
+already imported it.  The files are named one by one because pytest collects
+only ``test_*.py`` from a directory.
 """
 
 import subprocess

@@ -10,6 +10,7 @@ from kerrgate import (
     ContractError,
     HybridState,
     ProbeMode,
+    SingleQubitGate,
     ValidationError,
     apply_cross_kerr,
     apply_single_qubit,
@@ -273,9 +274,9 @@ class TestGaussian:
 
     @pytest.fixture(scope="class")
     def z(self):
-        # the normal columns of a cnot draw table: two per shot
-        table = batch._draw_table(2024, 0, self.N // 2, batch.CIRCUITS["cnot"].draws)
-        return np.sort(table[:, [1, 3]].ravel())
+        # the two normals of each cnot shot, made from its words 1, 2 and 4, 5
+        words = batch._block_words(2024, 0, self.N // 2, batch.CIRCUITS["cnot"].words)
+        return np.sort(gaussian(words[:, [1, 4]], words[:, [2, 5]]).ravel())
 
     def test_kolmogorov_smirnov_against_math_erfc(self, z):
         """Dvoretzky-Kiefer-Wolfowitz with Massart's constant,
@@ -522,3 +523,14 @@ class TestQndPhotonMeasure:
     def test_zero_norm_state_is_rejected(self):
         with pytest.raises(ValidationError, match="zero-norm"):
             qnd_photon_measure(zero_norm_state(), 0, np.random.default_rng(0))
+
+    def test_forced_outcome_whose_mass_underflows_is_rejected(self):
+        """A V amplitude of 1.9e-207 is a branch whose squared norm is zero."""
+        t = 1.9e-207
+        rotation = SingleQubitGate(
+            np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]), 0
+        )
+        state = apply_single_qubit(new_state([(1, 0)]), rotation)
+        assert len(state.branches) == 2
+        with pytest.raises(ValidationError, match="forced outcome 'V' has zero probability"):
+            qnd_photon_measure(state, 0, np.random.default_rng(0), force_outcome="V")

@@ -52,8 +52,6 @@ class TestSingleQubitGates:
         with pytest.raises(ValidationError):
             SingleQubitGate(np.array([[1, 0], [0, 0.5]]), 0)
 
-    # NumPy warns on the inf arithmetic before the check rejects it
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "make",
         [
