@@ -18,8 +18,7 @@ operation on the block:
 - ``rotate(*qubits)`` enters or leaves the diagonal frame, one cached
   ``2**n x 2**n`` product per qubit;
 - ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch from the
-  CDF of its ``|a|^2`` (one ``searchsorted`` over the shared row at the
-  first measurement), adds the shot's unit normal to that branch's peak,
+  CDF of its ``|a|^2``, adds the shot's unit normal to that branch's peak,
   multiplies by the measurement kernel ``<x|beta_k>`` and renormalizes;
 - ``feed_forward(plan, slots)`` applies one of the plans in
   :mod:`kerrgate.gates` (the ones the scalar gates execute) after the last
@@ -114,6 +113,18 @@ def _rotation(n: int, qubit: int) -> np.ndarray:
     that it right-multiplies a block's rows."""
     full = np.kron(np.eye(1 << qubit), diagonal_basis_change(qubit).matrix)
     return _frozen(np.kron(full, np.eye(1 << (n - 1 - qubit))).T.copy())
+
+
+@lru_cache(maxsize=128)
+def _collapse_constants(probe: ProbeMode) -> tuple[np.ndarray, float, float, float]:
+    """``(peaks, a, b, x0)`` of the homodyne collapse: ``2 Re label(k)`` of
+    ``k = -1, 0, +1`` (the centres of each label's X outcome), ``a + i b =
+    label(1)`` (the kernel of label ``+-1`` at ``x`` carries the phase
+    ``+-b (x - a)``) and the threshold ``x0``.  Bounded, since a probe's
+    ``alpha`` and ``theta`` are floats."""
+    labels = [probe.label(k) for k in (-1, 0, 1)]
+    peaks = _frozen(np.array([2.0 * label.real for label in labels]))
+    return peaks, labels[2].real, labels[2].imag, probe.x0
 
 
 # -- the run's stream, read a block at a time ----------------------------------
@@ -255,7 +266,7 @@ class _Shots:
     def homodyne(self, qubit_a: int, qubit_b: int) -> None:
         """Parity kicks on a fresh probe, X-quadrature sample, collapse."""
         cols = _label_columns(self.n, qubit_a, qubit_b)
-        peaks, a, b, x0 = self.probe.collapse_constants
+        peaks, a, b, x0 = _collapse_constants(self.probe)
         u, noise = self._uniform(), self._normal()
         j = self.measured
         self.measured = j + 1
@@ -264,12 +275,10 @@ class _Shots:
         weights = np.abs(self.amp) ** 2
         cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=1, keepdims=True), axis=1)
         cdf /= cdf[:, -1:]
-        if len(cdf) == 1:
-            # the shared input row: a sorted CDF, so the count of entries <= u
-            pick = cdf[0].searchsorted(u, side="right")
+        # the count of CDF entries <= u; the shared input row broadcasts
+        pick = np.add.reduce(cdf <= u[:, None], axis=1)
+        if len(self.amp) == 1:
             self.amp = self.amp.repeat(self.count, axis=0)
-        else:
-            pick = (cdf <= u[:, None]).sum(axis=1)
         np.add(peaks[cols[pick]], noise, out=x)
         # collapse onto <x|beta_k>, one kernel row per label; label(0) is
         # real, label(+-1) carry the phases +-p, p = kernel_phase(x, label(1)),

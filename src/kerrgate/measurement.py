@@ -285,7 +285,8 @@ def qnd_photon_measure(
         outcome = force_outcome
     kept = tuple(b for b in state.branches if b.basis[qubit_index] == outcome)
     collapsed = HybridState(state.n_qubits, kept, state.probes, state.pruned_mass)
-    # the kept mass, not the kept branches: amplitudes ~1e-200 square to zero
-    if not norm_squared(collapsed) > 0.0:
-        raise ValidationError(f"forced outcome {outcome!r} has zero probability")
-    return outcome, renormalized(collapsed)
+    try:
+        # the kept mass, not the kept branches: amplitudes ~1e-200 square to zero
+        return outcome, renormalized(collapsed)
+    except ValidationError:
+        raise ValidationError(f"forced outcome {outcome!r} has zero probability") from None

@@ -22,10 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import ContractError, ValidationError
 
@@ -74,18 +71,6 @@ class ProbeMode:
         """Homodyne threshold ``alpha (1 + cos theta)``, midway between the
         even-parity peak ``2 alpha`` and the odd-parity peak ``2 alpha cos theta``."""
         return self.alpha * (1.0 + math.cos(self.theta))
-
-    @cached_property
-    def collapse_constants(self) -> tuple[np.ndarray, float, float, float]:
-        """``(peaks, a, b, x0)``, computed once per probe for the batched
-        homodyne: the read-only ``2 Re label(k)`` of ``k = -1, 0, +1`` (the
-        centres of each label's X outcome), ``a + i b = label(1)`` (the
-        kernel of label ``+-1`` at ``x`` carries the phase ``+-b (x - a)``)
-        and the threshold :attr:`x0`."""
-        labels = [self.label(k) for k in (-1, 0, 1)]
-        peaks = np.array([2.0 * label.real for label in labels])
-        peaks.setflags(write=False)
-        return peaks, labels[2].real, labels[2].imag, self.x0
 
 
 def coherent_overlap(bra: complex, ket: complex) -> complex:
