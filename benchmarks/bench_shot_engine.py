@@ -8,11 +8,16 @@ Times, at 10, 50 and 1024 shots:
   first parity check), from a freshly prepared block, whose one input row
   the first collapse repeats into a row per shot;
 - ``_Shots.feed_forward`` for each feed-forward step of the circuits, with
-  half of the shots on each outcome.
+  half of the shots flagged;
+- a block's random draws for the ``cnot`` circuit (two homodynes and a
+  photon readout: 7 words a shot): the block's stream words
+  (``_block_words``, one ``default_rng(seed)`` advanced to the block's first
+  word and one ``random((shots, 7))`` call) and every draw read from them in
+  circuit order, also for 50 shots starting past shot ``2**32``, which
+  times a long ``advance``.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
-``cnot-deep`` workload.  ``bench_draw_table.py`` times the block's random
-draws.  Run from a checkout with
+``cnot-deep`` workload.  Run from a checkout with
 
     python -m pytest benchmarks/bench_shot_engine.py --benchmark-json=OUT.json
 
@@ -90,3 +95,20 @@ def test_feed_forward(benchmark, case, shots):
     block.flag_phi = rng.uniform(0.0, 2.0 * math.pi, shots)
     benchmark(block.feed_forward, plan, slots)
     assert block.amp.shape == (shots, 1 << qubits)
+
+
+def block_draws(start: int, shots: int, draws: tuple[str, ...]) -> list:
+    """Every draw of shots ``start .. start + shots - 1``, one array per draw."""
+    block = batch._Shots(shots, PROBE, SEED, start, draws)
+    read = {"random": block._uniform, "standard_normal": block._normal}
+    return [read[draw]() for draw in draws]
+
+
+@pytest.mark.parametrize(
+    "start,shots", [(0, 10), (0, 50), (0, 1024), (2**32 + 5, 50)],
+    ids=["10", "50", "1024", "50-past-2_32"],
+)
+def test_block_draws(benchmark, start, shots):
+    draws = batch.CIRCUITS["cnot"].draws
+    columns = benchmark(block_draws, start, shots, draws)
+    assert [column.shape for column in columns] == [(shots,)] * len(draws)

@@ -32,7 +32,6 @@ from .optics import (
     build_parity_coupling_pair,
     diagonal_basis_change,
     diagonal_gate,
-    phase_gate,
     sign_flip,
 )
 from .states import (
@@ -44,7 +43,6 @@ from .states import (
     fidelity,
     merge_and_prune,
     new_state,
-    norm,
     norm_squared,
 )
 
@@ -79,12 +77,10 @@ __all__ = [
     "kernel_value",
     "merge_and_prune",
     "new_state",
-    "norm",
     "norm_squared",
     "outcome_density",
     "p_error",
     "parity_gate",
-    "phase_gate",
     "qnd_photon_measure",
     "recycle_ancilla",
     "run_shots",

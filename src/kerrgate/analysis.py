@@ -27,21 +27,16 @@ EXPERIMENTS = tuple(CIRCUITS)
 
 @dataclass(frozen=True)
 class DiscriminationGeometry:
-    """Threshold midpoint, peak separation, and the small-angle merit alpha theta^2."""
+    """Threshold midpoint and peak separation; ``xd ~ alpha theta^2`` at small theta."""
 
     x0: float
     xd: float
-    alpha_theta_sq: float
 
 
 def geometry(alpha: float, theta: float) -> DiscriminationGeometry:
     probe = ProbeMode(alpha, theta)  # validates the regime
     # 1 - cos theta = 2 sin^2(theta / 2), without the cancellation at small theta
-    return DiscriminationGeometry(
-        x0=probe.x0,
-        xd=4.0 * alpha * math.sin(0.5 * theta) ** 2,
-        alpha_theta_sq=alpha * theta**2,
-    )
+    return DiscriminationGeometry(x0=probe.x0, xd=4.0 * alpha * math.sin(0.5 * theta) ** 2)
 
 
 def p_error(alpha: float, theta: float) -> float:

@@ -21,11 +21,11 @@ operation on the block:
   CDF of its ``|a|^2``, adds the shot's unit normal to that branch's peak,
   multiplies by the measurement kernel ``<x|beta_k>`` and renormalizes;
 - ``feed_forward(plan, slots)`` applies one of the plans in
-  :mod:`kerrgate.gates` (the ones the scalar gates execute) after the last
-  measurement, resolved once per circuit into column steps (a flip is a
-  column permutation, a sign flip negates the qubit's V columns, the phase
-  undo multiplies by ``e^{+-i phi}``); each outcome's steps act on the whole
-  block, and every shot keeps the row of its own outcome;
+  :mod:`kerrgate.gates` (the ones the scalar gates execute) to the shots
+  whose last measurement read odd or V, resolved once per circuit into
+  column steps (a flip is a column permutation, a sign flip negates the
+  qubit's V columns, the phase undo multiplies by ``e^{+-i phi}``); the
+  steps act on the whole block, and only the flagged shots keep the result;
 - ``photon(q)`` is the QND photon readout, ``u < p_V``.
 
 Fidelity with the record-conditional ideal output is one contraction.
@@ -189,15 +189,11 @@ def _step(n: int, kind: str, qubit: int) -> _Step:
 @lru_cache(maxsize=None)
 def _correction(
     n: int, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]
-) -> tuple[tuple[_Step, ...], tuple[_Step, ...]]:
-    """``plan``'s actions after each of its two outcomes, wired to ``n`` qubits
-    by the ``(slot, qubit)`` pairs ``slots`` and resolved into column steps,
-    once per circuit."""
+) -> tuple[_Step, ...]:
+    """``plan``'s actions, wired to ``n`` qubits by the ``(slot, qubit)`` pairs
+    ``slots`` and resolved into column steps, once per circuit."""
     wiring = dict(slots)
-    return tuple(
-        tuple(_step(n, *resolve_action(action, wiring)) for action in actions)
-        for actions in plan.actions
-    )
+    return tuple(_step(n, *resolve_action(action, wiring)) for action in plan)
 
 
 class _Shots:
@@ -282,23 +278,21 @@ class _Shots:
         np.add(peaks[cols[pick]], noise, out=x)
         # collapse onto <x|beta_k>, one kernel row per label; label(0) is
         # real, label(+-1) carry the phases +-p, p = kernel_phase(x, label(1)),
-        # reduced exactly by sin/cos into e^{ip}, which label -1 conjugates
+        # reduced exactly by sin/cos into e^{ip}, which label -1 conjugates;
+        # states.ALPHA_MAX keeps every term finite
         kernel = np.empty((3, self.count), complex)
         eip = kernel[2]
-        # an outcome too large to represent overflows to inf or nan here; the
-        # zero-norm check below reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = b * (x - a)
-            np.cos(p, out=eip.real)
-            np.sin(p, out=eip.imag)
-            np.arctan2(eip.imag, eip.real, out=phi)
-            # one exp over the two distinct peaks: peaks[:0:-1] is label +1's
-            # (the magnitude of labels +-1) and label 0's
-            mag = KERNEL_PEAK * np.exp(-0.25 * (x - peaks[:0:-1, None]) ** 2)
-            np.multiply(mag[0], np.conjugate(eip, out=kernel[0]), out=kernel[0])
-            np.multiply(mag[0], eip, out=eip)
-            kernel[1] = mag[1]
-            self.amp *= kernel.T[:, cols]
+        p = b * (x - a)
+        np.cos(p, out=eip.real)
+        np.sin(p, out=eip.imag)
+        np.arctan2(eip.imag, eip.real, out=phi)
+        # one exp over the two distinct peaks: peaks[:0:-1] is label +1's
+        # (the magnitude of labels +-1) and label 0's
+        mag = KERNEL_PEAK * np.exp(-0.25 * (x - peaks[:0:-1, None]) ** 2)
+        np.multiply(mag[0], np.conjugate(eip, out=kernel[0]), out=kernel[0])
+        np.multiply(mag[0], eip, out=eip)
+        kernel[1] = mag[1]
+        self.amp *= kernel.T[:, cols]
         self._renormalize("collapse", x)
         np.less_equal(x, x0, out=odd)
         np.remainder(phi, _TWO_PI, out=phi)
@@ -316,19 +310,13 @@ class _Shots:
         self.flag_phi = None
 
     def feed_forward(self, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]) -> None:
-        """Apply ``plan``'s actions after the last measurement, wired by the
-        ``(slot, qubit)`` pairs ``slots``: those of its second outcome to the
-        shots whose ``flag`` is set, those of its first to the others.  Each
-        outcome's steps act on the whole block, and every shot keeps the row
-        of its own outcome."""
-        for steps, flagged in zip(_correction(self.n, plan, slots), (False, True)):
-            if not steps:
-                continue
-            rows = self.flag if flagged else ~self.flag
-            corrected = self.amp
-            for step in steps:
-                corrected = step.apply(corrected, self.flag_phi)
-            self.amp = np.where(rows[:, None], corrected, self.amp)
+        """Apply ``plan``, wired by the ``(slot, qubit)`` pairs ``slots``, to
+        the shots whose ``flag`` the last measurement set.  The steps act on
+        the whole block, and only the flagged shots keep the result."""
+        corrected = self.amp
+        for step in _correction(self.n, plan, slots):
+            corrected = step.apply(corrected, self.flag_phi)
+        self.amp = np.where(self.flag[:, None], corrected, self.amp)
 
 
 #: the draws each kind of step makes, in order, on every shot; ``rotate``

@@ -33,22 +33,22 @@ _FIELDS = CSV_HEADER.split(",")
 #: all probe amplitudes the oracle can certify (truncation stays tractable)
 ORACLE_ALPHA_MAX = 3.0
 
-_DEFAULTS = {"shots": 10_000, "seed": 42, "format": "csv"}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's configuration; the defaults here are the CLI's defaults."""
+
     experiment: str
     alpha: float
     theta: float
-    shots: int = _DEFAULTS["shots"]
-    seed: int = _DEFAULTS["seed"]
+    shots: int = 10_000
+    seed: int = 42
     input_state: tuple[tuple[complex, complex], ...] | None = None
     sweep_alpha: tuple[float, ...] | None = None
     sweep_theta: tuple[float, ...] | None = None
     sweep_gate: str = "parity"
     output_path: str = "results.csv"
-    output_format: str = _DEFAULTS["format"]
+    output_format: str = "csv"
 
 
 class ConfigError(ValidationError):
@@ -103,6 +103,15 @@ _FILE_KEYS = {
     "sweep_gate": str,
     "output": str,
     "format": str,
+}
+
+#: the :class:`ExperimentConfig` field of each config key not named as its field
+_KEY_FIELDS = {
+    "input": "input_state",
+    "grid_alpha": "sweep_alpha",
+    "grid_theta": "sweep_theta",
+    "output": "output_path",
+    "format": "output_format",
 }
 
 
@@ -193,23 +202,13 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     if "alpha" not in values or "theta" not in values:
         raise ConfigError("alpha, theta: both are required")
 
-    config = ExperimentConfig(
-        experiment=values["experiment"],
-        alpha=float(values["alpha"]),
-        theta=float(values["theta"]),
-        shots=int(values.get("shots", _DEFAULTS["shots"])),
-        seed=int(values.get("seed", _DEFAULTS["seed"])),
-        input_state=_parse_pairs(values["input"]) if "input" in values else None,
-        sweep_alpha=_parse_grid(values["grid_alpha"], "grid_alpha")
-        if "grid_alpha" in values
-        else None,
-        sweep_theta=_parse_grid(values["grid_theta"], "grid_theta")
-        if "grid_theta" in values
-        else None,
-        sweep_gate=values.get("sweep_gate", "parity"),
-        output_path=values.get("output", "results.csv"),
-        output_format=values.get("format", _DEFAULTS["format"]),
-    )
+    if "input" in values:
+        values["input"] = _parse_pairs(values["input"])
+    for key in ("grid_alpha", "grid_theta"):
+        if key in values:
+            values[key] = _parse_grid(values[key], key)
+    # the keys left unset keep the dataclass defaults
+    config = ExperimentConfig(**{_KEY_FIELDS.get(k, k): v for k, v in values.items()})
     _validate_config(config)
     return config
 

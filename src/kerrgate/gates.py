@@ -1,12 +1,13 @@
 """Composite gate procedures: parity detector, entanglers, and the CNOT.
 
 Feed-forward corrections are applied immediately after the measurement that
-conditions them.  Each measurement has one :class:`FeedForwardPlan`, a module
-constant that lists the actions after both of its outcomes:
-:data:`ENTANGLER_PLAN` and :data:`ENTANGLER_45_PLAN` after an entangler's
-homodyne, :data:`CNOT_SIGN_PLAN` and :data:`CNOT_PHOTON_PLAN` for the CNOT
-controller.  The batched engine in :mod:`kerrgate.batch` reads the same
-constants.  The executed actions are recorded on the returned
+conditions them.  Each measurement has one :data:`FeedForwardPlan`, a module
+constant that lists the actions after its flagged outcome, odd for a
+homodyne parity record and V for the photon readout; an even or H reading
+needs none.  :data:`ENTANGLER_PLAN` and :data:`ENTANGLER_45_PLAN` follow an
+entangler's homodyne, :data:`CNOT_SIGN_PLAN` and :data:`CNOT_PHOTON_PLAN`
+are the CNOT controller's.  The batched engine in :mod:`kerrgate.batch` reads
+the same constants.  The executed actions are recorded on the returned
 :class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,30 +67,18 @@ _ANCILLA_TOL = 1e-9
 #: ``"control"``/``"target"`` for the CNOT controller), never by absolute index
 Action = tuple[str, str]
 
+#: the actions, in order, that follow one measurement's flagged outcome: an
+#: odd homodyne parity record or a V photon readout
+FeedForwardPlan = tuple[Action, ...]
 
-class FeedForwardPlan(NamedTuple):
-    """The actions that follow each of one measurement's two outcomes.
-
-    ``outcomes`` lists them with the batch engine's flag clear, then set:
-    ``("even", "odd")`` for a homodyne parity record, ``("H", "V")`` for the
-    photon readout.  ``actions`` holds each outcome's actions in that order.
-    """
-
-    outcomes: tuple[str, str]
-    actions: tuple[tuple[Action, ...], tuple[Action, ...]]
-
-    def actions_for(self, outcome: str) -> tuple[Action, ...]:
-        return self.actions[self.outcomes.index(outcome)]
-
-
-_PARITY = ("even", "odd")
-ENTANGLER_PLAN = FeedForwardPlan(_PARITY, ((), (("undo-phase", "0"), ("flip", "1"))))
+ENTANGLER_PLAN: FeedForwardPlan = (("undo-phase", "0"), ("flip", "1"))
 #: applied inside the rotated (diagonal) frame
-ENTANGLER_45_PLAN = FeedForwardPlan(_PARITY, ((), (("undo-phase", "0"), ("flip", "0"))))
+ENTANGLER_45_PLAN: FeedForwardPlan = (("undo-phase", "0"), ("flip", "0"))
 #: the CNOT controller's rules on top of the two entanglers' own plans: after
-#: the second (diagonal-frame) homodyne, and after the ancilla's photon readout
-CNOT_SIGN_PLAN = FeedForwardPlan(_PARITY, ((), (("sign-flip", "control"),)))
-CNOT_PHOTON_PLAN = FeedForwardPlan(("H", "V"), ((), (("flip", "target"),)))
+#: the second (diagonal-frame) homodyne reads odd, and after the ancilla's
+#: photon readout reads V
+CNOT_SIGN_PLAN: FeedForwardPlan = (("sign-flip", "control"),)
+CNOT_PHOTON_PLAN: FeedForwardPlan = (("flip", "target"),)
 
 
 #: fixed single-qubit gate behind each feed-forward action kind; the remaining
@@ -139,7 +127,6 @@ class GateTrace:
     records: tuple[HomodyneRecord, ...]
     photon_outcomes: tuple[tuple[int, str], ...] = ()
     corrections: tuple[str, ...] = ()
-    ancilla_consumed: int = 0
 
 
 def parity_gate(
@@ -183,11 +170,10 @@ def _entangler_core(
     force_x: float | None,
     plan: FeedForwardPlan,
 ) -> tuple[HomodyneRecord, HybridState, tuple[str, ...]]:
-    """Computational-basis parity gate plus its conditional corrections."""
+    """Computational-basis parity gate plus ``plan`` on an odd record."""
     record, state = parity_gate(state, qubit_a, qubit_b, probe, rng, force_x)
-    state, applied = _apply_actions(
-        state, plan.actions_for(record.parity), {"0": qubit_a, "1": qubit_b}, record.phi
-    )
+    actions = plan if record.parity == "odd" else ()
+    state, applied = _apply_actions(state, actions, {"0": qubit_a, "1": qubit_b}, record.phi)
     return record, merge_and_prune(state), tuple(applied)
 
 
@@ -282,18 +268,16 @@ def cnot(
 
     trace1, state = entangler(state, control, ancilla, probes[0], rng, force_x1)
     trace2, state = entangler_45(state, ancilla, target, probes[1], rng, force_x2)
-    state, signed = _apply_actions(
-        state, CNOT_SIGN_PLAN.actions_for(trace2.records[0].parity), slots
-    )
+    odd = trace2.records[0].parity == "odd"
+    state, signed = _apply_actions(state, CNOT_SIGN_PLAN if odd else (), slots)
     outcome, state = qnd_photon_measure(state, ancilla, rng, force_outcome=force_photon)
-    state, flipped = _apply_actions(state, CNOT_PHOTON_PLAN.actions_for(outcome), slots)
+    state, flipped = _apply_actions(state, CNOT_PHOTON_PLAN if outcome == "V" else (), slots)
     corrections = trace1.corrections + trace2.corrections + tuple(signed + flipped)
 
     trace = GateTrace(
         records=trace1.records + trace2.records,
         photon_outcomes=((ancilla, outcome),),
         corrections=corrections,
-        ancilla_consumed=0,
     )
     return trace, merge_and_prune(state)
 

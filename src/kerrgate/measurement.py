@@ -237,21 +237,25 @@ def sample_and_collapse(
     phi = math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
     record = HomodyneRecord(x=x, x0=x0, parity=parity, phi=phi)
 
-    # weighting and dropping the probe's column in one merge: two labels of
-    # one basis string become one branch here
-    weighted = [
-        Branch(
-            b.amplitude * kernel_value(x, probe.label(b.phases[probe_index])),
-            b.basis,
-            b.phases[:probe_index] + b.phases[probe_index + 1 :],
-        )
-        for b in state.branches
-    ]
     probes = state.probes[:probe_index] + state.probes[probe_index + 1 :]
-    collapsed = _merged_state(state.n_qubits, weighted, probes, state.pruned_mass)
     try:
-        collapsed = renormalized(collapsed)
-    except ValidationError:  # also a nan outcome, whose amplitudes are nan
+        # weighting and dropping the probe's column in one merge: two labels
+        # of one basis string become one branch here
+        weighted = [
+            Branch(
+                b.amplitude * kernel_value(x, probe.label(b.phases[probe_index])),
+                b.basis,
+                b.phases[:probe_index] + b.phases[probe_index + 1 :],
+            )
+            for b in state.branches
+        ]
+        collapsed = renormalized(
+            _merged_state(state.n_qubits, weighted, probes, state.pruned_mass)
+        )
+    except (OverflowError, ValueError):
+        # renormalized's zero norm, also a nan outcome's; an x too far out for
+        # the kernel (its square overflows, or its phase is infinite) has a
+        # zero kernel on every branch
         raise ValidationError(f"collapse at x={x} leaves a zero-norm state") from None
     return record, merge_and_prune(collapsed)
 

@@ -73,11 +73,6 @@ def sign_flip(qubit_index: int) -> SingleQubitGate:
     return SingleQubitGate(np.array([[1, 0], [0, -1]], dtype=complex), qubit_index)
 
 
-def phase_gate(qubit_index: int, phi: float) -> SingleQubitGate:
-    """diag(1, e^{i phi})."""
-    return diagonal_gate(qubit_index, 0.0, phi)
-
-
 def diagonal_gate(qubit_index: int, phase_h: float, phase_v: float) -> SingleQubitGate:
     """diag(e^{i phase_h}, e^{i phase_v})."""
     if not (math.isfinite(phase_h) and math.isfinite(phase_v)):

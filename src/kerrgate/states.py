@@ -34,6 +34,12 @@ DEFAULT_PRUNE_EPS = 1e-14
 
 _NORM_TOL = 1e-12
 
+#: largest probe amplitude.  Up to it every number a collapse computes stays
+#: finite in both shot engines: ``alpha**2``, the kernel phase ``b (x - a)``
+#: and the squared distance from an outcome to the farthest peak, at most
+#: ``(4 alpha + 9)**2``.  Past about 1e154 they overflow.
+ALPHA_MAX = 1e150
+
 
 class Branch(NamedTuple):
     """One superposition branch: amplitude, basis string, probe phase indices."""
@@ -56,8 +62,8 @@ class ProbeMode:
     theta: float
 
     def __post_init__(self):
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValidationError(f"probe alpha must be finite and >= 0, got {self.alpha}")
+        if not (0.0 <= self.alpha <= ALPHA_MAX):  # also catches NaN
+            raise ValidationError(f"probe alpha must lie in [0, {ALPHA_MAX:g}], got {self.alpha}")
         # theta = 0 is allowed as the degenerate no-coupling limit
         if not (0.0 <= self.theta <= math.pi):
             raise ValidationError(f"probe theta must lie in [0, pi], got {self.theta}")
@@ -241,11 +247,6 @@ def norm_squared(state: HybridState) -> float:
                     ov *= coherent_overlap(probe.label(bp.phases[p]), probe.label(b.phases[p]))
                 total += (b.amplitude * bp.amplitude.conjugate() * ov).real
     return total
-
-
-def norm(state: HybridState) -> float:
-    """Norm of the state (1.0 for any freshly prepared or post-collapse state)."""
-    return math.sqrt(max(norm_squared(state), 0.0))
 
 
 def renormalized(state: HybridState) -> HybridState:

@@ -83,14 +83,14 @@ class TestGeometry:
     def test_showcase_regime_small_angle_limit(self):
         # mean photon number 1e12 (amplitude 1e6) with a 1e-3 phase unit:
         # the separation approaches alpha * theta^2
-        geo = geometry(1e6, 1e-3)
-        assert geo.alpha_theta_sq == pytest.approx(1.0)
-        assert abs(geo.xd - geo.alpha_theta_sq) / geo.alpha_theta_sq < 1e-6
+        alpha, theta = 1e6, 1e-3
+        assert alpha * theta**2 == pytest.approx(1.0)
+        assert abs(geometry(alpha, theta).xd - alpha * theta**2) / (alpha * theta**2) < 1e-6
 
     def test_small_angle_relative_error_below_percent(self):
         for theta in (0.02, 0.05, 0.09):
-            geo = geometry(100.0, theta)
-            assert abs(geo.xd - geo.alpha_theta_sq) / geo.alpha_theta_sq < 0.01
+            merit = 100.0 * theta**2
+            assert abs(geometry(100.0, theta).xd - merit) / merit < 0.01
 
     def test_separation_free_of_cancellation_at_tiny_theta(self):
         # xd = 2 alpha (1 - cos theta) = alpha theta^2 (1 - theta^2 / 12 + ...);

@@ -8,8 +8,8 @@ the batched final state.  The record-conditional ideal outputs are rebuilt
 here as branch-label states from the paper's formulas, independently of the
 engine's dense ones.
 
-Each feed-forward the circuits make is checked against the per-outcome
-masked matrix products it replaces, on random blocks.
+Each feed-forward the circuits make is checked against the masked matrix
+products it replaces, on random blocks.
 
 The draws each block's shots read from its words are checked bit for bit
 against those replay generators, for seeds of one to five 32-bit words and
@@ -50,6 +50,7 @@ from kerrgate.gates import (
     resolve_action,
 )
 from kerrgate.measurement import gaussian
+from kerrgate.states import ALPHA_MAX
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
 SHOTS = 48
@@ -187,6 +188,22 @@ def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
         assert state_fidelity(dense(forced[2]), block.final[i]) >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("theta", [theta_for(ALPHA_MAX), 0.5, math.pi], ids=["xd20", "0.5", "pi"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_both_engines_run_at_alpha_max(experiment, theta):
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    assert_replays(experiment, inputs, ProbeMode(ALPHA_MAX, theta), seed=5, shots=8)
+
+
+@pytest.mark.parametrize("alpha", [math.nextafter(ALPHA_MAX, math.inf), 1e155, 1e300, math.inf])
+def test_both_engines_reject_alpha_past_alpha_max(alpha):
+    """The scalar gates take a ProbeMode, the batch engine builds one."""
+    with pytest.raises(ValidationError, match="probe alpha"):
+        ProbeMode(alpha, 0.5)
+    with pytest.raises(ValidationError, match="probe alpha"):
+        run_shots("cnot", ((1, 0), (0, 1)), alpha, 0.5, 4, 0)
+
+
 POINTS = [(10.0, 20.0), (100.0, 20.0), (1e9, 20.0), (8.0, 4.0)]
 
 
@@ -217,19 +234,16 @@ def lifted(n, gate):
 
 
 def masked_feed_forward(amp, n, plan, slots, flag, phi):
-    """The reference: each outcome's actions as lifted 2x2 matrices (or the
-    per-shot phase gate) on the rows that had that outcome."""
+    """The reference: the plan's actions as lifted 2x2 matrices (or the
+    per-shot phase gate) on the flagged rows only."""
     amp = amp.copy()
-    for outcome, rows in zip(plan.outcomes, (~flag, flag)):
-        if not rows.any():
+    for action in plan:
+        kind, qubit = resolve_action(action, dict(slots))
+        if kind != "undo-phase":
+            amp[flag] = amp[flag] @ lifted(n, FIXED_ACTIONS[kind](qubit))
             continue
-        for action in plan.actions_for(outcome):
-            kind, qubit = resolve_action(action, dict(slots))
-            if kind != "undo-phase":
-                amp[rows] = amp[rows] @ lifted(n, FIXED_ACTIONS[kind](qubit))
-                continue
-            ph = np.exp(1j * phi[rows])[:, None]
-            amp[rows] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
+        ph = np.exp(1j * phi[flag])[:, None]
+        amp[flag] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
     return amp
 
 

@@ -18,7 +18,7 @@ from kerrgate import (
     entangler_45,
     fidelity,
     new_state,
-    norm,
+    norm_squared,
     parity_gate,
     recycle_ancilla,
     sign_flip,
@@ -290,7 +290,6 @@ class TestCnot:
     def test_ancilla_retained_and_unentangled(self):
         state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
         trace, out = cnot(state, 0, 1, 2, (STRONG, STRONG), np.random.default_rng(4))
-        assert trace.ancilla_consumed == 0
         assert out.n_qubits == 3
         photon = trace.photon_outcomes[0][1]
         assert {b.basis[1] for b in out.branches} == {photon}
@@ -316,35 +315,51 @@ class TestResourceClaims:
         rng = np.random.default_rng(8)
         for control, target in ((0, 1), (1, 2), (0, 2)):
             trace, state = cnot(state, control, ancilla, target, (STRONG, STRONG), rng)
-            assert trace.ancilla_consumed == 0
             outcome = trace.photon_outcomes[0][1]
             # ancilla is in a pure recorded basis state: recycle it in place
             assert {b.basis[ancilla] for b in state.branches} == {outcome}
             state = recycle_ancilla(state, ancilla, outcome)
         assert state.n_qubits == n + 1
-        assert norm(state) == pytest.approx(1.0, abs=1e-9)
+        assert norm_squared(state) == pytest.approx(1.0, abs=1e-9)
 
 
+#: each plan and the slot wiring its gate gives it in the runs below: the
+#: entanglers on qubits (0, 1), the CNOT on (control, ancilla, target) = (0, 1, 2)
 PLANS = {
-    "entangler": ENTANGLER_PLAN,
-    "entangler45": ENTANGLER_45_PLAN,
-    "cnot-sign": CNOT_SIGN_PLAN,
-    "cnot-photon": CNOT_PHOTON_PLAN,
+    "entangler": (ENTANGLER_PLAN, {"0": 0, "1": 1}),
+    "entangler45": (ENTANGLER_45_PLAN, {"0": 0, "1": 1}),
+    "cnot-sign": (CNOT_SIGN_PLAN, {"control": 0, "target": 2}),
+    "cnot-photon": (CNOT_PHOTON_PLAN, {"control": 0, "target": 2}),
 }
 
 
-class TestFeedForwardPlans:
-    @pytest.mark.parametrize("plan", list(PLANS.values()), ids=list(PLANS))
-    def test_each_plan_has_exactly_two_outcomes(self, plan):
-        assert len(plan.outcomes) == len(set(plan.outcomes)) == len(plan.actions) == 2
-        for outcome, actions in zip(plan.outcomes, plan.actions):
-            assert plan.actions_for(outcome) == actions
+def plan_corrections(name, flagged):
+    """The corrections of the gate that runs plan ``name``, its measurement
+    forced to the flagged reading (odd, V) or to the other one (even, H);
+    the CNOT's other measurements read even and H."""
+    x = X_ODD if flagged else X_EVEN
+    rng = np.random.default_rng(0)
+    if name in ("entangler", "entangler45"):
+        gate = entangler if name == "entangler" else entangler_45
+        return gate(new_state([(0.6, 0.8), UNIFORM]), 0, 1, STRONG, rng, x)[0].corrections
+    state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
+    if name == "cnot-sign":
+        forced = (X_EVEN, x, "H")
+    else:
+        forced = (X_EVEN, X_EVEN, "V" if flagged else "H")
+    return cnot(state, 0, 1, 2, (STRONG, STRONG), rng, *forced)[0].corrections
 
-    @pytest.mark.parametrize("plan", list(PLANS.values()), ids=list(PLANS))
-    def test_even_and_h_outcomes_need_no_action(self, plan):
-        assert plan.outcomes in (("even", "odd"), ("H", "V"))
-        assert plan.actions_for(plan.outcomes[0]) == ()
-        assert plan.actions_for(plan.outcomes[1]) != ()
+
+class TestFeedForwardPlans:
+    @pytest.mark.parametrize("name", list(PLANS))
+    def test_even_and_h_outcomes_need_no_action(self, name):
+        """A plan runs on its measurement's odd or V reading, and nothing
+        runs on an even or H one."""
+        plan, slots = PLANS[name]
+        expected = tuple(f"{kind}:q{q}" for kind, q in (resolve_action(a, slots) for a in plan))
+        assert expected
+        assert plan_corrections(name, flagged=False) == ()
+        assert plan_corrections(name, flagged=True)[-len(expected) :] == expected
 
     def test_actions_resolve_to_absolute_qubits(self):
         assert resolve_action(("undo-phase", "0"), {"0": 4, "1": 2}) == ("undo-phase", 4)

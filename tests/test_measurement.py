@@ -349,13 +349,28 @@ class TestSampleQuadrature:
 # sample_and_collapse
 
 
+#: forced outcomes no collapse can represent: nan, and values far past every peak
+FAR_OUTCOMES = (math.nan, 1e10, 1e160, 1e300, math.inf, -math.inf)
+
+
 class TestSampleAndCollapse:
-    @pytest.mark.parametrize("theta", [0.0, 0.5])
-    def test_nan_outcome_is_rejected(self, theta):
-        """A nan outcome makes every amplitude nan; it must not leave a state."""
+    @pytest.mark.parametrize(
+        "theta,x",
+        [(theta, x) for x in FAR_OUTCOMES for theta in (0.0, 0.5)],
+        # the nan cases keep their ids from before the far outcomes were added
+        ids=[
+            f"{theta}" if math.isnan(x) else f"{theta}-{x}"
+            for x in FAR_OUTCOMES
+            for theta in (0.0, 0.5)
+        ],
+    )
+    def test_nan_outcome_is_rejected(self, theta, x):
+        """A nan outcome makes every amplitude nan, and an outcome far past
+        every peak (whose kernel underflows, overflows in its square or has
+        an infinite phase) weighs every branch 0; neither leaves a state."""
         state = parity_state((0.6, 0.8), (0.28, 0.96), 5.0, theta)
-        with pytest.raises(ValidationError):
-            sample_and_collapse(state, 0, np.random.default_rng(0), force_x=math.nan)
+        with pytest.raises(ValidationError, match=r"collapse at x=.* zero-norm"):
+            sample_and_collapse(state, 0, np.random.default_rng(0), force_x=x)
 
     def test_labels_of_one_basis_string_merge_in_the_collapse(self):
         # H on labels (0, 0) and (1, 0): measuring probe 0 leaves both on key

@@ -18,8 +18,7 @@ from kerrgate import (
     diagonal_basis_change,
     diagonal_gate,
     new_state,
-    norm,
-    phase_gate,
+    norm_squared,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -43,7 +42,7 @@ class TestSingleQubitGates:
 
     def test_phase_gate_rotates_v_component(self):
         state = new_state([(0.6, 0.8)])
-        rotated = apply_single_qubit(state, phase_gate(0, 0.7))
+        rotated = apply_single_qubit(state, diagonal_gate(0, 0.0, 0.7))
         amps = amplitudes(rotated)
         assert amps[("H",)] == pytest.approx(0.6)
         assert amps[("V",)] == pytest.approx(0.8 * np.exp(0.7j))
@@ -59,7 +58,7 @@ class TestSingleQubitGates:
             lambda: SingleQubitGate(np.array([[1, 0], [0, math.inf]]), 0),
             lambda: diagonal_gate(0, math.nan, 0.0),
             lambda: diagonal_gate(0, math.inf, 0.0),
-            lambda: phase_gate(0, -math.inf),
+            lambda: diagonal_gate(0, 0.0, -math.inf),
         ],
         ids=["nan-entry", "inf-entry", "nan-phase", "inf-phase", "minus-inf-phase"],
     )
@@ -82,7 +81,7 @@ class TestSingleQubitGates:
             1, [(SQRT_HALF, "H", (0,)), (SQRT_HALF, "V", (1,))], probes=[probe]
         )
         rotated = apply_single_qubit(state, diagonal_basis_change(0))
-        assert norm(rotated) == pytest.approx(1.0, abs=1e-12)
+        assert norm_squared(rotated) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCrossKerr:
@@ -93,7 +92,7 @@ class TestCrossKerr:
         kicked = apply_cross_kerr(state, KerrCoupling(0, "V", 0, +1))
         phases = {b.basis: b.phases for b in kicked.branches}
         assert phases == {("H",): (0,), ("V",): (1,)}
-        assert norm(kicked) == pytest.approx(1.0, abs=1e-12)
+        assert norm_squared(kicked) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_photon_in_trigger_rail_is_identity(self):
         state = new_state([(1, 0)]).activate_probe(ProbeMode(3.0, 0.2))
@@ -171,4 +170,4 @@ def test_random_gate_sequences_preserve_norm():
                 state,
                 KerrCoupling(int(rng.integers(2)), "V", 0, int(rng.choice([-1, 1]))),
             )
-        assert norm(state) == pytest.approx(1.0, abs=1e-11)
+        assert norm_squared(state) == pytest.approx(1.0, abs=1e-11)

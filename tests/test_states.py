@@ -17,7 +17,6 @@ from kerrgate import (
     fidelity,
     merge_and_prune,
     new_state,
-    norm,
     norm_squared,
     run_shots,
 )
@@ -110,12 +109,12 @@ def test_new_state_rejects_zero_qubits():
 
 def test_fresh_product_state_has_unit_norm():
     state = new_state([(0.6, 0.8), (SQRT_HALF, SQRT_HALF * 1j)])
-    assert norm(state) == pytest.approx(1.0, abs=1e-12)
+    assert norm_squared(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_branch_norm_is_amplitude():
     state = HybridState.from_branches(1, [(0.5, "H", ())])
-    assert norm(state) == pytest.approx(0.5)
+    assert norm_squared(state) == pytest.approx(0.25)
 
 
 def test_norm_with_probe_cross_terms_matches_formula_and_oracle():
@@ -197,7 +196,7 @@ def test_prune_reports_lost_mass():
     assert [b.basis for b in pruned.branches] == [("H",)]
     assert pruned.pruned_mass == pytest.approx(1e-30, rel=1e-6)
     # no renormalization happened
-    assert norm(pruned) == pytest.approx(1.0)
+    assert norm_squared(pruned) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("epsilon", [-1e-12, math.nan])
