@@ -42,7 +42,7 @@ class Point:
         self.probe = ProbeMode(alpha, THETA)
         self.before = new_state(list(INPUTS)).activate_probe(self.probe)
         self.n_trunc = fock.required_truncation(alpha) + 5
-        self.couplings = build_parity_coupling_pair(0, 1, 0)
+        self.couplings = build_parity_coupling_pair(0, 1)
         self.after = self.before
         embedded = fock.oracle_embed(self.before, self.n_trunc)
         for coupling in self.couplings:
@@ -83,12 +83,12 @@ def test_oscillator_eigenfunctions(benchmark, point):
 
 
 def test_outcome_density_build(benchmark, point):
-    density = benchmark(outcome_density, point.after, 0)
+    density = benchmark(outcome_density, point.after)
     assert callable(density)
 
 
 def test_outcome_density_evaluate(benchmark, point):
-    values = benchmark(outcome_density(point.after, 0), point.grid)
+    values = benchmark(outcome_density(point.after), point.grid)
     assert values.shape == point.grid.shape
 
 

@@ -56,7 +56,7 @@ GATE_ROUNDS = 200
 def kicked_pair() -> HybridState:
     """The 2-qubit input with the probe active and both parity kicks applied."""
     state = new_state(list(INPUTS)).activate_probe(PROBE)
-    for coupling in build_parity_coupling_pair(0, 1, 0):
+    for coupling in build_parity_coupling_pair(0, 1):
         state = apply_cross_kerr(state, coupling)
     return state
 
@@ -68,7 +68,7 @@ def test_new_state(benchmark):
 
 def test_apply_cross_kerr(benchmark):
     state = new_state(list(INPUTS)).activate_probe(PROBE)
-    coupling = build_parity_coupling_pair(0, 1, 0)[0]
+    coupling = build_parity_coupling_pair(0, 1)[0]
     kicked = benchmark(apply_cross_kerr, state, coupling)
     assert len(kicked.branches) == 4
 
@@ -86,8 +86,8 @@ def test_sample_and_collapse(benchmark, labels):
         # rotating qubit 0 spreads each basis string over two probe labels
         state = apply_single_qubit(state, diagonal_basis_change(0))
     x = PROBE.x0 - 10.0  # on the odd peak
-    record, post = benchmark(sample_and_collapse, state, 0, None, force_x=x)
-    assert record.parity == "odd" and not post.probes
+    record, post = benchmark(sample_and_collapse, state, None, force_x=x)
+    assert record.parity == "odd" and post.probe is None
 
 
 def test_qnd_photon_measure(benchmark):

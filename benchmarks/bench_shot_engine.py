@@ -3,18 +3,18 @@ one step at a time.
 
 Times, at 10, 50 and 1024 shots:
 
-- ``run_block`` for each experiment, a whole block end to end;
+- ``run_block`` for each experiment, a whole block end to end, on one
+  generator that every round continues, as ``run_shots`` hands its one
+  generator to each block;
 - ``_Shots.homodyne`` on 2 qubits (the entanglers) and on 3 (the CNOT's
   first parity check), from a freshly prepared block, whose one input row
   the first collapse repeats into a row per shot;
 - ``_Shots.feed_forward`` for each feed-forward step of the circuits, with
   half of the shots flagged;
 - a block's random draws for the ``cnot`` circuit (two homodynes and a
-  photon readout: 7 words a shot): the block's stream words
-  (``_block_words``, one ``default_rng(seed)`` advanced to the block's first
-  word and one ``random((shots, 7))`` call) and every draw read from them in
-  circuit order, also for 50 shots starting past shot ``2**32``, which
-  times a long ``advance``.
+  photon readout: 7 words a shot): the block's stream words (one
+  ``random((shots, 7))`` call on the run's generator) and every draw read
+  from them in circuit order.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
 ``cnot-deep`` workload.  Run from a checkout with
@@ -55,7 +55,8 @@ FEED_FORWARDS = {
 
 def prepared(shots: int, qubits: int) -> batch._Shots:
     """A block with the CNOT's draws, holding the 2- or 3-qubit product input."""
-    block = batch._Shots(shots, PROBE, SEED, 0, batch.CIRCUITS["cnot"].draws)
+    rng = np.random.default_rng(SEED)
+    block = batch._Shots(shots, PROBE, rng, batch.CIRCUITS["cnot"].draws)
     c, d = INPUTS
     block.prepare(*((c, ANCILLA_PLUS, d) if qubits == 3 else (c, d)))
     return block
@@ -64,7 +65,8 @@ def prepared(shots: int, qubits: int) -> batch._Shots:
 @pytest.mark.parametrize("shots", SHOTS)
 @pytest.mark.parametrize("experiment", list(batch.CIRCUITS))
 def test_run_block(benchmark, experiment, shots):
-    block = benchmark(batch.run_block, experiment, INPUTS, PROBE, SEED, 0, shots)
+    rng = np.random.default_rng(SEED)
+    block = benchmark(batch.run_block, experiment, INPUTS, PROBE, rng, shots)
     assert block.fidelity.shape == (shots,)
 
 
@@ -97,18 +99,15 @@ def test_feed_forward(benchmark, case, shots):
     assert block.amp.shape == (shots, 1 << qubits)
 
 
-def block_draws(start: int, shots: int, draws: tuple[str, ...]) -> list:
-    """Every draw of shots ``start .. start + shots - 1``, one array per draw."""
-    block = batch._Shots(shots, PROBE, SEED, start, draws)
+def block_draws(rng: np.random.Generator, shots: int, draws: tuple[str, ...]) -> list:
+    """Every draw of the next ``shots`` shots of ``rng``, one array per draw."""
+    block = batch._Shots(shots, PROBE, rng, draws)
     read = {"random": block._uniform, "standard_normal": block._normal}
     return [read[draw]() for draw in draws]
 
 
-@pytest.mark.parametrize(
-    "start,shots", [(0, 10), (0, 50), (0, 1024), (2**32 + 5, 50)],
-    ids=["10", "50", "1024", "50-past-2_32"],
-)
-def test_block_draws(benchmark, start, shots):
+@pytest.mark.parametrize("shots", SHOTS)
+def test_block_draws(benchmark, shots):
     draws = batch.CIRCUITS["cnot"].draws
-    columns = benchmark(block_draws, start, shots, draws)
+    columns = benchmark(block_draws, np.random.default_rng(SEED), shots, draws)
     assert [column.shape for column in columns] == [(shots,)] * len(draws)

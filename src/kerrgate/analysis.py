@@ -11,13 +11,18 @@ evaluated with the standard library's ``math.erfc``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import BLOCK_SHOTS, CIRCUITS, run_block
+from .batch import CIRCUITS, run_block
 from .errors import ValidationError
 from .states import ProbeMode, check_normalized
+
+#: shots simulated together; a constant, so peak memory does not grow with
+#: the shot count and results do not depend on a tunable
+BLOCK_SHOTS = 1024
 
 #: fidelity below which a shot counts as a logical error
 LOGICAL_ERROR_FIDELITY = 1.0 - 1e-6
@@ -77,10 +82,11 @@ def run_shots(
     poor discrimination the collapse keeps visible weight on both parity
     components and the reported rate saturates accordingly.
 
-    Shots run in fixed-size blocks through :mod:`kerrgate.batch`.  RNG
-    contract: the run reads one stream, ``np.random.default_rng(seed).random()``,
-    and shot ``i`` takes its words ``i K .. i K + K - 1``, ``K`` being the
-    circuit's ``Circuit.words``.  In circuit order a homodyne measurement
+    Shots run in fixed-size blocks through :mod:`kerrgate.batch`, each
+    continuing the run's one generator.  RNG contract: the run reads one
+    stream, ``np.random.default_rng(seed).random()``, and shot ``i`` takes
+    its words ``i K .. i K + K - 1``, ``K`` being the circuit's
+    ``Circuit.words``.  In circuit order a homodyne measurement
     reads one word for its branch pick and two for its noise, which
     :func:`kerrgate.measurement.gaussian` turns into a standard normal, and
     the CNOT's photon readout one word -- exactly what the scalar gates in
@@ -101,12 +107,16 @@ def run_shots(
     check_normalized(inputs)
     inputs = [(complex(c0), complex(c1)) for c0, c1 in inputs]
     probe = ProbeMode(alpha, theta)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = np.random.default_rng(seed)
 
     errors = 0
     fidelity_sum = 0.0
     odd = 0
     for start in range(0, shots, BLOCK_SHOTS):
-        block = run_block(experiment, inputs, probe, seed, start, min(start + BLOCK_SHOTS, shots))
+        block = run_block(experiment, inputs, probe, rng, min(BLOCK_SHOTS, shots - start))
         odd += int(np.count_nonzero(block.odd[:, 0]))
         fidelity_sum += float(np.add.reduce(block.fidelity))
         errors += int(np.count_nonzero(block.fidelity < LOGICAL_ERROR_FIDELITY))

@@ -1,7 +1,8 @@
 """Batched shot engine behind :func:`kerrgate.analysis.run_shots`.
 
 Every circuit run here keeps exactly one branch per polarization basis string
-and has at most one probe active at a time.  A shot's branch-label state is
+and, as every :class:`kerrgate.states.HybridState` does, at most one probe
+active at a time.  A shot's branch-label state is
 therefore a dense vector of ``2**n`` amplitudes plus one probe phase index
 per basis string, and that phase-index table belongs to the parity gate, not
 to the shot (``HH -> 0``, ``HV -> +1``, ``VH -> -1``, ``VV -> 0``).  A block
@@ -39,18 +40,18 @@ Shot ``i`` takes words ``i K .. i K + K - 1`` of it, where ``K``
 ``standard_normal`` draw of the circuit (:attr:`Circuit.draws`): ``u`` then
 the noise ``z`` per homodyne, then ``u`` for the photon.  A normal is
 :func:`kerrgate.measurement.gaussian` of its two words, which is how the
-scalar gates in :mod:`kerrgate.gates` draw their noise too.  So a block's
-words are one ``Generator.random`` call after advancing the stream by
-``start K``, each draw is read from them in place, and shot ``i`` is the
-same in any block.  The scalar gates stay the reference: replaying a shot
-through them, on ``default_rng(s)`` advanced by ``i K`` or with its recorded
-outcomes forced, gives the same records and final state.
+scalar gates in :mod:`kerrgate.gates` draw their noise too.  The run builds
+its generator once and hands it to each block in turn; a block's words are
+one ``random((count, K))`` call on it, and each draw is read from them in
+place, so shot ``i`` is the same in any block.  The scalar gates stay the
+reference: replaying a shot through them, on ``default_rng(s)`` advanced by
+``i K`` or with its recorded outcomes forced, gives the same records and
+final state.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -70,10 +71,6 @@ from .gates import (
 from .measurement import KERNEL_PEAK, gaussian
 from .optics import build_parity_coupling_pair, diagonal_basis_change
 from .states import ProbeMode
-
-#: shots simulated together; a constant, so peak memory does not grow with
-#: the shot count and results do not depend on a tunable
-BLOCK_SHOTS = 1024
 
 _TWO_PI = 2.0 * math.pi
 #: ideal outputs with less squared norm than this contradict the record outright
@@ -102,7 +99,7 @@ def _label_columns(n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
     index ``k + 1`` into the labels ``(-1, 0, +1)``, ``k`` its phase index."""
     v = _v_bits(n)
     k = np.ones(1 << n, np.intp)
-    for kick in build_parity_coupling_pair(qubit_a, qubit_b, 0):
+    for kick in build_parity_coupling_pair(qubit_a, qubit_b):
         k += kick.sign * (v[:, kick.qubit_index] == (kick.trigger_polarization == "V"))
     return _frozen(k)
 
@@ -127,8 +124,6 @@ def _collapse_constants(probe: ProbeMode) -> tuple[np.ndarray, float, float, flo
     return peaks, labels[2].real, labels[2].imag, probe.x0
 
 
-# -- the run's stream, read a block at a time ----------------------------------
-
 #: ``random()`` words each kind of draw reads: a uniform one, a Box-Muller
 #: normal two
 _WORDS = {"random": 1, "standard_normal": 2}
@@ -138,22 +133,6 @@ _WORDS = {"random": 1, "standard_normal": 2}
 def _words(draws: tuple[str, ...]) -> int:
     """Stream words a shot making ``draws`` takes."""
     return sum(_WORDS[d] for d in draws)
-
-
-def _block_words(seed: int, start: int, count: int, width: int) -> np.ndarray:
-    """``(count, width)``: row ``r`` holds shot ``start + r``'s ``width`` words.
-
-    Shot ``i`` reads words ``i K .. i K + K - 1`` of ``default_rng(seed).random()``,
-    ``K = width``; the block's words are one ``random((count, K))`` call after
-    advancing the stream by ``start K``.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
-    if start:
-        rng.bit_generator.advance(start * width)
-    return rng.random((count, width))
 
 
 class _Step(NamedTuple):
@@ -204,18 +183,19 @@ class _Shots:
     the same product input, so ``amp`` is one ``(1, 2**n)`` row that
     ``rotate`` acts on; the first collapse repeats it into one row per shot.
     Each shot's draws are read in place from its row of the block's words
-    (``words``): a uniform is one column, a normal :func:`gaussian` of two.
+    (``words``, the next ``count`` rows of ``rng``): a uniform is one
+    column, a normal :func:`gaussian` of two.
     Each measurement leaves its outcome as ``flag`` (set where a homodyne
     read odd or the photon read V) and its phase as ``flag_phi`` (``None``
     after a photon readout), for the ``feed_forward`` that follows it.
     """
 
     def __init__(
-        self, count: int, probe: ProbeMode, seed: int, start: int, draws: tuple[str, ...]
+        self, count: int, probe: ProbeMode, rng: np.random.Generator, draws: tuple[str, ...]
     ):
         self.probe = probe
         self.count = count
-        self.words = _block_words(seed, start, count, _words(draws))
+        self.words = rng.random((count, _words(draws)))
         self.read = 0
         # one homodyne record per standard_normal draw, a row each
         records = draws.count("standard_normal")
@@ -436,7 +416,7 @@ CIRCUITS: dict[str, Circuit] = {
 
 @dataclass(frozen=True)
 class ShotBlock:
-    """Shots ``start .. start + len(x) - 1`` of one run, one row per shot.
+    """The shots of one block, one row per shot.
 
     ``x``, ``odd`` and ``phi`` have one column per homodyne record in circuit
     order; ``photon_v`` is True where the CNOT ancilla read V (all False for
@@ -465,15 +445,16 @@ def _fidelity(final: np.ndarray, ideal: np.ndarray) -> np.ndarray:
 
 
 def run_block(
-    experiment: str, inputs, probe: ProbeMode, seed: int, start: int, stop: int
+    experiment: str, inputs, probe: ProbeMode, rng: np.random.Generator, count: int
 ) -> ShotBlock:
-    """Run shots ``start .. stop - 1`` of ``experiment`` on validated inputs.
+    """Run the next ``count`` shots of ``experiment`` on validated inputs.
 
+    The shots read their words from ``rng``, which they advance by ``count K``.
     ``inputs`` are two normalized amplitude pairs, as for ``run_shots``; both
     probes of the CNOT are ``probe``.
     """
     circuit = CIRCUITS[experiment]
-    shots = _Shots(stop - start, probe, seed, start, circuit.draws)
+    shots = _Shots(count, probe, rng, circuit.draws)
     c, d = inputs
     shots.prepare(*((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d)))
     for method, *args in circuit.steps:

@@ -88,7 +88,13 @@ def _parse_grid(text: str, key: str) -> tuple[float, ...]:
         raise ConfigError(f"{key}: {exc}") from exc
     if count < 1:
         raise ConfigError(f"{key}: count must be >= 1")
-    return tuple(float(v) for v in np.linspace(start, stop, count))
+    if not math.isfinite(stop - start):  # also an infinite or nan endpoint
+        raise ConfigError(f"{key}: endpoints and their span must be finite, got {text!r}")
+    try:
+        grid = np.linspace(start, stop, count)
+    except (MemoryError, ValueError) as exc:  # ValueError past NumPy's largest array
+        raise ConfigError(f"{key}: cannot build a grid of {count} points: {exc}") from None
+    return tuple(float(v) for v in grid)
 
 
 _FILE_KEYS = {
@@ -281,7 +287,7 @@ def _validate_oracle(config: ExperimentConfig, inputs) -> tuple[dict, bool]:
     n_trunc = fock.required_truncation(config.alpha) + 5
 
     embedded = fock.oracle_embed(state, n_trunc)
-    for coupling in build_parity_coupling_pair(0, 1, 0):
+    for coupling in build_parity_coupling_pair(0, 1):
         state = apply_cross_kerr(state, coupling)
         embedded = fock.oracle_cross_kerr(embedded, coupling)
     re_embedded = fock.oracle_embed(state, n_trunc)
@@ -290,7 +296,7 @@ def _validate_oracle(config: ExperimentConfig, inputs) -> tuple[dict, bool]:
     lo = 2.0 * config.alpha * math.cos(config.theta) - 10.0
     hi = 2.0 * config.alpha + 10.0
     grid = np.linspace(lo, hi, 2001)
-    dev = float(np.max(np.abs(outcome_density(state, 0)(grid) - fock.oracle_homodyne_density(embedded)(grid))))
+    dev = float(np.max(np.abs(outcome_density(state)(grid) - fock.oracle_homodyne_density(embedded)(grid))))
 
     row = _row(
         "validate-oracle",

@@ -7,4 +7,5 @@ class ValidationError(ValueError):
 
 class ContractError(RuntimeError):
     """Raised when an operation is invoked on a state it is not defined for,
-    e.g. a polarization-only operation on a state with unmeasured probes."""
+    e.g. a polarization-only operation on a state with an unmeasured probe,
+    or a second probe activated while one is active."""

@@ -1,11 +1,11 @@
 """Dense truncated Fock-space oracle for validating the branch-label model.
 
-The oracle expands every coherent label into explicit Fock coefficients and
-evolves the full vector, so it shares no code path with the branch model: a
-cross-Kerr kick is a diagonal phase per photon number, and the homodyne
-density is assembled from harmonic-oscillator eigenfunctions.  Those are
-real, so the density is evaluated in real arithmetic, from the real and the
-imaginary parts of the Fock coefficients.  It is only meant for small probe
+The oracle expands every coherent label of the state's one active probe into
+explicit Fock coefficients and evolves the full vector, so it shares no code
+path with the branch model: a cross-Kerr kick is a diagonal phase per photon
+number, and the homodyne density is assembled from harmonic-oscillator
+eigenfunctions.  Those are real, so the density is evaluated in real
+arithmetic, from the real and the imaginary parts of the Fock coefficients.  It is only meant for small probe
 amplitudes (Fock cutoffs up to ~80); the branch model itself is exact at any
 amplitude.  The cutoff is chosen from the truncation loss, the Poisson upper
 tail of |alpha>'s photon number, summed here in plain floating point: the
@@ -133,17 +133,16 @@ def coherent_coefficients(beta: complex, n_trunc: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockOracleState:
-    """Dense vector over (basis strings) x (Fock levels per probe).
+    """Dense vector over (basis strings) x (Fock levels of the probe).
 
-    ``vector`` has shape ``(2**n_qubits,) + (n_trunc + 1,) * len(probes)``;
-    basis strings index the first axis with H=0, V=1, qubit 0 most
-    significant.
+    ``vector`` has shape ``(2**n_qubits, n_trunc + 1)``; basis strings index
+    the first axis with H=0, V=1, qubit 0 most significant.
     """
 
     n_qubits: int
     n_trunc: int
     vector: np.ndarray
-    probes: tuple[ProbeMode, ...]
+    probe: ProbeMode
 
 
 def _basis_index(basis: tuple[str, ...]) -> int:
@@ -154,28 +153,25 @@ def _basis_index(basis: tuple[str, ...]) -> int:
 
 
 def oracle_embed(state: HybridState, n_trunc: int) -> FockOracleState:
-    """Expand a branch-label state into the truncated Fock representation."""
-    for probe in state.probes:
-        loss = truncation_loss(probe.alpha, n_trunc)
-        if loss > TRUNCATION_BOUND:
-            raise ValidationError(
-                f"truncation loss {loss:.3e} at N={n_trunc} exceeds {TRUNCATION_BOUND:.0e} "
-                f"for alpha={probe.alpha}; need N >= {required_truncation(probe.alpha)}"
-            )
-    shape = (2**state.n_qubits,) + (n_trunc + 1,) * len(state.probes)
-    vector = np.zeros(shape, dtype=complex)
+    """Expand a branch-label state with an active probe into the truncated
+    Fock representation."""
+    probe = state.require_probe()
+    loss = truncation_loss(probe.alpha, n_trunc)
+    if loss > TRUNCATION_BOUND:
+        raise ValidationError(
+            f"truncation loss {loss:.3e} at N={n_trunc} exceeds {TRUNCATION_BOUND:.0e} "
+            f"for alpha={probe.alpha}; need N >= {required_truncation(probe.alpha)}"
+        )
+    vector = np.zeros((2**state.n_qubits, n_trunc + 1), dtype=complex)
     # branches share few labels (a parity kick leaves at most three), and the
     # coefficients depend on nothing else, so each label is expanded once
     expansions: dict[complex, np.ndarray] = {}
     for b in state.branches:
-        block = np.array(b.amplitude)
-        for p, probe in enumerate(state.probes):
-            label = probe.label(b.phases[p])
-            if label not in expansions:
-                expansions[label] = coherent_coefficients(label, n_trunc)
-            block = np.multiply.outer(block, expansions[label])
-        vector[_basis_index(b.basis)] += block
-    return FockOracleState(state.n_qubits, n_trunc, vector, state.probes)
+        label = probe.label(b.phase)
+        if label not in expansions:
+            expansions[label] = coherent_coefficients(label, n_trunc)
+        vector[_basis_index(b.basis)] += b.amplitude * expansions[label]
+    return FockOracleState(state.n_qubits, n_trunc, vector, probe)
 
 
 def oracle_inner(a: FockOracleState, b: FockOracleState) -> complex:
@@ -204,16 +200,11 @@ def _trigger_mask(n_qubits: int, qubit_index: int, trigger: str) -> np.ndarray:
 def oracle_cross_kerr(state: FockOracleState, coupling: KerrCoupling) -> FockOracleState:
     """Exact diagonal unitary: e^{i sign theta n} per probe photon number on
     the triggered basis strings."""
-    probe = state.probes[coupling.probe_index]
-    phases = np.exp(
-        1j * coupling.sign * probe.theta * np.arange(state.n_trunc + 1)
-    )
-    shape = [1] * state.vector.ndim
-    shape[1 + coupling.probe_index] = state.n_trunc + 1
+    phases = np.exp(1j * coupling.sign * state.probe.theta * np.arange(state.n_trunc + 1))
     mask = _trigger_mask(state.n_qubits, coupling.qubit_index, coupling.trigger_polarization)
     vector = state.vector.copy()
-    vector[mask] = vector[mask] * phases.reshape(shape)[0]
-    return FockOracleState(state.n_qubits, state.n_trunc, vector, state.probes)
+    vector[mask] = vector[mask] * phases
+    return FockOracleState(state.n_qubits, state.n_trunc, vector, state.probe)
 
 
 def oracle_apply_single_qubit(state: FockOracleState, gate: SingleQubitGate) -> FockOracleState:
@@ -229,7 +220,7 @@ def oracle_apply_single_qubit(state: FockOracleState, gate: SingleQubitGate) -> 
         vh, vv = state.vector[ih], state.vector[iv]
         vector[ih] = m[0, 0] * vh + m[0, 1] * vv
         vector[iv] = m[1, 0] * vh + m[1, 1] * vv
-    return FockOracleState(n, state.n_trunc, vector, state.probes)
+    return FockOracleState(n, state.n_trunc, vector, state.probe)
 
 
 def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -263,16 +254,13 @@ def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def oracle_homodyne_density(state: FockOracleState) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact X-quadrature density of a single-probe oracle state.
+    """Exact X-quadrature density of an oracle state's probe.
 
     The density is sum_s |sum_n c_sn psi_n(x)|^2 over basis strings s.  The
     eigenfunctions are real, so it is evaluated as
     sum_s (Re c_s . psi)^2 + (Im c_s . psi)^2: one real matrix product with
     the real and imaginary coefficient rows stacked.
     """
-    if len(state.probes) != 1:
-        raise ValidationError("oracle homodyne density is defined for exactly one probe")
-
     # (2 * 2**n, n_trunc + 1): the real rows, then the imaginary rows
     parts = np.concatenate([state.vector.real, state.vector.imag])
 

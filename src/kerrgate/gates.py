@@ -139,9 +139,10 @@ def parity_gate(
 ) -> tuple[HomodyneRecord, HybridState]:
     """Two-qubit polarization parity measurement via a shared probe.
 
-    Activates the probe, applies the +theta/-theta kicks, measures the X
-    quadrature and collapses.  It measures parity in the computational basis;
-    a caller wanting diagonal parity conjugates it by
+    Activates the probe (``ContractError`` if the state already has one),
+    applies the +theta/-theta kicks, measures the X quadrature and
+    collapses.  It measures parity in the computational basis; a caller
+    wanting diagonal parity conjugates it by
     :func:`~kerrgate.optics.diagonal_basis_change` on both qubits, as
     :func:`entangler_45` does.  No feed-forward is applied; the odd branch
     keeps its measurement-dependent phases.
@@ -149,10 +150,9 @@ def parity_gate(
     state.require_qubit(qubit_a)
     state.require_qubit(qubit_b)
     state = state.activate_probe(probe)
-    probe_index = len(state.probes) - 1
-    for coupling in build_parity_coupling_pair(qubit_a, qubit_b, probe_index):
+    for coupling in build_parity_coupling_pair(qubit_a, qubit_b):
         state = apply_cross_kerr(state, coupling)
-    return sample_and_collapse(state, probe_index, rng, force_x=force_x)
+    return sample_and_collapse(state, rng, force_x=force_x)
 
 
 def _undo_phase(state: HybridState, qubit: int, phi: float) -> HybridState:
@@ -228,7 +228,7 @@ def _check_ancilla_plus(state: HybridState, ancilla: int) -> None:
     """The ancilla must factor out as (|H> + |V>)/sqrt(2)."""
     groups: dict[tuple, dict[str, complex]] = {}
     for b in state.branches:
-        rest = (b.basis[:ancilla] + b.basis[ancilla + 1 :], b.phases)
+        rest = (b.basis[:ancilla] + b.basis[ancilla + 1 :], b.phase)
         groups.setdefault(rest, {})[b.basis[ancilla]] = b.amplitude
     for amps in groups.values():
         h, v = amps.get("H", 0j), amps.get("V", 0j)

@@ -29,8 +29,10 @@ Sampling
 Every circuit built here keeps one branch per polarization basis string, so
 an X outcome is drawn exactly from a mixture of unit-variance Gaussians, one
 per branch.  :func:`outcome_density` also evaluates states whose branches
-interfere (a basis string attached to two probe labels); sampling such a
-state raises ``ValidationError``.
+interfere (a basis string attached to two labels of the probe, as when a
+rotation follows the kicks); sampling such a state raises
+``ValidationError``.  A state has at most one active probe, and every
+function here measures that one.
 
 Every stochastic operation takes an explicit ``numpy.random.Generator``;
 identical generators give identical outcomes.
@@ -50,7 +52,6 @@ from .states import (
     Branch,
     HybridState,
     _merged_state,
-    coherent_overlap,
     merge_and_prune,
     norm_squared,
     renormalized,
@@ -66,11 +67,21 @@ def kernel_value(x: float, beta: complex) -> complex:
 
     Evaluated as ``exp(-(x - 2 Re beta)^2 / 4) * exp(i Im beta (x - Re beta))``
     times the peak constant; this rearrangement of the defining exponent is
-    exact and avoids catastrophic cancellation for large |beta|.
+    exact and avoids catastrophic cancellation for large |beta|.  An
+    outcome so far from ``2 Re beta`` that the square overflows or the
+    magnitude underflows has amplitude ``0j``, whatever its phase; a NaN
+    outcome raises ``ValidationError``.
     """
+    if math.isnan(x):
+        raise ValidationError("homodyne outcome x is nan")
     beta = complex(beta)
     a, b = beta.real, beta.imag
-    mag = math.exp(-0.25 * (x - 2.0 * a) ** 2)
+    try:
+        mag = math.exp(-0.25 * (x - 2.0 * a) ** 2)
+    except OverflowError:  # from the square
+        return 0j
+    if mag == 0.0:
+        return 0j
     if b == 0.0:
         return KERNEL_PEAK * mag
     return KERNEL_PEAK * mag * complex(math.cos(b * (x - a)), math.sin(b * (x - a)))
@@ -97,15 +108,6 @@ class HomodyneRecord:
     phi: float
 
 
-def _other_probe_overlap(state: HybridState, probe_index: int, b: Branch, bp: Branch) -> complex:
-    ov = 1.0 + 0j
-    for p, probe in enumerate(state.probes):
-        if p == probe_index:
-            continue
-        ov *= coherent_overlap(probe.label(bp.phases[p]), probe.label(b.phases[p]))
-    return ov
-
-
 def _same_basis_pairs(state: HybridState) -> list[tuple[int, int]]:
     """Index pairs ``i < j`` of branches that share a basis string."""
     if len({b.basis for b in state.branches}) == len(state.branches):
@@ -116,14 +118,13 @@ def _same_basis_pairs(state: HybridState) -> list[tuple[int, int]]:
     return [pair for group in groups.values() for pair in itertools.combinations(group, 2)]
 
 
-def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact probability density of the X outcome when measuring one probe.
+def outcome_density(state: HybridState) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact probability density of the X outcome when measuring the probe.
 
-    With ``v_i(x) = a_i <x|l_i>`` the wavefunction of branch ``i`` and
-    ``G_ij`` the overlap of any other, unmeasured probes (``G_ii = 1``),
+    With ``v_i(x) = a_i <x|l_i>`` the wavefunction of branch ``i``,
 
         p(x) = sum_i |a_i|^2 K^2 exp(-(x - 2 Re l_i)^2 / 2)
-               + sum_{i<j, same basis} 2 Re(v_i G_ij conj v_j),
+               + sum_{i<j, same basis} 2 Re(v_i conj v_j),
 
     where ``K`` is the kernel peak.  The diagonal terms are real Gaussians,
     all branches in one matrix product; only same-basis pairs interfere and
@@ -133,19 +134,14 @@ def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarra
     callable accepts scalars or arrays and integrates to the state's squared
     norm (1 for normalized states).
     """
-    probe = state.require_probe(probe_index)
-    branches = state.branches
-    amps = np.array([b.amplitude for b in branches], dtype=complex)
-    labels = np.array([probe.label(b.phases[probe_index]) for b in branches], dtype=complex)
+    probe = state.require_probe()
+    amps = np.array([b.amplitude for b in state.branches], dtype=complex)
+    labels = np.array([probe.label(b.phase) for b in state.branches], dtype=complex)
     means = 2.0 * labels.real[:, None]
     weights = (amps.real**2 + amps.imag**2) * KERNEL_PEAK**2
     pairs = _same_basis_pairs(state)
     if pairs:
         first, second = np.array(pairs, dtype=int).T
-        gram = np.array(
-            [_other_probe_overlap(state, probe_index, branches[i], branches[j]) for i, j in pairs],
-            dtype=complex,
-        )[:, None]
 
     def waves(index, xs):
         # v_i(x) = a_i * <x|l_i> for the branches in ``index``
@@ -163,7 +159,7 @@ def outcome_density(state: HybridState, probe_index: int) -> Callable[[np.ndarra
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = weights @ np.exp(-0.5 * (xs - means) ** 2)
         if pairs:
-            cross = waves(first, xs) * gram * waves(second, xs).conj()
+            cross = waves(first, xs) * waves(second, xs).conj()
             out += 2.0 * np.sum(cross.real, axis=0)
         return float(out[0]) if scalar else out
 
@@ -181,9 +177,7 @@ def gaussian(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)
 
 
-def sample_quadrature(
-    state: HybridState, probe_index: int, rng: np.random.Generator, n: int = 1
-) -> np.ndarray:
+def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """Draw ``n`` independent X samples from the outcome density.
 
     With one branch per basis string (every circuit built here) the density
@@ -195,7 +189,7 @@ def sample_quadrature(
     state where some basis string holds two branches has interfering peaks
     and raises ``ValidationError``, as does a zero-norm state.
     """
-    probe = state.require_probe(probe_index)
+    probe = state.require_probe()
     if _same_basis_pairs(state):
         raise ValidationError(
             "sampling needs one branch per basis string; this state has interfering branches"
@@ -204,7 +198,7 @@ def sample_quadrature(
     total = weights.sum()
     if not total > 0.0:
         raise ValidationError("cannot sample a zero-norm state")
-    means = np.array([2.0 * probe.label(b.phases[probe_index]).real for b in state.branches])
+    means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
     picks = rng.choice(len(weights), size=n, p=weights / total)
     u = rng.random((n, 2))
     return means[picks] + gaussian(u[:, 0], u[:, 1])
@@ -212,20 +206,20 @@ def sample_quadrature(
 
 def sample_and_collapse(
     state: HybridState,
-    probe_index: int,
     rng: np.random.Generator,
     force_x: float | None = None,
 ) -> tuple[HomodyneRecord, HybridState]:
-    """Measure one probe's X quadrature and collapse the state.
+    """Measure the probe's X quadrature and collapse the state.
 
     Each branch amplitude is multiplied by its label's kernel value at the
-    measured ``x``; the probe leaves the active registry and the state is
-    renormalized.  ``force_x`` bypasses sampling (tests use it to pin the
-    measurement record); the collapse itself is identical either way.
+    measured ``x``; the probe is released (every phase index back to 0) and
+    the state is renormalized.  ``force_x`` bypasses sampling (tests use it
+    to pin the measurement record); the collapse itself is identical either
+    way.
     """
-    probe = state.require_probe(probe_index)
+    probe = state.require_probe()
     if force_x is None:
-        x = float(sample_quadrature(state, probe_index, rng, 1)[0])
+        x = float(sample_quadrature(state, rng, 1)[0])
     else:
         x = float(force_x)
     x0 = probe.x0
@@ -237,25 +231,17 @@ def sample_and_collapse(
     phi = math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
     record = HomodyneRecord(x=x, x0=x0, parity=parity, phi=phi)
 
-    probes = state.probes[:probe_index] + state.probes[probe_index + 1 :]
     try:
-        # weighting and dropping the probe's column in one merge: two labels
-        # of one basis string become one branch here
+        # weighting and releasing the probe in one merge: two labels of one
+        # basis string become one branch here
         weighted = [
-            Branch(
-                b.amplitude * kernel_value(x, probe.label(b.phases[probe_index])),
-                b.basis,
-                b.phases[:probe_index] + b.phases[probe_index + 1 :],
-            )
+            Branch(b.amplitude * kernel_value(x, probe.label(b.phase)), b.basis, 0)
             for b in state.branches
         ]
-        collapsed = renormalized(
-            _merged_state(state.n_qubits, weighted, probes, state.pruned_mass)
-        )
-    except (OverflowError, ValueError):
-        # renormalized's zero norm, also a nan outcome's; an x too far out for
-        # the kernel (its square overflows, or its phase is infinite) has a
-        # zero kernel on every branch
+        collapsed = renormalized(_merged_state(state.n_qubits, weighted, None, state.pruned_mass))
+    except ValidationError:
+        # kernel_value's nan outcome, or renormalized's zero norm: an x too
+        # far out has a zero kernel on every branch
         raise ValidationError(f"collapse at x={x} leaves a zero-norm state") from None
     return record, merge_and_prune(collapsed)
 
@@ -277,7 +263,7 @@ def qnd_photon_measure(
     projected_v = HybridState(
         state.n_qubits,
         tuple(b for b in state.branches if b.basis[qubit_index] == "V"),
-        state.probes,
+        state.probe,
         state.pruned_mass,
     )
     p_v = norm_squared(projected_v) / total
@@ -288,7 +274,7 @@ def qnd_photon_measure(
             raise ValidationError("forced outcome must be 'H' or 'V'")
         outcome = force_outcome
     kept = tuple(b for b in state.branches if b.basis[qubit_index] == outcome)
-    collapsed = HybridState(state.n_qubits, kept, state.probes, state.pruned_mass)
+    collapsed = HybridState(state.n_qubits, kept, state.probe, state.pruned_mass)
     try:
         # the kept mass, not the kept branches: amplitudes ~1e-200 square to zero
         return outcome, renormalized(collapsed)

@@ -26,12 +26,11 @@ _IDX = {"H": 0, "V": 1}
 
 @dataclass(frozen=True)
 class KerrCoupling:
-    """One conditional phase kick: +/- theta on ``probe_index`` if the qubit
+    """One conditional phase kick: +/- theta on the active probe if the qubit
     at ``qubit_index`` is in ``trigger_polarization``."""
 
     qubit_index: int
     trigger_polarization: str
-    probe_index: int
     sign: int
 
     def __post_init__(self):
@@ -106,8 +105,8 @@ def apply_single_qubit(state: HybridState, gate: SingleQubitGate) -> HybridState
             if coeff == 0:
                 continue
             basis = b.basis[:q] + (lab,) + b.basis[q + 1 :]
-            out.append(Branch(b.amplitude * coeff, basis, b.phases))
-    return _merged_state(state.n_qubits, out, state.probes, state.pruned_mass)
+            out.append(Branch(b.amplitude * coeff, basis, b.phase))
+    return _merged_state(state.n_qubits, out, state.probe, state.pruned_mass)
 
 
 def apply_cross_kerr(state: HybridState, coupling: KerrCoupling) -> HybridState:
@@ -115,21 +114,19 @@ def apply_cross_kerr(state: HybridState, coupling: KerrCoupling) -> HybridState:
 
     Amplitudes are untouched; the operation is exactly norm-preserving.
     """
-    state.require_probe(coupling.probe_index)
+    state.require_probe()
     state.require_qubit(coupling.qubit_index)
-    p = coupling.probe_index
     out = []
     for b in state.branches:
         if b.basis[coupling.qubit_index] == coupling.trigger_polarization:
-            phases = b.phases[:p] + (b.phases[p] + coupling.sign,) + b.phases[p + 1 :]
-            out.append(Branch(b.amplitude, b.basis, phases))
+            out.append(Branch(b.amplitude, b.basis, b.phase + coupling.sign))
         else:
             out.append(b)
     # every branch of one basis string moves by the same kick: keys stay distinct and sorted
-    return HybridState(state.n_qubits, tuple(out), state.probes, state.pruned_mass)
+    return HybridState(state.n_qubits, tuple(out), state.probe, state.pruned_mass)
 
 
-def build_parity_coupling_pair(qubit_a: int, qubit_b: int, probe_index: int) -> list[KerrCoupling]:
+def build_parity_coupling_pair(qubit_a: int, qubit_b: int) -> list[KerrCoupling]:
     """The two kicks of the parity detector: +theta on qubit_a's H rail and
     -theta on qubit_b's H rail.
 
@@ -141,6 +138,6 @@ def build_parity_coupling_pair(qubit_a: int, qubit_b: int, probe_index: int) -> 
     if qubit_a == qubit_b:
         raise ValidationError("parity coupling needs two distinct qubits")
     return [
-        KerrCoupling(qubit_a, "H", probe_index, +1),
-        KerrCoupling(qubit_b, "H", probe_index, -1),
+        KerrCoupling(qubit_a, "H", +1),
+        KerrCoupling(qubit_b, "H", -1),
     ]

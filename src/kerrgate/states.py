@@ -2,16 +2,21 @@
 
 A state is a superposition of *branches*.  Each branch carries a complex
 amplitude, a polarization basis string (one of ``'H'``/``'V'`` per qubit) and
-one signed integer phase index per active probe: a branch with index ``k`` on
-a probe ``(alpha, theta)`` is attached to the coherent state
+a signed integer phase index on the state's probe: a branch with index ``k``
+on a probe ``(alpha, theta)`` is attached to the coherent state
 ``alpha * exp(1j * k * theta)``.  Keeping integer indices instead of complex
 labels makes branch merging exact; the circuits modelled here only ever kick
 probes by whole multiples of ``theta``.
 
+At most one probe is active at a time, as in the paper's CNOT, whose two
+parity detectors act in turn: each probe is activated, kicked and measured
+before the next.  :meth:`HybridState.activate_probe` enforces it.  Without a
+probe every phase index is 0.
+
 The representation is exact (no Fock truncation): cross-Kerr interactions map
 coherent states to coherent states, so a finite set of branches is closed
 under every operation in this package.  Inner products between branches with
-different probe indices use the coherent-state overlap
+different phase indices use the coherent-state overlap
 ``<b'|b> = exp(-|b|^2/2 - |b'|^2/2 + conj(b') * b)``.
 
 States are immutable; every operation returns a new :class:`HybridState`.
@@ -42,11 +47,11 @@ ALPHA_MAX = 1e150
 
 
 class Branch(NamedTuple):
-    """One superposition branch: amplitude, basis string, probe phase indices."""
+    """One superposition branch: amplitude, basis string, probe phase index."""
 
     amplitude: complex
     basis: PolBasisString
-    phases: tuple[int, ...]
+    phase: int
 
 
 @dataclass(frozen=True)
@@ -93,13 +98,14 @@ def coherent_overlap(bra: complex, ket: complex) -> complex:
 
 @dataclass(frozen=True)
 class HybridState:
-    """Joint state of ``n_qubits`` polarization qubits and any active probes.
+    """Joint state of ``n_qubits`` polarization qubits and at most one probe.
 
-    Invariant: ``branches`` holds one branch per ``(basis, phases)`` key, in
-    key order, and no branch has an exactly zero amplitude.  The raw
-    constructor trusts its arguments to keep it; :meth:`from_branches`
-    validates and merges them.  Only a single-qubit gate and a probe
-    measurement can make two keys equal, so only those re-merge.
+    Invariant: ``branches`` holds one branch per ``(basis, phase)`` key, in
+    key order, and no branch has an exactly zero amplitude; every phase is 0
+    while ``probe`` is ``None``.  The raw constructor trusts its arguments to
+    keep it; :meth:`from_branches` validates and merges them.  Only a
+    single-qubit gate and a probe measurement can make two keys equal, so
+    only those re-merge.
 
     ``pruned_mass`` accumulates the squared amplitude discarded by
     :func:`merge_and_prune` over the state's history; it is diagnostic only
@@ -108,18 +114,18 @@ class HybridState:
 
     n_qubits: int
     branches: tuple[Branch, ...]
-    probes: tuple[ProbeMode, ...] = ()
+    probe: ProbeMode | None = None
     pruned_mass: float = 0.0
 
     @classmethod
     def from_branches(
         cls,
         n_qubits: int,
-        branches: Iterable[tuple[complex, PolBasisString | str, tuple[int, ...]] | Branch],
-        probes: Sequence[ProbeMode] = (),
+        branches: Iterable[tuple[complex, PolBasisString | str, int] | Branch],
+        probe: ProbeMode | None = None,
         pruned_mass: float = 0.0,
     ) -> "HybridState":
-        """Build a state, merging branches that share basis and phase indices.
+        """Build a state, merging branches that share basis and phase index.
 
         Branches with exactly zero amplitude are dropped (no mass is lost by
         doing so); near-zero amplitudes are kept until an explicit
@@ -127,43 +133,38 @@ class HybridState:
         """
         if n_qubits < 1:
             raise ValidationError("a state needs at least one qubit")
-        probes = tuple(probes)
         checked = []
         for br in branches:
-            amp, basis, phases = br
+            amp, basis, phase = br
             basis = tuple(basis)
-            phases = tuple(phases)
             if len(basis) != n_qubits:
                 raise ValidationError(
                     f"basis string {basis!r} does not match qubit count {n_qubits}"
                 )
             if any(c not in ("H", "V") for c in basis):
                 raise ValidationError(f"basis labels must be 'H' or 'V', got {basis!r}")
-            if len(phases) != len(probes):
-                raise ValidationError(
-                    f"branch carries {len(phases)} phase indices for {len(probes)} probes"
-                )
+            if probe is None and phase != 0:
+                raise ValidationError(f"phase index {phase!r} needs an active probe")
             amp = complex(amp)
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValidationError("branch amplitude must be finite")
-            checked.append(Branch(amp, basis, phases))
-        return _merged_state(n_qubits, checked, probes, pruned_mass)
-
-    # -- probe registry plumbing -------------------------------------------
+            checked.append(Branch(amp, basis, phase))
+        return _merged_state(n_qubits, checked, probe, pruned_mass)
 
     def activate_probe(self, probe: ProbeMode) -> "HybridState":
-        """Attach a fresh probe as the last column (phase index 0 on every branch)."""
-        branches = tuple(
-            Branch(b.amplitude, b.basis, b.phases + (0,)) for b in self.branches
-        )
-        return HybridState(self.n_qubits, branches, self.probes + (probe,), self.pruned_mass)
+        """Attach a fresh probe (phase index 0 on every branch).
 
-    def require_probe(self, probe_index: int) -> ProbeMode:
-        if not (0 <= probe_index < len(self.probes)):
-            raise ContractError(
-                f"probe {probe_index} is not active (state has {len(self.probes)} probes)"
-            )
-        return self.probes[probe_index]
+        Raises ``ContractError`` while another probe is active: a probe is
+        measured before the next one couples.
+        """
+        if self.probe is not None:
+            raise ContractError("a probe is already active; measure it before activating another")
+        return HybridState(self.n_qubits, self.branches, probe, self.pruned_mass)
+
+    def require_probe(self) -> ProbeMode:
+        if self.probe is None:
+            raise ContractError("no probe is active")
+        return self.probe
 
     def require_qubit(self, qubit_index: int) -> None:
         if not (0 <= qubit_index < self.n_qubits):
@@ -175,27 +176,27 @@ class HybridState:
 def _merged_state(
     n_qubits: int,
     branches: Iterable[Branch],
-    probes: tuple[ProbeMode, ...],
+    probe: ProbeMode | None,
     pruned_mass: float,
 ) -> HybridState:
     """:meth:`HybridState.from_branches` without its checks, for this package's
     own operations on a valid state.
 
     The ``branches`` must already be :class:`Branch` tuples with a finite
-    ``complex`` amplitude, ``n_qubits`` H/V labels and one phase index per
-    probe.  Summing equal keys, sorting and dropping exact zeros establishes
-    the :class:`HybridState` invariant.
+    ``complex`` amplitude, ``n_qubits`` H/V labels and an integer phase
+    index, 0 without a probe.  Summing equal keys, sorting and dropping
+    exact zeros establishes the :class:`HybridState` invariant.
     """
-    merged: dict[tuple[PolBasisString, tuple[int, ...]], complex] = {}
-    for amp, basis, phases in branches:
-        key = (basis, phases)
+    merged: dict[tuple[PolBasisString, int], complex] = {}
+    for amp, basis, phase in branches:
+        key = (basis, phase)
         merged[key] = merged.get(key, 0j) + amp
     kept = tuple(
-        Branch(amp, basis, phases)
-        for (basis, phases), amp in sorted(merged.items())
+        Branch(amp, basis, phase)
+        for (basis, phase), amp in sorted(merged.items())
         if amp != 0
     )
-    return HybridState(n_qubits, kept, probes, pruned_mass)
+    return HybridState(n_qubits, kept, probe, pruned_mass)
 
 
 def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
@@ -218,19 +219,19 @@ def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
     """Prepare a product state from per-qubit amplitude pairs ``(c_H, c_V)``.
 
     Each pair must pass :func:`check_normalized`.  The product is expanded
-    into explicit branches (zero-amplitude branches pruned); no probes are
+    into explicit branches (zero-amplitude branches pruned); no probe is
     active on the result.
     """
     check_normalized(qubit_specs)
-    branches = [Branch(1.0 + 0j, (), ())]
+    branches = [Branch(1.0 + 0j, (), 0)]
     for c0, c1 in qubit_specs:
         branches = [
-            Branch(b.amplitude * coeff, b.basis + (lab,), ())
+            Branch(b.amplitude * coeff, b.basis + (lab,), 0)
             for b in branches
             for coeff, lab in ((complex(c0), "H"), (complex(c1), "V"))
             if coeff != 0
         ]
-    return _merged_state(len(qubit_specs), branches, (), 0.0)
+    return _merged_state(len(qubit_specs), branches, None, 0.0)
 
 
 def norm_squared(state: HybridState) -> float:
@@ -238,13 +239,14 @@ def norm_squared(state: HybridState) -> float:
     by_basis: dict[PolBasisString, list[Branch]] = {}
     for b in state.branches:
         by_basis.setdefault(b.basis, []).append(b)
+    probe = state.probe
     total = 0.0
     for group in by_basis.values():
         for b in group:
             for bp in group:
                 ov = 1.0 + 0j
-                for p, probe in enumerate(state.probes):
-                    ov *= coherent_overlap(probe.label(bp.phases[p]), probe.label(b.phases[p]))
+                if probe is not None:
+                    ov = coherent_overlap(probe.label(bp.phase), probe.label(b.phase))
                 total += (b.amplitude * bp.amplitude.conjugate() * ov).real
     return total
 
@@ -254,8 +256,8 @@ def renormalized(state: HybridState) -> HybridState:
     if not n2 > 0.0:  # also catches NaN
         raise ValidationError("cannot renormalize a zero-norm state")
     scale = 1.0 / math.sqrt(n2)
-    branches = tuple(Branch(b.amplitude * scale, b.basis, b.phases) for b in state.branches)
-    return HybridState(state.n_qubits, branches, state.probes, state.pruned_mass)
+    branches = tuple(Branch(b.amplitude * scale, b.basis, b.phase) for b in state.branches)
+    return HybridState(state.n_qubits, branches, state.probe, state.pruned_mass)
 
 
 def merge_and_prune(state: HybridState, epsilon: float = DEFAULT_PRUNE_EPS) -> HybridState:
@@ -275,18 +277,18 @@ def merge_and_prune(state: HybridState, epsilon: float = DEFAULT_PRUNE_EPS) -> H
             lost += abs(b.amplitude) ** 2
         else:
             kept.append(b)
-    return HybridState(state.n_qubits, tuple(kept), state.probes, state.pruned_mass + lost)
+    return HybridState(state.n_qubits, tuple(kept), state.probe, state.pruned_mass + lost)
 
 
 def fidelity(state: HybridState, reference: HybridState) -> float:
     """|<reference|state>|^2 over the polarization space, on normalized states.
 
-    Both states must have no active probes (measure probes first).
+    Both states must have no active probe (measure it first).
     """
     if state.n_qubits != reference.n_qubits:
         raise ValidationError("states have different qubit counts")
-    if state.probes or reference.probes:
-        raise ContractError("fidelity is defined for states with no active probes")
+    if state.probe is not None or reference.probe is not None:
+        raise ContractError("fidelity is defined for states with no active probe")
     amps = {b.basis: b.amplitude for b in state.branches}
     overlap = sum(
         (r.amplitude.conjugate() * amps.get(r.basis, 0j) for r in reference.branches), 0j

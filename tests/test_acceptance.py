@@ -74,10 +74,10 @@ def ideal_cnot_output(c, d, photon):
     return HybridState.from_branches(
         3,
         [
-            (c0 * d0, ("H", photon, "H"), ()),
-            (c0 * d1, ("H", photon, "V"), ()),
-            (c1 * d0, ("V", photon, "V"), ()),
-            (c1 * d1, ("V", photon, "H"), ()),
+            (c0 * d0, ("H", photon, "H"), 0),
+            (c0 * d1, ("H", photon, "V"), 0),
+            (c1 * d0, ("V", photon, "V"), 0),
+            (c1 * d1, ("V", photon, "H"), 0),
         ],
     )
 
@@ -118,8 +118,8 @@ def test_criterion_1_truth_table():
 def test_criterion_2_parity_projection():
     alpha, theta = 400.0, 0.2  # separation ~ 16
     probe = ProbeMode(alpha, theta)
-    even_form = HybridState.from_branches(2, [(SQRT_HALF, "HH", ()), (SQRT_HALF, "VV", ())])
-    odd_form = HybridState.from_branches(2, [(SQRT_HALF, "HV", ()), (SQRT_HALF, "VH", ())])
+    even_form = HybridState.from_branches(2, [(SQRT_HALF, "HH", 0), (SQRT_HALF, "VV", 0)])
+    odd_form = HybridState.from_branches(2, [(SQRT_HALF, "HV", 0), (SQRT_HALF, "VH", 0)])
 
     start = time.perf_counter()
     shots = 100_000
@@ -180,7 +180,7 @@ def test_criterion_5_oracle_equivalence():
 
         state = new_state([c, d]).activate_probe(probe)
         embedded = oracle_embed(state, n_trunc)
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             state = apply_cross_kerr(state, coupling)
             embedded = oracle_cross_kerr(embedded, coupling)
         # a random extra rotation exercises the single-qubit diagram too
@@ -194,7 +194,7 @@ def test_criterion_5_oracle_equivalence():
 
         grid = np.linspace(2 * alpha * math.cos(theta) - 10, 2 * alpha + 10, 1501)
         deviation = np.max(
-            np.abs(outcome_density(state, 0)(grid) - oracle_homodyne_density(embedded)(grid))
+            np.abs(outcome_density(state)(grid) - oracle_homodyne_density(embedded)(grid))
         )
         assert deviation < 1e-6, f"trial {trial}: density deviation {deviation}"
     elapsed = time.perf_counter() - start
@@ -213,15 +213,15 @@ def test_criterion_6_x_independence():
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         raw = raw / np.linalg.norm(raw)
         odd_input = HybridState.from_branches(
-            2, [(raw[0], "HV", ()), (raw[1], "VH", ())]
+            2, [(raw[0], "HV", 0), (raw[1], "VH", 0)]
         ).activate_probe(probe)
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             odd_input = apply_cross_kerr(odd_input, coupling)
 
         x_a, x_b = rng.uniform(x0 - 9.0, x0 - 1e-3, size=2)
         corrected = []
         for x in (x_a, x_b):
-            record, post = sample_and_collapse(odd_input, 0, rng, force_x=x)
+            record, post = sample_and_collapse(odd_input, rng, force_x=x)
             assert record.parity == "odd"
             corrected.append(
                 apply_single_qubit(post, diagonal_gate(0, -record.phi, record.phi))

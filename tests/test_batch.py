@@ -98,15 +98,15 @@ def ideal_state(experiment, c, d, record, photon):
     if experiment == "parity":
         ph = np.exp(1j * record.phi)
         branches = (
-            [(c0 * d1 * ph, "HV", ()), (c1 * d0 / ph, "VH", ())]
+            [(c0 * d1 * ph, "HV", 0), (c1 * d0 / ph, "VH", 0)]
             if odd
-            else [(c0 * d0, "HH", ()), (c1 * d1, "VV", ())]
+            else [(c0 * d0, "HH", 0), (c1 * d1, "VV", 0)]
         )
     elif experiment == "entangler":
         branches = (
-            [(c0 * d1, "HH", ()), (c1 * d0, "VV", ())]
+            [(c0 * d1, "HH", 0), (c1 * d0, "VV", 0)]
             if odd
-            else [(c0 * d0, "HH", ()), (c1 * d1, "VV", ())]
+            else [(c0 * d0, "HH", 0), (c1 * d1, "VV", 0)]
         )
     elif experiment == "entangler45":
         if odd:
@@ -114,14 +114,14 @@ def ideal_state(experiment, c, d, record, photon):
         dd = (c0 + c1) / 2 * (d0 + d1) / 2
         dbdb = (c0 - c1) / 2 * (d0 - d1) / 2
         branches = [
-            (dd + dbdb, "HH", ()), (dd - dbdb, "HV", ()),
-            (dd - dbdb, "VH", ()), (dd + dbdb, "VV", ()),
+            (dd + dbdb, "HH", 0), (dd - dbdb, "HV", 0),
+            (dd - dbdb, "VH", 0), (dd + dbdb, "VV", 0),
         ]
     else:
         a = photon
         branches = [
-            (c0 * d0, ("H", a, "H"), ()), (c0 * d1, ("H", a, "V"), ()),
-            (c1 * d0, ("V", a, "V"), ()), (c1 * d1, ("V", a, "H"), ()),
+            (c0 * d0, ("H", a, "H"), 0), (c0 * d1, ("H", a, "V"), 0),
+            (c1 * d0, ("V", a, "V"), 0), (c1 * d1, ("V", a, "H"), 0),
         ]
     if sum(abs(amp) ** 2 for amp, _, _ in branches) <= 1e-300:
         return None
@@ -148,6 +148,13 @@ def shot_rng(seed, shot, words):
     return rng
 
 
+def run_block(experiment, inputs, probe, seed, start, stop):
+    """Shots ``start .. stop - 1`` of a run, on its generator positioned at
+    shot ``start``."""
+    rng = shot_rng(seed, start, batch.CIRCUITS[experiment].words)
+    return batch.run_block(experiment, inputs, probe, rng, stop - start)
+
+
 def scalar_errors(experiment, inputs, probe, shots, seed):
     """Logical errors of the scalar reference over shots 0 .. shots - 1."""
     words = batch.CIRCUITS[experiment].words
@@ -162,7 +169,7 @@ def scalar_errors(experiment, inputs, probe, shots, seed):
 
 
 def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
-    block = batch.run_block(experiment, inputs, probe, seed, start, start + shots)
+    block = run_block(experiment, inputs, probe, seed, start, start + shots)
     words = batch.CIRCUITS[experiment].words
     for i in range(shots):
         records, photon, final = scalar_shot(
@@ -268,7 +275,7 @@ def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
     }[flags]
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
 
-    shots = batch._Shots(count, ProbeMode(8.0, 0.5), 0, 0, ("random",))
+    shots = batch._Shots(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), ("random",))
     shots.n, shots.amp, shots.flag, shots.flag_phi = n, amp.copy(), flag, phi
     shots.feed_forward(plan, slots)
     expected = masked_feed_forward(amp, n, plan, slots, flag, phi)
@@ -318,7 +325,8 @@ def replay_rows(seed, start, count, draws) -> np.ndarray:
 def engine_rows(seed, start, count, draws) -> np.ndarray:
     """The draws of a block's shots, read in circuit order from the block's
     words as the engine's steps read them, one row per shot."""
-    shots = batch._Shots(count, ProbeMode(8.0, 0.5), seed, start, draws)
+    rng = shot_rng(seed, start, batch._words(draws))
+    shots = batch._Shots(count, ProbeMode(8.0, 0.5), rng, draws)
     read = {"random": shots._uniform, "standard_normal": shots._normal}
     return np.array([read[method]() for method in draws]).T
 
@@ -358,9 +366,11 @@ def test_blocks_past_2_32_replay_through_scalar_gates(seed):
 def test_a_block_across_2_32_equals_two_blocks_split_there():
     probe = ProbeMode(8.0, theta_for(8.0, 4.0))
     inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
-    across = batch.run_block("cnot", inputs, probe, 7, 2**32 - 3, 2**32 + 3)
-    below = batch.run_block("cnot", inputs, probe, 7, 2**32 - 3, 2**32)
-    above = batch.run_block("cnot", inputs, probe, 7, 2**32, 2**32 + 3)
+    across = run_block("cnot", inputs, probe, 7, 2**32 - 3, 2**32 + 3)
+    # as run_shots runs its blocks: the second continues the first's generator
+    rng = shot_rng(7, 2**32 - 3, batch.CIRCUITS["cnot"].words)
+    below = batch.run_block("cnot", inputs, probe, rng, 3)
+    above = batch.run_block("cnot", inputs, probe, rng, 3)
     for field in ("x", "odd", "phi", "photon_v", "final", "fidelity"):
         split = np.concatenate((getattr(below, field), getattr(above, field)))
         assert np.array_equal(getattr(across, field), split), field
@@ -390,14 +400,14 @@ def test_threads_keep_their_own_streams():
     probe = ProbeMode(8.0, theta_for(8.0, 4.0))
     inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
     seeds = range(8)
-    alone = {s: batch.run_block("cnot", inputs, probe, s, 0, 64).x for s in seeds}
+    alone = {s: run_block("cnot", inputs, probe, s, 0, 64).x for s in seeds}
     together, failures = {}, []
 
     def work(seed):
         try:
             for _ in range(5):
                 together.setdefault(seed, []).append(
-                    batch.run_block("cnot", inputs, probe, seed, 0, 64).x
+                    run_block("cnot", inputs, probe, seed, 0, 64).x
                 )
         except Exception as exc:  # reported by the main thread
             failures.append(exc)
@@ -423,7 +433,7 @@ def test_replays_see_errors_at_poor_separation():
     """The xd ~ 4 point must exercise misclassified shots, or it checks nothing new."""
     probe = ProbeMode(8.0, theta_for(8.0, 4.0))
     inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
-    block = batch.run_block("cnot", inputs, probe, 91, 0, 200)
+    block = run_block("cnot", inputs, probe, 91, 0, 200)
     assert np.count_nonzero(block.fidelity < 0.99) > 0
 
 
@@ -433,9 +443,9 @@ def test_shots_are_independent_of_their_block():
     probe = ProbeMode(8.0, theta_for(8.0, 4.0))
     inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
     for experiment in EXPERIMENTS:
-        whole = batch.run_block(experiment, inputs, probe, 5, 0, 30)
+        whole = run_block(experiment, inputs, probe, 5, 0, 30)
         for size in (1, 2, 7):
-            part = batch.run_block(experiment, inputs, probe, 5, 17, 17 + size)
+            part = run_block(experiment, inputs, probe, 5, 17, 17 + size)
             rows = slice(17, 17 + size)
             for field in ("x", "odd", "phi", "photon_v"):
                 assert np.array_equal(getattr(whole, field)[rows], getattr(part, field))
@@ -476,7 +486,7 @@ def test_zero_norm_collapse_is_rejected(monkeypatch):
     """A sample far outside every peak underflows every kernel value."""
     far_noise(monkeypatch, 0)
     with pytest.raises(ValidationError, match="at x=.*zero-norm"):
-        batch.run_block("parity", ((1, 0), (1, 0)), ProbeMode(5.0, 0.5), 0, 0, 4)
+        run_block("parity", ((1, 0), (1, 0)), ProbeMode(5.0, 0.5), 0, 0, 4)
 
 
 def test_zero_norm_second_collapse_is_rejected(monkeypatch):
@@ -484,7 +494,7 @@ def test_zero_norm_second_collapse_is_rejected(monkeypatch):
     far_noise(monkeypatch, 1)
     inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
     with pytest.raises(ValidationError, match="at x=.*zero-norm"):
-        batch.run_block("cnot", inputs, ProbeMode(5.0, 0.5), 0, 0, 4)
+        run_block("cnot", inputs, ProbeMode(5.0, 0.5), 0, 0, 4)
 
 
 ALPHAS = (10.0, 100.0, 1e5, 1e9)
@@ -555,6 +565,6 @@ def test_first_record_parity_counts_follow_the_born_rule(experiment):
     checks each call."""
     probe = ProbeMode(100.0, theta_for(100.0, 20.0))
     inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
-    blocks = [batch.run_block(experiment, inputs, probe, seed, 0, 1024) for seed in range(40)]
+    blocks = [run_block(experiment, inputs, probe, seed, 0, 1024) for seed in range(40)]
     even = sum(int(np.count_nonzero(~b.odd[:, 0])) for b in blocks)
     assert log_binomial_tail(even, 40 * 1024, BORN_EVEN[experiment]) > BORN_FALSE_ALARM

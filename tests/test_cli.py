@@ -174,6 +174,24 @@ class TestParseConfig:
         assert main(args) == 2
         assert "error: input: amplitudes too large to normalize" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "grid",
+        ["1:inf:2", "-inf:1:2", "nan:1:2", "1e308:-1e308:3", f"1:2:{10**15}", f"1:2:{10**19}"],
+        ids=["inf-stop", "inf-start", "nan", "infinite-span", "unallocatable", "past-numpy-max"],
+    )
+    def test_grid_numpy_cannot_build_exits_2(self, grid, tmp_path, capsys):
+        # 10**15 float64 points exceed any address space, so the allocation
+        # fails at once; past 2**63 NumPy refuses the size outright
+        out = tmp_path / "run.csv"
+        args = ["--experiment", "sweep", "--alpha", "8", "--theta", "0.5", "--shots", "10",
+                "--grid-alpha", grid, "--grid-theta", "0.5:0.5:1", "--output", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_alpha: ")
+        assert "Traceback" not in err and "internal error" not in err
+        assert not out.exists()
+
 
 class TestParserReuse:
     """One parser serves every call; no call may leave state behind."""

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from kerrgate import (
+    ContractError,
     HybridState,
     KerrCoupling,
     ProbeMode,
@@ -40,7 +41,7 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 def parity_state(alpha, theta, c=(SQRT_HALF, SQRT_HALF), d=(SQRT_HALF, SQRT_HALF)):
     state = new_state([c, d]).activate_probe(ProbeMode(alpha, theta))
-    for coupling in build_parity_coupling_pair(0, 1, 0):
+    for coupling in build_parity_coupling_pair(0, 1):
         state = apply_cross_kerr(state, coupling)
     return state
 
@@ -51,6 +52,10 @@ class TestEmbedding:
         embedded = oracle_embed(state, 10)
         occupied = np.nonzero(np.abs(embedded.vector) > 0)
         assert list(occupied[1]) == [0]
+
+    def test_embedding_needs_an_active_probe(self):
+        with pytest.raises(ContractError, match="no probe is active"):
+            oracle_embed(new_state([(1, 0)]), 10)
 
     def test_truncation_loss_alpha2_n40_below_1e12(self):
         assert truncation_loss(2.0, 40) < 1e-12
@@ -63,31 +68,26 @@ class TestEmbedding:
     def test_embedding_preserves_inner_products(self):
         # branch-model coherent overlap vs the dense Fock inner product
         probe = ProbeMode(2.0, 0.4)
-        s_zero = HybridState.from_branches(1, [(1.0, "H", (0,))], probes=[probe])
-        s_one = HybridState.from_branches(1, [(1.0, "H", (1,))], probes=[probe])
+        s_zero = HybridState.from_branches(1, [(1.0, "H", 0)], probe=probe)
+        s_one = HybridState.from_branches(1, [(1.0, "H", 1)], probe=probe)
         dense = oracle_inner(oracle_embed(s_zero, 60), oracle_embed(s_one, 60))
         exact = coherent_overlap(probe.label(0), probe.label(1))
         assert dense == pytest.approx(exact, abs=1e-9)
 
     @pytest.mark.parametrize("theta", [0.0, 0.5, math.pi])
     def test_shared_labels_embed_as_one_expansion_per_branch(self, theta):
-        # two probes, same-basis branches, and at theta = 0 or pi labels that
+        # same-basis branches on three labels each, which at theta = 0 or pi
         # coincide across phase indices
-        probes = (ProbeMode(1.4, theta), ProbeMode(0.9, 0.8))
-        state = new_state([(0.6, 0.8j), (0.28, 0.96)]).activate_probe(probes[0])
-        for coupling in build_parity_coupling_pair(0, 1, 0):
-            state = apply_cross_kerr(state, coupling)
+        probe = ProbeMode(1.4, theta)
+        state = parity_state(1.4, theta, c=(0.6, 0.8j), d=(0.28, 0.96))
         state = apply_single_qubit(state, diagonal_basis_change(0))
-        state = state.activate_probe(probes[1])
-        for coupling in build_parity_coupling_pair(0, 1, 1):
-            state = apply_cross_kerr(state, coupling)
+        state = apply_single_qubit(state, diagonal_basis_change(1))
+        assert len(state.branches) == 12
         n = required_truncation(1.4) + 5
-        expected = np.zeros((4, n + 1, n + 1), dtype=complex)
+        expected = np.zeros((4, n + 1), dtype=complex)
         for b in state.branches:
-            block = np.array(b.amplitude)
-            for p, probe in enumerate(probes):
-                block = np.multiply.outer(block, coherent_coefficients(probe.label(b.phases[p]), n))
-            expected[int("".join("1" if lab == "V" else "0" for lab in b.basis), 2)] += block
+            index = int("".join("1" if lab == "V" else "0" for lab in b.basis), 2)
+            expected[index] += b.amplitude * coherent_coefficients(probe.label(b.phase), n)
         np.testing.assert_array_equal(oracle_embed(state, n).vector, expected)
 
     def test_coherent_coefficients_are_normalized(self):
@@ -167,14 +167,14 @@ class TestOracleCrossKerr:
     def test_untriggered_basis_is_identity(self):
         state = new_state([(1, 0)]).activate_probe(ProbeMode(2.0, 0.3))
         embedded = oracle_embed(state, 40)
-        kicked = oracle_cross_kerr(embedded, KerrCoupling(0, "V", 0, +1))
+        kicked = oracle_cross_kerr(embedded, KerrCoupling(0, "V", +1))
         np.testing.assert_array_equal(kicked.vector, embedded.vector)
 
     def test_kick_equals_analytic_coherent_rotation(self):
         probe = ProbeMode(2.0, 0.3)
         state = new_state([(0, 1)]).activate_probe(probe)
-        kicked = oracle_cross_kerr(oracle_embed(state, 60), KerrCoupling(0, "V", 0, +1))
-        rotated = HybridState.from_branches(1, [(1.0, "V", (1,))], probes=[probe])
+        kicked = oracle_cross_kerr(oracle_embed(state, 60), KerrCoupling(0, "V", +1))
+        rotated = HybridState.from_branches(1, [(1.0, "V", 1)], probe=probe)
         assert oracle_fidelity(kicked, oracle_embed(rotated, 60)) >= 1 - 1e-10
 
     def test_diagram_commutes_with_branch_model(self):
@@ -182,14 +182,14 @@ class TestOracleCrossKerr:
         n = required_truncation(2.0) + 5
         base = new_state([(0.6, 0.8), (0.28, 0.96)]).activate_probe(ProbeMode(2.0, 0.5))
         embedded = oracle_embed(base, n)
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             embedded = oracle_cross_kerr(embedded, coupling)
         assert oracle_fidelity(embedded, oracle_embed(state, n)) >= 1 - 1e-9
 
     def test_single_qubit_gates_commute_too(self):
         probe = ProbeMode(1.5, 0.7)
         state = new_state([(0.6, 0.8), (1, 0)]).activate_probe(probe)
-        state = apply_cross_kerr(state, KerrCoupling(0, "V", 0, +1))
+        state = apply_cross_kerr(state, KerrCoupling(0, "V", +1))
         gate = diagonal_basis_change(0)
         n = required_truncation(1.5) + 5
         via_oracle = oracle_apply_single_qubit(oracle_embed(state, n), gate)
@@ -222,7 +222,7 @@ class TestOracleHomodyneDensity:
         embedded = oracle_embed(state, required_truncation(2.0) + 5)
         grid = np.linspace(2 * 2 * math.cos(0.5) - 10, 2 * 2 + 10, 2001)
         deviation = np.max(
-            np.abs(oracle_homodyne_density(embedded)(grid) - outcome_density(state, 0)(grid))
+            np.abs(oracle_homodyne_density(embedded)(grid) - outcome_density(state)(grid))
         )
         assert deviation < 1e-6
 
@@ -298,6 +298,6 @@ def test_randomized_commuting_diagram_small_amplitudes():
         n = required_truncation(alpha) + 5
         base = new_state([tuple(c), tuple(d)]).activate_probe(ProbeMode(alpha, theta))
         embedded = oracle_embed(base, n)
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             embedded = oracle_cross_kerr(embedded, coupling)
         assert oracle_fidelity(embedded, oracle_embed(state, n)) >= 1 - 1e-9

@@ -54,7 +54,7 @@ def in_diagonal_frame(state, *qubits):
 
 
 def bell_state():
-    return HybridState.from_branches(2, [(SQRT_HALF, "HH", ()), (SQRT_HALF, "VV", ())])
+    return HybridState.from_branches(2, [(SQRT_HALF, "HH", 0), (SQRT_HALF, "VV", 0)])
 
 
 def ideal_cnot_output(c, d, photon):
@@ -63,10 +63,10 @@ def ideal_cnot_output(c, d, photon):
     return HybridState.from_branches(
         3,
         [
-            (c0 * d0, ("H", photon, "H"), ()),
-            (c0 * d1, ("H", photon, "V"), ()),
-            (c1 * d0, ("V", photon, "V"), ()),
-            (c1 * d1, ("V", photon, "H"), ()),
+            (c0 * d0, ("H", photon, "H"), 0),
+            (c0 * d1, ("H", photon, "V"), 0),
+            (c1 * d0, ("V", photon, "V"), 0),
+            (c1 * d1, ("V", photon, "H"), 0),
         ],
     )
 
@@ -117,6 +117,12 @@ class TestParityGate:
         with pytest.raises(ValidationError):
             parity_gate(new_state([UNIFORM, UNIFORM]), 1, 1, STRONG, np.random.default_rng(0))
 
+    def test_rejects_a_state_whose_probe_is_still_active(self):
+        # the probes of a circuit act in turn: one is measured before the next couples
+        state = new_state([UNIFORM, UNIFORM]).activate_probe(STRONG)
+        with pytest.raises(ContractError, match="already active"):
+            parity_gate(state, 0, 1, STRONG, np.random.default_rng(0))
+
 
 class TestEntangler:
     def test_creates_maximally_entangled_state_from_uniform(self):
@@ -127,7 +133,7 @@ class TestEntangler:
 
     def test_copies_control_amplitudes_onto_even_form(self):
         c0, c1 = 0.6, 0.8
-        target = HybridState.from_branches(2, [(c0, "HH", ()), (c1, "VV", ())])
+        target = HybridState.from_branches(2, [(c0, "HH", 0), (c1, "VV", 0)])
         for i in range(50):
             state = new_state([(c0, c1), UNIFORM])
             trace, post = entangler(state, 0, 1, STRONG, np.random.default_rng([41, i]))
@@ -154,10 +160,10 @@ class TestEntangler:
         target = HybridState.from_branches(
             2,
             [
-                ((c0 + c1) / 2, "HH", ()),
-                ((c0 - c1) / 2, "HV", ()),
-                ((c0 - c1) / 2, "VH", ()),
-                ((c0 + c1) / 2, "VV", ()),
+                ((c0 + c1) / 2, "HH", 0),
+                ((c0 - c1) / 2, "HV", 0),
+                ((c0 - c1) / 2, "VH", 0),
+                ((c0 + c1) / 2, "VV", 0),
             ],
         )
         for force_x in (X_EVEN, X_ODD):
@@ -183,10 +189,10 @@ class TestEntangler45:
         state = HybridState.from_branches(
             3,
             [
-                (c0 * d0, "HHH", ()),
-                (c0 * d1, "HHV", ()),
-                (c1 * d0, "VVH", ()),
-                (c1 * d1, "VVV", ()),
+                (c0 * d0, "HHH", 0),
+                (c0 * d1, "HHV", 0),
+                (c1 * d0, "VVH", 0),
+                (c1 * d1, "VVV", 0),
             ],
         )
         trace, post = entangler_45(state, 1, 2, STRONG, np.random.default_rng(0), force_x=force_x)
@@ -201,8 +207,8 @@ class TestEntangler45:
             (0.25, -0.25, "VH"),
             (0.25, 0.25, "VV"),
         ):
-            branches.append((c0 * s * w_dd + c0 * r * w_db, ("H",) + tuple(basis), ()))
-            branches.append((c1 * s * w_dd - c1 * r * w_db, ("V",) + tuple(basis), ()))
+            branches.append((c0 * s * w_dd + c0 * r * w_db, ("H",) + tuple(basis), 0))
+            branches.append((c1 * s * w_dd - c1 * r * w_db, ("V",) + tuple(basis), 0))
         printed = HybridState.from_branches(3, branches)
         assert fidelity(post, printed) == pytest.approx(1.0, abs=1e-10)
 
@@ -211,8 +217,8 @@ class TestEntangler45:
         c0, c1, d0, d1 = 0.6, 0.8, 0.28, 0.96
         state = HybridState.from_branches(
             3,
-            [(c0 * d0, "HHH", ()), (c0 * d1, "HHV", ()),
-             (c1 * d0, "VVH", ()), (c1 * d1, "VVV", ())],
+            [(c0 * d0, "HHH", 0), (c0 * d1, "HHV", 0),
+             (c1 * d0, "VVH", 0), (c1 * d1, "VVV", 0)],
         )
         rng = np.random.default_rng(0)
         _, even_out = entangler_45(state, 1, 2, STRONG, rng, force_x=X_EVEN)
@@ -235,7 +241,7 @@ class TestCnot:
             trace, out = cnot(state, 0, 1, 2, (STRONG, STRONG), rng,
                               force_x1=X_EVEN, force_x2=X_EVEN, force_photon="H")
             target = HybridState.from_branches(
-                3, [(amp, (b[0], "H", b[1]), ()) for b, amp in expect.items()]
+                3, [(amp, (b[0], "H", b[1]), 0) for b, amp in expect.items()]
             )
             assert fidelity(out, target) == pytest.approx(1.0, abs=1e-10)
 
@@ -259,7 +265,7 @@ class TestCnot:
             trace, out = cnot(state, 0, 1, 2, (probe, probe), np.random.default_rng([51, i]))
             photon = trace.photon_outcomes[0][1]
             target = HybridState.from_branches(
-                3, [(SQRT_HALF, ("H", photon, "H"), ()), (SQRT_HALF, ("V", photon, "V"), ())]
+                3, [(SQRT_HALF, ("H", photon, "H"), 0), (SQRT_HALF, ("V", photon, "V"), 0)]
             )
             assert fidelity(out, target) >= 1 - 5 * perr
 
@@ -284,7 +290,7 @@ class TestCnot:
             weight = (c[0] if clab == "H" else c[1]) * (d[0] if dlab == "H" else d[1])
             for b in out.branches:
                 combined[b.basis] = combined.get(b.basis, 0j) + weight * b.amplitude
-        superposed = HybridState.from_branches(3, [(a, k, ()) for k, a in combined.items()])
+        superposed = HybridState.from_branches(3, [(a, k, 0) for k, a in combined.items()])
         assert fidelity(super_out, superposed) == pytest.approx(1.0, abs=1e-10)
 
     def test_ancilla_retained_and_unentangled(self):

@@ -15,8 +15,6 @@ from kerrgate import (
     apply_cross_kerr,
     apply_single_qubit,
     build_parity_coupling_pair,
-    coherent_overlap,
-    diagonal_basis_change,
     diagonal_gate,
     fidelity,
     kernel_value,
@@ -38,7 +36,7 @@ TWO_PI_QUARTER = (2.0 * math.pi) ** -0.25
 def parity_state(c, d, alpha, theta):
     """Pre-measurement state of the parity detector on a product input."""
     state = new_state([c, d]).activate_probe(ProbeMode(alpha, theta))
-    for coupling in build_parity_coupling_pair(0, 1, 0):
+    for coupling in build_parity_coupling_pair(0, 1):
         state = apply_cross_kerr(state, coupling)
     return state
 
@@ -84,6 +82,16 @@ class TestKernel:
         expected = coherent_overlap(b2, b1)
         assert complex(re, im) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("x", [2e3, 1e160, math.inf, -math.inf])
+    @pytest.mark.parametrize("beta", [100.0, 100 + 5j])
+    def test_unreachable_outcome_has_zero_amplitude(self, x, beta):
+        # the square overflows, or the magnitude underflows, before any phase
+        assert kernel_value(x, beta) == 0j
+
+    def test_nan_outcome_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="nan"):
+            kernel_value(math.nan, 1.0 + 0.5j)
+
 
 # ---------------------------------------------------------------------------
 # outcome density
@@ -93,7 +101,7 @@ class TestOutcomeDensity:
     def test_parity_state_density_is_equal_weight_bimodal(self):
         alpha, theta = 8.0, 0.5
         state = uniform_parity_state(alpha, theta)
-        density = outcome_density(state, 0)
+        density = outcome_density(state)
         grid = np.linspace(2 * alpha * math.cos(theta) - 8, 2 * alpha + 8, 1501)
         mixture = 0.5 * stats.norm.pdf(grid, loc=2 * alpha) + 0.5 * stats.norm.pdf(
             grid, loc=2 * alpha * math.cos(theta)
@@ -107,7 +115,7 @@ class TestOutcomeDensity:
         state = parity_state((1, 0), (1, 0), alpha, 0.5)
         grid = np.linspace(2 * alpha - 8, 2 * alpha + 8, 801)
         np.testing.assert_allclose(
-            outcome_density(state, 0)(grid), stats.norm.pdf(grid, loc=2 * alpha), atol=1e-12
+            outcome_density(state)(grid), stats.norm.pdf(grid, loc=2 * alpha), atol=1e-12
         )
 
     def test_zero_theta_gives_single_gaussian_for_any_input(self):
@@ -115,7 +123,7 @@ class TestOutcomeDensity:
         state = parity_state((0.6, 0.8), (SQRT_HALF, SQRT_HALF), alpha, 0.0)
         grid = np.linspace(2 * alpha - 8, 2 * alpha + 8, 801)
         np.testing.assert_allclose(
-            outcome_density(state, 0)(grid), stats.norm.pdf(grid, loc=2 * alpha), atol=1e-12
+            outcome_density(state)(grid), stats.norm.pdf(grid, loc=2 * alpha), atol=1e-12
         )
 
     def test_density_normalizes_with_interfering_labels(self):
@@ -123,55 +131,54 @@ class TestOutcomeDensity:
         probe = ProbeMode(2.0, 0.7)
         state = HybridState.from_branches(
             1,
-            [(SQRT_HALF, "H", (0,)), (SQRT_HALF, "H", (1,))],
-            probes=[probe],
+            [(SQRT_HALF, "H", 0), (SQRT_HALF, "H", 1)],
+            probe=probe,
         )
         scale = 1.0 / math.sqrt(norm_squared(state))
         state = HybridState.from_branches(
-            1, [(b.amplitude * scale, b.basis, b.phases) for b in state.branches], probes=[probe]
+            1, [(b.amplitude * scale, b.basis, b.phase) for b in state.branches], probe=probe
         )
-        mass, _ = integrate.quad(outcome_density(state, 0), -10, 25)
+        mass, _ = integrate.quad(outcome_density(state), -10, 25)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_inactive_probe_is_contract_error(self):
         with pytest.raises(ContractError):
-            outcome_density(new_state([(1, 0)]), 0)
+            outcome_density(new_state([(1, 0)]))
 
 
-def two_probe_state(c, d, probes):
-    """Parity kick on probe 0, both qubits to the diagonal basis, parity kick
-    on probe 1: 12 branches (16 before merging), three labels of probe 0 per
-    basis string, so same-basis branches interfere."""
-    state = new_state([c, d]).activate_probe(probes[0])
-    for coupling in build_parity_coupling_pair(0, 1, 0):
-        state = apply_cross_kerr(state, coupling)
-    state = apply_single_qubit(state, diagonal_basis_change(0))
-    state = apply_single_qubit(state, diagonal_basis_change(1))
-    state = state.activate_probe(probes[1])
-    for coupling in build_parity_coupling_pair(0, 1, 1):
-        state = apply_cross_kerr(state, coupling)
+#: a fixed unitary with no zero entry, standing in for a random gate
+GATE = np.exp(0.3j) * np.array(
+    [
+        [np.exp(1.1j) * math.cos(0.9), np.exp(-0.7j) * math.sin(0.9)],
+        [-np.exp(0.7j) * math.sin(0.9), np.exp(-1.1j) * math.cos(0.9)],
+    ]
+)
+
+
+def interfering_state(qubit, read_out=False):
+    """Parity kicks, then :data:`GATE` on ``qubit``: every basis string holds
+    two probe labels, so same-basis branches interfere.  A gate after the
+    kicks leaves the probe's reduced state alone, so the pair terms cancel
+    across basis strings; with ``read_out`` the qubit is then read as H,
+    which keeps two labels per remaining basis string and the pair terms
+    that do not cancel."""
+    state = parity_state((0.6, 0.8j), (0.28, 0.96), 1.3, 0.9)
+    state = apply_single_qubit(state, SingleQubitGate(GATE, qubit))
+    if read_out:
+        _, state = qnd_photon_measure(state, qubit, None, force_outcome="H")
     return state
 
 
-def einsum_density(state, probe_index, xs):
-    """The outcome density as a per-basis-group einsum over complex kernels,
-    with the full Gram matrix of the other probes' overlaps."""
-    probe = state.probes[probe_index]
+def einsum_density(state, xs):
+    """The outcome density as a per-basis-group einsum over complex kernels."""
+    probe = state.probe
     groups = {}
     for b in state.branches:
         groups.setdefault(b.basis, []).append(b)
     out = np.zeros_like(xs)
     for group in groups.values():
         amps = np.array([b.amplitude for b in group])
-        labels = np.array([probe.label(b.phases[probe_index]) for b in group])
-        gram = np.ones((len(group), len(group)), dtype=complex)
-        for i, b in enumerate(group):
-            for j, bp in enumerate(group):
-                for p, other in enumerate(state.probes):
-                    if p != probe_index:
-                        gram[i, j] *= coherent_overlap(
-                            other.label(bp.phases[p]), other.label(b.phases[p])
-                        )
+        labels = np.array([probe.label(b.phase) for b in group])
         re, im = labels.real[:, None], labels.imag[:, None]
         v = (
             amps[:, None]
@@ -179,21 +186,20 @@ def einsum_density(state, probe_index, xs):
             * np.exp(-0.25 * (xs[None, :] - 2.0 * re) ** 2)
             * np.exp(1j * im * (xs[None, :] - re))
         )
-        out += np.real(np.einsum("ix,ij,jx->x", v, gram, v.conj()))
+        out += np.real(np.einsum("ix,jx->x", v, v.conj()))
     return out
 
 
-#: 12 branches over 4 basis strings: same-basis branches interfere
-CROSS_STATE = two_probe_state((0.6, 0.8j), (0.28, 0.96), (ProbeMode(1.3, 0.9), ProbeMode(2.1, 0.6)))
+#: 8 branches over 4 basis strings: same-basis branches interfere
+CROSS_STATE = interfering_state(0)
 
 
-def diagonal_density(state, probe_index, xs):
+def diagonal_density(state, xs):
     """The density without its same-basis pair terms."""
-    probe = state.probes[probe_index]
     return sum(
         abs(b.amplitude) ** 2
         * TWO_PI_QUARTER**2
-        * np.exp(-0.5 * (xs - 2.0 * probe.label(b.phases[probe_index]).real) ** 2)
+        * np.exp(-0.5 * (xs - 2.0 * state.probe.label(b.phase).real) ** 2)
         for b in state.branches
     )
 
@@ -206,31 +212,37 @@ class TestOutcomeDensityCrossTerms:
 
     def test_state_has_same_basis_branches(self):
         bases = [b.basis for b in CROSS_STATE.branches]
-        assert (len(bases), len(set(bases))) == (12, 4)
+        assert (len(bases), len(set(bases))) == (8, 4)
 
     @pytest.mark.parametrize(
-        "state, probe_index",
-        [(CROSS_STATE, 0), (CROSS_STATE, 1), (parity_state((0.6, 0.8j), (0.28, 0.96), 2.4, 1.1), 0)],
-        ids=["two-probe-0", "two-probe-1", "one-branch-per-basis"],
+        "state",
+        [
+            CROSS_STATE,
+            interfering_state(0, read_out=True),
+            parity_state((0.6, 0.8j), (0.28, 0.96), 2.4, 1.1),
+        ],
+        ids=["interfering", "read-out", "one-branch-per-basis"],
     )
-    def test_matches_einsum_over_all_pairs(self, state, probe_index):
-        expected = einsum_density(state, probe_index, self.XS)
-        got = outcome_density(state, probe_index)(self.XS)
+    def test_matches_einsum_over_all_pairs(self, state):
+        expected = einsum_density(state, self.XS)
+        got = outcome_density(state)(self.XS)
         assert np.max(np.abs(got - expected)) <= 1e-15 * max(1.0, np.max(expected))
 
-    def test_cross_terms_shape_the_second_probe(self):
-        got = outcome_density(CROSS_STATE, 1)(self.XS)
-        assert np.max(np.abs(got - diagonal_density(CROSS_STATE, 1, self.XS))) > 1e-3
+    def test_cross_terms_shape_a_read_out_state(self):
+        state = interfering_state(0, read_out=True)
+        got = outcome_density(state)(self.XS)
+        assert np.max(np.abs(got - diagonal_density(state, self.XS))) > 1e-3
 
     def test_later_qubit_gates_leave_first_probe_density_unchanged(self):
         # each basis string's pair terms are non-zero, but they cancel across
-        # basis strings: probe 0 reads out as the plain parity state
-        plain = outcome_density(parity_state((0.6, 0.8j), (0.28, 0.96), 1.3, 0.9), 0)(self.XS)
-        assert np.max(np.abs(outcome_density(CROSS_STATE, 0)(self.XS) - plain)) <= 1e-15
+        # basis strings: the probe reads out as the plain parity state
+        plain = outcome_density(parity_state((0.6, 0.8j), (0.28, 0.96), 1.3, 0.9))(self.XS)
+        assert np.max(np.abs(outcome_density(CROSS_STATE)(self.XS) - plain)) <= 1e-15
 
-    @pytest.mark.parametrize("probe_index", [0, 1])
-    def test_integrates_to_one(self, probe_index):
-        mass, _ = integrate.quad(outcome_density(CROSS_STATE, probe_index), -15, 20, limit=200)
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_integrates_to_one(self, qubit):
+        state = interfering_state(qubit, read_out=True)
+        mass, _ = integrate.quad(outcome_density(state), -15, 20, limit=200)
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
@@ -238,13 +250,13 @@ def test_collapse_consistency_density_equals_weighted_norm():
     """p(x) equals the squared norm of the kernel-weighted state, any fixed x."""
     alpha, theta = 3.0, 0.8
     state = parity_state((0.6, 0.8), (0.28, 0.96j), alpha, theta)
-    probe = state.probes[0]
-    density = outcome_density(state, 0)
+    probe = state.probe
+    density = outcome_density(state)
     for x in (2 * alpha - 1.3, alpha * (1 + math.cos(theta)), 2 * alpha * math.cos(theta) + 0.4):
         weighted = HybridState.from_branches(
             state.n_qubits,
             [
-                (b.amplitude * kernel_value(x, probe.label(b.phases[0])), b.basis, ())
+                (b.amplitude * kernel_value(x, probe.label(b.phase)), b.basis, 0)
                 for b in state.branches
             ],
         )
@@ -256,7 +268,7 @@ def test_collapse_consistency_density_equals_weighted_norm():
 
 
 def zero_norm_state():
-    return HybridState.from_branches(1, [], probes=[ProbeMode(2.0, 0.5)])
+    return HybridState.from_branches(1, [], probe=ProbeMode(2.0, 0.5))
 
 
 #: ``gaussian``'s largest |z|, at ``1 - u1 = 2**-53``
@@ -275,7 +287,7 @@ class TestGaussian:
     @pytest.fixture(scope="class")
     def z(self):
         # the two normals of each cnot shot, made from its words 1, 2 and 4, 5
-        words = batch._block_words(2024, 0, self.N // 2, batch.CIRCUITS["cnot"].words)
+        words = np.random.default_rng(2024).random((self.N // 2, batch.CIRCUITS["cnot"].words))
         return np.sort(gaussian(words[:, [1, 4]], words[:, [2, 5]]).ravel())
 
     def test_kolmogorov_smirnov_against_math_erfc(self, z):
@@ -313,7 +325,7 @@ class TestSampleQuadrature:
         """One-sample KS against the exact mixture CDF, fixed seed."""
         alpha = 6.0
         state = uniform_parity_state(alpha, theta)
-        xs = sample_quadrature(state, 0, np.random.default_rng(11), 20_000)
+        xs = sample_quadrature(state, np.random.default_rng(11), 20_000)
 
         def cdf(x):
             return 0.5 * stats.norm.cdf(x, loc=2 * alpha) + 0.5 * stats.norm.cdf(
@@ -327,22 +339,22 @@ class TestSampleQuadrature:
         # outcome is no Gaussian mixture; only a forced collapse accepts it
         probe = ProbeMode(2.0, 0.5)
         state = HybridState.from_branches(
-            1, [(SQRT_HALF, "H", (0,)), (SQRT_HALF, "H", (1,))], probes=[probe]
+            1, [(SQRT_HALF, "H", 0), (SQRT_HALF, "H", 1)], probe=probe
         )
         with pytest.raises(ValidationError, match="one branch per basis string"):
-            sample_quadrature(state, 0, np.random.default_rng(0))
+            sample_quadrature(state, np.random.default_rng(0))
         with pytest.raises(ValidationError, match="one branch per basis string"):
-            sample_and_collapse(state, 0, np.random.default_rng(0))
-        _, post = sample_and_collapse(state, 0, np.random.default_rng(0), force_x=probe.x0)
+            sample_and_collapse(state, np.random.default_rng(0))
+        _, post = sample_and_collapse(state, np.random.default_rng(0), force_x=probe.x0)
         assert norm_squared(post) == pytest.approx(1.0)
 
     def test_zero_norm_state_is_rejected(self):
         with pytest.raises(ValidationError, match="zero-norm"):
-            sample_quadrature(zero_norm_state(), 0, np.random.default_rng(0))
+            sample_quadrature(zero_norm_state(), np.random.default_rng(0))
 
     def test_zero_norm_state_is_rejected_by_collapse(self):
         with pytest.raises(ValidationError, match="zero-norm"):
-            sample_and_collapse(zero_norm_state(), 0, np.random.default_rng(0))
+            sample_and_collapse(zero_norm_state(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +382,29 @@ class TestSampleAndCollapse:
         an infinite phase) weighs every branch 0; neither leaves a state."""
         state = parity_state((0.6, 0.8), (0.28, 0.96), 5.0, theta)
         with pytest.raises(ValidationError, match=r"collapse at x=.* zero-norm"):
-            sample_and_collapse(state, 0, np.random.default_rng(0), force_x=x)
+            sample_and_collapse(state, np.random.default_rng(0), force_x=x)
 
     def test_labels_of_one_basis_string_merge_in_the_collapse(self):
-        # H on labels (0, 0) and (1, 0): measuring probe 0 leaves both on key
-        # (H, (0,)), whose amplitude is their kernel-weighted sum; H on (1, 1)
-        # keeps its own key through the other probe's column
-        probes = (ProbeMode(1.5, 0.6), ProbeMode(2.0, 0.4))
-        amps = {("H", (0, 0)): 0.5, ("H", (1, 0)): 0.5j, ("H", (1, 1)): -0.5, ("V", (0, 0)): 0.5}
+        # H on labels 0 and 1 and V on labels 0 and -1: the collapse weighs
+        # each by its kernel and merges each basis string into one branch
+        probe = ProbeMode(1.5, 0.6)
+        amps = {("H", 0): 0.5, ("H", 1): 0.5j, ("V", -1): -0.5, ("V", 0): 0.5}
         state = HybridState.from_branches(
-            1, [(a, basis, phases) for (basis, phases), a in amps.items()], probes=probes
+            1, [(a, basis, phase) for (basis, phase), a in amps.items()], probe=probe
         )
         x = 2.2
-        _, post = sample_and_collapse(state, 0, None, force_x=x)
-        k0, k1 = kernel_value(x, probes[0].label(0)), kernel_value(x, probes[0].label(1))
+        _, post = sample_and_collapse(state, None, force_x=x)
+        k = {phase: kernel_value(x, probe.label(phase)) for phase in (-1, 0, 1)}
         expected = {
-            (("H",), (0,)): 0.5 * k0 + 0.5j * k1,
-            (("H",), (1,)): -0.5 * k1,
-            (("V",), (0,)): 0.5 * k0,
+            ("H",): 0.5 * k[0] + 0.5j * k[1],
+            ("V",): 0.5 * k[0] - 0.5 * k[-1],
         }
-        assert post.probes == probes[1:]
-        assert [(b.basis, b.phases) for b in post.branches] == sorted(expected)
-        scale = post.branches[0].amplitude / expected[(("H",), (0,))]
+        assert post.probe is None
+        assert [(b.basis, b.phase) for b in post.branches] == [(("H",), 0), (("V",), 0)]
+        scale = post.branches[0].amplitude / expected[("H",)]
         assert scale.real > 0.0 and scale.imag == pytest.approx(0.0, abs=1e-12)
         for b in post.branches:
-            assert b.amplitude == pytest.approx(scale * expected[(b.basis, b.phases)], abs=1e-14)
+            assert b.amplitude == pytest.approx(scale * expected[b.basis], abs=1e-14)
         assert norm_squared(post) == pytest.approx(1.0, abs=1e-12)
 
     def test_even_outcome_projects_onto_even_subspace(self):
@@ -402,10 +412,10 @@ class TestSampleAndCollapse:
         alpha, theta = 50.0, math.acos(1 - 9.0 / (2 * 50.0))  # X_d = 9
         c, d = (0.6, 0.8), (0.28, 0.96)
         state = parity_state(c, d, alpha, theta)
-        record, collapsed = sample_and_collapse(state, 0, np.random.default_rng(0), force_x=2 * alpha)
+        record, collapsed = sample_and_collapse(state, np.random.default_rng(0), force_x=2 * alpha)
         assert record.parity == "even"
         expected = HybridState.from_branches(
-            2, [(c[0] * d[0], "HH", ()), (c[1] * d[1], "VV", ())]
+            2, [(c[0] * d[0], "HH", 0), (c[1] * d[1], "VV", 0)]
         )
         assert fidelity(collapsed, expected) == pytest.approx(1.0, abs=1e-12)
 
@@ -415,11 +425,11 @@ class TestSampleAndCollapse:
         c, d = (0.6, 0.8), (0.28, 0.96)
         state = parity_state(c, d, alpha, theta)
         x = 2 * alpha * math.cos(theta) - 0.7
-        record, collapsed = sample_and_collapse(state, 0, np.random.default_rng(0), force_x=x)
+        record, collapsed = sample_and_collapse(state, np.random.default_rng(0), force_x=x)
         assert record.parity == "odd"
         ph = np.exp(1j * record.phi)
         expected = HybridState.from_branches(
-            2, [(c[0] * d[1] * ph, "HV", ()), (c[1] * d[0] / ph, "VH", ())]
+            2, [(c[0] * d[1] * ph, "HV", 0), (c[1] * d[0] / ph, "VH", 0)]
         )
         assert fidelity(collapsed, expected) == pytest.approx(1.0, abs=1e-9)
 
@@ -427,7 +437,7 @@ class TestSampleAndCollapse:
         alpha, theta = 7.0, 0.6
         state = uniform_parity_state(alpha, theta)
         x = 2 * alpha * math.cos(theta) - 1.1
-        record, _ = sample_and_collapse(state, 0, np.random.default_rng(3), force_x=x)
+        record, _ = sample_and_collapse(state, np.random.default_rng(3), force_x=x)
         expected = (alpha * x * math.sin(theta) - 0.5 * alpha**2 * math.sin(2 * theta)) % (
             2 * math.pi
         )
@@ -443,7 +453,7 @@ class TestSampleAndCollapse:
         odd = 0
         for i in range(shots):
             state = parity_state((1, 0), (1, 0), alpha, theta)
-            record, collapsed = sample_and_collapse(state, 0, np.random.default_rng([21, i]))
+            record, collapsed = sample_and_collapse(state, np.random.default_rng([21, i]))
             if record.parity == "odd":
                 odd += 1
             if i < 100:
@@ -457,17 +467,17 @@ class TestSampleAndCollapse:
         alpha, theta = 6.0, 0.9
         c0, c1, d0, d1 = 0.6, 0.8, 0.28, 0.96
         target = HybridState.from_branches(
-            2, [(c0 * d1, "HV", ()), (c1 * d0, "VH", ())]
+            2, [(c0 * d1, "HV", 0), (c1 * d0, "VH", 0)]
         )
         pure_odd = HybridState.from_branches(
-            2, [(c0 * d1 / math.sqrt(c0**2 * d1**2 + c1**2 * d0**2), "HV", ()),
-                (c1 * d0 / math.sqrt(c0**2 * d1**2 + c1**2 * d0**2), "VH", ())]
+            2, [(c0 * d1 / math.sqrt(c0**2 * d1**2 + c1**2 * d0**2), "HV", 0),
+                (c1 * d0 / math.sqrt(c0**2 * d1**2 + c1**2 * d0**2), "VH", 0)]
         ).activate_probe(ProbeMode(alpha, theta))
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             pure_odd = apply_cross_kerr(pure_odd, coupling)
         rng = np.random.default_rng(5)
         for _ in range(25):
-            record, collapsed = sample_and_collapse(pure_odd, 0, rng)
+            record, collapsed = sample_and_collapse(pure_odd, rng)
             corrected = apply_single_qubit(
                 collapsed, diagonal_gate(0, -record.phi, record.phi)
             )
@@ -483,21 +493,21 @@ class TestSampleAndCollapse:
         rng = np.random.default_rng(6)
         for _ in range(10):
             x = 2 * alpha * math.cos(theta) + rng.standard_normal()
-            record, collapsed = sample_and_collapse(state, 0, rng, force_x=x)
+            record, collapsed = sample_and_collapse(state, rng, force_x=x)
             assert record.parity == "odd"
             assert 0.0 <= record.phi <= 2 * math.pi
             corrected = apply_single_qubit(
                 collapsed, diagonal_gate(0, -record.phi, record.phi)
             )
             target = HybridState.from_branches(
-                2, [(c0 * d1, "HV", ()), (c1 * d0, "VH", ())]
+                2, [(c0 * d1, "HV", 0), (c1 * d0, "VH", 0)]
             )
             assert fidelity(corrected, target) == pytest.approx(1.0, abs=1e-12)
 
     def test_force_x_bypasses_sampling_deterministically(self):
         state = uniform_parity_state(5.0, 0.5)
-        r1, s1 = sample_and_collapse(state, 0, np.random.default_rng(0), force_x=9.0)
-        r2, s2 = sample_and_collapse(state, 0, np.random.default_rng(99), force_x=9.0)
+        r1, s1 = sample_and_collapse(state, np.random.default_rng(0), force_x=9.0)
+        r2, s2 = sample_and_collapse(state, np.random.default_rng(99), force_x=9.0)
         assert r1 == r2
         assert s1 == s2
 

@@ -78,7 +78,7 @@ class TestSingleQubitGates:
         # branches carrying different probe labels, rotated into each other
         probe = ProbeMode(2.0, 0.6)
         state = HybridState.from_branches(
-            1, [(SQRT_HALF, "H", (0,)), (SQRT_HALF, "V", (1,))], probes=[probe]
+            1, [(SQRT_HALF, "H", 0), (SQRT_HALF, "V", 1)], probe=probe
         )
         rotated = apply_single_qubit(state, diagonal_basis_change(0))
         assert norm_squared(rotated) == pytest.approx(1.0, abs=1e-12)
@@ -89,26 +89,26 @@ class TestCrossKerr:
         # (c0|H> + c1|V>)|alpha>  ->  c0|H>|alpha> + c1|V>|alpha e^{i theta}>
         probe = ProbeMode(3.0, 0.2)
         state = new_state([(0.6, 0.8)]).activate_probe(probe)
-        kicked = apply_cross_kerr(state, KerrCoupling(0, "V", 0, +1))
-        phases = {b.basis: b.phases for b in kicked.branches}
-        assert phases == {("H",): (0,), ("V",): (1,)}
+        kicked = apply_cross_kerr(state, KerrCoupling(0, "V", +1))
+        phases = {b.basis: b.phase for b in kicked.branches}
+        assert phases == {("H",): 0, ("V",): 1}
         assert norm_squared(kicked) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_photon_in_trigger_rail_is_identity(self):
         state = new_state([(1, 0)]).activate_probe(ProbeMode(3.0, 0.2))
-        kicked = apply_cross_kerr(state, KerrCoupling(0, "V", 0, +1))
+        kicked = apply_cross_kerr(state, KerrCoupling(0, "V", +1))
         assert kicked == state
 
     def test_opposite_kicks_cancel(self):
         state = new_state([(0.6, 0.8)]).activate_probe(ProbeMode(3.0, 0.2))
-        forward = apply_cross_kerr(state, KerrCoupling(0, "V", 0, +1))
-        back = apply_cross_kerr(forward, KerrCoupling(0, "V", 0, -1))
+        forward = apply_cross_kerr(state, KerrCoupling(0, "V", +1))
+        back = apply_cross_kerr(forward, KerrCoupling(0, "V", -1))
         assert back == state
 
     def test_kicks_on_different_qubits_commute_exactly(self):
         state = new_state([(SQRT_HALF, SQRT_HALF)] * 2).activate_probe(ProbeMode(2.0, 0.4))
-        a = KerrCoupling(0, "H", 0, +1)
-        b = KerrCoupling(1, "H", 0, -1)
+        a = KerrCoupling(0, "H", +1)
+        b = KerrCoupling(1, "H", -1)
         ab = apply_cross_kerr(apply_cross_kerr(state, a), b)
         ba = apply_cross_kerr(apply_cross_kerr(state, b), a)
         assert ab == ba
@@ -118,16 +118,16 @@ class TestCrossKerr:
 
         state = new_state([(1, 0)])
         with pytest.raises(ContractError):
-            apply_cross_kerr(state, KerrCoupling(0, "H", 0, +1))
+            apply_cross_kerr(state, KerrCoupling(0, "H", +1))
 
 
 class TestParityCouplingPair:
     def test_net_phases_match_parity_classes(self):
         # [c0 d0 |HH> + c1 d1 |VV>]|a> + c0 d1 |HV>|a e^{i t}> + c1 d0 |VH>|a e^{-i t}>
         state = new_state([(0.6, 0.8), (0.28, 0.96)]).activate_probe(ProbeMode(2.0, 0.3))
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             state = apply_cross_kerr(state, coupling)
-        phases = {b.basis: b.phases[0] for b in state.branches}
+        phases = {b.basis: b.phase for b in state.branches}
         assert phases == {
             ("H", "H"): 0,
             ("V", "V"): 0,
@@ -140,19 +140,19 @@ class TestParityCouplingPair:
 
     def test_hh_input_picks_up_no_phase(self):
         state = new_state([(1, 0), (1, 0)]).activate_probe(ProbeMode(2.0, 0.3))
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             state = apply_cross_kerr(state, coupling)
-        assert [b.phases for b in state.branches] == [(0,)]
+        assert [b.phase for b in state.branches] == [0]
 
     def test_vh_input_gets_minus_one_index(self):
         state = new_state([(0, 1), (1, 0)]).activate_probe(ProbeMode(2.0, 0.3))
-        for coupling in build_parity_coupling_pair(0, 1, 0):
+        for coupling in build_parity_coupling_pair(0, 1):
             state = apply_cross_kerr(state, coupling)
-        assert [b.phases for b in state.branches] == [(-1,)]
+        assert [b.phase for b in state.branches] == [-1]
 
     def test_same_qubit_twice_rejected(self):
         with pytest.raises(ValidationError):
-            build_parity_coupling_pair(1, 1, 0)
+            build_parity_coupling_pair(1, 1)
 
 
 def test_random_gate_sequences_preserve_norm():
@@ -168,6 +168,6 @@ def test_random_gate_sequences_preserve_norm():
         else:
             state = apply_cross_kerr(
                 state,
-                KerrCoupling(int(rng.integers(2)), "V", 0, int(rng.choice([-1, 1]))),
+                KerrCoupling(int(rng.integers(2)), "V", int(rng.choice([-1, 1]))),
             )
         assert norm_squared(state) == pytest.approx(1.0, abs=1e-11)

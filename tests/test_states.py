@@ -34,7 +34,7 @@ from kerrgate.states import _merged_state, renormalized
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 #: a valid state whose squared norm overflows to inf
-HUGE = HybridState.from_branches(1, [(1e200, "H", ())])
+HUGE = HybridState.from_branches(1, [(1e200, "H", 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +43,7 @@ HUGE = HybridState.from_branches(1, [(1e200, "H", ())])
 
 def test_single_basis_state():
     state = new_state([(1, 0)])
-    assert state.branches == (((1 + 0j), ("H",), ()),)
+    assert state.branches == (((1 + 0j), ("H",), 0),)
 
 
 def test_uniform_product_has_four_quarter_branches():
@@ -113,7 +113,7 @@ def test_fresh_product_state_has_unit_norm():
 
 
 def test_single_branch_norm_is_amplitude():
-    state = HybridState.from_branches(1, [(0.5, "H", ())])
+    state = HybridState.from_branches(1, [(0.5, "H", 0)])
     assert norm_squared(state) == pytest.approx(0.25)
 
 
@@ -123,8 +123,8 @@ def test_norm_with_probe_cross_terms_matches_formula_and_oracle():
     probe = ProbeMode(alpha, theta)
     state = HybridState.from_branches(
         1,
-        [(SQRT_HALF, "H", (0,)), (SQRT_HALF, "H", (1,))],
-        probes=[probe],
+        [(SQRT_HALF, "H", 0), (SQRT_HALF, "H", 1)],
+        probe=probe,
     )
     expected_sq = 1.0 + cmath.exp(alpha**2 * (cmath.exp(-1j * theta) - 1)).real
     assert norm_squared(state) == pytest.approx(expected_sq, abs=1e-12)
@@ -159,29 +159,31 @@ def test_overlap_magnitude_decreases_with_label_distance(re, im, step):
 
 
 def test_merge_sums_identical_keys():
-    state = HybridState.from_branches(1, [(0.3, "H", ()), (0.2, "H", ())])
-    assert state.branches == (((0.5 + 0j), ("H",), ()),)
+    state = HybridState.from_branches(1, [(0.3, "H", 0), (0.2, "H", 0)])
+    assert state.branches == (((0.5 + 0j), ("H",), 0),)
 
 
 def branch_keys(state):
-    return [(b.basis, b.phases) for b in state.branches]
+    return [(b.basis, b.phase) for b in state.branches]
 
 
 def test_every_operation_keeps_branches_merged_and_sorted():
-    """from_branches and every operation leave one branch per (basis, phases)
+    """from_branches and every operation leave one branch per (basis, phase)
     key, in key order."""
     state = HybridState.from_branches(
-        2, [(0.5, "VV", ()), (0.5j, "HV", ()), (-0.5, "VH", ()), (0.5, "HH", ()), (0.0, "VH", ())]
+        2, [(0.5, "VV", 0), (0.5j, "HV", 0), (-0.5, "VH", 0), (0.5, "HH", 0), (0.0, "VH", 0)]
     )
     probe = ProbeMode(3.0, 0.4)
     steps = [
-        lambda s: s.activate_probe(probe).activate_probe(probe),
-        lambda s: apply_cross_kerr(s, KerrCoupling(0, "H", 0, 1)),
-        lambda s: apply_cross_kerr(s, KerrCoupling(1, "V", 1, -1)),
+        lambda s: s.activate_probe(probe),
+        lambda s: apply_cross_kerr(s, KerrCoupling(0, "H", 1)),
+        lambda s: apply_cross_kerr(s, KerrCoupling(1, "V", -1)),
         lambda s: apply_single_qubit(s, diagonal_basis_change(0)),
-        lambda s: sample_and_collapse(s, 1, None, force_x=5.0)[1],
+        lambda s: sample_and_collapse(s, None, force_x=5.0)[1],
+        lambda s: s.activate_probe(probe),
+        lambda s: apply_cross_kerr(s, KerrCoupling(1, "V", -1)),
         lambda s: apply_single_qubit(s, diagonal_basis_change(0)),
-        lambda s: sample_and_collapse(s, 0, None, force_x=4.0)[1],
+        lambda s: sample_and_collapse(s, None, force_x=4.0)[1],
         merge_and_prune,
     ]
     for step in [lambda s: s] + steps:
@@ -191,7 +193,7 @@ def test_every_operation_keeps_branches_merged_and_sorted():
 
 
 def test_prune_reports_lost_mass():
-    state = HybridState.from_branches(1, [(1.0, "H", ()), (1e-15, "V", ())])
+    state = HybridState.from_branches(1, [(1.0, "H", 0), (1e-15, "V", 0)])
     pruned = merge_and_prune(state, 1e-12)
     assert [b.basis for b in pruned.branches] == [("H",)]
     assert pruned.pruned_mass == pytest.approx(1e-30, rel=1e-6)
@@ -213,7 +215,7 @@ def test_prune_is_noop_on_distinct_large_branches():
 @given(st.lists(st.tuples(st.sampled_from("HV"), st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_merge_and_prune_is_idempotent(raw):
-    branches = [(complex(a, b), lab, ()) for lab, a, b in raw]
+    branches = [(complex(a, b), lab, 0) for lab, a, b in raw]
     state = HybridState.from_branches(1, branches)
     once = merge_and_prune(state, 1e-3)
     twice = merge_and_prune(once, 1e-3)
@@ -236,7 +238,7 @@ def test_fidelity_orthogonal_states():
 
 
 def test_fidelity_projection_onto_component():
-    bell = HybridState.from_branches(2, [(SQRT_HALF, "HH", ()), (SQRT_HALF, "VV", ())])
+    bell = HybridState.from_branches(2, [(SQRT_HALF, "HH", 0), (SQRT_HALF, "VV", 0)])
     hh = new_state([(1, 0), (1, 0)])
     assert fidelity(bell, hh) == pytest.approx(0.5, abs=1e-12)
 
@@ -261,6 +263,24 @@ def test_fidelity_rejects_active_probes():
     state = new_state([(1, 0)]).activate_probe(ProbeMode(1.0, 0.3))
     with pytest.raises(ContractError):
         fidelity(state, state)
+
+
+# ---------------------------------------------------------------------------
+# one probe at a time
+
+
+def test_a_second_active_probe_is_a_contract_error():
+    state = new_state([(1, 0)]).activate_probe(ProbeMode(1.0, 0.3))
+    with pytest.raises(ContractError, match="already active"):
+        state.activate_probe(ProbeMode(2.0, 0.5))
+
+
+@pytest.mark.parametrize("phase", [1, -2])
+def test_from_branches_rejects_a_phase_without_a_probe(phase):
+    with pytest.raises(ValidationError, match="needs an active probe"):
+        HybridState.from_branches(1, [(SQRT_HALF, "H", 0), (SQRT_HALF, "V", phase)])
+    state = HybridState.from_branches(1, [(1.0, "V", phase)], probe=ProbeMode(1.0, 0.3))
+    assert state.branches[0].phase == phase
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +325,15 @@ def test_merging_again_after_any_operation_changes_nothing(data):
     # theta > 0: at theta = 0 distinct phase indices name one coherent state,
     # and their branches could cancel to a zero norm
     probes = st.builds(ProbeMode, st.floats(0.5, 3.0), st.floats(0.1, math.pi))
-    for _ in range(data.draw(st.integers(1, 2), label="probes")):
-        state = state.activate_probe(data.draw(probes))
+    state = state.activate_probe(data.draw(probes))
     for op in data.draw(st.lists(st.sampled_from(OPERATIONS), min_size=1, max_size=16)):
-        n_probes = len(state.probes)
-        if op == "activate" or (n_probes == 0 and op in ("kick", "collapse")):
-            if n_probes < 2:
+        if op == "activate" or (state.probe is None and op in ("kick", "collapse")):
+            if state.probe is None:
                 state = state.activate_probe(data.draw(probes))
         elif op == "kick":
             coupling = KerrCoupling(
                 data.draw(qubits),
                 data.draw(st.sampled_from("HV")),
-                data.draw(st.integers(0, n_probes - 1)),
                 data.draw(st.sampled_from((1, -1))),
             )
             state = apply_cross_kerr(state, coupling)
@@ -324,9 +341,8 @@ def test_merging_again_after_any_operation_changes_nothing(data):
             gate = SingleQubitGate(data.draw(unitaries()), data.draw(qubits))
             state = apply_single_qubit(state, gate)
         elif op == "collapse":
-            probe_index = data.draw(st.integers(0, n_probes - 1))
             x = data.draw(st.floats(-2.0, 8.0))
-            state = sample_and_collapse(state, probe_index, None, force_x=x)[1]
+            state = sample_and_collapse(state, None, force_x=x)[1]
         elif op == "photon":
             q = data.draw(qubits)
             # an outcome whose probability underflows to 0 cannot be renormalized
@@ -337,7 +353,7 @@ def test_merging_again_after_any_operation_changes_nothing(data):
             state = renormalized(state)
         else:
             state = merge_and_prune(state)
-        merged = _merged_state(state.n_qubits, state.branches, state.probes, state.pruned_mass)
+        merged = _merged_state(state.n_qubits, state.branches, state.probe, state.pruned_mass)
         assert merged == state
 
 
@@ -345,7 +361,7 @@ def test_branch_count_bound_per_phase_configuration():
     state = new_state([(SQRT_HALF, SQRT_HALF)] * 3).activate_probe(ProbeMode(2.0, 0.3))
     per_config: dict = {}
     for b in state.branches:
-        per_config[b.phases] = per_config.get(b.phases, 0) + 1
+        per_config[b.phase] = per_config.get(b.phase, 0) + 1
     assert all(count <= 2**3 for count in per_config.values())
 
 
