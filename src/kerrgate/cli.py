@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +37,20 @@ ORACLE_ALPHA_MAX = 3.0
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A run's configuration; the defaults here are the CLI's defaults."""
+    """A run's configuration: one field per run key, whose defaults are the
+    CLI's defaults."""
 
     experiment: str
     alpha: float
     theta: float
     shots: int = 10_000
     seed: int = 42
-    input_state: tuple[tuple[complex, complex], ...] | None = None
-    sweep_alpha: tuple[float, ...] | None = None
-    sweep_theta: tuple[float, ...] | None = None
+    input: tuple[tuple[complex, complex], ...] | None = None
+    grid_alpha: tuple[float, ...] | None = None
+    grid_theta: tuple[float, ...] | None = None
     sweep_gate: str = "parity"
-    output_path: str = "results.csv"
-    output_format: str = "csv"
+    output: str = "results.csv"
+    format: str = "csv"
 
 
 class ConfigError(ValidationError):
@@ -61,64 +63,74 @@ def _parse_pairs(text: str) -> tuple[tuple[complex, complex], ...]:
     for chunk in text.split(";"):
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise ConfigError(f"input: expected 'c0,c1' pairs, got {chunk!r}")
+            raise ConfigError(f"expected 'c0,c1' pairs, got {chunk!r}")
         try:
             c0, c1 = complex(parts[0]), complex(parts[1])
         except ValueError as exc:
-            raise ConfigError(f"input: bad amplitude in {chunk!r}: {exc}") from exc
+            raise ConfigError(f"bad amplitude in {chunk!r}: {exc}") from exc
         if not (cmath.isfinite(c0) and cmath.isfinite(c1)):
-            raise ConfigError(f"input: amplitudes must be finite, got {chunk!r}")
+            raise ConfigError(f"amplitudes must be finite, got {chunk!r}")
         try:
             nrm = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
         except OverflowError as exc:
-            raise ConfigError(f"input: amplitudes too large to normalize in {chunk!r}") from exc
+            raise ConfigError(f"amplitudes too large to normalize in {chunk!r}") from exc
         if nrm == 0:
-            raise ConfigError(f"input: zero amplitude pair {chunk!r}")
+            raise ConfigError(f"zero amplitude pair {chunk!r}")
         pairs.append((c0 / nrm, c1 / nrm))
     return tuple(pairs)
 
 
-def _parse_grid(text: str, key: str) -> tuple[float, ...]:
+def _parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"{key}: expected 'start:stop:count', got {text!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"expected 'start:stop:count', got {text!r}")
+    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
-        raise ConfigError(f"{key}: count must be >= 1")
+        raise ConfigError("count must be >= 1")
     if not math.isfinite(stop - start):  # also an infinite or nan endpoint
-        raise ConfigError(f"{key}: endpoints and their span must be finite, got {text!r}")
+        raise ConfigError(f"endpoints and their span must be finite, got {text!r}")
     try:
         grid = np.linspace(start, stop, count)
     except (MemoryError, ValueError) as exc:  # ValueError past NumPy's largest array
-        raise ConfigError(f"{key}: cannot build a grid of {count} points: {exc}") from None
+        raise ConfigError(f"cannot build a grid of {count} points: {exc}") from None
     return tuple(float(v) for v in grid)
 
 
-_FILE_KEYS = {
-    "experiment": str,
-    "alpha": float,
-    "theta": float,
-    "shots": int,
-    "seed": int,
-    "input": str,
-    "grid_alpha": str,
-    "grid_theta": str,
-    "sweep_gate": str,
-    "output": str,
-    "format": str,
+@dataclass(frozen=True)
+class _Key:
+    """How a run key's text is read, from its flag and from a config file alike.
+
+    ``parse`` turns the merged text into the field's value; such a value, an
+    amplitude list or a grid, may start with '-'.
+    """
+
+    type: Callable[[str], object] = str
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    parse: Callable[[str], object] | None = None
+
+
+#: every run key, each the flag ``--key`` (``_`` written ``-``), the config-file
+#: key and the :class:`ExperimentConfig` field of that name
+_KEYS = {
+    "experiment": _Key(choices=EXPERIMENTS),
+    "alpha": _Key(float, help="probe coherent amplitude"),
+    "theta": _Key(float, help="Kerr phase unit per photon, radians"),
+    "shots": _Key(int),
+    "seed": _Key(int),
+    "input": _Key(
+        help="qubit amplitude pairs 'c0,c1;c0,c1' (renormalized; complex OK)", parse=_parse_pairs
+    ),
+    "grid_alpha": _Key(help="sweep grid 'start:stop:count'", parse=_parse_grid),
+    "grid_theta": _Key(help="sweep grid 'start:stop:count'", parse=_parse_grid),
+    "sweep_gate": _Key(choices=analysis.EXPERIMENTS),
+    "output": _Key(help="output file path"),
+    "format": _Key(choices=("csv", "json")),
 }
 
-#: the :class:`ExperimentConfig` field of each config key not named as its field
-_KEY_FIELDS = {
-    "input": "input_state",
-    "grid_alpha": "sweep_alpha",
-    "grid_theta": "sweep_theta",
-    "output": "output_path",
-    "format": "output_format",
-}
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _read_config_file(path: str) -> dict:
@@ -136,12 +148,18 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _FILE_KEYS:
+        spec = _KEYS.get(key)
+        if spec is None:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _FILE_KEYS[key](raw)
+            values[key] = spec.type(raw)
         except ValueError as exc:
-            raise ConfigError(f"config line {lineno}: {key}: {exc}") from exc
+            raise ConfigError(f"{key}: {exc} (config line {lineno})") from exc
+        if spec.choices is not None and values[key] not in spec.choices:
+            raise ConfigError(
+                f"{key}: invalid choice {raw!r}, choose from {', '.join(spec.choices)} "
+                f"(config line {lineno})"
+            )
     return values
 
 
@@ -154,24 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run weak-Kerr QND parity/entangler/CNOT experiments.",
     )
     parser.add_argument("--config", help="flat key = value config file; flags override it")
-    parser.add_argument("--experiment", choices=EXPERIMENTS)
-    parser.add_argument("--alpha", type=float, help="probe coherent amplitude")
-    parser.add_argument("--theta", type=float, help="Kerr phase unit per photon, radians")
-    parser.add_argument("--shots", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--input", help="qubit amplitude pairs 'c0,c1;c0,c1' (renormalized; complex OK)"
-    )
-    parser.add_argument("--grid-alpha", help="sweep grid 'start:stop:count'")
-    parser.add_argument("--grid-theta", help="sweep grid 'start:stop:count'")
-    parser.add_argument("--sweep-gate", choices=analysis.EXPERIMENTS)
-    parser.add_argument("--output", help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"))
+    for key, spec in _KEYS.items():
+        parser.add_argument(_flag(key), type=spec.type, choices=spec.choices, help=spec.help)
     return parser
 
 
-#: flags whose value may start with '-': an amplitude list or a grid
-_SIGNED_VALUE_FLAGS = ("--input", "--grid-alpha", "--grid-theta")
+_SIGNED_VALUE_FLAGS = tuple(_flag(key) for key, spec in _KEYS.items() if spec.parse)
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -196,25 +202,22 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_signed_values(argv))
     values = _read_config_file(args.config) if args.config else {}
-    for key in _FILE_KEYS:  # each flag's dest is its config key
+    for key in _KEYS:  # each flag's dest is its key
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
 
     if "experiment" not in values:
         raise ConfigError("experiment: required (flag --experiment or config key)")
-    if values["experiment"] not in EXPERIMENTS:
-        raise ConfigError(f"experiment: unknown experiment {values['experiment']!r}")
     if "alpha" not in values or "theta" not in values:
         raise ConfigError("alpha, theta: both are required")
-
-    if "input" in values:
-        values["input"] = _parse_pairs(values["input"])
-    for key in ("grid_alpha", "grid_theta"):
-        if key in values:
-            values[key] = _parse_grid(values[key], key)
-    # the keys left unset keep the dataclass defaults
-    config = ExperimentConfig(**{_KEY_FIELDS.get(k, k): v for k, v in values.items()})
+    for key, spec in _KEYS.items():
+        if spec.parse is not None and key in values:
+            try:
+                values[key] = spec.parse(values[key])
+            except ValueError as exc:  # ConfigError, or a bad number in a grid
+                raise ConfigError(f"{key}: {exc}") from None
+    config = ExperimentConfig(**values)  # the keys left unset keep its defaults
     _validate_config(config)
     return config
 
@@ -236,43 +239,39 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"shots: must be >= 1, got {config.shots}")
     if config.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {config.seed}")
-    if config.output_format not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json, got {config.output_format!r}")
     if config.experiment == "sweep":
-        if config.sweep_alpha is None or config.sweep_theta is None:
+        if config.grid_alpha is None or config.grid_theta is None:
             raise ConfigError("grid_alpha, grid_theta: sweep needs both grids")
-        if config.sweep_gate not in analysis.EXPERIMENTS:
-            raise ConfigError(f"sweep_gate: unknown gate {config.sweep_gate!r}")
-        for a in config.sweep_alpha:
+        for a in config.grid_alpha:
             _require_probe("grid_alpha", a, config.theta)
-        for t in config.sweep_theta:
+        for t in config.grid_theta:
             _require_probe("grid_theta", config.alpha, t)
     if config.experiment == "validate-oracle" and config.alpha > ORACLE_ALPHA_MAX:
         raise ConfigError(
             f"alpha: validate-oracle needs alpha <= {ORACLE_ALPHA_MAX} "
             "(Fock truncation stays tractable only at small amplitude)"
         )
-    if config.input_state is not None and len(config.input_state) != 2:
+    if config.input is not None and len(config.input) != 2:
         raise ConfigError("input: expected exactly two amplitude pairs")
 
 
 _UNIFORM = (complex(ANCILLA_PLUS[0]), complex(ANCILLA_PLUS[1]))
 
 
-def _row(experiment, alpha, theta, shots, seed, stats=None, fidelity=None, deviation=None):
+def _row(config, experiment, alpha, theta, error_rate, error_ci, mean_fidelity):
     geo = analysis.geometry(alpha, theta)
     return {
         "experiment": experiment,
         "alpha": alpha,
         "theta": theta,
-        "shots": shots,
-        "seed": seed,
+        "shots": config.shots,
+        "seed": config.seed,
         "x0": geo.x0,
         "xd": geo.xd,
         "p_error_analytic": analysis.p_error(alpha, theta),
-        "error_rate": stats.logical_error_rate if stats else deviation,
-        "error_ci": stats.error_ci if stats else 0.0,
-        "mean_fidelity": stats.mean_fidelity if stats else fidelity,
+        "error_rate": error_rate,
+        "error_ci": error_ci,
+        "mean_fidelity": mean_fidelity,
     }
 
 
@@ -298,15 +297,7 @@ def _validate_oracle(config: ExperimentConfig, inputs) -> tuple[dict, bool]:
     grid = np.linspace(lo, hi, 2001)
     dev = float(np.max(np.abs(outcome_density(state)(grid) - fock.oracle_homodyne_density(embedded)(grid))))
 
-    row = _row(
-        "validate-oracle",
-        config.alpha,
-        config.theta,
-        config.shots,
-        config.seed,
-        fidelity=state_fid,
-        deviation=dev,
-    )
+    row = _row(config, "validate-oracle", config.alpha, config.theta, dev, 0.0, state_fid)
     ok = dev < 1e-6 and state_fid >= 1.0 - 1e-9
     return row, ok
 
@@ -340,35 +331,28 @@ def _render_json(rows: list[dict]) -> str:
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     start = time.perf_counter()
-    rows: list[dict] = []
-    ok = True
-    inputs = config.input_state or (_UNIFORM, _UNIFORM)
+    inputs = config.input or (_UNIFORM, _UNIFORM)
     if config.experiment == "validate-oracle":
         row, ok = _validate_oracle(config, inputs)
-        rows.append(row)
-    elif config.experiment == "sweep":
-        for alpha in config.sweep_alpha:
-            for theta in config.sweep_theta:
-                stats = analysis.run_shots(
-                    config.sweep_gate, inputs, alpha, theta, config.shots, config.seed
-                )
-                rows.append(
-                    _row(config.sweep_gate, alpha, theta, config.shots, config.seed, stats)
-                )
-    else:
-        stats = analysis.run_shots(
-            config.experiment, inputs, config.alpha, config.theta, config.shots, config.seed
-        )
-        rows.append(
-            _row(config.experiment, config.alpha, config.theta, config.shots, config.seed, stats)
-        )
+        rows = [row]
+    else:  # a shot experiment is a one-point sweep
+        if config.experiment == "sweep":
+            gate, alphas, thetas = config.sweep_gate, config.grid_alpha, config.grid_theta
+        else:
+            gate, alphas, thetas = config.experiment, (config.alpha,), (config.theta,)
+        ok, rows = True, []
+        for alpha in alphas:
+            for theta in thetas:
+                stats = analysis.run_shots(gate, inputs, alpha, theta, config.shots, config.seed)
+                rows.append(_row(config, gate, alpha, theta, stats.logical_error_rate,
+                                 stats.error_ci, stats.mean_fidelity))
 
-    text = _render_csv(rows) if config.output_format == "csv" else _render_json(rows)
+    text = _render_csv(rows) if config.format == "csv" else _render_json(rows)
     try:
-        with open(config.output_path, "w") as fh:
+        with open(config.output, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {config.output_path!r}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {config.output!r}: {exc}", file=sys.stderr)
         return 1
 
     runtime = time.perf_counter() - start

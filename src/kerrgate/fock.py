@@ -139,10 +139,16 @@ class FockOracleState:
     the first axis with H=0, V=1, qubit 0 most significant.
     """
 
-    n_qubits: int
-    n_trunc: int
     vector: np.ndarray
     probe: ProbeMode
+
+    @property
+    def n_qubits(self) -> int:
+        return self.vector.shape[0].bit_length() - 1
+
+    @property
+    def n_trunc(self) -> int:
+        return self.vector.shape[1] - 1
 
 
 def _basis_index(basis: tuple[str, ...]) -> int:
@@ -171,7 +177,7 @@ def oracle_embed(state: HybridState, n_trunc: int) -> FockOracleState:
         if label not in expansions:
             expansions[label] = coherent_coefficients(label, n_trunc)
         vector[_basis_index(b.basis)] += b.amplitude * expansions[label]
-    return FockOracleState(state.n_qubits, n_trunc, vector, probe)
+    return FockOracleState(vector, probe)
 
 
 def oracle_inner(a: FockOracleState, b: FockOracleState) -> complex:
@@ -204,7 +210,7 @@ def oracle_cross_kerr(state: FockOracleState, coupling: KerrCoupling) -> FockOra
     mask = _trigger_mask(state.n_qubits, coupling.qubit_index, coupling.trigger_polarization)
     vector = state.vector.copy()
     vector[mask] = vector[mask] * phases
-    return FockOracleState(state.n_qubits, state.n_trunc, vector, state.probe)
+    return FockOracleState(vector, state.probe)
 
 
 def oracle_apply_single_qubit(state: FockOracleState, gate: SingleQubitGate) -> FockOracleState:
@@ -220,7 +226,7 @@ def oracle_apply_single_qubit(state: FockOracleState, gate: SingleQubitGate) -> 
         vh, vv = state.vector[ih], state.vector[iv]
         vector[ih] = m[0, 0] * vh + m[0, 1] * vv
         vector[iv] = m[1, 0] * vh + m[1, 1] * vv
-    return FockOracleState(n, state.n_trunc, vector, state.probe)
+    return FockOracleState(vector, state.probe)
 
 
 def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:

@@ -70,7 +70,8 @@ def kernel_value(x: float, beta: complex) -> complex:
     exact and avoids catastrophic cancellation for large |beta|.  An
     outcome so far from ``2 Re beta`` that the square overflows or the
     magnitude underflows has amplitude ``0j``, whatever its phase; a NaN
-    outcome raises ``ValidationError``.
+    outcome, or a phase that overflows where the magnitude does not,
+    raises ``ValidationError``.
     """
     if math.isnan(x):
         raise ValidationError("homodyne outcome x is nan")
@@ -84,7 +85,10 @@ def kernel_value(x: float, beta: complex) -> complex:
         return 0j
     if b == 0.0:
         return KERNEL_PEAK * mag
-    return KERNEL_PEAK * mag * complex(math.cos(b * (x - a)), math.sin(b * (x - a)))
+    phase = b * (x - a)
+    if not math.isfinite(phase):
+        raise ValidationError(f"kernel phase Im(beta) (x - Re(beta)) is {phase} at x={x}, {beta=}")
+    return KERNEL_PEAK * mag * complex(math.cos(phase), math.sin(phase))
 
 
 def kernel_phase(x: float, beta: complex) -> float:

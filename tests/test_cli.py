@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -39,7 +40,7 @@ class TestParseConfig:
         config = parse_config("--experiment parity --alpha 8 --theta 0.5".split())
         assert config.shots == 10_000
         assert config.seed == 42
-        assert config.output_format == "csv"
+        assert config.format == "csv"
 
     def test_theta_out_of_range_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -95,7 +96,7 @@ class TestParseConfig:
             ["--experiment", "parity", "--alpha", "8", "--theta", "0.5",
              "--input", "0.70710678,0.70710678;1,0"]
         )
-        (c0, c1), (d0, d1) = config.input_state
+        (c0, c1), (d0, d1) = config.input
         assert abs(c0) ** 2 + abs(c1) ** 2 == pytest.approx(1.0, abs=1e-15)
         assert (d0, d1) == (1, 0)
 
@@ -190,6 +191,58 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: grid_alpha: ")
         assert "Traceback" not in err and "internal error" not in err
+        assert not out.exists()
+
+
+#: a value for each run key, each unlike its default; ``input`` starts with '-'
+KEY_VALUES = {
+    "experiment": "sweep",
+    "alpha": "2.5",
+    "theta": "0.3",
+    "shots": "7",
+    "seed": "5",
+    "input": "-0.6,0.8j;1,0",
+    "grid_alpha": "1:4:2",
+    "grid_theta": "0.1:0.2:3",
+    "sweep_gate": "cnot",
+    "output": "elsewhere.json",
+    "format": "json",
+}
+
+
+class TestRunKeys:
+    """Each run key reads the same from its flag and from a config file."""
+
+    def test_every_config_field_is_a_key(self):
+        assert set(cli._KEYS) == set(KEY_VALUES) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("key", sorted(KEY_VALUES))
+    def test_config_line_and_flag_build_equal_configs(self, key, tmp_path):
+        base = {k: v for k, v in KEY_VALUES.items() if k != key}
+        argv = [arg for k, v in base.items() for arg in (f"--{k.replace('_', '-')}", v)]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {KEY_VALUES[key]}\n")
+        from_file = parse_config(["--config", str(cfg), *argv])
+        from_flag = parse_config([*argv, f"--{key.replace('_', '-')}", KEY_VALUES[key]])
+        assert from_file == from_flag
+        default = next(f.default for f in fields(ExperimentConfig) if f.name == key)
+        assert getattr(from_file, key) != default
+
+    @pytest.mark.parametrize(
+        "key,value", [("experiment", "teleport"), ("format", "xml"), ("sweep_gate", "sweep"),
+                      ("shots", "many")]
+    )
+    def test_bad_config_value_exits_2_naming_its_key(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "run.csv"
+        args = ["--config", str(cfg), "--alpha", "8", "--theta", "0.5", "--output", str(out)]
+        if key != "experiment":
+            args += ["--experiment", "sweep", "--grid-alpha", "8:8:1", "--grid-theta", "0.5:0.5:1"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ")
+        assert repr(value) in err and "config line 1" in err
         assert not out.exists()
 
 
@@ -420,7 +473,7 @@ class TestRun:
         out = tmp_path / "cnot.csv"
         config = ExperimentConfig(
             experiment="cnot", alpha=alpha, theta=theta, shots=50, seed=3,
-            output_path=str(out),
+            output=str(out),
         )
         assert run(config) == 0
         header, row = out.read_text().strip().split("\n")
@@ -433,7 +486,7 @@ class TestRun:
     def test_validate_oracle_within_tolerance(self, tmp_path, capsys):
         out = tmp_path / "oracle.csv"
         config = ExperimentConfig(
-            experiment="validate-oracle", alpha=2.0, theta=0.5, output_path=str(out)
+            experiment="validate-oracle", alpha=2.0, theta=0.5, output=str(out)
         )
         assert run(config) == 0
         row = out.read_text().strip().split("\n")[1]
@@ -455,7 +508,7 @@ class TestRun:
         out = tmp_path / "run.json"
         config = ExperimentConfig(
             experiment="parity", alpha=8.0, theta=0.5, shots=200, seed=4,
-            output_path=str(out), output_format="json",
+            output=str(out), format="json",
         )
         assert run(config) == 0
         rows = json.loads(out.read_text())
@@ -477,7 +530,7 @@ class TestRun:
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         config = ExperimentConfig(
             experiment="parity", alpha=8.0, theta=0.5, shots=10, seed=1,
-            output_path=str(tmp_path / "no" / "such" / "dir" / "out.csv"),
+            output=str(tmp_path / "no" / "such" / "dir" / "out.csv"),
         )
         assert run(config) == 1
         assert "cannot write" in capsys.readouterr().err
@@ -495,7 +548,7 @@ class TestRun:
         out = tmp_path / "run.csv"
         config = ExperimentConfig(
             experiment="parity", alpha=1 / 3, theta=0.5, shots=10, seed=1,
-            output_path=str(out),
+            output=str(out),
         )
         assert run(config) == 0
         row = out.read_text().strip().split("\n")[1].split(",")

@@ -92,6 +92,11 @@ class TestKernel:
         with pytest.raises(ValidationError, match="nan"):
             kernel_value(math.nan, 1.0 + 0.5j)
 
+    def test_overflowing_phase_is_a_validation_error(self):
+        # at x = 2 Re beta the magnitude is 1, but Im beta (x - Re beta) overflows
+        with pytest.raises(ValidationError, match="phase .* is inf"):
+            kernel_value(2e154, 1e154 + 1e155j)
+
 
 # ---------------------------------------------------------------------------
 # outcome density
