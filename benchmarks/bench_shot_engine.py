@@ -11,10 +11,10 @@ Times, at 10, 50 and 1024 shots:
   the first collapse repeats into a row per shot;
 - ``_Shots.feed_forward`` for each feed-forward step of the circuits, with
   half of the shots flagged;
-- a block's random draws for the ``cnot`` circuit (two homodynes and a
+- a block's random words for the ``cnot`` circuit (two homodynes and a
   photon readout: 7 words a shot): the block's stream words (one
-  ``random((shots, 7))`` call on the run's generator) and every draw read
-  from them in circuit order.
+  ``random((shots, 7))`` call on the run's generator) and each
+  measurement's words read from them in circuit order.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
 ``cnot-deep`` workload.  Run from a checkout with
@@ -36,6 +36,7 @@ import numpy as np
 import pytest
 
 from kerrgate import ANCILLA_PLUS, ProbeMode, batch
+from kerrgate.measurement import STREAM_WORDS
 
 SEED = 4242
 SHOTS = [10, 50, 1024]
@@ -54,9 +55,9 @@ FEED_FORWARDS = {
 
 
 def prepared(shots: int, qubits: int) -> batch._Shots:
-    """A block with the CNOT's draws, holding the 2- or 3-qubit product input."""
+    """A block with the CNOT's words, holding the 2- or 3-qubit product input."""
     rng = np.random.default_rng(SEED)
-    block = batch._Shots(shots, PROBE, rng, batch.CIRCUITS["cnot"].draws)
+    block = batch._Shots(shots, PROBE, rng, batch.CIRCUITS["cnot"])
     c, d = INPUTS
     block.prepare(*((c, ANCILLA_PLUS, d) if qubits == 3 else (c, d)))
     return block
@@ -99,15 +100,20 @@ def test_feed_forward(benchmark, case, shots):
     assert block.amp.shape == (shots, 1 << qubits)
 
 
-def block_draws(rng: np.random.Generator, shots: int, draws: tuple[str, ...]) -> list:
-    """Every draw of the next ``shots`` shots of ``rng``, one array per draw."""
-    block = batch._Shots(shots, PROBE, rng, draws)
-    read = {"random": block._uniform, "standard_normal": block._normal}
-    return [read[draw]() for draw in draws]
+def block_draws(rng: np.random.Generator, shots: int, circuit: batch.Circuit) -> list:
+    """The words of each measurement of the next ``shots`` shots of ``rng``,
+    read as the circuit's steps read them, one array per word."""
+    block = batch._Shots(shots, PROBE, rng, circuit)
+    return [
+        word
+        for method, *_ in circuit.steps
+        if method.__name__ in STREAM_WORDS
+        for word in block._next_words(method.__name__).T
+    ]
 
 
 @pytest.mark.parametrize("shots", SHOTS)
 def test_block_draws(benchmark, shots):
-    draws = batch.CIRCUITS["cnot"].draws
-    columns = benchmark(block_draws, np.random.default_rng(SEED), shots, draws)
-    assert [column.shape for column in columns] == [(shots,)] * len(draws)
+    circuit = batch.CIRCUITS["cnot"]
+    columns = benchmark(block_draws, np.random.default_rng(SEED), shots, circuit)
+    assert [column.shape for column in columns] == [(shots,)] * circuit.words

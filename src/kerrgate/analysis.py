@@ -86,11 +86,10 @@ def run_shots(
     continuing the run's one generator.  RNG contract: the run reads one
     stream, ``np.random.default_rng(seed).random()``, and shot ``i`` takes
     its words ``i K .. i K + K - 1``, ``K`` being the circuit's
-    ``Circuit.words``.  In circuit order a homodyne measurement
-    reads one word for its branch pick and two for its noise, which
-    :func:`kerrgate.measurement.gaussian` turns into a standard normal, and
-    the CNOT's photon readout one word -- exactly what the scalar gates in
-    :mod:`kerrgate.gates` read from a generator.  Identical arguments
+    ``Circuit.words``.  Each measurement reads the words that
+    :data:`kerrgate.measurement.STREAM_WORDS` declares for it, in circuit
+    order, exactly as the scalar gates in :mod:`kerrgate.gates` read them
+    from a generator.  Identical arguments
     therefore give identical results whatever the block size, and shot ``i``
     replays through the scalar gates on ``default_rng(seed)`` advanced by
     ``i K`` (``Generator.bit_generator.advance``).  ``seed`` must be a

@@ -18,9 +18,9 @@ operation on the block:
 
 - ``rotate(*qubits)`` enters or leaves the diagonal frame, one cached
   ``2**n x 2**n`` product per qubit;
-- ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch from the
-  CDF of its ``|a|^2``, adds the shot's unit normal to that branch's peak,
-  multiplies by the measurement kernel ``<x|beta_k>`` and renormalizes;
+- ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch by its
+  ``|a|^2``, adds the shot's unit normal to that branch's peak, multiplies
+  by the measurement kernel ``<x|beta_k>`` and renormalizes;
 - ``feed_forward(plan, slots)`` applies one of the plans in
   :mod:`kerrgate.gates` (the ones the scalar gates execute) to the shots
   whose last measurement read odd or V, resolved once per circuit into
@@ -36,17 +36,14 @@ Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
 
 A run with seed ``s`` reads one stream, ``np.random.default_rng(s).random()``.
 Shot ``i`` takes words ``i K .. i K + K - 1`` of it, where ``K``
-(:attr:`Circuit.words`) counts one word per ``random`` draw and two per
-``standard_normal`` draw of the circuit (:attr:`Circuit.draws`): ``u`` then
-the noise ``z`` per homodyne, then ``u`` for the photon.  A normal is
-:func:`kerrgate.measurement.gaussian` of its two words, which is how the
-scalar gates in :mod:`kerrgate.gates` draw their noise too.  The run builds
-its generator once and hands it to each block in turn; a block's words are
-one ``random((count, K))`` call on it, and each draw is read from them in
-place, so shot ``i`` is the same in any block.  The scalar gates stay the
-reference: replaying a shot through them, on ``default_rng(s)`` advanced by
-``i K`` or with its recorded outcomes forced, gives the same records and
-final state.
+(:attr:`Circuit.words`) sums :data:`kerrgate.measurement.STREAM_WORDS` over
+the circuit's measurements, as the scalar gates in :mod:`kerrgate.gates`
+read them.  The run builds its generator once and hands it to each block in
+turn; a block's words are one ``random((count, K))`` call on it, and each
+measurement reads its own from them in place, so shot ``i`` is the same in
+any block.  The scalar gates stay the reference: replaying a shot through
+them, on ``default_rng(s)`` advanced by ``i K`` or with its recorded
+outcomes forced, gives the same records and final state.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ from .gates import (
     FeedForwardPlan,
     resolve_action,
 )
-from .measurement import KERNEL_PEAK, gaussian
+from .measurement import KERNEL_PEAK, STREAM_WORDS, gaussian, pick_branches
 from .optics import build_parity_coupling_pair, diagonal_basis_change
 from .states import ProbeMode
 
@@ -124,17 +121,6 @@ def _collapse_constants(probe: ProbeMode) -> tuple[np.ndarray, float, float, flo
     return peaks, labels[2].real, labels[2].imag, probe.x0
 
 
-#: ``random()`` words each kind of draw reads: a uniform one, a Box-Muller
-#: normal two
-_WORDS = {"random": 1, "standard_normal": 2}
-
-
-@lru_cache(maxsize=None)
-def _words(draws: tuple[str, ...]) -> int:
-    """Stream words a shot making ``draws`` takes."""
-    return sum(_WORDS[d] for d in draws)
-
-
 class _Step(NamedTuple):
     """One feed-forward action as an operation on a block's columns.
 
@@ -182,26 +168,22 @@ class _Shots:
     :class:`Circuit` is made of.  Until the first homodyne every shot holds
     the same product input, so ``amp`` is one ``(1, 2**n)`` row that
     ``rotate`` acts on; the first collapse repeats it into one row per shot.
-    Each shot's draws are read in place from its row of the block's words
-    (``words``, the next ``count`` rows of ``rng``): a uniform is one
-    column, a normal :func:`gaussian` of two.
+    ``words`` holds the next ``count`` shots of ``rng`` for ``circuit``, a
+    row each, and every measurement reads its own columns of them in place.
     Each measurement leaves its outcome as ``flag`` (set where a homodyne
     read odd or the photon read V) and its phase as ``flag_phi`` (``None``
     after a photon readout), for the ``feed_forward`` that follows it.
     """
 
-    def __init__(
-        self, count: int, probe: ProbeMode, rng: np.random.Generator, draws: tuple[str, ...]
-    ):
+    def __init__(self, count: int, probe: ProbeMode, rng: np.random.Generator, circuit: Circuit):
         self.probe = probe
         self.count = count
-        self.words = rng.random((count, _words(draws)))
+        self.words = rng.random((count, circuit.words))
         self.read = 0
-        # one homodyne record per standard_normal draw, a row each
-        records = draws.count("standard_normal")
-        self.x = np.empty((records, count))
-        self.odd = np.empty((records, count), bool)
-        self.phi = np.empty((records, count))
+        records = (circuit.records, count)  # a row per homodyne record
+        self.x = np.empty(records)
+        self.odd = np.empty(records, bool)
+        self.phi = np.empty(records)
         self.measured = 0
         self.photon_v = np.zeros(count, bool)
 
@@ -213,17 +195,11 @@ class _Shots:
         self.n = len(pairs)
         self.amp = product[None, :]
 
-    def _uniform(self) -> np.ndarray:
-        """Every shot's next ``random`` draw: a column of the words."""
+    def _next_words(self, measurement: str) -> np.ndarray:
+        """Every shot's ``STREAM_WORDS[measurement]`` next words, a row per shot."""
         k = self.read
-        self.read = k + 1
-        return self.words[:, k]
-
-    def _normal(self) -> np.ndarray:
-        """Every shot's next ``standard_normal`` draw, from two words."""
-        k = self.read
-        self.read = k + 2
-        return gaussian(self.words[:, k], self.words[:, k + 1])
+        self.read = k + STREAM_WORDS[measurement]
+        return self.words[:, k : self.read]
 
     def rotate(self, *qubits: int) -> None:
         """Enter (or, being self-inverse, leave) the diagonal frame."""
@@ -243,19 +219,16 @@ class _Shots:
         """Parity kicks on a fresh probe, X-quadrature sample, collapse."""
         cols = _label_columns(self.n, qubit_a, qubit_b)
         peaks, a, b, x0 = _collapse_constants(self.probe)
-        u, noise = self._uniform(), self._normal()
+        words = self._next_words("homodyne")  # the branch pick, then the noise pair
         j = self.measured
         self.measured = j + 1
         x, odd, phi = self.x[j], self.odd[j], self.phi[j]
-        # exact-mixture sampling, as sample_quadrature draws it
-        weights = np.abs(self.amp) ** 2
-        cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=1, keepdims=True), axis=1)
-        cdf /= cdf[:, -1:]
-        # the count of CDF entries <= u; the shared input row broadcasts
-        pick = np.add.reduce(cdf <= u[:, None], axis=1)
+        # exact-mixture sampling, as sample_quadrature draws it; the shared
+        # input row serves every shot
+        pick = pick_branches(np.abs(self.amp) ** 2, words[:, 0])
         if len(self.amp) == 1:
             self.amp = self.amp.repeat(self.count, axis=0)
-        np.add(peaks[cols[pick]], noise, out=x)
+        np.add(peaks[cols[pick]], gaussian(words[:, 1], words[:, 2]), out=x)
         # collapse onto <x|beta_k>, one kernel row per label; label(0) is
         # real, label(+-1) carry the phases +-p, p = kernel_phase(x, label(1)),
         # reduced exactly by sin/cos into e^{ip}, which label -1 conjugates;
@@ -283,7 +256,7 @@ class _Shots:
         v_cols = _v_bits(self.n)[:, qubit]
         weights = np.abs(self.amp) ** 2
         p_v = np.add.reduce(weights[:, v_cols], axis=1) / np.add.reduce(weights, axis=1)
-        v = self._uniform() < p_v
+        v = self._next_words("photon")[:, 0] < p_v
         self.amp = np.where(v[:, None] == v_cols[None, :], self.amp, 0j)
         self._renormalize("photon readout")
         self.photon_v = self.flag = v
@@ -299,14 +272,6 @@ class _Shots:
         self.amp = np.where(self.flag[:, None], corrected, self.amp)
 
 
-#: the draws each kind of step makes, in order, on every shot; ``rotate``
-#: and ``feed_forward`` draw nothing
-_DRAWS = {
-    _Shots.homodyne: ("random", "standard_normal"),  # branch pick, then noise
-    _Shots.photon: ("random",),
-}
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An experiment as data.
@@ -315,20 +280,21 @@ class Circuit:
     a block that holds the experiment's two input qubits, with the CNOT
     ancilla ``ANCILLA_PLUS`` between them when ``ancilla`` is set.
     ``ideal(shots, c, d)`` gives each shot's record-conditional ideal output
-    for inputs ``c`` and ``d``.  ``draws``, derived from the steps, lists the
-    draws each shot makes, in order, and ``words`` the stream words they take.
+    for inputs ``c`` and ``d``.  Derived from the steps: ``words``, the
+    stream words a shot takes (the sum of each measurement step's
+    ``STREAM_WORDS``), and ``records``, its homodyne count.
     """
 
     ancilla: bool
     steps: tuple[tuple, ...]
     ideal: Callable[[_Shots, tuple, tuple], np.ndarray]
-    draws: tuple[str, ...] = field(init=False)
     words: int = field(init=False)
+    records: int = field(init=False)
 
     def __post_init__(self):
-        draws = tuple(d for method, *_ in self.steps for d in _DRAWS.get(method, ()))
-        object.__setattr__(self, "draws", draws)
-        object.__setattr__(self, "words", _words(draws))
+        kinds = [method.__name__ for method, *_ in self.steps]
+        object.__setattr__(self, "words", sum(STREAM_WORDS.get(kind, 0) for kind in kinds))
+        object.__setattr__(self, "records", kinds.count("homodyne"))
 
 
 def _entangler(qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN) -> tuple:
@@ -454,7 +420,7 @@ def run_block(
     probes of the CNOT are ``probe``.
     """
     circuit = CIRCUITS[experiment]
-    shots = _Shots(count, probe, rng, circuit.draws)
+    shots = _Shots(count, probe, rng, circuit)
     c, d = inputs
     shots.prepare(*((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d)))
     for method, *args in circuit.steps:

@@ -34,8 +34,9 @@ rotation follows the kicks); sampling such a state raises
 ``ValidationError``.  A state has at most one active probe, and every
 function here measures that one.
 
-Every stochastic operation takes an explicit ``numpy.random.Generator``;
-identical generators give identical outcomes.
+Every stochastic operation takes an explicit ``numpy.random.Generator``
+and reads the words :data:`STREAM_WORDS` declares; identical generators give
+identical outcomes.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .states import (
     merge_and_prune,
     norm_squared,
     renormalized,
+    require_norm,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -181,29 +183,46 @@ def gaussian(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)
 
 
+#: ``random()`` words one sample of each measurement reads: a homodyne its
+#: branch pick, then its :func:`gaussian` pair; a photon readout one.  Both
+#: shot engines read this layout, so a batched shot replays through the
+#: scalar gates.
+STREAM_WORDS = {"homodyne": 3, "photon": 1}
+
+
+def pick_branches(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The branch each uniform ``u`` picks by ``weights``, one row for every
+    ``u`` or a row each: the count of entries ``<= u`` of the weights' CDF,
+    divided by its last entry so that no ``u`` in [0, 1) picks past the last
+    nonzero weight.  Both shot engines pick their branches here.
+    """
+    cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.add.reduce(cdf <= u[:, None], axis=-1)
+
+
 def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) -> np.ndarray:
     """Draw ``n`` independent X samples from the outcome density.
 
     With one branch per basis string (every circuit built here) the density
     is exactly a mixture of unit-variance Gaussians, one per branch: each
-    sample picks a branch by its weight (``rng.choice``, one ``random()``
-    word per sample) and adds a standard normal made by :func:`gaussian`
-    from two more words (``rng.random((n, 2))``).  Box-Muller's tail stops
-    near 8.57 sigma, which matters only for error rates below ~1e-17.  A
-    state where some basis string holds two branches has interfering peaks
-    and raises ``ValidationError``, as does a zero-norm state.
+    sample picks a branch (:func:`pick_branches` of ``rng.random(n)``) and
+    adds a standard normal made by :func:`gaussian` from ``rng.random((n,
+    2))``, the homodyne words of :data:`STREAM_WORDS`.  Box-Muller's tail
+    stops near 8.57 sigma, which matters only for error rates below ~1e-17.
+    A state where some basis string holds two branches has interfering
+    peaks and raises ``ValidationError``, as does a zero or overflowing norm.
     """
     probe = state.require_probe()
     if _same_basis_pairs(state):
         raise ValidationError(
             "sampling needs one branch per basis string; this state has interfering branches"
         )
-    weights = np.array([abs(b.amplitude) ** 2 for b in state.branches])
-    total = weights.sum()
-    if not total > 0.0:
-        raise ValidationError("cannot sample a zero-norm state")
+    with np.errstate(over="ignore"):  # require_norm rejects a norm that overflows
+        weights = np.abs(np.array([b.amplitude for b in state.branches])) ** 2
+        require_norm(np.add.reduce(weights), "sample")
     means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
-    picks = rng.choice(len(weights), size=n, p=weights / total)
+    picks = pick_branches(weights, rng.random(n))
     u = rng.random((n, 2))
     return means[picks] + gaussian(u[:, 0], u[:, 1])
 
@@ -244,9 +263,9 @@ def sample_and_collapse(
         ]
         collapsed = renormalized(_merged_state(state.n_qubits, weighted, None, state.pruned_mass))
     except ValidationError:
-        # kernel_value's nan outcome, or renormalized's zero norm: an x too
-        # far out has a zero kernel on every branch
-        raise ValidationError(f"collapse at x={x} leaves a zero-norm state") from None
+        # kernel_value's nan outcome, or renormalized's zero norm (an x too
+        # far out has a zero kernel on every branch) or overflowing one
+        raise ValidationError(f"collapse at x={x} leaves a zero-norm or non-finite state") from None
     return record, merge_and_prune(collapsed)
 
 
@@ -261,9 +280,7 @@ def qnd_photon_measure(
     The photon stays in the state (the qubit is projected, not removed).
     """
     state.require_qubit(qubit_index)
-    total = norm_squared(state)
-    if not total > 0.0:
-        raise ValidationError("cannot measure a zero-norm state")
+    total = require_norm(norm_squared(state), "measure")
     projected_v = HybridState(
         state.n_qubits,
         tuple(b for b in state.branches if b.basis[qubit_index] == "V"),

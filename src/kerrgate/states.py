@@ -209,6 +209,8 @@ def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
             s = abs(complex(c0)) ** 2 + abs(complex(c1)) ** 2
         except (TypeError, ValueError):
             raise ValidationError(f"qubit {i} spec {pair!r} is not an amplitude pair") from None
+        except OverflowError:  # from a square past the float range
+            s = math.inf
         if not (abs(s - 1.0) <= _NORM_TOL):  # also catches NaN
             raise ValidationError(
                 f"qubit {i} amplitude pair is not normalized: |c0|^2+|c1|^2 = {s!r}"
@@ -251,11 +253,21 @@ def norm_squared(state: HybridState) -> float:
     return total
 
 
+def require_norm(n2: float, what: str) -> float:
+    """``n2``, the squared norm an operation divides by, if finite and nonzero.
+
+    Renormalizing, sampling, measuring and taking a fidelity check their norm
+    here: a norm that overflows (amplitudes past ~1e154) would scale every
+    branch to zero.
+    """
+    if not 0.0 < n2 < math.inf:  # also catches NaN
+        kind = "zero" if n2 <= 0.0 else "non-finite"
+        raise ValidationError(f"cannot {what} a {kind}-norm state; it needs a finite, nonzero norm")
+    return n2
+
+
 def renormalized(state: HybridState) -> HybridState:
-    n2 = norm_squared(state)
-    if not n2 > 0.0:  # also catches NaN
-        raise ValidationError("cannot renormalize a zero-norm state")
-    scale = 1.0 / math.sqrt(n2)
+    scale = 1.0 / math.sqrt(require_norm(norm_squared(state), "renormalize"))
     branches = tuple(Branch(b.amplitude * scale, b.basis, b.phase) for b in state.branches)
     return HybridState(state.n_qubits, branches, state.probe, state.pruned_mass)
 
@@ -293,7 +305,5 @@ def fidelity(state: HybridState, reference: HybridState) -> float:
     overlap = sum(
         (r.amplitude.conjugate() * amps.get(r.basis, 0j) for r in reference.branches), 0j
     )
-    denom = norm_squared(state) * norm_squared(reference)
-    if not (denom > 0.0 and math.isfinite(denom)):
-        raise ValidationError("fidelity needs states of finite, nonzero norm")
+    denom = require_norm(norm_squared(state) * norm_squared(reference), "take the fidelity of")
     return abs(overlap) ** 2 / denom

@@ -11,9 +11,10 @@ engine's dense ones.
 Each feed-forward the circuits make is checked against the masked matrix
 products it replaces, on random blocks.
 
-The draws each block's shots read from its words are checked bit for bit
-against those replay generators, for seeds of one to five 32-bit words and
-for blocks at and across ``2**32``.
+The words each block's measurements read are checked bit for bit against
+those replay generators, for seeds of one to five 32-bit words and for
+blocks at and across ``2**32``, and an unforced scalar shot must read
+exactly the words its circuit declares.
 """
 
 import itertools
@@ -49,7 +50,7 @@ from kerrgate.gates import (
     FIXED_ACTIONS,
     resolve_action,
 )
-from kerrgate.measurement import gaussian
+from kerrgate.measurement import STREAM_WORDS, gaussian
 from kerrgate.states import ALPHA_MAX
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
@@ -275,7 +276,8 @@ def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
     }[flags]
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
 
-    shots = batch._Shots(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), ("random",))
+    circuit = batch.CIRCUITS["parity"]
+    shots = batch._Shots(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), circuit)
     shots.n, shots.amp, shots.flag, shots.flag_phi = n, amp.copy(), flag, phi
     shots.feed_forward(plan, slots)
     expected = masked_feed_forward(amp, n, plan, slots, flag, phi)
@@ -304,42 +306,53 @@ def bits(values) -> list[int]:
     return np.asarray(values, np.float64).view(np.uint64).tolist()
 
 
-def replay_rows(seed, start, count, draws) -> np.ndarray:
-    """The reference: each shot's replay generator, read as the scalar
-    engine reads it (a normal from ``rng.random((1, 2))``)."""
-    words = sum(2 if method == "standard_normal" else 1 for method in draws)
+def measurements(circuit) -> list[str]:
+    """The circuit's measurement steps, in order, by name."""
+    return [method.__name__ for method, *_ in circuit.steps if method.__name__ in STREAM_WORDS]
+
+
+def replay_rows(seed, start, count, circuit) -> np.ndarray:
+    """The reference: each shot's replay generator, read as the scalar gates
+    read it: a homodyne's branch pick from ``random(1)`` and its noise pair
+    from ``random((1, 2))``, then the pair's normal; a photon readout's
+    ``random()``."""
     rows = []
     for i in range(start, start + count):
-        rng = shot_rng(seed, i, words)
+        rng = shot_rng(seed, i, circuit.words)
         row = []
-        for method in draws:
-            if method == "random":
-                row.append(rng.random())
+        for kind in measurements(circuit):
+            if kind == "homodyne":
+                pick, pair = rng.random(1), rng.random((1, 2))
+                row += [pick[0], *pair[0], gaussian(pair[:, 0], pair[:, 1])[0]]
             else:
-                u = rng.random((1, 2))
-                row.append(gaussian(u[:, 0], u[:, 1])[0])
+                row.append(rng.random())
         rows.append(row)
-    return np.array(rows).reshape(count, len(draws))
+    return np.array(rows)
 
 
-def engine_rows(seed, start, count, draws) -> np.ndarray:
-    """The draws of a block's shots, read in circuit order from the block's
-    words as the engine's steps read them, one row per shot."""
-    rng = shot_rng(seed, start, batch._words(draws))
-    shots = batch._Shots(count, ProbeMode(8.0, 0.5), rng, draws)
-    read = {"random": shots._uniform, "standard_normal": shots._normal}
-    return np.array([read[method]() for method in draws]).T
+def engine_rows(seed, start, count, circuit) -> np.ndarray:
+    """The same from a block: each measurement's words as its step reads
+    them, a homodyne's followed by its normal, one row per shot."""
+    rng = shot_rng(seed, start, circuit.words)
+    shots = batch._Shots(count, ProbeMode(8.0, 0.5), rng, circuit)
+    columns = []
+    for kind in measurements(circuit):
+        words = list(shots._next_words(kind).T)
+        if kind == "homodyne":
+            words.append(gaussian(words[1], words[2]))
+        columns += words
+    return np.array(columns).T
 
 
 @pytest.mark.parametrize("start", [0, 1024, 2**32])
 @pytest.mark.parametrize("seed", SEED_WIDTHS)
 def test_draw_table_rows_are_the_default_rng_streams(seed, start):
-    """The draws one, 40 and 1024-shot blocks read are, bit for bit, the
-    draws of the shots' replay generators, ``default_rng(seed)`` advanced."""
+    """The words one, 40 and 1024-shot blocks read are, bit for bit, the
+    words of the shots' replay generators, ``default_rng(seed)`` advanced."""
     for circuit in batch.CIRCUITS.values():
         for count in (1, 40, 1024):
-            table = engine_rows(seed, start, count, circuit.draws)
-            assert bits(table) == bits(replay_rows(seed, start, count, circuit.draws))
+            table = engine_rows(seed, start, count, circuit)
+            assert bits(table) == bits(replay_rows(seed, start, count, circuit))
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,10 +363,26 @@ def test_draw_table_rows_are_the_default_rng_streams(seed, start):
     count=st.integers(1, 100),
 )
 def test_draw_table_property(name, seed, start, count):
-    """Every shot's draws, bit for bit, are its replay generator's draws."""
-    draws = batch.CIRCUITS[name].draws
-    table = engine_rows(seed, start, count, draws)
-    assert bits(table) == bits(replay_rows(seed, start, count, draws))
+    """Every shot's words, bit for bit, are its replay generator's words."""
+    circuit = batch.CIRCUITS[name]
+    table = engine_rows(seed, start, count, circuit)
+    assert bits(table) == bits(replay_rows(seed, start, count, circuit))
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_scalar_gates_read_the_words_their_circuit_declares(experiment):
+    """An unforced scalar shot leaves its generator exactly ``Circuit.words``
+    words on, where the next shot's replay generator starts: 3 for the
+    parity gate and both entanglers, 7 for the CNOT."""
+    words = batch.CIRCUITS[experiment].words
+    assert words == (7 if experiment == "cnot" else 3)
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    for alpha, xd in POINTS:
+        probe = ProbeMode(alpha, theta_for(alpha, xd))
+        for seed in (0, 2**32, 2**70):
+            rng = shot_rng(seed, 0, words)
+            scalar_shot(experiment, *inputs, probe, rng)
+            assert rng.bit_generator.state == shot_rng(seed, 1, words).bit_generator.state
 
 
 @pytest.mark.parametrize("seed", SEED_WIDTHS)

@@ -27,7 +27,7 @@ from kerrgate import (
 )
 from kerrgate import batch
 from kerrgate.analysis import p_error
-from kerrgate.measurement import gaussian
+from kerrgate.measurement import gaussian, pick_branches
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 TWO_PI_QUARTER = (2.0 * math.pi) ** -0.25
@@ -276,6 +276,11 @@ def zero_norm_state():
     return HybridState.from_branches(1, [], probe=ProbeMode(2.0, 0.5))
 
 
+def overflowing_state(amp=1e300):
+    """Two finite branches whose squared norm overflows to inf."""
+    return HybridState.from_branches(1, [(amp, "H", 0), (amp, "V", 0)])
+
+
 #: ``gaussian``'s largest |z|, at ``1 - u1 = 2**-53``
 BOX_MULLER_EDGE = math.sqrt(-2.0 * math.log(2.0**-53))
 
@@ -361,6 +366,32 @@ class TestSampleQuadrature:
         with pytest.raises(ValidationError, match="zero-norm"):
             sample_and_collapse(zero_norm_state(), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("amp", [1e300, 1e154], ids=["squares", "sum"])
+    def test_overflowing_norm_is_rejected(self, amp):
+        """At 1e300 each weight overflows, at 1e154 only their sum."""
+        state = overflowing_state(amp).activate_probe(ProbeMode(2.0, 0.5))
+        with pytest.raises(ValidationError, match="cannot sample a non-finite-norm state"):
+            sample_quadrature(state, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="cannot sample a non-finite-norm state"):
+            sample_and_collapse(state, np.random.default_rng(0))
+
+
+class TestPickBranches:
+    def test_each_u_picks_the_count_of_cdf_entries_at_or_below_it(self):
+        # CDF (0, 0.25, 0.25, 1): the zero-weight branches 0 and 2 are never picked
+        top = np.nextafter(1.0, 0.0)  # the largest random()
+        u = np.array([0.0, 0.1, np.nextafter(0.25, 0.0), 0.25, 0.7, top])
+        picks = pick_branches(np.array([0.0, 1.0, 0.0, 3.0]), u)
+        assert picks.tolist() == [1, 1, 1, 3, 3, 3]
+
+    def test_a_row_per_u_equals_one_row_each(self):
+        rng = np.random.default_rng(3)
+        weights = rng.random((50, 8)) * (rng.random((50, 8)) < 0.7)
+        weights[:, 0] += 1e-3  # a nonzero weight in every row
+        u = rng.random(50)
+        expected = [pick_branches(row, u[i : i + 1])[0] for i, row in enumerate(weights)]
+        assert pick_branches(weights, u).tolist() == expected
+
 
 # ---------------------------------------------------------------------------
 # sample_and_collapse
@@ -388,6 +419,12 @@ class TestSampleAndCollapse:
         state = parity_state((0.6, 0.8), (0.28, 0.96), 5.0, theta)
         with pytest.raises(ValidationError, match=r"collapse at x=.* zero-norm"):
             sample_and_collapse(state, np.random.default_rng(0), force_x=x)
+
+    def test_forced_collapse_of_an_overflowing_norm_is_rejected(self):
+        probe = ProbeMode(2.0, 0.5)
+        state = overflowing_state().activate_probe(probe)
+        with pytest.raises(ValidationError, match=r"collapse at x=.* non-finite state"):
+            sample_and_collapse(state, None, force_x=probe.x0)
 
     def test_labels_of_one_basis_string_merge_in_the_collapse(self):
         # H on labels 0 and 1 and V on labels 0 and -1: the collapse weighs
@@ -553,6 +590,12 @@ class TestQndPhotonMeasure:
     def test_zero_norm_state_is_rejected(self):
         with pytest.raises(ValidationError, match="zero-norm"):
             qnd_photon_measure(zero_norm_state(), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("force", [None, "H", "V"])
+    def test_overflowing_norm_is_rejected(self, force):
+        # p_V = inf / inf is nan, which read H and renormalized to a zero state
+        with pytest.raises(ValidationError, match="cannot measure a non-finite-norm state"):
+            qnd_photon_measure(overflowing_state(), 0, np.random.default_rng(0), force)
 
     def test_forced_outcome_whose_mass_underflows_is_rejected(self):
         """A V amplitude of 1.9e-207 is a branch whose squared norm is zero."""

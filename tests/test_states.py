@@ -29,12 +29,14 @@ from kerrgate.optics import (
     apply_single_qubit,
     diagonal_basis_change,
 )
-from kerrgate.states import _merged_state, renormalized
+from kerrgate.states import _merged_state, check_normalized, renormalized
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 #: a valid state whose squared norm overflows to inf
 HUGE = HybridState.from_branches(1, [(1e200, "H", 0)])
+#: the same on two basis strings, which renormalizing would make two 0j branches
+OVERFLOWING = HybridState.from_branches(1, [(1e300, "H", 0), (1e300, "V", 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +80,21 @@ def test_non_finite_pairs_are_not_normalized(prepare, bad):
     """NaN fails every comparison, so it must not slip past as 'close to 1'."""
     with pytest.raises(ValidationError, match="qubit 1 amplitude pair is not normalized"):
         prepare([(1.0, 0.0), bad])
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        check_normalized,
+        new_state,
+        lambda pairs: run_shots("parity", pairs, 8.0, 0.5, 4, 0),
+    ],
+    ids=["check_normalized", "new_state", "run_shots"],
+)
+def test_pairs_whose_square_overflows_are_not_normalized(prepare):
+    """``abs(1e200) ** 2`` overflows: the pair is reported, not the arithmetic."""
+    with pytest.raises(ValidationError, match="qubit 0 amplitude pair is not normalized"):
+        prepare([(1e200, 0), (1, 0)])
 
 
 @pytest.mark.parametrize(
@@ -257,6 +274,13 @@ def test_fidelity_rejects_zero_or_non_finite_norm(state, reference):
     # |1e200|^2 overflows to inf, and inf / inf would be reported as nan
     with pytest.raises(ValidationError, match="finite, nonzero norm"):
         fidelity(state, reference)
+
+
+@pytest.mark.parametrize("state", [HUGE, OVERFLOWING], ids=["one-branch", "two-branches"])
+def test_renormalizing_an_overflowing_norm_is_rejected(state):
+    # 1 / sqrt(inf) would scale every branch to 0j
+    with pytest.raises(ValidationError, match="cannot renormalize a non-finite-norm state"):
+        renormalized(state)
 
 
 def test_fidelity_rejects_active_probes():
