@@ -46,7 +46,6 @@ from kerrgate import (
 SEED = 4242
 ALPHA = 100.0
 PROBE = ProbeMode(ALPHA, 2.0 * math.asin(math.sqrt(20.0 / (4.0 * ALPHA))))
-PROBES = (PROBE, PROBE)
 INPUTS = ((0.6 + 0j, 0.8j), (0.28 + 0j, -0.96 + 0j))
 CNOT_INPUT = [INPUTS[0], ANCILLA_PLUS, INPUTS[1]]
 #: shots of a seeded gate per benchmark run, each from a fresh generator
@@ -116,7 +115,7 @@ def test_cnot_shot(benchmark):
     state = new_state(CNOT_INPUT)
     trace, _ = benchmark.pedantic(
         cnot,
-        setup=lambda: ((state, 0, 1, 2, PROBES, np.random.default_rng(SEED)), {}),
+        setup=lambda: ((state, 0, 1, 2, PROBE, np.random.default_rng(SEED)), {}),
         rounds=GATE_ROUNDS,
     )
     assert len(trace.records) == 2

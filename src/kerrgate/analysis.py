@@ -40,8 +40,7 @@ class DiscriminationGeometry:
 
 def geometry(alpha: float, theta: float) -> DiscriminationGeometry:
     probe = ProbeMode(alpha, theta)  # validates the regime
-    # 1 - cos theta = 2 sin^2(theta / 2), without the cancellation at small theta
-    return DiscriminationGeometry(x0=probe.x0, xd=4.0 * alpha * math.sin(0.5 * theta) ** 2)
+    return DiscriminationGeometry(x0=probe.x0, xd=probe.xd)
 
 
 def p_error(alpha: float, theta: float) -> float:

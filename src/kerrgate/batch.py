@@ -416,8 +416,9 @@ def run_block(
     """Run the next ``count`` shots of ``experiment`` on validated inputs.
 
     The shots read their words from ``rng``, which they advance by ``count K``.
-    ``inputs`` are two normalized amplitude pairs, as for ``run_shots``; both
-    probes of the CNOT are ``probe``.
+    ``inputs`` are two normalized amplitude pairs, as for ``run_shots``; the
+    CNOT's two parity detectors each use ``probe``, as :func:`kerrgate.gates.cnot`
+    does.
     """
     circuit = CIRCUITS[experiment]
     shots = _Shots(count, probe, rng, circuit)

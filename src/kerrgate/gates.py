@@ -51,7 +51,7 @@ from .optics import (
     diagonal_gate,
     sign_flip,
 )
-from .states import HybridState, ProbeMode, merge_and_prune
+from .states import HybridState, ProbeMode
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -174,7 +174,7 @@ def _entangler_core(
     record, state = parity_gate(state, qubit_a, qubit_b, probe, rng, force_x)
     actions = plan if record.parity == "odd" else ()
     state, applied = _apply_actions(state, actions, {"0": qubit_a, "1": qubit_b}, record.phi)
-    return record, merge_and_prune(state), tuple(applied)
+    return record, state, tuple(applied)
 
 
 def entangler(
@@ -221,7 +221,7 @@ def entangler_45(
     )
     state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
     state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
-    return GateTrace(records=(record,), corrections=applied), merge_and_prune(state)
+    return GateTrace(records=(record,), corrections=applied), state
 
 
 def _check_ancilla_plus(state: HybridState, ancilla: int) -> None:
@@ -244,7 +244,7 @@ def cnot(
     control: int,
     ancilla: int,
     target: int,
-    probes: tuple[ProbeMode, ProbeMode],
+    probe: ProbeMode,
     rng: np.random.Generator,
     force_x1: float | None = None,
     force_x2: float | None = None,
@@ -255,9 +255,11 @@ def cnot(
     Sequence: computational entangler on (control, ancilla), diagonal-basis
     entangler on (ancilla, target), controller sign flip on the control when
     the second homodyne classifies odd, then a QND polarization readout of
-    the ancilla with a target bit flip on outcome V.  The ancilla photon is
-    measured, not consumed: it ends in the recorded basis state and can be
-    recycled for the next gate.
+    the ancilla with a target bit flip on outcome V.  Both parity detectors
+    activate ``probe`` afresh, in turn: the first is measured before the
+    second couples.  The ancilla photon is measured, not consumed: it ends in
+    the recorded basis state and can be recycled for the next gate.  No
+    branch is dropped along the way, however small.
     """
     if len({control, ancilla, target}) != 3:
         raise ValidationError("control, ancilla and target must be distinct")
@@ -266,8 +268,8 @@ def cnot(
     _check_ancilla_plus(state, ancilla)
     slots = {"control": control, "target": target}
 
-    trace1, state = entangler(state, control, ancilla, probes[0], rng, force_x1)
-    trace2, state = entangler_45(state, ancilla, target, probes[1], rng, force_x2)
+    trace1, state = entangler(state, control, ancilla, probe, rng, force_x1)
+    trace2, state = entangler_45(state, ancilla, target, probe, rng, force_x2)
     odd = trace2.records[0].parity == "odd"
     state, signed = _apply_actions(state, CNOT_SIGN_PLAN if odd else (), slots)
     outcome, state = qnd_photon_measure(state, ancilla, rng, force_outcome=force_photon)
@@ -279,7 +281,7 @@ def cnot(
         photon_outcomes=((ancilla, outcome),),
         corrections=corrections,
     )
-    return trace, merge_and_prune(state)
+    return trace, state
 
 
 def recycle_ancilla(state: HybridState, ancilla: int, outcome: str) -> HybridState:

@@ -53,7 +53,6 @@ from .states import (
     Branch,
     HybridState,
     _merged_state,
-    merge_and_prune,
     norm_squared,
     renormalized,
     require_norm,
@@ -266,7 +265,7 @@ def sample_and_collapse(
         # kernel_value's nan outcome, or renormalized's zero norm (an x too
         # far out has a zero kernel on every branch) or overflowing one
         raise ValidationError(f"collapse at x={x} leaves a zero-norm or non-finite state") from None
-    return record, merge_and_prune(collapsed)
+    return record, collapsed
 
 
 def qnd_photon_measure(

@@ -34,10 +34,16 @@ from .errors import ContractError, ValidationError
 #: basis string: one 'H' or 'V' label per qubit, hashable for branch merging
 PolBasisString = tuple[str, ...]
 
-#: default amplitude threshold below which branches are discarded
+#: default amplitude threshold of :func:`merge_and_prune`
 DEFAULT_PRUNE_EPS = 1e-14
 
 _NORM_TOL = 1e-12
+
+#: how far the float threshold ``x0`` may miss the midpoint ``2 alpha - xd/2``
+#: of the peaks, as a share of ``xd``, and an absolute floor for an ``xd``
+#: that underflows
+_THRESHOLD_TOL = 1e-3
+_THRESHOLD_FLOOR = 1e-9
 
 #: largest probe amplitude.  Up to it every number a collapse computes stays
 #: finite in both shot engines: ``alpha**2``, the kernel phase ``b (x - a)``
@@ -72,6 +78,17 @@ class ProbeMode:
         # theta = 0 is allowed as the degenerate no-coupling limit
         if not (0.0 <= self.theta <= math.pi):
             raise ValidationError(f"probe theta must lie in [0, pi], got {self.theta}")
+        # the float threshold must sit midway between the peaks: deep in the
+        # weak-Kerr limit ``cos theta`` rounds towards 1 and ``x0`` onto the
+        # even peak ``2 alpha``, and every even shot would read odd
+        xd = self.xd
+        miss = abs((self.x0 - 2.0 * self.alpha) + 0.5 * xd)
+        if miss > max(_THRESHOLD_TOL * xd, _THRESHOLD_FLOOR):
+            raise ValidationError(
+                f"probe theta {self.theta!r} at alpha {self.alpha!r} is unresolvable in "
+                f"floating point: the threshold x0 = alpha (1 + cos theta) misses the "
+                f"midpoint of the peaks by {miss:.3g}, peak separation xd = {xd:.3g}"
+            )
 
     def label(self, k: int) -> complex:
         """Coherent label alpha * exp(i k theta) for phase index ``k``."""
@@ -82,6 +99,12 @@ class ProbeMode:
         """Homodyne threshold ``alpha (1 + cos theta)``, midway between the
         even-parity peak ``2 alpha`` and the odd-parity peak ``2 alpha cos theta``."""
         return self.alpha * (1.0 + math.cos(self.theta))
+
+    @property
+    def xd(self) -> float:
+        """Peak separation ``2 alpha (1 - cos theta)``, as ``4 alpha sin^2(theta / 2)``
+        to avoid the cancellation at small theta."""
+        return 4.0 * self.alpha * math.sin(0.5 * self.theta) ** 2
 
 
 def coherent_overlap(bra: complex, ket: complex) -> complex:
@@ -109,7 +132,8 @@ class HybridState:
 
     ``pruned_mass`` accumulates the squared amplitude discarded by
     :func:`merge_and_prune` over the state's history; it is diagnostic only
-    and never triggers renormalization.
+    and never triggers renormalization.  No gate or measurement prunes, so
+    it stays 0 unless a caller prunes explicitly.
     """
 
     n_qubits: int
@@ -123,13 +147,12 @@ class HybridState:
         n_qubits: int,
         branches: Iterable[tuple[complex, PolBasisString | str, int] | Branch],
         probe: ProbeMode | None = None,
-        pruned_mass: float = 0.0,
     ) -> "HybridState":
         """Build a state, merging branches that share basis and phase index.
 
         Branches with exactly zero amplitude are dropped (no mass is lost by
-        doing so); near-zero amplitudes are kept until an explicit
-        :func:`merge_and_prune` call.
+        doing so); near-zero amplitudes are kept, as every operation in this
+        package keeps them.
         """
         if n_qubits < 1:
             raise ValidationError("a state needs at least one qubit")
@@ -149,7 +172,7 @@ class HybridState:
             if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
                 raise ValidationError("branch amplitude must be finite")
             checked.append(Branch(amp, basis, phase))
-        return _merged_state(n_qubits, checked, probe, pruned_mass)
+        return _merged_state(n_qubits, checked, probe, 0.0)
 
     def activate_probe(self, probe: ProbeMode) -> "HybridState":
         """Attach a fresh probe (phase index 0 on every branch).
@@ -275,10 +298,11 @@ def renormalized(state: HybridState) -> HybridState:
 def merge_and_prune(state: HybridState, epsilon: float = DEFAULT_PRUNE_EPS) -> HybridState:
     """Drop branches with |amplitude| < epsilon.
 
-    The branches are already merged (a :class:`HybridState` invariant), so
-    this only prunes.  Discarded squared amplitude is added to
-    ``pruned_mass``.  The state is deliberately *not* renormalized, so
-    pruning loss stays observable.
+    An explicit utility: no gate or measurement calls it, so the scalar gates
+    keep every branch, as the batched shot engine does.  The branches are
+    already merged (a :class:`HybridState` invariant), so this only prunes.
+    Discarded squared amplitude is added to ``pruned_mass``.  The state is
+    deliberately *not* renormalized, so pruning loss stays observable.
     """
     if not epsilon >= 0:  # also catches NaN, which would prune nothing
         raise ValidationError("epsilon must be >= 0")

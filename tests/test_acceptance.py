@@ -105,7 +105,7 @@ def test_criterion_1_truth_table():
                 for photon in ("H", "V"):
                     state = new_state([c, ANCILLA_PLUS, d])
                     _, out = cnot(
-                        state, 0, 1, 2, (probe, probe), rng,
+                        state, 0, 1, 2, probe, rng,
                         force_x1=fx1, force_x2=fx2, force_photon=photon,
                     )
                     worst = min(worst, fidelity(out, ideal_cnot_output(c, d, photon)))
@@ -241,7 +241,7 @@ def test_criterion_7_resource_claims():
 
     rng = np.random.default_rng(7)
     for control, target in ((0, 1), (1, 2), (0, 2)):
-        trace, state = cnot(state, control, ancilla, target, (probe, probe), rng)
+        trace, state = cnot(state, control, ancilla, target, probe, rng)
         outcome = trace.photon_outcomes[0][1]
         # ancilla still present, in a pure recorded basis state on every branch
         ancilla_labels = {b.basis[ancilla] for b in state.branches}

@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 
 import kerrgate
-from kerrgate import ContractError, cli
+from kerrgate import ContractError, cli, fock
 from kerrgate.cli import (
     CSV_HEADER,
     ConfigError,
@@ -192,6 +192,114 @@ class TestParseConfig:
         assert err.startswith("error: grid_alpha: ")
         assert "Traceback" not in err and "internal error" not in err
         assert not out.exists()
+
+
+#: the weak-Kerr point where ``alpha (1 + cos theta)`` rounds onto the even
+#: peak ``2 alpha``: at xd = 20 every even shot would read odd
+UNRESOLVABLE = ("1e17", "1.4142135623730951e-08")
+POINT = ["--alpha", "8", "--theta", "0.5", "--shots", "10"]
+SWEEP = ["--experiment", "sweep", *POINT, "--grid-alpha", "8:8:1", "--grid-theta", "0.5:0.5:1"]
+
+#: (argv, config-file text or None, the start of stderr) of runs that exit 2
+#: before any output is written; "CONFIG" in argv is the config file's path
+EXIT_2 = {
+    "input-not-a-pair": (
+        ["--experiment", "parity", *POINT, "--input", "1,0,0;1,0"], None,
+        "error: input: expected 'c0,c1' pairs, got '1,0,0'",
+    ),
+    "input-bad-amplitude": (
+        ["--experiment", "parity", *POINT, "--input", "1,x;1,0"], None,
+        "error: input: bad amplitude in '1,x': ",
+    ),
+    "input-zero-pair": (
+        ["--experiment", "parity", *POINT, "--input", "0,0j;1,0"], None,
+        "error: input: zero amplitude pair '0,0j'",
+    ),
+    "input-three-pairs": (
+        ["--experiment", "cnot", *POINT, "--input", "1,0;1,0;0,1"], None,
+        "error: input: expected exactly two amplitude pairs",
+    ),
+    "grid-not-a-triple": (
+        SWEEP + ["--grid-alpha", "1:2"], None,
+        "error: grid_alpha: expected 'start:stop:count', got '1:2'",
+    ),
+    "grid-count-zero": (
+        SWEEP + ["--grid-theta", "0.1:0.2:0"], None,
+        "error: grid_theta: count must be >= 1",
+    ),
+    "config-unreadable": (
+        ["--config", "CONFIG.missing", "--experiment", "parity", *POINT], None,
+        "error: config: cannot read ",
+    ),
+    "config-line-without-equals": (
+        ["--config", "CONFIG", *POINT], "experiment = parity\nshots 10\n",
+        "error: config line 2: expected 'key = value', got 'shots 10'",
+    ),
+    "experiment-missing": (
+        POINT, None, "error: experiment: required (flag --experiment or config key)",
+    ),
+    "theta-missing": (
+        ["--experiment", "parity", "--alpha", "8"], None, "error: alpha, theta: both are required",
+    ),
+    "alpha-missing": (
+        ["--experiment", "parity", "--theta", "0.5"], None,
+        "error: alpha, theta: both are required",
+    ),
+    "shots-zero": (
+        ["--experiment", "parity", *POINT, "--shots", "0"], None,
+        "error: shots: must be >= 1, got 0",
+    ),
+    "threshold-unresolvable": (
+        ["--experiment", "parity", "--alpha", UNRESOLVABLE[0], "--theta", UNRESOLVABLE[1],
+         "--input", "1,0;1,0", "--shots", "1000"], None,
+        "error: theta: probe theta 1.414213562373095e-08 at alpha 1e+17 is unresolvable",
+    ),
+    # each grid point is checked against the other grid's fixed value only,
+    # so the pair (1e17, 1.4e-8) fails while the sweep runs
+    "sweep-point-unresolvable": (
+        SWEEP + ["--grid-alpha", f"{UNRESOLVABLE[0]}:{UNRESOLVABLE[0]}:1",
+                 "--grid-theta", f"{UNRESOLVABLE[1]}:{UNRESOLVABLE[1]}:1"], None,
+        "error: probe theta 1.414213562373095e-08 at alpha 1e+17 is unresolvable",
+    ),
+}
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("case", list(EXIT_2))
+    def test_rejected_run_exits_2_and_writes_nothing(self, case, tmp_path, capsys):
+        argv, config_text, message = EXIT_2[case]
+        config = tmp_path / "run.cfg"
+        if config_text is not None:
+            config.write_text(config_text)
+        argv = [arg.replace("CONFIG", str(config)) for arg in argv]
+        out = tmp_path / "run.csv"
+        assert main([*argv, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and "internal error" not in err
+        assert not out.exists()
+
+    def test_validate_oracle_outside_tolerance_exits_1_and_writes_its_row(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        exact = fock.oracle_homodyne_density
+
+        def shifted(state):
+            density = exact(state)
+            return lambda x: density(x) + 1e-3
+
+        monkeypatch.setattr(fock, "oracle_homodyne_density", shifted)
+        out = tmp_path / "oracle.csv"
+        args = ["--experiment", "validate-oracle", "--alpha", "2", "--theta", "0.5"]
+        assert main([*args, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: oracle validation outside tolerance\n"
+        assert captured.out.startswith("validate-oracle: ")
+        header, row = out.read_text().splitlines()
+        assert header == CSV_HEADER
+        fields = dict(zip(CSV_HEADER.split(","), row.split(",")))
+        assert float(fields["error_rate"]) == pytest.approx(1e-3, rel=1e-3)
+        assert float(fields["mean_fidelity"]) >= 1 - 1e-9
 
 
 #: a value for each run key, each unlike its default; ``input`` starts with '-'

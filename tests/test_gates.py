@@ -238,7 +238,7 @@ class TestCnot:
         rng = np.random.default_rng(0)
         for c, d, expect in cases:
             state = new_state([c, ANCILLA_PLUS, d])
-            trace, out = cnot(state, 0, 1, 2, (STRONG, STRONG), rng,
+            trace, out = cnot(state, 0, 1, 2, STRONG, rng,
                               force_x1=X_EVEN, force_x2=X_EVEN, force_photon="H")
             target = HybridState.from_branches(
                 3, [(amp, (b[0], "H", b[1]), 0) for b, amp in expect.items()]
@@ -249,7 +249,7 @@ class TestCnot:
         c, d = (0.6, 0.8), (0.28, 0.96)
         for i in range(30):
             state = new_state([c, ANCILLA_PLUS, d])
-            trace, out = cnot(state, 0, 1, 2, (STRONG, STRONG), np.random.default_rng([50, i]))
+            trace, out = cnot(state, 0, 1, 2, STRONG, np.random.default_rng([50, i]))
             photon = trace.photon_outcomes[0][1]
             assert fidelity(out, ideal_cnot_output(c, d, photon)) == pytest.approx(
                 1.0, abs=1e-9
@@ -262,7 +262,7 @@ class TestCnot:
         perr = p_error(probe.alpha, probe.theta)
         for i in range(400):
             state = new_state([UNIFORM, ANCILLA_PLUS, (1, 0)])
-            trace, out = cnot(state, 0, 1, 2, (probe, probe), np.random.default_rng([51, i]))
+            trace, out = cnot(state, 0, 1, 2, probe, np.random.default_rng([51, i]))
             photon = trace.photon_outcomes[0][1]
             target = HybridState.from_branches(
                 3, [(SQRT_HALF, ("H", photon, "H"), 0), (SQRT_HALF, ("V", photon, "V"), 0)]
@@ -281,10 +281,10 @@ class TestCnot:
                 basis_c = (1, 0) if clab == "H" else (0, 1)
                 basis_d = (1, 0) if dlab == "H" else (0, 1)
                 state = new_state([basis_c, ANCILLA_PLUS, basis_d])
-                _, out = cnot(state, 0, 1, 2, (STRONG, STRONG), rng, **forced)
+                _, out = cnot(state, 0, 1, 2, STRONG, rng, **forced)
                 outputs[(clab, dlab)] = out
         state = new_state([c, ANCILLA_PLUS, d])
-        _, super_out = cnot(state, 0, 1, 2, (STRONG, STRONG), rng, **forced)
+        _, super_out = cnot(state, 0, 1, 2, STRONG, rng, **forced)
         combined: dict = {}
         for (clab, dlab), out in outputs.items():
             weight = (c[0] if clab == "H" else c[1]) * (d[0] if dlab == "H" else d[1])
@@ -295,7 +295,7 @@ class TestCnot:
 
     def test_ancilla_retained_and_unentangled(self):
         state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
-        trace, out = cnot(state, 0, 1, 2, (STRONG, STRONG), np.random.default_rng(4))
+        trace, out = cnot(state, 0, 1, 2, STRONG, np.random.default_rng(4))
         assert out.n_qubits == 3
         photon = trace.photon_outcomes[0][1]
         assert {b.basis[1] for b in out.branches} == {photon}
@@ -303,12 +303,30 @@ class TestCnot:
     def test_rejects_unprepared_ancilla(self):
         state = new_state([(0.6, 0.8), (1, 0), UNIFORM])  # ancilla in |H>
         with pytest.raises(ValidationError):
-            cnot(state, 0, 1, 2, (STRONG, STRONG), np.random.default_rng(0))
+            cnot(state, 0, 1, 2, STRONG, np.random.default_rng(0))
 
     def test_rejects_duplicate_qubits(self):
         state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
         with pytest.raises(ValidationError):
-            cnot(state, 0, 1, 1, (STRONG, STRONG), np.random.default_rng(0))
+            cnot(state, 0, 1, 1, STRONG, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("gate", ["parity", "entangler", "entangler45", "cnot"])
+def test_no_gate_drops_a_branch_however_small(gate):
+    """An even record at xd = 14 leaves the odd branches about e^-49 below
+    the even ones.  Every gate keeps them, as the batched engine does, so
+    nothing is pruned."""
+    c, d, rng = (0.6, 0.8), (0.28, -0.96), np.random.default_rng(0)
+    if gate == "cnot":
+        state = new_state([c, ANCILLA_PLUS, d])
+        _, out = cnot(state, 0, 1, 2, STRONG, rng, X_EVEN, X_EVEN, "H")
+    else:
+        run = {"parity": parity_gate, "entangler": entangler, "entangler45": entangler_45}[gate]
+        _, out = run(new_state([c, d]), 0, 1, STRONG, rng, X_EVEN)
+    assert out.pruned_mass == 0.0
+    if gate in ("parity", "entangler"):  # the odd branches keep their own basis strings
+        small = sorted(abs(b.amplitude) for b in out.branches)[:2]
+        assert len(out.branches) == 4 and 0.0 < small[1] < 1e-14
 
 
 class TestResourceClaims:
@@ -320,7 +338,7 @@ class TestResourceClaims:
         assert state.n_qubits == n + 1
         rng = np.random.default_rng(8)
         for control, target in ((0, 1), (1, 2), (0, 2)):
-            trace, state = cnot(state, control, ancilla, target, (STRONG, STRONG), rng)
+            trace, state = cnot(state, control, ancilla, target, STRONG, rng)
             outcome = trace.photon_outcomes[0][1]
             # ancilla is in a pure recorded basis state: recycle it in place
             assert {b.basis[ancilla] for b in state.branches} == {outcome}
@@ -353,7 +371,7 @@ def plan_corrections(name, flagged):
         forced = (X_EVEN, x, "H")
     else:
         forced = (X_EVEN, X_EVEN, "V" if flagged else "H")
-    return cnot(state, 0, 1, 2, (STRONG, STRONG), rng, *forced)[0].corrections
+    return cnot(state, 0, 1, 2, STRONG, rng, *forced)[0].corrections
 
 
 class TestFeedForwardPlans:

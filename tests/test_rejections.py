@@ -1,0 +1,150 @@
+"""Inputs each layer rejects, pinned by exception type and message.
+
+The command line's own rejections, with their exit codes, are in
+``test_cli.py``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from kerrgate import (
+    ContractError,
+    HybridState,
+    KerrCoupling,
+    ProbeMode,
+    SingleQubitGate,
+    ValidationError,
+    fidelity,
+    new_state,
+    recycle_ancilla,
+    run_shots,
+)
+from kerrgate import batch, gates
+from kerrgate.fock import oracle_embed, oracle_inner
+from kerrgate.measurement import qnd_photon_measure
+
+ONE_QUBIT = new_state([(0.6, 0.8)])
+
+
+def theta_for(alpha, xd=20.0):
+    return 2.0 * math.asin(math.sqrt(xd / (4.0 * alpha)))
+
+
+def unequal_oracle_states():
+    state = new_state([(1, 0)]).activate_probe(ProbeMode(1.0, 0.5))
+    return oracle_embed(state, 14), oracle_embed(state, 16)
+
+
+#: (call, exception type, message pattern); a call builds its own arguments
+REJECTIONS = {
+    "run_shots-zero-shots": (
+        lambda: run_shots("parity", [(1, 0), (1, 0)], 8.0, 0.5, 0, 1),
+        ValidationError, r"^shots must be >= 1$",
+    ),
+    "run_shots-three-pairs": (
+        lambda: run_shots("cnot", [(1, 0)] * 3, 8.0, 0.5, 4, 1),
+        ValidationError, r"^cnot takes two qubit amplitude pairs$",
+    ),
+    "from_branches-no-qubit": (
+        lambda: HybridState.from_branches(0, []),
+        ValidationError, r"^a state needs at least one qubit$",
+    ),
+    "from_branches-basis-length": (
+        lambda: HybridState.from_branches(2, [(1.0, "H", 0)]),
+        ValidationError, r"^basis string \('H',\) does not match qubit count 2$",
+    ),
+    "from_branches-label": (
+        lambda: HybridState.from_branches(1, [(1.0, "D", 0)]),
+        ValidationError, r"^basis labels must be 'H' or 'V', got \('D',\)$",
+    ),
+    "from_branches-nan": (
+        lambda: HybridState.from_branches(1, [(complex(1.0, math.nan), "H", 0)]),
+        ValidationError, r"^branch amplitude must be finite$",
+    ),
+    "from_branches-inf": (
+        lambda: HybridState.from_branches(1, [(math.inf, "V", 0)]),
+        ValidationError, r"^branch amplitude must be finite$",
+    ),
+    "require_qubit-past-end": (
+        lambda: ONE_QUBIT.require_qubit(1),
+        ValidationError, r"^qubit index 1 out of range for 1 qubits$",
+    ),
+    "require_qubit-negative": (
+        lambda: ONE_QUBIT.require_qubit(-1),
+        ValidationError, r"^qubit index -1 out of range for 1 qubits$",
+    ),
+    "fidelity-qubit-counts": (
+        lambda: fidelity(ONE_QUBIT, new_state([(1, 0), (1, 0)])),
+        ValidationError, r"^states have different qubit counts$",
+    ),
+    "coupling-trigger": (
+        lambda: KerrCoupling(0, "D", 1),
+        ValidationError, r"^trigger polarization must be 'H' or 'V'$",
+    ),
+    "coupling-sign": (
+        lambda: KerrCoupling(0, "V", 2),
+        ValidationError, r"^coupling sign must be \+1 or -1$",
+    ),
+    "gate-shape": (
+        lambda: SingleQubitGate(np.eye(3), 0),
+        ValidationError, r"^gate matrix must be 2x2$",
+    ),
+    "recycle-outcome": (
+        lambda: recycle_ancilla(ONE_QUBIT, 0, "D"),
+        ValidationError, r"^ancilla outcome must be 'H' or 'V'$",
+    ),
+    "photon-forced-outcome": (
+        lambda: qnd_photon_measure(ONE_QUBIT, 0, None, force_outcome="D"),
+        ValidationError, r"^forced outcome must be 'H' or 'V'$",
+    ),
+    "oracle-shapes": (
+        lambda: oracle_inner(*unequal_oracle_states()),
+        ValidationError, r"^oracle states have different shapes$",
+    ),
+    "scalar-undo-phase-without-record": (
+        lambda: gates._apply_actions(ONE_QUBIT, (("undo-phase", "0"),), {"0": 0}),
+        ContractError, r"^an undo-phase action follows no homodyne record$",
+    ),
+    "batch-undo-phase-without-record": (
+        lambda: batch._step(2, "undo-phase", 0).apply(np.ones((3, 4), complex), None),
+        ContractError, r"^an undo-phase action follows no homodyne record$",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_rejected_input_raises_its_error(case):
+    call, error, message = REJECTIONS[case]
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert type(info.value) is error
+
+
+# ---------------------------------------------------------------------------
+# the float threshold
+
+
+@pytest.mark.parametrize("alpha", [1e16, 1e17, 1e150])
+def test_a_threshold_floats_cannot_place_is_rejected(alpha):
+    """At xd = 20 the float ``alpha (1 + cos theta)`` misses the midpoint of
+    the peaks by 2 at alpha = 1e16 and by 10 (the even peak) at 1e17."""
+    with pytest.raises(ValidationError, match=r"^probe theta .* is unresolvable in floating point"):
+        ProbeMode(alpha, theta_for(alpha))
+
+
+@pytest.mark.parametrize("alpha", [10.0**k for k in range(9, 16)])
+def test_a_threshold_within_a_thousandth_of_xd_is_accepted(alpha):
+    probe = ProbeMode(alpha, theta_for(alpha))
+    assert abs(probe.x0 - (2.0 * alpha - 0.5 * probe.xd)) <= 1e-3 * probe.xd
+    assert probe.xd == pytest.approx(20.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha,theta", [(1.0, 6.8e-126), (1e6, 1e-12), (0.0, 0.5), (5.0, 0.0)])
+def test_a_vanishing_separation_is_accepted(alpha, theta):
+    """Below 1e-9 the threshold's miss is not compared with xd, which may
+    underflow: these probes never split their peaks, and say so through
+    ``p_error`` = 1/2 rather than a rejection."""
+    probe = ProbeMode(alpha, theta)
+    assert probe.xd < 1e-9
