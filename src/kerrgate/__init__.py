@@ -2,7 +2,7 @@
 probe homodyne measurement with feed-forward, and a near-deterministic CNOT
 on polarization qubits, plus a truncated-Fock brute-force oracle."""
 
-from .analysis import DiscriminationGeometry, ShotStats, geometry, p_error, run_shots
+from .analysis import ShotStats, geometry, p_error, run_shots
 from .errors import ContractError, ValidationError
 from .gates import (
     ANCILLA_PLUS,
@@ -50,7 +50,6 @@ __all__ = [
     "ANCILLA_PLUS",
     "Branch",
     "ContractError",
-    "DiscriminationGeometry",
     "FeedForwardPlan",
     "GateTrace",
     "HomodyneRecord",

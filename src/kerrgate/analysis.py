@@ -1,11 +1,10 @@
 """Closed-form figures of merit and the Monte Carlo experiment harness.
 
 The homodyne outcome is a pair of unit-variance Gaussians centred on
-``2 alpha`` (even parity) and ``2 alpha cos theta`` (odd parity), so the
-threshold sits at ``x0 = alpha (1 + cos theta)`` and the peaks are separated
-by ``xd = 2 alpha (1 - cos theta)``.  Classifying by the midpoint threshold
-misreads a peak's tail with probability ``p_error = erfc(xd / (2 sqrt 2)) / 2``,
-evaluated with the standard library's ``math.erfc``.
+``2 alpha`` (even parity) and ``2 alpha cos theta`` (odd parity), the probe's
+threshold ``x0`` midway between them and ``xd`` apart (``ProbeMode``).
+Classifying by ``x0`` misreads a peak's tail with probability
+``p_error = erfc(xd / (2 sqrt 2)) / 2``, from the standard library's ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -30,23 +29,15 @@ LOGICAL_ERROR_FIDELITY = 1.0 - 1e-6
 EXPERIMENTS = tuple(CIRCUITS)
 
 
-@dataclass(frozen=True)
-class DiscriminationGeometry:
-    """Threshold midpoint and peak separation; ``xd ~ alpha theta^2`` at small theta."""
-
-    x0: float
-    xd: float
-
-
-def geometry(alpha: float, theta: float) -> DiscriminationGeometry:
-    probe = ProbeMode(alpha, theta)  # validates the regime
-    return DiscriminationGeometry(x0=probe.x0, xd=probe.xd)
+def geometry(alpha: float, theta: float) -> ProbeMode:
+    """The validated ``ProbeMode(alpha, theta)`` (else ``ValidationError``), whose
+    ``x0`` is the threshold and ``xd ~ alpha theta^2`` the peak separation."""
+    return ProbeMode(alpha, theta)
 
 
 def p_error(alpha: float, theta: float) -> float:
     """Midpoint-threshold misclassification probability, in [0, 1/2]."""
-    xd = geometry(alpha, theta).xd
-    return 0.5 * math.erfc(xd / (2.0 * math.sqrt(2.0)))
+    return 0.5 * math.erfc(geometry(alpha, theta).xd / (2.0 * math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)

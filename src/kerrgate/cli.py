@@ -13,7 +13,7 @@ import json
 import math
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,30 +222,39 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
     return config
 
 
-def _require_probe(key: str, alpha: float, theta: float) -> None:
-    """``ProbeMode``'s range checks, as a ``ConfigError`` naming ``key``."""
+def _probe(alpha: float, theta: float, alpha_key: str, theta_key: str) -> ProbeMode:
+    """``ProbeMode(alpha, theta)``, or a ``ConfigError`` naming ``alpha_key`` if
+    the amplitude alone is refused (at theta = 0) and ``theta_key`` otherwise."""
     try:
-        ProbeMode(alpha, theta)
+        return ProbeMode(alpha, theta)
     except ValidationError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        refused = exc
+    try:
+        ProbeMode(alpha, 0.0)
+    except ValidationError as exc:
+        raise ConfigError(f"{alpha_key}: {exc}") from None
+    raise ConfigError(f"{theta_key}: {refused}") from None
+
+
+def _points(config: ExperimentConfig) -> Iterable[ProbeMode]:
+    """The probe of every row ``config`` writes, in row order: the one
+    ``(alpha, theta)`` of a shot experiment or ``validate-oracle``, or each
+    ``(grid_alpha[i], grid_theta[j])`` pair of a sweep, ``i`` outermost."""
+    if config.experiment != "sweep":
+        return (_probe(config.alpha, config.theta, "alpha", "theta"),)
+    return (_probe(alpha, theta, "grid_alpha", "grid_theta")
+            for alpha in config.grid_alpha for theta in config.grid_theta)
 
 
 def _validate_config(config: ExperimentConfig) -> None:
-    # theta = 0 is always valid, so the first check can fail on alpha only,
-    # and each later check on the one value it names
-    _require_probe("alpha", config.alpha, 0.0)
-    _require_probe("theta", config.alpha, config.theta)
+    if config.experiment == "sweep":  # no row reads --alpha, --theta; still required, so valid
+        _probe(config.alpha, config.theta, "alpha", "theta")
+        if config.grid_alpha is None or config.grid_theta is None:
+            raise ConfigError("grid_alpha, grid_theta: sweep needs both grids")
     if config.shots < 1:
         raise ConfigError(f"shots: must be >= 1, got {config.shots}")
     if config.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {config.seed}")
-    if config.experiment == "sweep":
-        if config.grid_alpha is None or config.grid_theta is None:
-            raise ConfigError("grid_alpha, grid_theta: sweep needs both grids")
-        for a in config.grid_alpha:
-            _require_probe("grid_alpha", a, config.theta)
-        for t in config.grid_theta:
-            _require_probe("grid_theta", config.alpha, t)
     if config.experiment == "validate-oracle" and config.alpha > ORACLE_ALPHA_MAX:
         raise ConfigError(
             f"alpha: validate-oracle needs alpha <= {ORACLE_ALPHA_MAX} "
@@ -253,37 +262,37 @@ def _validate_config(config: ExperimentConfig) -> None:
         )
     if config.input is not None and len(config.input) != 2:
         raise ConfigError("input: expected exactly two amplitude pairs")
+    for _ in _points(config):  # every row's probe, before any row runs; last, as it costs most
+        pass
 
 
-_UNIFORM = (complex(ANCILLA_PLUS[0]), complex(ANCILLA_PLUS[1]))
-
-
-def _row(config, experiment, alpha, theta, error_rate, error_ci, mean_fidelity):
-    geo = analysis.geometry(alpha, theta)
+def _row(config, experiment, probe, error_rate, error_ci, mean_fidelity) -> dict:
+    """The output row of ``experiment`` at ``probe``, with the run's shots and
+    seed and the probe's ``x0``, ``xd`` and ``p_error`` beside the figures given."""
     return {
         "experiment": experiment,
-        "alpha": alpha,
-        "theta": theta,
+        "alpha": probe.alpha,
+        "theta": probe.theta,
         "shots": config.shots,
         "seed": config.seed,
-        "x0": geo.x0,
-        "xd": geo.xd,
-        "p_error_analytic": analysis.p_error(alpha, theta),
+        "x0": probe.x0,
+        "xd": probe.xd,
+        "p_error_analytic": analysis.p_error(probe.alpha, probe.theta),
         "error_rate": error_rate,
         "error_ci": error_ci,
         "mean_fidelity": mean_fidelity,
     }
 
 
-def _validate_oracle(config: ExperimentConfig, inputs) -> tuple[dict, bool]:
-    """Cross-check the branch model against the Fock oracle at one (alpha, theta).
+def _validate_oracle(config: ExperimentConfig, probe: ProbeMode, inputs) -> tuple[dict, bool]:
+    """Cross-check the branch model against the Fock oracle at ``probe``.
 
-    Runs the parity-detector circuit on ``inputs`` along both paths and
-    reports the worst state-fidelity deficit and homodyne-density deviation.
+    Runs the parity-detector circuit on ``inputs`` along both paths.  Returns
+    the row, whose ``error_rate`` is the worst homodyne-density deviation and
+    ``mean_fidelity`` the state fidelity, and whether both are in tolerance.
     """
-    probe = ProbeMode(config.alpha, config.theta)
     state = new_state(list(inputs)).activate_probe(probe)
-    n_trunc = fock.required_truncation(config.alpha) + 5
+    n_trunc = fock.required_truncation(probe.alpha) + 5
 
     embedded = fock.oracle_embed(state, n_trunc)
     for coupling in build_parity_coupling_pair(0, 1):
@@ -292,14 +301,13 @@ def _validate_oracle(config: ExperimentConfig, inputs) -> tuple[dict, bool]:
     re_embedded = fock.oracle_embed(state, n_trunc)
     state_fid = fock.oracle_fidelity(embedded, re_embedded)
 
-    lo = 2.0 * config.alpha * math.cos(config.theta) - 10.0
-    hi = 2.0 * config.alpha + 10.0
+    lo = 2.0 * probe.alpha * math.cos(probe.theta) - 10.0
+    hi = 2.0 * probe.alpha + 10.0
     grid = np.linspace(lo, hi, 2001)
     dev = float(np.max(np.abs(outcome_density(state)(grid) - fock.oracle_homodyne_density(embedded)(grid))))
 
-    row = _row(config, "validate-oracle", config.alpha, config.theta, dev, 0.0, state_fid)
-    ok = dev < 1e-6 and state_fid >= 1.0 - 1e-9
-    return row, ok
+    row = _row(config, "validate-oracle", probe, dev, 0.0, state_fid)
+    return row, dev < 1e-6 and state_fid >= 1.0 - 1e-9
 
 
 def _format_value(value):
@@ -331,21 +339,18 @@ def _render_json(rows: list[dict]) -> str:
 def run(config: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     start = time.perf_counter()
-    inputs = config.input or (_UNIFORM, _UNIFORM)
-    if config.experiment == "validate-oracle":
-        row, ok = _validate_oracle(config, inputs)
-        rows = [row]
-    else:  # a shot experiment is a one-point sweep
-        if config.experiment == "sweep":
-            gate, alphas, thetas = config.sweep_gate, config.grid_alpha, config.grid_theta
+    inputs = config.input or (ANCILLA_PLUS, ANCILLA_PLUS)
+    gate = config.sweep_gate if config.experiment == "sweep" else config.experiment
+    ok, rows = True, []
+    for probe in _points(config):
+        if gate == "validate-oracle":  # its only point
+            row, ok = _validate_oracle(config, probe, inputs)
         else:
-            gate, alphas, thetas = config.experiment, (config.alpha,), (config.theta,)
-        ok, rows = True, []
-        for alpha in alphas:
-            for theta in thetas:
-                stats = analysis.run_shots(gate, inputs, alpha, theta, config.shots, config.seed)
-                rows.append(_row(config, gate, alpha, theta, stats.logical_error_rate,
-                                 stats.error_ci, stats.mean_fidelity))
+            stats = analysis.run_shots(gate, inputs, probe.alpha, probe.theta,
+                                       config.shots, config.seed)
+            row = _row(config, gate, probe, stats.logical_error_rate, stats.error_ci,
+                       stats.mean_fidelity)
+        rows.append(row)
 
     text = _render_csv(rows) if config.format == "csv" else _render_json(rows)
     try:
@@ -370,13 +375,8 @@ def run(config: ExperimentConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config)
-    except ValidationError as exc:  # includes ConfigError: input the simulator cannot represent
+        return run(parse_config(argv))
+    except ValidationError as exc:  # a ConfigError, or input the simulator cannot represent
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure -> exit 1, per contract

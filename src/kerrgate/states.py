@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -154,11 +155,11 @@ class HybridState:
         doing so); near-zero amplitudes are kept, as every operation in this
         package keeps them.
         """
+        n_qubits = _integer(n_qubits, "qubit count")
         if n_qubits < 1:
             raise ValidationError("a state needs at least one qubit")
         checked = []
-        for br in branches:
-            amp, basis, phase = br
+        for amp, basis, phase in branches:
             basis = tuple(basis)
             if len(basis) != n_qubits:
                 raise ValidationError(
@@ -166,6 +167,7 @@ class HybridState:
                 )
             if any(c not in ("H", "V") for c in basis):
                 raise ValidationError(f"basis labels must be 'H' or 'V', got {basis!r}")
+            phase = _integer(phase, "phase index")
             if probe is None and phase != 0:
                 raise ValidationError(f"phase index {phase!r} needs an active probe")
             amp = complex(amp)
@@ -190,10 +192,17 @@ class HybridState:
         return self.probe
 
     def require_qubit(self, qubit_index: int) -> None:
-        if not (0 <= qubit_index < self.n_qubits):
+        if not (0 <= _integer(qubit_index, "qubit index") < self.n_qubits):
             raise ValidationError(
                 f"qubit index {qubit_index} out of range for {self.n_qubits} qubits"
             )
+
+
+def _integer(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _merged_state(

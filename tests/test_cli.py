@@ -8,9 +8,11 @@ import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kerrgate
-from kerrgate import ContractError, cli, fock
+from kerrgate import ContractError, analysis, cli, fock
 from kerrgate.cli import (
     CSV_HEADER,
     ConfigError,
@@ -254,12 +256,10 @@ EXIT_2 = {
          "--input", "1,0;1,0", "--shots", "1000"], None,
         "error: theta: probe theta 1.414213562373095e-08 at alpha 1e+17 is unresolvable",
     ),
-    # each grid point is checked against the other grid's fixed value only,
-    # so the pair (1e17, 1.4e-8) fails while the sweep runs
     "sweep-point-unresolvable": (
         SWEEP + ["--grid-alpha", f"{UNRESOLVABLE[0]}:{UNRESOLVABLE[0]}:1",
                  "--grid-theta", f"{UNRESOLVABLE[1]}:{UNRESOLVABLE[1]}:1"], None,
-        "error: probe theta 1.414213562373095e-08 at alpha 1e+17 is unresolvable",
+        "error: grid_theta: probe theta 1.414213562373095e-08 at alpha 1e+17 is unresolvable",
     ),
 }
 
@@ -300,6 +300,66 @@ class TestErrorExits:
         fields = dict(zip(CSV_HEADER.split(","), row.split(",")))
         assert float(fields["error_rate"]) == pytest.approx(1e-3, rel=1e-3)
         assert float(fields["mean_fidelity"]) >= 1 - 1e-9
+
+
+def count_run_shots(monkeypatch):
+    """Wrap ``analysis.run_shots`` in a call counter; returns the count list."""
+    calls = []
+    run_shots = analysis.run_shots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_shots(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_shots", counted)
+    return calls
+
+
+class TestSweepPoints:
+    """A sweep checks every (grid_alpha, grid_theta) pair it runs, and only those."""
+
+    def test_every_valid_pair_runs_whatever_the_scalar_alpha(self, tmp_path):
+        # theta 1e-8 is unresolvable at --alpha 1e17, but no row runs there
+        out = tmp_path / "sweep.csv"
+        args = ["--experiment", "sweep", "--alpha", "1e17", "--theta", "0.5",
+                "--grid-alpha", "100:1000:2", "--grid-theta", "1e-8:1e-7:2", "--shots", "10"]
+        assert main([*args, "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 4
+
+    def test_one_refused_pair_exits_2_before_any_shot(self, monkeypatch, tmp_path, capsys):
+        calls = count_run_shots(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        args = ["--experiment", "sweep", "--alpha", "100", "--theta", "0.5",
+                "--grid-alpha", "100:1e17:2", "--grid-theta", "0.5:1.4142135623730951e-08:2"]
+        assert main([*args, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: grid_theta: probe theta 1.414213562373095e-08 at alpha 1e+17 is unresolvable"
+        )
+        assert not out.exists()
+        assert calls == []
+
+    @given(
+        alpha_exponents=st.lists(st.floats(2.0, 18.0), min_size=2, max_size=2),
+        theta_exponents=st.lists(st.floats(-9.0, 0.0), min_size=2, max_size=2),
+        n_alpha=st.integers(1, 3),
+        n_theta=st.integers(1, 3),
+    )
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_a_sweep_fails_before_its_first_shot_or_not_at_all(
+        self, monkeypatch, tmp_path, alpha_exponents, theta_exponents, n_alpha, n_theta
+    ):
+        # the grids' endpoints straddle the threshold guard's onset (alpha
+        # above about 1e7 with theta below about 1e-6)
+        a0, a1 = (10.0**e for e in alpha_exponents)
+        t0, t1 = (10.0**e for e in theta_exponents)
+        with monkeypatch.context() as patch:
+            calls = count_run_shots(patch)
+            code = main(["--experiment", "sweep", *POINT, "--shots", "1",
+                         "--grid-alpha", f"{a0!r}:{a1!r}:{n_alpha}",
+                         "--grid-theta", f"{t0!r}:{t1!r}:{n_theta}",
+                         "--output", str(tmp_path / "sweep.csv")])
+        assert (code, calls) == (2, []) or code == 0
 
 
 #: a value for each run key, each unlike its default; ``input`` starts with '-'

@@ -10,12 +10,17 @@ import numpy as np
 import pytest
 
 from kerrgate import (
+    ANCILLA_PLUS,
     ContractError,
     HybridState,
     KerrCoupling,
     ProbeMode,
     SingleQubitGate,
     ValidationError,
+    apply_cross_kerr,
+    apply_single_qubit,
+    bit_flip,
+    cnot,
     fidelity,
     new_state,
     recycle_ancilla,
@@ -26,6 +31,7 @@ from kerrgate.fock import oracle_embed, oracle_inner
 from kerrgate.measurement import qnd_photon_measure
 
 ONE_QUBIT = new_state([(0.6, 0.8)])
+PROBE = ProbeMode(100.0, 0.5)
 
 
 def theta_for(alpha, xd=20.0):
@@ -67,6 +73,22 @@ REJECTIONS = {
         lambda: HybridState.from_branches(1, [(math.inf, "V", 0)]),
         ValidationError, r"^branch amplitude must be finite$",
     ),
+    "from_branches-fractional-phase": (
+        lambda: HybridState.from_branches(1, [(1.0, "H", 0.5)], PROBE),
+        ValidationError, r"^phase index must be an integer, got 0\.5$",
+    ),
+    "from_branches-nan-phase": (
+        lambda: HybridState.from_branches(1, [(1.0, "H", math.nan)], PROBE),
+        ValidationError, r"^phase index must be an integer, got nan$",
+    ),
+    "from_branches-string-phase": (
+        lambda: HybridState.from_branches(1, [(1.0, "H", "a")], PROBE),
+        ValidationError, r"^phase index must be an integer, got 'a'$",
+    ),
+    "from_branches-fractional-qubit-count": (
+        lambda: HybridState.from_branches(1.5, []),
+        ValidationError, r"^qubit count must be an integer, got 1\.5$",
+    ),
     "require_qubit-past-end": (
         lambda: ONE_QUBIT.require_qubit(1),
         ValidationError, r"^qubit index 1 out of range for 1 qubits$",
@@ -74,6 +96,23 @@ REJECTIONS = {
     "require_qubit-negative": (
         lambda: ONE_QUBIT.require_qubit(-1),
         ValidationError, r"^qubit index -1 out of range for 1 qubits$",
+    ),
+    "single-qubit-fractional-index": (
+        lambda: apply_single_qubit(ONE_QUBIT, bit_flip(0.5)),
+        ValidationError, r"^qubit index must be an integer, got 0\.5$",
+    ),
+    "cross-kerr-fractional-index": (
+        lambda: apply_cross_kerr(ONE_QUBIT.activate_probe(PROBE), KerrCoupling(0.5, "H", 1)),
+        ValidationError, r"^qubit index must be an integer, got 0\.5$",
+    ),
+    "photon-fractional-index": (
+        lambda: qnd_photon_measure(ONE_QUBIT, 0.5, np.random.default_rng(1)),
+        ValidationError, r"^qubit index must be an integer, got 0\.5$",
+    ),
+    "cnot-float-ancilla": (
+        lambda: cnot(new_state([(1, 0), ANCILLA_PLUS, (1, 0)]), 0, 1.0, 2, PROBE,
+                     np.random.default_rng(1)),
+        ValidationError, r"^qubit index must be an integer, got 1\.0$",
     ),
     "fidelity-qubit-counts": (
         lambda: fidelity(ONE_QUBIT, new_state([(1, 0), (1, 0)])),
