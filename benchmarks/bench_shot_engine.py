@@ -13,18 +13,21 @@ Times, at 10, 50 and 1024 shots:
   half of the shots flagged;
 - a block's random words for the ``cnot`` circuit (two homodynes and a
   photon readout: 7 words a shot): the block's stream words (one
-  ``random((shots, 7))`` call on the run's generator) and each
-  measurement's words read from them in circuit order.
+  ``random((shots, 7))`` call on the run's generator), the Box-Muller
+  normals of both homodynes (one ``gaussian`` call, made when the block is
+  set up) and each measurement's words read from them in circuit order.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
 ``cnot-deep`` workload.  Run from a checkout with
 
     python -m pytest benchmarks/bench_shot_engine.py --benchmark-json=OUT.json
 
-``conftest.py`` pins one BLAS thread, as ``perfbench`` does.  On a 2-core
-x86 machine (OpenBLAS 0.3.31) ``run_block("cnot", ...)`` at 1024 shots took
-a median of 3.2-3.7 ms with OpenBLAS's default threads and 3.1-3.8 ms with
-one.
+``conftest.py`` pins one BLAS thread, as ``perfbench`` does.  On a shared
+2-core x86 machine (OpenBLAS 0.3.31, one BLAS thread) ``run_block("cnot",
+...)`` at 1024 shots took a median of 1.2-2.3 ms per run and at least
+1.1 ms.  That machine switches between a fast phase and one about 1.7x
+slower, so single-run medians of two trees can differ by the phase alone;
+compare minima, or medians over alternating runs.
 
 ``testpaths = ["tests"]`` in ``pyproject.toml`` keeps this file out of the
 default test run.  ``BENCH_shot_engine.json`` holds committed results.
@@ -79,7 +82,7 @@ def test_homodyne(benchmark, qubits, shots):
 
     def fresh():
         # each round measures the block's first record from the same input
-        block.amp, block.read, block.measured = amp.copy(), 0, 0
+        block.amp, block.read, block.measured, block.last = amp.copy(), 0, 0, None
         return (block, 0, 1), {}
 
     benchmark.pedantic(
@@ -95,7 +98,8 @@ def test_feed_forward(benchmark, case, shots):
     block = prepared(shots, qubits)
     rng = np.random.default_rng(SEED)
     block.flag = rng.random(shots) < 0.5
-    block.flag_phi = rng.uniform(0.0, 2.0 * math.pi, shots)
+    # a collapse hands feed-forward its e^{i phi}
+    block.flag_eip = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shots))
     benchmark(block.feed_forward, plan, slots)
     assert block.amp.shape == (shots, 1 << qubits)
 

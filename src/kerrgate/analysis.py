@@ -17,7 +17,7 @@ import numpy as np
 
 from .batch import CIRCUITS, run_block
 from .errors import ValidationError
-from .states import ProbeMode, check_normalized
+from .states import ProbeMode, _integer, check_normalized
 
 #: shots simulated together; a constant, so peak memory does not grow with
 #: the shot count and results do not depend on a tunable
@@ -88,6 +88,7 @@ def run_shots(
     """
     if experiment not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
+    shots = _integer(shots, "shots")
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     inputs = list(inputs)

@@ -17,19 +17,27 @@ ideal output, and whether it holds the CNOT ancilla.  A step is one array
 operation on the block:
 
 - ``rotate(*qubits)`` enters or leaves the diagonal frame, one cached
-  ``2**n x 2**n`` product per qubit;
+  ``2**n x 2**n`` matrix for the qubits together;
 - ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch by its
-  ``|a|^2``, adds the shot's unit normal to that branch's peak, multiplies
-  by the measurement kernel ``<x|beta_k>`` and renormalizes;
+  ``|a|^2``, adds the shot's unit normal to that branch's peak and
+  multiplies by the measurement kernel ``<x|beta_k>`` (up to its constant
+  factor), keeping the kernel's ``e^{ip}`` for the record;
 - ``feed_forward(plan, slots)`` applies one of the plans in
   :mod:`kerrgate.gates` (the ones the scalar gates execute) to the shots
   whose last measurement read odd or V, resolved once per circuit into
   column steps (a flip is a column permutation, a sign flip negates the
-  qubit's V columns, the phase undo multiplies by ``e^{+-i phi}``); the
-  steps act on the whole block, and only the flagged shots keep the result;
+  qubit's V columns, the phase undo multiplies by the collapse's
+  ``e^{+-ip}``); the steps act on the whole block, and only the flagged
+  shots keep the result;
 - ``photon(q)`` is the QND photon readout, ``u < p_V``.
 
-Fidelity with the record-conditional ideal output is one contraction.
+No step renormalizes: the branch pick and ``p_V`` divide by the total
+weight, and a shot's squared norm is taken once, at the end of the block,
+to normalize ``final`` and as the fidelity's denominator.  Feed-forward and
+rotations are linear, so a measurement that leaves a zero (or nan) row is
+caught where the next step sums that row's weights, and the error names
+that measurement.  Fidelity with the record-conditional ideal output is one
+contraction.
 
 Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
 ``n - 1 - q`` of ``j`` is set: the scalar engine's sorted branch order.
@@ -65,7 +73,7 @@ from .gates import (
     FeedForwardPlan,
     resolve_action,
 )
-from .measurement import KERNEL_PEAK, STREAM_WORDS, gaussian, pick_branches
+from .measurement import STREAM_WORDS, gaussian, pick_branches
 from .optics import build_parity_coupling_pair, diagonal_basis_change
 from .states import ProbeMode
 
@@ -102,11 +110,14 @@ def _label_columns(n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _rotation(n: int, qubit: int) -> np.ndarray:
-    """``diagonal_basis_change(qubit)`` lifted to ``n`` qubits, transposed so
-    that it right-multiplies a block's rows."""
-    full = np.kron(np.eye(1 << qubit), diagonal_basis_change(qubit).matrix)
-    return _frozen(np.kron(full, np.eye(1 << (n - 1 - qubit))).T.copy())
+def _rotation(n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """``diagonal_basis_change`` on each of the distinct ``qubits``, lifted to
+    ``n`` qubits as one matrix, transposed so that it right-multiplies a
+    block's rows."""
+    full = np.ones((1, 1))
+    for q in range(n):
+        full = np.kron(full, diagonal_basis_change(q).matrix if q in qubits else np.eye(2))
+    return _frozen(full.T.copy())
 
 
 @lru_cache(maxsize=128)
@@ -127,20 +138,20 @@ class _Step(NamedTuple):
     ``flip`` moves column ``table[j]`` to column ``j``; ``sign-flip``
     multiplies column ``j`` by ``table[j]`` (-1 on the qubit's V columns, 1
     elsewhere); ``undo-phase`` multiplies the qubit's V columns (``table``)
-    by ``e^{i phi}`` and the others by ``e^{-i phi}``, one ``phi`` per shot.
+    by ``eip`` and the others by its conjugate, one ``e^{i phi}`` per shot.
     """
 
     kind: str
     table: np.ndarray
 
-    def apply(self, amp: np.ndarray, phi: np.ndarray | None) -> np.ndarray:
+    def apply(self, amp: np.ndarray, eip: np.ndarray | None) -> np.ndarray:
         if self.kind == "flip":
             return amp[:, self.table]
         if self.kind == "sign-flip":
             return amp * self.table
-        if phi is None:
+        if eip is None:
             raise ContractError("an undo-phase action follows no homodyne record")
-        ph = np.exp(1j * phi)[:, None]
+        ph = eip[:, None]
         return amp * np.where(self.table, ph, ph.conj())
 
 
@@ -168,11 +179,16 @@ class _Shots:
     :class:`Circuit` is made of.  Until the first homodyne every shot holds
     the same product input, so ``amp`` is one ``(1, 2**n)`` row that
     ``rotate`` acts on; the first collapse repeats it into one row per shot.
-    ``words`` holds the next ``count`` shots of ``rng`` for ``circuit``, a
-    row each, and every measurement reads its own columns of them in place.
-    Each measurement leaves its outcome as ``flag`` (set where a homodyne
-    read odd or the photon read V) and its phase as ``flag_phi`` (``None``
-    after a photon readout), for the ``feed_forward`` that follows it.
+    The amplitudes are never renormalized in between (see the module
+    docstring).  ``words`` holds the next ``count`` shots of ``rng`` for
+    ``circuit``, a row each, and every measurement reads its own columns of
+    them in place; ``normals`` holds every homodyne's Box-Muller normal, a
+    row per record, made from its noise pair in one :func:`gaussian` call.
+    Each homodyne record keeps its collapse's ``e^{ip}`` in ``eip``.  Each
+    measurement leaves its outcome as ``flag`` (set where a homodyne read odd
+    or the photon read V) and its ``e^{ip}`` as ``flag_eip`` (``None`` after
+    a photon readout), for the ``feed_forward`` that follows it, and itself
+    as ``last``, ``(what, x)``, which a later zero-norm error names.
     """
 
     def __init__(self, count: int, probe: ProbeMode, rng: np.random.Generator, circuit: Circuit):
@@ -180,12 +196,16 @@ class _Shots:
         self.count = count
         self.words = rng.random((count, circuit.words))
         self.read = 0
-        records = (circuit.records, count)  # a row per homodyne record
+        u1, u2 = self.words.T[circuit.noise]
+        self.normals = gaussian(u1, u2)
+        records = (len(self.normals), count)  # a row per homodyne record
         self.x = np.empty(records)
         self.odd = np.empty(records, bool)
         self.phi = np.empty(records)
+        self.eip = np.empty(records, complex)
         self.measured = 0
         self.photon_v = np.zeros(count, bool)
+        self.last = None
 
     def prepare(self, *pairs) -> None:
         """Product input, one ``(c_H, c_V)`` pair per qubit, as one row."""
@@ -203,64 +223,69 @@ class _Shots:
 
     def rotate(self, *qubits: int) -> None:
         """Enter (or, being self-inverse, leave) the diagonal frame."""
-        for q in qubits:
-            self.amp = self.amp @ _rotation(self.n, q)
+        self.amp = self.amp @ _rotation(self.n, qubits)
 
-    def _renormalize(self, what: str, x: np.ndarray | None = None) -> None:
-        n2 = np.add.reduce(np.abs(self.amp) ** 2, axis=1)
+    def _check_norm(self, n2: np.ndarray) -> None:
+        """Raise unless every shot's squared norm ``n2`` is positive, naming
+        the last measurement: only a measurement can zero a row."""
         # the smallest squared norm, inf for no shots; nan fails the test too
         if not np.minimum.reduce(n2, initial=math.inf) > 0.0:
-            bad = ~(n2 > 0.0)
-            at = f" at x={x[bad][0]}" if x is not None else ""
+            what, x = self.last
+            at = f" at x={x[~(n2 > 0.0)][0]}" if x is not None else ""
             raise ValidationError(f"{what}{at} leaves a zero-norm state")
-        self.amp *= (1.0 / np.sqrt(n2))[:, None]
 
     def homodyne(self, qubit_a: int, qubit_b: int) -> None:
         """Parity kicks on a fresh probe, X-quadrature sample, collapse."""
         cols = _label_columns(self.n, qubit_a, qubit_b)
         peaks, a, b, x0 = _collapse_constants(self.probe)
-        words = self._next_words("homodyne")  # the branch pick, then the noise pair
+        # the branch pick; the noise pair after it is this record's normal
+        u = self._next_words("homodyne")[:, 0]
         j = self.measured
         self.measured = j + 1
-        x, odd, phi = self.x[j], self.odd[j], self.phi[j]
+        x, odd, phi, eip = self.x[j], self.odd[j], self.phi[j], self.eip[j]
         # exact-mixture sampling, as sample_quadrature draws it; the shared
         # input row serves every shot
-        pick = pick_branches(np.abs(self.amp) ** 2, words[:, 0])
+        weights = np.abs(self.amp) ** 2
+        if self.last is not None:  # before any measurement: the valid input
+            self._check_norm(np.add.reduce(weights, axis=1))
+        pick = pick_branches(weights, u)
         if len(self.amp) == 1:
             self.amp = self.amp.repeat(self.count, axis=0)
-        np.add(peaks[cols[pick]], gaussian(words[:, 1], words[:, 2]), out=x)
-        # collapse onto <x|beta_k>, one kernel row per label; label(0) is
-        # real, label(+-1) carry the phases +-p, p = kernel_phase(x, label(1)),
-        # reduced exactly by sin/cos into e^{ip}, which label -1 conjugates;
-        # states.ALPHA_MAX keeps every term finite
+        np.add(peaks[cols[pick]], self.normals[j], out=x)
+        # collapse onto <x|beta_k>, one kernel row per label, without its
+        # constant factor KERNEL_PEAK, which the block's one norm cancels;
+        # label(0) is real, label(+-1) carry the phases +-p, p =
+        # kernel_phase(x, label(1)), reduced exactly by sin/cos into e^{ip},
+        # which label -1 conjugates; states.ALPHA_MAX keeps every term finite
         kernel = np.empty((3, self.count), complex)
-        eip = kernel[2]
         p = b * (x - a)
         np.cos(p, out=eip.real)
         np.sin(p, out=eip.imag)
         np.arctan2(eip.imag, eip.real, out=phi)
         # one exp over the two distinct peaks: peaks[:0:-1] is label +1's
         # (the magnitude of labels +-1) and label 0's
-        mag = KERNEL_PEAK * np.exp(-0.25 * (x - peaks[:0:-1, None]) ** 2)
+        mag = np.exp(-0.25 * (x - peaks[:0:-1, None]) ** 2)
         np.multiply(mag[0], np.conjugate(eip, out=kernel[0]), out=kernel[0])
-        np.multiply(mag[0], eip, out=eip)
+        np.multiply(mag[0], eip, out=kernel[2])
         kernel[1] = mag[1]
         self.amp *= kernel.T[:, cols]
-        self._renormalize("collapse", x)
         np.less_equal(x, x0, out=odd)
         np.remainder(phi, _TWO_PI, out=phi)
-        self.flag, self.flag_phi = odd, phi
+        self.flag, self.flag_eip = odd, eip
+        self.last = ("collapse", x)
 
     def photon(self, qubit: int) -> None:
         """QND {H, V} readout of ``qubit``."""
         v_cols = _v_bits(self.n)[:, qubit]
         weights = np.abs(self.amp) ** 2
-        p_v = np.add.reduce(weights[:, v_cols], axis=1) / np.add.reduce(weights, axis=1)
+        total = np.add.reduce(weights, axis=1)
+        self._check_norm(total)
+        p_v = np.add.reduce(weights[:, v_cols], axis=1) / total
         v = self._next_words("photon")[:, 0] < p_v
         self.amp = np.where(v[:, None] == v_cols[None, :], self.amp, 0j)
-        self._renormalize("photon readout")
         self.photon_v = self.flag = v
-        self.flag_phi = None
+        self.flag_eip = None
+        self.last = ("photon readout", None)
 
     def feed_forward(self, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]) -> None:
         """Apply ``plan``, wired by the ``(slot, qubit)`` pairs ``slots``, to
@@ -268,7 +293,7 @@ class _Shots:
         the whole block, and only the flagged shots keep the result."""
         corrected = self.amp
         for step in _correction(self.n, plan, slots):
-            corrected = step.apply(corrected, self.flag_phi)
+            corrected = step.apply(corrected, self.flag_eip)
         self.amp = np.where(self.flag[:, None], corrected, self.amp)
 
 
@@ -282,19 +307,25 @@ class Circuit:
     ``ideal(shots, c, d)`` gives each shot's record-conditional ideal output
     for inputs ``c`` and ``d``.  Derived from the steps: ``words``, the
     stream words a shot takes (the sum of each measurement step's
-    ``STREAM_WORDS``), and ``records``, its homodyne count.
+    ``STREAM_WORDS``), and ``noise``, the ``(2, records)`` columns of each
+    homodyne's Box-Muller pair among them, one column per homodyne record.
     """
 
     ancilla: bool
     steps: tuple[tuple, ...]
     ideal: Callable[[_Shots, tuple, tuple], np.ndarray]
     words: int = field(init=False)
-    records: int = field(init=False)
+    noise: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kinds = [method.__name__ for method, *_ in self.steps]
-        object.__setattr__(self, "words", sum(STREAM_WORDS.get(kind, 0) for kind in kinds))
-        object.__setattr__(self, "records", kinds.count("homodyne"))
+        starts, words = [], 0
+        for method, *_ in self.steps:
+            if method.__name__ == "homodyne":
+                starts.append(words)
+            words += STREAM_WORDS.get(method.__name__, 0)
+        object.__setattr__(self, "words", words)
+        # a homodyne's words are its branch pick, then its noise pair
+        object.__setattr__(self, "noise", _frozen(np.array(starts, np.intp) + [[1], [2]]))
 
 
 def _entangler(qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN) -> tuple:
@@ -319,10 +350,10 @@ def _pick(odd: np.ndarray, even_form, odd_form) -> np.ndarray:
 
 def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    ph = np.exp(1j * shots.phi[0])
+    ph = shots.eip[0]
     odd = np.zeros((len(ph), 4), complex)
     odd[:, 1] = c0 * d1 * ph
-    odd[:, 2] = c1 * d0 / ph
+    odd[:, 2] = c1 * d0 * ph.conj()
     return _pick(shots.odd[0], np.array([c0 * d0, 0, 0, c1 * d1]), odd)
 
 
@@ -387,7 +418,8 @@ class ShotBlock:
     ``x``, ``odd`` and ``phi`` have one column per homodyne record in circuit
     order; ``photon_v`` is True where the CNOT ancilla read V (all False for
     the photon-free experiments); ``final`` holds the final polarization
-    amplitudes, ``fidelity`` their fidelity with the record-conditional ideal.
+    amplitudes, normalized, ``fidelity`` their fidelity with the
+    record-conditional ideal.
     """
 
     x: np.ndarray
@@ -398,14 +430,14 @@ class ShotBlock:
     fidelity: np.ndarray
 
 
-def _fidelity(final: np.ndarray, ideal: np.ndarray) -> np.ndarray:
-    ideal_n2 = np.add.reduce(np.abs(ideal) ** 2, axis=1)
-    final_n2 = np.add.reduce(np.abs(final) ** 2, axis=1)
-    overlap = np.einsum("si,si->s", ideal.conj(), final)
+def _fidelity(amp: np.ndarray, n2: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """``|<ideal|amp>|^2 / (n2 |ideal|^2)`` per shot, ``n2`` being ``|amp|^2``;
+    0 where the ideal has no norm (the record contradicts the input)."""
+    ideal_n2 = np.vecdot(ideal, ideal).real
     return np.divide(
-        np.abs(overlap) ** 2,
-        final_n2 * ideal_n2,
-        out=np.zeros(len(final)),
+        np.abs(np.vecdot(ideal, amp)) ** 2,
+        n2 * ideal_n2,
+        out=np.zeros(len(amp)),
         where=ideal_n2 > _IDEAL_NORM_FLOOR,
     )
 
@@ -426,11 +458,14 @@ def run_block(
     shots.prepare(*((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d)))
     for method, *args in circuit.steps:
         method(shots, *args)
+    amp = shots.amp
+    n2 = np.vecdot(amp, amp).real  # the block's one norm per shot
+    shots._check_norm(n2)
     return ShotBlock(
         x=shots.x.T,
         odd=shots.odd.T,
         phi=shots.phi.T,
         photon_v=shots.photon_v,
-        final=shots.amp,
-        fidelity=_fidelity(shots.amp, circuit.ideal(shots, c, d)),
+        final=amp * (1.0 / np.sqrt(n2))[:, None],
+        fidelity=_fidelity(amp, n2, circuit.ideal(shots, c, d)),
     )

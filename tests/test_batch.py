@@ -17,10 +17,10 @@ blocks at and across ``2**32``, and an unforced scalar shot must read
 exactly the words its circuit declares.
 """
 
-import itertools
 import math
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -237,6 +237,27 @@ def test_batched_shots_replay_through_scalar_gates(experiment, alpha, xd, make):
     assert_replays(experiment, inputs, ProbeMode(alpha, theta_for(alpha, xd)), seed=91)
 
 
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("alpha,xd", POINTS)
+def test_final_is_normalized_and_fidelity_is_its_overlap(experiment, alpha, xd):
+    """A block normalizes once, at its end: every ``final`` row has unit
+    squared norm, and ``fidelity`` is ``|<ideal|final>|^2 / |ideal|^2`` of the
+    returned ``final`` and the paper's ideal for the shot's record."""
+    rng = np.random.default_rng([int(alpha), int(xd), 7])
+    c, d = haar_pair(rng), haar_pair(rng)
+    count = 64
+    block = run_block(experiment, (c, d), ProbeMode(alpha, theta_for(alpha, xd)), 13, 0, count)
+    assert np.max(np.abs(np.add.reduce(np.abs(block.final) ** 2, axis=1) - 1.0)) <= 1e-15
+    for i in range(count):
+        record = SimpleNamespace(parity="odd" if block.odd[i, 0] else "even", phi=block.phi[i, 0])
+        ideal = ideal_state(experiment, c, d, record, "V" if block.photon_v[i] else "H")
+        expected = 0.0
+        if ideal is not None:
+            v = dense(ideal)
+            expected = abs(np.vdot(v, block.final[i])) ** 2 / np.vdot(v, v).real
+        assert abs(block.fidelity[i] - expected) <= 1e-14
+
+
 #: every feed-forward step of the four circuits, as the key of batch._correction,
 #: (qubits, plan, slot wiring), with its experiment and step index as test id
 FEED_FORWARDS = {
@@ -291,7 +312,8 @@ def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
 
     circuit = batch.CIRCUITS["parity"]
     shots = batch._Shots(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), circuit)
-    shots.n, shots.amp, shots.flag, shots.flag_phi = n, amp.copy(), flag, phi
+    # the engine hands feed-forward each collapse's e^{i phi}
+    shots.n, shots.amp, shots.flag, shots.flag_eip = n, amp.copy(), flag, np.exp(1j * phi)
     shots.feed_forward(plan, slots)
     expected = masked_feed_forward(amp, n, plan, slots, flag, phi)
     # equal as numbers; the sign of a zero may differ from the matrix product's
@@ -511,32 +533,59 @@ def test_run_shots_does_not_depend_on_block_size(monkeypatch):
     assert split.mean_fidelity == pytest.approx(reference.mean_fidelity, abs=1e-14)
 
 
-def far_noise(monkeypatch, record):
-    """Push every shot's noise in homodyne record ``record`` (from 0) far
-    outside every peak, where every kernel value underflows."""
-    normals = itertools.count()
+def far_noise(monkeypatch, record, shift=1e3, shots=slice(None)):
+    """Push the noise of homodyne record ``record`` (from 0) by ``shift`` in
+    the ``shots`` rows of every block: a shift of 1e3 lands far outside every
+    peak, where every kernel value underflows, and nan makes a nan row.  A
+    block makes the normals of all its records in one ``gaussian`` call, a
+    row per record."""
     draw = batch.gaussian
 
     def shifted(u1, u2):
         z = draw(u1, u2)
-        return z + 1e3 if next(normals) == record else z
+        z[record, shots] += shift
+        return z
 
     monkeypatch.setattr(batch, "gaussian", shifted)
 
 
 def test_zero_norm_collapse_is_rejected(monkeypatch):
-    """A sample far outside every peak underflows every kernel value."""
+    """A sample far outside every peak underflows every kernel value; the
+    block's one norm, at its end, names the collapse."""
     far_noise(monkeypatch, 0)
-    with pytest.raises(ValidationError, match="at x=.*zero-norm"):
+    with pytest.raises(ValidationError, match="^collapse at x=.*zero-norm"):
         run_block("parity", ((1, 0), (1, 0)), ProbeMode(5.0, 0.5), 0, 0, 4)
 
 
 def test_zero_norm_second_collapse_is_rejected(monkeypatch):
-    """The same in the CNOT's second homodyne, where each shot has a row."""
+    """The same in the CNOT's second homodyne, where each shot has a row; the
+    photon readout's total finds it and names the collapse."""
     far_noise(monkeypatch, 1)
     inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
-    with pytest.raises(ValidationError, match="at x=.*zero-norm"):
+    with pytest.raises(ValidationError, match="^collapse at x=.*zero-norm"):
         run_block("cnot", inputs, ProbeMode(5.0, 0.5), 0, 0, 4)
+
+
+def test_zero_norm_first_cnot_collapse_is_named_by_the_next_pick(monkeypatch):
+    """A zero row left by the CNOT's first collapse reaches the second
+    homodyne's branch pick, which names the first collapse's ``x``."""
+    inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
+    probe = ProbeMode(5.0, 0.5)
+    x = run_block("cnot", inputs, probe, 0, 0, 4).x[2, 0] + 1e3
+    far_noise(monkeypatch, 0, shots=2)
+    with pytest.raises(ValidationError, match="^collapse at x=.* leaves a zero-norm state$") as info:
+        run_block("cnot", inputs, probe, 0, 0, 4)
+    assert float(str(info.value).split()[2][2:]) == pytest.approx(x, abs=1e-9)
+
+
+@pytest.mark.parametrize("experiment,record", [("parity", 0), ("cnot", 0), ("cnot", 1)])
+def test_nan_collapse_is_rejected(monkeypatch, experiment, record):
+    """A nan outcome leaves a nan row, which fails the norm check like a zero
+    one, without a NumPy warning on the way."""
+    far_noise(monkeypatch, record, shift=math.nan, shots=1)
+    inputs = ((0.6 + 0j, 0.8 + 0j), (0.28 + 0j, 0.96 + 0j))
+    with pytest.raises(ValidationError, match="^collapse at x=nan leaves a zero-norm state$"):
+        run_block(experiment, inputs, ProbeMode(5.0, 0.5), 0, 0, 4)
 
 
 ALPHAS = (10.0, 100.0, 1e5, 1e9)

@@ -505,7 +505,11 @@ def _shot_args(experiment, theta):
 #: each run began to read one random stream (``default_rng(seed)``, shot ``i``
 #: from word ``i K``); their shot columns moved then, with the same
 #: statistics.  The theta = 0.9 rows, the last ``sweep`` row and the
-#: ``validate-oracle`` rows are the scipy-era rows.
+#: ``validate-oracle`` rows are the scipy-era rows.  When the shot engine
+#: began to normalize once per shot, ``mean_fidelity`` of ``entangler-0.3``
+#: and ``cnot-0.3`` moved in their last digits, each closer to the 50-digit
+#: replay in ``test_golden_replay.py``, which holds every shot row's
+#: ``mean_fidelity`` within 4 ulp of it.
 ERFC_GOLDEN = {
     "parity-0.3": (_shot_args("parity", "0.3"), [
         "parity,20,0.29999999999999999,200,4242,39.106729782512119,1.786540434975759,"
@@ -517,7 +521,7 @@ ERFC_GOLDEN = {
     ]),
     "entangler-0.3": (_shot_args("entangler", "0.3"), [
         "entangler,20,0.29999999999999999,200,4242,39.106729782512119,1.786540434975759,"
-        "0.18585624154237917,1,0,0.81151094227567488",
+        "0.18585624154237917,1,0,0.81151094227567455",
     ]),
     "entangler-0.9": (_shot_args("entangler", "0.9"), [
         "entangler,20,0.90000000000000002,200,4242,32.43219936541329,15.135601269173424,"
@@ -533,7 +537,7 @@ ERFC_GOLDEN = {
     ]),
     "cnot-0.3": (_shot_args("cnot", "0.3"), [
         "cnot,20,0.29999999999999999,200,4242,39.106729782512119,1.786540434975759,"
-        "0.18585624154237917,1,0,0.77240489272773205",
+        "0.18585624154237917,1,0,0.77240489272773194",
     ]),
     "cnot-0.9": (_shot_args("cnot", "0.9"), [
         "cnot,20,0.90000000000000002,200,4242,32.43219936541329,15.135601269173424,"

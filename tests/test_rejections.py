@@ -49,6 +49,10 @@ REJECTIONS = {
         lambda: run_shots("parity", [(1, 0), (1, 0)], 8.0, 0.5, 0, 1),
         ValidationError, r"^shots must be >= 1$",
     ),
+    "run_shots-fractional-shots": (
+        lambda: run_shots("parity", [(1, 0), (0, 1)], 100.0, theta_for(100.0), 2.5, 1),
+        ValidationError, r"^shots must be an integer, got 2\.5$",
+    ),
     "run_shots-three-pairs": (
         lambda: run_shots("cnot", [(1, 0)] * 3, 8.0, 0.5, 4, 1),
         ValidationError, r"^cnot takes two qubit amplitude pairs$",
