@@ -9,23 +9,29 @@ Times, at 10, 50 and 1024 shots:
 - ``_Shots.homodyne`` on 2 qubits (the entanglers) and on 3 (the CNOT's
   first parity check), from a freshly prepared block, whose one input row
   the first collapse repeats into a row per shot;
-- ``_Shots.feed_forward`` for each feed-forward step of the circuits, with
-  half of the shots flagged;
+- ``_Shots.feed_forward`` for each feed-forward step of the circuits'
+  compiled programs, with half of the shots flagged;
 - a block's random words for the ``cnot`` circuit (two homodynes and a
   photon readout: 7 words a shot): the block's stream words (one
   ``random((shots, 7))`` call on the run's generator), the Box-Muller
   normals of both homodynes (one ``gaussian`` call, made when the block is
-  set up) and each measurement's words read from them in circuit order.
+  set up) and each measurement's words read from them at the first word
+  its program step declares.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
-``cnot-deep`` workload.  Run from a checkout with
+``cnot-deep`` workload.  ``run_shots`` is also timed whole, at the shapes
+``perfbench`` calls it: each experiment at 10 shots and alpha = 1e2 and 1e9
+(``kerr-ladder``), and ``cnot`` at 50 shots and alpha = 100 (``cnot-deep``),
+xd = 20 throughout.  These calls include what a block leaves out: the
+run's generator, the input and probe validation and the statistics.
+Run from a checkout with
 
     python -m pytest benchmarks/bench_shot_engine.py --benchmark-json=OUT.json
 
 ``conftest.py`` pins one BLAS thread, as ``perfbench`` does.  On a shared
 2-core x86 machine (OpenBLAS 0.3.31, one BLAS thread) ``run_block("cnot",
-...)`` at 1024 shots took a median of 1.2-2.3 ms per run and at least
-1.1 ms.  That machine switches between a fast phase and one about 1.7x
+...)`` at 1024 shots took a median of 1.2-2.3 ms per run over 10 runs, and
+at least 1.06 ms.  That machine switches between a fast phase and one about 1.7x
 slower, so single-run medians of two trees can differ by the phase alone;
 compare minima, or medians over alternating runs.
 
@@ -38,23 +44,32 @@ import math
 import numpy as np
 import pytest
 
-from kerrgate import ANCILLA_PLUS, ProbeMode, batch
+from kerrgate import ANCILLA_PLUS, ProbeMode, batch, run_shots
 from kerrgate.measurement import STREAM_WORDS
+
+
+def theta_for(alpha: float, xd: float = 20.0) -> float:
+    """Kerr phase unit giving peak separation ``xd`` at ``alpha``."""
+    return 2.0 * math.asin(math.sqrt(xd / (4.0 * alpha)))
+
 
 SEED = 4242
 SHOTS = [10, 50, 1024]
 ALPHA = 100.0
-PROBE = ProbeMode(ALPHA, 2.0 * math.asin(math.sqrt(20.0 / (4.0 * ALPHA))))
+PROBE = ProbeMode(ALPHA, theta_for(ALPHA))
 INPUTS = ((0.6 + 0j, 0.8j), (0.28 + 0j, -0.96 + 0j))
 
-#: experiment and step index -> (qubits, plan, slot wiring) of every
-#: feed-forward step of the circuits
+#: experiment and step index -> (qubits, column steps) of every feed-forward
+#: step of the circuits' programs
 FEED_FORWARDS = {
-    f"{name}-{k}": (3 if circuit.ancilla else 2, *args)
+    f"{name}-{k}": (circuit.n, args[0])
     for name, circuit in batch.CIRCUITS.items()
-    for k, (method, *args) in enumerate(circuit.steps)
+    for k, (method, *args) in enumerate(circuit.program)
     if method is batch._Shots.feed_forward
 }
+#: qubits -> the first step of the entangler's and the CNOT's program, the
+#: homodyne of their first parity check
+HOMODYNES = {2: batch.CIRCUITS["entangler"].program[0], 3: batch.CIRCUITS["cnot"].program[0]}
 
 
 def prepared(shots: int, qubits: int) -> batch._Shots:
@@ -62,8 +77,21 @@ def prepared(shots: int, qubits: int) -> batch._Shots:
     rng = np.random.default_rng(SEED)
     block = batch._Shots(shots, PROBE, rng, batch.CIRCUITS["cnot"])
     c, d = INPUTS
-    block.prepare(*((c, ANCILLA_PLUS, d) if qubits == 3 else (c, d)))
+    block.prepare((c, ANCILLA_PLUS, d) if qubits == 3 else (c, d))
     return block
+
+
+#: (experiment, shots, alpha) of each run_shots case
+RUN_SHOTS = [(experiment, 10, alpha) for experiment in batch.CIRCUITS for alpha in (1e2, 1e9)]
+RUN_SHOTS.append(("cnot", 50, 1e2))
+
+
+@pytest.mark.parametrize(
+    "experiment,shots,alpha", RUN_SHOTS, ids=[f"{e}-{s}-{a:g}" for e, s, a in RUN_SHOTS]
+)
+def test_run_shots(benchmark, experiment, shots, alpha):
+    stats = benchmark(run_shots, experiment, INPUTS, alpha, theta_for(alpha), shots, SEED)
+    assert stats.shots == shots
 
 
 @pytest.mark.parametrize("shots", SHOTS)
@@ -79,40 +107,40 @@ def test_run_block(benchmark, experiment, shots):
 def test_homodyne(benchmark, qubits, shots):
     block = prepared(shots, qubits)
     amp = block.amp
+    method, *args = HOMODYNES[qubits]
 
     def fresh():
         # each round measures the block's first record from the same input
-        block.amp, block.read, block.measured, block.last = amp.copy(), 0, 0, None
-        return (block, 0, 1), {}
+        block.amp, block.last = amp.copy(), None
+        return (block, *args), {}
 
-    benchmark.pedantic(
-        batch._Shots.homodyne, setup=fresh, rounds=max(50, 20_000 // shots), warmup_rounds=5
-    )
+    benchmark.pedantic(method, setup=fresh, rounds=max(50, 20_000 // shots), warmup_rounds=5)
     assert block.x[0].shape == (shots,)
 
 
 @pytest.mark.parametrize("shots", SHOTS)
 @pytest.mark.parametrize("case", list(FEED_FORWARDS))
 def test_feed_forward(benchmark, case, shots):
-    qubits, plan, slots = FEED_FORWARDS[case]
+    qubits, steps = FEED_FORWARDS[case]
     block = prepared(shots, qubits)
     rng = np.random.default_rng(SEED)
     block.flag = rng.random(shots) < 0.5
-    # a collapse hands feed-forward its e^{i phi}
-    block.flag_eip = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shots))
-    benchmark(block.feed_forward, plan, slots)
+    # a collapse hands feed-forward its (e^{-i phi}, e^{i phi})
+    eip = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shots))
+    block.flag_eip = np.stack([eip.conj(), eip])
+    benchmark(block.feed_forward, steps)
     assert block.amp.shape == (shots, 1 << qubits)
 
 
 def block_draws(rng: np.random.Generator, shots: int, circuit: batch.Circuit) -> list:
     """The words of each measurement of the next ``shots`` shots of ``rng``,
-    read as the circuit's steps read them, one array per word."""
+    read as the circuit's program steps read them, one array per word."""
     block = batch._Shots(shots, PROBE, rng, circuit)
     return [
-        word
-        for method, *_ in circuit.steps
+        column
+        for method, *args in circuit.program
         if method.__name__ in STREAM_WORDS
-        for word in block._next_words(method.__name__).T
+        for column in block.words[:, args[0] : args[0] + STREAM_WORDS[method.__name__]].T
     ]
 
 

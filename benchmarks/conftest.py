@@ -3,10 +3,10 @@
 The pools read their sizes when NumPy loads, so this conftest sets them
 before any benchmark module imports NumPy, as ``perfbench/bootstrap.py``
 does for the end-to-end benchmark.  ``python -m pytest benchmarks/...`` then
-measures what ``perfbench`` measures.  On a 2-core x86 machine (OpenBLAS
-0.3.31) the pinning changes little: ``run_block("cnot", ...)`` at 1024 shots
-took a median of 3.2-3.7 ms with OpenBLAS's default threads and 3.1-3.8 ms
-with one.
+measures what ``perfbench`` measures.  On a shared 2-core x86 machine
+(OpenBLAS 0.3.31) the pinning changes little: ``run_block("cnot", ...)`` at
+1024 shots took a median of 1.6-1.9 ms with OpenBLAS's default threads and
+1.7-1.8 ms with one, over three interleaved runs of 200 calls each.
 """
 
 import os

@@ -13,30 +13,42 @@ makes, so the steps make few, and reductions call the ufuncs
 (``np.add.reduce``, ``np.add.accumulate``) that ``sum`` and ``cumsum`` wrap.
 
 Each experiment is a :class:`Circuit`: a tuple of steps, its hand-written
-ideal output, and whether it holds the CNOT ancilla.  A step is one array
+ideal output, and whether it holds the CNOT ancilla.  A step names one array
 operation on the block:
 
-- ``rotate(*qubits)`` enters or leaves the diagonal frame, one cached
+- ``("rotate", *qubits)`` enters or leaves the diagonal frame, one
   ``2**n x 2**n`` matrix for the qubits together;
-- ``homodyne(a, b)`` kicks a fresh probe, picks each shot's branch by its
-  ``|a|^2``, adds the shot's unit normal to that branch's peak and
+- ``("homodyne", a, b)`` kicks a fresh probe, picks each shot's branch by
+  its ``|a|^2``, adds the shot's unit normal to that branch's peak and
   multiplies by the measurement kernel ``<x|beta_k>`` (up to its constant
-  factor), keeping the kernel's ``e^{ip}`` for the record;
-- ``feed_forward(plan, slots)`` applies one of the plans in
-  :mod:`kerrgate.gates` (the ones the scalar gates execute) to the shots
-  whose last measurement read odd or V, resolved once per circuit into
-  column steps (a flip is a column permutation, a sign flip negates the
-  qubit's V columns, the phase undo multiplies by the collapse's
-  ``e^{+-ip}``); the steps act on the whole block, and only the flagged
-  shots keep the result;
-- ``photon(q)`` is the QND photon readout, ``u < p_V``.
+  factor), keeping the kernel's ``e^{-ip}`` and ``e^{ip}`` for the record;
+- ``("feed_forward", (plan, slots), ...)`` applies plans of
+  :mod:`kerrgate.gates` (the ones the scalar gates execute), each wired by
+  its ``(slot, qubit)`` pairs, to the shots whose last measurement read odd
+  or V, as steps on the block's columns (a flip is a column permutation, a
+  sign flip negates the qubit's V columns, the phase undo multiplies by the
+  collapse's ``e^{+-ip}``); the steps act on the whole block, and only the
+  flagged shots keep the result;
+- ``("photon", q)`` is the QND photon readout, ``u < p_V``.
+
+A circuit is compiled once, when it is built, into :attr:`Circuit.program`
+for its qubit count: each step becomes a ``_Shots`` method and the tables it
+reads, a homodyne's label columns, a rotation's lifted matrix, a
+feed-forward's column steps (through :func:`kerrgate.gates.resolve_action`)
+and a photon readout's V columns, and each measurement is given its first
+stream word and its record.  A wiring error, such as an undo-phase that
+follows no homodyne, raises ``ContractError`` there, not in a block.  A
+block looks up only what depends on its probe, the collapse constants, once.
 
 No step renormalizes: the branch pick and ``p_V`` divide by the total
-weight, and a shot's squared norm is taken once, at the end of the block,
-to normalize ``final`` and as the fidelity's denominator.  Feed-forward and
-rotations are linear, so a measurement that leaves a zero (or nan) row is
-caught where the next step sums that row's weights, and the error names
-that measurement.  Fidelity with the record-conditional ideal output is one
+weight, which the norm check before them has summed, and a shot's squared
+norm is taken once, at the end of the block, as the fidelity's denominator;
+``ShotBlock.final`` is normalized by it when it is first read.  Feed-forward
+and rotations are linear, so a measurement that leaves a zero (or nan) row
+is caught where the next step sums that row's weights, and the error names
+that measurement.  Each collapse keeps ``e^{ip}`` and ``e^{-ip}``; the end
+of the block finishes every ``phi`` record from them, ``arctan2 mod 2 pi``
+in one pass.  Fidelity with the record-conditional ideal output is one
 contraction.
 
 Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
@@ -48,9 +60,9 @@ Shot ``i`` takes words ``i K .. i K + K - 1`` of it, where ``K``
 the circuit's measurements, as the scalar gates in :mod:`kerrgate.gates`
 read them.  The run builds its generator once and hands it to each block in
 turn; a block's words are one ``random((count, K))`` call on it, and each
-measurement reads its own from them in place, so shot ``i`` is the same in
-any block.  The scalar gates stay the reference: replaying a shot through
-them, on ``default_rng(s)`` advanced by ``i K`` or with its recorded
+measurement reads its own columns of them in place, so shot ``i`` is the
+same in any block.  The scalar gates stay the reference: replaying a shot
+through them, on ``default_rng(s)`` advanced by ``i K`` or with its recorded
 outcomes forced, gives the same records and final state.
 """
 
@@ -58,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -85,10 +97,6 @@ _IDEAL_NORM_FLOOR = 1e-300
 def _frozen(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)  # cached and shared by every block
     return table
-
-
-#: the empty product every block's input starts from
-_ONE = _frozen(np.ones(1, complex))
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +145,9 @@ class _Step(NamedTuple):
 
     ``flip`` moves column ``table[j]`` to column ``j``; ``sign-flip``
     multiplies column ``j`` by ``table[j]`` (-1 on the qubit's V columns, 1
-    elsewhere); ``undo-phase`` multiplies the qubit's V columns (``table``)
-    by ``eip`` and the others by its conjugate, one ``e^{i phi}`` per shot.
+    elsewhere); ``undo-phase`` multiplies column ``j`` by ``eip[table[j]]``
+    of the last collapse's ``eip = (e^{-ip}, e^{ip})``, one of each per
+    shot: ``table`` is 1 on the qubit's V columns and 0 elsewhere.
     """
 
     kind: str
@@ -149,17 +158,16 @@ class _Step(NamedTuple):
             return amp[:, self.table]
         if self.kind == "sign-flip":
             return amp * self.table
-        if eip is None:
-            raise ContractError("an undo-phase action follows no homodyne record")
-        ph = eip[:, None]
-        return amp * np.where(self.table, ph, ph.conj())
+        return amp * eip.T[:, self.table]
 
 
 def _step(n: int, kind: str, qubit: int) -> _Step:
     if kind == "flip":
         return _Step(kind, _frozen(np.arange(1 << n) ^ (1 << (n - 1 - qubit))))
     v = _v_bits(n)[:, qubit]
-    return _Step(kind, _frozen(np.where(v, -1.0, 1.0)) if kind == "sign-flip" else v)
+    if kind == "sign-flip":
+        return _Step(kind, _frozen(np.where(v, -1.0, 1.0)))
+    return _Step(kind, _frozen(v.astype(np.intp)))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +175,7 @@ def _correction(
     n: int, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]
 ) -> tuple[_Step, ...]:
     """``plan``'s actions, wired to ``n`` qubits by the ``(slot, qubit)`` pairs
-    ``slots`` and resolved into column steps, once per circuit."""
+    ``slots`` and resolved into column steps."""
     wiring = dict(slots)
     return tuple(_step(n, *resolve_action(action, wiring)) for action in plan)
 
@@ -176,54 +184,46 @@ class _Shots:
     """Amplitudes and per-shot random words of one block, advanced in place.
 
     ``rotate``, ``homodyne``, ``feed_forward`` and ``photon`` are the steps a
-    :class:`Circuit` is made of.  Until the first homodyne every shot holds
-    the same product input, so ``amp`` is one ``(1, 2**n)`` row that
-    ``rotate`` acts on; the first collapse repeats it into one row per shot.
-    The amplitudes are never renormalized in between (see the module
-    docstring).  ``words`` holds the next ``count`` shots of ``rng`` for
-    ``circuit``, a row each, and every measurement reads its own columns of
-    them in place; ``normals`` holds every homodyne's Box-Muller normal, a
-    row per record, made from its noise pair in one :func:`gaussian` call.
-    Each homodyne record keeps its collapse's ``e^{ip}`` in ``eip``.  Each
-    measurement leaves its outcome as ``flag`` (set where a homodyne read odd
-    or the photon read V) and its ``e^{ip}`` as ``flag_eip`` (``None`` after
-    a photon readout), for the ``feed_forward`` that follows it, and itself
-    as ``last``, ``(what, x)``, which a later zero-norm error names.
+    :attr:`Circuit.program` calls, each with the tables its circuit resolved.
+    Until the first homodyne every shot holds the same product input, so
+    ``amp`` is one ``(1, 2**n)`` row that ``rotate`` acts on; the first
+    collapse repeats it into one row per shot.  The amplitudes are never
+    renormalized in between (see the module docstring).  ``words`` holds the
+    next ``count`` shots of ``rng`` for ``circuit``, a row each, and every
+    measurement reads its own columns of them in place; ``normals`` holds
+    every homodyne's Box-Muller normal, a row per record, made from its noise
+    pair in one :func:`gaussian` call.  Homodyne record ``j`` keeps its
+    collapse's ``(e^{-ip}, e^{ip})`` in ``eip[j]``.  Each measurement leaves
+    its outcome as ``flag`` (set where a homodyne read odd or the photon read
+    V) and its ``eip`` as ``flag_eip`` (``None`` after a photon readout), for
+    the ``feed_forward`` that follows it, and itself as ``last``, ``(what,
+    x)``, which a later zero-norm error names.
     """
 
     def __init__(self, count: int, probe: ProbeMode, rng: np.random.Generator, circuit: Circuit):
-        self.probe = probe
         self.count = count
+        self.peaks, self.a, self.b, self.x0 = _collapse_constants(probe)
         self.words = rng.random((count, circuit.words))
-        self.read = 0
         u1, u2 = self.words.T[circuit.noise]
         self.normals = gaussian(u1, u2)
-        records = (len(self.normals), count)  # a row per homodyne record
-        self.x = np.empty(records)
-        self.odd = np.empty(records, bool)
-        self.phi = np.empty(records)
-        self.eip = np.empty(records, complex)
-        self.measured = 0
+        records = len(self.normals)  # a row per homodyne record
+        self.x = np.empty((records, count))
+        self.odd = np.empty((records, count), bool)
+        self.eip = np.empty((records, 2, count), complex)
         self.photon_v = np.zeros(count, bool)
         self.last = None
 
-    def prepare(self, *pairs) -> None:
+    def prepare(self, pairs) -> None:
         """Product input, one ``(c_H, c_V)`` pair per qubit, as one row."""
-        product = _ONE
-        for pair in pairs:
-            product = np.multiply.outer(product, np.asarray(pair, complex)).ravel()
-        self.n = len(pairs)
+        first, *rest = np.array(pairs, complex)
+        product = first
+        for pair in rest:
+            product = np.multiply.outer(product, pair).ravel()
         self.amp = product[None, :]
 
-    def _next_words(self, measurement: str) -> np.ndarray:
-        """Every shot's ``STREAM_WORDS[measurement]`` next words, a row per shot."""
-        k = self.read
-        self.read = k + STREAM_WORDS[measurement]
-        return self.words[:, k : self.read]
-
-    def rotate(self, *qubits: int) -> None:
+    def rotate(self, matrix: np.ndarray) -> None:
         """Enter (or, being self-inverse, leave) the diagonal frame."""
-        self.amp = self.amp @ _rotation(self.n, qubits)
+        self.amp = self.amp @ matrix
 
     def _check_norm(self, n2: np.ndarray) -> None:
         """Raise unless every shot's squared norm ``n2`` is positive, naming
@@ -234,110 +234,140 @@ class _Shots:
             at = f" at x={x[~(n2 > 0.0)][0]}" if x is not None else ""
             raise ValidationError(f"{what}{at} leaves a zero-norm state")
 
-    def homodyne(self, qubit_a: int, qubit_b: int) -> None:
-        """Parity kicks on a fresh probe, X-quadrature sample, collapse."""
-        cols = _label_columns(self.n, qubit_a, qubit_b)
-        peaks, a, b, x0 = _collapse_constants(self.probe)
-        # the branch pick; the noise pair after it is this record's normal
-        u = self._next_words("homodyne")[:, 0]
-        j = self.measured
-        self.measured = j + 1
-        x, odd, phi, eip = self.x[j], self.odd[j], self.phi[j], self.eip[j]
+    def homodyne(self, word: int, j: int, cols: np.ndarray) -> None:
+        """Parity kicks on a fresh probe, X-quadrature sample, collapse, as
+        homodyne record ``j``: ``word`` is its branch pick's stream word and
+        ``cols`` each column's label index."""
+        peaks = self.peaks
+        x, odd, eip = self.x[j], self.odd[j], self.eip[j]
         # exact-mixture sampling, as sample_quadrature draws it; the shared
         # input row serves every shot
         weights = np.abs(self.amp) ** 2
+        totals = np.add.reduce(weights, axis=1)
         if self.last is not None:  # before any measurement: the valid input
-            self._check_norm(np.add.reduce(weights, axis=1))
-        pick = pick_branches(weights, u)
+            self._check_norm(totals)
+        pick = pick_branches(weights, self.words[:, word], totals)
         if len(self.amp) == 1:
             self.amp = self.amp.repeat(self.count, axis=0)
         np.add(peaks[cols[pick]], self.normals[j], out=x)
         # collapse onto <x|beta_k>, one kernel row per label, without its
         # constant factor KERNEL_PEAK, which the block's one norm cancels;
         # label(0) is real, label(+-1) carry the phases +-p, p =
-        # kernel_phase(x, label(1)), reduced exactly by sin/cos into e^{ip},
-        # which label -1 conjugates; states.ALPHA_MAX keeps every term finite
-        kernel = np.empty((3, self.count), complex)
-        p = b * (x - a)
-        np.cos(p, out=eip.real)
-        np.sin(p, out=eip.imag)
-        np.arctan2(eip.imag, eip.real, out=phi)
+        # kernel_phase(x, label(1)), reduced exactly by sin/cos into e^{ip}
+        # and conjugated into e^{-ip}; states.ALPHA_MAX keeps every term finite
+        p = self.b * (x - self.a)
+        np.cos(p, out=eip[1].real)
+        np.sin(p, out=eip[1].imag)
+        np.conjugate(eip[1], out=eip[0])
         # one exp over the two distinct peaks: peaks[:0:-1] is label +1's
         # (the magnitude of labels +-1) and label 0's
         mag = np.exp(-0.25 * (x - peaks[:0:-1, None]) ** 2)
-        np.multiply(mag[0], np.conjugate(eip, out=kernel[0]), out=kernel[0])
-        np.multiply(mag[0], eip, out=kernel[2])
+        kernel = np.empty((3, self.count), complex)
+        np.multiply(mag[0], eip, out=kernel[::2])
         kernel[1] = mag[1]
         self.amp *= kernel.T[:, cols]
-        np.less_equal(x, x0, out=odd)
-        np.remainder(phi, _TWO_PI, out=phi)
+        np.less_equal(x, self.x0, out=odd)
         self.flag, self.flag_eip = odd, eip
         self.last = ("collapse", x)
 
-    def photon(self, qubit: int) -> None:
-        """QND {H, V} readout of ``qubit``."""
-        v_cols = _v_bits(self.n)[:, qubit]
+    def photon(self, word: int, v_index: np.ndarray, v_mask: np.ndarray) -> None:
+        """QND {H, V} readout of one qubit, from stream word ``word``:
+        ``v_index`` lists the qubit's V columns, ``v_mask`` marks them."""
         weights = np.abs(self.amp) ** 2
         total = np.add.reduce(weights, axis=1)
         self._check_norm(total)
-        p_v = np.add.reduce(weights[:, v_cols], axis=1) / total
-        v = self._next_words("photon")[:, 0] < p_v
-        self.amp = np.where(v[:, None] == v_cols[None, :], self.amp, 0j)
+        p_v = np.add.reduce(weights[:, v_index], axis=1) / total
+        v = self.words[:, word] < p_v
+        self.amp = np.where(v[:, None] == v_mask, self.amp, 0j)
         self.photon_v = self.flag = v
         self.flag_eip = None
         self.last = ("photon readout", None)
 
-    def feed_forward(self, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]) -> None:
-        """Apply ``plan``, wired by the ``(slot, qubit)`` pairs ``slots``, to
-        the shots whose ``flag`` the last measurement set.  The steps act on
-        the whole block, and only the flagged shots keep the result."""
+    def feed_forward(self, steps: tuple[_Step, ...]) -> None:
+        """Apply the column ``steps`` to the shots whose ``flag`` the last
+        measurement set.  The steps act on the whole block, and only the
+        flagged shots keep the result."""
         corrected = self.amp
-        for step in _correction(self.n, plan, slots):
+        for step in steps:
             corrected = step.apply(corrected, self.flag_eip)
         self.amp = np.where(self.flag[:, None], corrected, self.amp)
+
+
+def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, list[int]]:
+    """``steps`` on ``n`` qubits as ``(program, words, starts)``: each step's
+    ``(_Shots method, *its tables)``, the stream words a shot takes, and the
+    first word of each homodyne.  A measurement's first argument is its first
+    word, and each reads the :data:`STREAM_WORDS` after it."""
+    program, words, starts, last = [], 0, [], None
+    for name, *args in steps:
+        if name == "rotate":
+            program.append((_Shots.rotate, _rotation(n, tuple(args))))
+        elif name == "feed_forward":
+            columns = tuple(step for pair in args for step in _correction(n, *pair))
+            if last is None:
+                raise ContractError("a feed-forward follows no measurement")
+            if last != "homodyne" and any(step.kind == "undo-phase" for step in columns):
+                raise ContractError("an undo-phase action follows no homodyne record")
+            program.append((_Shots.feed_forward, columns))
+        elif name == "homodyne":
+            program.append((_Shots.homodyne, words, len(starts), _label_columns(n, *args)))
+            starts.append(words)
+        elif name == "photon":
+            v = _v_bits(n)[:, args[0]]
+            program.append((_Shots.photon, words, _frozen(np.flatnonzero(v)), v))
+        else:
+            raise ContractError(f"unknown circuit step {name!r}")
+        if name in STREAM_WORDS:
+            last = name
+            words += STREAM_WORDS[name]
+    return tuple(program), words, starts
 
 
 @dataclass(frozen=True)
 class Circuit:
     """An experiment as data.
 
-    ``steps`` are ``_Shots`` calls, each ``(method, *args)``, run in order on
-    a block that holds the experiment's two input qubits, with the CNOT
-    ancilla ``ANCILLA_PLUS`` between them when ``ancilla`` is set.
+    ``steps`` are ``(name, *args)`` tuples (see the module docstring), run in
+    order on a block that holds the experiment's two input qubits, with the
+    CNOT ancilla ``ANCILLA_PLUS`` between them when ``ancilla`` is set.
     ``ideal(shots, c, d)`` gives each shot's record-conditional ideal output
-    for inputs ``c`` and ``d``.  Derived from the steps: ``words``, the
-    stream words a shot takes (the sum of each measurement step's
-    ``STREAM_WORDS``), and ``noise``, the ``(2, records)`` columns of each
-    homodyne's Box-Muller pair among them, one column per homodyne record.
+    for inputs ``c`` and ``d``.  Derived from the steps when the circuit is
+    built: ``n``, its qubit count; ``program``, the steps compiled for ``n``
+    qubits (:func:`_compile`); ``words``, the stream words a shot takes (the
+    sum of each measurement's ``STREAM_WORDS``); and ``noise``, the ``(2,
+    records)`` columns of each homodyne's Box-Muller pair among them, one
+    column per homodyne record.
     """
 
     ancilla: bool
     steps: tuple[tuple, ...]
     ideal: Callable[[_Shots, tuple, tuple], np.ndarray]
+    n: int = field(init=False)
+    program: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     words: int = field(init=False)
     noise: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        starts, words = [], 0
-        for method, *_ in self.steps:
-            if method.__name__ == "homodyne":
-                starts.append(words)
-            words += STREAM_WORDS.get(method.__name__, 0)
+        n = 3 if self.ancilla else 2
+        program, words, starts = _compile(n, self.steps)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "program", program)
         object.__setattr__(self, "words", words)
         # a homodyne's words are its branch pick, then its noise pair
         object.__setattr__(self, "noise", _frozen(np.array(starts, np.intp) + [[1], [2]]))
 
 
-def _entangler(qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN) -> tuple:
-    """Parity gate plus its plan's corrections (:func:`kerrgate.gates.entangler`)."""
+def _entangler(qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN, *also) -> tuple:
+    """Parity gate plus its plan's corrections (:func:`kerrgate.gates.entangler`),
+    and the ``(plan, slots)`` pairs ``also`` on the same odd record."""
     slots = (("0", qubit_a), ("1", qubit_b))
-    return (_Shots.homodyne, qubit_a, qubit_b), (_Shots.feed_forward, plan, slots)
+    return ("homodyne", qubit_a, qubit_b), ("feed_forward", (plan, slots), *also)
 
 
-def _entangler_45(qubit_a: int, qubit_b: int) -> tuple:
+def _entangler_45(qubit_a: int, qubit_b: int, *also) -> tuple:
     """The same in the diagonal frame (:func:`kerrgate.gates.entangler_45`)."""
-    frame = (_Shots.rotate, qubit_a, qubit_b)
-    return (frame, *_entangler(qubit_a, qubit_b, ENTANGLER_45_PLAN), frame)
+    frame = ("rotate", qubit_a, qubit_b)
+    return (frame, *_entangler(qubit_a, qubit_b, ENTANGLER_45_PLAN, *also), frame)
 
 
 # -- ideal outputs, written out from the paper's formulas ----------------------
@@ -350,10 +380,10 @@ def _pick(odd: np.ndarray, even_form, odd_form) -> np.ndarray:
 
 def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    ph = shots.eip[0]
-    odd = np.zeros((len(ph), 4), complex)
-    odd[:, 1] = c0 * d1 * ph
-    odd[:, 2] = c1 * d0 * ph.conj()
+    emp, ep = shots.eip[0]
+    odd = np.zeros((len(ep), 4), complex)
+    odd[:, 1] = c0 * d1 * ep
+    odd[:, 2] = c1 * d0 * emp
     return _pick(shots.odd[0], np.array([c0 * d0, 0, 0, c1 * d1]), odd)
 
 
@@ -394,17 +424,20 @@ _CNOT_SLOTS = (("control", 0), ("target", 2))
 #: experiment name -> circuit, in the order the CLI lists them; the CNOT's
 #: qubits are (control, ancilla, target)
 CIRCUITS: dict[str, Circuit] = {
-    "parity": Circuit(False, ((_Shots.homodyne, 0, 1),), _parity_ideal),
+    "parity": Circuit(False, (("homodyne", 0, 1),), _parity_ideal),
     "entangler": Circuit(False, _entangler(0, 1), _entangler_ideal),
     "entangler45": Circuit(False, _entangler_45(0, 1), _entangler45_ideal),
     "cnot": Circuit(
         True,
         (
             *_entangler(0, 1),
-            *_entangler_45(1, 2),
-            (_Shots.feed_forward, CNOT_SIGN_PLAN, _CNOT_SLOTS),
-            (_Shots.photon, 1),
-            (_Shots.feed_forward, CNOT_PHOTON_PLAN, _CNOT_SLOTS),
+            # the controller's sign flip of the control reads the same odd
+            # record as the diagonal entangler's corrections and commutes
+            # exactly with its frame change of qubits (1, 2), so it joins
+            # them inside the frame
+            *_entangler_45(1, 2, (CNOT_SIGN_PLAN, _CNOT_SLOTS)),
+            ("photon", 1),
+            ("feed_forward", (CNOT_PHOTON_PLAN, _CNOT_SLOTS)),
         ),
         _cnot_ideal,
     ),
@@ -417,17 +450,23 @@ class ShotBlock:
 
     ``x``, ``odd`` and ``phi`` have one column per homodyne record in circuit
     order; ``photon_v`` is True where the CNOT ancilla read V (all False for
-    the photon-free experiments); ``final`` holds the final polarization
-    amplitudes, normalized, ``fidelity`` their fidelity with the
-    record-conditional ideal.
+    the photon-free experiments); ``fidelity`` is the fidelity of the final
+    polarization amplitudes with the record-conditional ideal.  ``amp`` holds
+    those amplitudes unnormalized and ``n2`` their squared norms; ``final``
+    is them normalized, computed when first read.
     """
 
     x: np.ndarray
     odd: np.ndarray
     phi: np.ndarray
     photon_v: np.ndarray
-    final: np.ndarray
     fidelity: np.ndarray
+    amp: np.ndarray = field(repr=False)
+    n2: np.ndarray = field(repr=False)
+
+    @cached_property
+    def final(self) -> np.ndarray:
+        return self.amp * (1.0 / np.sqrt(self.n2))[:, None]
 
 
 def _fidelity(amp: np.ndarray, n2: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -455,17 +494,21 @@ def run_block(
     circuit = CIRCUITS[experiment]
     shots = _Shots(count, probe, rng, circuit)
     c, d = inputs
-    shots.prepare(*((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d)))
-    for method, *args in circuit.steps:
+    shots.prepare((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d))
+    for method, *args in circuit.program:
         method(shots, *args)
     amp = shots.amp
     n2 = np.vecdot(amp, amp).real  # the block's one norm per shot
     shots._check_norm(n2)
+    eip = shots.eip[:, 1]
+    phi = np.arctan2(eip.imag, eip.real)
+    np.remainder(phi, _TWO_PI, out=phi)
     return ShotBlock(
         x=shots.x.T,
         odd=shots.odd.T,
-        phi=shots.phi.T,
+        phi=phi.T,
         photon_v=shots.photon_v,
-        final=amp * (1.0 / np.sqrt(n2))[:, None],
         fidelity=_fidelity(amp, n2, circuit.ideal(shots, c, d)),
+        amp=amp,
+        n2=n2,
     )

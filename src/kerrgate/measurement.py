@@ -189,13 +189,15 @@ def gaussian(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
 STREAM_WORDS = {"homodyne": 3, "photon": 1}
 
 
-def pick_branches(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+def pick_branches(weights: np.ndarray, u: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """The branch each uniform ``u`` picks by ``weights``, one row for every
     ``u`` or a row each: the count of entries ``<= u`` of the weights' CDF,
     divided by its last entry so that no ``u`` in [0, 1) picks past the last
-    nonzero weight.  Both shot engines pick their branches here.
+    nonzero weight.  ``totals`` is ``np.add.reduce(weights, axis=-1)``, which
+    each caller has already taken to check the norm.  Both shot engines pick
+    their branches here.
     """
-    cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=-1, keepdims=True), axis=-1)
+    cdf = np.add.accumulate(weights / totals[..., None], axis=-1)
     cdf /= cdf[..., -1:]
     return np.add.reduce(cdf <= u[:, None], axis=-1)
 
@@ -219,9 +221,9 @@ def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) 
         )
     with np.errstate(over="ignore"):  # require_norm rejects a norm that overflows
         weights = np.abs(np.array([b.amplitude for b in state.branches])) ** 2
-        require_norm(np.add.reduce(weights), "sample")
+        total = require_norm(np.add.reduce(weights, axis=-1), "sample")
     means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
-    picks = pick_branches(weights, rng.random(n))
+    picks = pick_branches(weights, rng.random(n), total)
     u = rng.random((n, 2))
     return means[picks] + gaussian(u[:, 0], u[:, 1])
 

@@ -9,7 +9,9 @@ ideal outputs are rebuilt here as branch-label states from the paper's
 formulas, independently of the engine's dense ones.
 
 Each feed-forward the circuits make is checked against the masked matrix
-products it replaces, on random blocks.
+products it replaces, on random blocks.  Each circuit's compiled program is
+checked to declare the stream words its circuit derives and to hold every
+table a block reads, so that a block builds none.
 
 The words each block's measurements read are checked bit for bit against
 those replay generators, for seeds of one to five 32-bit words and for
@@ -170,6 +172,8 @@ def scalar_errors(experiment, inputs, probe, shots, seed):
 
 
 def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
+    """Replay each shot of the block through the scalar gates, sampled and
+    forced; return the block."""
     block = run_block(experiment, inputs, probe, seed, start, start + shots)
     words = batch.CIRCUITS[experiment].words
     for i in range(shots):
@@ -197,6 +201,7 @@ def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
         assert [r.parity for r in forced[0]] == [r.parity for r in records]
         assert state_fidelity(dense(forced[2]), block.final[i]) >= 1.0 - 1e-12
         np.testing.assert_allclose(dense(forced[2]), block.final[i], rtol=0, atol=1e-12)
+    return block
 
 
 @pytest.mark.parametrize("theta", [theta_for(ALPHA_MAX), 0.5, math.pi], ids=["xd20", "0.5", "pi"])
@@ -258,13 +263,45 @@ def test_final_is_normalized_and_fidelity_is_its_overlap(experiment, alpha, xd):
         assert abs(block.fidelity[i] - expected) <= 1e-14
 
 
-#: every feed-forward step of the four circuits, as the key of batch._correction,
-#: (qubits, plan, slot wiring), with its experiment and step index as test id
+def scalar_order(circuit):
+    """``circuit``'s steps with each feed-forward plan as a step of its own,
+    in the order the scalar gates apply them: a plan that joined a diagonal
+    entangler's corrections (the CNOT's sign flip) runs once that entangler
+    has closed its frame."""
+    steps, held = [], []
+    for name, *args in circuit.steps:
+        if name != "rotate":
+            steps += [("feed_forward", pair) for pair in held]
+            held = []
+        if name == "feed_forward":
+            steps.append(("feed_forward", args[0]))
+            held = args[1:]
+            continue
+        steps.append((name, *args))
+        if name == "rotate":
+            steps += [("feed_forward", pair) for pair in held]
+            held = []
+    return steps + [("feed_forward", pair) for pair in held]
+
+
+#: every feed-forward plan of the four circuits, compiled on its own, with its
+#: experiment and step index in :func:`scalar_order` as test id: (qubits, its
+#: one (plan, slot wiring) pair, its column steps)
 FEED_FORWARDS = {
-    f"{name}-{k}": (3 if circuit.ancilla else 2, *args)
+    f"{name}-{k}": (circuit.n, (step[1],), batch._correction(circuit.n, *step[1]))
     for name, circuit in batch.CIRCUITS.items()
-    for k, (method, *args) in enumerate(circuit.steps)
-    if method is batch._Shots.feed_forward
+    for k, step in enumerate(scalar_order(circuit))
+    if step[0] == "feed_forward"
+}
+
+#: every feed-forward step of the four compiled programs, with its experiment
+#: and program step index as test id: (qubits, the step's (plan, slot wiring)
+#: pairs, the column steps its program holds)
+PROGRAM_FEED_FORWARDS = {
+    f"{name}-{k}": (circuit.n, pairs, op[1])
+    for name, circuit in batch.CIRCUITS.items()
+    for k, ((step, *pairs), op) in enumerate(zip(circuit.steps, circuit.program))
+    if step == "feed_forward"
 }
 
 
@@ -275,29 +312,43 @@ def lifted(n, gate):
     return full.T
 
 
-def masked_feed_forward(amp, n, plan, slots, flag, phi):
-    """The reference: the plan's actions as lifted 2x2 matrices (or the
+def masked_feed_forward(amp, n, pairs, flag, phi):
+    """The reference: each plan's actions as lifted 2x2 matrices (or the
     per-shot phase gate) on the flagged rows only."""
     amp = amp.copy()
-    for action in plan:
-        kind, qubit = resolve_action(action, dict(slots))
-        if kind != "undo-phase":
-            amp[flag] = amp[flag] @ lifted(n, FIXED_ACTIONS[kind](qubit))
-            continue
-        ph = np.exp(1j * phi[flag])[:, None]
-        amp[flag] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
+    for plan, slots in pairs:
+        for action in plan:
+            kind, qubit = resolve_action(action, dict(slots))
+            if kind != "undo-phase":
+                amp[flag] = amp[flag] @ lifted(n, FIXED_ACTIONS[kind](qubit))
+                continue
+            ph = np.exp(1j * phi[flag])[:, None]
+            amp[flag] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
     return amp
 
 
 def test_the_circuits_feed_forward_through_every_plan():
-    plans = {plan for _, plan, _ in FEED_FORWARDS.values()}
+    plans = {plan for _, pairs, _ in FEED_FORWARDS.values() for plan, _ in pairs}
     assert plans == {ENTANGLER_PLAN, ENTANGLER_45_PLAN, CNOT_SIGN_PLAN, CNOT_PHOTON_PLAN}
 
 
 @pytest.mark.parametrize("case", list(FEED_FORWARDS))
 @pytest.mark.parametrize("flags", ["mixed", "none", "all"])
 def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
-    n, plan, slots = FEED_FORWARDS[case]
+    assert_feed_forward(*FEED_FORWARDS[case], case, flags)
+
+
+@pytest.mark.parametrize("case", list(PROGRAM_FEED_FORWARDS))
+@pytest.mark.parametrize("flags", ["mixed", "none", "all"])
+def test_program_feed_forward_equals_masked_matrix_products(case, flags):
+    """The same for each feed-forward step of the compiled programs, which
+    chains the CNOT's sign flip onto the diagonal entangler's corrections."""
+    assert_feed_forward(*PROGRAM_FEED_FORWARDS[case], case, flags)
+
+
+def assert_feed_forward(n, pairs, steps, case, flags):
+    """``steps`` applied by ``_Shots.feed_forward`` to a random block equal
+    ``pairs``' masked matrix products, for the ``flags`` pattern named."""
     rng = np.random.default_rng([n, len(case), len(flags)])
     count = 37
     amp = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
@@ -312,12 +363,66 @@ def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
 
     circuit = batch.CIRCUITS["parity"]
     shots = batch._Shots(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), circuit)
-    # the engine hands feed-forward each collapse's e^{i phi}
-    shots.n, shots.amp, shots.flag, shots.flag_eip = n, amp.copy(), flag, np.exp(1j * phi)
-    shots.feed_forward(plan, slots)
-    expected = masked_feed_forward(amp, n, plan, slots, flag, phi)
+    # the engine hands feed-forward each collapse's (e^{-i phi}, e^{i phi})
+    eip = np.exp(1j * phi)
+    shots.amp, shots.flag, shots.flag_eip = amp.copy(), flag, np.stack([eip.conj(), eip])
+    shots.feed_forward(steps)
+    expected = masked_feed_forward(amp, n, pairs, flag, phi)
     # equal as numbers; the sign of a zero may differ from the matrix product's
     assert np.array_equal(shots.amp, expected)
+
+
+@pytest.mark.parametrize("shots", [50, 1024])
+def test_cnot_replays_cover_both_sign_flip_and_photon_records(shots):
+    """The controller's sign flip of the control runs inside the diagonal
+    entangler's feed-forward, before the frame change the scalar CNOT makes
+    first.  The sampled and forced replays must land on the batched final
+    states with the second record odd and even, each with the photon read H
+    and V."""
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    block = assert_replays("cnot", inputs, ProbeMode(100.0, theta_for(100.0)), 17, shots=shots)
+    records = set(zip(block.odd[:, 1].tolist(), block.photon_v.tolist()))
+    assert records == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_programs_declare_their_words_and_hold_every_table(monkeypatch):
+    """Each circuit's program declares, at its measurement steps, the words
+    that ``Circuit.words`` and ``Circuit.noise`` derive: the measurements of
+    its steps in order, each starting where the one before ends, and each
+    homodyne its record.  A block then builds no table: wrapped around one
+    ``run_block`` per experiment, the cached builders see no call, while a
+    circuit built under the same wrappers calls them."""
+    for circuit in batch.CIRCUITS.values():
+        measured = compiled_measurements(circuit)
+        assert [kind for kind, _ in measured] == measurements(circuit)
+        sizes = [STREAM_WORDS[kind] for kind, _ in measured]
+        assert [args[0] for _, args in measured] == [sum(sizes[:k]) for k in range(len(sizes))]
+        assert circuit.words == sum(sizes)
+        homodynes = [args for kind, args in measured if kind == "homodyne"]
+        assert [j for _, j, _ in homodynes] == list(range(len(homodynes)))
+        assert circuit.noise.tolist() == [
+            [word + 1 for word, _, _ in homodynes],
+            [word + 2 for word, _, _ in homodynes],
+        ]
+
+    calls = []
+
+    def counted(name, builder):
+        def wrapper(*args):
+            calls.append(name)
+            return builder(*args)
+
+        return wrapper
+
+    for name in ("_v_bits", "_label_columns", "_rotation", "_correction"):
+        monkeypatch.setattr(batch, name, counted(name, getattr(batch, name)))
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    for experiment in EXPERIMENTS:
+        run_block(experiment, inputs, ProbeMode(8.0, theta_for(8.0, 4.0)), 3, 0, 10)
+    assert calls == []
+    cnot_circuit = batch.CIRCUITS["cnot"]
+    batch.Circuit(cnot_circuit.ancilla, cnot_circuit.steps, cnot_circuit.ideal)
+    assert {"_label_columns", "_rotation", "_correction"} <= set(calls)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70])
@@ -343,7 +448,17 @@ def bits(values) -> list[int]:
 
 def measurements(circuit) -> list[str]:
     """The circuit's measurement steps, in order, by name."""
-    return [method.__name__ for method, *_ in circuit.steps if method.__name__ in STREAM_WORDS]
+    return [name for name, *_ in circuit.steps if name in STREAM_WORDS]
+
+
+def compiled_measurements(circuit) -> list[tuple[str, tuple]]:
+    """The measurement steps of the circuit's program, in order: each step's
+    name and arguments, the first of them its first stream word."""
+    return [
+        (method.__name__, args)
+        for method, *args in circuit.program
+        if method.__name__ in STREAM_WORDS
+    ]
 
 
 def replay_rows(seed, start, count, circuit) -> np.ndarray:
@@ -366,16 +481,16 @@ def replay_rows(seed, start, count, circuit) -> np.ndarray:
 
 
 def engine_rows(seed, start, count, circuit) -> np.ndarray:
-    """The same from a block: each measurement's words as its step reads
-    them, a homodyne's followed by its normal, one row per shot."""
+    """The same from a block: each measurement's words from the first word
+    its program step declares, a homodyne's followed by the block's normal
+    for its record, one row per shot."""
     rng = shot_rng(seed, start, circuit.words)
     shots = batch._Shots(count, ProbeMode(8.0, 0.5), rng, circuit)
     columns = []
-    for kind in measurements(circuit):
-        words = list(shots._next_words(kind).T)
+    for kind, (word, *args) in compiled_measurements(circuit):
+        columns += list(shots.words[:, word : word + STREAM_WORDS[kind]].T)
         if kind == "homodyne":
-            words.append(gaussian(words[1], words[2]))
-        columns += words
+            columns.append(shots.normals[args[0]])
     return np.array(columns).T
 
 

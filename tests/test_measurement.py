@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from kerrgate import (
@@ -358,6 +360,25 @@ class TestSampleQuadrature:
         _, post = sample_and_collapse(state, np.random.default_rng(0), force_x=probe.x0)
         assert norm_squared(post) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("alpha", [2.0, 6.0, 100.0])
+    def test_draws_equal_the_two_pass_picks(self, alpha):
+        """Sampling with the norm check's row sum draws, bit for bit, what
+        the former two-pass pick drew, on kicked states of Haar inputs."""
+        rng = np.random.default_rng([7, int(alpha)])
+        pairs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        c, d = (tuple(pair / np.linalg.norm(pair)) for pair in pairs)
+        probe = ProbeMode(alpha, 2.0 * math.asin(math.sqrt(4.0 / (4.0 * alpha))))
+        state = parity_state(c, d, alpha, probe.theta)
+        draws = sample_quadrature(state, np.random.default_rng(99), 2000)
+
+        words = np.random.default_rng(99)
+        weights = np.abs(np.array([b.amplitude for b in state.branches])) ** 2
+        means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
+        picks = two_pass_picks(weights, words.random(2000))
+        noise = words.random((2000, 2))
+        expected = means[picks] + gaussian(noise[:, 0], noise[:, 1])
+        assert [x.hex() for x in draws.tolist()] == [x.hex() for x in expected.tolist()]
+
     def test_zero_norm_state_is_rejected(self):
         with pytest.raises(ValidationError, match="zero-norm"):
             sample_quadrature(zero_norm_state(), np.random.default_rng(0))
@@ -376,12 +397,21 @@ class TestSampleQuadrature:
             sample_and_collapse(state, np.random.default_rng(0))
 
 
+def two_pass_picks(weights, u):
+    """``pick_branches`` as written before it took the caller's row sums:
+    the weights divided by sums it took itself."""
+    cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=-1, keepdims=True), axis=-1)
+    cdf /= cdf[..., -1:]
+    return np.add.reduce(cdf <= u[:, None], axis=-1)
+
+
 class TestPickBranches:
     def test_each_u_picks_the_count_of_cdf_entries_at_or_below_it(self):
         # CDF (0, 0.25, 0.25, 1): the zero-weight branches 0 and 2 are never picked
         top = np.nextafter(1.0, 0.0)  # the largest random()
         u = np.array([0.0, 0.1, np.nextafter(0.25, 0.0), 0.25, 0.7, top])
-        picks = pick_branches(np.array([0.0, 1.0, 0.0, 3.0]), u)
+        weights = np.array([0.0, 1.0, 0.0, 3.0])
+        picks = pick_branches(weights, u, np.add.reduce(weights, axis=-1))
         assert picks.tolist() == [1, 1, 1, 3, 3, 3]
 
     def test_a_row_per_u_equals_one_row_each(self):
@@ -389,8 +419,33 @@ class TestPickBranches:
         weights = rng.random((50, 8)) * (rng.random((50, 8)) < 0.7)
         weights[:, 0] += 1e-3  # a nonzero weight in every row
         u = rng.random(50)
-        expected = [pick_branches(row, u[i : i + 1])[0] for i, row in enumerate(weights)]
-        assert pick_branches(weights, u).tolist() == expected
+        expected = [
+            pick_branches(row, u[i : i + 1], np.add.reduce(row, axis=-1))[0]
+            for i, row in enumerate(weights)
+        ]
+        assert pick_branches(weights, u, np.add.reduce(weights, axis=-1)).tolist() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 6), columns=st.integers(1, 8))
+    def test_shared_row_sums_pick_as_two_passes_did(self, data, rows, columns):
+        """The caller's row sums, ``np.add.reduce(w, axis=-1)``, pick what
+        the former two-pass formula picked: 1-D rows (``rows == 0``, one row
+        for every ``u``) and 2-D blocks (a row each), with exact zeros and
+        with weights that underflow, to subnormals or to zero, from the
+        squares of tiny amplitudes."""
+        shape = (columns,) if rows == 0 else (rows, columns)
+        amplitude = st.one_of(
+            st.just(0.0), st.floats(1e-170, 1e-150), st.floats(1e-3, 10.0)
+        )
+        size = int(np.prod(shape))
+        w = np.abs(np.array(data.draw(st.lists(amplitude, min_size=size, max_size=size)))) ** 2
+        w = w.reshape(shape)
+        assume(np.all(np.add.reduce(w, axis=-1) > 0.0))  # as every caller's norm check
+        count = rows or data.draw(st.integers(1, 5))
+        uniform = st.floats(0.0, 1.0, exclude_max=True)
+        u = np.array(data.draw(st.lists(uniform, min_size=count, max_size=count)))
+        picks = pick_branches(w, u, np.add.reduce(w, axis=-1))
+        assert picks.tolist() == two_pass_picks(w, u).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,26 @@ REJECTIONS = {
         lambda: gates._apply_actions(ONE_QUBIT, (("undo-phase", "0"),), {"0": 0}),
         ContractError, r"^an undo-phase action follows no homodyne record$",
     ),
+    # a circuit is compiled when it is built, so its wiring errors raise there
     "batch-undo-phase-without-record": (
-        lambda: batch._step(2, "undo-phase", 0).apply(np.ones((3, 4), complex), None),
+        lambda: batch.Circuit(
+            False,
+            (("photon", 0), ("feed_forward", (gates.ENTANGLER_PLAN, (("0", 0), ("1", 1))))),
+            batch._entangler_ideal,
+        ),
         ContractError, r"^an undo-phase action follows no homodyne record$",
+    ),
+    "batch-feed-forward-without-measurement": (
+        lambda: batch.Circuit(
+            False,
+            (("feed_forward", (gates.CNOT_PHOTON_PLAN, (("target", 1),))), ("photon", 0)),
+            batch._entangler_ideal,
+        ),
+        ContractError, r"^a feed-forward follows no measurement$",
+    ),
+    "batch-unknown-step": (
+        lambda: batch.Circuit(False, (("measure", 0),), batch._entangler_ideal),
+        ContractError, r"^unknown circuit step 'measure'$",
     ),
 }
 
