@@ -10,8 +10,9 @@ Times:
   basis string), and one of a state holding two labels on one basis string;
 - a forced ``qnd_photon_measure`` of the CNOT's ancilla;
 - ``fidelity`` of two 3-qubit states;
-- one seeded ``parity_gate`` shot and one seeded ``cnot`` shot, each with a
-  fresh ``default_rng(SEED)`` made outside the timed call.
+- one seeded ``parity_gate``, ``entangler_45`` and ``cnot`` shot, each with
+  a fresh ``default_rng(SEED)`` made outside the timed call; the last two
+  run their circuits' steps through ``gates.run_steps``.
 
 The probe is alpha = 100 at peak separation xd = 20, as in the benchmark's
 ``cnot-deep`` workload.  Run from a checkout with
@@ -36,6 +37,7 @@ from kerrgate import (
     build_parity_coupling_pair,
     cnot,
     diagonal_basis_change,
+    entangler_45,
     fidelity,
     new_state,
     parity_gate,
@@ -109,6 +111,16 @@ def test_parity_gate_shot(benchmark):
         rounds=GATE_ROUNDS,
     )
     assert record.parity in ("even", "odd")
+
+
+def test_entangler_45_shot(benchmark):
+    state = new_state(list(INPUTS))
+    trace, _ = benchmark.pedantic(
+        entangler_45,
+        setup=lambda: ((state, 0, 1, PROBE, np.random.default_rng(SEED)), {}),
+        rounds=GATE_ROUNDS,
+    )
+    assert len(trace.records) == 1
 
 
 def test_cnot_shot(benchmark):

@@ -78,11 +78,11 @@ def run_shots(
     its words ``i K .. i K + K - 1``, ``K`` being the circuit's
     ``Circuit.words``.  Each measurement reads the words that
     :data:`kerrgate.measurement.STREAM_WORDS` declares for it, in circuit
-    order, exactly as the scalar gates in :mod:`kerrgate.gates` read them
-    from a generator.  Identical arguments
-    therefore give identical results whatever the block size, and shot ``i``
-    replays through the scalar gates on ``default_rng(seed)`` advanced by
-    ``i K`` (``Generator.bit_generator.advance``).  ``seed`` must be a
+    order, exactly as :func:`kerrgate.gates.run_steps` reads them from a
+    generator when it runs the circuit's steps on one state.  Identical
+    arguments therefore give identical results whatever the block size, and
+    shot ``i`` replays through ``run_steps`` on ``default_rng(seed)``
+    advanced by ``i K`` (``Generator.bit_generator.advance``).  ``seed`` must be a
     non-negative integer (``TypeError`` for a float, string, sequence,
     ``SeedSequence`` or ``Generator``; ``ValueError`` when negative).
     """

@@ -12,33 +12,22 @@ At 10 to 50 shots a block's cost is mostly the number of NumPy calls it
 makes, so the steps make few, and reductions call the ufuncs
 (``np.add.reduce``, ``np.add.accumulate``) that ``sum`` and ``cumsum`` wrap.
 
-Each experiment is a :class:`Circuit`: a tuple of steps, its hand-written
-ideal output, and whether it holds the CNOT ancilla.  A step names one array
-operation on the block:
-
-- ``("rotate", *qubits)`` enters or leaves the diagonal frame, one
-  ``2**n x 2**n`` matrix for the qubits together;
-- ``("homodyne", a, b)`` kicks a fresh probe, picks each shot's branch by
-  its ``|a|^2``, adds the shot's unit normal to that branch's peak and
-  multiplies by the measurement kernel ``<x|beta_k>`` (up to its constant
-  factor), keeping the kernel's ``e^{-ip}`` and ``e^{ip}`` for the record;
-- ``("feed_forward", (plan, slots), ...)`` applies plans of
-  :mod:`kerrgate.gates` (the ones the scalar gates execute), each wired by
-  its ``(slot, qubit)`` pairs, to the shots whose last measurement read odd
-  or V, as steps on the block's columns (a flip is a column permutation, a
-  sign flip negates the qubit's V columns, the phase undo multiplies by the
-  collapse's ``e^{+-ip}``); the steps act on the whole block, and only the
-  flagged shots keep the result;
-- ``("photon", q)`` is the QND photon readout, ``u < p_V``.
+Each experiment is a :class:`Circuit`: the steps that
+:func:`kerrgate.gates.run_steps` runs on one scalar shot, its hand-written
+ideal output, and whether it holds the CNOT ancilla.  Here each step is one
+array operation on the block, a ``_Shots`` method: a rotation is one
+``2**n x 2**n`` matrix for its qubits together, a homodyne multiplies each
+shot by the measurement kernel ``<x|beta_k>`` (up to its constant factor),
+and a feed-forward's plans act on the block's columns (see ``_Step``).
 
 A circuit is compiled once, when it is built, into :attr:`Circuit.program`
 for its qubit count: each step becomes a ``_Shots`` method and the tables it
 reads, a homodyne's label columns, a rotation's lifted matrix, a
 feed-forward's column steps (through :func:`kerrgate.gates.resolve_action`)
 and a photon readout's V columns, and each measurement is given its first
-stream word and its record.  A wiring error, such as an undo-phase that
-follows no homodyne, raises ``ContractError`` there, not in a block.  A
-block looks up only what depends on its probe, the collapse constants, once.
+stream word and its record.  A wiring error raises ``ContractError`` there
+(:func:`kerrgate.gates.check_steps`), not in a block.  A block looks up
+only what depends on its probe, the collapse constants, once.
 
 No step renormalizes: the branch pick and ``p_V`` divide by the total
 weight, which the norm check before them has summed, and a shot's squared
@@ -57,13 +46,13 @@ Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
 A run with seed ``s`` reads one stream, ``np.random.default_rng(s).random()``.
 Shot ``i`` takes words ``i K .. i K + K - 1`` of it, where ``K``
 (:attr:`Circuit.words`) sums :data:`kerrgate.measurement.STREAM_WORDS` over
-the circuit's measurements, as the scalar gates in :mod:`kerrgate.gates`
-read them.  The run builds its generator once and hands it to each block in
+the circuit's measurements, as :func:`kerrgate.gates.run_steps` reads
+them.  The run builds its generator once and hands it to each block in
 turn; a block's words are one ``random((count, K))`` call on it, and each
 measurement reads its own columns of them in place, so shot ``i`` is the
-same in any block.  The scalar gates stay the reference: replaying a shot
-through them, on ``default_rng(s)`` advanced by ``i K`` or with its recorded
-outcomes forced, gives the same records and final state.
+same in any block.  ``run_steps`` replays shot ``i`` on ``default_rng(s)``
+advanced by ``i K``, or with its outcomes forced, to the same records and
+final state; the hand-written ideals below check the steps' wiring.
 """
 
 from __future__ import annotations
@@ -75,14 +64,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ValidationError
 from .gates import (
     ANCILLA_PLUS,
-    CNOT_PHOTON_PLAN,
-    CNOT_SIGN_PLAN,
-    ENTANGLER_45_PLAN,
-    ENTANGLER_PLAN,
     FeedForwardPlan,
+    check_steps,
+    cnot_steps,
+    entangler_45_steps,
+    entangler_steps,
     resolve_action,
 )
 from .measurement import STREAM_WORDS, gaussian, pick_branches
@@ -298,28 +287,21 @@ def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, 
     ``(_Shots method, *its tables)``, the stream words a shot takes, and the
     first word of each homodyne.  A measurement's first argument is its first
     word, and each reads the :data:`STREAM_WORDS` after it."""
-    program, words, starts, last = [], 0, [], None
+    check_steps(steps)
+    program, words, starts = [], 0, []
     for name, *args in steps:
         if name == "rotate":
             program.append((_Shots.rotate, _rotation(n, tuple(args))))
         elif name == "feed_forward":
             columns = tuple(step for pair in args for step in _correction(n, *pair))
-            if last is None:
-                raise ContractError("a feed-forward follows no measurement")
-            if last != "homodyne" and any(step.kind == "undo-phase" for step in columns):
-                raise ContractError("an undo-phase action follows no homodyne record")
             program.append((_Shots.feed_forward, columns))
         elif name == "homodyne":
             program.append((_Shots.homodyne, words, len(starts), _label_columns(n, *args)))
             starts.append(words)
-        elif name == "photon":
+        else:  # photon
             v = _v_bits(n)[:, args[0]]
             program.append((_Shots.photon, words, _frozen(np.flatnonzero(v)), v))
-        else:
-            raise ContractError(f"unknown circuit step {name!r}")
-        if name in STREAM_WORDS:
-            last = name
-            words += STREAM_WORDS[name]
+        words += STREAM_WORDS.get(name, 0)
     return tuple(program), words, starts
 
 
@@ -355,19 +337,6 @@ class Circuit:
         object.__setattr__(self, "words", words)
         # a homodyne's words are its branch pick, then its noise pair
         object.__setattr__(self, "noise", _frozen(np.array(starts, np.intp) + [[1], [2]]))
-
-
-def _entangler(qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN, *also) -> tuple:
-    """Parity gate plus its plan's corrections (:func:`kerrgate.gates.entangler`),
-    and the ``(plan, slots)`` pairs ``also`` on the same odd record."""
-    slots = (("0", qubit_a), ("1", qubit_b))
-    return ("homodyne", qubit_a, qubit_b), ("feed_forward", (plan, slots), *also)
-
-
-def _entangler_45(qubit_a: int, qubit_b: int, *also) -> tuple:
-    """The same in the diagonal frame (:func:`kerrgate.gates.entangler_45`)."""
-    frame = ("rotate", qubit_a, qubit_b)
-    return (frame, *_entangler(qubit_a, qubit_b, ENTANGLER_45_PLAN, *also), frame)
 
 
 # -- ideal outputs, written out from the paper's formulas ----------------------
@@ -419,28 +388,13 @@ def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
     return _pick(shots.photon_v, on_h, on_v)
 
 
-_CNOT_SLOTS = (("control", 0), ("target", 2))
-
 #: experiment name -> circuit, in the order the CLI lists them; the CNOT's
 #: qubits are (control, ancilla, target)
 CIRCUITS: dict[str, Circuit] = {
     "parity": Circuit(False, (("homodyne", 0, 1),), _parity_ideal),
-    "entangler": Circuit(False, _entangler(0, 1), _entangler_ideal),
-    "entangler45": Circuit(False, _entangler_45(0, 1), _entangler45_ideal),
-    "cnot": Circuit(
-        True,
-        (
-            *_entangler(0, 1),
-            # the controller's sign flip of the control reads the same odd
-            # record as the diagonal entangler's corrections and commutes
-            # exactly with its frame change of qubits (1, 2), so it joins
-            # them inside the frame
-            *_entangler_45(1, 2, (CNOT_SIGN_PLAN, _CNOT_SLOTS)),
-            ("photon", 1),
-            ("feed_forward", (CNOT_PHOTON_PLAN, _CNOT_SLOTS)),
-        ),
-        _cnot_ideal,
-    ),
+    "entangler": Circuit(False, entangler_steps(0, 1), _entangler_ideal),
+    "entangler45": Circuit(False, entangler_45_steps(0, 1), _entangler45_ideal),
+    "cnot": Circuit(True, cnot_steps(0, 1, 2), _cnot_ideal),
 }
 
 

@@ -1,13 +1,15 @@
 """Composite gate procedures: parity detector, entanglers, and the CNOT.
 
-Feed-forward corrections are applied immediately after the measurement that
-conditions them.  Each measurement has one :data:`FeedForwardPlan`, a module
-constant that lists the actions after its flagged outcome, odd for a
-homodyne parity record and V for the photon readout; an even or H reading
-needs none.  :data:`ENTANGLER_PLAN` and :data:`ENTANGLER_45_PLAN` follow an
-entangler's homodyne, :data:`CNOT_SIGN_PLAN` and :data:`CNOT_PHOTON_PLAN`
-are the CNOT controller's.  The batched engine in :mod:`kerrgate.batch` reads
-the same constants.  The executed actions are recorded on the returned
+Both shot engines read one circuit language, the ``(name, *args)`` steps
+that :func:`entangler_steps`, :func:`entangler_45_steps` and
+:func:`cnot_steps` build: :func:`run_steps` runs them on a
+:class:`~kerrgate.states.HybridState` and :mod:`kerrgate.batch` on a block
+of shots, each after :func:`check_steps`.  So only the hand-written ideals,
+not a replay of one engine through the other, can catch a wiring slip.
+
+Each measurement has one :data:`FeedForwardPlan`, the actions after its
+flagged outcome (odd, or V for the photon readout), applied by the
+``feed_forward`` step that follows it and recorded on the returned
 :class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
@@ -29,8 +31,9 @@ the gate's *first* qubit (the shared ancilla), and when that qubit is
 entangled with a spectator in the ``c0|HH> + c1|VV>`` form, one residual
 correction remains that no operation local to the two gated qubits can
 perform: a sign change ``V -> -V`` on the spectator.  The CNOT controller
-applies it to the control qubit whenever the second homodyne classifies odd;
-with it, both measurement branches land on the same state exactly.
+applies it to the control qubit whenever the second homodyne classifies odd
+(inside that entangler's frame, with which it commutes exactly); with it,
+both measurement branches land on the same state exactly.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .measurement import HomodyneRecord, qnd_photon_measure, sample_and_collapse
+from .measurement import STREAM_WORDS, HomodyneRecord, qnd_photon_measure, sample_and_collapse
 from .optics import (
     apply_cross_kerr,
     apply_single_qubit,
@@ -82,7 +85,7 @@ CNOT_PHOTON_PLAN: FeedForwardPlan = (("flip", "target"),)
 
 
 #: fixed single-qubit gate behind each feed-forward action kind; the remaining
-#: kind, ``undo-phase``, depends on the measured phase (see :func:`_undo_phase`)
+#: kind, ``undo-phase``, depends on the measured phase (see :func:`_apply_actions`)
 FIXED_ACTIONS = {"flip": bit_flip, "sign-flip": sign_flip}
 
 
@@ -102,22 +105,65 @@ def resolve_action(action: Action, slots: dict[str, int]) -> tuple[str, int]:
 
 
 def _apply_actions(
-    state: HybridState,
-    actions: tuple[Action, ...],
-    slots: dict[str, int],
-    phi: float | None = None,
+    state: HybridState, actions: tuple[Action, ...], slots: dict[str, int], phi: float | None
 ) -> tuple[HybridState, list[str]]:
     applied = []
     for action in actions:
         kind, qubit = resolve_action(action, slots)
-        if kind == "undo-phase":
-            if phi is None:
-                raise ContractError("an undo-phase action follows no homodyne record")
-            state = _undo_phase(state, qubit, phi)
+        if kind == "undo-phase":  # check_steps keeps it after a homodyne record
+            # diag(e^{-i phi}, e^{i phi}) removes e^{+i phi} from (H, V)-ordered
+            # odd branches and e^{-i phi} from (V, H)-ordered ones in one gate
+            gate = diagonal_gate(qubit, -phi, phi)
         else:
-            state = apply_single_qubit(state, FIXED_ACTIONS[kind](qubit))
+            gate = FIXED_ACTIONS[kind](qubit)
+        state = apply_single_qubit(state, gate)
         applied.append(f"{kind}:q{qubit}")
     return state, applied
+
+
+def entangler_steps(
+    qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN, *also
+) -> tuple:
+    """The circuit of :func:`entangler`: the parity gate and, on its odd
+    record, ``plan`` and the ``(plan, slots)`` pairs ``also``."""
+    slots = (("0", qubit_a), ("1", qubit_b))
+    return ("homodyne", qubit_a, qubit_b), ("feed_forward", (plan, slots), *also)
+
+
+def entangler_45_steps(qubit_a: int, qubit_b: int, *also) -> tuple:
+    """The circuit of :func:`entangler_45`: the same in the diagonal frame."""
+    frame = ("rotate", qubit_a, qubit_b)
+    return (frame, *entangler_steps(qubit_a, qubit_b, ENTANGLER_45_PLAN, *also), frame)
+
+
+def cnot_steps(control: int, ancilla: int, target: int) -> tuple:
+    """The circuit of :func:`cnot`.  The sign flip of the control commutes
+    exactly with the frame change of (ancilla, target), so it joins the
+    diagonal entangler's corrections inside the frame."""
+    slots = (("control", control), ("target", target))
+    return (
+        *entangler_steps(control, ancilla),
+        *entangler_45_steps(ancilla, target, (CNOT_SIGN_PLAN, slots)),
+        ("photon", ancilla),
+        ("feed_forward", (CNOT_PHOTON_PLAN, slots)),
+    )
+
+
+def check_steps(steps: tuple[tuple, ...]) -> None:
+    """Raise ``ContractError`` unless every step is known and every
+    feed-forward follows a measurement, a homodyne if it undoes a phase."""
+    last = None
+    for name, *args in steps:
+        if name == "feed_forward":
+            if last is None:
+                raise ContractError("a feed-forward follows no measurement")
+            undoes = any(kind == "undo-phase" for plan, _ in args for kind, _ in plan)
+            if undoes and last != "homodyne":
+                raise ContractError("an undo-phase action follows no homodyne record")
+        elif name in STREAM_WORDS:
+            last = name
+        elif name != "rotate":
+            raise ContractError(f"unknown circuit step {name!r}")
 
 
 @dataclass(frozen=True)
@@ -155,26 +201,44 @@ def parity_gate(
     return sample_and_collapse(state, rng, force_x=force_x)
 
 
-def _undo_phase(state: HybridState, qubit: int, phi: float) -> HybridState:
-    # diag(e^{-i phi}, e^{i phi}) removes e^{+i phi} from (H, V)-ordered odd
-    # branches and e^{-i phi} from (V, H)-ordered ones in a single gate
-    return apply_single_qubit(state, diagonal_gate(qubit, -phi, phi))
-
-
-def _entangler_core(
+def run_steps(
     state: HybridState,
-    qubit_a: int,
-    qubit_b: int,
+    steps: tuple[tuple, ...],
     probe: ProbeMode,
     rng: np.random.Generator,
-    force_x: float | None,
-    plan: FeedForwardPlan,
-) -> tuple[HomodyneRecord, HybridState, tuple[str, ...]]:
-    """Computational-basis parity gate plus ``plan`` on an odd record."""
-    record, state = parity_gate(state, qubit_a, qubit_b, probe, rng, force_x)
-    actions = plan if record.parity == "odd" else ()
-    state, applied = _apply_actions(state, actions, {"0": qubit_a, "1": qubit_b}, record.phi)
-    return record, state, tuple(applied)
+    forced: tuple = (),
+) -> tuple[GateTrace, HybridState]:
+    """Run the circuit ``steps`` on ``state``.  ``("rotate", *qubits)`` is
+    :func:`~kerrgate.optics.diagonal_basis_change` on each qubit in order,
+    ``("homodyne", a, b)`` :func:`parity_gate` on a fresh ``probe``,
+    ``("photon", q)`` :func:`~kerrgate.measurement.qnd_photon_measure`, and
+    ``("feed_forward", (plan, slots), ...)`` applies each plan, wired by its
+    ``(slot, qubit)`` pairs, when the last measurement read odd or V.
+    ``forced`` holds outcomes in measurement order (``x``, or ``"H"``/``"V"``);
+    a measurement forced ``None``, or past its end, samples from ``rng``, and
+    an outcome left over raises ``ContractError``."""
+    check_steps(steps)
+    outcomes = iter(forced)
+    records, photons, corrections = [], [], []
+    for name, *args in steps:
+        if name == "rotate":
+            for qubit in args:
+                state = apply_single_qubit(state, diagonal_basis_change(qubit))
+        elif name == "homodyne":
+            record, state = parity_gate(state, *args, probe, rng, next(outcomes, None))
+            records.append(record)
+            flagged, phi = record.parity == "odd", record.phi
+        elif name == "photon":
+            outcome, state = qnd_photon_measure(state, *args, rng, next(outcomes, None))
+            photons.append((*args, outcome))
+            flagged, phi = outcome == "V", None
+        elif flagged:  # a feed-forward, which check_steps puts after a measurement
+            for plan, slots in args:
+                state, applied = _apply_actions(state, plan, dict(slots), phi)
+                corrections += applied
+    if next(outcomes, None) is not None:
+        raise ContractError("more forced outcomes than measurements")
+    return GateTrace(tuple(records), tuple(photons), tuple(corrections)), state
 
 
 def entangler(
@@ -191,10 +255,7 @@ def entangler(
     On odd outcomes the measured-phase undo acts on ``qubit_a`` and the bit
     flip on ``qubit_b``.
     """
-    record, state, applied = _entangler_core(
-        state, qubit_a, qubit_b, probe, rng, force_x, ENTANGLER_PLAN
-    )
-    return GateTrace(records=(record,), corrections=applied), state
+    return run_steps(state, entangler_steps(qubit_a, qubit_b), probe, rng, (force_x,))
 
 
 def entangler_45(
@@ -214,14 +275,7 @@ def entangler_45(
     described in the module docstring is still owed by the caller; see
     :func:`cnot`.
     """
-    state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
-    state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
-    record, state, applied = _entangler_core(
-        state, qubit_a, qubit_b, probe, rng, force_x, ENTANGLER_45_PLAN
-    )
-    state = apply_single_qubit(state, diagonal_basis_change(qubit_a))
-    state = apply_single_qubit(state, diagonal_basis_change(qubit_b))
-    return GateTrace(records=(record,), corrections=applied), state
+    return run_steps(state, entangler_45_steps(qubit_a, qubit_b), probe, rng, (force_x,))
 
 
 def _check_ancilla_plus(state: HybridState, ancilla: int) -> None:
@@ -252,10 +306,10 @@ def cnot(
 ) -> tuple[GateTrace, HybridState]:
     """Near-deterministic CNOT from control onto target, using one ancilla.
 
-    Sequence: computational entangler on (control, ancilla), diagonal-basis
-    entangler on (ancilla, target), controller sign flip on the control when
-    the second homodyne classifies odd, then a QND polarization readout of
-    the ancilla with a target bit flip on outcome V.  Both parity detectors
+    Sequence (:func:`cnot_steps`): computational entangler on (control,
+    ancilla), diagonal-basis entangler on (ancilla, target) plus a sign flip
+    of the control on its odd record, then a QND polarization readout of the
+    ancilla with a target bit flip on outcome V.  Both parity detectors
     activate ``probe`` afresh, in turn: the first is measured before the
     second couples.  The ancilla photon is measured, not consumed: it ends in
     the recorded basis state and can be recycled for the next gate.  No
@@ -266,22 +320,8 @@ def cnot(
     for q in (control, ancilla, target):
         state.require_qubit(q)
     _check_ancilla_plus(state, ancilla)
-    slots = {"control": control, "target": target}
-
-    trace1, state = entangler(state, control, ancilla, probe, rng, force_x1)
-    trace2, state = entangler_45(state, ancilla, target, probe, rng, force_x2)
-    odd = trace2.records[0].parity == "odd"
-    state, signed = _apply_actions(state, CNOT_SIGN_PLAN if odd else (), slots)
-    outcome, state = qnd_photon_measure(state, ancilla, rng, force_outcome=force_photon)
-    state, flipped = _apply_actions(state, CNOT_PHOTON_PLAN if outcome == "V" else (), slots)
-    corrections = trace1.corrections + trace2.corrections + tuple(signed + flipped)
-
-    trace = GateTrace(
-        records=trace1.records + trace2.records,
-        photon_outcomes=((ancilla, outcome),),
-        corrections=corrections,
-    )
-    return trace, state
+    steps = cnot_steps(control, ancilla, target)
+    return run_steps(state, steps, probe, rng, (force_x1, force_x2, force_photon))
 
 
 def recycle_ancilla(state: HybridState, ancilla: int, outcome: str) -> HybridState:

@@ -1,12 +1,14 @@
-"""Batched shot engine against the scalar gates, shot for shot.
+"""Batched shot engine against the scalar engine, shot for shot.
 
-Every batched shot is replayed through the scalar gates twice: once on its
-own generator, the run's ``default_rng(seed)`` advanced to the shot's words,
-which must reproduce the same records, and once with its recorded outcomes
-forced through ``force_x*`` and ``force_photon``.  Both replays must land on
-the batched final state, amplitude by amplitude.  The record-conditional
-ideal outputs are rebuilt here as branch-label states from the paper's
-formulas, independently of the engine's dense ones.
+Every batched shot is replayed through ``gates.run_steps`` on its circuit's
+own steps twice: once on its own generator, the run's ``default_rng(seed)``
+advanced to the shot's words, which must reproduce the same records, and
+once with its recorded outcomes forced.  Both replays must land on the
+batched final state, amplitude by amplitude.  The record-conditional ideal
+outputs are rebuilt here as branch-label states from the paper's formulas,
+independently of the engine's dense ones.  Since both engines run the same
+steps, only those ideals can catch a wiring slip: miswired circuits must
+fail them in both engines.
 
 Each feed-forward the circuits make is checked against the masked matrix
 products it replaces, on random blocks.  Each circuit's compiled program is
@@ -34,12 +36,8 @@ from kerrgate import (
     HybridState,
     ProbeMode,
     ValidationError,
-    cnot,
-    entangler,
-    entangler_45,
     fidelity,
     new_state,
-    parity_gate,
     run_shots,
 )
 from kerrgate import analysis, batch
@@ -50,7 +48,11 @@ from kerrgate.gates import (
     ENTANGLER_45_PLAN,
     ENTANGLER_PLAN,
     FIXED_ACTIONS,
+    cnot_steps,
+    entangler_45_steps,
+    entangler_steps,
     resolve_action,
+    run_steps,
 )
 from kerrgate.measurement import STREAM_WORDS, gaussian
 from kerrgate.states import ALPHA_MAX
@@ -75,22 +77,23 @@ def basis_pair(rng):
     return (1 + 0j, 0j) if rng.random() < 0.5 else (0j, 1 + 0j)
 
 
-def scalar_shot(experiment, c, d, probe, rng, xs=(None, None), photon=None):
-    """One shot through the scalar gates: (records, photon outcome, final state)."""
-    if experiment == "parity":
-        record, final = parity_gate(new_state([c, d]), 0, 1, probe, rng, xs[0])
-        return (record,), None, final
-    if experiment == "entangler":
-        trace, final = entangler(new_state([c, d]), 0, 1, probe, rng, xs[0])
-    elif experiment == "entangler45":
-        trace, final = entangler_45(new_state([c, d]), 0, 1, probe, rng, xs[0])
-    else:
-        trace, final = cnot(
-            new_state([c, ANCILLA_PLUS, d]), 0, 1, 2, probe, rng,
-            force_x1=xs[0], force_x2=xs[1], force_photon=photon,
-        )
-    outcome = trace.photon_outcomes[0][1] if trace.photon_outcomes else None
-    return trace.records, outcome, final
+def replay(experiment, inputs, probe, rng, forced=()):
+    """One shot of ``experiment`` through ``run_steps``, on its circuit's
+    steps from the circuit's product input: (records, the photon outcome or
+    None, final state)."""
+    circuit = batch.CIRCUITS[experiment]
+    c, d = inputs
+    state = new_state([c, ANCILLA_PLUS, d] if circuit.ancilla else [c, d])
+    trace, final = run_steps(state, circuit.steps, probe, rng, forced)
+    photon = trace.photon_outcomes[0][1] if trace.photon_outcomes else None
+    return trace.records, photon, final
+
+
+def recorded_outcomes(circuit, block, i):
+    """Shot ``i``'s recorded outcomes in measurement order, to force."""
+    xs = iter(block.x[i])
+    photon = "V" if block.photon_v[i] else "H"
+    return tuple(next(xs) if name == "homodyne" else photon for name in measurements(circuit))
 
 
 def ideal_state(experiment, c, d, record, photon):
@@ -158,27 +161,27 @@ def run_block(experiment, inputs, probe, seed, start, stop):
     return batch.run_block(experiment, inputs, probe, rng, stop - start)
 
 
-def scalar_errors(experiment, inputs, probe, shots, seed):
-    """Logical errors of the scalar reference over shots 0 .. shots - 1."""
+def scalar_fidelities(experiment, inputs, probe, shots, seed):
+    """Shots 0 .. shots - 1 through the scalar engine: each shot's odd flags,
+    one per homodyne record, and its fidelity with its ideal output."""
     words = batch.CIRCUITS[experiment].words
-    errors = 0
+    odd, fid = [], []
     for i in range(shots):
-        records, photon, final = scalar_shot(
-            experiment, *inputs, probe, shot_rng(seed, i, words)
-        )
+        records, photon, final = replay(experiment, inputs, probe, shot_rng(seed, i, words))
         ideal = ideal_state(experiment, *inputs, records[0], photon)
-        errors += (fidelity(final, ideal) if ideal is not None else 0.0) < LOGICAL_ERROR_FIDELITY
-    return errors
+        odd.append([r.parity == "odd" for r in records])
+        fid.append(fidelity(final, ideal) if ideal is not None else 0.0)
+    return np.array(odd), np.array(fid)
 
 
 def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
-    """Replay each shot of the block through the scalar gates, sampled and
+    """Replay each shot of the block through the scalar engine, sampled and
     forced; return the block."""
     block = run_block(experiment, inputs, probe, seed, start, start + shots)
-    words = batch.CIRCUITS[experiment].words
+    circuit = batch.CIRCUITS[experiment]
     for i in range(shots):
-        records, photon, final = scalar_shot(
-            experiment, *inputs, probe, shot_rng(seed, start + i, words)
+        records, photon, final = replay(
+            experiment, inputs, probe, shot_rng(seed, start + i, circuit.words)
         )
         assert [r.parity == "odd" for r in records] == list(block.odd[i])
         for r, x, phi in zip(records, block.x[i], block.phi[i]):
@@ -194,9 +197,9 @@ def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
         assert block.fidelity[i] == pytest.approx(fid, abs=1e-12)
 
         # forcing the recorded outcomes reproduces the shot without sampling
-        forced = scalar_shot(
-            experiment, *inputs, probe, np.random.default_rng(0),
-            xs=tuple(block.x[i]) + (None,), photon="V" if block.photon_v[i] else "H",
+        forced = replay(
+            experiment, inputs, probe, np.random.default_rng(0),
+            recorded_outcomes(circuit, block, i),
         )
         assert [r.parity for r in forced[0]] == [r.parity for r in records]
         assert state_fidelity(dense(forced[2]), block.final[i]) >= 1.0 - 1e-12
@@ -218,7 +221,7 @@ def test_both_engines_run_at_alpha_max(experiment, theta):
     with pytest.raises(ValidationError, match="unresolvable"):
         run_shots(experiment, inputs, ALPHA_MAX, theta, 4, 5)
     with pytest.raises(ValidationError, match="unresolvable"):
-        scalar_shot(experiment, *inputs, ProbeMode(ALPHA_MAX, theta), np.random.default_rng(5))
+        replay(experiment, inputs, ProbeMode(ALPHA_MAX, theta), np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("alpha", [math.nextafter(ALPHA_MAX, math.inf), 1e155, 1e300, math.inf])
@@ -263,35 +266,19 @@ def test_final_is_normalized_and_fidelity_is_its_overlap(experiment, alpha, xd):
         assert abs(block.fidelity[i] - expected) <= 1e-14
 
 
-def scalar_order(circuit):
-    """``circuit``'s steps with each feed-forward plan as a step of its own,
-    in the order the scalar gates apply them: a plan that joined a diagonal
-    entangler's corrections (the CNOT's sign flip) runs once that entangler
-    has closed its frame."""
-    steps, held = [], []
-    for name, *args in circuit.steps:
-        if name != "rotate":
-            steps += [("feed_forward", pair) for pair in held]
-            held = []
-        if name == "feed_forward":
-            steps.append(("feed_forward", args[0]))
-            held = args[1:]
-            continue
-        steps.append((name, *args))
-        if name == "rotate":
-            steps += [("feed_forward", pair) for pair in held]
-            held = []
-    return steps + [("feed_forward", pair) for pair in held]
-
-
-#: every feed-forward plan of the four circuits, compiled on its own, with its
-#: experiment and step index in :func:`scalar_order` as test id: (qubits, its
-#: one (plan, slot wiring) pair, its column steps)
+#: every (plan, slot wiring) pair the four circuits feed forward, compiled on
+#: its own: (qubits, the pair, its column steps).  The test id is the
+#: experiment and the pair's index among the circuit's steps with each
+#: feed-forward counted once per pair.
 FEED_FORWARDS = {
-    f"{name}-{k}": (circuit.n, (step[1],), batch._correction(circuit.n, *step[1]))
+    f"{name}-{k}": (circuit.n, (pair,), batch._correction(circuit.n, *pair))
     for name, circuit in batch.CIRCUITS.items()
-    for k, step in enumerate(scalar_order(circuit))
-    if step[0] == "feed_forward"
+    for k, (step, pair) in enumerate(
+        (step, pair)
+        for step, *args in circuit.steps
+        for pair in (args if step == "feed_forward" else [None])
+    )
+    if step == "feed_forward"
 }
 
 #: every feed-forward step of the four compiled programs, with its experiment
@@ -375,14 +362,56 @@ def assert_feed_forward(n, pairs, steps, case, flags):
 @pytest.mark.parametrize("shots", [50, 1024])
 def test_cnot_replays_cover_both_sign_flip_and_photon_records(shots):
     """The controller's sign flip of the control runs inside the diagonal
-    entangler's feed-forward, before the frame change the scalar CNOT makes
-    first.  The sampled and forced replays must land on the batched final
-    states with the second record odd and even, each with the photon read H
-    and V."""
+    entangler's feed-forward.  The sampled and forced replays must land on
+    the batched final states with the second record odd and even, each with
+    the photon read H and V."""
     inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
     block = assert_replays("cnot", inputs, ProbeMode(100.0, theta_for(100.0)), 17, shots=shots)
     records = set(zip(block.odd[:, 1].tolist(), block.photon_v.tolist()))
     assert records == {(False, False), (False, True), (True, False), (True, True)}
+
+
+#: circuits wired wrongly in one place each: (experiment, its miswired
+#: steps, the homodyne record whose odd reading the slip acts on)
+MISWIRED = {
+    "cnot-without-sign-flip": (
+        "cnot",
+        # the two entanglers, then the CNOT's photon readout and its flip
+        (*entangler_steps(0, 1), *entangler_45_steps(1, 2), *cnot_steps(0, 1, 2)[-2:]),
+        1,
+    ),
+    "entangler-flips-slot-0": (
+        "entangler", entangler_steps(0, 1, (("undo-phase", "0"), ("flip", "0"))), 0
+    ),
+    "entangler45-without-closing-rotate": ("entangler45", entangler_45_steps(0, 1)[:-1], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(MISWIRED))
+def test_the_ideals_catch_a_miswired_circuit(monkeypatch, case):
+    """Both engines run one step tuple, so a replay of one through the other
+    cannot see a wiring slip; the hand-written ideals must.  At xd = 20 (a
+    misread every ~1e23 shots) the circuit as built meets its ideal on every
+    shot, and the miswired one misses it (fidelity below 1 - 1e-6) on some
+    shots whose record the slip acts on reads odd: in ``run_block`` against
+    ``batch._*_ideal`` and in ``run_steps`` against ``ideal_state``."""
+    experiment, steps, record = MISWIRED[case]
+    probe = ProbeMode(100.0, theta_for(100.0))
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    shots, seed = 32, 3
+    circuit = batch.CIRCUITS[experiment]
+    assert steps != circuit.steps
+    block = run_block(experiment, inputs, probe, seed, 0, shots)
+    _, fid = scalar_fidelities(experiment, inputs, probe, shots, seed)
+    assert np.all(block.fidelity >= LOGICAL_ERROR_FIDELITY)
+    assert np.all(fid >= LOGICAL_ERROR_FIDELITY)
+
+    miswired = batch.Circuit(circuit.ancilla, steps, circuit.ideal)
+    monkeypatch.setitem(batch.CIRCUITS, experiment, miswired)
+    block = run_block(experiment, inputs, probe, seed, 0, shots)
+    assert np.any(block.fidelity[block.odd[:, record]] < LOGICAL_ERROR_FIDELITY)
+    odd, fid = scalar_fidelities(experiment, inputs, probe, shots, seed)
+    assert np.any(fid[odd[:, record]] < LOGICAL_ERROR_FIDELITY)
 
 
 def test_programs_declare_their_words_and_hold_every_table(monkeypatch):
@@ -462,8 +491,8 @@ def compiled_measurements(circuit) -> list[tuple[str, tuple]]:
 
 
 def replay_rows(seed, start, count, circuit) -> np.ndarray:
-    """The reference: each shot's replay generator, read as the scalar gates
-    read it: a homodyne's branch pick from ``random(1)`` and its noise pair
+    """The reference: each shot's replay generator, read as ``run_steps``
+    reads it: a homodyne's branch pick from ``random(1)`` and its noise pair
     from ``random((1, 2))``, then the pair's normal; a photon readout's
     ``random()``."""
     rows = []
@@ -521,9 +550,10 @@ def test_draw_table_property(name, seed, start, count):
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_scalar_gates_read_the_words_their_circuit_declares(experiment):
-    """An unforced scalar shot leaves its generator exactly ``Circuit.words``
-    words on, where the next shot's replay generator starts: 3 for the
-    parity gate and both entanglers, 7 for the CNOT."""
+    """An unforced scalar shot of the circuit's steps leaves its generator
+    exactly ``Circuit.words`` words on, where the next shot's replay
+    generator starts: 3 for the parity gate and both entanglers, 7 for the
+    CNOT."""
     words = batch.CIRCUITS[experiment].words
     assert words == (7 if experiment == "cnot" else 3)
     inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
@@ -531,7 +561,7 @@ def test_scalar_gates_read_the_words_their_circuit_declares(experiment):
         probe = ProbeMode(alpha, theta_for(alpha, xd))
         for seed in (0, 2**32, 2**70):
             rng = shot_rng(seed, 0, words)
-            scalar_shot(experiment, *inputs, probe, rng)
+            replay(experiment, inputs, probe, rng)
             assert rng.bit_generator.state == shot_rng(seed, 1, words).bit_generator.state
 
 
@@ -731,7 +761,8 @@ def test_run_shots_error_count_equals_scalar_replay(experiment, c, d, alpha, xd,
     shots = 16
     theta = theta_for(alpha, xd)
     stats = run_shots(experiment, [c, d], alpha, theta, shots, seed)
-    expected = scalar_errors(experiment, (c, d), ProbeMode(alpha, theta), shots, seed)
+    _, fid = scalar_fidelities(experiment, (c, d), ProbeMode(alpha, theta), shots, seed)
+    expected = np.count_nonzero(fid < LOGICAL_ERROR_FIDELITY)
     assert round(stats.logical_error_rate * shots) == expected
 
 

@@ -31,6 +31,7 @@ from kerrgate.fock import oracle_embed, oracle_inner
 from kerrgate.measurement import qnd_photon_measure
 
 ONE_QUBIT = new_state([(0.6, 0.8)])
+TWO_QUBITS = new_state([(0.6, 0.8), (0.28, 0.96)])
 PROBE = ProbeMode(100.0, 0.5)
 
 
@@ -146,11 +147,37 @@ REJECTIONS = {
         lambda: oracle_inner(*unequal_oracle_states()),
         ValidationError, r"^oracle states have different shapes$",
     ),
+    # both engines check a circuit's wiring before they run it: run_steps
+    # raises before its first step (rng=None would fail at any sampling),
+    # and a batch circuit when it is built
     "scalar-undo-phase-without-record": (
-        lambda: gates._apply_actions(ONE_QUBIT, (("undo-phase", "0"),), {"0": 0}),
+        lambda: gates.run_steps(
+            TWO_QUBITS,
+            (("photon", 0), ("feed_forward", (gates.ENTANGLER_PLAN, (("0", 0), ("1", 1))))),
+            PROBE, None,
+        ),
         ContractError, r"^an undo-phase action follows no homodyne record$",
     ),
-    # a circuit is compiled when it is built, so its wiring errors raise there
+    "scalar-feed-forward-without-measurement": (
+        lambda: gates.run_steps(
+            TWO_QUBITS,
+            (("feed_forward", (gates.CNOT_PHOTON_PLAN, (("target", 1),))), ("photon", 0)),
+            PROBE, None,
+        ),
+        ContractError, r"^a feed-forward follows no measurement$",
+    ),
+    "scalar-unknown-step": (
+        lambda: gates.run_steps(TWO_QUBITS, (("homodyne", 0, 1), ("measure", 0)), PROBE, None),
+        ContractError, r"^unknown circuit step 'measure'$",
+    ),
+    # the one homodyne reads its forced x, the even peak 2 alpha, and the
+    # outcome left over is refused
+    "scalar-forced-past-the-measurements": (
+        lambda: gates.run_steps(
+            TWO_QUBITS, gates.entangler_steps(0, 1), PROBE, None, forced=(200.0, 200.0)
+        ),
+        ContractError, r"^more forced outcomes than measurements$",
+    ),
     "batch-undo-phase-without-record": (
         lambda: batch.Circuit(
             False,
