@@ -10,7 +10,9 @@ Times, at 10, 50 and 1024 shots:
   first parity check), from a freshly prepared block, whose one input row
   the first collapse repeats into a row per shot;
 - ``_Shots.feed_forward`` for each feed-forward step of the circuits'
-  compiled programs, with half of the shots flagged;
+  compiled programs, with half of the shots flagged, on the ``(shots,
+  2**n)`` block that ``run_block`` hands it: the prepared input row
+  repeated into one row per shot, as the first collapse repeats it;
 - a block's random words for the ``cnot`` circuit (two homodynes and a
   photon readout: 7 words a shot): the block's stream words (one
   ``random((shots, 7))`` call on the run's generator), the Box-Muller
@@ -123,6 +125,8 @@ def test_homodyne(benchmark, qubits, shots):
 def test_feed_forward(benchmark, case, shots):
     qubits, steps = FEED_FORWARDS[case]
     block = prepared(shots, qubits)
+    # a feed-forward follows a measurement, so it acts on a row per shot
+    block.amp = block.amp.repeat(shots, axis=0)
     rng = np.random.default_rng(SEED)
     block.flag = rng.random(shots) < 0.5
     # a collapse hands feed-forward its (e^{-i phi}, e^{i phi})

@@ -6,7 +6,6 @@ from .analysis import ShotStats, geometry, p_error, run_shots
 from .errors import ContractError, ValidationError
 from .gates import (
     ANCILLA_PLUS,
-    FeedForwardPlan,
     GateTrace,
     cnot,
     entangler,
@@ -50,7 +49,6 @@ __all__ = [
     "ANCILLA_PLUS",
     "Branch",
     "ContractError",
-    "FeedForwardPlan",
     "GateTrace",
     "HomodyneRecord",
     "HybridState",

@@ -18,16 +18,17 @@ ideal output, and whether it holds the CNOT ancilla.  Here each step is one
 array operation on the block, a ``_Shots`` method: a rotation is one
 ``2**n x 2**n`` matrix for its qubits together, a homodyne multiplies each
 shot by the measurement kernel ``<x|beta_k>`` (up to its constant factor),
-and a feed-forward's plans act on the block's columns (see ``_Step``).
+and a feed-forward's actions act on the block's columns (see ``_Step``).
 
 A circuit is compiled once, when it is built, into :attr:`Circuit.program`
 for its qubit count: each step becomes a ``_Shots`` method and the tables it
 reads, a homodyne's label columns, a rotation's lifted matrix, a
-feed-forward's column steps (through :func:`kerrgate.gates.resolve_action`)
-and a photon readout's V columns, and each measurement is given its first
-stream word and its record.  A wiring error raises ``ContractError`` there
-(:func:`kerrgate.gates.check_steps`), not in a block.  A block looks up
-only what depends on its probe, the collapse constants, once.
+feed-forward's column step for each of its ``(kind, qubit)`` actions and a
+photon readout's V columns, and each measurement is given its first
+stream word and its record.  A wiring error or an unknown action kind
+raises ``ContractError`` there (:func:`kerrgate.gates.check_steps`), not in
+a block.  A block looks up only what depends on its probe, the collapse
+constants, once.
 
 No step renormalizes: the branch pick and ``p_V`` divide by the total
 weight, which the norm check before them has summed, and a shot's squared
@@ -65,15 +66,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .gates import (
-    ANCILLA_PLUS,
-    FeedForwardPlan,
-    check_steps,
-    cnot_steps,
-    entangler_45_steps,
-    entangler_steps,
-    resolve_action,
-)
+from .gates import ANCILLA_PLUS, check_steps, cnot_steps, entangler_45_steps, entangler_steps
 from .measurement import STREAM_WORDS, gaussian, pick_branches
 from .optics import build_parity_coupling_pair, diagonal_basis_change
 from .states import ProbeMode
@@ -150,23 +143,15 @@ class _Step(NamedTuple):
         return amp * eip.T[:, self.table]
 
 
+@lru_cache(maxsize=None)
 def _step(n: int, kind: str, qubit: int) -> _Step:
+    """The action ``(kind, qubit)`` on ``n`` qubits as a column step."""
     if kind == "flip":
         return _Step(kind, _frozen(np.arange(1 << n) ^ (1 << (n - 1 - qubit))))
     v = _v_bits(n)[:, qubit]
     if kind == "sign-flip":
         return _Step(kind, _frozen(np.where(v, -1.0, 1.0)))
     return _Step(kind, _frozen(v.astype(np.intp)))
-
-
-@lru_cache(maxsize=None)
-def _correction(
-    n: int, plan: FeedForwardPlan, slots: tuple[tuple[str, int], ...]
-) -> tuple[_Step, ...]:
-    """``plan``'s actions, wired to ``n`` qubits by the ``(slot, qubit)`` pairs
-    ``slots`` and resolved into column steps."""
-    wiring = dict(slots)
-    return tuple(_step(n, *resolve_action(action, wiring)) for action in plan)
 
 
 class _Shots:
@@ -293,8 +278,7 @@ def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, 
         if name == "rotate":
             program.append((_Shots.rotate, _rotation(n, tuple(args))))
         elif name == "feed_forward":
-            columns = tuple(step for pair in args for step in _correction(n, *pair))
-            program.append((_Shots.feed_forward, columns))
+            program.append((_Shots.feed_forward, tuple(_step(n, *action) for action in args)))
         elif name == "homodyne":
             program.append((_Shots.homodyne, words, len(starts), _label_columns(n, *args)))
             starts.append(words)

@@ -7,10 +7,11 @@ that :func:`entangler_steps`, :func:`entangler_45_steps` and
 of shots, each after :func:`check_steps`.  So only the hand-written ideals,
 not a replay of one engine through the other, can catch a wiring slip.
 
-Each measurement has one :data:`FeedForwardPlan`, the actions after its
-flagged outcome (odd, or V for the photon readout), applied by the
-``feed_forward`` step that follows it and recorded on the returned
-:class:`GateTrace`.
+The ``feed_forward`` step after a measurement lists the actions, each
+``(kind, qubit)`` on an absolute qubit, that its flagged outcome (odd, or V
+for the photon readout) calls for.  :func:`check_steps` rejects an unknown
+kind before either engine runs a step, and :func:`run_steps` records each
+applied action on the returned :class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
 computational basis, and the three gates share one signature,
@@ -64,52 +65,20 @@ ANCILLA_PLUS = (_SQRT_HALF, _SQRT_HALF)
 _ANCILLA_TOL = 1e-9
 
 
-#: one feed-forward action, ``(kind, slot)``: the kind is ``undo-phase`` or a
-#: key of :data:`FIXED_ACTIONS`, and the slot names a qubit by its role in the
-#: gate (argument position ``"0"``/``"1"`` for the entanglers,
-#: ``"control"``/``"target"`` for the CNOT controller), never by absolute index
-Action = tuple[str, str]
-
-#: the actions, in order, that follow one measurement's flagged outcome: an
-#: odd homodyne parity record or a V photon readout
-FeedForwardPlan = tuple[Action, ...]
-
-ENTANGLER_PLAN: FeedForwardPlan = (("undo-phase", "0"), ("flip", "1"))
-#: applied inside the rotated (diagonal) frame
-ENTANGLER_45_PLAN: FeedForwardPlan = (("undo-phase", "0"), ("flip", "0"))
-#: the CNOT controller's rules on top of the two entanglers' own plans: after
-#: the second (diagonal-frame) homodyne reads odd, and after the ancilla's
-#: photon readout reads V
-CNOT_SIGN_PLAN: FeedForwardPlan = (("sign-flip", "control"),)
-CNOT_PHOTON_PLAN: FeedForwardPlan = (("flip", "target"),)
-
+#: one feed-forward action, ``(kind, qubit)``: the kind is ``undo-phase`` or a
+#: key of :data:`FIXED_ACTIONS`, and the qubit an absolute index
+Action = tuple[str, int]
 
 #: fixed single-qubit gate behind each feed-forward action kind; the remaining
 #: kind, ``undo-phase``, depends on the measured phase (see :func:`_apply_actions`)
 FIXED_ACTIONS = {"flip": bit_flip, "sign-flip": sign_flip}
 
 
-def resolve_action(action: Action, slots: dict[str, int]) -> tuple[str, int]:
-    """A plan action's kind and absolute qubit.
-
-    ``slots`` maps the gate's slot names to qubit indices.  Both shot engines
-    read their corrections through this, so the plans stay the one source of
-    the feed-forward wiring.
-    """
-    kind, slot = action
-    if kind != "undo-phase" and kind not in FIXED_ACTIONS:
-        raise ContractError(f"unknown feed-forward action {kind!r}")
-    if slot not in slots:
-        raise ContractError(f"feed-forward slot {slot!r} names no qubit of this gate")
-    return kind, slots[slot]
-
-
 def _apply_actions(
-    state: HybridState, actions: tuple[Action, ...], slots: dict[str, int], phi: float | None
+    state: HybridState, actions: tuple[Action, ...], phi: float | None
 ) -> tuple[HybridState, list[str]]:
     applied = []
-    for action in actions:
-        kind, qubit = resolve_action(action, slots)
+    for kind, qubit in actions:
         if kind == "undo-phase":  # check_steps keeps it after a homodyne record
             # diag(e^{-i phi}, e^{i phi}) removes e^{+i phi} from (H, V)-ordered
             # odd branches and e^{-i phi} from (V, H)-ordered ones in one gate
@@ -121,45 +90,53 @@ def _apply_actions(
     return state, applied
 
 
-def entangler_steps(
-    qubit_a: int, qubit_b: int, plan: FeedForwardPlan = ENTANGLER_PLAN, *also
-) -> tuple:
+def entangler_steps(qubit_a: int, qubit_b: int) -> tuple:
     """The circuit of :func:`entangler`: the parity gate and, on its odd
-    record, ``plan`` and the ``(plan, slots)`` pairs ``also``."""
-    slots = (("0", qubit_a), ("1", qubit_b))
-    return ("homodyne", qubit_a, qubit_b), ("feed_forward", (plan, slots), *also)
+    record, the phase undo on ``qubit_a`` and the flip of ``qubit_b``."""
+    return (
+        ("homodyne", qubit_a, qubit_b),
+        ("feed_forward", ("undo-phase", qubit_a), ("flip", qubit_b)),
+    )
 
 
-def entangler_45_steps(qubit_a: int, qubit_b: int, *also) -> tuple:
-    """The circuit of :func:`entangler_45`: the same in the diagonal frame."""
+def entangler_45_steps(qubit_a: int, qubit_b: int, *also: Action) -> tuple:
+    """The circuit of :func:`entangler_45`: the same in the diagonal frame,
+    flipping ``qubit_a``, and on the odd record also the actions ``also``."""
     frame = ("rotate", qubit_a, qubit_b)
-    return (frame, *entangler_steps(qubit_a, qubit_b, ENTANGLER_45_PLAN, *also), frame)
+    return (
+        frame,
+        ("homodyne", qubit_a, qubit_b),
+        ("feed_forward", ("undo-phase", qubit_a), ("flip", qubit_a), *also),
+        frame,
+    )
 
 
 def cnot_steps(control: int, ancilla: int, target: int) -> tuple:
     """The circuit of :func:`cnot`.  The sign flip of the control commutes
     exactly with the frame change of (ancilla, target), so it joins the
     diagonal entangler's corrections inside the frame."""
-    slots = (("control", control), ("target", target))
     return (
         *entangler_steps(control, ancilla),
-        *entangler_45_steps(ancilla, target, (CNOT_SIGN_PLAN, slots)),
+        *entangler_45_steps(ancilla, target, ("sign-flip", control)),
         ("photon", ancilla),
-        ("feed_forward", (CNOT_PHOTON_PLAN, slots)),
+        ("feed_forward", ("flip", target)),
     )
 
 
 def check_steps(steps: tuple[tuple, ...]) -> None:
-    """Raise ``ContractError`` unless every step is known and every
-    feed-forward follows a measurement, a homodyne if it undoes a phase."""
+    """Raise ``ContractError`` unless every step and action kind is known and
+    every feed-forward follows a measurement, a homodyne if it undoes a phase."""
     last = None
     for name, *args in steps:
         if name == "feed_forward":
             if last is None:
                 raise ContractError("a feed-forward follows no measurement")
-            undoes = any(kind == "undo-phase" for plan, _ in args for kind, _ in plan)
-            if undoes and last != "homodyne":
-                raise ContractError("an undo-phase action follows no homodyne record")
+            for kind, _ in args:
+                if kind == "undo-phase":
+                    if last != "homodyne":
+                        raise ContractError("an undo-phase action follows no homodyne record")
+                elif kind not in FIXED_ACTIONS:
+                    raise ContractError(f"unknown feed-forward action {kind!r}")
         elif name in STREAM_WORDS:
             last = name
         elif name != "rotate":
@@ -212,8 +189,8 @@ def run_steps(
     :func:`~kerrgate.optics.diagonal_basis_change` on each qubit in order,
     ``("homodyne", a, b)`` :func:`parity_gate` on a fresh ``probe``,
     ``("photon", q)`` :func:`~kerrgate.measurement.qnd_photon_measure`, and
-    ``("feed_forward", (plan, slots), ...)`` applies each plan, wired by its
-    ``(slot, qubit)`` pairs, when the last measurement read odd or V.
+    ``("feed_forward", (kind, qubit), ...)`` applies each action when the last
+    measurement read odd or V.
     ``forced`` holds outcomes in measurement order (``x``, or ``"H"``/``"V"``);
     a measurement forced ``None``, or past its end, samples from ``rng``, and
     an outcome left over raises ``ContractError``."""
@@ -233,9 +210,8 @@ def run_steps(
             photons.append((*args, outcome))
             flagged, phi = outcome == "V", None
         elif flagged:  # a feed-forward, which check_steps puts after a measurement
-            for plan, slots in args:
-                state, applied = _apply_actions(state, plan, dict(slots), phi)
-                corrections += applied
+            state, applied = _apply_actions(state, args, phi)
+            corrections += applied
     if next(outcomes, None) is not None:
         raise ContractError("more forced outcomes than measurements")
     return GateTrace(tuple(records), tuple(photons), tuple(corrections)), state

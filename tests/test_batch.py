@@ -43,15 +43,10 @@ from kerrgate import (
 from kerrgate import analysis, batch
 from kerrgate.analysis import LOGICAL_ERROR_FIDELITY
 from kerrgate.gates import (
-    CNOT_PHOTON_PLAN,
-    CNOT_SIGN_PLAN,
-    ENTANGLER_45_PLAN,
-    ENTANGLER_PLAN,
     FIXED_ACTIONS,
     cnot_steps,
     entangler_45_steps,
     entangler_steps,
-    resolve_action,
     run_steps,
 )
 from kerrgate.measurement import STREAM_WORDS, gaussian
@@ -215,13 +210,13 @@ def test_both_engines_run_at_alpha_max(experiment, theta):
         assert_replays(experiment, inputs, ProbeMode(ALPHA_MAX, theta), seed=5, shots=8)
         return
     # at xd = 20 the float threshold alpha (1 + cos theta) lands on the even
-    # peak, so both engines would misread every even shot alike; neither runs
+    # peak, so both engines would misread every even shot alike; neither runs:
+    # the scalar gates take a ProbeMode, which cannot be built, and the batch
+    # engine builds one
     with pytest.raises(ValidationError, match="unresolvable"):
         ProbeMode(ALPHA_MAX, theta)
     with pytest.raises(ValidationError, match="unresolvable"):
         run_shots(experiment, inputs, ALPHA_MAX, theta, 4, 5)
-    with pytest.raises(ValidationError, match="unresolvable"):
-        replay(experiment, inputs, ProbeMode(ALPHA_MAX, theta), np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("alpha", [math.nextafter(ALPHA_MAX, math.inf), 1e155, 1e300, math.inf])
@@ -266,28 +261,28 @@ def test_final_is_normalized_and_fidelity_is_its_overlap(experiment, alpha, xd):
         assert abs(block.fidelity[i] - expected) <= 1e-14
 
 
-#: every (plan, slot wiring) pair the four circuits feed forward, compiled on
-#: its own: (qubits, the pair, its column steps).  The test id is the
-#: experiment and the pair's index among the circuit's steps with each
-#: feed-forward counted once per pair.
+#: every action the four circuits feed forward, compiled on its own: (qubits,
+#: the action, its column step).  The test id is the experiment and the
+#: action's index among the circuit's measurements and actions, in order.
 FEED_FORWARDS = {
-    f"{name}-{k}": (circuit.n, (pair,), batch._correction(circuit.n, *pair))
+    f"{name}-{k}": (circuit.n, (action,), (batch._step(circuit.n, *action),))
     for name, circuit in batch.CIRCUITS.items()
-    for k, (step, pair) in enumerate(
-        (step, pair)
+    for k, (step, action) in enumerate(
+        (step, action)
         for step, *args in circuit.steps
-        for pair in (args if step == "feed_forward" else [None])
+        if step != "rotate"
+        for action in (args if step == "feed_forward" else [None])
     )
     if step == "feed_forward"
 }
 
 #: every feed-forward step of the four compiled programs, with its experiment
-#: and program step index as test id: (qubits, the step's (plan, slot wiring)
-#: pairs, the column steps its program holds)
+#: and program step index as test id: (qubits, the step's actions, the column
+#: steps its program holds)
 PROGRAM_FEED_FORWARDS = {
-    f"{name}-{k}": (circuit.n, pairs, op[1])
+    f"{name}-{k}": (circuit.n, actions, op[1])
     for name, circuit in batch.CIRCUITS.items()
-    for k, ((step, *pairs), op) in enumerate(zip(circuit.steps, circuit.program))
+    for k, ((step, *actions), op) in enumerate(zip(circuit.steps, circuit.program))
     if step == "feed_forward"
 }
 
@@ -299,24 +294,22 @@ def lifted(n, gate):
     return full.T
 
 
-def masked_feed_forward(amp, n, pairs, flag, phi):
-    """The reference: each plan's actions as lifted 2x2 matrices (or the
-    per-shot phase gate) on the flagged rows only."""
+def masked_feed_forward(amp, n, actions, flag, phi):
+    """The reference: the actions as lifted 2x2 matrices (or the per-shot
+    phase gate) on the flagged rows only."""
     amp = amp.copy()
-    for plan, slots in pairs:
-        for action in plan:
-            kind, qubit = resolve_action(action, dict(slots))
-            if kind != "undo-phase":
-                amp[flag] = amp[flag] @ lifted(n, FIXED_ACTIONS[kind](qubit))
-                continue
-            ph = np.exp(1j * phi[flag])[:, None]
-            amp[flag] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
+    for kind, qubit in actions:
+        if kind != "undo-phase":
+            amp[flag] = amp[flag] @ lifted(n, FIXED_ACTIONS[kind](qubit))
+            continue
+        ph = np.exp(1j * phi[flag])[:, None]
+        amp[flag] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
     return amp
 
 
-def test_the_circuits_feed_forward_through_every_plan():
-    plans = {plan for _, pairs, _ in FEED_FORWARDS.values() for plan, _ in pairs}
-    assert plans == {ENTANGLER_PLAN, ENTANGLER_45_PLAN, CNOT_SIGN_PLAN, CNOT_PHOTON_PLAN}
+def test_the_circuits_feed_forward_through_every_action_kind():
+    kinds = {kind for _, actions, _ in FEED_FORWARDS.values() for kind, _ in actions}
+    assert kinds == {"undo-phase", *FIXED_ACTIONS}
 
 
 @pytest.mark.parametrize("case", list(FEED_FORWARDS))
@@ -333,9 +326,9 @@ def test_program_feed_forward_equals_masked_matrix_products(case, flags):
     assert_feed_forward(*PROGRAM_FEED_FORWARDS[case], case, flags)
 
 
-def assert_feed_forward(n, pairs, steps, case, flags):
+def assert_feed_forward(n, actions, steps, case, flags):
     """``steps`` applied by ``_Shots.feed_forward`` to a random block equal
-    ``pairs``' masked matrix products, for the ``flags`` pattern named."""
+    ``actions``' masked matrix products, for the ``flags`` pattern named."""
     rng = np.random.default_rng([n, len(case), len(flags)])
     count = 37
     amp = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
@@ -354,7 +347,7 @@ def assert_feed_forward(n, pairs, steps, case, flags):
     eip = np.exp(1j * phi)
     shots.amp, shots.flag, shots.flag_eip = amp.copy(), flag, np.stack([eip.conj(), eip])
     shots.feed_forward(steps)
-    expected = masked_feed_forward(amp, n, pairs, flag, phi)
+    expected = masked_feed_forward(amp, n, actions, flag, phi)
     # equal as numbers; the sign of a zero may differ from the matrix product's
     assert np.array_equal(shots.amp, expected)
 
@@ -381,7 +374,7 @@ MISWIRED = {
         1,
     ),
     "entangler-flips-slot-0": (
-        "entangler", entangler_steps(0, 1, (("undo-phase", "0"), ("flip", "0"))), 0
+        "entangler", (("homodyne", 0, 1), ("feed_forward", ("undo-phase", 0), ("flip", 0))), 0
     ),
     "entangler45-without-closing-rotate": ("entangler45", entangler_45_steps(0, 1)[:-1], 0),
 }
@@ -443,7 +436,7 @@ def test_programs_declare_their_words_and_hold_every_table(monkeypatch):
 
         return wrapper
 
-    for name in ("_v_bits", "_label_columns", "_rotation", "_correction"):
+    for name in ("_v_bits", "_label_columns", "_rotation", "_step"):
         monkeypatch.setattr(batch, name, counted(name, getattr(batch, name)))
     inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
     for experiment in EXPERIMENTS:
@@ -451,7 +444,7 @@ def test_programs_declare_their_words_and_hold_every_table(monkeypatch):
     assert calls == []
     cnot_circuit = batch.CIRCUITS["cnot"]
     batch.Circuit(cnot_circuit.ancilla, cnot_circuit.steps, cnot_circuit.ideal)
-    assert {"_label_columns", "_rotation", "_correction"} <= set(calls)
+    assert {"_label_columns", "_rotation", "_step"} <= set(calls)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70])

@@ -1,4 +1,4 @@
-"""Parity gate, entanglers, CNOT composition, feed-forward plans."""
+"""Parity gate, entanglers, CNOT composition, feed-forward actions."""
 
 import math
 
@@ -24,13 +24,7 @@ from kerrgate import (
     sign_flip,
 )
 from kerrgate.analysis import p_error
-from kerrgate.gates import (
-    CNOT_PHOTON_PLAN,
-    CNOT_SIGN_PLAN,
-    ENTANGLER_45_PLAN,
-    ENTANGLER_PLAN,
-    resolve_action,
-)
+from kerrgate.gates import check_steps, cnot_steps, entangler_45_steps, entangler_steps
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 UNIFORM = (SQRT_HALF, SQRT_HALF)
@@ -347,18 +341,20 @@ class TestResourceClaims:
         assert norm_squared(state) == pytest.approx(1.0, abs=1e-9)
 
 
-#: each plan and the slot wiring its gate gives it in the runs below: the
-#: entanglers on qubits (0, 1), the CNOT on (control, ancilla, target) = (0, 1, 2)
-PLANS = {
-    "entangler": (ENTANGLER_PLAN, {"0": 0, "1": 1}),
-    "entangler45": (ENTANGLER_45_PLAN, {"0": 0, "1": 1}),
-    "cnot-sign": (CNOT_SIGN_PLAN, {"control": 0, "target": 2}),
-    "cnot-photon": (CNOT_PHOTON_PLAN, {"control": 0, "target": 2}),
+#: the feed-forward step, as its builder writes it, of each measurement the
+#: runs below flag: the entanglers on qubits (0, 1), the CNOT on (control,
+#: ancilla, target) = (0, 1, 2), whose diagonal entangler's step carries the
+#: sign flip of the control
+FEED_FORWARDS = {
+    "entangler": entangler_steps(0, 1)[1],
+    "entangler45": entangler_45_steps(0, 1)[2],
+    "cnot-sign": cnot_steps(0, 1, 2)[4],
+    "cnot-photon": cnot_steps(0, 1, 2)[7],
 }
 
 
-def plan_corrections(name, flagged):
-    """The corrections of the gate that runs plan ``name``, its measurement
+def gate_corrections(name, flagged):
+    """The corrections of the gate that runs feed-forward ``name``, its measurement
     forced to the flagged reading (odd, V) or to the other one (even, H);
     the CNOT's other measurements read even and H."""
     x = X_ODD if flagged else X_EVEN
@@ -375,26 +371,18 @@ def plan_corrections(name, flagged):
 
 
 class TestFeedForwardPlans:
-    @pytest.mark.parametrize("name", list(PLANS))
+    @pytest.mark.parametrize("name", list(FEED_FORWARDS))
     def test_even_and_h_outcomes_need_no_action(self, name):
-        """A plan runs on its measurement's odd or V reading, and nothing
-        runs on an even or H one."""
-        plan, slots = PLANS[name]
-        expected = tuple(f"{kind}:q{q}" for kind, q in (resolve_action(a, slots) for a in plan))
-        assert expected
-        assert plan_corrections(name, flagged=False) == ()
-        assert plan_corrections(name, flagged=True)[-len(expected) :] == expected
+        """A feed-forward runs its actions on its measurement's odd or V
+        reading, and nothing runs on an even or H one."""
+        step, *actions = FEED_FORWARDS[name]
+        assert step == "feed_forward" and actions
+        expected = tuple(f"{kind}:q{q}" for kind, q in actions)
+        assert gate_corrections(name, flagged=False) == ()
+        assert gate_corrections(name, flagged=True)[-len(expected) :] == expected
 
-    def test_actions_resolve_to_absolute_qubits(self):
-        assert resolve_action(("undo-phase", "0"), {"0": 4, "1": 2}) == ("undo-phase", 4)
-        assert resolve_action(("sign-flip", "control"), {"control": 3}) == ("sign-flip", 3)
-
-    @pytest.mark.parametrize(
-        "action,slots",
-        [(("teleport", "0"), {"0": 0}), (("flip", "target"), {"0": 0})],
-        ids=["unknown-kind", "unknown-slot"],
-    )
-    def test_malformed_actions_raise_contract_errors(self, action, slots):
+    @pytest.mark.parametrize("action", [("teleport", 0)], ids=["unknown-kind"])
+    def test_malformed_actions_raise_contract_errors(self, action):
         # raised, not asserted, so the check survives python -O
-        with pytest.raises(ContractError):
-            resolve_action(action, slots)
+        with pytest.raises(ContractError, match="unknown feed-forward action 'teleport'"):
+            check_steps((("homodyne", 0, 1), ("feed_forward", action)))

@@ -153,7 +153,7 @@ REJECTIONS = {
     "scalar-undo-phase-without-record": (
         lambda: gates.run_steps(
             TWO_QUBITS,
-            (("photon", 0), ("feed_forward", (gates.ENTANGLER_PLAN, (("0", 0), ("1", 1))))),
+            (("photon", 0), ("feed_forward", ("undo-phase", 0), ("flip", 1))),
             PROBE, None,
         ),
         ContractError, r"^an undo-phase action follows no homodyne record$",
@@ -161,10 +161,20 @@ REJECTIONS = {
     "scalar-feed-forward-without-measurement": (
         lambda: gates.run_steps(
             TWO_QUBITS,
-            (("feed_forward", (gates.CNOT_PHOTON_PLAN, (("target", 1),))), ("photon", 0)),
+            (("feed_forward", ("flip", 1)), ("photon", 0)),
             PROBE, None,
         ),
         ContractError, r"^a feed-forward follows no measurement$",
+    ),
+    # the homodyne is forced even, so no action would run: the kind is
+    # refused before the first step whatever the measurement reads
+    "scalar-unknown-feed-forward-action": (
+        lambda: gates.run_steps(
+            TWO_QUBITS,
+            (("homodyne", 0, 1), ("feed_forward", ("teleport", 0))),
+            PROBE, None, forced=(200.0,),
+        ),
+        ContractError, r"^unknown feed-forward action 'teleport'$",
     ),
     "scalar-unknown-step": (
         lambda: gates.run_steps(TWO_QUBITS, (("homodyne", 0, 1), ("measure", 0)), PROBE, None),
@@ -181,7 +191,7 @@ REJECTIONS = {
     "batch-undo-phase-without-record": (
         lambda: batch.Circuit(
             False,
-            (("photon", 0), ("feed_forward", (gates.ENTANGLER_PLAN, (("0", 0), ("1", 1))))),
+            (("photon", 0), ("feed_forward", ("undo-phase", 0), ("flip", 1))),
             batch._entangler_ideal,
         ),
         ContractError, r"^an undo-phase action follows no homodyne record$",
@@ -189,10 +199,18 @@ REJECTIONS = {
     "batch-feed-forward-without-measurement": (
         lambda: batch.Circuit(
             False,
-            (("feed_forward", (gates.CNOT_PHOTON_PLAN, (("target", 1),))), ("photon", 0)),
+            (("feed_forward", ("flip", 1)), ("photon", 0)),
             batch._entangler_ideal,
         ),
         ContractError, r"^a feed-forward follows no measurement$",
+    ),
+    "batch-unknown-feed-forward-action": (
+        lambda: batch.Circuit(
+            False,
+            (("homodyne", 0, 1), ("feed_forward", ("teleport", 0))),
+            batch._entangler_ideal,
+        ),
+        ContractError, r"^unknown feed-forward action 'teleport'$",
     ),
     "batch-unknown-step": (
         lambda: batch.Circuit(False, (("measure", 0),), batch._entangler_ideal),
