@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import CIRCUITS, run_block
+from .batch import CIRCUITS, _run_block, probe_constants
 from .errors import ValidationError
 from .states import ProbeMode, _integer, check_normalized
 
@@ -73,9 +73,12 @@ def run_shots(
     components and the reported rate saturates accordingly.
 
     Shots run in fixed-size blocks through :mod:`kerrgate.batch`, each
-    continuing the run's one generator.  RNG contract: the run reads one
-    stream, ``np.random.default_rng(seed).random()``, and shot ``i`` takes
-    its words ``i K .. i K + K - 1``, ``K`` being the circuit's
+    continuing the run's one generator, ``Generator(PCG64(seed))``, which is
+    what ``default_rng(seed)`` returns for an int seed.  A call validates its
+    probe through the cache :func:`kerrgate.batch.probe_constants` and reads
+    only each block's odd records and fidelities.  RNG contract: the run
+    reads one stream, ``np.random.default_rng(seed).random()``, and shot
+    ``i`` takes its words ``i K .. i K + K - 1``, ``K`` being the circuit's
     ``Circuit.words``.  Each measurement reads the words that
     :data:`kerrgate.measurement.STREAM_WORDS` declares for it, in circuit
     order, exactly as :func:`kerrgate.gates.run_steps` reads them from a
@@ -96,20 +99,22 @@ def run_shots(
         raise ValidationError(f"{experiment} takes two qubit amplitude pairs")
     check_normalized(inputs)
     inputs = [(complex(c0), complex(c1)) for c0, c1 in inputs]
-    probe = ProbeMode(alpha, theta)
+    probe = probe_constants(alpha, theta).mode
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     errors = 0
     fidelity_sum = 0.0
     odd = 0
     for start in range(0, shots, BLOCK_SHOTS):
-        block = run_block(experiment, inputs, probe, rng, min(BLOCK_SHOTS, shots - start))
-        odd += int(np.count_nonzero(block.odd[:, 0]))
-        fidelity_sum += float(np.add.reduce(block.fidelity))
-        errors += int(np.count_nonzero(block.fidelity < LOGICAL_ERROR_FIDELITY))
+        block, _, fidelity = _run_block(
+            experiment, inputs, probe, rng, min(BLOCK_SHOTS, shots - start)
+        )
+        odd += int(np.count_nonzero(block.odd[0]))
+        fidelity_sum += float(np.add.reduce(fidelity))
+        errors += int(np.count_nonzero(fidelity < LOGICAL_ERROR_FIDELITY))
 
     even = shots - odd
     rate = errors / shots

@@ -24,11 +24,14 @@ A circuit is compiled once, when it is built, into :attr:`Circuit.program`
 for its qubit count: each step becomes a ``_Shots`` method and the tables it
 reads, a homodyne's label columns, a rotation's lifted matrix, a
 feed-forward's column step for each of its ``(kind, qubit)`` actions and a
-photon readout's V columns, and each measurement is given its first
+photon readout's V mask, and each measurement is given its first
 stream word and its record.  A wiring error or an unknown action kind
-raises ``ContractError`` there (:func:`kerrgate.gates.check_steps`), not in
-a block.  A block looks up only what depends on its probe, the collapse
-constants, once.
+raises ``ContractError`` there, and a qubit the circuit lacks
+``ValidationError`` (:func:`kerrgate.gates.check_steps`), not in a block.
+A block looks up only what depends on its probe, once: the collapse
+constants, which :func:`probe_constants` caches with the validated
+``ProbeMode`` by the ``(alpha, theta)`` floats, for ``run_shots`` to
+validate its probe through too.
 
 No step renormalizes: the branch pick and ``p_V`` divide by the total
 weight, which the norm check before them has summed, and a shot's squared
@@ -36,15 +39,19 @@ norm is taken once, at the end of the block, as the fidelity's denominator;
 ``ShotBlock.final`` is normalized by it when it is first read.  Feed-forward
 and rotations are linear, so a measurement that leaves a zero (or nan) row
 is caught where the next step sums that row's weights, and the error names
-that measurement.  Each collapse keeps ``e^{ip}`` and ``e^{-ip}``; the end
-of the block finishes every ``phi`` record from them, ``arctan2 mod 2 pi``
-in one pass.  Fidelity with the record-conditional ideal output is one
-contraction.
+that measurement.  Each collapse keeps ``e^{ip}`` and ``e^{-ip}``;
+``ShotBlock.phi`` is finished from the ``e^{ip}`` when first read, every
+record in one pass, ``arctan2 mod 2 pi``.  Fidelity with the
+record-conditional ideal output is one contraction, each shot's ideal a row
+picked by its record from the ideal's two forms.  ``run_block`` and
+``run_shots`` share one block function, :func:`_run_block`; ``run_shots``
+reads only its odd records and fidelities.
 
 Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
 ``n - 1 - q`` of ``j`` is set: the scalar engine's sorted branch order.
 
-A run with seed ``s`` reads one stream, ``np.random.default_rng(s).random()``.
+A run with seed ``s`` reads one stream, ``np.random.default_rng(s).random()``
+(``run_shots`` builds it as ``Generator(PCG64(s))``, the same generator).
 Shot ``i`` takes words ``i K .. i K + K - 1`` of it, where ``K``
 (:attr:`Circuit.words`) sums :data:`kerrgate.measurement.STREAM_WORDS` over
 the circuit's measurements, as :func:`kerrgate.gates.run_steps` reads
@@ -110,16 +117,29 @@ def _rotation(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     return _frozen(full.T.copy())
 
 
+class ProbeConstants(NamedTuple):
+    """A validated ``ProbeMode`` and the constants of its homodyne collapse:
+    ``peaks``, ``2 Re label(k)`` of ``k = -1, 0, +1`` (the centres of each
+    label's X outcome), ``a + i b = label(1)`` (the kernel of label ``+-1`` at
+    ``x`` carries the phase ``+-b (x - a)``) and the threshold ``x0``."""
+
+    mode: ProbeMode
+    peaks: np.ndarray
+    a: float
+    b: float
+    x0: float
+
+
 @lru_cache(maxsize=128)
-def _collapse_constants(probe: ProbeMode) -> tuple[np.ndarray, float, float, float]:
-    """``(peaks, a, b, x0)`` of the homodyne collapse: ``2 Re label(k)`` of
-    ``k = -1, 0, +1`` (the centres of each label's X outcome), ``a + i b =
-    label(1)`` (the kernel of label ``+-1`` at ``x`` carries the phase
-    ``+-b (x - a)``) and the threshold ``x0``.  Bounded, since a probe's
-    ``alpha`` and ``theta`` are floats."""
-    labels = [probe.label(k) for k in (-1, 0, 1)]
+def probe_constants(alpha: float, theta: float) -> ProbeConstants:
+    """``ProbeMode(alpha, theta)`` with its collapse constants, cached by the
+    two floats themselves (a ``ProbeMode`` key would hash and compare in
+    Python); bounded, since they are floats.  An invalid pair raises
+    ``ValidationError`` on every call: errors are not cached."""
+    mode = ProbeMode(alpha, theta)
+    labels = [mode.label(k) for k in (-1, 0, 1)]
     peaks = _frozen(np.array([2.0 * label.real for label in labels]))
-    return peaks, labels[2].real, labels[2].imag, probe.x0
+    return ProbeConstants(mode, peaks, labels[2].real, labels[2].imag, mode.x0)
 
 
 class _Step(NamedTuple):
@@ -176,7 +196,7 @@ class _Shots:
 
     def __init__(self, count: int, probe: ProbeMode, rng: np.random.Generator, circuit: Circuit):
         self.count = count
-        self.peaks, self.a, self.b, self.x0 = _collapse_constants(probe)
+        _, self.peaks, self.a, self.b, self.x0 = probe_constants(probe.alpha, probe.theta)
         self.words = rng.random((count, circuit.words))
         u1, u2 = self.words.T[circuit.noise]
         self.normals = gaussian(u1, u2)
@@ -189,11 +209,10 @@ class _Shots:
 
     def prepare(self, pairs) -> None:
         """Product input, one ``(c_H, c_V)`` pair per qubit, as one row."""
-        first, *rest = np.array(pairs, complex)
-        product = first
-        for pair in rest:
-            product = np.multiply.outer(product, pair).ravel()
-        self.amp = product[None, :]
+        product = pairs[0]
+        for pair in pairs[1:]:
+            product = np.multiply.outer(product, pair, dtype=complex)
+        self.amp = product.reshape(1, -1)
 
     def rotate(self, matrix: np.ndarray) -> None:
         """Enter (or, being self-inverse, leave) the diagonal frame."""
@@ -244,13 +263,13 @@ class _Shots:
         self.flag, self.flag_eip = odd, eip
         self.last = ("collapse", x)
 
-    def photon(self, word: int, v_index: np.ndarray, v_mask: np.ndarray) -> None:
+    def photon(self, word: int, v_mask: np.ndarray) -> None:
         """QND {H, V} readout of one qubit, from stream word ``word``:
-        ``v_index`` lists the qubit's V columns, ``v_mask`` marks them."""
+        ``v_mask`` marks the qubit's V columns."""
         weights = np.abs(self.amp) ** 2
         total = np.add.reduce(weights, axis=1)
         self._check_norm(total)
-        p_v = np.add.reduce(weights[:, v_index], axis=1) / total
+        p_v = np.add.reduce(weights, axis=1, where=v_mask) / total
         v = self.words[:, word] < p_v
         self.amp = np.where(v[:, None] == v_mask, self.amp, 0j)
         self.photon_v = self.flag = v
@@ -272,7 +291,7 @@ def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, 
     ``(_Shots method, *its tables)``, the stream words a shot takes, and the
     first word of each homodyne.  A measurement's first argument is its first
     word, and each reads the :data:`STREAM_WORDS` after it."""
-    check_steps(steps)
+    check_steps(steps, n)
     program, words, starts = [], 0, []
     for name, *args in steps:
         if name == "rotate":
@@ -283,8 +302,7 @@ def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, 
             program.append((_Shots.homodyne, words, len(starts), _label_columns(n, *args)))
             starts.append(words)
         else:  # photon
-            v = _v_bits(n)[:, args[0]]
-            program.append((_Shots.photon, words, _frozen(np.flatnonzero(v)), v))
+            program.append((_Shots.photon, words, _v_bits(n)[:, args[0]]))
         words += STREAM_WORDS.get(name, 0)
     return tuple(program), words, starts
 
@@ -326,9 +344,9 @@ class Circuit:
 # -- ideal outputs, written out from the paper's formulas ----------------------
 
 
-def _pick(odd: np.ndarray, even_form, odd_form) -> np.ndarray:
-    """Per-shot ideal: ``odd_form`` on odd records, ``even_form`` otherwise."""
-    return np.where(odd[:, None], odd_form, even_form)
+def _pick(flag: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """Per-shot ideal: row 1 of ``forms`` where ``flag`` is set, row 0 elsewhere."""
+    return forms.take(flag, axis=0)
 
 
 def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
@@ -337,39 +355,40 @@ def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
     odd = np.zeros((len(ep), 4), complex)
     odd[:, 1] = c0 * d1 * ep
     odd[:, 2] = c1 * d0 * emp
-    return _pick(shots.odd[0], np.array([c0 * d0, 0, 0, c1 * d1]), odd)
+    return np.where(shots.odd[0][:, None], odd, np.array([c0 * d0, 0, 0, c1 * d1]))
 
 
 def _entangler_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    return _pick(
-        shots.odd[0], np.array([c0 * d0, 0, 0, c1 * d1]), np.array([c0 * d1, 0, 0, c1 * d0])
-    )
+    return _pick(shots.odd[0], np.array(((c0 * d0, 0, 0, c1 * d1), (c0 * d1, 0, 0, c1 * d0))))
 
 
-def _diagonal_pair_form(c0, c1, d0, d1) -> np.ndarray:
+def _diagonal_pair_form(c0, c1, d0, d1) -> tuple:
     """``p_D q_D |DD> + p_Db q_Db |DbDb>`` of inputs c, d, over H/V columns."""
     dd = (c0 + c1) / 2 * ((d0 + d1) / 2)
     dbdb = (c0 - c1) / 2 * ((d0 - d1) / 2)
-    return np.array([dd + dbdb, dd - dbdb, dd - dbdb, dd + dbdb])
+    return (dd + dbdb, dd - dbdb, dd - dbdb, dd + dbdb)
 
 
 def _entangler45_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     # the odd branch, after its corrections, equals the even form of the
     # sign-flipped first input
-    return _pick(
-        shots.odd[0], _diagonal_pair_form(c0, c1, d0, d1), _diagonal_pair_form(c0, -c1, d0, d1)
-    )
+    forms = np.array((_diagonal_pair_form(c0, c1, d0, d1), _diagonal_pair_form(c0, -c1, d0, d1)))
+    return _pick(shots.odd[0], forms)
 
 
 def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     # columns (control, ancilla, target): c0 d0 |H a H> + c0 d1 |H a V>
-    # + c1 d0 |V a V> + c1 d1 |V a H>, a the ancilla's reading
-    on_h = np.array([c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0, 0, 0])
-    on_v = np.array([0, 0, c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0])
-    return _pick(shots.photon_v, on_h, on_v)
+    # + c1 d0 |V a V> + c1 d1 |V a H>, a the ancilla's reading (H, then V)
+    forms = np.array(
+        (
+            (c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0, 0, 0),
+            (0, 0, c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0),
+        )
+    )
+    return _pick(shots.photon_v, forms)
 
 
 #: experiment name -> circuit, in the order the CLI lists them; the CNOT's
@@ -391,16 +410,24 @@ class ShotBlock:
     the photon-free experiments); ``fidelity`` is the fidelity of the final
     polarization amplitudes with the record-conditional ideal.  ``amp`` holds
     those amplitudes unnormalized and ``n2`` their squared norms; ``final``
-    is them normalized, computed when first read.
+    is them normalized, computed when first read.  ``eip`` holds each
+    collapse's ``e^{ip}``, a row per record, and ``phi`` is its phase ``p``
+    (``arctan2`` mod 2 pi), also computed when first read.
     """
 
     x: np.ndarray
     odd: np.ndarray
-    phi: np.ndarray
     photon_v: np.ndarray
     fidelity: np.ndarray
     amp: np.ndarray = field(repr=False)
     n2: np.ndarray = field(repr=False)
+    eip: np.ndarray = field(repr=False)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        phi = np.arctan2(self.eip.imag, self.eip.real)
+        np.remainder(phi, _TWO_PI, out=phi)
+        return phi.T
 
     @cached_property
     def final(self) -> np.ndarray:
@@ -419,6 +446,25 @@ def _fidelity(amp: np.ndarray, n2: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     )
 
 
+def _run_block(
+    experiment: str, inputs, probe: ProbeMode, rng: np.random.Generator, count: int
+) -> tuple[_Shots, np.ndarray, np.ndarray]:
+    """Run the next ``count`` shots of ``experiment``, as :func:`run_block`
+    describes, and return the finished block, each shot's squared norm and
+    each shot's fidelity: ``run_shots`` reads the block's ``odd`` records,
+    a row per homodyne, and the fidelities, and nothing else."""
+    circuit = CIRCUITS[experiment]
+    shots = _Shots(count, probe, rng, circuit)
+    c, d = inputs
+    shots.prepare((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d))
+    for method, *args in circuit.program:
+        method(shots, *args)
+    amp = shots.amp
+    n2 = np.vecdot(amp, amp).real  # the block's one norm per shot
+    shots._check_norm(n2)
+    return shots, n2, _fidelity(amp, n2, circuit.ideal(shots, c, d))
+
+
 def run_block(
     experiment: str, inputs, probe: ProbeMode, rng: np.random.Generator, count: int
 ) -> ShotBlock:
@@ -429,24 +475,13 @@ def run_block(
     CNOT's two parity detectors each use ``probe``, as :func:`kerrgate.gates.cnot`
     does.
     """
-    circuit = CIRCUITS[experiment]
-    shots = _Shots(count, probe, rng, circuit)
-    c, d = inputs
-    shots.prepare((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d))
-    for method, *args in circuit.program:
-        method(shots, *args)
-    amp = shots.amp
-    n2 = np.vecdot(amp, amp).real  # the block's one norm per shot
-    shots._check_norm(n2)
-    eip = shots.eip[:, 1]
-    phi = np.arctan2(eip.imag, eip.real)
-    np.remainder(phi, _TWO_PI, out=phi)
+    shots, n2, fidelity = _run_block(experiment, inputs, probe, rng, count)
     return ShotBlock(
         x=shots.x.T,
         odd=shots.odd.T,
-        phi=phi.T,
         photon_v=shots.photon_v,
-        fidelity=_fidelity(amp, n2, circuit.ideal(shots, c, d)),
-        amp=amp,
+        fidelity=fidelity,
+        amp=shots.amp,
         n2=n2,
+        eip=shots.eip[:, 1],
     )

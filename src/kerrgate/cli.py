@@ -177,7 +177,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_SIGNED_VALUE_FLAGS = tuple(_flag(key) for key, spec in _KEYS.items() if spec.parse)
+#: each flag whose value may start with '-', and each abbreviation of it
+#: longer than "--"
+_SIGNED_VALUE_PREFIXES = frozenset(
+    flag[:end]
+    for flag in (_flag(key) for key, spec in _KEYS.items() if spec.parse)
+    for end in range(3, len(flag) + 1)
+)
 
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
@@ -186,13 +192,13 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     argparse reads a separate argument starting with '-' as a flag unless it
     is a plain negative number, so ``--input -0.6,0.8;1,0`` or
     ``--grid-alpha -1:4:2`` would fail with "expected one argument".
-    Abbreviations of the flags count too.
+    Abbreviations of the flags count too; an ambiguous one still gets
+    argparse's own error.
     """
     argv = list(argv)
     for i in range(len(argv) - 2, -1, -1):
         flag, value = argv[i], argv[i + 1]
-        takes_signed = len(flag) > 2 and any(f.startswith(flag) for f in _SIGNED_VALUE_FLAGS)
-        if takes_signed and value.startswith("-") and not value.startswith("--"):
+        if flag in _SIGNED_VALUE_PREFIXES and value.startswith("-") and not value.startswith("--"):
             argv[i : i + 2] = [f"{flag}={value}"]
     return argv
 

@@ -10,8 +10,9 @@ not a replay of one engine through the other, can catch a wiring slip.
 The ``feed_forward`` step after a measurement lists the actions, each
 ``(kind, qubit)`` on an absolute qubit, that its flagged outcome (odd, or V
 for the photon readout) calls for.  :func:`check_steps` rejects an unknown
-kind before either engine runs a step, and :func:`run_steps` records each
-applied action on the returned :class:`GateTrace`.
+kind, and a qubit the circuit lacks, before either engine runs a step, and
+:func:`run_steps` records each applied action on the returned
+:class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
 computational basis, and the three gates share one signature,
@@ -55,7 +56,7 @@ from .optics import (
     diagonal_gate,
     sign_flip,
 )
-from .states import HybridState, ProbeMode
+from .states import HybridState, ProbeMode, check_qubit
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -123,11 +124,14 @@ def cnot_steps(control: int, ancilla: int, target: int) -> tuple:
     )
 
 
-def check_steps(steps: tuple[tuple, ...]) -> None:
+def check_steps(steps: tuple[tuple, ...], n: int) -> None:
     """Raise ``ContractError`` unless every step and action kind is known and
-    every feed-forward follows a measurement, a homodyne if it undoes a phase."""
+    every feed-forward follows a measurement, a homodyne if it undoes a phase,
+    and ``ValidationError`` (:func:`~kerrgate.states.check_qubit`) unless
+    every qubit a step or action names is one of the ``n``."""
     last = None
     for name, *args in steps:
+        qubits = args
         if name == "feed_forward":
             if last is None:
                 raise ContractError("a feed-forward follows no measurement")
@@ -137,10 +141,13 @@ def check_steps(steps: tuple[tuple, ...]) -> None:
                         raise ContractError("an undo-phase action follows no homodyne record")
                 elif kind not in FIXED_ACTIONS:
                     raise ContractError(f"unknown feed-forward action {kind!r}")
+            qubits = [qubit for _, qubit in args]
         elif name in STREAM_WORDS:
             last = name
         elif name != "rotate":
             raise ContractError(f"unknown circuit step {name!r}")
+        for qubit in qubits:
+            check_qubit(qubit, n)
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,7 @@ def run_steps(
     ``forced`` holds outcomes in measurement order (``x``, or ``"H"``/``"V"``);
     a measurement forced ``None``, or past its end, samples from ``rng``, and
     an outcome left over raises ``ContractError``."""
-    check_steps(steps)
+    check_steps(steps, state.n_qubits)
     outcomes = iter(forced)
     records, photons, corrections = [], [], []
     for name, *args in steps:

@@ -192,10 +192,14 @@ class HybridState:
         return self.probe
 
     def require_qubit(self, qubit_index: int) -> None:
-        if not (0 <= _integer(qubit_index, "qubit index") < self.n_qubits):
-            raise ValidationError(
-                f"qubit index {qubit_index} out of range for {self.n_qubits} qubits"
-            )
+        check_qubit(qubit_index, self.n_qubits)
+
+
+def check_qubit(qubit_index: int, n_qubits: int) -> None:
+    """Raise ``ValidationError`` unless ``qubit_index`` is an integer in
+    ``range(n_qubits)``."""
+    if not (0 <= _integer(qubit_index, "qubit index") < n_qubits):
+        raise ValidationError(f"qubit index {qubit_index} out of range for {n_qubits} qubits")
 
 
 def _integer(value, what: str) -> int:

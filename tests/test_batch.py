@@ -671,6 +671,71 @@ def test_run_shots_does_not_depend_on_block_size(monkeypatch):
     assert split.mean_fidelity == pytest.approx(reference.mean_fidelity, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "alpha,theta,message",
+    [
+        (-1.0, 0.5, r"^probe alpha must lie in"),
+        (8.0, math.nan, r"^probe theta must lie in"),
+        (1e17, theta_for(1e17), r"^probe theta .* is unresolvable in floating point"),
+    ],
+)
+def test_an_invalid_probe_raises_on_every_call(alpha, theta, message):
+    """``batch.probe_constants`` caches a validated probe, never its error."""
+    for _ in range(3):
+        with pytest.raises(ValidationError, match=message):
+            run_shots("parity", [(1, 0), (1, 0)], alpha, theta, 2, 1)
+        with pytest.raises(ValidationError, match=message):
+            batch.probe_constants(alpha, theta)
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [((100, theta_for(100.0)), (100.0, theta_for(100.0))), ((100.0, 0.0), (100.0, -0.0))],
+    ids=["int-alpha", "signed-zero-theta"],
+)
+def test_equal_probe_keys_give_equal_stats_in_either_order(first, second):
+    """Keys that compare equal share one cache entry, whichever fills it."""
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    for experiment in EXPERIMENTS:
+        stats = []
+        for order in ((first, second), (second, first)):
+            batch.probe_constants.cache_clear()
+            stats += [run_shots(experiment, inputs, *key, 40, 9) for key in order]
+        assert all(s == stats[0] for s in stats), experiment
+
+
+def test_phi_is_finished_only_when_read(monkeypatch):
+    """``run_shots`` never computes ``phi``; a block computes it on first read,
+    ``arctan2`` of each collapse's ``e^{ip}`` taken mod 2 pi, and keeps it."""
+    reads = []
+    lazy = batch.ShotBlock.phi.func
+
+    def counted(block):
+        reads.append(block)
+        return lazy(block)
+
+    monkeypatch.setattr(batch.ShotBlock, "phi", property(counted))
+    inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+    probe = ProbeMode(8.0, theta_for(8.0, 4.0))
+    for experiment in EXPERIMENTS:
+        run_shots(experiment, inputs, probe.alpha, probe.theta, 30, 4)
+    assert reads == []
+    block = run_block("cnot", inputs, probe, 4, 0, 30)
+    assert block.phi.shape == block.x.shape
+    assert len(reads) == 1
+    monkeypatch.undo()
+
+    block = run_block("cnot", inputs, probe, 4, 0, 30)
+    eip = block.eip
+    eager = np.arctan2(eip.imag, eip.real)
+    np.remainder(eager, 2.0 * math.pi, out=eager)
+    assert block.phi is block.phi
+    assert np.array_equal(block.phi, eager.T)
+    # e^{ip} is the collapse's, p = b (x - a) with a + i b = label(1)
+    label = probe.label(1)
+    np.testing.assert_allclose(eip.T, np.exp(1j * label.imag * (block.x - label.real)), atol=1e-12)
+
+
 def far_noise(monkeypatch, record, shift=1e3, shots=slice(None)):
     """Push the noise of homodyne record ``record`` (from 0) by ``shift`` in
     the ``shots`` rows of every block: a shift of 1e3 lands far outside every

@@ -162,6 +162,28 @@ class TestParseConfig:
         assert main(base + ["--input=-0.6,0.8;1,0", "--output", str(joined)]) == 0
         assert spaced.read_bytes() == joined.read_bytes()
 
+    def test_every_abbreviation_of_a_signed_flag_takes_a_signed_value(self):
+        """A flag (or an abbreviation of one, longer than ``--``) whose value
+        may start with '-' gets its value attached; no other flag does."""
+        signed = [f"--{key.replace('_', '-')}" for key, spec in cli._KEYS.items() if spec.parse]
+        parser = cli._build_parser()
+        flags = [option for action in parser._actions for option in action.option_strings]
+        for flag in flags:
+            for end in range(1, len(flag) + 1):
+                prefix = flag[:end]
+                takes = end > 2 and any(s.startswith(prefix) for s in signed)
+                expected = [f"{prefix}=-1:4:2"] if takes else [prefix, "-1:4:2"]
+                assert cli._attach_signed_values([prefix, "-1:4:2"]) == expected, prefix
+
+    @pytest.mark.parametrize("flag", ["--g", "--grid"])
+    def test_ambiguous_abbreviation_of_signed_flags_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(
+                ["--experiment", "sweep", "--alpha", "20", "--theta", "0.5", flag, "-1:4:2"]
+            )
+        assert exc.value.code == 2
+        assert f"ambiguous option: {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("extra", [["--bogus", "-1"], ["--input", "--seed", "3"]])
     def test_unknown_flag_and_missing_input_still_exit_2(self, extra, capsys):
         with pytest.raises(SystemExit) as exc:

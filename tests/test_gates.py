@@ -385,4 +385,4 @@ class TestFeedForwardPlans:
     def test_malformed_actions_raise_contract_errors(self, action):
         # raised, not asserted, so the check survives python -O
         with pytest.raises(ContractError, match="unknown feed-forward action 'teleport'"):
-            check_steps((("homodyne", 0, 1), ("feed_forward", action)))
+            check_steps((("homodyne", 0, 1), ("feed_forward", action)), 2)

@@ -188,6 +188,16 @@ REJECTIONS = {
         ),
         ContractError, r"^more forced outcomes than measurements$",
     ),
+    # the homodyne is forced even, so the flip would never run: its qubit,
+    # which the two-qubit state lacks, is refused before the first step
+    "scalar-action-qubit-out-of-range": (
+        lambda: gates.run_steps(
+            TWO_QUBITS,
+            (("homodyne", 0, 1), ("feed_forward", ("flip", 5))),
+            PROBE, None, forced=(200.0,),
+        ),
+        ValidationError, r"^qubit index 5 out of range for 2 qubits$",
+    ),
     "batch-undo-phase-without-record": (
         lambda: batch.Circuit(
             False,
@@ -211,6 +221,14 @@ REJECTIONS = {
             batch._entangler_ideal,
         ),
         ContractError, r"^unknown feed-forward action 'teleport'$",
+    ),
+    "batch-action-qubit-out-of-range": (
+        lambda: batch.Circuit(
+            False,
+            (("homodyne", 0, 1), ("feed_forward", ("flip", 5))),
+            batch._entangler_ideal,
+        ),
+        ValidationError, r"^qubit index 5 out of range for 2 qubits$",
     ),
     "batch-unknown-step": (
         lambda: batch.Circuit(False, (("measure", 0),), batch._entangler_ideal),
