@@ -15,7 +15,6 @@ from .gates import (
 )
 from .measurement import (
     HomodyneRecord,
-    kernel_phase,
     kernel_value,
     outcome_density,
     qnd_photon_measure,
@@ -70,7 +69,6 @@ __all__ = [
     "entangler_45",
     "fidelity",
     "geometry",
-    "kernel_phase",
     "kernel_value",
     "merge_and_prune",
     "new_state",

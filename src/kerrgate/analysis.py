@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .batch import CIRCUITS, _run_block, probe_constants
+from .batch import CIRCUITS, _run_block
 from .errors import ValidationError
 from .states import ProbeMode, _integer, check_normalized
 
@@ -29,9 +30,11 @@ LOGICAL_ERROR_FIDELITY = 1.0 - 1e-6
 EXPERIMENTS = tuple(CIRCUITS)
 
 
+@lru_cache(maxsize=128)
 def geometry(alpha: float, theta: float) -> ProbeMode:
     """The validated ``ProbeMode(alpha, theta)`` (else ``ValidationError``), whose
-    ``x0`` is the threshold and ``xd ~ alpha theta^2`` the peak separation."""
+    ``x0`` is the threshold and ``xd ~ alpha theta^2`` the peak separation;
+    the one cache of probes, keyed by the two floats, which never holds an error."""
     return ProbeMode(alpha, theta)
 
 
@@ -74,9 +77,9 @@ def run_shots(
 
     Shots run in fixed-size blocks through :mod:`kerrgate.batch`, each
     continuing the run's one generator, ``Generator(PCG64(seed))``, which is
-    what ``default_rng(seed)`` returns for an int seed.  A call validates its
-    probe through the cache :func:`kerrgate.batch.probe_constants` and reads
-    only each block's odd records and fidelities.  RNG contract: the run
+    what ``default_rng(seed)`` returns for an int seed.  A call takes its
+    validated probe from the cache :func:`geometry`, once, and reads only
+    each block's odd records and fidelities.  RNG contract: the run
     reads one stream, ``np.random.default_rng(seed).random()``, and shot
     ``i`` takes its words ``i K .. i K + K - 1``, ``K`` being the circuit's
     ``Circuit.words``.  Each measurement reads the words that
@@ -99,7 +102,7 @@ def run_shots(
         raise ValidationError(f"{experiment} takes two qubit amplitude pairs")
     check_normalized(inputs)
     inputs = [(complex(c0), complex(c1)) for c0, c1 in inputs]
-    probe = probe_constants(alpha, theta).mode
+    probe = geometry(alpha, theta)
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

@@ -28,10 +28,9 @@ photon readout's V mask, and each measurement is given its first
 stream word and its record.  A wiring error or an unknown action kind
 raises ``ContractError`` there, and a qubit the circuit lacks
 ``ValidationError`` (:func:`kerrgate.gates.check_steps`), not in a block.
-A block looks up only what depends on its probe, once: the collapse
-constants, which :func:`probe_constants` caches with the validated
-``ProbeMode`` by the ``(alpha, theta)`` floats, for ``run_shots`` to
-validate its probe through too.
+A block looks nothing up for its probe: the collapse reads the peaks,
+threshold and kernel phase constants that the validated ``ProbeMode``
+derived when it was built.
 
 No step renormalizes: the branch pick and ``p_V`` divide by the total
 weight, which the norm check before them has summed, and a shot's squared
@@ -117,31 +116,6 @@ def _rotation(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     return _frozen(full.T.copy())
 
 
-class ProbeConstants(NamedTuple):
-    """A validated ``ProbeMode`` and the constants of its homodyne collapse:
-    ``peaks``, ``2 Re label(k)`` of ``k = -1, 0, +1`` (the centres of each
-    label's X outcome), ``a + i b = label(1)`` (the kernel of label ``+-1`` at
-    ``x`` carries the phase ``+-b (x - a)``) and the threshold ``x0``."""
-
-    mode: ProbeMode
-    peaks: np.ndarray
-    a: float
-    b: float
-    x0: float
-
-
-@lru_cache(maxsize=128)
-def probe_constants(alpha: float, theta: float) -> ProbeConstants:
-    """``ProbeMode(alpha, theta)`` with its collapse constants, cached by the
-    two floats themselves (a ``ProbeMode`` key would hash and compare in
-    Python); bounded, since they are floats.  An invalid pair raises
-    ``ValidationError`` on every call: errors are not cached."""
-    mode = ProbeMode(alpha, theta)
-    labels = [mode.label(k) for k in (-1, 0, 1)]
-    peaks = _frozen(np.array([2.0 * label.real for label in labels]))
-    return ProbeConstants(mode, peaks, labels[2].real, labels[2].imag, mode.x0)
-
-
 class _Step(NamedTuple):
     """One feed-forward action as an operation on a block's columns.
 
@@ -182,7 +156,8 @@ class _Shots:
     Until the first homodyne every shot holds the same product input, so
     ``amp`` is one ``(1, 2**n)`` row that ``rotate`` acts on; the first
     collapse repeats it into one row per shot.  The amplitudes are never
-    renormalized in between (see the module docstring).  ``words`` holds the
+    renormalized in between (see the module docstring).  A homodyne reads
+    its collapse constants from ``probe``.  ``words`` holds the
     next ``count`` shots of ``rng`` for ``circuit``, a row each, and every
     measurement reads its own columns of them in place; ``normals`` holds
     every homodyne's Box-Muller normal, a row per record, made from its noise
@@ -196,7 +171,7 @@ class _Shots:
 
     def __init__(self, count: int, probe: ProbeMode, rng: np.random.Generator, circuit: Circuit):
         self.count = count
-        _, self.peaks, self.a, self.b, self.x0 = probe_constants(probe.alpha, probe.theta)
+        self.probe = probe
         self.words = rng.random((count, circuit.words))
         u1, u2 = self.words.T[circuit.noise]
         self.normals = gaussian(u1, u2)
@@ -231,7 +206,8 @@ class _Shots:
         """Parity kicks on a fresh probe, X-quadrature sample, collapse, as
         homodyne record ``j``: ``word`` is its branch pick's stream word and
         ``cols`` each column's label index."""
-        peaks = self.peaks
+        probe = self.probe
+        peaks = probe.peaks
         x, odd, eip = self.x[j], self.odd[j], self.eip[j]
         # exact-mixture sampling, as sample_quadrature draws it; the shared
         # input row serves every shot
@@ -245,10 +221,10 @@ class _Shots:
         np.add(peaks[cols[pick]], self.normals[j], out=x)
         # collapse onto <x|beta_k>, one kernel row per label, without its
         # constant factor KERNEL_PEAK, which the block's one norm cancels;
-        # label(0) is real, label(+-1) carry the phases +-p, p =
-        # kernel_phase(x, label(1)), reduced exactly by sin/cos into e^{ip}
-        # and conjugated into e^{-ip}; states.ALPHA_MAX keeps every term finite
-        p = self.b * (x - self.a)
+        # label(0) is real, label(+-1) carry the phases +-p, p = b (x - a)
+        # (ProbeMode), reduced exactly by sin/cos into e^{ip} and conjugated
+        # into e^{-ip}; states.ALPHA_MAX keeps every term finite
+        p = probe.b * (x - probe.a)
         np.cos(p, out=eip[1].real)
         np.sin(p, out=eip[1].imag)
         np.conjugate(eip[1], out=eip[0])
@@ -259,7 +235,7 @@ class _Shots:
         np.multiply(mag[0], eip, out=kernel[::2])
         kernel[1] = mag[1]
         self.amp *= kernel.T[:, cols]
-        np.less_equal(x, self.x0, out=odd)
+        np.less_equal(x, probe.x0, out=odd)
         self.flag, self.flag_eip = odd, eip
         self.last = ("collapse", x)
 
@@ -344,11 +320,6 @@ class Circuit:
 # -- ideal outputs, written out from the paper's formulas ----------------------
 
 
-def _pick(flag: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    """Per-shot ideal: row 1 of ``forms`` where ``flag`` is set, row 0 elsewhere."""
-    return forms.take(flag, axis=0)
-
-
 def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     emp, ep = shots.eip[0]
@@ -360,7 +331,8 @@ def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
 
 def _entangler_ideal(shots: _Shots, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    return _pick(shots.odd[0], np.array(((c0 * d0, 0, 0, c1 * d1), (c0 * d1, 0, 0, c1 * d0))))
+    forms = np.array(((c0 * d0, 0, 0, c1 * d1), (c0 * d1, 0, 0, c1 * d0)))
+    return forms.take(shots.odd[0], axis=0)
 
 
 def _diagonal_pair_form(c0, c1, d0, d1) -> tuple:
@@ -375,7 +347,7 @@ def _entangler45_ideal(shots: _Shots, c, d) -> np.ndarray:
     # the odd branch, after its corrections, equals the even form of the
     # sign-flipped first input
     forms = np.array((_diagonal_pair_form(c0, c1, d0, d1), _diagonal_pair_form(c0, -c1, d0, d1)))
-    return _pick(shots.odd[0], forms)
+    return forms.take(shots.odd[0], axis=0)
 
 
 def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
@@ -388,7 +360,7 @@ def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
             (0, 0, c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0),
         )
     )
-    return _pick(shots.photon_v, forms)
+    return forms.take(shots.photon_v, axis=0)
 
 
 #: experiment name -> circuit, in the order the CLI lists them; the CNOT's

@@ -229,14 +229,15 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
 
 
 def _probe(alpha: float, theta: float, alpha_key: str, theta_key: str) -> ProbeMode:
-    """``ProbeMode(alpha, theta)``, or a ``ConfigError`` naming ``alpha_key`` if
-    the amplitude alone is refused (at theta = 0) and ``theta_key`` otherwise."""
+    """``analysis.geometry(alpha, theta)``, or a ``ConfigError`` naming
+    ``alpha_key`` if the amplitude alone is refused (at theta = 0) and
+    ``theta_key`` otherwise."""
     try:
-        return ProbeMode(alpha, theta)
+        return analysis.geometry(alpha, theta)
     except ValidationError as exc:
         refused = exc
     try:
-        ProbeMode(alpha, 0.0)
+        analysis.geometry(alpha, 0.0)
     except ValidationError as exc:
         raise ConfigError(f"{alpha_key}: {exc}") from None
     raise ConfigError(f"{theta_key}: {refused}") from None
@@ -307,9 +308,8 @@ def _validate_oracle(config: ExperimentConfig, probe: ProbeMode, inputs) -> tupl
     re_embedded = fock.oracle_embed(state, n_trunc)
     state_fid = fock.oracle_fidelity(embedded, re_embedded)
 
-    lo = 2.0 * probe.alpha * math.cos(probe.theta) - 10.0
-    hi = 2.0 * probe.alpha + 10.0
-    grid = np.linspace(lo, hi, 2001)
+    # from the odd peak to the even one, 10 sigma past each
+    grid = np.linspace(probe.peaks[0] - 10.0, probe.peaks[1] + 10.0, 2001)
     dev = float(np.max(np.abs(outcome_density(state)(grid) - fock.oracle_homodyne_density(embedded)(grid))))
 
     row = _row(config, "validate-oracle", probe, dev, 0.0, state_fid)

@@ -68,6 +68,17 @@ def _tail_terms(lam: float, k: int, scale: float | None = None) -> list[float]:
     return terms
 
 
+def _mean_photon_number(alpha: float) -> float:
+    """``alpha**2``, for a finite ``alpha >= 0`` whose square is finite."""
+    try:
+        lam = float(alpha) ** 2
+    except OverflowError:  # from the square, or from an int past the float range
+        lam = math.inf
+    if not (alpha >= 0.0 and lam < math.inf):  # also catches NaN
+        raise ValidationError(f"alpha must be finite and >= 0, with a finite square, got {alpha!r}")
+    return lam
+
+
 def truncation_loss(alpha: float, n_trunc: int) -> float:
     """Probability mass of |alpha> beyond Fock level ``n_trunc``.
 
@@ -79,13 +90,14 @@ def truncation_loss(alpha: float, n_trunc: int) -> float:
     Against 50-digit ``mpmath.gammainc`` the relative error is below 1e-14
     for alpha <= 10, n_trunc <= 80 wherever the tail is at least 1e-290.
     An empty mode (alpha = 0) loses nothing, and a negative cutoff keeps no
-    level: its loss is 1.
+    level: its loss is 1.  A negative or non-finite ``alpha``, or one whose
+    square overflows, raises ``ValidationError``.
     """
+    lam = _mean_photon_number(alpha)
     if not alpha > 0:
         return 0.0
     if n_trunc < 0:
         return 1.0
-    lam = alpha**2
     if n_trunc + 2 > lam:
         return math.fsum(_tail_terms(lam, n_trunc + 1))
     # the head terms decrease from p_n towards p_0
@@ -106,14 +118,16 @@ def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:
     One pass: the Poisson terms beyond the first candidate decrease, so they
     are listed once, down to far below ``bound``, and summed from the far
     end; the tails P(n > m) grow as m falls, and the cutoff is the last m
-    before the tail exceeds ``bound``.
+    before the tail exceeds ``bound``.  ``alpha`` must be finite and >= 0,
+    with a finite square, else ``ValidationError``.
     """
     if bound < 0:
         raise ValidationError(f"truncation bound must be >= 0, got {bound}")
-    n = max(int(alpha**2), 1)
+    lam = _mean_photon_number(alpha)
+    n = max(int(lam), 1)
     if not alpha > 0:
         return n
-    terms = _tail_terms(alpha**2, n + 1, scale=bound)
+    terms = _tail_terms(lam, n + 1, scale=bound)
     tail = 0.0
     for i in range(len(terms) - 1, -1, -1):
         tail += terms[i]  # P(N > n + i)

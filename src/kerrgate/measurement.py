@@ -92,12 +92,6 @@ def kernel_value(x: float, beta: complex) -> complex:
     return KERNEL_PEAK * mag * complex(math.cos(phase), math.sin(phase))
 
 
-def kernel_phase(x: float, beta: complex) -> float:
-    """Phase of <x|beta> in radians, unwrapped (not reduced mod 2 pi)."""
-    beta = complex(beta)
-    return beta.imag * (x - beta.real)
-
-
 @dataclass(frozen=True)
 class HomodyneRecord:
     """Outcome of one probe quadrature measurement.
@@ -246,15 +240,6 @@ def sample_and_collapse(
         x = float(sample_quadrature(state, rng, 1)[0])
     else:
         x = float(force_x)
-    x0 = probe.x0
-    parity = "even" if x > x0 else "odd"
-    # reduce through sin/cos, which reduce the float argument exactly, as the
-    # collapse's kernel does; ``p % _TWO_PI`` would reduce by the float
-    # nearest 2 pi and be off by ~0.01 rad once |p| ~ 1e14 (alpha ~ 1e9)
-    p = kernel_phase(x, probe.label(1)) - kernel_phase(x, probe.label(0))
-    phi = math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
-    record = HomodyneRecord(x=x, x0=x0, parity=parity, phi=phi)
-
     try:
         # weighting and releasing the probe in one merge: two labels of one
         # basis string become one branch here
@@ -267,7 +252,14 @@ def sample_and_collapse(
         # kernel_value's nan outcome, or renormalized's zero norm (an x too
         # far out has a zero kernel on every branch) or overflowing one
         raise ValidationError(f"collapse at x={x} leaves a zero-norm or non-finite state") from None
-    return record, collapsed
+    # after the collapse, which refuses an x whose p is infinite: p = b (x - a)
+    # is label(1)'s kernel phase, reduced through sin/cos, which reduce the
+    # float argument exactly, as the kernel does (``p % _TWO_PI`` would be off
+    # by ~0.01 rad once |p| ~ 1e14, alpha ~ 1e9)
+    p = probe.b * (x - probe.a)
+    phi = math.atan2(math.sin(p), math.cos(p)) % _TWO_PI
+    parity = "even" if x > probe.x0 else "odd"
+    return HomodyneRecord(x=x, x0=probe.x0, parity=parity, phi=phi), collapsed
 
 
 def qnd_photon_measure(

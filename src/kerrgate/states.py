@@ -27,8 +27,10 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ContractError, ValidationError
 
@@ -68,10 +70,24 @@ class ProbeMode:
     ``theta`` is the phase kick the probe picks up per photon in the coupled
     rail (the product of nonlinearity strength and interaction time); only the
     product is ever needed, so the factors are never stored separately.
+
+    The detector's constants are derived once, when the probe is built, and
+    both engines read them here: the threshold ``x0 = alpha (1 + cos
+    theta)``, midway between the peaks ``2 alpha`` (even) and ``2 alpha cos
+    theta`` (odd); their separation ``xd``, as ``4 alpha sin^2(theta / 2)``
+    against cancellation; ``a + i b = label(1)``, whose kernel at ``x`` has
+    the phase ``b (x - a)``; and ``peaks``, the read-only ``2 Re label(k)``
+    of ``k = -1, 0, +1``.  ``alpha`` and ``theta`` are stored as floats, a
+    zero as ``+0.0``, so equal probes are equal in every field.
     """
 
     alpha: float
     theta: float
+    x0: float = field(init=False, repr=False, compare=False)
+    xd: float = field(init=False, repr=False, compare=False)
+    a: float = field(init=False, repr=False, compare=False)
+    b: float = field(init=False, repr=False, compare=False)
+    peaks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= ALPHA_MAX):  # also catches NaN
@@ -79,33 +95,31 @@ class ProbeMode:
         # theta = 0 is allowed as the degenerate no-coupling limit
         if not (0.0 <= self.theta <= math.pi):
             raise ValidationError(f"probe theta must lie in [0, pi], got {self.theta}")
+        alpha, theta = self.alpha + 0.0, self.theta + 0.0
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "theta", theta)
+        x0 = alpha * (1.0 + math.cos(theta))
+        xd = 4.0 * alpha * math.sin(0.5 * theta) ** 2
         # the float threshold must sit midway between the peaks: deep in the
         # weak-Kerr limit ``cos theta`` rounds towards 1 and ``x0`` onto the
         # even peak ``2 alpha``, and every even shot would read odd
-        xd = self.xd
-        miss = abs((self.x0 - 2.0 * self.alpha) + 0.5 * xd)
+        miss = abs((x0 - 2.0 * alpha) + 0.5 * xd)
         if miss > max(_THRESHOLD_TOL * xd, _THRESHOLD_FLOOR):
             raise ValidationError(
-                f"probe theta {self.theta!r} at alpha {self.alpha!r} is unresolvable in "
+                f"probe theta {theta!r} at alpha {alpha!r} is unresolvable in "
                 f"floating point: the threshold x0 = alpha (1 + cos theta) misses the "
                 f"midpoint of the peaks by {miss:.3g}, peak separation xd = {xd:.3g}"
             )
+        labels = [self.label(k) for k in (-1, 0, 1)]
+        peaks = np.array([2.0 * label.real for label in labels])
+        peaks.setflags(write=False)
+        for name, value in (("x0", x0), ("xd", xd), ("a", labels[2].real),
+                            ("b", labels[2].imag), ("peaks", peaks)):
+            object.__setattr__(self, name, value)
 
     def label(self, k: int) -> complex:
         """Coherent label alpha * exp(i k theta) for phase index ``k``."""
         return self.alpha * cmath.exp(1j * k * self.theta)
-
-    @property
-    def x0(self) -> float:
-        """Homodyne threshold ``alpha (1 + cos theta)``, midway between the
-        even-parity peak ``2 alpha`` and the odd-parity peak ``2 alpha cos theta``."""
-        return self.alpha * (1.0 + math.cos(self.theta))
-
-    @property
-    def xd(self) -> float:
-        """Peak separation ``2 alpha (1 - cos theta)``, as ``4 alpha sin^2(theta / 2)``
-        to avoid the cancellation at small theta."""
-        return 4.0 * self.alpha * math.sin(0.5 * self.theta) ** 2
 
 
 def coherent_overlap(bra: complex, ket: complex) -> complex:

@@ -680,12 +680,12 @@ def test_run_shots_does_not_depend_on_block_size(monkeypatch):
     ],
 )
 def test_an_invalid_probe_raises_on_every_call(alpha, theta, message):
-    """``batch.probe_constants`` caches a validated probe, never its error."""
+    """``analysis.geometry`` caches a validated probe, never its error."""
     for _ in range(3):
         with pytest.raises(ValidationError, match=message):
             run_shots("parity", [(1, 0), (1, 0)], alpha, theta, 2, 1)
         with pytest.raises(ValidationError, match=message):
-            batch.probe_constants(alpha, theta)
+            analysis.geometry(alpha, theta)
 
 
 @pytest.mark.parametrize(
@@ -699,7 +699,7 @@ def test_equal_probe_keys_give_equal_stats_in_either_order(first, second):
     for experiment in EXPERIMENTS:
         stats = []
         for order in ((first, second), (second, first)):
-            batch.probe_constants.cache_clear()
+            analysis.geometry.cache_clear()
             stats += [run_shots(experiment, inputs, *key, 40, 9) for key in order]
         assert all(s == stats[0] for s in stats), experiment
 

@@ -27,7 +27,7 @@ from kerrgate import (
     run_shots,
 )
 from kerrgate import batch, gates
-from kerrgate.fock import oracle_embed, oracle_inner
+from kerrgate.fock import oracle_embed, oracle_inner, required_truncation, truncation_loss
 from kerrgate.measurement import qnd_photon_measure
 
 ONE_QUBIT = new_state([(0.6, 0.8)])
@@ -146,6 +146,37 @@ REJECTIONS = {
     "oracle-shapes": (
         lambda: oracle_inner(*unequal_oracle_states()),
         ValidationError, r"^oracle states have different shapes$",
+    ),
+    # the truncation helpers take a finite alpha >= 0 whose square is finite;
+    # outside that they returned 0.0, nan or the cutoff of a smaller |alpha|,
+    # or raised a raw ValueError or OverflowError
+    "truncation_loss-negative-alpha": (
+        lambda: truncation_loss(-1.0, 0),
+        ValidationError, r"^alpha must be finite and >= 0, with a finite square, got -1\.0$",
+    ),
+    "truncation_loss-nan-alpha": (
+        lambda: truncation_loss(math.nan, 5),
+        ValidationError, r"^alpha must be finite and >= 0, with a finite square, got nan$",
+    ),
+    "truncation_loss-inf-alpha": (
+        lambda: truncation_loss(math.inf, 5),
+        ValidationError, r"^alpha must be finite and >= 0, with a finite square, got inf$",
+    ),
+    "required_truncation-negative-alpha": (
+        lambda: required_truncation(-2.0),
+        ValidationError, r"^alpha must be finite and >= 0, with a finite square, got -2\.0$",
+    ),
+    "required_truncation-nan-alpha": (
+        lambda: required_truncation(math.nan),
+        ValidationError, r"^alpha must be finite and >= 0, with a finite square, got nan$",
+    ),
+    "required_truncation-inf-alpha": (
+        lambda: required_truncation(math.inf),
+        ValidationError, r"^alpha must be finite and >= 0, with a finite square, got inf$",
+    ),
+    "required_truncation-square-overflow": (
+        lambda: required_truncation(1e200),
+        ValidationError, r"^alpha must be finite and >= 0, with a finite square, got 1e\+200$",
     ),
     # both engines check a circuit's wiring before they run it: run_steps
     # raises before its first step (rng=None would fail at any sampling),
@@ -271,3 +302,9 @@ def test_a_vanishing_separation_is_accepted(alpha, theta):
     ``p_error`` = 1/2 rather than a rejection."""
     probe = ProbeMode(alpha, theta)
     assert probe.xd < 1e-9
+
+
+def test_an_empty_mode_needs_one_level_and_loses_nothing():
+    assert truncation_loss(0.0, 0) == 0.0
+    assert truncation_loss(0.0, -1) == 0.0
+    assert required_truncation(0.0) == 1
