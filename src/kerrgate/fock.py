@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .optics import KerrCoupling, SingleQubitGate
-from .states import HybridState, ProbeMode
+from .states import HybridState, ProbeMode, _integer
 
 #: largest admissible truncation loss when embedding a coherent state
 TRUNCATION_BOUND = 1e-10
@@ -51,6 +51,8 @@ def _poisson_term(k: int, lam: float) -> float:
     p = math.exp(-lam)
     for j in range(1, k + 1):
         p *= lam / j
+        if p == 0.0:  # underflowed: no positive factor lifts it again
+            break
     return p
 
 
@@ -90,9 +92,11 @@ def truncation_loss(alpha: float, n_trunc: int) -> float:
     Against 50-digit ``mpmath.gammainc`` the relative error is below 1e-14
     for alpha <= 10, n_trunc <= 80 wherever the tail is at least 1e-290.
     An empty mode (alpha = 0) loses nothing, and a negative cutoff keeps no
-    level: its loss is 1.  A negative or non-finite ``alpha``, or one whose
-    square overflows, raises ``ValidationError``.
+    level: its loss is 1.  A negative or non-finite ``alpha``, one whose
+    square overflows, or a cutoff that is not an integer raises
+    ``ValidationError``.
     """
+    n_trunc = _integer(n_trunc, "cutoff")
     lam = _mean_photon_number(alpha)
     if not alpha > 0:
         return 0.0
@@ -119,9 +123,10 @@ def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:
     are listed once, down to far below ``bound``, and summed from the far
     end; the tails P(n > m) grow as m falls, and the cutoff is the last m
     before the tail exceeds ``bound``.  ``alpha`` must be finite and >= 0,
-    with a finite square, else ``ValidationError``.
+    with a finite square, and ``bound`` >= 0 (not nan), else
+    ``ValidationError``.
     """
-    if bound < 0:
+    if not bound >= 0:  # also catches nan
         raise ValidationError(f"truncation bound must be >= 0, got {bound}")
     lam = _mean_photon_number(alpha)
     n = max(int(lam), 1)

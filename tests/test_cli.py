@@ -1,11 +1,16 @@
 """Flag/config parsing, experiment execution, output schema, determinism."""
 
+import ast
+import builtins
+import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -749,3 +754,123 @@ class TestRun:
         alpha_text = row[1]
         assert float(alpha_text) == 1 / 3  # round-trips exactly
         assert len(alpha_text.replace(".", "").lstrip("0")) >= 16
+
+
+class TestOutputFile:
+    """``run`` rewrites its output in place: the bytes of a run to a fresh
+    path, on the same inode, never truncated to zero first."""
+
+    ARGS = ["--experiment", "parity", "--alpha", "8", "--theta", "0.72",
+            "--shots", "64", "--seed", "4242"]
+
+    def fresh_bytes(self, tmp_path, fmt="csv"):
+        out = tmp_path / f"fresh.{fmt}"
+        assert main([*self.ARGS, "--format", fmt, "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("old", [b"\x00junk" * 2000, b"x"], ids=["10kB-of-junk", "1-byte"])
+    def test_a_rewrite_leaves_exactly_the_new_bytes(self, old, fmt, tmp_path):
+        out = tmp_path / f"old.{fmt}"
+        out.write_bytes(old)
+        assert main([*self.ARGS, "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_bytes() == self.fresh_bytes(tmp_path, fmt)
+
+    def test_a_rewrite_keeps_the_inode(self, tmp_path):
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"junk" * 2500)
+        inode = out.stat().st_ino
+        assert main([*self.ARGS, "--output", str(out)]) == 0
+        assert main([*self.ARGS, "--output", str(out)]) == 0
+        assert out.stat().st_ino == inode
+
+    def test_a_symlink_writes_through_to_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"junk" * 2500)
+        link.symlink_to(target)
+        assert main([*self.ARGS, "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == self.fresh_bytes(tmp_path)
+
+    def test_a_new_file_gets_the_default_mode_less_the_umask(self, tmp_path):
+        out = tmp_path / "new.csv"
+        old_mask = os.umask(0o027)
+        try:
+            assert main([*self.ARGS, "--output", str(out)]) == 0
+        finally:
+            os.umask(old_mask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    def test_dev_null_exits_0(self):
+        assert main([*self.ARGS, "--output", os.devnull]) == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_full_device_exits_1(self, capsys):
+        assert main([*self.ARGS, "--output", "/dev/full"]) == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_a_directory_exits_1(self, tmp_path, capsys):
+        assert main([*self.ARGS, "--output", str(tmp_path)]) == 1
+        assert "cannot write" in capsys.readouterr().err
+
+    def test_the_output_is_opened_once_without_o_trunc(self, monkeypatch, tmp_path):
+        # a truncating rewrite stalls on ext4 until the last write's writeback
+        out = tmp_path / "run.csv"
+        out.write_bytes(b"junk" * 2500)
+        os_opens, other_opens = [], []
+        real_os_open, real_open = os.open, builtins.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            os_opens.append((os.fspath(path), flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, *args, **kwargs):
+            other_opens.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(builtins, "open", spy_open)
+        monkeypatch.setattr(io, "open", spy_open)
+        assert main([*self.ARGS, "--output", str(out)]) == 0
+        assert [path for path, _ in os_opens] == [str(out)]
+        assert not os_opens[0][1] & os.O_TRUNC
+        assert str(out) not in [os.fspath(f) for f in other_opens if isinstance(f, (str, Path))]
+
+
+class _WriteSites(ast.NodeVisitor):
+    """Each ``os.open`` call, with the function it is in, and each other
+    ``open(...)`` call whose mode may write, in one module."""
+
+    def __init__(self, name):
+        self.name, self.scope = name, []
+        self.os_opens, self.writing_opens = [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        if isinstance(func, ast.Attribute) and ast.unparse(func) == "os.open":
+            self.os_opens.append(f"{self.name}.{'.'.join(self.scope)}")
+        elif ast.unparse(func).split(".")[-1] == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            # a mode that is not a literal may write too
+            if not (isinstance(mode, ast.Constant) and not set(str(mode.value)) & set("wax+")):
+                self.writing_opens.append(f"{self.name} line {node.lineno}")
+        self.generic_visit(node)
+
+
+def test_only_the_output_helper_opens_a_file_for_writing():
+    # the source half of the guard against truncating writes: no open() in a
+    # mode that writes, and os.open only in cli._write_output
+    os_opens, writing_opens = [], []
+    for path in sorted(Path(kerrgate.__file__).parent.glob("*.py")):
+        sites = _WriteSites(path.stem)
+        sites.visit(ast.parse(path.read_text(), str(path)))
+        os_opens += sites.os_opens
+        writing_opens += sites.writing_opens
+    assert os_opens == ["cli._write_output"]
+    assert writing_opens == []

@@ -1,12 +1,16 @@
 """Truncated-Fock oracle: embedding, Kerr evolution, homodyne density."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import kerrgate
 from kerrgate import (
     ContractError,
     HybridState,
@@ -145,6 +149,27 @@ class TestTruncationLoss:
     def test_negative_cutoff_loses_all_mass(self):
         for alpha in (1e-8, 0.5, 3.0):
             assert truncation_loss(alpha, -1) == 1.0
+
+    def test_a_huge_cutoff_returns_at_once(self):
+        # the product form of a Poisson term multiplied all k factors even
+        # after it had underflowed to 0.0: k = 1e8 took 2 s and k = 1e30 never
+        # returned; a child process keeps a regression from hanging the suite
+        code = (
+            "from kerrgate.fock import truncation_loss\n"
+            "print(truncation_loss(2.0, 10**8), truncation_loss(2.0, 10**30),"
+            " truncation_loss(30.0, 10**30))"
+        )
+        src = os.path.dirname(os.path.dirname(kerrgate.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0.0", "0.0", "0.0"]
+
+    def test_an_integer_cutoff_of_any_type_is_accepted(self):
+        assert truncation_loss(2.0, np.int64(40)) == truncation_loss(2.0, 40)
 
     @pytest.mark.parametrize("bound", [1e-10, 1e-14])
     def test_required_truncation_matches_poisson_search(self, bound):

@@ -178,6 +178,24 @@ REJECTIONS = {
         lambda: required_truncation(1e200),
         ValidationError, r"^alpha must be finite and >= 0, with a finite square, got 1e\+200$",
     ),
+    # a nan bound passed the `bound < 0` check and gave a cutoff losing ~0.37;
+    # a fractional or nan cutoff raised a raw TypeError from range()
+    "required_truncation-nan-bound": (
+        lambda: required_truncation(2.0, math.nan),
+        ValidationError, r"^truncation bound must be >= 0, got nan$",
+    ),
+    "truncation_loss-fractional-cutoff": (
+        lambda: truncation_loss(2.0, 2.5),
+        ValidationError, r"^cutoff must be an integer, got 2\.5$",
+    ),
+    "truncation_loss-nan-cutoff": (
+        lambda: truncation_loss(2.0, math.nan),
+        ValidationError, r"^cutoff must be an integer, got nan$",
+    ),
+    "truncation_loss-fractional-cutoff-empty-mode": (
+        lambda: truncation_loss(0.0, 2.5),
+        ValidationError, r"^cutoff must be an integer, got 2\.5$",
+    ),
     # both engines check a circuit's wiring before they run it: run_steps
     # raises before its first step (rng=None would fail at any sampling),
     # and a batch circuit when it is built
