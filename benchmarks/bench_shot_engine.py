@@ -47,7 +47,7 @@ import numpy as np
 import pytest
 
 from kerrgate import ANCILLA_PLUS, ProbeMode, batch, run_shots
-from kerrgate.measurement import STREAM_WORDS
+from kerrgate.gates import STEP_KINDS
 
 
 def theta_for(alpha: float, xd: float = 20.0) -> float:
@@ -143,8 +143,8 @@ def block_draws(rng: np.random.Generator, shots: int, circuit: batch.Circuit) ->
     return [
         column
         for method, *args in circuit.program
-        if method.__name__ in STREAM_WORDS
-        for column in block.words[:, args[0] : args[0] + STREAM_WORDS[method.__name__]].T
+        if STEP_KINDS[method.__name__][1]
+        for column in block.words[:, args[0] : args[0] + STEP_KINDS[method.__name__][1]].T
     ]
 
 

@@ -83,9 +83,11 @@ def run_shots(
     reads one stream, ``np.random.default_rng(seed).random()``, and shot
     ``i`` takes its words ``i K .. i K + K - 1``, ``K`` being the circuit's
     ``Circuit.words``.  Each measurement reads the words that
-    :data:`kerrgate.measurement.STREAM_WORDS` declares for it, in circuit
-    order, exactly as :func:`kerrgate.gates.run_steps` reads them from a
-    generator when it runs the circuit's steps on one state.  Identical
+    :data:`kerrgate.gates.STEP_KINDS` gives its kind, in circuit order,
+    exactly as :func:`kerrgate.gates.run_steps` reads them from a
+    generator when it runs the circuit's steps on one state; both engines
+    check those steps' kinds, arities, qubits and actions against that table
+    first (:func:`kerrgate.gates.check_steps`).  Identical
     arguments therefore give identical results whatever the block size, and
     shot ``i`` replays through ``run_steps`` on ``default_rng(seed)``
     advanced by ``i K`` (``Generator.bit_generator.advance``).  ``seed`` must be a

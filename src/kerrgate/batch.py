@@ -25,9 +25,10 @@ for its qubit count: each step becomes a ``_Shots`` method and the tables it
 reads, a homodyne's label columns, a rotation's lifted matrix, a
 feed-forward's column step for each of its ``(kind, qubit)`` actions and a
 photon readout's V mask, and each measurement is given its first
-stream word and its record.  A wiring error or an unknown action kind
-raises ``ContractError`` there, and a qubit the circuit lacks
-``ValidationError`` (:func:`kerrgate.gates.check_steps`), not in a block.
+stream word and its record.  :func:`kerrgate.gates.check_steps` runs there,
+not in a block: a kind or arity that :data:`kerrgate.gates.STEP_KINDS` does
+not declare, a qubit named twice, a malformed or unknown action or a wiring
+error raises ``ContractError``, and a qubit the circuit lacks ``ValidationError``.
 A block looks nothing up for its probe: the collapse reads the peaks,
 threshold and kernel phase constants that the validated ``ProbeMode``
 derived when it was built.
@@ -52,8 +53,8 @@ Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
 A run with seed ``s`` reads one stream, ``np.random.default_rng(s).random()``
 (``run_shots`` builds it as ``Generator(PCG64(s))``, the same generator).
 Shot ``i`` takes words ``i K .. i K + K - 1`` of it, where ``K``
-(:attr:`Circuit.words`) sums :data:`kerrgate.measurement.STREAM_WORDS` over
-the circuit's measurements, as :func:`kerrgate.gates.run_steps` reads
+(:attr:`Circuit.words`) sums the words :data:`kerrgate.gates.STEP_KINDS`
+gives the circuit's measurements, as :func:`kerrgate.gates.run_steps` reads
 them.  The run builds its generator once and hands it to each block in
 turn; a block's words are one ``random((count, K))`` call on it, and each
 measurement reads its own columns of them in place, so shot ``i`` is the
@@ -72,8 +73,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .gates import ANCILLA_PLUS, check_steps, cnot_steps, entangler_45_steps, entangler_steps
-from .measurement import STREAM_WORDS, gaussian, pick_branches
+from .gates import ANCILLA_PLUS, STEP_KINDS, check_steps, cnot_steps, entangler_45_steps
+from .gates import entangler_steps
+from .measurement import gaussian, pick_branches
 from .optics import build_parity_coupling_pair, diagonal_basis_change
 from .states import ProbeMode
 
@@ -266,7 +268,7 @@ def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, 
     """``steps`` on ``n`` qubits as ``(program, words, starts)``: each step's
     ``(_Shots method, *its tables)``, the stream words a shot takes, and the
     first word of each homodyne.  A measurement's first argument is its first
-    word, and each reads the :data:`STREAM_WORDS` after it."""
+    word, and each reads the words its ``STEP_KINDS`` entry gives after it."""
     check_steps(steps, n)
     program, words, starts = [], 0, []
     for name, *args in steps:
@@ -279,7 +281,7 @@ def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, 
             starts.append(words)
         else:  # photon
             program.append((_Shots.photon, words, _v_bits(n)[:, args[0]]))
-        words += STREAM_WORDS.get(name, 0)
+        words += STEP_KINDS[name][1]
     return tuple(program), words, starts
 
 
@@ -294,7 +296,7 @@ class Circuit:
     for inputs ``c`` and ``d``.  Derived from the steps when the circuit is
     built: ``n``, its qubit count; ``program``, the steps compiled for ``n``
     qubits (:func:`_compile`); ``words``, the stream words a shot takes (the
-    sum of each measurement's ``STREAM_WORDS``); and ``noise``, the ``(2,
+    sum of its steps' ``STEP_KINDS`` words); and ``noise``, the ``(2,
     records)`` columns of each homodyne's Box-Muller pair among them, one
     column per homodyne record.
     """

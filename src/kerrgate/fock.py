@@ -44,10 +44,16 @@ def _poisson_term(k: int, lam: float) -> float:
     so the relative error stays near k ulp.  The logarithmic form
     exp(k log lam - lam - lgamma(k + 1)) loses about (k log lam) ulp to the
     rounding of its exponent (~1e-13 at lam = 100, ~5e-12 at lam = 1600), so
-    it serves only the means where e^-lam underflows.
+    it serves only the means where e^-lam underflows.  Where lgamma(k + 1)
+    overflows, past k ~ 2.6e305, the term is 0.0 beyond k = 3 lam.
     """
     if lam >= _PRODUCT_LAM_MAX:
-        return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+        try:
+            return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+        except OverflowError:  # P(N = k) < (e / 3)^k there
+            if k // 3 > lam:
+                return 0.0
+            raise ValidationError(f"Poisson term past k = 2.6e305 at mean {lam:.3g}") from None
     p = math.exp(-lam)
     for j in range(1, k + 1):
         p *= lam / j

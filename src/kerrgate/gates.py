@@ -9,10 +9,10 @@ not a replay of one engine through the other, can catch a wiring slip.
 
 The ``feed_forward`` step after a measurement lists the actions, each
 ``(kind, qubit)`` on an absolute qubit, that its flagged outcome (odd, or V
-for the photon readout) calls for.  :func:`check_steps` rejects an unknown
-kind, and a qubit the circuit lacks, before either engine runs a step, and
-:func:`run_steps` records each applied action on the returned
-:class:`GateTrace`.
+for the photon readout) calls for.  :func:`check_steps` checks each step
+against the one table of step kinds, :data:`STEP_KINDS`, before either
+engine runs a step, and :func:`run_steps` records each applied action on
+the returned :class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
 computational basis, and the three gates share one signature,
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .measurement import STREAM_WORDS, HomodyneRecord, qnd_photon_measure, sample_and_collapse
+from .measurement import HomodyneRecord, qnd_photon_measure, sample_and_collapse
 from .optics import (
     apply_cross_kerr,
     apply_single_qubit,
@@ -124,30 +124,50 @@ def cnot_steps(control: int, ancilla: int, target: int) -> tuple:
     )
 
 
+#: every circuit step kind, ``(qubits, words)``: how many qubits (for a
+#: feed-forward, actions) a step names, exactly or, for ``None``, one or more;
+#: and the ``random()`` words one sample reads, a homodyne its branch pick,
+#: then its :func:`~kerrgate.measurement.gaussian` pair, a photon readout one.
+#: A kind that reads words is a measurement.  Both shot engines read this
+#: layout, so a batched shot replays through the scalar gates.
+STEP_KINDS = {"rotate": (None, 0), "homodyne": (2, 3), "photon": (1, 1), "feed_forward": (None, 0)}
+
+
 def check_steps(steps: tuple[tuple, ...], n: int) -> None:
-    """Raise ``ContractError`` unless every step and action kind is known and
-    every feed-forward follows a measurement, a homodyne if it undoes a phase,
-    and ``ValidationError`` (:func:`~kerrgate.states.check_qubit`) unless
-    every qubit a step or action names is one of the ``n``."""
+    """Raise ``ContractError`` unless the circuit measures, each step has a
+    kind and arity of :data:`STEP_KINDS`, no qubit twice, actions ``(kind,
+    qubit)`` of known kinds and, for a feed-forward, a measurement before it,
+    a homodyne if it undoes a phase; ``ValidationError``
+    (:func:`~kerrgate.states.check_qubit`) unless its qubits are of the ``n``."""
     last = None
     for name, *args in steps:
+        if name not in STEP_KINDS:
+            raise ContractError(f"unknown circuit step {name!r}")
+        arity, words = STEP_KINDS[name]
+        if not args or arity not in (None, len(args)):
+            want = arity or "one or more"
+            raise ContractError(f"circuit step {name!r} has arity {len(args)}, not {want}")
         qubits = args
         if name == "feed_forward":
             if last is None:
                 raise ContractError("a feed-forward follows no measurement")
-            for kind, _ in args:
-                if kind == "undo-phase":
+            for action in args:
+                if not (isinstance(action, tuple) and len(action) == 2):
+                    raise ContractError(f"a feed-forward action is a (kind, qubit), got {action!r}")
+                if action[0] == "undo-phase":
                     if last != "homodyne":
                         raise ContractError("an undo-phase action follows no homodyne record")
-                elif kind not in FIXED_ACTIONS:
-                    raise ContractError(f"unknown feed-forward action {kind!r}")
+                elif action[0] not in FIXED_ACTIONS:
+                    raise ContractError(f"unknown feed-forward action {action[0]!r}")
             qubits = [qubit for _, qubit in args]
-        elif name in STREAM_WORDS:
-            last = name
-        elif name != "rotate":
-            raise ContractError(f"unknown circuit step {name!r}")
         for qubit in qubits:
             check_qubit(qubit, n)
+        if name != "feed_forward" and len(set(args)) < len(args):
+            raise ContractError(f"circuit step {name!r} names a qubit twice")
+        if words:
+            last = name
+    if last is None:
+        raise ContractError("a circuit without a measurement has no record")
 
 
 @dataclass(frozen=True)
@@ -177,8 +197,6 @@ def parity_gate(
     :func:`entangler_45` does.  No feed-forward is applied; the odd branch
     keeps its measurement-dependent phases.
     """
-    state.require_qubit(qubit_a)
-    state.require_qubit(qubit_b)
     state = state.activate_probe(probe)
     for coupling in build_parity_coupling_pair(qubit_a, qubit_b):
         state = apply_cross_kerr(state, coupling)
@@ -300,8 +318,7 @@ def cnot(
     """
     if len({control, ancilla, target}) != 3:
         raise ValidationError("control, ancilla and target must be distinct")
-    for q in (control, ancilla, target):
-        state.require_qubit(q)
+    state.require_qubit(ancilla)  # run_steps checks the other two
     _check_ancilla_plus(state, ancilla)
     steps = cnot_steps(control, ancilla, target)
     return run_steps(state, steps, probe, rng, (force_x1, force_x2, force_photon))

@@ -35,14 +35,15 @@ rotation follows the kicks); sampling such a state raises
 function here measures that one.
 
 Every stochastic operation takes an explicit ``numpy.random.Generator``
-and reads the words :data:`STREAM_WORDS` declares; identical generators give
-identical outcomes.
+and reads the words :data:`kerrgate.gates.STEP_KINDS` gives its step kind;
+identical generators give identical outcomes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -176,13 +177,6 @@ def gaussian(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)
 
 
-#: ``random()`` words one sample of each measurement reads: a homodyne its
-#: branch pick, then its :func:`gaussian` pair; a photon readout one.  Both
-#: shot engines read this layout, so a batched shot replays through the
-#: scalar gates.
-STREAM_WORDS = {"homodyne": 3, "photon": 1}
-
-
 def pick_branches(weights: np.ndarray, u: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """The branch each uniform ``u`` picks by ``weights``, one row for every
     ``u`` or a row each: the count of entries ``<= u`` of the weights' CDF,
@@ -203,7 +197,7 @@ def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) 
     is exactly a mixture of unit-variance Gaussians, one per branch: each
     sample picks a branch (:func:`pick_branches` of ``rng.random(n)``) and
     adds a standard normal made by :func:`gaussian` from ``rng.random((n,
-    2))``, the homodyne words of :data:`STREAM_WORDS`.  Box-Muller's tail
+    2))``, the homodyne words of :data:`kerrgate.gates.STEP_KINDS`.  Box-Muller's tail
     stops near 8.57 sigma, which matters only for error rates below ~1e-17.
     A state where some basis string holds two branches has interfering
     peaks and raises ``ValidationError``, as does a zero or overflowing norm.
@@ -233,13 +227,15 @@ def sample_and_collapse(
     measured ``x``; the probe is released (every phase index back to 0) and
     the state is renormalized.  ``force_x`` bypasses sampling (tests use it
     to pin the measurement record); the collapse itself is identical either
-    way.
+    way.  A ``force_x`` that is not a real number raises ``ValidationError``.
     """
     probe = state.require_probe()
     if force_x is None:
         x = float(sample_quadrature(state, rng, 1)[0])
-    else:
+    elif isinstance(force_x, numbers.Real):
         x = float(force_x)
+    else:
+        raise ValidationError(f"forced x must be a real number, got {force_x!r}")
     try:
         # weighting and releasing the probe in one merge: two labels of one
         # basis string become one branch here

@@ -211,7 +211,9 @@ class HybridState:
 
 def check_qubit(qubit_index: int, n_qubits: int) -> None:
     """Raise ``ValidationError`` unless ``qubit_index`` is an integer in
-    ``range(n_qubits)``."""
+    ``range(n_qubits)``; a ``bool`` is not an index, as ``np.bool_`` is not."""
+    if isinstance(qubit_index, bool):
+        raise ValidationError(f"qubit index must be an integer, got {qubit_index!r}")
     if not (0 <= _integer(qubit_index, "qubit index") < n_qubits):
         raise ValidationError(f"qubit index {qubit_index} out of range for {n_qubits} qubits")
 

@@ -19,20 +19,27 @@ The words each block's measurements read are checked bit for bit against
 those replay generators, for seeds of one to five 32-bit words and for
 blocks at and across ``2**32``, and an unforced scalar shot must read
 exactly the words its circuit declares.
+
+Both engines run every step kind ``gates.STEP_KINDS`` declares, and a
+``hypothesis`` property over short circuits, often malformed, requires
+that they refuse the same ones with the same error, and that the shots of
+the ones they accept replay alike.
 """
 
 import math
 import sys
 import threading
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrgate import (
     ANCILLA_PLUS,
+    ContractError,
     HybridState,
     ProbeMode,
     ValidationError,
@@ -44,12 +51,13 @@ from kerrgate import analysis, batch
 from kerrgate.analysis import LOGICAL_ERROR_FIDELITY
 from kerrgate.gates import (
     FIXED_ACTIONS,
+    STEP_KINDS,
     cnot_steps,
     entangler_45_steps,
     entangler_steps,
     run_steps,
 )
-from kerrgate.measurement import STREAM_WORDS, gaussian
+from kerrgate.measurement import gaussian
 from kerrgate.states import ALPHA_MAX
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
@@ -74,13 +82,13 @@ def basis_pair(rng):
 
 def replay(experiment, inputs, probe, rng, forced=()):
     """One shot of ``experiment`` through ``run_steps``, on its circuit's
-    steps from the circuit's product input: (records, the photon outcome or
-    None, final state)."""
+    steps from the circuit's product input: (records, the last photon
+    outcome, the one a block records, or None, final state)."""
     circuit = batch.CIRCUITS[experiment]
     c, d = inputs
     state = new_state([c, ANCILLA_PLUS, d] if circuit.ancilla else [c, d])
     trace, final = run_steps(state, circuit.steps, probe, rng, forced)
-    photon = trace.photon_outcomes[0][1] if trace.photon_outcomes else None
+    photon = trace.photon_outcomes[-1][1] if trace.photon_outcomes else None
     return trace.records, photon, final
 
 
@@ -169,24 +177,37 @@ def scalar_fidelities(experiment, inputs, probe, shots, seed):
     return np.array(odd), np.array(fid)
 
 
-def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
-    """Replay each shot of the block through the scalar engine, sampled and
-    forced; return the block."""
+def assert_same_shots(experiment, inputs, probe, seed, shots, start=0):
+    """Replay each shot of the block through the scalar engine on its own
+    generator, which must read exactly the circuit's words, to the block's
+    records and final state; return the block and the replays."""
     block = run_block(experiment, inputs, probe, seed, start, start + shots)
     circuit = batch.CIRCUITS[experiment]
+    replays = []
     for i in range(shots):
-        records, photon, final = replay(
-            experiment, inputs, probe, shot_rng(seed, start + i, circuit.words)
-        )
+        rng = shot_rng(seed, start + i, circuit.words)
+        records, photon, final = replay(experiment, inputs, probe, rng)
+        after = shot_rng(seed, start + i + 1, circuit.words)
+        assert rng.bit_generator.state == after.bit_generator.state
         assert [r.parity == "odd" for r in records] == list(block.odd[i])
-        for r, x, phi in zip(records, block.x[i], block.phi[i]):
+        for r, x, phi in zip(records, block.x[i], block.phi[i], strict=True):
             assert abs(x - r.x) <= 1e-9 * max(1.0, abs(r.x))
             assert abs(np.exp(1j * phi) - np.exp(1j * r.phi)) <= 1e-9
         assert (photon == "V") == block.photon_v[i]
         assert state_fidelity(dense(final), block.final[i]) >= 1.0 - 1e-12
         # elementwise too: a fidelity cannot see a global phase
         np.testing.assert_allclose(dense(final), block.final[i], rtol=0, atol=1e-12)
+        replays.append((records, photon, final))
+    return block, replays
 
+
+def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
+    """Replay each shot of the block through the scalar engine, sampled
+    (:func:`assert_same_shots`) and forced, and check its fidelity with the
+    ideal; return the block."""
+    block, replays = assert_same_shots(experiment, inputs, probe, seed, shots, start)
+    circuit = batch.CIRCUITS[experiment]
+    for i, (records, photon, final) in enumerate(replays):
         ideal = ideal_state(experiment, *inputs, records[0], photon)
         fid = fidelity(final, ideal) if ideal is not None else 0.0
         assert block.fidelity[i] == pytest.approx(fid, abs=1e-12)
@@ -417,7 +438,7 @@ def test_programs_declare_their_words_and_hold_every_table(monkeypatch):
     for circuit in batch.CIRCUITS.values():
         measured = compiled_measurements(circuit)
         assert [kind for kind, _ in measured] == measurements(circuit)
-        sizes = [STREAM_WORDS[kind] for kind, _ in measured]
+        sizes = [STEP_KINDS[kind][1] for kind, _ in measured]
         assert [args[0] for _, args in measured] == [sum(sizes[:k]) for k in range(len(sizes))]
         assert circuit.words == sum(sizes)
         homodynes = [args for kind, args in measured if kind == "homodyne"]
@@ -470,7 +491,7 @@ def bits(values) -> list[int]:
 
 def measurements(circuit) -> list[str]:
     """The circuit's measurement steps, in order, by name."""
-    return [name for name, *_ in circuit.steps if name in STREAM_WORDS]
+    return [name for name, *_ in circuit.steps if STEP_KINDS[name][1]]
 
 
 def compiled_measurements(circuit) -> list[tuple[str, tuple]]:
@@ -479,7 +500,7 @@ def compiled_measurements(circuit) -> list[tuple[str, tuple]]:
     return [
         (method.__name__, args)
         for method, *args in circuit.program
-        if method.__name__ in STREAM_WORDS
+        if STEP_KINDS[method.__name__][1]
     ]
 
 
@@ -510,7 +531,7 @@ def engine_rows(seed, start, count, circuit) -> np.ndarray:
     shots = batch._Shots(count, ProbeMode(8.0, 0.5), rng, circuit)
     columns = []
     for kind, (word, *args) in compiled_measurements(circuit):
-        columns += list(shots.words[:, word : word + STREAM_WORDS[kind]].T)
+        columns += list(shots.words[:, word : word + STEP_KINDS[kind][1]].T)
         if kind == "homodyne":
             columns.append(shots.normals[args[0]])
     return np.array(columns).T
@@ -556,6 +577,116 @@ def test_scalar_gates_read_the_words_their_circuit_declares(experiment):
             rng = shot_rng(seed, 0, words)
             replay(experiment, inputs, probe, rng)
             assert rng.bit_generator.state == shot_rng(seed, 1, words).bit_generator.state
+
+
+def trial_ideal(shots, c, d):
+    """A trial circuit's ideal: its own final rows, so every fidelity is 1."""
+    return shots.amp
+
+
+TRIAL_PROBE = ProbeMode(8.0, theta_for(8.0, 4.0))
+TRIAL_INPUTS = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
+
+
+def assert_engines_run_alike(steps, shots=4):
+    """``steps`` on two qubits as a batch circuit whose program calls each
+    step kind's own ``_Shots`` method, and whose shots replay through
+    ``run_steps`` (:func:`assert_same_shots`)."""
+    circuit = batch.Circuit(False, steps, trial_ideal)
+    assert [method.__name__ for method, *_ in circuit.program] == [name for name, *_ in steps]
+    with mock.patch.dict(batch.CIRCUITS, trial=circuit):
+        assert_same_shots("trial", TRIAL_INPUTS, TRIAL_PROBE, 11, shots)
+
+
+@pytest.mark.parametrize("kind", list(STEP_KINDS))
+def test_both_engines_run_every_kind_the_table_declares(kind):
+    """Each kind, after a homodyne for a feed-forward to follow: a shot takes
+    the words the table gives, and both engines run the kind alike."""
+    qubits, words = STEP_KINDS[kind]
+    step = (kind, ("flip", 1)) if kind == "feed_forward" else (kind, *range(qubits or 1))
+    steps = (("homodyne", 0, 1), step)
+    assert batch.Circuit(False, steps, trial_ideal).words == STEP_KINDS["homodyne"][1] + words
+    assert_engines_run_alike(steps, shots=16)
+
+
+#: a step argument the property draws: one of the two qubits more often
+#: than one past either end or a bool; an action, well formed more often than
+#: of an unknown kind or malformed
+QUBITS = st.sampled_from([0, 1, 0, 1, 0, 1, -1, 2, True])
+ACTIONS = st.one_of(
+    st.tuples(st.sampled_from(["undo-phase", *FIXED_ACTIONS]), QUBITS),
+    st.sampled_from([("teleport", 0), ("flip",), ("flip", 0, 1), "flip"]),
+)
+
+
+@st.composite
+def circuit_step(draw):
+    """A step of a real kind, or less often an unknown one, with 0 to 3
+    arguments, half the time as many as its kind takes (one for one or
+    more)."""
+    name = draw(st.sampled_from([*STEP_KINDS, *STEP_KINDS, "measure"]))
+    arity = STEP_KINDS[name][0] if name in STEP_KINDS else None
+    size = draw(st.one_of(st.just(arity or 1), st.integers(0, 3)))
+    arg = ACTIONS if name == "feed_forward" else QUBITS
+    return (name, *draw(st.lists(arg, min_size=size, max_size=size)))
+
+
+def outcome(build):
+    """None when ``build()`` returns, else its error's type and message."""
+    try:
+        build()
+    except Exception as error:  # compared, and required to be ours, by the caller
+        return type(error), str(error)
+    return None
+
+
+def assert_engines_agree(steps):
+    """``run_steps`` and ``batch.Circuit`` both refuse ``steps`` with the same
+    ``ContractError`` or ``ValidationError``, or both accept them, and then
+    the circuit's shots replay alike; return the refusal or None."""
+    state = new_state(list(TRIAL_INPUTS))
+    scalar = outcome(lambda: run_steps(state, steps, TRIAL_PROBE, np.random.default_rng(0)))
+    assert outcome(lambda: batch.Circuit(False, steps, trial_ideal)) == scalar
+    if scalar is None:
+        assert_engines_run_alike(steps)
+    else:
+        assert scalar[0] in (ContractError, ValidationError)
+    return scalar
+
+
+#: circuits that each engine once took its own way: it ran a repeated qubit
+#: once or twice, read a photon readout's first qubit alone, ran a circuit
+#: that measures nothing, or raised a raw error
+MALFORMED = {
+    "rotate-repeated-qubit": (("rotate", 0, 0), ("homodyne", 0, 1)),
+    "photon-two-qubits": (("homodyne", 0, 1), ("photon", 0, 1)),
+    "photon-no-qubit": (("homodyne", 0, 1), ("photon",)),
+    "homodyne-one-qubit": (("homodyne", 0),),
+    "homodyne-repeated-qubit": (("homodyne", 0, 0),),
+    "homodyne-bool-qubit": (("homodyne", True, 0),),
+    "rotate-no-qubit": (("rotate",), ("homodyne", 0, 1)),
+    "no-measurement": (("rotate", 0),),
+    **{
+        f"action-{k}": (("homodyne", 0, 1), ("feed_forward", action))
+        for k, action in enumerate([("flip",), ("flip", 0, 1), "flip"])
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_both_engines_refuse_each_malformed_circuit(case):
+    assert assert_engines_agree(MALFORMED[case]) is not None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lead=st.sampled_from([(), (("homodyne", 0, 1),), (("photon", 1),)]),
+       drawn=st.lists(circuit_step(), min_size=1, max_size=3))
+@example(lead=(("photon", 1),), drawn=[("feed_forward", ("flip", 0), ("flip", 0))])
+@example(lead=(), drawn=list(entangler_45_steps(1, 0, ("sign-flip", 1))))
+def test_both_engines_refuse_the_same_circuits(lead, drawn):
+    """Short circuits on two qubits, well formed or not, of real kinds and
+    an unknown one, most led by a measurement for a feed-forward to follow."""
+    assert_engines_agree((*lead, *drawn))
 
 
 @pytest.mark.parametrize("seed", SEED_WIDTHS)

@@ -168,6 +168,13 @@ class TestTruncationLoss:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["0.0", "0.0", "0.0"]
 
+    @pytest.mark.parametrize("n", [10**306, 10**308, 10**400], ids=["1e306", "1e308", "1e400"])
+    def test_a_cutoff_past_the_float_range_loses_nothing(self, n):
+        # at a mean past e^-lam's range the first term comes from lgamma(k + 1),
+        # which overflows past k ~ 2.6e305, as k itself does past ~1.8e308:
+        # both raised a raw OverflowError
+        assert truncation_loss(30.0, n) == 0.0
+
     def test_an_integer_cutoff_of_any_type_is_accepted(self):
         assert truncation_loss(2.0, np.int64(40)) == truncation_loss(2.0, 40)
 

@@ -44,6 +44,22 @@ def unequal_oracle_states():
     return oracle_embed(state, 14), oracle_embed(state, 16)
 
 
+def both_engines(case, steps, error, message):
+    """Two cases: ``steps`` refused by ``run_steps`` before its first step (an
+    rng of None would fail at any sampling) and by ``batch.Circuit`` when it
+    is built, with one error."""
+    return {
+        f"scalar-{case}": (lambda: gates.run_steps(TWO_QUBITS, steps, PROBE, None), error, message),
+        f"batch-{case}": (
+            lambda: batch.Circuit(False, steps, batch._entangler_ideal), error, message
+        ),
+    }
+
+
+def after_homodyne(*actions):
+    return (("homodyne", 0, 1), ("feed_forward", *actions))
+
+
 #: (call, exception type, message pattern); a call builds its own arguments
 REJECTIONS = {
     "run_shots-zero-shots": (
@@ -282,6 +298,89 @@ REJECTIONS = {
     "batch-unknown-step": (
         lambda: batch.Circuit(False, (("measure", 0),), batch._entangler_ideal),
         ContractError, r"^unknown circuit step 'measure'$",
+    ),
+    # check_steps reads each step's shape from gates.STEP_KINDS: the batch
+    # engine rotated a repeated qubit once and read a photon readout's first
+    # qubit alone, where the scalar one rotated it twice or raised a raw
+    # TypeError, and a bool passed as qubit 1 in one engine only
+    **both_engines(
+        "rotate-repeated-qubit", (("homodyne", 0, 1), ("rotate", 0, 0)),
+        ContractError, r"^circuit step 'rotate' names a qubit twice$",
+    ),
+    **both_engines(
+        "photon-two-qubits", (("homodyne", 0, 1), ("photon", 0, 1)),
+        ContractError, r"^circuit step 'photon' has arity 2, not 1$",
+    ),
+    **both_engines(
+        "photon-no-qubit", (("homodyne", 0, 1), ("photon",)),
+        ContractError, r"^circuit step 'photon' has arity 0, not 1$",
+    ),
+    **both_engines(
+        "homodyne-one-qubit", (("photon", 0), ("homodyne", 0)),
+        ContractError, r"^circuit step 'homodyne' has arity 1, not 2$",
+    ),
+    **both_engines(
+        "homodyne-repeated-qubit", (("photon", 0), ("homodyne", 0, 0)),
+        ContractError, r"^circuit step 'homodyne' names a qubit twice$",
+    ),
+    **both_engines(
+        "rotate-no-qubit", (("homodyne", 0, 1), ("rotate",)),
+        ContractError, r"^circuit step 'rotate' has arity 0, not one or more$",
+    ),
+    **both_engines(
+        "feed-forward-no-action", after_homodyne(),
+        ContractError, r"^circuit step 'feed_forward' has arity 0, not one or more$",
+    ),
+    **both_engines(
+        "action-without-qubit", after_homodyne(("flip",)),
+        ContractError, r"^a feed-forward action is a \(kind, qubit\), got \('flip',\)$",
+    ),
+    **both_engines(
+        "action-with-two-qubits", after_homodyne(("flip", 0, 1)),
+        ContractError, r"^a feed-forward action is a \(kind, qubit\), got \('flip', 0, 1\)$",
+    ),
+    **both_engines(
+        "action-as-a-string", after_homodyne("flip"),
+        ContractError, r"^a feed-forward action is a \(kind, qubit\), got 'flip'$",
+    ),
+    **both_engines(
+        "bool-qubit", (("homodyne", True, 0),),
+        ValidationError, r"^qubit index must be an integer, got True$",
+    ),
+    **both_engines(
+        "no-measurement", (("rotate", 0),),
+        ContractError, r"^a circuit without a measurement has no record$",
+    ),
+    "require_qubit-bool": (
+        lambda: ONE_QUBIT.require_qubit(False),
+        ValidationError, r"^qubit index must be an integer, got False$",
+    ),
+    # a forced homodyne outcome that float() refuses raised its raw error
+    "cnot-forced-x-string": (
+        lambda: cnot(new_state([(1, 0), ANCILLA_PLUS, (1, 0)]), 0, 1, 2, PROBE,
+                     np.random.default_rng(1), force_x1="odd"),
+        ValidationError, r"^forced x must be a real number, got 'odd'$",
+    ),
+    "scalar-forced-x-photon-outcome": (
+        lambda: gates.run_steps(TWO_QUBITS, gates.entangler_steps(0, 1), PROBE, None, ("H",)),
+        ValidationError, r"^forced x must be a real number, got 'H'$",
+    ),
+    "scalar-forced-x-complex": (
+        lambda: gates.run_steps(TWO_QUBITS, gates.entangler_steps(0, 1), PROBE, None, (200j,)),
+        ValidationError, r"^forced x must be a real number, got 200j$",
+    ),
+    # float() of a NumPy complex drops its imaginary part with a warning
+    "scalar-forced-x-numpy-complex": (
+        lambda: gates.run_steps(
+            TWO_QUBITS, gates.entangler_steps(0, 1), PROBE, None, (np.complex128(195 + 7j),)
+        ),
+        ValidationError, r"^forced x must be a real number, got np\.complex128\(195\+7j\)$",
+    ),
+    # at a mean near 1e308 the tail past 1e308 is about 1/2, so the Poisson
+    # term whose lgamma overflows is not 0.0 there; it raised OverflowError
+    "truncation_loss-cutoff-past-floats-near-the-mean": (
+        lambda: truncation_loss(1e154, 10**308),
+        ValidationError, r"^Poisson term past k = 2\.6e305 at mean 1e\+308$",
     ),
 }
 
