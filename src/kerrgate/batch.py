@@ -18,17 +18,21 @@ ideal output, and whether it holds the CNOT ancilla.  Here each step is one
 array operation on the block, a ``_Shots`` method: a rotation is one
 ``2**n x 2**n`` matrix for its qubits together, a homodyne multiplies each
 shot by the measurement kernel ``<x|beta_k>`` (up to its constant factor),
-and a feed-forward's actions act on the block's columns (see ``_Step``).
+and each feed-forward action is one generic ``_Step`` on the block's
+columns, built from its :data:`kerrgate.gates.ACTIONS` entry: a permutation
+if the kind exchanges H and V, then a multiply by its factors.
 
 A circuit is compiled once, when it is built, into :attr:`Circuit.program`
 for its qubit count: each step becomes a ``_Shots`` method and the tables it
 reads, a homodyne's label columns, a rotation's lifted matrix, a
 feed-forward's column step for each of its ``(kind, qubit)`` actions and a
-photon readout's V mask, and each measurement is given its first
-stream word and its record.  :func:`kerrgate.gates.check_steps` runs there,
-not in a block: a kind or arity that :data:`kerrgate.gates.STEP_KINDS` does
-not declare, a qubit named twice, a malformed or unknown action or a wiring
-error raises ``ContractError``, and a qubit the circuit lacks ``ValidationError``.
+photon readout's V mask, and each measurement is given its first stream
+word and its record: a homodyne its row of ``x``, ``odd`` and ``eip``, a
+photon readout its row of ``photon_v``.  :func:`kerrgate.gates.check_steps`
+runs there, not in a block: a kind or arity that
+:data:`kerrgate.gates.STEP_KINDS` does not declare, a qubit named twice, a
+malformed or unknown action or a wiring error raises ``ContractError``, and
+a qubit the circuit lacks ``ValidationError``.
 A block looks nothing up for its probe: the collapse reads the peaks,
 threshold and kernel phase constants that the validated ``ProbeMode``
 derived when it was built.
@@ -73,8 +77,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .gates import ANCILLA_PLUS, STEP_KINDS, check_steps, cnot_steps, entangler_45_steps
-from .gates import entangler_steps
+from .gates import ACTIONS, ANCILLA_PLUS, STEP_KINDS, check_steps, cnot_steps
+from .gates import entangler_45_steps, entangler_steps
 from .measurement import gaussian, pick_branches
 from .optics import build_parity_coupling_pair, diagonal_basis_change
 from .states import ProbeMode
@@ -119,35 +123,32 @@ def _rotation(n: int, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 class _Step(NamedTuple):
-    """One feed-forward action as an operation on a block's columns.
+    """One action of :data:`~kerrgate.gates.ACTIONS` on a block's columns,
+    each part ``None`` if unused: column ``j`` takes column ``flip[j]`` (its
+    qubit's bit flipped), then is multiplied by a fixed ``factor[j]`` (not
+    1, 1) or by ``eip[phase[j]]`` (``phase`` the V bit) of the last collapse."""
 
-    ``flip`` moves column ``table[j]`` to column ``j``; ``sign-flip``
-    multiplies column ``j`` by ``table[j]`` (-1 on the qubit's V columns, 1
-    elsewhere); ``undo-phase`` multiplies column ``j`` by ``eip[table[j]]``
-    of the last collapse's ``eip = (e^{-ip}, e^{ip})``, one of each per
-    shot: ``table`` is 1 on the qubit's V columns and 0 elsewhere.
-    """
-
-    kind: str
-    table: np.ndarray
+    flip: np.ndarray | None
+    factor: np.ndarray | None
+    phase: np.ndarray | None
 
     def apply(self, amp: np.ndarray, eip: np.ndarray | None) -> np.ndarray:
-        if self.kind == "flip":
-            return amp[:, self.table]
-        if self.kind == "sign-flip":
-            return amp * self.table
-        return amp * eip.T[:, self.table]
+        if self.flip is not None:
+            amp = amp[:, self.flip]
+        if self.factor is not None:
+            amp = amp * self.factor
+        return amp if self.phase is None else amp * eip.T[:, self.phase]
 
 
 @lru_cache(maxsize=None)
 def _step(n: int, kind: str, qubit: int) -> _Step:
     """The action ``(kind, qubit)`` on ``n`` qubits as a column step."""
-    if kind == "flip":
-        return _Step(kind, _frozen(np.arange(1 << n) ^ (1 << (n - 1 - qubit))))
-    v = _v_bits(n)[:, qubit]
-    if kind == "sign-flip":
-        return _Step(kind, _frozen(np.where(v, -1.0, 1.0)))
-    return _Step(kind, _frozen(v.astype(np.intp)))
+    flips, factors = ACTIONS[kind]
+    flip = _frozen(np.arange(1 << n) ^ (1 << (n - 1 - qubit))) if flips else None
+    v = _frozen(_v_bits(n)[:, qubit].astype(np.intp))
+    if factors is None:
+        return _Step(flip, None, v)
+    return _Step(flip, None if factors == (1, 1) else _frozen(np.array(factors, complex)[v]), None)
 
 
 class _Shots:
@@ -164,7 +165,8 @@ class _Shots:
     measurement reads its own columns of them in place; ``normals`` holds
     every homodyne's Box-Muller normal, a row per record, made from its noise
     pair in one :func:`gaussian` call.  Homodyne record ``j`` keeps its
-    collapse's ``(e^{-ip}, e^{ip})`` in ``eip[j]``.  Each measurement leaves
+    collapse's ``(e^{-ip}, e^{ip})`` in ``eip[j]``, and photon readout ``j``
+    its V reading in ``photon_v[j]``.  Each measurement leaves
     its outcome as ``flag`` (set where a homodyne read odd or the photon read
     V) and its ``eip`` as ``flag_eip`` (``None`` after a photon readout), for
     the ``feed_forward`` that follows it, and itself as ``last``, ``(what,
@@ -181,7 +183,7 @@ class _Shots:
         self.x = np.empty((records, count))
         self.odd = np.empty((records, count), bool)
         self.eip = np.empty((records, 2, count), complex)
-        self.photon_v = np.zeros(count, bool)
+        self.photon_v = np.empty((circuit.readouts, count), bool)
         self.last = None
 
     def prepare(self, pairs) -> None:
@@ -241,16 +243,16 @@ class _Shots:
         self.flag, self.flag_eip = odd, eip
         self.last = ("collapse", x)
 
-    def photon(self, word: int, v_mask: np.ndarray) -> None:
-        """QND {H, V} readout of one qubit, from stream word ``word``:
-        ``v_mask`` marks the qubit's V columns."""
+    def photon(self, word: int, j: int, v_mask: np.ndarray) -> None:
+        """QND {H, V} readout of one qubit, from stream word ``word``, as
+        photon readout ``j``: ``v_mask`` marks the qubit's V columns."""
         weights = np.abs(self.amp) ** 2
         total = np.add.reduce(weights, axis=1)
         self._check_norm(total)
         p_v = np.add.reduce(weights, axis=1, where=v_mask) / total
-        v = self.words[:, word] < p_v
+        v = np.less(self.words[:, word], p_v, out=self.photon_v[j])
         self.amp = np.where(v[:, None] == v_mask, self.amp, 0j)
-        self.photon_v = self.flag = v
+        self.flag = v
         self.flag_eip = None
         self.last = ("photon readout", None)
 
@@ -264,13 +266,14 @@ class _Shots:
         self.amp = np.where(self.flag[:, None], corrected, self.amp)
 
 
-def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, list[int]]:
-    """``steps`` on ``n`` qubits as ``(program, words, starts)``: each step's
-    ``(_Shots method, *its tables)``, the stream words a shot takes, and the
-    first word of each homodyne.  A measurement's first argument is its first
-    word, and each reads the words its ``STEP_KINDS`` entry gives after it."""
+def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, list[int], int]:
+    """``steps`` on ``n`` qubits as ``(program, words, starts, readouts)``:
+    each step's ``(_Shots method, *its tables)``, the stream words a shot
+    takes, the first word of each homodyne and the number of photon readouts.
+    A measurement's arguments are its first word, then its record's index;
+    each reads the words its ``STEP_KINDS`` entry gives after the first."""
     check_steps(steps, n)
-    program, words, starts = [], 0, []
+    program, words, starts, readouts = [], 0, [], 0
     for name, *args in steps:
         if name == "rotate":
             program.append((_Shots.rotate, _rotation(n, tuple(args))))
@@ -280,9 +283,10 @@ def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, 
             program.append((_Shots.homodyne, words, len(starts), _label_columns(n, *args)))
             starts.append(words)
         else:  # photon
-            program.append((_Shots.photon, words, _v_bits(n)[:, args[0]]))
+            program.append((_Shots.photon, words, readouts, _v_bits(n)[:, args[0]]))
+            readouts += 1
         words += STEP_KINDS[name][1]
-    return tuple(program), words, starts
+    return tuple(program), words, starts, readouts
 
 
 @dataclass(frozen=True)
@@ -296,9 +300,9 @@ class Circuit:
     for inputs ``c`` and ``d``.  Derived from the steps when the circuit is
     built: ``n``, its qubit count; ``program``, the steps compiled for ``n``
     qubits (:func:`_compile`); ``words``, the stream words a shot takes (the
-    sum of its steps' ``STEP_KINDS`` words); and ``noise``, the ``(2,
+    sum of its steps' ``STEP_KINDS`` words); ``noise``, the ``(2,
     records)`` columns of each homodyne's Box-Muller pair among them, one
-    column per homodyne record.
+    column per homodyne record; and ``readouts``, its photon readouts.
     """
 
     ancilla: bool
@@ -308,13 +312,15 @@ class Circuit:
     program: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     words: int = field(init=False)
     noise: np.ndarray = field(init=False, repr=False, compare=False)
+    readouts: int = field(init=False)
 
     def __post_init__(self):
         n = 3 if self.ancilla else 2
-        program, words, starts = _compile(n, self.steps)
+        program, words, starts, readouts = _compile(n, self.steps)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "program", program)
         object.__setattr__(self, "words", words)
+        object.__setattr__(self, "readouts", readouts)
         # a homodyne's words are its branch pick, then its noise pair
         object.__setattr__(self, "noise", _frozen(np.array(starts, np.intp) + [[1], [2]]))
 
@@ -362,7 +368,7 @@ def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
             (0, 0, c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0),
         )
     )
-    return forms.take(shots.photon_v, axis=0)
+    return forms.take(shots.photon_v[0], axis=0)
 
 
 #: experiment name -> circuit, in the order the CLI lists them; the CNOT's
@@ -380,13 +386,13 @@ class ShotBlock:
     """The shots of one block, one row per shot.
 
     ``x``, ``odd`` and ``phi`` have one column per homodyne record in circuit
-    order; ``photon_v`` is True where the CNOT ancilla read V (all False for
-    the photon-free experiments); ``fidelity`` is the fidelity of the final
-    polarization amplitudes with the record-conditional ideal.  ``amp`` holds
-    those amplitudes unnormalized and ``n2`` their squared norms; ``final``
-    is them normalized, computed when first read.  ``eip`` holds each
-    collapse's ``e^{ip}``, a row per record, and ``phi`` is its phase ``p``
-    (``arctan2`` mod 2 pi), also computed when first read.
+    order, and ``photon_v`` one per photon readout, True where it read V
+    (none for the photon-free experiments); ``fidelity`` is the fidelity of
+    the final polarization amplitudes with the record-conditional ideal.
+    ``amp`` holds those amplitudes unnormalized and ``n2`` their squared
+    norms; ``final`` is them normalized, computed when first read.
+    ``eip`` holds each collapse's ``e^{ip}``, a row per record, and ``phi``
+    is its phase ``p`` (``arctan2`` mod 2 pi), also computed when first read.
     """
 
     x: np.ndarray
@@ -453,7 +459,7 @@ def run_block(
     return ShotBlock(
         x=shots.x.T,
         odd=shots.odd.T,
-        photon_v=shots.photon_v,
+        photon_v=shots.photon_v.T,
         fidelity=fidelity,
         amp=shots.amp,
         n2=n2,

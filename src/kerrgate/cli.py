@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +54,17 @@ class ExperimentConfig:
     sweep_gate: str = "parity"
     output: str = "results.csv"
     format: str = "csv"
+
+    @functools.cached_property
+    def probes(self) -> tuple[ProbeMode, ...]:
+        """The probe of every row the config writes, in row order, built once
+        for validation and the run alike: the one ``(alpha, theta)`` of a
+        shot experiment or ``validate-oracle``, or each ``(grid_alpha[i],
+        grid_theta[j])`` pair of a sweep, ``i`` outermost."""
+        if self.experiment != "sweep":
+            return (_probe(self.alpha, self.theta, "alpha", "theta"),)
+        return tuple(_probe(alpha, theta, "grid_alpha", "grid_theta")
+                     for alpha in self.grid_alpha for theta in self.grid_theta)
 
 
 class ConfigError(ValidationError):
@@ -246,16 +257,6 @@ def _probe(alpha: float, theta: float, alpha_key: str, theta_key: str) -> ProbeM
     raise ConfigError(f"{theta_key}: {refused}") from None
 
 
-def _points(config: ExperimentConfig) -> Iterable[ProbeMode]:
-    """The probe of every row ``config`` writes, in row order: the one
-    ``(alpha, theta)`` of a shot experiment or ``validate-oracle``, or each
-    ``(grid_alpha[i], grid_theta[j])`` pair of a sweep, ``i`` outermost."""
-    if config.experiment != "sweep":
-        return (_probe(config.alpha, config.theta, "alpha", "theta"),)
-    return (_probe(alpha, theta, "grid_alpha", "grid_theta")
-            for alpha in config.grid_alpha for theta in config.grid_theta)
-
-
 def _validate_config(config: ExperimentConfig) -> None:
     if config.experiment == "sweep":  # no row reads --alpha, --theta; still required, so valid
         _probe(config.alpha, config.theta, "alpha", "theta")
@@ -272,8 +273,7 @@ def _validate_config(config: ExperimentConfig) -> None:
         )
     if config.input is not None and len(config.input) != 2:
         raise ConfigError("input: expected exactly two amplitude pairs")
-    for _ in _points(config):  # every row's probe, before any row runs; last, as it costs most
-        pass
+    config.probes  # every row's probe, before any row runs; last, as it costs most
 
 
 def _row(config, experiment, probe, error_rate, error_ci, mean_fidelity) -> dict:
@@ -374,7 +374,7 @@ def run(config: ExperimentConfig) -> int:
     inputs = config.input or (ANCILLA_PLUS, ANCILLA_PLUS)
     gate = config.sweep_gate if config.experiment == "sweep" else config.experiment
     ok, rows = True, []
-    for probe in _points(config):
+    for probe in config.probes:
         if gate == "validate-oracle":  # its only point
             row, ok = _validate_oracle(config, probe, inputs)
         else:

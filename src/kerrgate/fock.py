@@ -15,6 +15,7 @@ runtime needs NumPy and the standard library only.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -254,6 +255,11 @@ def oracle_apply_single_qubit(state: FockOracleState, gate: SingleQubitGate) -> 
     return FockOracleState(vector, state.probe)
 
 
+#: -log of the smallest normal double: where x^2/4 exceeds it, past |x| =
+#: 53.23, the recurrence's seed psi_0 ~ e^{-x^2/4} is subnormal, then 0.0
+_LOG_TINY = -math.log(sys.float_info.min)
+
+
 def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
     """Harmonic-oscillator eigenfunctions psi_n(x) for the x = a + a^dagger
     convention, rows n = 0..n_max.
@@ -265,12 +271,20 @@ def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
         psi_{n+1} = sqrt(2 / (n + 1)) u psi_n - sqrt(n / (n + 1)) psi_{n-1},
 
     with u = x / sqrt 2.  Each row is written in place, in that operation
-    order, so no row allocates a temporary.
+    order, so no row allocates a temporary.  An ``x`` whose ``x^2/4``
+    exceeds ``_LOG_TINY`` (|x| past about 53.23), where psi_0 underflows and
+    every row would read 0 or lost digits, raises ``ValidationError``.
     """
     x = np.asarray(x, dtype=float)
+    exponent = -0.25 * x**2
+    if np.minimum.reduce(exponent, axis=None, initial=0.0) < -_LOG_TINY:
+        raise ValidationError(
+            f"oscillator eigenfunctions underflow at x = {float(x[exponent < -_LOG_TINY][0])!r}: "
+            f"e^(-x^2/4) is subnormal past |x| = {2.0 * math.sqrt(_LOG_TINY):.6g}"
+        )
     u = x / math.sqrt(2.0)
     psi = np.empty((n_max + 1, x.size), dtype=float)
-    psi[0] = (2.0 * math.pi) ** -0.25 * np.exp(-0.25 * x**2)
+    psi[0] = (2.0 * math.pi) ** -0.25 * np.exp(exponent)
     if n_max >= 1:
         np.multiply(u, math.sqrt(2.0), out=psi[1])
         psi[1] *= psi[0]

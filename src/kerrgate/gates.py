@@ -9,10 +9,13 @@ not a replay of one engine through the other, can catch a wiring slip.
 
 The ``feed_forward`` step after a measurement lists the actions, each
 ``(kind, qubit)`` on an absolute qubit, that its flagged outcome (odd, or V
-for the photon readout) calls for.  :func:`check_steps` checks each step
-against the one table of step kinds, :data:`STEP_KINDS`, before either
-engine runs a step, and :func:`run_steps` records each applied action on
-the returned :class:`GateTrace`.
+for the photon readout) calls for.  Each action kind is declared once, in
+:data:`ACTIONS`, as whether it exchanges H and V and its (H, V) factors,
+and both engines build an action from its entry.  :func:`check_steps`
+checks each step against the one table of step kinds, :data:`STEP_KINDS`,
+and each action against :data:`ACTIONS`, before either engine runs a step,
+and :func:`run_steps` records each applied action on the returned
+:class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
 computational basis, and the three gates share one signature,
@@ -48,13 +51,13 @@ import numpy as np
 from .errors import ContractError, ValidationError
 from .measurement import HomodyneRecord, qnd_photon_measure, sample_and_collapse
 from .optics import (
+    SingleQubitGate,
     apply_cross_kerr,
     apply_single_qubit,
     bit_flip,
     build_parity_coupling_pair,
     diagonal_basis_change,
     diagonal_gate,
-    sign_flip,
 )
 from .states import HybridState, ProbeMode, check_qubit
 
@@ -66,13 +69,14 @@ ANCILLA_PLUS = (_SQRT_HALF, _SQRT_HALF)
 _ANCILLA_TOL = 1e-9
 
 
-#: one feed-forward action, ``(kind, qubit)``: the kind is ``undo-phase`` or a
-#: key of :data:`FIXED_ACTIONS`, and the qubit an absolute index
+#: one feed-forward action, ``(kind, qubit)``: the kind a key of
+#: :data:`ACTIONS`, and the qubit an absolute index
 Action = tuple[str, int]
 
-#: fixed single-qubit gate behind each feed-forward action kind; the remaining
-#: kind, ``undo-phase``, depends on the measured phase (see :func:`_apply_actions`)
-FIXED_ACTIONS = {"flip": bit_flip, "sign-flip": sign_flip}
+#: every feed-forward action kind, ``(flips, factors)``: the gate ``diag(h, v)
+#: X^flips`` on its qubit, ``(h, v)`` fixed or, for ``None``, the homodyne
+#: record's ``(e^{-i phi}, e^{i phi})`` (see "Odd-outcome corrections" above)
+ACTIONS = {"flip": (True, (1, 1)), "sign-flip": (False, (1, -1)), "undo-phase": (False, None)}
 
 
 def _apply_actions(
@@ -80,13 +84,13 @@ def _apply_actions(
 ) -> tuple[HybridState, list[str]]:
     applied = []
     for kind, qubit in actions:
-        if kind == "undo-phase":  # check_steps keeps it after a homodyne record
-            # diag(e^{-i phi}, e^{i phi}) removes e^{+i phi} from (H, V)-ordered
-            # odd branches and e^{-i phi} from (V, H)-ordered ones in one gate
-            gate = diagonal_gate(qubit, -phi, phi)
-        else:
-            gate = FIXED_ACTIONS[kind](qubit)
-        state = apply_single_qubit(state, gate)
+        flips, factors = ACTIONS[kind]
+        if flips:
+            state = apply_single_qubit(state, bit_flip(qubit))
+        if factors is None:  # check_steps keeps it after a homodyne record
+            state = apply_single_qubit(state, diagonal_gate(qubit, -phi, phi))
+        elif factors != (1, 1):
+            state = apply_single_qubit(state, SingleQubitGate(np.diag(factors), qubit))
         applied.append(f"{kind}:q{qubit}")
     return state, applied
 
@@ -136,8 +140,8 @@ STEP_KINDS = {"rotate": (None, 0), "homodyne": (2, 3), "photon": (1, 1), "feed_f
 def check_steps(steps: tuple[tuple, ...], n: int) -> None:
     """Raise ``ContractError`` unless the circuit measures, each step has a
     kind and arity of :data:`STEP_KINDS`, no qubit twice, actions ``(kind,
-    qubit)`` of known kinds and, for a feed-forward, a measurement before it,
-    a homodyne if it undoes a phase; ``ValidationError``
+    qubit)`` of :data:`ACTIONS` kinds and, for a feed-forward, a measurement
+    before it, a homodyne if an action undoes its phase; ``ValidationError``
     (:func:`~kerrgate.states.check_qubit`) unless its qubits are of the ``n``."""
     last = None
     for name, *args in steps:
@@ -154,11 +158,10 @@ def check_steps(steps: tuple[tuple, ...], n: int) -> None:
             for action in args:
                 if not (isinstance(action, tuple) and len(action) == 2):
                     raise ContractError(f"a feed-forward action is a (kind, qubit), got {action!r}")
-                if action[0] == "undo-phase":
-                    if last != "homodyne":
-                        raise ContractError("an undo-phase action follows no homodyne record")
-                elif action[0] not in FIXED_ACTIONS:
+                if action[0] not in ACTIONS:
                     raise ContractError(f"unknown feed-forward action {action[0]!r}")
+                if ACTIONS[action[0]][1] is None and last != "homodyne":
+                    raise ContractError(f"an {action[0]} action follows no homodyne record")
             qubits = [qubit for _, qubit in args]
         for qubit in qubits:
             check_qubit(qubit, n)

@@ -10,10 +10,12 @@ independently of the engine's dense ones.  Since both engines run the same
 steps, only those ideals can catch a wiring slip: miswired circuits must
 fail them in both engines.
 
-Each feed-forward the circuits make is checked against the masked matrix
-products it replaces, on random blocks.  Each circuit's compiled program is
-checked to declare the stream words its circuit derives and to hold every
-table a block reads, so that a block builds none.
+Each feed-forward the circuits make, and each kind of ``gates.ACTIONS`` on
+every qubit, is checked against the masked matrix products it replaces, on
+random blocks, and a kind added to that table alone must run in both
+engines alike.  Each circuit's compiled program is checked to declare the
+stream words its circuit derives and to hold every table a block reads, so
+that a block builds none.
 
 The words each block's measurements read are checked bit for bit against
 those replay generators, for seeds of one to five 32-bit words and for
@@ -47,10 +49,10 @@ from kerrgate import (
     new_state,
     run_shots,
 )
-from kerrgate import analysis, batch
+from kerrgate import analysis, batch, gates
 from kerrgate.analysis import LOGICAL_ERROR_FIDELITY
 from kerrgate.gates import (
-    FIXED_ACTIONS,
+    ACTIONS,
     STEP_KINDS,
     cnot_steps,
     entangler_45_steps,
@@ -58,6 +60,7 @@ from kerrgate.gates import (
     run_steps,
 )
 from kerrgate.measurement import gaussian
+from kerrgate.optics import bit_flip, sign_flip
 from kerrgate.states import ALPHA_MAX
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
@@ -82,25 +85,29 @@ def basis_pair(rng):
 
 def replay(experiment, inputs, probe, rng, forced=()):
     """One shot of ``experiment`` through ``run_steps``, on its circuit's
-    steps from the circuit's product input: (records, the last photon
-    outcome, the one a block records, or None, final state)."""
+    steps from the circuit's product input: (records, each photon readout's
+    outcome in order, final state)."""
     circuit = batch.CIRCUITS[experiment]
     c, d = inputs
     state = new_state([c, ANCILLA_PLUS, d] if circuit.ancilla else [c, d])
     trace, final = run_steps(state, circuit.steps, probe, rng, forced)
-    photon = trace.photon_outcomes[-1][1] if trace.photon_outcomes else None
-    return trace.records, photon, final
+    return trace.records, tuple(outcome for _, outcome in trace.photon_outcomes), final
+
+
+def readings(photon_v):
+    """A block row's photon readouts as outcomes, ``"H"`` or ``"V"``."""
+    return tuple("V" if v else "H" for v in photon_v)
 
 
 def recorded_outcomes(circuit, block, i):
     """Shot ``i``'s recorded outcomes in measurement order, to force."""
-    xs = iter(block.x[i])
-    photon = "V" if block.photon_v[i] else "H"
-    return tuple(next(xs) if name == "homodyne" else photon for name in measurements(circuit))
+    xs, photons = iter(block.x[i]), iter(readings(block.photon_v[i]))
+    return tuple(next(xs if name == "homodyne" else photons) for name in measurements(circuit))
 
 
-def ideal_state(experiment, c, d, record, photon):
-    """Record-conditional ideal output, or None when the record contradicts the input."""
+def ideal_state(experiment, c, d, record, photons):
+    """Record-conditional ideal output, or None when the record contradicts
+    the input; the CNOT's reads its one photon readout."""
     c0, c1 = c
     d0, d1 = d
     odd = record.parity == "odd"
@@ -127,7 +134,7 @@ def ideal_state(experiment, c, d, record, photon):
             (dd - dbdb, "VH", 0), (dd + dbdb, "VV", 0),
         ]
     else:
-        a = photon
+        (a,) = photons
         branches = [
             (c0 * d0, ("H", a, "H"), 0), (c0 * d1, ("H", a, "V"), 0),
             (c1 * d0, ("V", a, "V"), 0), (c1 * d1, ("V", a, "H"), 0),
@@ -170,8 +177,8 @@ def scalar_fidelities(experiment, inputs, probe, shots, seed):
     words = batch.CIRCUITS[experiment].words
     odd, fid = [], []
     for i in range(shots):
-        records, photon, final = replay(experiment, inputs, probe, shot_rng(seed, i, words))
-        ideal = ideal_state(experiment, *inputs, records[0], photon)
+        records, photons, final = replay(experiment, inputs, probe, shot_rng(seed, i, words))
+        ideal = ideal_state(experiment, *inputs, records[0], photons)
         odd.append([r.parity == "odd" for r in records])
         fid.append(fidelity(final, ideal) if ideal is not None else 0.0)
     return np.array(odd), np.array(fid)
@@ -186,19 +193,34 @@ def assert_same_shots(experiment, inputs, probe, seed, shots, start=0):
     replays = []
     for i in range(shots):
         rng = shot_rng(seed, start + i, circuit.words)
-        records, photon, final = replay(experiment, inputs, probe, rng)
+        records, photons, final = replay(experiment, inputs, probe, rng)
         after = shot_rng(seed, start + i + 1, circuit.words)
         assert rng.bit_generator.state == after.bit_generator.state
         assert [r.parity == "odd" for r in records] == list(block.odd[i])
         for r, x, phi in zip(records, block.x[i], block.phi[i], strict=True):
             assert abs(x - r.x) <= 1e-9 * max(1.0, abs(r.x))
             assert abs(np.exp(1j * phi) - np.exp(1j * r.phi)) <= 1e-9
-        assert (photon == "V") == block.photon_v[i]
+        assert photons == readings(block.photon_v[i])
         assert state_fidelity(dense(final), block.final[i]) >= 1.0 - 1e-12
         # elementwise too: a fidelity cannot see a global phase
         np.testing.assert_allclose(dense(final), block.final[i], rtol=0, atol=1e-12)
-        replays.append((records, photon, final))
+        replays.append((records, photons, final))
     return block, replays
+
+
+def assert_forced_replays(experiment, inputs, probe, block, replays):
+    """Forcing each shot's recorded outcomes reproduces its sampled replay's
+    records and the block's final state, without sampling."""
+    circuit = batch.CIRCUITS[experiment]
+    for i, (records, photons, _) in enumerate(replays):
+        forced = replay(
+            experiment, inputs, probe, np.random.default_rng(0),
+            recorded_outcomes(circuit, block, i),
+        )
+        assert [r.parity for r in forced[0]] == [r.parity for r in records]
+        assert forced[1] == photons
+        assert state_fidelity(dense(forced[2]), block.final[i]) >= 1.0 - 1e-12
+        np.testing.assert_allclose(dense(forced[2]), block.final[i], rtol=0, atol=1e-12)
 
 
 def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
@@ -206,20 +228,11 @@ def assert_replays(experiment, inputs, probe, seed, shots=SHOTS, start=0):
     (:func:`assert_same_shots`) and forced, and check its fidelity with the
     ideal; return the block."""
     block, replays = assert_same_shots(experiment, inputs, probe, seed, shots, start)
-    circuit = batch.CIRCUITS[experiment]
-    for i, (records, photon, final) in enumerate(replays):
-        ideal = ideal_state(experiment, *inputs, records[0], photon)
+    for i, (records, photons, final) in enumerate(replays):
+        ideal = ideal_state(experiment, *inputs, records[0], photons)
         fid = fidelity(final, ideal) if ideal is not None else 0.0
         assert block.fidelity[i] == pytest.approx(fid, abs=1e-12)
-
-        # forcing the recorded outcomes reproduces the shot without sampling
-        forced = replay(
-            experiment, inputs, probe, np.random.default_rng(0),
-            recorded_outcomes(circuit, block, i),
-        )
-        assert [r.parity for r in forced[0]] == [r.parity for r in records]
-        assert state_fidelity(dense(forced[2]), block.final[i]) >= 1.0 - 1e-12
-        np.testing.assert_allclose(dense(forced[2]), block.final[i], rtol=0, atol=1e-12)
+    assert_forced_replays(experiment, inputs, probe, block, replays)
     return block
 
 
@@ -274,7 +287,7 @@ def test_final_is_normalized_and_fidelity_is_its_overlap(experiment, alpha, xd):
     assert np.max(np.abs(np.add.reduce(np.abs(block.final) ** 2, axis=1) - 1.0)) <= 1e-15
     for i in range(count):
         record = SimpleNamespace(parity="odd" if block.odd[i, 0] else "even", phi=block.phi[i, 0])
-        ideal = ideal_state(experiment, c, d, record, "V" if block.photon_v[i] else "H")
+        ideal = ideal_state(experiment, c, d, record, readings(block.photon_v[i]))
         expected = 0.0
         if ideal is not None:
             v = dense(ideal)
@@ -315,13 +328,18 @@ def lifted(n, gate):
     return full.T
 
 
+#: the reference gate of each fixed action kind, written from kerrgate.optics
+#: and not from gates.ACTIONS, which it certifies
+REFERENCE_GATES = {"flip": bit_flip, "sign-flip": sign_flip}
+
+
 def masked_feed_forward(amp, n, actions, flag, phi):
     """The reference: the actions as lifted 2x2 matrices (or the per-shot
     phase gate) on the flagged rows only."""
     amp = amp.copy()
     for kind, qubit in actions:
         if kind != "undo-phase":
-            amp[flag] = amp[flag] @ lifted(n, FIXED_ACTIONS[kind](qubit))
+            amp[flag] = amp[flag] @ lifted(n, REFERENCE_GATES[kind](qubit))
             continue
         ph = np.exp(1j * phi[flag])[:, None]
         amp[flag] *= np.where(batch._v_bits(n)[:, qubit], ph, ph.conj())
@@ -330,13 +348,23 @@ def masked_feed_forward(amp, n, actions, flag, phi):
 
 def test_the_circuits_feed_forward_through_every_action_kind():
     kinds = {kind for _, actions, _ in FEED_FORWARDS.values() for kind, _ in actions}
-    assert kinds == {"undo-phase", *FIXED_ACTIONS}
+    assert kinds == set(ACTIONS)
 
 
 @pytest.mark.parametrize("case", list(FEED_FORWARDS))
 @pytest.mark.parametrize("flags", ["mixed", "none", "all"])
 def test_compiled_feed_forward_equals_masked_matrix_products(case, flags):
     assert_feed_forward(*FEED_FORWARDS[case], case, flags)
+
+
+@pytest.mark.parametrize("qubit", range(3))
+@pytest.mark.parametrize("kind", list(ACTIONS))
+def test_each_action_kind_compiles_to_its_masked_matrix_product(kind, qubit):
+    """Every entry of ``gates.ACTIONS``, on each of three qubits, compiles to
+    the column step of its reference gate, whether or not a circuit uses it."""
+    for flags in ("mixed", "none", "all"):
+        step = batch._step(3, kind, qubit)
+        assert_feed_forward(3, ((kind, qubit),), (step,), f"{kind}-{qubit}", flags)
 
 
 @pytest.mark.parametrize("case", list(PROGRAM_FEED_FORWARDS))
@@ -381,7 +409,7 @@ def test_cnot_replays_cover_both_sign_flip_and_photon_records(shots):
     the photon read H and V."""
     inputs = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
     block = assert_replays("cnot", inputs, ProbeMode(100.0, theta_for(100.0)), 17, shots=shots)
-    records = set(zip(block.odd[:, 1].tolist(), block.photon_v.tolist()))
+    records = set(zip(block.odd[:, 1].tolist(), block.photon_v[:, 0].tolist()))
     assert records == {(False, False), (False, True), (True, False), (True, True)}
 
 
@@ -591,11 +619,14 @@ TRIAL_INPUTS = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
 def assert_engines_run_alike(steps, shots=4):
     """``steps`` on two qubits as a batch circuit whose program calls each
     step kind's own ``_Shots`` method, and whose shots replay through
-    ``run_steps`` (:func:`assert_same_shots`)."""
+    ``run_steps``, sampled (:func:`assert_same_shots`) and forced; return the
+    block."""
     circuit = batch.Circuit(False, steps, trial_ideal)
     assert [method.__name__ for method, *_ in circuit.program] == [name for name, *_ in steps]
     with mock.patch.dict(batch.CIRCUITS, trial=circuit):
-        assert_same_shots("trial", TRIAL_INPUTS, TRIAL_PROBE, 11, shots)
+        block, replays = assert_same_shots("trial", TRIAL_INPUTS, TRIAL_PROBE, 11, shots)
+        assert_forced_replays("trial", TRIAL_INPUTS, TRIAL_PROBE, block, replays)
+    return block
 
 
 @pytest.mark.parametrize("kind", list(STEP_KINDS))
@@ -609,12 +640,50 @@ def test_both_engines_run_every_kind_the_table_declares(kind):
     assert_engines_run_alike(steps, shots=16)
 
 
+def test_two_photon_readouts_keep_their_records_and_replay_forced():
+    """Each photon readout keeps its own record, so a circuit that reads two
+    replays with both outcomes forced.  The second reads qubit 1 in the
+    diagonal frame, independent of the first, so the two differ on some shots."""
+    steps = (("homodyne", 0, 1), ("photon", 0), ("feed_forward", ("flip", 1)),
+             ("rotate", 1), ("photon", 1))
+    block = assert_engines_run_alike(steps, shots=32)
+    assert batch.Circuit(False, steps, trial_ideal).readouts == 2
+    assert block.photon_v.shape == (32, 2)
+    assert np.any(block.photon_v[:, 0] != block.photon_v[:, 1])
+
+
+#: action kinds that one more ``gates.ACTIONS`` entry could declare: an
+#: exchange then ``V -> -V``, and an exchange then the record's phase undo
+EXTRA_ACTIONS = {"flip-sign": (True, (1, -1)), "undo-phase-flip": (True, None)}
+
+
+@pytest.mark.parametrize("kind", list(EXTRA_ACTIONS))
+def test_one_table_entry_adds_an_action_kind(monkeypatch, kind):
+    """An entry added to ``gates.ACTIONS``, and nothing else, is a kind both
+    engines run alike: ``check_steps`` accepts it, ``run_steps`` applies it
+    and a batch circuit built afresh compiles it; a kind that undoes the
+    record's phase still needs a homodyne before it."""
+    monkeypatch.setitem(gates.ACTIONS, kind, EXTRA_ACTIONS[kind])
+    batch._step.cache_clear()
+    steps = (("homodyne", 0, 1), ("feed_forward", (kind, 1), ("undo-phase", 0)))
+    gates.check_steps(steps, 2)
+    block = assert_engines_run_alike(steps, shots=16)
+    assert 0 < np.count_nonzero(block.odd[:, 0]) < 16  # the action ran, on some shots
+    after_photon = (("photon", 0), ("feed_forward", (kind, 1)))
+    if EXTRA_ACTIONS[kind][1] is None:
+        assert assert_engines_agree(after_photon) == (
+            ContractError, f"an {kind} action follows no homodyne record"
+        )
+    else:
+        assert assert_engines_agree(after_photon) is None
+
+
 #: a step argument the property draws: one of the two qubits more often
 #: than one past either end or a bool; an action, well formed more often than
 #: of an unknown kind or malformed
 QUBITS = st.sampled_from([0, 1, 0, 1, 0, 1, -1, 2, True])
-ACTIONS = st.one_of(
-    st.tuples(st.sampled_from(["undo-phase", *FIXED_ACTIONS]), QUBITS),
+ACTION_ARGS = st.one_of(
+    st.tuples(st.sampled_from(list(ACTIONS)), QUBITS),
     st.sampled_from([("teleport", 0), ("flip",), ("flip", 0, 1), "flip"]),
 )
 
@@ -627,7 +696,7 @@ def circuit_step(draw):
     name = draw(st.sampled_from([*STEP_KINDS, *STEP_KINDS, "measure"]))
     arity = STEP_KINDS[name][0] if name in STEP_KINDS else None
     size = draw(st.one_of(st.just(arity or 1), st.integers(0, 3)))
-    arg = ACTIONS if name == "feed_forward" else QUBITS
+    arg = ACTION_ARGS if name == "feed_forward" else QUBITS
     return (name, *draw(st.lists(arg, min_size=size, max_size=size)))
 
 

@@ -353,6 +353,24 @@ class TestSweepPoints:
         assert main([*args, "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 1 + 4
 
+    def test_validation_and_the_run_share_one_probe_per_row(self, monkeypatch, tmp_path):
+        """A sweep asks for its ``--alpha``/``--theta`` probe and each grid
+        pair's once: the run reuses the list validation built, so a sweep
+        wider than the ``analysis.geometry`` cache builds no probe twice."""
+        asked = []
+        probe = cli._probe
+
+        def counted(alpha, theta, *keys):
+            asked.append((alpha, theta))
+            return probe(alpha, theta, *keys)
+
+        monkeypatch.setattr(cli, "_probe", counted)
+        args = ["--experiment", "sweep", "--alpha", "8", "--theta", "0.5",
+                "--grid-alpha", "6:10:3", "--grid-theta", "0.4:0.8:2", "--shots", "5"]
+        assert main([*args, "--output", str(tmp_path / "sweep.csv")]) == 0
+        grid = [(a, t) for a in (6.0, 8.0, 10.0) for t in (0.4, 0.8)]
+        assert asked == [(8.0, 0.5), *grid]
+
     def test_one_refused_pair_exits_2_before_any_shot(self, monkeypatch, tmp_path, capsys):
         calls = count_run_shots(monkeypatch)
         out = tmp_path / "sweep.csv"

@@ -1,10 +1,13 @@
 """Parity gate, entanglers, CNOT composition, feed-forward actions."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kerrgate
 from kerrgate import (
     ANCILLA_PLUS,
     ContractError,
@@ -24,7 +27,7 @@ from kerrgate import (
     sign_flip,
 )
 from kerrgate.analysis import p_error
-from kerrgate.gates import check_steps, cnot_steps, entangler_45_steps, entangler_steps
+from kerrgate.gates import ACTIONS, check_steps, cnot_steps, entangler_45_steps, entangler_steps
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 UNIFORM = (SQRT_HALF, SQRT_HALF)
@@ -386,3 +389,60 @@ class TestFeedForwardPlans:
         # raised, not asserted, so the check survives python -O
         with pytest.raises(ContractError, match="unknown feed-forward action 'teleport'"):
             check_steps((("homodyne", 0, 1), ("feed_forward", action)), 2)
+
+
+# -- one table of action kinds -------------------------------------------------
+
+
+def action_kind_sites(source: str, kinds) -> tuple[list[str], list[str]]:
+    """Each comparison in ``source`` (``==``, ``!=``, ``in``, ...) with an
+    operand holding one of the strings ``kinds``, as ``"where line N"``, and
+    where each such string is written: the enclosing function, else the
+    module-level name assigned, else ``"<module>"``."""
+    compared, named = [], []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and where == "<module>":
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            where = ", ".join(ast.unparse(target) for target in targets)
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                if any(isinstance(c, ast.Constant) and c.value in kinds for c in ast.walk(operand)):
+                    compared.append(f"{where} line {node.lineno}")
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in kinds:
+            named.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return compared, named
+
+
+def test_the_kind_scan_finds_comparisons_and_names():
+    source = (
+        "T = {'flip': 1}\n"
+        "def f(kind):\n"
+        "    if kind == 'flip' or 'sign-flip' != kind:\n"
+        "        return kind in ('undo-phase', 'other')\n"
+        "    return ('flip', 0)\n"
+        "'undo-phase' in T\n"
+    )
+    compared, named = action_kind_sites(source, set(ACTIONS))
+    assert compared == ["f line 3", "f line 3", "f line 4", "<module> line 6"]
+    assert named == ["T", "f", "f", "f", "f", "<module>"]
+
+
+def test_only_the_table_and_the_step_builders_name_an_action_kind():
+    """Each feed-forward action kind is declared once, in ``gates.ACTIONS``:
+    no module of the package compares against a kind's name, and only the
+    table and the three step builders write one."""
+    builders = {"ACTIONS", "entangler_steps", "entangler_45_steps", "cnot_steps"}
+    compared, named = {}, {}
+    for path in sorted(Path(kerrgate.__file__).parent.glob("*.py")):
+        found = action_kind_sites(path.read_text(), set(ACTIONS))
+        compared[path.stem], named[path.stem] = found[0], set(found[1])
+    assert all(sites == [] for sites in compared.values()), compared
+    assert named.pop("gates") == builders
+    assert all(places == set() for places in named.values()), named

@@ -27,7 +27,14 @@ from kerrgate import (
     run_shots,
 )
 from kerrgate import batch, gates
-from kerrgate.fock import oracle_embed, oracle_inner, required_truncation, truncation_loss
+from kerrgate.fock import (
+    oracle_embed,
+    oracle_homodyne_density,
+    oracle_inner,
+    oscillator_eigenfunctions,
+    required_truncation,
+    truncation_loss,
+)
 from kerrgate.measurement import qnd_photon_measure
 
 ONE_QUBIT = new_state([(0.6, 0.8)])
@@ -381,6 +388,23 @@ REJECTIONS = {
     "truncation_loss-cutoff-past-floats-near-the-mean": (
         lambda: truncation_loss(1e154, 10**308),
         ValidationError, r"^Poisson term past k = 2\.6e305 at mean 1e\+308$",
+    ),
+    # psi_0 = e^{-x^2/4} is subnormal past |x| = 53.23 and 0.0 past 54.6: the
+    # eigenfunctions returned 2.3e-309 at x = 53.3 and 0.0 at 54.7, and the
+    # oracle's density read those, wrong digits or 0, without an error
+    "oscillator_eigenfunctions-subnormal-x": (
+        lambda: oscillator_eigenfunctions(4, np.array([0.0, 53.3])),
+        ValidationError,
+        r"^oscillator eigenfunctions underflow at x = 53\.3: "
+        r"e\^\(-x\^2/4\) is subnormal past \|x\| = 53\.2314$",
+    ),
+    "oscillator_eigenfunctions-zero-x": (
+        lambda: oscillator_eigenfunctions(0, np.array([-54.7])),
+        ValidationError, r"^oscillator eigenfunctions underflow at x = -54\.7: ",
+    ),
+    "oracle_homodyne_density-far-x": (
+        lambda: oracle_homodyne_density(unequal_oracle_states()[0])(54.7),
+        ValidationError, r"^oscillator eigenfunctions underflow at x = 54\.7: ",
     ),
 }
 
