@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -36,35 +36,6 @@ _FIELDS = CSV_HEADER.split(",")
 
 #: all probe amplitudes the oracle can certify (truncation stays tractable)
 ORACLE_ALPHA_MAX = 3.0
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A run's configuration: one field per run key, whose defaults are the
-    CLI's defaults."""
-
-    experiment: str
-    alpha: float
-    theta: float
-    shots: int = 10_000
-    seed: int = 42
-    input: tuple[tuple[complex, complex], ...] | None = None
-    grid_alpha: tuple[float, ...] | None = None
-    grid_theta: tuple[float, ...] | None = None
-    sweep_gate: str = "parity"
-    output: str = "results.csv"
-    format: str = "csv"
-
-    @functools.cached_property
-    def probes(self) -> tuple[ProbeMode, ...]:
-        """The probe of every row the config writes, in row order, built once
-        for validation and the run alike: the one ``(alpha, theta)`` of a
-        shot experiment or ``validate-oracle``, or each ``(grid_alpha[i],
-        grid_theta[j])`` pair of a sweep, ``i`` outermost."""
-        if self.experiment != "sweep":
-            return (_probe(self.alpha, self.theta, "alpha", "theta"),)
-        return tuple(_probe(alpha, theta, "grid_alpha", "grid_theta")
-                     for alpha in self.grid_alpha for theta in self.grid_theta)
 
 
 class ConfigError(ValidationError):
@@ -124,23 +95,69 @@ class _Key:
     parse: Callable[[str], object] | None = None
 
 
-#: every run key, each the flag ``--key`` (``_`` written ``-``), the config-file
-#: key and the :class:`ExperimentConfig` field of that name
-_KEYS = {
-    "experiment": _Key(choices=EXPERIMENTS),
-    "alpha": _Key(float, help="probe coherent amplitude"),
-    "theta": _Key(float, help="Kerr phase unit per photon, radians"),
-    "shots": _Key(int),
-    "seed": _Key(int),
-    "input": _Key(
-        help="qubit amplitude pairs 'c0,c1;c0,c1' (renormalized; complex OK)", parse=_parse_pairs
-    ),
-    "grid_alpha": _Key(help="sweep grid 'start:stop:count'", parse=_parse_grid),
-    "grid_theta": _Key(help="sweep grid 'start:stop:count'", parse=_parse_grid),
-    "sweep_gate": _Key(choices=analysis.EXPERIMENTS),
-    "output": _Key(help="output file path"),
-    "format": _Key(choices=("csv", "json")),
-}
+def _key(*spec, default=MISSING, **named):
+    """A run key's field: its default and its :class:`_Key`."""
+    return field(default=default, metadata={"key": _Key(*spec, **named)})
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A run's configuration, checked when it is built.  Each field is a run
+    key, the flag ``--key`` (``_`` written ``-``) and the config-file key of
+    its name, read as its :class:`_Key` says; its default is the CLI's."""
+
+    experiment: str = _key(choices=EXPERIMENTS)
+    alpha: float = _key(float, help="probe coherent amplitude")
+    theta: float = _key(float, help="Kerr phase unit per photon, radians")
+    shots: int = _key(int, default=10_000)
+    seed: int = _key(int, default=42)
+    input: tuple[tuple[complex, complex], ...] = _key(
+        default=(ANCILLA_PLUS, ANCILLA_PLUS),
+        help="qubit amplitude pairs 'c0,c1;c0,c1' (renormalized; complex OK)", parse=_parse_pairs,
+    )
+    grid_alpha: tuple[float, ...] | None = _key(
+        default=None, help="sweep grid 'start:stop:count'", parse=_parse_grid
+    )
+    grid_theta: tuple[float, ...] | None = _key(
+        default=None, help="sweep grid 'start:stop:count'", parse=_parse_grid
+    )
+    sweep_gate: str = _key(default="parity", choices=analysis.EXPERIMENTS)
+    output: str = _key(default="results.csv", help="output file path")
+    format: str = _key(default="csv", choices=("csv", "json"))
+
+    def __post_init__(self):
+        """Raise a ``ConfigError`` naming the key of a value the CLI refuses."""
+        if self.experiment == "sweep":  # no row reads --alpha, --theta; still required, so valid
+            _probe(self.alpha, self.theta, "alpha", "theta")
+            if self.grid_alpha is None or self.grid_theta is None:
+                raise ConfigError("grid_alpha, grid_theta: sweep needs both grids")
+        if self.shots < 1:
+            raise ConfigError(f"shots: must be >= 1, got {self.shots}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if self.experiment == "validate-oracle" and self.alpha > ORACLE_ALPHA_MAX:
+            raise ConfigError(
+                f"alpha: validate-oracle needs alpha <= {ORACLE_ALPHA_MAX} "
+                "(Fock truncation stays tractable only at small amplitude)"
+            )
+        if len(self.input) != 2:
+            raise ConfigError("input: expected exactly two amplitude pairs")
+        self.probes  # every row's probe, before any row runs; last, as it costs most
+
+    @functools.cached_property
+    def probes(self) -> tuple[ProbeMode, ...]:
+        """The probe of every row the config writes, in row order, built once
+        for validation and the run alike: the one ``(alpha, theta)`` of a
+        shot experiment or ``validate-oracle``, or each ``(grid_alpha[i],
+        grid_theta[j])`` pair of a sweep, ``i`` outermost."""
+        if self.experiment != "sweep":
+            return (_probe(self.alpha, self.theta, "alpha", "theta"),)
+        return tuple(_probe(alpha, theta, "grid_alpha", "grid_theta")
+                     for alpha in self.grid_alpha for theta in self.grid_theta)
+
+
+#: each run key's :class:`_Key`, by its :class:`ExperimentConfig` field
+_KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
 
 
 def _flag(key: str) -> str:
@@ -218,7 +235,7 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
-    """Merge config file and flags (flags win) into a validated config."""
+    """Merge config file and flags (flags win) into a config."""
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_signed_values(argv))
     values = _read_config_file(args.config) if args.config else {}
@@ -237,9 +254,7 @@ def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
                 values[key] = spec.parse(values[key])
             except ValueError as exc:  # ConfigError, or a bad number in a grid
                 raise ConfigError(f"{key}: {exc}") from None
-    config = ExperimentConfig(**values)  # the keys left unset keep its defaults
-    _validate_config(config)
-    return config
+    return ExperimentConfig(**values)  # the keys left unset keep its defaults
 
 
 def _probe(alpha: float, theta: float, alpha_key: str, theta_key: str) -> ProbeMode:
@@ -255,25 +270,6 @@ def _probe(alpha: float, theta: float, alpha_key: str, theta_key: str) -> ProbeM
     except ValidationError as exc:
         raise ConfigError(f"{alpha_key}: {exc}") from None
     raise ConfigError(f"{theta_key}: {refused}") from None
-
-
-def _validate_config(config: ExperimentConfig) -> None:
-    if config.experiment == "sweep":  # no row reads --alpha, --theta; still required, so valid
-        _probe(config.alpha, config.theta, "alpha", "theta")
-        if config.grid_alpha is None or config.grid_theta is None:
-            raise ConfigError("grid_alpha, grid_theta: sweep needs both grids")
-    if config.shots < 1:
-        raise ConfigError(f"shots: must be >= 1, got {config.shots}")
-    if config.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {config.seed}")
-    if config.experiment == "validate-oracle" and config.alpha > ORACLE_ALPHA_MAX:
-        raise ConfigError(
-            f"alpha: validate-oracle needs alpha <= {ORACLE_ALPHA_MAX} "
-            "(Fock truncation stays tractable only at small amplitude)"
-        )
-    if config.input is not None and len(config.input) != 2:
-        raise ConfigError("input: expected exactly two amplitude pairs")
-    config.probes  # every row's probe, before any row runs; last, as it costs most
 
 
 def _row(config, experiment, probe, error_rate, error_ci, mean_fidelity) -> dict:
@@ -294,14 +290,15 @@ def _row(config, experiment, probe, error_rate, error_ci, mean_fidelity) -> dict
     }
 
 
-def _validate_oracle(config: ExperimentConfig, probe: ProbeMode, inputs) -> tuple[dict, bool]:
+def _validate_oracle(config: ExperimentConfig, probe: ProbeMode) -> tuple[dict, bool]:
     """Cross-check the branch model against the Fock oracle at ``probe``.
 
-    Runs the parity-detector circuit on ``inputs`` along both paths.  Returns
-    the row, whose ``error_rate`` is the worst homodyne-density deviation and
-    ``mean_fidelity`` the state fidelity, and whether both are in tolerance.
+    Runs the parity-detector circuit on ``config.input`` along both paths.
+    Returns the row, whose ``error_rate`` is the worst homodyne-density
+    deviation and ``mean_fidelity`` the state fidelity, and whether both are
+    in tolerance.
     """
-    state = new_state(list(inputs)).activate_probe(probe)
+    state = new_state(list(config.input)).activate_probe(probe)
     n_trunc = fock.required_truncation(probe.alpha) + 5
 
     embedded = fock.oracle_embed(state, n_trunc)
@@ -369,16 +366,15 @@ def _write_output(path: str, text: str) -> None:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+    """Execute a config; returns the process exit code."""
     start = time.perf_counter()
-    inputs = config.input or (ANCILLA_PLUS, ANCILLA_PLUS)
     gate = config.sweep_gate if config.experiment == "sweep" else config.experiment
     ok, rows = True, []
     for probe in config.probes:
         if gate == "validate-oracle":  # its only point
-            row, ok = _validate_oracle(config, probe, inputs)
+            row, ok = _validate_oracle(config, probe)
         else:
-            stats = analysis.run_shots(gate, inputs, probe.alpha, probe.theta,
+            stats = analysis.run_shots(gate, config.input, probe.alpha, probe.theta,
                                        config.shots, config.seed)
             row = _row(config, gate, probe, stats.logical_error_rate, stats.error_ci,
                        stats.mean_fidelity)

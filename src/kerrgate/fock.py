@@ -149,7 +149,11 @@ def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:
 
 
 def coherent_coefficients(beta: complex, n_trunc: int) -> np.ndarray:
-    """Fock coefficients e^{-|beta|^2/2} beta^n / sqrt(n!), built iteratively."""
+    """Fock coefficients e^{-|beta|^2/2} beta^n / sqrt(n!), built iteratively,
+    for n = 0..n_trunc; a cutoff that is not an integer >= 0 raises
+    ``ValidationError``."""
+    if _integer(n_trunc, "cutoff") < 0:
+        raise ValidationError(f"cutoff must be >= 0, got {n_trunc}")
     coeffs = np.empty(n_trunc + 1, dtype=complex)
     coeffs[0] = math.exp(-0.5 * abs(beta) ** 2)
     for n in range(1, n_trunc + 1):
@@ -273,8 +277,11 @@ def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
     with u = x / sqrt 2.  Each row is written in place, in that operation
     order, so no row allocates a temporary.  An ``x`` whose ``x^2/4``
     exceeds ``_LOG_TINY`` (|x| past about 53.23), where psi_0 underflows and
-    every row would read 0 or lost digits, raises ``ValidationError``.
+    every row would read 0 or lost digits, raises ``ValidationError``, as
+    does an ``n_max`` that is not an integer >= 0.
     """
+    if _integer(n_max, "n_max") < 0:
+        raise ValidationError(f"n_max must be >= 0, got {n_max}")
     x = np.asarray(x, dtype=float)
     exponent = -0.25 * x**2
     if np.minimum.reduce(exponent, axis=None, initial=0.0) < -_LOG_TINY:

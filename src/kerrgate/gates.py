@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +80,12 @@ Action = tuple[str, int]
 ACTIONS = {"flip": (True, (1, 1)), "sign-flip": (False, (1, -1)), "undo-phase": (False, None)}
 
 
+@lru_cache(maxsize=None)
+def _fixed_gate(factors: tuple, qubit: int) -> SingleQubitGate:
+    """The gate ``diag(factors)`` on ``qubit``, built once per key."""
+    return SingleQubitGate(np.diag(factors), qubit)
+
+
 def _apply_actions(
     state: HybridState, actions: tuple[Action, ...], phi: float | None
 ) -> tuple[HybridState, list[str]]:
@@ -90,7 +97,7 @@ def _apply_actions(
         if factors is None:  # check_steps keeps it after a homodyne record
             state = apply_single_qubit(state, diagonal_gate(qubit, -phi, phi))
         elif factors != (1, 1):
-            state = apply_single_qubit(state, SingleQubitGate(np.diag(factors), qubit))
+            state = apply_single_qubit(state, _fixed_gate(factors, qubit))
         applied.append(f"{kind}:q{qubit}")
     return state, applied
 

@@ -291,7 +291,50 @@ EXIT_2 = {
 }
 
 
+#: (fields, the flags of the same run, the start of the message) of configs
+#: that are refused when they are built, by the CLI and a direct caller alike
+REFUSED_CONFIGS = {
+    "sweep-without-grids": (
+        dict(experiment="sweep", alpha=8.0, theta=0.5), ["--experiment", "sweep", *POINT],
+        "grid_alpha, grid_theta: sweep needs both grids",
+    ),
+    "shots-zero": (
+        dict(experiment="parity", alpha=8.0, theta=0.5, shots=0),
+        ["--experiment", "parity", *POINT, "--shots", "0"], "shots: must be >= 1, got 0",
+    ),
+    "seed-negative": (
+        dict(experiment="parity", alpha=8.0, theta=0.5, seed=-3),
+        ["--experiment", "parity", *POINT, "--seed", "-3"], "seed: must be >= 0, got -3",
+    ),
+    "input-three-pairs": (
+        dict(experiment="cnot", alpha=8.0, theta=0.5, input=((1, 0), (1, 0), (0, 1))),
+        ["--experiment", "cnot", *POINT, "--input", "1,0;1,0;0,1"],
+        "input: expected exactly two amplitude pairs",
+    ),
+    "validate-oracle-alpha-5": (
+        dict(experiment="validate-oracle", alpha=5.0, theta=0.5),
+        ["--experiment", "validate-oracle", "--alpha", "5", "--theta", "0.5"],
+        "alpha: validate-oracle needs alpha <= 3.0 (Fock truncation stays tractable",
+    ),
+    "alpha-1e300": (
+        dict(experiment="parity", alpha=1e300, theta=0.5),
+        ["--experiment", "parity", "--alpha", "1e300", "--theta", "0.5"], "alpha: probe alpha",
+    ),
+}
+
+
 class TestErrorExits:
+    @pytest.mark.parametrize("case", list(REFUSED_CONFIGS))
+    def test_a_config_is_refused_when_built_as_main_refuses_it(self, case, tmp_path, capsys):
+        values, argv, message = REFUSED_CONFIGS[case]
+        out = tmp_path / "run.csv"
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(**values, output=str(out))
+        assert str(info.value).startswith(message)
+        assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", list(EXIT_2))
     def test_rejected_run_exits_2_and_writes_nothing(self, case, tmp_path, capsys):
         argv, config_text, message = EXIT_2[case]

@@ -26,8 +26,10 @@ from kerrgate import (
     recycle_ancilla,
     sign_flip,
 )
+from kerrgate import gates
 from kerrgate.analysis import p_error
 from kerrgate.gates import ACTIONS, check_steps, cnot_steps, entangler_45_steps, entangler_steps
+from kerrgate.optics import SingleQubitGate
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 UNIFORM = (SQRT_HALF, SQRT_HALF)
@@ -383,6 +385,24 @@ class TestFeedForwardPlans:
         expected = tuple(f"{kind}:q{q}" for kind, q in actions)
         assert gate_corrections(name, flagged=False) == ()
         assert gate_corrections(name, flagged=True)[-len(expected) :] == expected
+
+    def test_a_fixed_factor_gate_is_built_once(self, monkeypatch):
+        """Two odd-odd-V CNOT shots build the sign flip's ``diag(1, -1)`` once:
+        a fixed-factor action's gate is cached, as ``optics.bit_flip`` is."""
+        gates._fixed_gate.cache_clear()
+        built = []
+
+        def counting(matrix, qubit):
+            built.append((np.asarray(matrix).tolist(), qubit))
+            return SingleQubitGate(matrix, qubit)
+
+        monkeypatch.setattr(gates, "SingleQubitGate", counting)
+        for seed in range(2):
+            state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
+            trace, _ = cnot(state, 0, 1, 2, STRONG, np.random.default_rng(seed),
+                            X_ODD, X_ODD, "V")
+            assert "sign-flip:q0" in trace.corrections
+        assert built == [([[1, 0], [0, -1]], 0)]
 
     @pytest.mark.parametrize("action", [("teleport", 0)], ids=["unknown-kind"])
     def test_malformed_actions_raise_contract_errors(self, action):

@@ -28,6 +28,7 @@ from kerrgate import (
 )
 from kerrgate import batch, gates
 from kerrgate.fock import (
+    coherent_coefficients,
     oracle_embed,
     oracle_homodyne_density,
     oracle_inner,
@@ -401,6 +402,24 @@ REJECTIONS = {
     "oscillator_eigenfunctions-zero-x": (
         lambda: oscillator_eigenfunctions(0, np.array([-54.7])),
         ValidationError, r"^oscillator eigenfunctions underflow at x = -54\.7: ",
+    ),
+    # a Fock size below 0 or not an integer raised a raw IndexError,
+    # TypeError or ValueError ("negative dimensions")
+    "coherent_coefficients-negative-cutoff": (
+        lambda: coherent_coefficients(1.0, -1),
+        ValidationError, r"^cutoff must be >= 0, got -1$",
+    ),
+    "coherent_coefficients-fractional-cutoff": (
+        lambda: coherent_coefficients(1.0, 2.5),
+        ValidationError, r"^cutoff must be an integer, got 2\.5$",
+    ),
+    "oscillator_eigenfunctions-negative-n_max": (
+        lambda: oscillator_eigenfunctions(-2, np.array([0.0, 1.0])),
+        ValidationError, r"^n_max must be >= 0, got -2$",
+    ),
+    "oscillator_eigenfunctions-float-n_max": (
+        lambda: oscillator_eigenfunctions(3.0, np.array([0.0, 1.0])),
+        ValidationError, r"^n_max must be an integer, got 3\.0$",
     ),
     "oracle_homodyne_density-far-x": (
         lambda: oracle_homodyne_density(unequal_oracle_states()[0])(54.7),
