@@ -28,7 +28,8 @@ reads, a homodyne's label columns, a rotation's lifted matrix, a
 feed-forward's column step for each of its ``(kind, qubit)`` actions and a
 photon readout's V mask, and each measurement is given its first stream
 word and its record: a homodyne its row of ``x``, ``odd`` and ``eip``, a
-photon readout its row of ``photon_v``.  :func:`kerrgate.gates.check_steps`
+photon readout its row of ``photon_v``.  No cache sits beside the program:
+a block reads only its read-only tables.  :func:`kerrgate.gates.check_steps`
 runs there, not in a block: a kind or arity that
 :data:`kerrgate.gates.STEP_KINDS` does not declare, a qubit named twice, a
 malformed or unknown action or a wiring error raises ``ContractError``, and
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,18 +90,16 @@ _IDEAL_NORM_FLOOR = 1e-300
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
-    table.setflags(write=False)  # cached and shared by every block
+    table.setflags(write=False)  # compiled into a Circuit.program, shared by every block
     return table
 
 
-@lru_cache(maxsize=None)
 def _v_bits(n: int) -> np.ndarray:
     """``(2**n, n)`` table: True where qubit ``q`` of column ``j`` is V."""
     cols = np.arange(1 << n)[:, None]
     return _frozen((cols >> (n - 1 - np.arange(n))[None, :]) & 1 == 1)
 
 
-@lru_cache(maxsize=None)
 def _label_columns(n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
     """Each column's probe label after the parity detector's kicks, as its
     index ``k + 1`` into the labels ``(-1, 0, +1)``, ``k`` its phase index."""
@@ -111,7 +110,6 @@ def _label_columns(n: int, qubit_a: int, qubit_b: int) -> np.ndarray:
     return _frozen(k)
 
 
-@lru_cache(maxsize=None)
 def _rotation(n: int, qubits: tuple[int, ...]) -> np.ndarray:
     """``diagonal_basis_change`` on each of the distinct ``qubits``, lifted to
     ``n`` qubits as one matrix, transposed so that it right-multiplies a
@@ -140,7 +138,6 @@ class _Step(NamedTuple):
         return amp if self.phase is None else amp * eip.T[:, self.phase]
 
 
-@lru_cache(maxsize=None)
 def _step(n: int, kind: str, qubit: int) -> _Step:
     """The action ``(kind, qubit)`` on ``n`` qubits as a column step."""
     flips, factors = ACTIONS[kind]

@@ -13,6 +13,7 @@ import cmath
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -127,6 +128,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Raise a ``ConfigError`` naming the key of a value the CLI refuses."""
+        for key, spec in _CHECKED_KEYS:
+            value = getattr(self, key)
+            if spec.choices is not None:
+                if value not in spec.choices:
+                    raise ConfigError(_invalid_choice(key, spec, value))
+            elif isinstance(value, bool) or not isinstance(value, numbers.Integral):  # an int key
+                raise ConfigError(f"{key}: must be an integer, got {value!r}")
         if self.experiment == "sweep":  # no row reads --alpha, --theta; still required, so valid
             _probe(self.alpha, self.theta, "alpha", "theta")
             if self.grid_alpha is None or self.grid_theta is None:
@@ -159,6 +167,15 @@ class ExperimentConfig:
 #: each run key's :class:`_Key`, by its :class:`ExperimentConfig` field
 _KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
 
+#: the keys whose value a config checks against their choices or as an integer
+_CHECKED_KEYS = tuple(
+    (key, spec) for key, spec in _KEYS.items() if spec.choices is not None or spec.type is int
+)
+
+
+def _invalid_choice(key: str, spec: _Key, value) -> str:
+    return f"{key}: invalid choice {value!r}, choose from {', '.join(spec.choices)}"
+
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
@@ -187,10 +204,7 @@ def _read_config_file(path: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc} (config line {lineno})") from exc
         if spec.choices is not None and values[key] not in spec.choices:
-            raise ConfigError(
-                f"{key}: invalid choice {raw!r}, choose from {', '.join(spec.choices)} "
-                f"(config line {lineno})"
-            )
+            raise ConfigError(f"{_invalid_choice(key, spec, raw)} (config line {lineno})")
     return values
 
 

@@ -37,6 +37,11 @@ _PRODUCT_LAM_MAX = 700.0
 #: a Poisson tail stops at the first term this far below its largest one
 _NEGLIGIBLE = 2.0**-60
 
+#: the most terms one walk over a Poisson tail or head lists, about 10 alpha
+#: near the mean: alpha ~ 1e5, whose ~alpha**2 Fock levels no oracle vector
+#: could hold anyway
+_TAIL_TERMS_MAX = 2**20
+
 
 def _poisson_term(k: int, lam: float) -> float:
     """P(N = k) for N ~ Poisson(lam), lam > 0.
@@ -63,17 +68,24 @@ def _poisson_term(k: int, lam: float) -> float:
     return p
 
 
+def _too_many_terms(lam: float) -> ValidationError:
+    return ValidationError(f"Poisson sum at mean {lam:.3g} needs over {_TAIL_TERMS_MAX} terms")
+
+
 def _tail_terms(lam: float, k: int, scale: float | None = None) -> list[float]:
     """Poisson terms p_k, p_{k+1}, ..., which must decrease (k + 1 > lam),
     until one falls to ``_NEGLIGIBLE`` times ``scale`` (by default p_k) or
-    underflows."""
+    underflows; more than ``_TAIL_TERMS_MAX`` raise ``ValidationError``."""
     p = _poisson_term(k, lam)
     floor = (p if scale is None else scale) * _NEGLIGIBLE
     terms = []
-    while p > floor and p > 0.0:
+    for k in range(k + 1, k + 2 + _TAIL_TERMS_MAX):
+        if not (p > floor and p > 0.0):
+            break
         terms.append(p)
-        k += 1
         p *= lam / k
+    else:
+        raise _too_many_terms(lam)
     return terms
 
 
@@ -100,8 +112,8 @@ def truncation_loss(alpha: float, n_trunc: int) -> float:
     for alpha <= 10, n_trunc <= 80 wherever the tail is at least 1e-290.
     An empty mode (alpha = 0) loses nothing, and a negative cutoff keeps no
     level: its loss is 1.  A negative or non-finite ``alpha``, one whose
-    square overflows, or a cutoff that is not an integer raises
-    ``ValidationError``.
+    square overflows, a cutoff that is not an integer, or a sum of more than
+    ``_TAIL_TERMS_MAX`` terms (alpha past about 1e5) raises ``ValidationError``.
     """
     n_trunc = _integer(n_trunc, "cutoff")
     lam = _mean_photon_number(alpha)
@@ -114,11 +126,15 @@ def truncation_loss(alpha: float, n_trunc: int) -> float:
     # the head terms decrease from p_n towards p_0
     p = _poisson_term(n_trunc, lam)
     head = [p]
-    for k in range(n_trunc, 0, -1):
+    stop = n_trunc - _TAIL_TERMS_MAX  # above 0, the walk stops short of p_0
+    for k in range(n_trunc, max(stop, 0), -1):
         p *= k / lam
         if p <= head[0] * _NEGLIGIBLE:
             break
         head.append(p)
+    else:
+        if stop > 0:
+            raise _too_many_terms(lam)
     return 1.0 - math.fsum(head)
 
 
@@ -130,7 +146,8 @@ def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:
     are listed once, down to far below ``bound``, and summed from the far
     end; the tails P(n > m) grow as m falls, and the cutoff is the last m
     before the tail exceeds ``bound``.  ``alpha`` must be finite and >= 0,
-    with a finite square, and ``bound`` >= 0 (not nan), else
+    with a finite square, and ``bound`` >= 0 (not nan), and the list at most
+    ``_TAIL_TERMS_MAX`` terms long (alpha below about 1e5), else
     ``ValidationError``.
     """
     if not bound >= 0:  # also catches nan

@@ -14,8 +14,8 @@ for the photon readout) calls for.  Each action kind is declared once, in
 and both engines build an action from its entry.  :func:`check_steps`
 checks each step against the one table of step kinds, :data:`STEP_KINDS`,
 and each action against :data:`ACTIONS`, before either engine runs a step,
-and :func:`run_steps` records each applied action on the returned
-:class:`GateTrace`.
+and :func:`run_steps` records each applied action, as that ``(kind, qubit)``,
+on the returned :class:`GateTrace`.
 
 :func:`parity_gate` and :func:`entangler` measure parity in the
 computational basis, and the three gates share one signature,
@@ -88,8 +88,7 @@ def _fixed_gate(factors: tuple, qubit: int) -> SingleQubitGate:
 
 def _apply_actions(
     state: HybridState, actions: tuple[Action, ...], phi: float | None
-) -> tuple[HybridState, list[str]]:
-    applied = []
+) -> HybridState:
     for kind, qubit in actions:
         flips, factors = ACTIONS[kind]
         if flips:
@@ -98,8 +97,7 @@ def _apply_actions(
             state = apply_single_qubit(state, diagonal_gate(qubit, -phi, phi))
         elif factors != (1, 1):
             state = apply_single_qubit(state, _fixed_gate(factors, qubit))
-        applied.append(f"{kind}:q{qubit}")
-    return state, applied
+    return state
 
 
 def entangler_steps(qubit_a: int, qubit_b: int) -> tuple:
@@ -182,11 +180,12 @@ def check_steps(steps: tuple[tuple, ...], n: int) -> None:
 
 @dataclass(frozen=True)
 class GateTrace:
-    """Measurement records and corrections from one gate execution."""
+    """Measurement records and corrections from one gate execution: each
+    applied action as its feed-forward step wrote it, ``(kind, qubit)``."""
 
     records: tuple[HomodyneRecord, ...]
     photon_outcomes: tuple[tuple[int, str], ...] = ()
-    corrections: tuple[str, ...] = ()
+    corrections: tuple[Action, ...] = ()
 
 
 def parity_gate(
@@ -245,8 +244,8 @@ def run_steps(
             photons.append((*args, outcome))
             flagged, phi = outcome == "V", None
         elif flagged:  # a feed-forward, which check_steps puts after a measurement
-            state, applied = _apply_actions(state, args, phi)
-            corrections += applied
+            state = _apply_actions(state, args, phi)
+            corrections += args
     if next(outcomes, None) is not None:
         raise ContractError("more forced outcomes than measurements")
     return GateTrace(tuple(records), tuple(photons), tuple(corrections)), state
@@ -290,14 +289,12 @@ def entangler_45(
 
 
 def _check_ancilla_plus(state: HybridState, ancilla: int) -> None:
-    """The ancilla must factor out as (|H> + |V>)/sqrt(2)."""
-    groups: dict[tuple, dict[str, complex]] = {}
-    for b in state.branches:
-        rest = (b.basis[:ancilla] + b.basis[ancilla + 1 :], b.phase)
-        groups.setdefault(rest, {})[b.basis[ancilla]] = b.amplitude
-    for amps in groups.values():
-        h, v = amps.get("H", 0j), amps.get("V", 0j)
-        if abs(h - v) > _ANCILLA_TOL:
+    """The ancilla must factor out as (|H> + |V>)/sqrt(2): in the diagonal
+    frame each of its V amplitudes, ``(h - v)/sqrt(2)`` of an H/V pair that
+    shares the rest of the state, is at most ``_ANCILLA_TOL / sqrt(2)``."""
+    rotated = apply_single_qubit(state, diagonal_basis_change(ancilla))
+    for b in rotated.branches:
+        if b.basis[ancilla] == "V" and abs(b.amplitude) > _ANCILLA_TOL * _SQRT_HALF:
             raise ValidationError(
                 "ancilla is not prepared as (|H> + |V>)/sqrt(2); "
                 "recycle it with recycle_ancilla first"
@@ -328,7 +325,7 @@ def cnot(
     """
     if len({control, ancilla, target}) != 3:
         raise ValidationError("control, ancilla and target must be distinct")
-    state.require_qubit(ancilla)  # run_steps checks the other two
+    state.require_qubit(ancilla)  # an int before the cached frame gate; run_steps checks the rest
     _check_ancilla_plus(state, ancilla)
     steps = cnot_steps(control, ancilla, target)
     return run_steps(state, steps, probe, rng, (force_x1, force_x2, force_photon))

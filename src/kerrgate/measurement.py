@@ -194,10 +194,11 @@ def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) 
     """Draw ``n`` independent X samples from the outcome density.
 
     With one branch per basis string (every circuit built here) the density
-    is exactly a mixture of unit-variance Gaussians, one per branch: each
-    sample picks a branch (:func:`pick_branches` of ``rng.random(n)``) and
-    adds a standard normal made by :func:`gaussian` from ``rng.random((n,
-    2))``, the homodyne words of :data:`kerrgate.gates.STEP_KINDS`.  Box-Muller's tail
+    is exactly a mixture of unit-variance Gaussians, one per branch.  Sample
+    ``i`` reads row ``i`` of ``rng.random((n, 3))``, the homodyne words of
+    :data:`kerrgate.gates.STEP_KINDS`, as a shot does: it picks a branch
+    (:func:`pick_branches`) by the first word and adds the standard normal
+    that :func:`gaussian` makes from the other two.  Box-Muller's tail
     stops near 8.57 sigma, which matters only for error rates below ~1e-17.
     A state where some basis string holds two branches has interfering
     peaks and raises ``ValidationError``, as does a zero or overflowing norm.
@@ -211,9 +212,8 @@ def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) 
         weights = np.abs(np.array([b.amplitude for b in state.branches])) ** 2
         total = require_norm(np.add.reduce(weights, axis=-1), "sample")
     means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
-    picks = pick_branches(weights, rng.random(n), total)
-    u = rng.random((n, 2))
-    return means[picks] + gaussian(u[:, 0], u[:, 1])
+    u = rng.random((n, 3))
+    return means[pick_branches(weights, u[:, 0], total)] + gaussian(u[:, 1], u[:, 2])
 
 
 def sample_and_collapse(

@@ -664,7 +664,6 @@ def test_one_table_entry_adds_an_action_kind(monkeypatch, kind):
     and a batch circuit built afresh compiles it; a kind that undoes the
     record's phase still needs a homodyne before it."""
     monkeypatch.setitem(gates.ACTIONS, kind, EXTRA_ACTIONS[kind])
-    batch._step.cache_clear()
     steps = (("homodyne", 0, 1), ("feed_forward", (kind, 1), ("undo-phase", 0)))
     gates.check_steps(steps, 2)
     block = assert_engines_run_alike(steps, shots=16)

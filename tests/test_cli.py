@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -323,7 +324,46 @@ REFUSED_CONFIGS = {
 }
 
 
+#: (fields, the message) of configs that argparse and the config-file reader
+#: refuse before any is built, which a direct build refuses too: a value
+#: outside its key's choices, or an integer key's value that is no integer
+REFUSED_BUILDS = {
+    "format-xml": (
+        dict(experiment="parity", alpha=8.0, theta=0.5, format="xml"),
+        "format: invalid choice 'xml', choose from csv, json",
+    ),
+    "sweep-of-the-oracle": (
+        dict(experiment="sweep", sweep_gate="validate-oracle", alpha=0.5, theta=0.5,
+             grid_alpha=(0.5, 5.0), grid_theta=(0.5,)),
+        "sweep_gate: invalid choice 'validate-oracle', choose from parity, entangler, "
+        "entangler45, cnot",
+    ),
+    "seed-fractional": (
+        dict(experiment="parity", alpha=8.0, theta=0.5, seed=1.5),
+        "seed: must be an integer, got 1.5",
+    ),
+    "shots-fractional": (
+        dict(experiment="parity", alpha=8.0, theta=0.5, shots=2.5),
+        "shots: must be an integer, got 2.5",
+    ),
+    "experiment-unknown": (
+        dict(experiment="teleport", alpha=8.0, theta=0.5),
+        "experiment: invalid choice 'teleport', choose from parity, entangler, entangler45, "
+        "cnot, sweep, validate-oracle",
+    ),
+}
+
+
 class TestErrorExits:
+    @pytest.mark.parametrize("case", list(REFUSED_BUILDS))
+    def test_a_config_refuses_what_the_flag_and_file_readers_refuse(self, case, tmp_path):
+        values, message = REFUSED_BUILDS[case]
+        out = tmp_path / "run.csv"
+        with pytest.raises(ConfigError) as info:
+            cli.run(ExperimentConfig(**values, output=str(out)))
+        assert str(info.value) == message
+        assert not out.exists()
+
     @pytest.mark.parametrize("case", list(REFUSED_CONFIGS))
     def test_a_config_is_refused_when_built_as_main_refuses_it(self, case, tmp_path, capsys):
         values, argv, message = REFUSED_CONFIGS[case]
@@ -542,6 +582,40 @@ class TestParserReuse:
         out.unlink()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(text: str, after: str) -> str:
+    """The first fenced block of ``text`` after the line ``after``."""
+    rest = text.split(f"\n{after}\n", 1)[1]
+    return rest.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_the_readme_cli_examples_run(tmp_path, monkeypatch):
+    """Each ``kerrgate`` command in README's CLI section, its ``\\``
+    continuations joined, exits 0 and writes its ``--output`` with the
+    README's output schema: the CSV header, or those JSON fields."""
+    text = README.read_text()
+    schema = "Output schema (CSV header, mirrored by JSON field names):"
+    header = readme_block(text, schema).strip()
+    commands = readme_block(text, "## CLI").replace("\\\n", " ").splitlines()
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in commands:
+        if not line.startswith("kerrgate "):
+            continue
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = Path(argv[argv.index("--output") + 1]).read_text()
+        if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+            rows = json.loads(out)
+            assert rows and all(list(row) == header.split(",") for row in rows), line
+        else:
+            assert out.splitlines()[0] == header, line
+        ran += 1
+    assert ran
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,6 +1,7 @@
 """Parity gate, entanglers, CNOT composition, feed-forward actions."""
 
 import ast
+import itertools
 import math
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from kerrgate import (
     recycle_ancilla,
     sign_flip,
 )
-from kerrgate import gates
+from kerrgate import batch, gates
 from kerrgate.analysis import p_error
 from kerrgate.gates import ACTIONS, check_steps, cnot_steps, entangler_45_steps, entangler_steps
 from kerrgate.optics import SingleQubitGate
@@ -148,7 +149,7 @@ class TestEntangler:
         state = new_state([UNIFORM, UNIFORM])
         trace, post = entangler(state, 0, 1, STRONG, np.random.default_rng(1), force_x=X_ODD)
         assert trace.records[0].parity == "odd"
-        assert trace.corrections == ("undo-phase:q0", "flip:q1")
+        assert trace.corrections == (("undo-phase", 0), ("flip", 1))
         assert fidelity(post, bell_state()) == pytest.approx(1.0, abs=1e-10)
 
     def test_diagonal_basis_entangles_in_rotated_frame(self):
@@ -304,6 +305,19 @@ class TestCnot:
         with pytest.raises(ValidationError):
             cnot(state, 0, 1, 2, STRONG, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("gap, refused", [(2e-9, True), (5e-10, False)])
+    def test_ancilla_tolerance_is_a_nanoamplitude(self, gap, refused):
+        """With the control and target in H, an ancilla whose H and V
+        amplitudes differ by more than 1e-9 is refused, and one by less runs."""
+        half = gap / 2.0
+        state = new_state([(1, 0), (SQRT_HALF + half, SQRT_HALF - half), (1, 0)])
+        rng = np.random.default_rng(0)
+        if refused:
+            with pytest.raises(ValidationError, match="ancilla is not prepared"):
+                cnot(state, 0, 1, 2, STRONG, rng)
+        else:
+            cnot(state, 0, 1, 2, STRONG, rng)
+
     def test_rejects_duplicate_qubits(self):
         state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
         with pytest.raises(ValidationError):
@@ -382,7 +396,7 @@ class TestFeedForwardPlans:
         reading, and nothing runs on an even or H one."""
         step, *actions = FEED_FORWARDS[name]
         assert step == "feed_forward" and actions
-        expected = tuple(f"{kind}:q{q}" for kind, q in actions)
+        expected = tuple(actions)
         assert gate_corrections(name, flagged=False) == ()
         assert gate_corrections(name, flagged=True)[-len(expected) :] == expected
 
@@ -401,8 +415,32 @@ class TestFeedForwardPlans:
             state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
             trace, _ = cnot(state, 0, 1, 2, STRONG, np.random.default_rng(seed),
                             X_ODD, X_ODD, "V")
-            assert "sign-flip:q0" in trace.corrections
+            assert ("sign-flip", 0) in trace.corrections
         assert built == [([[1, 0], [0, -1]], 0)]
+
+    @pytest.mark.parametrize("experiment", list(batch.CIRCUITS))
+    def test_the_trace_lists_each_flagged_steps_actions(self, experiment):
+        """For every forced pattern of odd/even and V/H readings, the trace's
+        corrections are the actions, ``(kind, qubit)`` as written, of each
+        feed-forward step whose measurement flagged, in circuit order."""
+        circuit = batch.CIRCUITS[experiment]
+        kinds = [name for name, *_ in circuit.steps if name in ("homodyne", "photon")]
+        c, d = (0.6, 0.8), (0.28, -0.96)
+        for flags in itertools.product((False, True), repeat=len(kinds)):
+            forced = [
+                (X_ODD if flag else X_EVEN) if kind == "homodyne" else ("V" if flag else "H")
+                for kind, flag in zip(kinds, flags)
+            ]
+            expected, flag = [], iter(flags)
+            for name, *args in circuit.steps:
+                if name in ("homodyne", "photon"):
+                    flagged = next(flag)
+                elif name == "feed_forward" and flagged:
+                    expected += args
+            state = new_state([c, ANCILLA_PLUS, d] if circuit.ancilla else [c, d])
+            trace, _ = gates.run_steps(state, circuit.steps, STRONG, np.random.default_rng(0),
+                                       tuple(forced))
+            assert trace.corrections == tuple(expected), (experiment, flags)
 
     @pytest.mark.parametrize("action", [("teleport", 0)], ids=["unknown-kind"])
     def test_malformed_actions_raise_contract_errors(self, action):

@@ -374,10 +374,20 @@ class TestSampleQuadrature:
         words = np.random.default_rng(99)
         weights = np.abs(np.array([b.amplitude for b in state.branches])) ** 2
         means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
-        picks = two_pass_picks(weights, words.random(2000))
-        noise = words.random((2000, 2))
-        expected = means[picks] + gaussian(noise[:, 0], noise[:, 1])
+        u = words.random((2000, 3))
+        expected = means[two_pass_picks(weights, u[:, 0])] + gaussian(u[:, 1], u[:, 2])
         assert [x.hex() for x in draws.tolist()] == [x.hex() for x in expected.tolist()]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_n_samples_are_n_one_sample_calls(self, n):
+        """Sample ``i`` reads row ``i`` of the words, as a shot does, so ``n``
+        samples equal ``n`` one-sample calls on one generator, bit for bit."""
+        probe = ProbeMode(6.0, 0.9)
+        state = parity_state((0.6, 0.8j), (SQRT_HALF, -SQRT_HALF), probe.alpha, probe.theta)
+        draws = sample_quadrature(state, np.random.default_rng(5), n)
+        rng = np.random.default_rng(5)
+        one_by_one = [sample_quadrature(state, rng)[0] for _ in range(n)]
+        assert [x.hex() for x in draws.tolist()] == [x.hex() for x in one_by_one]
 
     def test_zero_norm_state_is_rejected(self):
         with pytest.raises(ValidationError, match="zero-norm"):

@@ -390,6 +390,20 @@ REJECTIONS = {
         lambda: truncation_loss(1e154, 10**308),
         ValidationError, r"^Poisson term past k = 2\.6e305 at mean 1e\+308$",
     ),
+    # a Poisson walk lists about 10 alpha terms: at alpha 1e6 it took 0.86 s,
+    # and at alpha 1e10 it grew memory until it failed
+    "required_truncation-walk-past-2**20-terms": (
+        lambda: required_truncation(1e6),
+        ValidationError, r"^Poisson sum at mean 1e\+12 needs over 1048576 terms$",
+    ),
+    "truncation_loss-walk-past-2**20-terms": (
+        lambda: truncation_loss(1e6, 10**12),
+        ValidationError, r"^Poisson sum at mean 1e\+12 needs over 1048576 terms$",
+    ),
+    "required_truncation-walk-past-2**20-terms-at-alpha-1e10": (
+        lambda: required_truncation(1e10),
+        ValidationError, r"^Poisson sum at mean 1e\+20 needs over 1048576 terms$",
+    ),
     # psi_0 = e^{-x^2/4} is subnormal past |x| = 53.23 and 0.0 past 54.6: the
     # eigenfunctions returned 2.3e-309 at x = 53.3 and 0.0 at 54.7, and the
     # oracle's density read those, wrong digits or 0, without an error
