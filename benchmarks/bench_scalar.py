@@ -6,6 +6,8 @@ Times:
 - ``new_state`` on the CNOT's 3-qubit product input;
 - ``apply_cross_kerr``, the parity detector's first kick on 2 qubits;
 - ``apply_single_qubit``, the diagonal basis change on the CNOT's 3 qubits;
+- one unforced ``sample_quadrature`` draw after the parity kicks, every
+  call continuing one ``default_rng(SEED)``;
 - a forced ``sample_and_collapse`` after the parity kicks (one branch per
   basis string), and one of a state holding two labels on one basis string;
 - a forced ``qnd_photon_measure`` of the CNOT's ancilla;
@@ -43,6 +45,7 @@ from kerrgate import (
     parity_gate,
     qnd_photon_measure,
     sample_and_collapse,
+    sample_quadrature,
 )
 
 SEED = 4242
@@ -78,6 +81,12 @@ def test_apply_single_qubit(benchmark):
     state = new_state(CNOT_INPUT)
     rotated = benchmark(apply_single_qubit, state, diagonal_basis_change(1))
     assert len(rotated.branches) == 4
+
+
+def test_sample_quadrature(benchmark):
+    state = kicked_pair()
+    x = benchmark(sample_quadrature, state, np.random.default_rng(SEED))
+    assert abs(x - PROBE.x0) < 20.0  # a peak lies xd / 2 = 10 from x0; the noise stops at 8.57
 
 
 @pytest.mark.parametrize("labels", ["one", "two"], ids=["one-label", "two-labels"])

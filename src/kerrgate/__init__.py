@@ -30,7 +30,6 @@ from .optics import (
     build_parity_coupling_pair,
     diagonal_basis_change,
     diagonal_gate,
-    sign_flip,
 )
 from .states import (
     Branch,
@@ -81,7 +80,6 @@ __all__ = [
     "run_shots",
     "sample_and_collapse",
     "sample_quadrature",
-    "sign_flip",
 ]
 
 __version__ = "0.1.0"

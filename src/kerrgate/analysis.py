@@ -91,7 +91,7 @@ def run_shots(
     arguments therefore give identical results whatever the block size, and
     shot ``i`` replays through ``run_steps`` on ``default_rng(seed)``
     advanced by ``i K`` (``Generator.bit_generator.advance``).  ``seed`` must be a
-    non-negative integer (``TypeError`` for a float, string, sequence,
+    non-negative integer (``TypeError`` for a bool, float, string, sequence,
     ``SeedSequence`` or ``Generator``; ``ValueError`` when negative).
     """
     if experiment not in EXPERIMENTS:
@@ -105,6 +105,8 @@ def run_shots(
     check_normalized(inputs)
     inputs = [(complex(c0), complex(c1)) for c0, c1 in inputs]
     probe = geometry(alpha, theta)
+    if isinstance(seed, bool):
+        raise TypeError(f"seed must be a non-negative integer, got {seed!r}")
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")

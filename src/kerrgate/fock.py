@@ -138,29 +138,26 @@ def truncation_loss(alpha: float, n_trunc: int) -> float:
     return 1.0 - math.fsum(head)
 
 
-def required_truncation(alpha: float, bound: float = TRUNCATION_BOUND) -> int:
-    """Smallest cutoff n >= max(int(alpha**2), 1) meeting the truncation bound
-    for amplitude ``alpha``.
+def required_truncation(alpha: float) -> int:
+    """Smallest cutoff n >= max(int(alpha**2), 1) whose truncation loss is
+    at most ``TRUNCATION_BOUND`` for amplitude ``alpha``.
 
     One pass: the Poisson terms beyond the first candidate decrease, so they
-    are listed once, down to far below ``bound``, and summed from the far
+    are listed once, down to far below the bound, and summed from the far
     end; the tails P(n > m) grow as m falls, and the cutoff is the last m
-    before the tail exceeds ``bound``.  ``alpha`` must be finite and >= 0,
-    with a finite square, and ``bound`` >= 0 (not nan), and the list at most
-    ``_TAIL_TERMS_MAX`` terms long (alpha below about 1e5), else
-    ``ValidationError``.
+    before the tail exceeds the bound.  ``alpha`` must be finite and >= 0,
+    with a finite square, and the list at most ``_TAIL_TERMS_MAX`` terms
+    long (alpha below about 1e5), else ``ValidationError``.
     """
-    if not bound >= 0:  # also catches nan
-        raise ValidationError(f"truncation bound must be >= 0, got {bound}")
     lam = _mean_photon_number(alpha)
     n = max(int(lam), 1)
     if not alpha > 0:
         return n
-    terms = _tail_terms(lam, n + 1, scale=bound)
+    terms = _tail_terms(lam, n + 1, scale=TRUNCATION_BOUND)
     tail = 0.0
     for i in range(len(terms) - 1, -1, -1):
         tail += terms[i]  # P(N > n + i)
-        if tail > bound:
+        if tail > TRUNCATION_BOUND:
             return n + i + 1
     return n
 
@@ -294,16 +291,17 @@ def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
     with u = x / sqrt 2.  Each row is written in place, in that operation
     order, so no row allocates a temporary.  An ``x`` whose ``x^2/4``
     exceeds ``_LOG_TINY`` (|x| past about 53.23), where psi_0 underflows and
-    every row would read 0 or lost digits, raises ``ValidationError``, as
-    does an ``n_max`` that is not an integer >= 0.
+    every row would read 0 or lost digits, or a nan ``x`` raises
+    ``ValidationError``, as does an ``n_max`` that is not an integer >= 0.
     """
     if _integer(n_max, "n_max") < 0:
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
     x = np.asarray(x, dtype=float)
     exponent = -0.25 * x**2
-    if np.minimum.reduce(exponent, axis=None, initial=0.0) < -_LOG_TINY:
+    if not np.minimum.reduce(exponent, axis=None, initial=0.0) >= -_LOG_TINY:  # also catches nan
+        bad = float(x[~(exponent >= -_LOG_TINY)][0])
         raise ValidationError(
-            f"oscillator eigenfunctions underflow at x = {float(x[exponent < -_LOG_TINY][0])!r}: "
+            f"oscillator eigenfunctions underflow at x = {bad!r}: "
             f"e^(-x^2/4) is subnormal past |x| = {2.0 * math.sqrt(_LOG_TINY):.6g}"
         )
     u = x / math.sqrt(2.0)

@@ -132,7 +132,8 @@ def outcome_density(state: HybridState) -> Callable[[np.ndarray], np.ndarray]:
     When every basis string has one branch (every circuit built here) the
     pair list is empty and the interference term is skipped.  The returned
     callable accepts scalars or arrays and integrates to the state's squared
-    norm (1 for normalized states).
+    norm (1 for normalized states); a nan outcome raises ``ValidationError``,
+    as :func:`kernel_value` does.
     """
     probe = state.require_probe()
     amps = np.array([b.amplitude for b in state.branches], dtype=complex)
@@ -157,6 +158,8 @@ def outcome_density(state: HybridState) -> Callable[[np.ndarray], np.ndarray]:
     def density(x):
         scalar = np.isscalar(x) or np.ndim(x) == 0
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.isnan(xs).any():
+            raise ValidationError("homodyne outcome x is nan")
         out = weights @ np.exp(-0.5 * (xs - means) ** 2)
         if pairs:
             cross = waves(first, xs) * waves(second, xs).conj()
@@ -190,12 +193,12 @@ def pick_branches(weights: np.ndarray, u: np.ndarray, totals: np.ndarray) -> np.
     return np.add.reduce(cdf <= u[:, None], axis=-1)
 
 
-def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """Draw ``n`` independent X samples from the outcome density.
+def sample_quadrature(state: HybridState, rng: np.random.Generator) -> float:
+    """Draw one X sample from the outcome density.
 
     With one branch per basis string (every circuit built here) the density
-    is exactly a mixture of unit-variance Gaussians, one per branch.  Sample
-    ``i`` reads row ``i`` of ``rng.random((n, 3))``, the homodyne words of
+    is exactly a mixture of unit-variance Gaussians, one per branch.  The
+    sample reads one row, ``rng.random((1, 3))``, the homodyne words of
     :data:`kerrgate.gates.STEP_KINDS`, as a shot does: it picks a branch
     (:func:`pick_branches`) by the first word and adds the standard normal
     that :func:`gaussian` makes from the other two.  Box-Muller's tail
@@ -212,8 +215,9 @@ def sample_quadrature(state: HybridState, rng: np.random.Generator, n: int = 1) 
         weights = np.abs(np.array([b.amplitude for b in state.branches])) ** 2
         total = require_norm(np.add.reduce(weights, axis=-1), "sample")
     means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
-    u = rng.random((n, 3))
-    return means[pick_branches(weights, u[:, 0], total)] + gaussian(u[:, 1], u[:, 2])
+    u = rng.random((1, 3))
+    x = means[pick_branches(weights, u[:, 0], total)] + gaussian(u[:, 1], u[:, 2])
+    return float(x[0])
 
 
 def sample_and_collapse(
@@ -231,7 +235,7 @@ def sample_and_collapse(
     """
     probe = state.require_probe()
     if force_x is None:
-        x = float(sample_quadrature(state, rng, 1)[0])
+        x = sample_quadrature(state, rng)
     elif isinstance(force_x, numbers.Real):
         x = float(force_x)
     else:

@@ -66,12 +66,6 @@ def bit_flip(qubit_index: int) -> SingleQubitGate:
     return SingleQubitGate(np.array([[0, 1], [1, 0]], dtype=complex), qubit_index)
 
 
-@lru_cache(maxsize=None)
-def sign_flip(qubit_index: int) -> SingleQubitGate:
-    """V -> -V sign change."""
-    return SingleQubitGate(np.array([[1, 0], [0, -1]], dtype=complex), qubit_index)
-
-
 def diagonal_gate(qubit_index: int, phase_h: float, phase_v: float) -> SingleQubitGate:
     """diag(e^{i phase_h}, e^{i phase_v})."""
     if not (math.isfinite(phase_h) and math.isfinite(phase_v)):

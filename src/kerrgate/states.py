@@ -211,18 +211,20 @@ class HybridState:
 
 def check_qubit(qubit_index: int, n_qubits: int) -> None:
     """Raise ``ValidationError`` unless ``qubit_index`` is an integer in
-    ``range(n_qubits)``; a ``bool`` is not an index, as ``np.bool_`` is not."""
-    if isinstance(qubit_index, bool):
-        raise ValidationError(f"qubit index must be an integer, got {qubit_index!r}")
+    ``range(n_qubits)``."""
     if not (0 <= _integer(qubit_index, "qubit index") < n_qubits):
         raise ValidationError(f"qubit index {qubit_index} out of range for {n_qubits} qubits")
 
 
 def _integer(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` as an ``int``, or ``ValidationError``; a ``bool`` is not a
+    count or an index, as ``np.bool_`` is not."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _merged_state(

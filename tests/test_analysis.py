@@ -186,8 +186,9 @@ class TestRunShots:
             run_shots("teleport", [UNIFORM, UNIFORM], 4.0, 0.4, 10, 0)
 
     def test_shots_are_read_as_an_integer(self):
-        """Any integer type counts shots, and the stats echo a plain int."""
-        for shots in (np.int64(3), True):
+        """Any integer type but ``bool`` counts shots, and the stats echo a
+        plain int; a bool is refused (``test_rejections.py``)."""
+        for shots in (np.int64(3), np.uint8(3)):
             stats = run_shots("parity", [(1, 0), (1, 0)], 20.0, 0.8, shots, 11)
             assert type(stats.shots) is int and stats.shots == int(shots)
 

@@ -60,7 +60,7 @@ from kerrgate.gates import (
     run_steps,
 )
 from kerrgate.measurement import gaussian
-from kerrgate.optics import bit_flip, sign_flip
+from kerrgate.optics import SingleQubitGate, bit_flip
 from kerrgate.states import ALPHA_MAX
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
@@ -328,9 +328,9 @@ def lifted(n, gate):
     return full.T
 
 
-#: the reference gate of each fixed action kind, written from kerrgate.optics
-#: and not from gates.ACTIONS, which it certifies
-REFERENCE_GATES = {"flip": bit_flip, "sign-flip": sign_flip}
+#: the reference gate of each fixed action kind, written out here and not
+#: from gates.ACTIONS, which it certifies
+REFERENCE_GATES = {"flip": bit_flip, "sign-flip": lambda q: SingleQubitGate(np.diag([1, -1]), q)}
 
 
 def masked_feed_forward(amp, n, actions, flag, phi):

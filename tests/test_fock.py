@@ -26,6 +26,7 @@ from kerrgate import (
     outcome_density,
 )
 from kerrgate.fock import (
+    TRUNCATION_BOUND,
     FockOracleState,
     _trigger_mask,
     coherent_coefficients,
@@ -178,21 +179,18 @@ class TestTruncationLoss:
     def test_an_integer_cutoff_of_any_type_is_accepted(self):
         assert truncation_loss(2.0, np.int64(40)) == truncation_loss(2.0, 40)
 
-    @pytest.mark.parametrize("bound", [1e-10, 1e-14])
+    # required_truncation has one bound; the parameter names it in the test id
+    @pytest.mark.parametrize("bound", [TRUNCATION_BOUND])
     def test_required_truncation_matches_poisson_search(self, bound):
         for alpha in [*np.linspace(0.0, 10.0, 101), *DENSE_ALPHAS]:
-            assert required_truncation(alpha, bound) == poisson_truncation(alpha, bound), alpha
+            assert required_truncation(alpha) == poisson_truncation(alpha, bound), alpha
 
-    @pytest.mark.parametrize("bound", [1e-10, 1e-30, 0.5])
+    @pytest.mark.parametrize("bound", [TRUNCATION_BOUND])
     def test_required_truncation_is_the_first_cutoff_within_bound(self, bound):
         for alpha in DENSE_ALPHAS[::50]:
-            n = required_truncation(alpha, bound)
+            n = required_truncation(alpha)
             assert truncation_loss(alpha, n) <= bound
             assert n == max(int(alpha**2), 1) or truncation_loss(alpha, n - 1) > bound
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValidationError, match="bound"):
-            required_truncation(1.0, -1e-10)
 
 
 class TestOracleCrossKerr:

@@ -25,7 +25,6 @@ from kerrgate import (
     norm_squared,
     parity_gate,
     recycle_ancilla,
-    sign_flip,
 )
 from kerrgate import batch, gates
 from kerrgate.analysis import p_error
@@ -198,7 +197,7 @@ class TestEntangler45:
         trace, post = entangler_45(state, 1, 2, STRONG, np.random.default_rng(0), force_x=force_x)
         assert trace.records[0].parity == parity
         if parity == "odd":
-            post = apply_single_qubit(post, sign_flip(0))
+            post = apply_single_qubit(post, SingleQubitGate(np.diag([1, -1]), 0))
         s, r = d0 + d1, d0 - d1
         branches = []
         for w_dd, w_db, basis in (
@@ -223,7 +222,7 @@ class TestEntangler45:
         rng = np.random.default_rng(0)
         _, even_out = entangler_45(state, 1, 2, STRONG, rng, force_x=X_EVEN)
         trace, odd_out = entangler_45(state, 1, 2, STRONG, rng, force_x=X_ODD)
-        odd_out = apply_single_qubit(odd_out, sign_flip(0))
+        odd_out = apply_single_qubit(odd_out, SingleQubitGate(np.diag([1, -1]), 0))
         assert fidelity(even_out, odd_out) == pytest.approx(1.0, abs=1e-9)
 
 

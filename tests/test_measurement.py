@@ -337,7 +337,8 @@ class TestSampleQuadrature:
         """One-sample KS against the exact mixture CDF, fixed seed."""
         alpha = 6.0
         state = uniform_parity_state(alpha, theta)
-        xs = sample_quadrature(state, np.random.default_rng(11), 20_000)
+        rng = np.random.default_rng(11)
+        xs = [sample_quadrature(state, rng) for _ in range(20_000)]
 
         def cdf(x):
             return 0.5 * stats.norm.cdf(x, loc=2 * alpha) + 0.5 * stats.norm.cdf(
@@ -362,32 +363,25 @@ class TestSampleQuadrature:
 
     @pytest.mark.parametrize("alpha", [2.0, 6.0, 100.0])
     def test_draws_equal_the_two_pass_picks(self, alpha):
-        """Sampling with the norm check's row sum draws, bit for bit, what
-        the former two-pass pick drew, on kicked states of Haar inputs."""
+        """One-sample calls on one generator, each reading one word row and
+        picking with the norm check's row sum, draw, bit for bit, what the
+        former two-pass pick drew from the rows of ``random((2000, 3))``, on
+        kicked states of Haar inputs."""
         rng = np.random.default_rng([7, int(alpha)])
         pairs = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         c, d = (tuple(pair / np.linalg.norm(pair)) for pair in pairs)
         probe = ProbeMode(alpha, 2.0 * math.asin(math.sqrt(4.0 / (4.0 * alpha))))
         state = parity_state(c, d, alpha, probe.theta)
-        draws = sample_quadrature(state, np.random.default_rng(99), 2000)
+        stream = np.random.default_rng(99)
+        draws = [sample_quadrature(state, stream) for _ in range(2000)]
+        assert {type(x) for x in draws} == {float}
 
         words = np.random.default_rng(99)
         weights = np.abs(np.array([b.amplitude for b in state.branches])) ** 2
         means = np.array([2.0 * probe.label(b.phase).real for b in state.branches])
         u = words.random((2000, 3))
         expected = means[two_pass_picks(weights, u[:, 0])] + gaussian(u[:, 1], u[:, 2])
-        assert [x.hex() for x in draws.tolist()] == [x.hex() for x in expected.tolist()]
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 64])
-    def test_n_samples_are_n_one_sample_calls(self, n):
-        """Sample ``i`` reads row ``i`` of the words, as a shot does, so ``n``
-        samples equal ``n`` one-sample calls on one generator, bit for bit."""
-        probe = ProbeMode(6.0, 0.9)
-        state = parity_state((0.6, 0.8j), (SQRT_HALF, -SQRT_HALF), probe.alpha, probe.theta)
-        draws = sample_quadrature(state, np.random.default_rng(5), n)
-        rng = np.random.default_rng(5)
-        one_by_one = [sample_quadrature(state, rng)[0] for _ in range(n)]
-        assert [x.hex() for x in draws.tolist()] == [x.hex() for x in one_by_one]
+        assert [x.hex() for x in draws] == [x.hex() for x in expected.tolist()]
 
     def test_zero_norm_state_is_rejected(self):
         with pytest.raises(ValidationError, match="zero-norm"):

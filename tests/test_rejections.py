@@ -36,7 +36,7 @@ from kerrgate.fock import (
     required_truncation,
     truncation_loss,
 )
-from kerrgate.measurement import qnd_photon_measure
+from kerrgate.measurement import outcome_density, qnd_photon_measure
 
 ONE_QUBIT = new_state([(0.6, 0.8)])
 TWO_QUBITS = new_state([(0.6, 0.8), (0.28, 0.96)])
@@ -77,6 +77,16 @@ REJECTIONS = {
     "run_shots-fractional-shots": (
         lambda: run_shots("parity", [(1, 0), (0, 1)], 100.0, theta_for(100.0), 2.5, 1),
         ValidationError, r"^shots must be an integer, got 2\.5$",
+    ),
+    # a bool passed as the int it subclasses: shots=True ran one shot and
+    # seed=True ran seed 1
+    "run_shots-bool-shots": (
+        lambda: run_shots("parity", [(1, 0), (0, 1)], 100.0, theta_for(100.0), True, 1),
+        ValidationError, r"^shots must be an integer, got True$",
+    ),
+    "run_shots-bool-seed": (
+        lambda: run_shots("parity", [(1, 0), (0, 1)], 100.0, theta_for(100.0), 2, True),
+        TypeError, r"^seed must be a non-negative integer, got True$",
     ),
     "run_shots-three-pairs": (
         lambda: run_shots("cnot", [(1, 0)] * 3, 8.0, 0.5, 4, 1),
@@ -202,12 +212,7 @@ REJECTIONS = {
         lambda: required_truncation(1e200),
         ValidationError, r"^alpha must be finite and >= 0, with a finite square, got 1e\+200$",
     ),
-    # a nan bound passed the `bound < 0` check and gave a cutoff losing ~0.37;
     # a fractional or nan cutoff raised a raw TypeError from range()
-    "required_truncation-nan-bound": (
-        lambda: required_truncation(2.0, math.nan),
-        ValidationError, r"^truncation bound must be >= 0, got nan$",
-    ),
     "truncation_loss-fractional-cutoff": (
         lambda: truncation_loss(2.0, 2.5),
         ValidationError, r"^cutoff must be an integer, got 2\.5$",
@@ -434,6 +439,34 @@ REJECTIONS = {
     "oscillator_eigenfunctions-float-n_max": (
         lambda: oscillator_eigenfunctions(3.0, np.array([0.0, 1.0])),
         ValidationError, r"^n_max must be an integer, got 3\.0$",
+    ),
+    "truncation_loss-bool-cutoff": (
+        lambda: truncation_loss(2.0, True),
+        ValidationError, r"^cutoff must be an integer, got True$",
+    ),
+    "coherent_coefficients-bool-cutoff": (
+        lambda: coherent_coefficients(1.0, False),
+        ValidationError, r"^cutoff must be an integer, got False$",
+    ),
+    "oscillator_eigenfunctions-bool-n_max": (
+        lambda: oscillator_eigenfunctions(True, np.array([0.0, 1.0])),
+        ValidationError, r"^n_max must be an integer, got True$",
+    ),
+    # a nan outcome: the branch model's density returned nan, and the
+    # oracle's, whose underflow guard a nan passed, returned [0.054, nan]
+    "outcome_density-nan-x": (
+        lambda: outcome_density(TWO_QUBITS.activate_probe(ProbeMode(2.0, 0.5)))(math.nan),
+        ValidationError, r"^homodyne outcome x is nan$",
+    ),
+    "outcome_density-nan-in-array": (
+        lambda: outcome_density(TWO_QUBITS.activate_probe(ProbeMode(2.0, 0.5)))(
+            np.array([0.0, math.nan])
+        ),
+        ValidationError, r"^homodyne outcome x is nan$",
+    ),
+    "oracle_homodyne_density-nan-x": (
+        lambda: oracle_homodyne_density(unequal_oracle_states()[0])(np.array([0.0, math.nan])),
+        ValidationError, r"^oscillator eigenfunctions underflow at x = nan: ",
     ),
     "oracle_homodyne_density-far-x": (
         lambda: oracle_homodyne_density(unequal_oracle_states()[0])(54.7),
