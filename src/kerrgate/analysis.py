@@ -10,15 +10,13 @@ Classifying by ``x0`` misreads a peak's tail with probability
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .batch import CIRCUITS, _run_block
 from .errors import ValidationError
-from .states import ProbeMode, _integer, check_normalized
+from .states import ProbeMode, _checked_cache, _integer, _label, _real, check_normalized
 
 #: shots simulated together; a constant, so peak memory does not grow with
 #: the shot count and results do not depend on a tunable
@@ -30,11 +28,14 @@ LOGICAL_ERROR_FIDELITY = 1.0 - 1e-6
 EXPERIMENTS = tuple(CIRCUITS)
 
 
-@lru_cache(maxsize=128)
+@_checked_cache(
+    lambda alpha, theta: (_real(alpha, "probe alpha"), _real(theta, "probe theta")), maxsize=128
+)
 def geometry(alpha: float, theta: float) -> ProbeMode:
     """The validated ``ProbeMode(alpha, theta)`` (else ``ValidationError``), whose
     ``x0`` is the threshold and ``xd ~ alpha theta^2`` the peak separation;
-    the one cache of probes, keyed by the two floats, which never holds an error."""
+    the one cache of probes, keyed by the two reals as floats, checked before
+    the lookup, which never holds an error."""
     return ProbeMode(alpha, theta)
 
 
@@ -92,24 +93,23 @@ def run_shots(
     shot ``i`` replays through ``run_steps`` on ``default_rng(seed)``
     advanced by ``i K`` (``Generator.bit_generator.advance``).  ``seed`` must be a
     non-negative integer (``TypeError`` for a bool, float, string, sequence,
-    ``SeedSequence`` or ``Generator``; ``ValueError`` when negative).
+    ``SeedSequence`` or ``Generator``; ``ValidationError``, a ``ValueError``,
+    when negative).
     """
-    if experiment not in EXPERIMENTS:
-        raise ValidationError(f"unknown experiment {experiment!r}; pick one of {EXPERIMENTS}")
+    experiment = _label(experiment, "experiment", EXPERIMENTS)
     shots = _integer(shots, "shots")
     if shots < 1:
         raise ValidationError("shots must be >= 1")
-    inputs = list(inputs)
+    inputs = check_normalized(inputs)
     if len(inputs) != 2:
         raise ValidationError(f"{experiment} takes two qubit amplitude pairs")
-    check_normalized(inputs)
-    inputs = [(complex(c0), complex(c1)) for c0, c1 in inputs]
     probe = geometry(alpha, theta)
-    if isinstance(seed, bool):
-        raise TypeError(f"seed must be a non-negative integer, got {seed!r}")
-    seed = operator.index(seed)
+    try:
+        seed = _integer(seed, "seed")
+    except ValidationError:
+        raise TypeError(f"seed must be a non-negative integer, got {seed!r}") from None
     if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     errors = 0

@@ -13,7 +13,6 @@ import cmath
 import functools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from .errors import ValidationError
 from .gates import ANCILLA_PLUS
 from .measurement import outcome_density
 from .optics import apply_cross_kerr, build_parity_coupling_pair
-from .states import ProbeMode, new_state
+from .states import ProbeMode, _integer, new_state
 
 EXPERIMENTS = analysis.EXPERIMENTS + ("sweep", "validate-oracle")
 
@@ -133,8 +132,11 @@ class ExperimentConfig:
             if spec.choices is not None:
                 if value not in spec.choices:
                     raise ConfigError(_invalid_choice(key, spec, value))
-            elif isinstance(value, bool) or not isinstance(value, numbers.Integral):  # an int key
-                raise ConfigError(f"{key}: must be an integer, got {value!r}")
+            else:  # an int key
+                try:
+                    _integer(value, f"{key}:")
+                except ValidationError as exc:
+                    raise ConfigError(str(exc)) from None
         if self.experiment == "sweep":  # no row reads --alpha, --theta; still required, so valid
             _probe(self.alpha, self.theta, "alpha", "theta")
             if self.grid_alpha is None or self.grid_theta is None:

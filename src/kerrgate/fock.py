@@ -23,8 +23,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
+from .measurement import _outcomes
 from .optics import KerrCoupling, SingleQubitGate
-from .states import HybridState, ProbeMode, _integer
+from .states import HybridState, ProbeMode, _integer, _real
 
 #: largest admissible truncation loss when embedding a coherent state
 TRUNCATION_BOUND = 1e-10
@@ -90,12 +91,13 @@ def _tail_terms(lam: float, k: int, scale: float | None = None) -> list[float]:
 
 
 def _mean_photon_number(alpha: float) -> float:
-    """``alpha**2``, for a finite ``alpha >= 0`` whose square is finite."""
+    """``alpha**2``, for a finite real ``alpha >= 0`` whose square is finite."""
+    value = _real(alpha, "alpha")
     try:
-        lam = float(alpha) ** 2
-    except OverflowError:  # from the square, or from an int past the float range
+        lam = value**2
+    except OverflowError:  # from the square
         lam = math.inf
-    if not (alpha >= 0.0 and lam < math.inf):  # also catches NaN
+    if not (value >= 0.0 and lam < math.inf):  # also catches NaN
         raise ValidationError(f"alpha must be finite and >= 0, with a finite square, got {alpha!r}")
     return lam
 
@@ -289,17 +291,20 @@ def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
         psi_{n+1} = sqrt(2 / (n + 1)) u psi_n - sqrt(n / (n + 1)) psi_{n-1},
 
     with u = x / sqrt 2.  Each row is written in place, in that operation
-    order, so no row allocates a temporary.  An ``x`` whose ``x^2/4``
-    exceeds ``_LOG_TINY`` (|x| past about 53.23), where psi_0 underflows and
-    every row would read 0 or lost digits, or a nan ``x`` raises
-    ``ValidationError``, as does an ``n_max`` that is not an integer >= 0.
+    order, so no row allocates a temporary.  An ``x`` that is not an array
+    of reals or holds a nan, read as both homodyne densities read it
+    (:func:`~kerrgate.measurement._outcomes`), or whose ``x^2/4`` exceeds
+    ``_LOG_TINY`` (|x| past about 53.23), where psi_0 underflows and every
+    row would read 0 or lost digits, raises ``ValidationError``, as does an
+    ``n_max`` that is not an integer >= 0.
     """
     if _integer(n_max, "n_max") < 0:
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
-    x = np.asarray(x, dtype=float)
-    exponent = -0.25 * x**2
-    if not np.minimum.reduce(exponent, axis=None, initial=0.0) >= -_LOG_TINY:  # also catches nan
-        bad = float(x[~(exponent >= -_LOG_TINY)][0])
+    x = _outcomes(x)
+    with np.errstate(over="ignore"):  # a square past the float range is refused below
+        exponent = -0.25 * x**2
+    if np.minimum.reduce(exponent, axis=None, initial=0.0) < -_LOG_TINY:
+        bad = float(x[exponent < -_LOG_TINY][0])
         raise ValidationError(
             f"oscillator eigenfunctions underflow at x = {bad!r}: "
             f"e^(-x^2/4) is subnormal past |x| = {2.0 * math.sqrt(_LOG_TINY):.6g}"
@@ -332,10 +337,9 @@ def oracle_homodyne_density(state: FockOracleState) -> Callable[[np.ndarray], np
     parts = np.concatenate([state.vector.real, state.vector.imag])
 
     def density(x):
-        x = np.asarray(x, dtype=float)
         psi = oscillator_eigenfunctions(state.n_trunc, np.atleast_1d(x))
         waves = parts @ psi  # (2 * 2**n, len(x))
         out = np.einsum("sx,sx->x", waves, waves)
-        return out if x.shape else float(out[0])
+        return out if np.ndim(x) else float(out[0])
 
     return density

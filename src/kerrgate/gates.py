@@ -60,7 +60,7 @@ from .optics import (
     diagonal_basis_change,
     diagonal_gate,
 )
-from .states import HybridState, ProbeMode, check_qubit
+from .states import HybridState, ProbeMode, _integer, _label, check_qubit
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -168,9 +168,8 @@ def check_steps(steps: tuple[tuple, ...], n: int) -> None:
                 if ACTIONS[action[0]][1] is None and last != "homodyne":
                     raise ContractError(f"an {action[0]} action follows no homodyne record")
             qubits = [qubit for _, qubit in args]
-        for qubit in qubits:
-            check_qubit(qubit, n)
-        if name != "feed_forward" and len(set(args)) < len(args):
+        qubits = [check_qubit(qubit, n) for qubit in qubits]
+        if name != "feed_forward" and len(set(qubits)) < len(qubits):
             raise ContractError(f"circuit step {name!r} names a qubit twice")
         if words:
             last = name
@@ -323,9 +322,9 @@ def cnot(
     the recorded basis state and can be recycled for the next gate.  No
     branch is dropped along the way, however small.
     """
+    control, ancilla, target = (_integer(q, "qubit index") for q in (control, ancilla, target))
     if len({control, ancilla, target}) != 3:
         raise ValidationError("control, ancilla and target must be distinct")
-    state.require_qubit(ancilla)  # an int before the cached frame gate; run_steps checks the rest
     _check_ancilla_plus(state, ancilla)
     steps = cnot_steps(control, ancilla, target)
     return run_steps(state, steps, probe, rng, (force_x1, force_x2, force_photon))
@@ -334,10 +333,8 @@ def cnot(
 def recycle_ancilla(state: HybridState, ancilla: int, outcome: str) -> HybridState:
     """Return a measured-out ancilla to (|H> + |V>)/sqrt(2) for reuse.
 
-    ``outcome`` is the ancilla's recorded post-CNOT polarization.
+    ``outcome`` is the ancilla's recorded post-CNOT polarization, ``"H"`` or ``"V"``.
     """
-    if outcome == "V":
+    if _label(outcome, "ancilla outcome") == "V":
         state = apply_single_qubit(state, bit_flip(ancilla))
-    elif outcome != "H":
-        raise ValidationError("ancilla outcome must be 'H' or 'V'")
     return apply_single_qubit(state, diagonal_basis_change(ancilla))

@@ -41,9 +41,9 @@ identical generators give identical outcomes.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -53,7 +53,11 @@ from .errors import ValidationError
 from .states import (
     Branch,
     HybridState,
+    _amplitude,
+    _array,
+    _label,
     _merged_state,
+    _real,
     norm_squared,
     renormalized,
     require_norm,
@@ -71,13 +75,17 @@ def kernel_value(x: float, beta: complex) -> complex:
     times the peak constant; this rearrangement of the defining exponent is
     exact and avoids catastrophic cancellation for large |beta|.  An
     outcome so far from ``2 Re beta`` that the square overflows or the
-    magnitude underflows has amplitude ``0j``, whatever its phase; a NaN
-    outcome, or a phase that overflows where the magnitude does not,
-    raises ``ValidationError``.
+    magnitude underflows has amplitude ``0j``, whatever its phase; an ``x``
+    that is not a real or is NaN, a ``beta`` that is not a finite amplitude,
+    or a phase that overflows where the magnitude does not, raises
+    ``ValidationError``.
     """
+    x = _real(x, "homodyne outcome x")
     if math.isnan(x):
         raise ValidationError("homodyne outcome x is nan")
-    beta = complex(beta)
+    beta = _amplitude(beta, "coherent label beta")
+    if not cmath.isfinite(beta):
+        raise ValidationError(f"coherent label beta must be finite, got {beta!r}")
     a, b = beta.real, beta.imag
     try:
         mag = math.exp(-0.25 * (x - 2.0 * a) ** 2)
@@ -108,6 +116,22 @@ class HomodyneRecord:
     phi: float
 
 
+def _outcomes(x) -> np.ndarray:
+    """The homodyne outcome ``x``, a real or a 1-d array of reals
+    (:func:`~kerrgate.states._array`), as a float array of its shape;
+    ``ValidationError`` for any other kind or shape, or a NaN entry.  Both
+    densities, the branch model's and the oracle's, read their outcomes
+    through it."""
+    xs = _array(x, "homodyne outcome x", "iuf").astype(float, copy=False)
+    if xs.ndim > 1:
+        raise ValidationError(
+            f"homodyne outcome x must be a real or a 1-d array, got shape {xs.shape}"
+        )
+    if np.isnan(xs).any():
+        raise ValidationError("homodyne outcome x is nan")
+    return xs
+
+
 def _same_basis_pairs(state: HybridState) -> list[tuple[int, int]]:
     """Index pairs ``i < j`` of branches that share a basis string."""
     if len({b.basis for b in state.branches}) == len(state.branches):
@@ -132,8 +156,9 @@ def outcome_density(state: HybridState) -> Callable[[np.ndarray], np.ndarray]:
     When every basis string has one branch (every circuit built here) the
     pair list is empty and the interference term is skipped.  The returned
     callable accepts scalars or arrays and integrates to the state's squared
-    norm (1 for normalized states); a nan outcome raises ``ValidationError``,
-    as :func:`kernel_value` does.
+    norm (1 for normalized states); an outcome that is not a real, or is
+    nan, raises ``ValidationError`` (:func:`_outcomes`), as
+    :func:`kernel_value` does.
     """
     probe = state.require_probe()
     amps = np.array([b.amplitude for b in state.branches], dtype=complex)
@@ -148,22 +173,21 @@ def outcome_density(state: HybridState) -> Callable[[np.ndarray], np.ndarray]:
         # v_i(x) = a_i * <x|l_i> for the branches in ``index``
         re = labels.real[index, None]
         im = labels.imag[index, None]
-        return (
-            amps[index, None]
-            * KERNEL_PEAK
-            * np.exp(-0.25 * (xs - 2.0 * re) ** 2)
-            * np.exp(1j * im * (xs - re))
-        )
+        mag = np.exp(-0.25 * (xs - 2.0 * re) ** 2)
+        # a phase that overflows has a zero magnitude, as in kernel_value
+        phase = np.where(mag > 0.0, im * (xs - re), 0.0)
+        return amps[index, None] * KERNEL_PEAK * mag * np.exp(1j * phase)
 
     def density(x):
-        scalar = np.isscalar(x) or np.ndim(x) == 0
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.isnan(xs).any():
-            raise ValidationError("homodyne outcome x is nan")
-        out = weights @ np.exp(-0.5 * (xs - means) ** 2)
-        if pairs:
-            cross = waves(first, xs) * waves(second, xs).conj()
-            out += 2.0 * np.sum(cross.real, axis=0)
+        xs = _outcomes(x)
+        scalar = xs.ndim == 0
+        xs = np.atleast_1d(xs)
+        # an outcome whose squared distance to a peak overflows has density 0
+        with np.errstate(over="ignore"):
+            out = weights @ np.exp(-0.5 * (xs - means) ** 2)
+            if pairs:
+                cross = waves(first, xs) * waves(second, xs).conj()
+                out += 2.0 * np.sum(cross.real, axis=0)
         return float(out[0]) if scalar else out
 
     return density
@@ -231,15 +255,14 @@ def sample_and_collapse(
     measured ``x``; the probe is released (every phase index back to 0) and
     the state is renormalized.  ``force_x`` bypasses sampling (tests use it
     to pin the measurement record); the collapse itself is identical either
-    way.  A ``force_x`` that is not a real number raises ``ValidationError``.
+    way.  A ``force_x`` that is not a real (:func:`~kerrgate.states._real`)
+    raises ``ValidationError``.
     """
     probe = state.require_probe()
     if force_x is None:
         x = sample_quadrature(state, rng)
-    elif isinstance(force_x, numbers.Real):
-        x = float(force_x)
     else:
-        raise ValidationError(f"forced x must be a real number, got {force_x!r}")
+        x = _real(force_x, "forced x")
     try:
         # weighting and releasing the probe in one merge: two labels of one
         # basis string become one branch here
@@ -271,6 +294,7 @@ def qnd_photon_measure(
     """Nondestructive {H, V} measurement of one qubit by the Born rule.
 
     The photon stays in the state (the qubit is projected, not removed).
+    ``force_outcome``, ``"H"`` or ``"V"``, bypasses sampling.
     """
     state.require_qubit(qubit_index)
     total = require_norm(norm_squared(state), "measure")
@@ -284,9 +308,7 @@ def qnd_photon_measure(
     if force_outcome is None:
         outcome = "V" if rng.random() < p_v else "H"
     else:
-        if force_outcome not in ("H", "V"):
-            raise ValidationError("forced outcome must be 'H' or 'V'")
-        outcome = force_outcome
+        outcome = _label(force_outcome, "forced outcome")
     kept = tuple(b for b in state.branches if b.basis[qubit_index] == outcome)
     collapsed = HybridState(state.n_qubits, kept, state.probe, state.pruned_mass)
     try:

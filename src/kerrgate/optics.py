@@ -12,16 +12,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
-from .states import Branch, HybridState, _merged_state
+from .states import (
+    Branch,
+    HybridState,
+    _array,
+    _checked_cache,
+    _integer,
+    _label,
+    _merged_state,
+    _real,
+)
 
 _UNITARY_TOL = 1e-12
 
 _IDX = {"H": 0, "V": 1}
+
+
+def _qubit_index(qubit_index) -> tuple[int]:
+    """The key of a cached single-qubit gate: its qubit, checked."""
+    return (_integer(qubit_index, "qubit index"),)
 
 
 @dataclass(frozen=True)
@@ -34,10 +47,14 @@ class KerrCoupling:
     sign: int
 
     def __post_init__(self):
-        if self.trigger_polarization not in ("H", "V"):
-            raise ValidationError("trigger polarization must be 'H' or 'V'")
-        if self.sign not in (1, -1):
+        qubit = _integer(self.qubit_index, "qubit index")
+        trigger = _label(self.trigger_polarization, "trigger polarization")
+        sign = _integer(self.sign, "coupling sign")
+        if sign not in (1, -1):
             raise ValidationError("coupling sign must be +1 or -1")
+        for name, value in (("qubit_index", qubit), ("trigger_polarization", trigger),
+                            ("sign", sign)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -48,26 +65,30 @@ class SingleQubitGate:
     qubit_index: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(_array(self.matrix, "gate matrix", "iufc"), dtype=complex)
         if m.shape != (2, 2):
             raise ValidationError("gate matrix must be 2x2")
         # before any arithmetic, which would warn on an inf or nan entry
         if not np.isfinite(m).all():
             raise ValidationError("gate matrix is not unitary: it has a non-finite entry")
-        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= _UNITARY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range
+            deviation = np.max(np.abs(m @ m.conj().T - np.eye(2)))
+        if not deviation <= _UNITARY_TOL:  # also catches NaN
             raise ValidationError("gate matrix is not unitary within 1e-12")
         m.setflags(write=False)  # gates are shared and cached; keep them frozen
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "qubit_index", _integer(self.qubit_index, "qubit index"))
 
 
-@lru_cache(maxsize=None)
+@_checked_cache(_qubit_index)
 def bit_flip(qubit_index: int) -> SingleQubitGate:
     """H <-> V exchange."""
     return SingleQubitGate(np.array([[0, 1], [1, 0]], dtype=complex), qubit_index)
 
 
 def diagonal_gate(qubit_index: int, phase_h: float, phase_v: float) -> SingleQubitGate:
-    """diag(e^{i phase_h}, e^{i phase_v})."""
+    """diag(e^{i phase_h}, e^{i phase_v}), for finite real phases."""
+    phase_h, phase_v = _real(phase_h, "phase_h"), _real(phase_v, "phase_v")
     if not (math.isfinite(phase_h) and math.isfinite(phase_v)):
         raise ValidationError(f"gate matrix is not unitary: phases {phase_h}, {phase_v}")
     m = np.array(
@@ -76,7 +97,7 @@ def diagonal_gate(qubit_index: int, phase_h: float, phase_v: float) -> SingleQub
     return SingleQubitGate(m, qubit_index)
 
 
-@lru_cache(maxsize=None)
+@_checked_cache(_qubit_index)
 def diagonal_basis_change(qubit_index: int) -> SingleQubitGate:
     """Map between the H/V and diagonal bases: H -> (H+V)/sqrt2, V -> (H-V)/sqrt2.
 
@@ -129,9 +150,7 @@ def build_parity_coupling_pair(qubit_a: int, qubit_b: int) -> list[KerrCoupling]
     check conjugates the whole circuit by :func:`diagonal_basis_change`
     instead of altering the kicks (see the gates module).
     """
-    if qubit_a == qubit_b:
+    couplings = [KerrCoupling(qubit_a, "H", +1), KerrCoupling(qubit_b, "H", -1)]
+    if couplings[0].qubit_index == couplings[1].qubit_index:
         raise ValidationError("parity coupling needs two distinct qubits")
-    return [
-        KerrCoupling(qubit_a, "H", +1),
-        KerrCoupling(qubit_b, "H", -1),
-    ]
+    return couplings

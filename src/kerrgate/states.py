@@ -25,7 +25,9 @@ States are immutable; every operation returns a new :class:`HybridState`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
@@ -77,8 +79,9 @@ class ProbeMode:
     theta`` (odd); their separation ``xd``, as ``4 alpha sin^2(theta / 2)``
     against cancellation; ``a + i b = label(1)``, whose kernel at ``x`` has
     the phase ``b (x - a)``; and ``peaks``, the read-only ``2 Re label(k)``
-    of ``k = -1, 0, +1``.  ``alpha`` and ``theta`` are stored as floats, a
-    zero as ``+0.0``, so equal probes are equal in every field.
+    of ``k = -1, 0, +1``.  ``alpha`` and ``theta`` are reals (:func:`_real`),
+    stored as builtin floats, a NumPy scalar too and a zero as ``+0.0``, so
+    equal probes are equal in every field.
     """
 
     alpha: float
@@ -90,12 +93,13 @@ class ProbeMode:
     peaks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= ALPHA_MAX):  # also catches NaN
+        alpha = _real(self.alpha, "probe alpha") + 0.0  # -0.0 + 0.0 is +0.0
+        theta = _real(self.theta, "probe theta") + 0.0
+        if not (0.0 <= alpha <= ALPHA_MAX):  # also catches NaN
             raise ValidationError(f"probe alpha must lie in [0, {ALPHA_MAX:g}], got {self.alpha}")
         # theta = 0 is allowed as the degenerate no-coupling limit
-        if not (0.0 <= self.theta <= math.pi):
+        if not (0.0 <= theta <= math.pi):
             raise ValidationError(f"probe theta must lie in [0, pi], got {self.theta}")
-        alpha, theta = self.alpha + 0.0, self.theta + 0.0
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "theta", theta)
         x0 = alpha * (1.0 + math.cos(theta))
@@ -126,11 +130,17 @@ def coherent_overlap(bra: complex, ket: complex) -> complex:
     """Overlap <bra|ket> of two coherent states.
 
     The magnitude terms reuse the same products as the cross term, so the
-    overlap of identical labels is exactly 1.
+    overlap of identical labels is exactly 1.  Both labels are amplitudes
+    (:func:`_amplitude`) whose ``|beta|^2`` is finite, else ``ValidationError``.
     """
-    bra, ket = complex(bra), complex(ket)
-    ket_sq = ket.real**2 + ket.imag**2
-    bra_sq = bra.real**2 + bra.imag**2
+    bra, ket = _amplitude(bra, "bra label"), _amplitude(ket, "ket label")
+    try:
+        ket_sq = ket.real**2 + ket.imag**2
+        bra_sq = bra.real**2 + bra.imag**2
+    except OverflowError:  # from a square
+        ket_sq = bra_sq = math.inf
+    if not (ket_sq < math.inf and bra_sq < math.inf):  # also catches NaN
+        raise ValidationError(f"coherent labels need a finite |beta|^2, got {bra!r}, {ket!r}")
     return cmath.exp(bra.conjugate() * ket - 0.5 * ket_sq - 0.5 * bra_sq)
 
 
@@ -173,19 +183,27 @@ class HybridState:
         if n_qubits < 1:
             raise ValidationError("a state needs at least one qubit")
         checked = []
-        for amp, basis, phase in branches:
-            basis = tuple(basis)
+        for branch in _items(branches, "branches"):
+            try:
+                amp, basis, phase = branch
+                basis = tuple(basis)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"a branch is an (amplitude, basis, phase) triple, got {branch!r}"
+                ) from None
             if len(basis) != n_qubits:
                 raise ValidationError(
                     f"basis string {basis!r} does not match qubit count {n_qubits}"
                 )
-            if any(c not in ("H", "V") for c in basis):
-                raise ValidationError(f"basis labels must be 'H' or 'V', got {basis!r}")
+            try:
+                basis = tuple(_label(c, "basis label") for c in basis)
+            except ValidationError:
+                raise ValidationError(f"basis labels must be 'H' or 'V', got {basis!r}") from None
             phase = _integer(phase, "phase index")
             if probe is None and phase != 0:
                 raise ValidationError(f"phase index {phase!r} needs an active probe")
-            amp = complex(amp)
-            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+            amp = _amplitude(amp, "branch amplitude")
+            if not cmath.isfinite(amp):
                 raise ValidationError("branch amplitude must be finite")
             checked.append(Branch(amp, basis, phase))
         return _merged_state(n_qubits, checked, probe, 0.0)
@@ -209,22 +227,121 @@ class HybridState:
         check_qubit(qubit_index, self.n_qubits)
 
 
-def check_qubit(qubit_index: int, n_qubits: int) -> None:
-    """Raise ``ValidationError`` unless ``qubit_index`` is an integer in
-    ``range(n_qubits)``."""
-    if not (0 <= _integer(qubit_index, "qubit index") < n_qubits):
-        raise ValidationError(f"qubit index {qubit_index} out of range for {n_qubits} qubits")
+# -- argument kinds --------------------------------------------------------
+#
+# Each kind of public argument is checked here and nowhere else: a validator
+# returns the value as the builtin its callers compute with, or raises
+# ``ValidationError`` naming the parameter.  A bool is not a real, a count,
+# an index, a sign or an amplitude, though Python counts it as an int; text
+# is not a number (the command line parses it); a NumPy scalar is the number
+# it holds, and a 0-d array is not a number.  The ranges and domains (a
+# probe's bounds, a normalized pair, a finite label) stay with their owners.
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a builtin ``float``, or ``ValidationError``: a real is a
+    ``numbers.Real`` that is not a ``bool``.  One past the float range, an
+    int or a fraction, reads as an infinity of its sign."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise ValidationError(f"{what} must be a real number, got {value!r}")
+
+
+def _amplitude(value, what: str) -> complex:
+    """``value`` as a builtin ``complex``, or ``ValidationError``: an
+    amplitude is a ``numbers.Complex`` that is not a ``bool`` (nor text, which
+    is no ``numbers.Complex``).  Whether it must be finite is its owner's
+    check."""
+    if type(value) is complex:
+        return value
+    if isinstance(value, numbers.Complex) and not isinstance(value, bool):
+        try:
+            return complex(value)
+        except OverflowError:  # a real past the float range
+            return complex(_real(value, what))
+    raise ValidationError(f"{what} must be a complex number, got {value!r}")
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an ``int``, or ``ValidationError``; a ``bool`` is not a
-    count or an index, as ``np.bool_`` is not."""
-    if not isinstance(value, bool):
+    """``value`` as an ``int``, or ``ValidationError``: a count or an index is
+    an integer (``operator.index``) that is not a ``bool`` or an array."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (bool, np.ndarray)):
         try:
             return operator.index(value)
         except TypeError:
             pass
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def check_qubit(qubit_index: int, n_qubits: int) -> int:
+    """``qubit_index`` as an ``int``, or ``ValidationError`` unless it is an
+    integer in ``range(n_qubits)``."""
+    qubit = _integer(qubit_index, "qubit index")
+    if not 0 <= qubit < n_qubits:
+        raise ValidationError(f"qubit index {qubit_index} out of range for {n_qubits} qubits")
+    return qubit
+
+
+def _label(value, what: str, labels: tuple[str, ...] = ("H", "V")) -> str:
+    """``value`` as the builtin ``str`` of one of ``labels``, by default the
+    polarizations ``"H"`` and ``"V"``, or ``ValidationError``: a label is
+    text, never a number or an array."""
+    if isinstance(value, str) and value in labels:
+        return str(value)
+    raise ValidationError(f"{what} must be {' or '.join(map(repr, labels))}")
+
+
+def _array(values, what: str, kinds: str) -> np.ndarray:
+    """``values`` as an array whose NumPy dtype kind is one of ``kinds``,
+    ``"iuf"`` for reals or ``"iufc"`` for amplitudes, else ``ValidationError``:
+    never bools, text or objects, and not a ragged list.  NumPy's promotion
+    decides a list's kind, so a bool among numbers reads as the number."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged list
+        array = None
+    if array is None or array.dtype.kind not in kinds:
+        number = "complex" if "c" in kinds else "real"
+        raise ValidationError(f"{what} must hold {number} numbers, got {values!r}")
+    return array
+
+
+def _items(values, what: str) -> list:
+    """The items of ``values`` as a list, or ``ValidationError`` unless it is
+    iterable and not text."""
+    if not isinstance(values, str):
+        try:
+            return list(values)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be a sequence, got {values!r}")
+
+
+def _checked_cache(check, maxsize: int | None = None):
+    """``functools.lru_cache(maxsize)`` behind ``check``, which takes the
+    function's arguments and returns them checked, each by its kind, as a
+    tuple.  An ``lru_cache`` alone keys ``True``, ``1`` and ``1.0`` as one
+    value, so it served an argument its function never checked, and it
+    cannot hash an array; here each key is a checked builtin."""
+
+    def decorate(build):
+        cached = functools.lru_cache(maxsize=maxsize)(build)
+
+        @functools.wraps(build)
+        def checked(*args):
+            return cached(*check(*args))
+
+        checked.cache_clear = cached.cache_clear
+        return checked
+
+    return decorate
 
 
 def _merged_state(
@@ -253,22 +370,32 @@ def _merged_state(
     return HybridState(n_qubits, kept, probe, pruned_mass)
 
 
-def check_normalized(qubit_specs: Sequence[tuple[complex, complex]]) -> None:
-    """Each qubit amplitude pair ``(c_H, c_V)`` must be normalized to 1 within 1e-12."""
-    if len(qubit_specs) == 0:
+def check_normalized(
+    qubit_specs: Sequence[tuple[complex, complex]],
+) -> list[tuple[complex, complex]]:
+    """The qubit amplitude pairs ``(c_H, c_V)``, each two amplitudes
+    (:func:`_amplitude`) normalized to 1 within 1e-12, as builtin ``complex``
+    pairs; else ``ValidationError``."""
+    specs = _items(qubit_specs, "qubit specs")
+    if len(specs) == 0:
         raise ValidationError("need at least one qubit amplitude pair")
-    for i, pair in enumerate(qubit_specs):
+    pairs = []
+    for i, pair in enumerate(specs):
         try:
             c0, c1 = pair
-            s = abs(complex(c0)) ** 2 + abs(complex(c1)) ** 2
-        except (TypeError, ValueError):
+            c0, c1 = _amplitude(c0, "c_H"), _amplitude(c1, "c_V")
+        except (TypeError, ValueError):  # a ValidationError is a ValueError
             raise ValidationError(f"qubit {i} spec {pair!r} is not an amplitude pair") from None
+        try:
+            s = abs(c0) ** 2 + abs(c1) ** 2
         except OverflowError:  # from a square past the float range
             s = math.inf
         if not (abs(s - 1.0) <= _NORM_TOL):  # also catches NaN
             raise ValidationError(
                 f"qubit {i} amplitude pair is not normalized: |c0|^2+|c1|^2 = {s!r}"
             )
+        pairs.append((c0, c1))
+    return pairs
 
 
 def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
@@ -278,16 +405,16 @@ def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
     into explicit branches (zero-amplitude branches pruned); no probe is
     active on the result.
     """
-    check_normalized(qubit_specs)
+    pairs = check_normalized(qubit_specs)
     branches = [Branch(1.0 + 0j, (), 0)]
-    for c0, c1 in qubit_specs:
+    for c0, c1 in pairs:
         branches = [
             Branch(b.amplitude * coeff, b.basis + (lab,), 0)
             for b in branches
-            for coeff, lab in ((complex(c0), "H"), (complex(c1), "V"))
+            for coeff, lab in ((c0, "H"), (c1, "V"))
             if coeff != 0
         ]
-    return _merged_state(len(qubit_specs), branches, None, 0.0)
+    return _merged_state(len(pairs), branches, None, 0.0)
 
 
 def norm_squared(state: HybridState) -> float:
@@ -335,6 +462,7 @@ def merge_and_prune(state: HybridState, epsilon: float = DEFAULT_PRUNE_EPS) -> H
     Discarded squared amplitude is added to ``pruned_mass``.  The state is
     deliberately *not* renormalized, so pruning loss stays observable.
     """
+    epsilon = _real(epsilon, "epsilon")
     if not epsilon >= 0:  # also catches NaN, which would prune nothing
         raise ValidationError("epsilon must be >= 0")
     kept = []

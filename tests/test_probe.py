@@ -11,6 +11,7 @@ import cmath
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kerrgate import ProbeMode, ValidationError, analysis, cli, new_state
@@ -91,12 +92,11 @@ def test_collapse_phase_equals_the_two_term_kernel_phase(alpha, theta):
     "first,second",
     [
         ((100, 0.5), (100.0, 0.5)),
-        ((True, 0.5), (1.0, 0.5)),
         ((-0.0, 0.5), (0.0, 0.5)),
         ((1.5, 1), (1.5, 1.0)),
         ((1.5, -0.0), (1.5, 0.0)),
     ],
-    ids=["int-alpha", "bool-alpha", "signed-zero-alpha", "int-theta", "signed-zero-theta"],
+    ids=["int-alpha", "signed-zero-alpha", "int-theta", "signed-zero-theta"],
 )
 def test_probes_that_compare_equal_are_equal_in_every_field(first, second):
     """A cached probe may serve any key equal to its own, so equal keys must
@@ -106,6 +106,26 @@ def test_probes_that_compare_equal_are_equal_in_every_field(first, second):
     for name in ("alpha", "theta", "x0", "xd", "a", "b"):
         assert getattr(first, name).hex() == getattr(second, name).hex(), name
     assert first.peaks.tobytes() == second.peaks.tobytes()
+
+
+@pytest.mark.parametrize("first", [None, (1.0, 0.5), (1, 0.5)],
+                         ids=["empty-cache", "float-key-first", "int-key-first"])
+def test_a_bool_alpha_is_refused_whichever_key_filled_the_cache(first):
+    """``True`` is no real, though ``(True, 0.5)`` and ``(1.0, 0.5)`` are
+    equal keys to an ``lru_cache``: ``geometry`` checks the kinds before the
+    lookup, so no cached probe answers for a key it never checked."""
+    analysis.geometry.cache_clear()
+    if first is not None:
+        analysis.geometry(*first)
+    for build in (ProbeMode, analysis.geometry):
+        with pytest.raises(ValidationError, match=r"^probe alpha must be a real number, got True$"):
+            build(True, 0.5)
+
+
+def test_numpy_scalars_are_stored_as_builtin_floats():
+    probe = ProbeMode(np.float64(8.0), np.float32(0.5))
+    assert (type(probe.alpha), type(probe.theta)) == (float, float)
+    assert probe == ProbeMode(8.0, float(np.float32(0.5)))
 
 
 def test_a_cli_row_does_not_depend_on_what_the_cache_holds(tmp_path):

@@ -21,7 +21,10 @@ from kerrgate import (
     apply_single_qubit,
     bit_flip,
     cnot,
+    coherent_overlap,
+    diagonal_gate,
     fidelity,
+    kernel_value,
     new_state,
     recycle_ancilla,
     run_shots,
@@ -36,7 +39,7 @@ from kerrgate.fock import (
     required_truncation,
     truncation_loss,
 )
-from kerrgate.measurement import outcome_density, qnd_photon_measure
+from kerrgate.measurement import outcome_density, qnd_photon_measure, sample_and_collapse
 
 ONE_QUBIT = new_state([(0.6, 0.8)])
 TWO_QUBITS = new_state([(0.6, 0.8), (0.28, 0.96)])
@@ -466,7 +469,62 @@ REJECTIONS = {
     ),
     "oracle_homodyne_density-nan-x": (
         lambda: oracle_homodyne_density(unequal_oracle_states()[0])(np.array([0.0, math.nan])),
-        ValidationError, r"^oscillator eigenfunctions underflow at x = nan: ",
+        ValidationError, r"^homodyne outcome x is nan$",
+    ),
+    # each kind is checked in one place (kerrgate.states): a bool is not a
+    # real, a sign or an amplitude, text is not a number, and a 0-d or 1-d
+    # array is not a real; each was taken as a number, or raised a raw error
+    "ProbeMode-bool-alpha": (
+        lambda: ProbeMode(True, 0.5),
+        ValidationError, r"^probe alpha must be a real number, got True$",
+    ),
+    "ProbeMode-bool-theta": (
+        lambda: ProbeMode(8, True),
+        ValidationError, r"^probe theta must be a real number, got True$",
+    ),
+    "ProbeMode-array-alpha": (
+        lambda: ProbeMode(np.array([8.0]), 0.5),
+        ValidationError, r"^probe alpha must be a real number, got array\(\[8\.\]\)$",
+    ),
+    "ProbeMode-string-alpha": (
+        lambda: ProbeMode("8", 0.5),
+        ValidationError, r"^probe alpha must be a real number, got '8'$",
+    ),
+    "run_shots-string-alpha": (
+        lambda: run_shots("parity", [(1, 0), (0, 1)], "8", 0.5, 2, 1),
+        ValidationError, r"^probe alpha must be a real number, got '8'$",
+    ),
+    "coupling-bool-sign": (
+        lambda: KerrCoupling(0, "H", True),
+        ValidationError, r"^coupling sign must be an integer, got True$",
+    ),
+    "collapse-bool-forced-x": (
+        lambda: sample_and_collapse(TWO_QUBITS.activate_probe(PROBE), None, force_x=True),
+        ValidationError, r"^forced x must be a real number, got True$",
+    ),
+    "new_state-string-amplitudes": (
+        lambda: new_state([("1", "0")]),
+        ValidationError, r"^qubit 0 spec \('1', '0'\) is not an amplitude pair$",
+    ),
+    "coherent_overlap-string-labels": (
+        lambda: coherent_overlap("1", "1"),
+        ValidationError, r"^bra label must be a complex number, got '1'$",
+    ),
+    "bit_flip-fractional-qubit": (
+        lambda: bit_flip(1.5),
+        ValidationError, r"^qubit index must be an integer, got 1\.5$",
+    ),
+    "gate-string-qubit": (
+        lambda: SingleQubitGate(np.eye(2), "a"),
+        ValidationError, r"^qubit index must be an integer, got 'a'$",
+    ),
+    "kernel_value-nan-beta": (
+        lambda: kernel_value(1.0, complex(math.nan, 0)),
+        ValidationError, r"^coherent label beta must be finite, got \(nan\+0j\)$",
+    ),
+    "diagonal_gate-string-phase": (
+        lambda: diagonal_gate(0, "1", 0),
+        ValidationError, r"^phase_h must be a real number, got '1'$",
     ),
     "oracle_homodyne_density-far-x": (
         lambda: oracle_homodyne_density(unequal_oracle_states()[0])(54.7),
