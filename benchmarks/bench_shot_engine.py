@@ -5,11 +5,11 @@ Times, at 10, 50 and 1024 shots:
 
 - ``run_block`` for each experiment, a whole block end to end, on one
   generator that every round continues, as ``run_shots`` hands its one
-  generator to each block;
-- ``_Shots.homodyne`` on 2 qubits (the entanglers) and on 3 (the CNOT's
+  generator to each block and reads the block ``run_block`` returns;
+- ``ShotBlock.homodyne`` on 2 qubits (the entanglers) and on 3 (the CNOT's
   first parity check), from a freshly prepared block, whose one input row
   the first collapse repeats into a row per shot;
-- ``_Shots.feed_forward`` for each feed-forward step of the circuits'
+- ``ShotBlock.feed_forward`` for each feed-forward step of the circuits'
   compiled programs, with half of the shots flagged, on the ``(shots,
   2**n)`` block that ``run_block`` hands it: the prepared input row
   repeated into one row per shot, as the first collapse repeats it;
@@ -67,17 +67,17 @@ FEED_FORWARDS = {
     f"{name}-{k}": (circuit.n, args[0])
     for name, circuit in batch.CIRCUITS.items()
     for k, (method, *args) in enumerate(circuit.program)
-    if method is batch._Shots.feed_forward
+    if method is batch.ShotBlock.feed_forward
 }
 #: qubits -> the first step of the entangler's and the CNOT's program, the
 #: homodyne of their first parity check
 HOMODYNES = {2: batch.CIRCUITS["entangler"].program[0], 3: batch.CIRCUITS["cnot"].program[0]}
 
 
-def prepared(shots: int, qubits: int) -> batch._Shots:
+def prepared(shots: int, qubits: int) -> batch.ShotBlock:
     """A block with the CNOT's words, holding the 2- or 3-qubit product input."""
     rng = np.random.default_rng(SEED)
-    block = batch._Shots(shots, PROBE, rng, batch.CIRCUITS["cnot"])
+    block = batch.ShotBlock(shots, PROBE, rng, batch.CIRCUITS["cnot"])
     c, d = INPUTS
     block.prepare((c, ANCILLA_PLUS, d) if qubits == 3 else (c, d))
     return block
@@ -117,7 +117,7 @@ def test_homodyne(benchmark, qubits, shots):
         return (block, *args), {}
 
     benchmark.pedantic(method, setup=fresh, rounds=max(50, 20_000 // shots), warmup_rounds=5)
-    assert block.x[0].shape == (shots,)
+    assert block.x[:, 0].shape == (shots,)
 
 
 @pytest.mark.parametrize("shots", SHOTS)
@@ -139,7 +139,7 @@ def test_feed_forward(benchmark, case, shots):
 def block_draws(rng: np.random.Generator, shots: int, circuit: batch.Circuit) -> list:
     """The words of each measurement of the next ``shots`` shots of ``rng``,
     read as the circuit's program steps read them, one array per word."""
-    block = batch._Shots(shots, PROBE, rng, circuit)
+    block = batch.ShotBlock(shots, PROBE, rng, circuit)
     return [
         column
         for method, *args in circuit.program

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import CIRCUITS, _run_block
+from .batch import CIRCUITS, run_block
 from .errors import ValidationError
 from .states import ProbeMode, _checked_cache, _integer, _label, _real, check_normalized
 
@@ -116,12 +116,10 @@ def run_shots(
     fidelity_sum = 0.0
     odd = 0
     for start in range(0, shots, BLOCK_SHOTS):
-        block, _, fidelity = _run_block(
-            experiment, inputs, probe, rng, min(BLOCK_SHOTS, shots - start)
-        )
-        odd += int(np.count_nonzero(block.odd[0]))
-        fidelity_sum += float(np.add.reduce(fidelity))
-        errors += int(np.count_nonzero(fidelity < LOGICAL_ERROR_FIDELITY))
+        block = run_block(experiment, inputs, probe, rng, min(BLOCK_SHOTS, shots - start))
+        odd += int(np.count_nonzero(block.odd[:, 0]))
+        fidelity_sum += float(np.add.reduce(block.fidelity))
+        errors += int(np.count_nonzero(block.fidelity < LOGICAL_ERROR_FIDELITY))
 
     even = shots - odd
     rate = errors / shots

@@ -15,7 +15,7 @@ makes, so the steps make few, and reductions call the ufuncs
 Each experiment is a :class:`Circuit`: the steps that
 :func:`kerrgate.gates.run_steps` runs on one scalar shot, its hand-written
 ideal output, and whether it holds the CNOT ancilla.  Here each step is one
-array operation on the block, a ``_Shots`` method: a rotation is one
+array operation on the block, a :class:`ShotBlock` method: a rotation is one
 ``2**n x 2**n`` matrix for its qubits together, a homodyne multiplies each
 shot by the measurement kernel ``<x|beta_k>`` (up to its constant factor),
 and each feed-forward action is one generic ``_Step`` on the block's
@@ -23,17 +23,17 @@ columns, built from its :data:`kerrgate.gates.ACTIONS` entry: a permutation
 if the kind exchanges H and V, then a multiply by its factors.
 
 A circuit is compiled once, when it is built, into :attr:`Circuit.program`
-for its qubit count: each step becomes a ``_Shots`` method and the tables it
-reads, a homodyne's label columns, a rotation's lifted matrix, a
+for its qubit count: each step becomes a ``ShotBlock`` method and the
+tables it reads, a homodyne's label columns, a rotation's lifted matrix, a
 feed-forward's column step for each of its ``(kind, qubit)`` actions and a
 photon readout's V mask, and each measurement is given its first stream
-word and its record: a homodyne its row of ``x``, ``odd`` and ``eip``, a
-photon readout its row of ``photon_v``.  No cache sits beside the program:
-a block reads only its read-only tables.  :func:`kerrgate.gates.check_steps`
-runs there, not in a block: a kind or arity that
-:data:`kerrgate.gates.STEP_KINDS` does not declare, a qubit named twice, a
-malformed or unknown action or a wiring error raises ``ContractError``, and
-a qubit the circuit lacks ``ValidationError``.
+word and its record: a homodyne its row of the block's outcomes, parities
+and ``e^{ip}``, a photon readout its row of V readings.  No cache sits
+beside the program: a block reads only its read-only tables.
+:func:`kerrgate.gates.check_steps` runs there, not in a block: a kind or
+arity that :data:`kerrgate.gates.STEP_KINDS` does not declare, a qubit named
+twice, a malformed or unknown action or a wiring error raises
+``ContractError``, and a qubit the circuit lacks ``ValidationError``.
 A block looks nothing up for its probe: the collapse reads the peaks,
 threshold and kernel phase constants that the validated ``ProbeMode``
 derived when it was built.
@@ -48,9 +48,9 @@ that measurement.  Each collapse keeps ``e^{ip}`` and ``e^{-ip}``;
 ``ShotBlock.phi`` is finished from the ``e^{ip}`` when first read, every
 record in one pass, ``arctan2 mod 2 pi``.  Fidelity with the
 record-conditional ideal output is one contraction, each shot's ideal a row
-picked by its record from the ideal's two forms.  ``run_block`` and
-``run_shots`` share one block function, :func:`_run_block`; ``run_shots``
-reads only its odd records and fidelities.
+picked by its record from the ideal's two forms.  :func:`run_block`
+returns the block the steps ran on, and ``run_shots`` reads only its odd
+records and fidelities.
 
 Column ``j`` holds the basis string whose qubit ``q`` is ``V`` iff bit
 ``n - 1 - q`` of ``j`` is set: the scalar engine's sorted branch order.
@@ -148,26 +148,31 @@ def _step(n: int, kind: str, qubit: int) -> _Step:
     return _Step(flip, None if factors == (1, 1) else _frozen(np.array(factors, complex)[v]), None)
 
 
-class _Shots:
-    """Amplitudes and per-shot random words of one block, advanced in place.
+class ShotBlock:
+    """One block of shots, advanced in place by the steps of a
+    :attr:`Circuit.program`: ``rotate``, ``homodyne``, ``feed_forward`` and
+    ``photon``, each called with the tables its circuit resolved.
 
-    ``rotate``, ``homodyne``, ``feed_forward`` and ``photon`` are the steps a
-    :attr:`Circuit.program` calls, each with the tables its circuit resolved.
-    Until the first homodyne every shot holds the same product input, so
-    ``amp`` is one ``(1, 2**n)`` row that ``rotate`` acts on; the first
-    collapse repeats it into one row per shot.  The amplitudes are never
-    renormalized in between (see the module docstring).  A homodyne reads
-    its collapse constants from ``probe``.  ``words`` holds the
-    next ``count`` shots of ``rng`` for ``circuit``, a row each, and every
-    measurement reads its own columns of them in place; ``normals`` holds
-    every homodyne's Box-Muller normal, a row per record, made from its noise
-    pair in one :func:`gaussian` call.  Homodyne record ``j`` keeps its
-    collapse's ``(e^{-ip}, e^{ip})`` in ``eip[j]``, and photon readout ``j``
-    its V reading in ``photon_v[j]``.  Each measurement leaves
-    its outcome as ``flag`` (set where a homodyne read odd or the photon read
-    V) and its ``eip`` as ``flag_eip`` (``None`` after a photon readout), for
-    the ``feed_forward`` that follows it, and itself as ``last``, ``(what,
-    x)``, which a later zero-norm error names.
+    ``amp`` holds the amplitudes, one shared input row until the first
+    collapse repeats it into a row per shot (see the module docstring).
+    ``words`` holds the next ``count`` shots of ``rng`` for ``circuit``, a
+    row each, which each measurement reads in place, and ``normals`` every
+    homodyne's Box-Muller normal, a row per record, from one
+    :func:`gaussian` call.  The steps write the records a row per record:
+    homodyne record ``j`` in ``_x[j]``, ``_odd[j]`` and ``_eip[j]`` (its
+    collapse's ``(e^{-ip}, e^{ip})``), photon readout ``j`` in
+    ``_photon_v[j]``.  Each measurement leaves its outcome as ``flag`` (odd,
+    or V) and its pair as ``flag_eip`` (``None`` after a photon readout) for
+    the ``feed_forward`` after it, and itself as ``last``, ``(what, x)``,
+    which a later zero-norm error names.
+
+    :func:`run_block` returns the block with ``n2``, each shot's squared
+    norm, and ``fidelity``, its fidelity with the record-conditional ideal.
+    ``x``, ``odd`` and ``photon_v`` are views of the record rows with a row
+    per shot and a column per homodyne record, or per photon readout (True
+    for V); ``eip`` is each record's ``e^{ip}``, a row per record.  ``phi``,
+    its phase (``arctan2`` mod 2 pi) with a row per shot, and ``final``,
+    ``amp`` normalized, are computed when first read.
     """
 
     def __init__(self, count: int, probe: ProbeMode, rng: np.random.Generator, circuit: Circuit):
@@ -177,11 +182,37 @@ class _Shots:
         u1, u2 = self.words.T[circuit.noise]
         self.normals = gaussian(u1, u2)
         records = len(self.normals)  # a row per homodyne record
-        self.x = np.empty((records, count))
-        self.odd = np.empty((records, count), bool)
-        self.eip = np.empty((records, 2, count), complex)
-        self.photon_v = np.empty((circuit.readouts, count), bool)
+        self._x = np.empty((records, count))
+        self._odd = np.empty((records, count), bool)
+        self._eip = np.empty((records, 2, count), complex)
+        self._photon_v = np.empty((circuit.readouts, count), bool)
         self.last = None
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._x.T
+
+    @property
+    def odd(self) -> np.ndarray:
+        return self._odd.T
+
+    @property
+    def photon_v(self) -> np.ndarray:
+        return self._photon_v.T
+
+    @property
+    def eip(self) -> np.ndarray:
+        return self._eip[:, 1]
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        phi = np.arctan2(self.eip.imag, self.eip.real)
+        np.remainder(phi, _TWO_PI, out=phi)
+        return phi.T
+
+    @cached_property
+    def final(self) -> np.ndarray:
+        return self.amp * (1.0 / np.sqrt(self.n2))[:, None]
 
     def prepare(self, pairs) -> None:
         """Product input, one ``(c_H, c_V)`` pair per qubit, as one row."""
@@ -209,7 +240,7 @@ class _Shots:
         ``cols`` each column's label index."""
         probe = self.probe
         peaks = probe.peaks
-        x, odd, eip = self.x[j], self.odd[j], self.eip[j]
+        x, odd, eip = self._x[j], self._odd[j], self._eip[j]
         # exact-mixture sampling, as sample_quadrature draws it; the shared
         # input row serves every shot
         weights = np.abs(self.amp) ** 2
@@ -247,7 +278,7 @@ class _Shots:
         total = np.add.reduce(weights, axis=1)
         self._check_norm(total)
         p_v = np.add.reduce(weights, axis=1, where=v_mask) / total
-        v = np.less(self.words[:, word], p_v, out=self.photon_v[j])
+        v = np.less(self.words[:, word], p_v, out=self._photon_v[j])
         self.amp = np.where(v[:, None] == v_mask, self.amp, 0j)
         self.flag = v
         self.flag_eip = None
@@ -263,29 +294,6 @@ class _Shots:
         self.amp = np.where(self.flag[:, None], corrected, self.amp)
 
 
-def _compile(n: int, steps: tuple[tuple, ...]) -> tuple[tuple[tuple, ...], int, list[int], int]:
-    """``steps`` on ``n`` qubits as ``(program, words, starts, readouts)``:
-    each step's ``(_Shots method, *its tables)``, the stream words a shot
-    takes, the first word of each homodyne and the number of photon readouts.
-    A measurement's arguments are its first word, then its record's index;
-    each reads the words its ``STEP_KINDS`` entry gives after the first."""
-    check_steps(steps, n)
-    program, words, starts, readouts = [], 0, [], 0
-    for name, *args in steps:
-        if name == "rotate":
-            program.append((_Shots.rotate, _rotation(n, tuple(args))))
-        elif name == "feed_forward":
-            program.append((_Shots.feed_forward, tuple(_step(n, *action) for action in args)))
-        elif name == "homodyne":
-            program.append((_Shots.homodyne, words, len(starts), _label_columns(n, *args)))
-            starts.append(words)
-        else:  # photon
-            program.append((_Shots.photon, words, readouts, _v_bits(n)[:, args[0]]))
-            readouts += 1
-        words += STEP_KINDS[name][1]
-    return tuple(program), words, starts, readouts
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An experiment as data.
@@ -293,18 +301,20 @@ class Circuit:
     ``steps`` are ``(name, *args)`` tuples (see the module docstring), run in
     order on a block that holds the experiment's two input qubits, with the
     CNOT ancilla ``ANCILLA_PLUS`` between them when ``ancilla`` is set.
-    ``ideal(shots, c, d)`` gives each shot's record-conditional ideal output
+    ``ideal(block, c, d)`` gives each shot's record-conditional ideal output
     for inputs ``c`` and ``d``.  Derived from the steps when the circuit is
     built: ``n``, its qubit count; ``program``, the steps compiled for ``n``
-    qubits (:func:`_compile`); ``words``, the stream words a shot takes (the
-    sum of its steps' ``STEP_KINDS`` words); ``noise``, the ``(2,
-    records)`` columns of each homodyne's Box-Muller pair among them, one
-    column per homodyne record; and ``readouts``, its photon readouts.
+    qubits once :func:`~kerrgate.gates.check_steps` passes them, each a
+    :class:`ShotBlock` method and the tables it reads; ``words``, the stream
+    words a shot takes (the sum of its steps' ``STEP_KINDS`` words);
+    ``noise``, the ``(2, records)`` columns of each homodyne's Box-Muller
+    pair among them, one column per homodyne record; and ``readouts``, its
+    photon readouts.
     """
 
     ancilla: bool
     steps: tuple[tuple, ...]
-    ideal: Callable[[_Shots, tuple, tuple], np.ndarray]
+    ideal: Callable[[ShotBlock, tuple, tuple], np.ndarray]
     n: int = field(init=False)
     program: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     words: int = field(init=False)
@@ -313,9 +323,25 @@ class Circuit:
 
     def __post_init__(self):
         n = 3 if self.ancilla else 2
-        program, words, starts, readouts = _compile(n, self.steps)
+        check_steps(self.steps, n)
+        # each step as its ShotBlock method and tables; a measurement's
+        # arguments are its first word, then its record's index, and it reads
+        # the words its STEP_KINDS entry gives after the first
+        program, words, starts, readouts = [], 0, [], 0
+        for name, *args in self.steps:
+            if name == "rotate":
+                program.append((ShotBlock.rotate, _rotation(n, tuple(args))))
+            elif name == "feed_forward":
+                program.append((ShotBlock.feed_forward, tuple(_step(n, *a) for a in args)))
+            elif name == "homodyne":
+                program.append((ShotBlock.homodyne, words, len(starts), _label_columns(n, *args)))
+                starts.append(words)
+            else:  # photon
+                program.append((ShotBlock.photon, words, readouts, _v_bits(n)[:, args[0]]))
+                readouts += 1
+            words += STEP_KINDS[name][1]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "program", tuple(program))
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "readouts", readouts)
         # a homodyne's words are its branch pick, then its noise pair
@@ -325,19 +351,19 @@ class Circuit:
 # -- ideal outputs, written out from the paper's formulas ----------------------
 
 
-def _parity_ideal(shots: _Shots, c, d) -> np.ndarray:
+def _parity_ideal(block: ShotBlock, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    emp, ep = shots.eip[0]
+    emp, ep = block._eip[0]
     odd = np.zeros((len(ep), 4), complex)
     odd[:, 1] = c0 * d1 * ep
     odd[:, 2] = c1 * d0 * emp
-    return np.where(shots.odd[0][:, None], odd, np.array([c0 * d0, 0, 0, c1 * d1]))
+    return np.where(block._odd[0][:, None], odd, np.array([c0 * d0, 0, 0, c1 * d1]))
 
 
-def _entangler_ideal(shots: _Shots, c, d) -> np.ndarray:
+def _entangler_ideal(block: ShotBlock, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     forms = np.array(((c0 * d0, 0, 0, c1 * d1), (c0 * d1, 0, 0, c1 * d0)))
-    return forms.take(shots.odd[0], axis=0)
+    return forms.take(block._odd[0], axis=0)
 
 
 def _diagonal_pair_form(c0, c1, d0, d1) -> tuple:
@@ -347,15 +373,15 @@ def _diagonal_pair_form(c0, c1, d0, d1) -> tuple:
     return (dd + dbdb, dd - dbdb, dd - dbdb, dd + dbdb)
 
 
-def _entangler45_ideal(shots: _Shots, c, d) -> np.ndarray:
+def _entangler45_ideal(block: ShotBlock, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     # the odd branch, after its corrections, equals the even form of the
     # sign-flipped first input
     forms = np.array((_diagonal_pair_form(c0, c1, d0, d1), _diagonal_pair_form(c0, -c1, d0, d1)))
-    return forms.take(shots.odd[0], axis=0)
+    return forms.take(block._odd[0], axis=0)
 
 
-def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
+def _cnot_ideal(block: ShotBlock, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
     # columns (control, ancilla, target): c0 d0 |H a H> + c0 d1 |H a V>
     # + c1 d0 |V a V> + c1 d1 |V a H>, a the ancilla's reading (H, then V)
@@ -365,7 +391,7 @@ def _cnot_ideal(shots: _Shots, c, d) -> np.ndarray:
             (0, 0, c0 * d0, c0 * d1, 0, 0, c1 * d1, c1 * d0),
         )
     )
-    return forms.take(shots.photon_v[0], axis=0)
+    return forms.take(block._photon_v[0], axis=0)
 
 
 #: experiment name -> circuit, in the order the CLI lists them; the CNOT's
@@ -376,39 +402,6 @@ CIRCUITS: dict[str, Circuit] = {
     "entangler45": Circuit(False, entangler_45_steps(0, 1), _entangler45_ideal),
     "cnot": Circuit(True, cnot_steps(0, 1, 2), _cnot_ideal),
 }
-
-
-@dataclass(frozen=True)
-class ShotBlock:
-    """The shots of one block, one row per shot.
-
-    ``x``, ``odd`` and ``phi`` have one column per homodyne record in circuit
-    order, and ``photon_v`` one per photon readout, True where it read V
-    (none for the photon-free experiments); ``fidelity`` is the fidelity of
-    the final polarization amplitudes with the record-conditional ideal.
-    ``amp`` holds those amplitudes unnormalized and ``n2`` their squared
-    norms; ``final`` is them normalized, computed when first read.
-    ``eip`` holds each collapse's ``e^{ip}``, a row per record, and ``phi``
-    is its phase ``p`` (``arctan2`` mod 2 pi), also computed when first read.
-    """
-
-    x: np.ndarray
-    odd: np.ndarray
-    photon_v: np.ndarray
-    fidelity: np.ndarray
-    amp: np.ndarray = field(repr=False)
-    n2: np.ndarray = field(repr=False)
-    eip: np.ndarray = field(repr=False)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        phi = np.arctan2(self.eip.imag, self.eip.real)
-        np.remainder(phi, _TWO_PI, out=phi)
-        return phi.T
-
-    @cached_property
-    def final(self) -> np.ndarray:
-        return self.amp * (1.0 / np.sqrt(self.n2))[:, None]
 
 
 def _fidelity(amp: np.ndarray, n2: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -423,42 +416,25 @@ def _fidelity(amp: np.ndarray, n2: np.ndarray, ideal: np.ndarray) -> np.ndarray:
     )
 
 
-def _run_block(
-    experiment: str, inputs, probe: ProbeMode, rng: np.random.Generator, count: int
-) -> tuple[_Shots, np.ndarray, np.ndarray]:
-    """Run the next ``count`` shots of ``experiment``, as :func:`run_block`
-    describes, and return the finished block, each shot's squared norm and
-    each shot's fidelity: ``run_shots`` reads the block's ``odd`` records,
-    a row per homodyne, and the fidelities, and nothing else."""
-    circuit = CIRCUITS[experiment]
-    shots = _Shots(count, probe, rng, circuit)
-    c, d = inputs
-    shots.prepare((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d))
-    for method, *args in circuit.program:
-        method(shots, *args)
-    amp = shots.amp
-    n2 = np.vecdot(amp, amp).real  # the block's one norm per shot
-    shots._check_norm(n2)
-    return shots, n2, _fidelity(amp, n2, circuit.ideal(shots, c, d))
-
-
 def run_block(
     experiment: str, inputs, probe: ProbeMode, rng: np.random.Generator, count: int
 ) -> ShotBlock:
-    """Run the next ``count`` shots of ``experiment`` on validated inputs.
+    """Run the next ``count`` shots of ``experiment`` on validated inputs and
+    return the finished block, its ``n2`` and ``fidelity`` set.
 
     The shots read their words from ``rng``, which they advance by ``count K``.
     ``inputs`` are two normalized amplitude pairs, as for ``run_shots``; the
     CNOT's two parity detectors each use ``probe``, as :func:`kerrgate.gates.cnot`
     does.
     """
-    shots, n2, fidelity = _run_block(experiment, inputs, probe, rng, count)
-    return ShotBlock(
-        x=shots.x.T,
-        odd=shots.odd.T,
-        photon_v=shots.photon_v.T,
-        fidelity=fidelity,
-        amp=shots.amp,
-        n2=n2,
-        eip=shots.eip[:, 1],
-    )
+    circuit = CIRCUITS[experiment]
+    block = ShotBlock(count, probe, rng, circuit)
+    c, d = inputs
+    block.prepare((c, ANCILLA_PLUS, d) if circuit.ancilla else (c, d))
+    for method, *args in circuit.program:
+        method(block, *args)
+    amp = block.amp
+    block.n2 = n2 = np.vecdot(amp, amp).real  # the block's one norm per shot
+    block._check_norm(n2)
+    block.fidelity = _fidelity(amp, n2, circuit.ideal(block, c, d))
+    return block

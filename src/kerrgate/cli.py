@@ -145,7 +145,9 @@ class ExperimentConfig:
             raise ConfigError(f"shots: must be >= 1, got {self.shots}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.experiment == "validate-oracle" and self.alpha > ORACLE_ALPHA_MAX:
+        # the probe's alpha, a real once built: text is refused there as for
+        # every experiment, not compared here
+        if self.experiment == "validate-oracle" and self.probes[0].alpha > ORACLE_ALPHA_MAX:
             raise ConfigError(
                 f"alpha: validate-oracle needs alpha <= {ORACLE_ALPHA_MAX} "
                 "(Fock truncation stays tractable only at small amplitude)"

@@ -45,22 +45,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContractError, ValidationError
 from .measurement import HomodyneRecord, qnd_photon_measure, sample_and_collapse
 from .optics import (
-    SingleQubitGate,
     apply_cross_kerr,
     apply_single_qubit,
     bit_flip,
     build_parity_coupling_pair,
     diagonal_basis_change,
-    diagonal_gate,
 )
-from .states import HybridState, ProbeMode, _integer, _label, check_qubit
+from .states import Branch, HybridState, ProbeMode, _instance, _integer, _label, _merged_state
+from .states import check_qubit
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -79,25 +77,28 @@ Action = tuple[str, int]
 #: record's ``(e^{-i phi}, e^{i phi})`` (see "Odd-outcome corrections" above)
 ACTIONS = {"flip": (True, (1, 1)), "sign-flip": (False, (1, -1)), "undo-phase": (False, None)}
 
-
-@lru_cache(maxsize=None)
-def _fixed_gate(factors: tuple, qubit: int) -> SingleQubitGate:
-    """The gate ``diag(factors)`` on ``qubit``, built once per key."""
-    return SingleQubitGate(np.diag(factors), qubit)
+_FLIPPED = {"H": "V", "V": "H"}
 
 
 def _apply_actions(
     state: HybridState, actions: tuple[Action, ...], phi: float | None
 ) -> HybridState:
+    """Each action on every branch, as ``batch`` applies it to a block's
+    columns: flip the qubit's label if the kind flips, then multiply by the
+    new label's factor.  The record's phase factors are ``diagonal_gate``'s
+    own ``exp(1j * -phi)`` and ``exp(1j * phi)``, so no gate is built."""
+    branches = state.branches
     for kind, qubit in actions:
         flips, factors = ACTIONS[kind]
-        if flips:
-            state = apply_single_qubit(state, bit_flip(qubit))
         if factors is None:  # check_steps keeps it after a homodyne record
-            state = apply_single_qubit(state, diagonal_gate(qubit, -phi, phi))
-        elif factors != (1, 1):
-            state = apply_single_qubit(state, _fixed_gate(factors, qubit))
-    return state
+            factors = (complex(np.exp(1j * -phi)), complex(np.exp(1j * phi)))
+        out = []
+        for amp, basis, phase in branches:
+            if flips:
+                basis = basis[:qubit] + (_FLIPPED[basis[qubit]],) + basis[qubit + 1 :]
+            out.append(Branch(amp * factors[basis[qubit] == "V"], basis, phase))
+        branches = out
+    return _merged_state(state.n_qubits, branches, state.probe, state.pruned_mass)
 
 
 def entangler_steps(qubit_a: int, qubit_b: int) -> tuple:
@@ -205,7 +206,7 @@ def parity_gate(
     :func:`entangler_45` does.  No feed-forward is applied; the odd branch
     keeps its measurement-dependent phases.
     """
-    state = state.activate_probe(probe)
+    state = _instance(state, HybridState, "state").activate_probe(probe)
     for coupling in build_parity_coupling_pair(qubit_a, qubit_b):
         state = apply_cross_kerr(state, coupling)
     return sample_and_collapse(state, rng, force_x=force_x)
@@ -227,7 +228,7 @@ def run_steps(
     ``forced`` holds outcomes in measurement order (``x``, or ``"H"``/``"V"``);
     a measurement forced ``None``, or past its end, samples from ``rng``, and
     an outcome left over raises ``ContractError``."""
-    check_steps(steps, state.n_qubits)
+    check_steps(steps, _instance(state, HybridState, "state").n_qubits)
     outcomes = iter(forced)
     records, photons, corrections = [], [], []
     for name, *args in steps:
@@ -264,6 +265,7 @@ def entangler(
     On odd outcomes the measured-phase undo acts on ``qubit_a`` and the bit
     flip on ``qubit_b``.
     """
+    qubit_a, qubit_b = (_integer(q, "qubit index") for q in (qubit_a, qubit_b))
     return run_steps(state, entangler_steps(qubit_a, qubit_b), probe, rng, (force_x,))
 
 
@@ -284,6 +286,7 @@ def entangler_45(
     described in the module docstring is still owed by the caller; see
     :func:`cnot`.
     """
+    qubit_a, qubit_b = (_integer(q, "qubit index") for q in (qubit_a, qubit_b))
     return run_steps(state, entangler_45_steps(qubit_a, qubit_b), probe, rng, (force_x,))
 
 

@@ -55,6 +55,7 @@ from .states import (
     HybridState,
     _amplitude,
     _array,
+    _instance,
     _label,
     _merged_state,
     _real,
@@ -160,6 +161,7 @@ def outcome_density(state: HybridState) -> Callable[[np.ndarray], np.ndarray]:
     nan, raises ``ValidationError`` (:func:`_outcomes`), as
     :func:`kernel_value` does.
     """
+    _instance(state, HybridState, "state")
     probe = state.require_probe()
     amps = np.array([b.amplitude for b in state.branches], dtype=complex)
     labels = np.array([probe.label(b.phase) for b in state.branches], dtype=complex)
@@ -230,6 +232,8 @@ def sample_quadrature(state: HybridState, rng: np.random.Generator) -> float:
     A state where some basis string holds two branches has interfering
     peaks and raises ``ValidationError``, as does a zero or overflowing norm.
     """
+    _instance(state, HybridState, "state")
+    _instance(rng, np.random.Generator, "rng")
     probe = state.require_probe()
     if _same_basis_pairs(state):
         raise ValidationError(
@@ -254,10 +258,11 @@ def sample_and_collapse(
     Each branch amplitude is multiplied by its label's kernel value at the
     measured ``x``; the probe is released (every phase index back to 0) and
     the state is renormalized.  ``force_x`` bypasses sampling (tests use it
-    to pin the measurement record); the collapse itself is identical either
-    way.  A ``force_x`` that is not a real (:func:`~kerrgate.states._real`)
-    raises ``ValidationError``.
+    to pin the measurement record, and then ``rng`` is not read); the
+    collapse itself is identical either way.  A ``force_x`` that is not a
+    real (:func:`~kerrgate.states._real`) raises ``ValidationError``.
     """
+    _instance(state, HybridState, "state")
     probe = state.require_probe()
     if force_x is None:
         x = sample_quadrature(state, rng)
@@ -294,8 +299,10 @@ def qnd_photon_measure(
     """Nondestructive {H, V} measurement of one qubit by the Born rule.
 
     The photon stays in the state (the qubit is projected, not removed).
-    ``force_outcome``, ``"H"`` or ``"V"``, bypasses sampling.
+    ``force_outcome``, ``"H"`` or ``"V"``, bypasses sampling, and ``rng``
+    is not read.
     """
+    _instance(state, HybridState, "state")
     state.require_qubit(qubit_index)
     total = require_norm(norm_squared(state), "measure")
     projected_v = HybridState(
@@ -306,7 +313,7 @@ def qnd_photon_measure(
     )
     p_v = norm_squared(projected_v) / total
     if force_outcome is None:
-        outcome = "V" if rng.random() < p_v else "H"
+        outcome = "V" if _instance(rng, np.random.Generator, "rng").random() < p_v else "H"
     else:
         outcome = _label(force_outcome, "forced outcome")
     kept = tuple(b for b in state.branches if b.basis[qubit_index] == outcome)

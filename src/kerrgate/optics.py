@@ -21,6 +21,7 @@ from .states import (
     HybridState,
     _array,
     _checked_cache,
+    _instance,
     _integer,
     _label,
     _merged_state,
@@ -109,6 +110,8 @@ def diagonal_basis_change(qubit_index: int) -> SingleQubitGate:
 
 def apply_single_qubit(state: HybridState, gate: SingleQubitGate) -> HybridState:
     """Apply a single-qubit unitary, splitting and re-merging branches."""
+    _instance(state, HybridState, "state")
+    _instance(gate, SingleQubitGate, "gate")
     state.require_qubit(gate.qubit_index)
     q = gate.qubit_index
     m = gate.matrix.tolist()  # Python complex: the same products, without NumPy scalars
@@ -129,6 +132,8 @@ def apply_cross_kerr(state: HybridState, coupling: KerrCoupling) -> HybridState:
 
     Amplitudes are untouched; the operation is exactly norm-preserving.
     """
+    _instance(state, HybridState, "state")
+    _instance(coupling, KerrCoupling, "coupling")
     state.require_probe()
     state.require_qubit(coupling.qubit_index)
     out = []

@@ -182,6 +182,8 @@ class HybridState:
         n_qubits = _integer(n_qubits, "qubit count")
         if n_qubits < 1:
             raise ValidationError("a state needs at least one qubit")
+        if probe is not None:
+            _instance(probe, ProbeMode, "probe")
         checked = []
         for branch in _items(branches, "branches"):
             try:
@@ -216,6 +218,7 @@ class HybridState:
         """
         if self.probe is not None:
             raise ContractError("a probe is already active; measure it before activating another")
+        _instance(probe, ProbeMode, "probe")
         return HybridState(self.n_qubits, self.branches, probe, self.pruned_mass)
 
     def require_probe(self) -> ProbeMode:
@@ -236,6 +239,10 @@ class HybridState:
 # is not a number (the command line parses it); a NumPy scalar is the number
 # it holds, and a 0-d array is not a number.  The ranges and domains (a
 # probe's bounds, a normalized pair, a finite label) stay with their owners.
+# An object argument is of its class (:func:`_instance`): a state a
+# ``HybridState``, a probe a ``ProbeMode``, a gate a ``SingleQubitGate``, a
+# coupling a ``KerrCoupling`` and a generator a ``numpy.random.Generator``,
+# checked where it is read: a forced outcome reads none.
 
 
 def _real(value, what: str) -> float:
@@ -280,6 +287,15 @@ def _integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def _instance(value, kind: type, what: str):
+    """``value``, or ``ValidationError`` naming ``what`` unless it is a
+    ``kind``: no other object stands in for a state, a probe, a gate, a
+    coupling or a generator, whatever attributes it has."""
+    if isinstance(value, kind):
+        return value
+    raise ValidationError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def check_qubit(qubit_index: int, n_qubits: int) -> int:
     """``qubit_index`` as an ``int``, or ``ValidationError`` unless it is an
     integer in ``range(n_qubits)``."""
@@ -302,12 +318,16 @@ def _array(values, what: str, kinds: str) -> np.ndarray:
     """``values`` as an array whose NumPy dtype kind is one of ``kinds``,
     ``"iuf"`` for reals or ``"iufc"`` for amplitudes, else ``ValidationError``:
     never bools, text or objects, and not a ragged list.  NumPy's promotion
-    decides a list's kind, so a bool among numbers reads as the number."""
+    would read a bool among a list's numbers as the number, so a list or
+    tuple is refused if any entry is a bool; an array keeps its dtype."""
     try:
         array = np.asarray(values)
     except ValueError:  # a ragged list
         array = None
-    if array is None or array.dtype.kind not in kinds:
+    if array is None or array.dtype.kind not in kinds or (
+        isinstance(values, (list, tuple))
+        and any(np.asarray(v).dtype.kind == "b" for v in np.asarray(values, dtype=object).flat)
+    ):
         number = "complex" if "c" in kinds else "real"
         raise ValidationError(f"{what} must hold {number} numbers, got {values!r}")
     return array
@@ -419,6 +439,7 @@ def new_state(qubit_specs: Sequence[tuple[complex, complex]]) -> HybridState:
 
 def norm_squared(state: HybridState) -> float:
     """Squared norm including coherent-overlap cross terms between branches."""
+    _instance(state, HybridState, "state")
     by_basis: dict[PolBasisString, list[Branch]] = {}
     for b in state.branches:
         by_basis.setdefault(b.basis, []).append(b)
@@ -462,6 +483,7 @@ def merge_and_prune(state: HybridState, epsilon: float = DEFAULT_PRUNE_EPS) -> H
     Discarded squared amplitude is added to ``pruned_mass``.  The state is
     deliberately *not* renormalized, so pruning loss stays observable.
     """
+    _instance(state, HybridState, "state")
     epsilon = _real(epsilon, "epsilon")
     if not epsilon >= 0:  # also catches NaN, which would prune nothing
         raise ValidationError("epsilon must be >= 0")
@@ -480,6 +502,8 @@ def fidelity(state: HybridState, reference: HybridState) -> float:
 
     Both states must have no active probe (measure it first).
     """
+    _instance(state, HybridState, "state")
+    _instance(reference, HybridState, "reference")
     if state.n_qubits != reference.n_qubits:
         raise ValidationError("states have different qubit counts")
     if state.probe is not None or reference.probe is not None:

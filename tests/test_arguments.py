@@ -7,11 +7,13 @@ the kinds ``kerrgate.states`` declares (a real, an amplitude, a count or
 qubit index, a polarization label, and the lists and arrays built of them),
 then replaces one of them with an ill-formed value: a bool, text, a complex,
 nan, an infinity, a huge or negative number, a tuple of the wrong arity, a
-NumPy scalar or a 0-d array, or any value of the parameter's strategy.  The
-call must return a finite value, or raise ``ValidationError``,
-``ContractError`` or a ``TypeError`` its docstring names; no warning may
-escape, and a bool or text (:data:`REFUSED`) is refused wherever it goes.  Parameters that take a state, a probe, a gate or a generator are
-typed by their class and keep their valid value.
+NumPy scalar or a 0-d array, an object of another kind (:data:`OBJECTS`),
+or any value of the parameter's strategy.  The call must return a finite
+value, or raise ``ValidationError``, ``ContractError`` or a ``TypeError``
+its docstring names; no warning may escape, and a bool or text
+(:data:`REFUSED`) is refused wherever it goes.  A parameter that takes a
+state, a probe, a gate, a coupling or a generator is fuzzed with the same
+values: only an object of its own class is taken.
 """
 
 import cmath
@@ -34,6 +36,7 @@ from kerrgate import (
     SingleQubitGate,
     ValidationError,
     apply_cross_kerr,
+    apply_single_qubit,
     bit_flip,
     build_parity_coupling_pair,
     cnot,
@@ -42,10 +45,12 @@ from kerrgate import (
     diagonal_gate,
     entangler,
     entangler_45,
+    fidelity,
     geometry,
     kernel_value,
     merge_and_prune,
     new_state,
+    norm_squared,
     outcome_density,
     p_error,
     parity_gate,
@@ -53,6 +58,7 @@ from kerrgate import (
     recycle_ancilla,
     run_shots,
     sample_and_collapse,
+    sample_quadrature,
 )
 
 THETA = 2.0 * math.asin(math.sqrt(20.0 / 400.0))  # xd = 20 at alpha = 100
@@ -70,6 +76,7 @@ def _kicked():
 
 
 KICKED = _kicked()
+COUPLING = KerrCoupling(0, "H", 1)
 
 
 def rng():
@@ -88,6 +95,10 @@ ILL = REFUSED + (
     np.array(1.0), np.array(1), np.array("H"), np.array([1.0, 2.0]),
     (), (0, 1), (1.0, 0.0, 0.0), [0], None,
 )
+
+#: an object of each kind, ill-formed wherever another kind or a number goes
+OBJECTS = (STATE, KICKED, PROBE, bit_flip(0), COUPLING, np.random.default_rng(2))
+ILL += OBJECTS
 
 ill = st.sampled_from(ILL)
 real = st.one_of(ill, st.floats(), st.integers())
@@ -144,35 +155,38 @@ FUZZ = {
     "KerrCoupling": Entry(KerrCoupling, (0, "H", 1), (index, label, index)),
     "SingleQubitGate": Entry(SingleQubitGate, (np.eye(2), 0), (matrix, index)),
     "HybridState": Entry(
-        lambda n, items: HybridState.from_branches(n, items, PROBE),
-        (2, [(0.6, "HV", 1), (0.8j, ("V", "V"), 0)]), (index, branches),
+        HybridState.from_branches,
+        (2, [(0.6, "HV", 1), (0.8j, ("V", "V"), 0)], PROBE), (index, branches, ill),
     ),
     "new_state": Entry(new_state, (PAIRS,), (pairs,)),
     "coherent_overlap": Entry(coherent_overlap, (1 + 2j, 2.0), (amplitude, amplitude)),
     "kernel_value": Entry(kernel_value, (1.0, 0.5 + 0.5j), (real, amplitude)),
-    "merge_and_prune": Entry(lambda eps: merge_and_prune(STATE, eps), (0.1,), (real,)),
+    "merge_and_prune": Entry(merge_and_prune, (STATE, 0.1), (ill, real)),
     "bit_flip": Entry(bit_flip, (1,), (index,)),
     "diagonal_basis_change": Entry(diagonal_basis_change, (1,), (index,)),
     "diagonal_gate": Entry(diagonal_gate, (0, 0.3, -0.3), (index, real, real)),
     "build_parity_coupling_pair": Entry(build_parity_coupling_pair, (0, 1), (index, index)),
-    "outcome_density": Entry(lambda x: outcome_density(KICKED)(x), (3.0,), (outcomes,)),
-    "sample_and_collapse": Entry(
-        lambda x: sample_and_collapse(KICKED, rng(), force_x=x), (None,), (real,)
-    ),
+    "outcome_density": Entry(lambda state, x: outcome_density(state)(x), (KICKED, 3.0),
+                             (ill, outcomes)),
+    "sample_and_collapse": Entry(sample_and_collapse, (KICKED, rng(), None), (ill, ill, real)),
+    "sample_quadrature": Entry(sample_quadrature, (KICKED, rng()), (ill, ill)),
+    "norm_squared": Entry(norm_squared, (KICKED,), (ill,)),
+    "fidelity": Entry(fidelity, (STATE, STATE), (ill, ill)),
+    "apply_single_qubit": Entry(apply_single_qubit, (STATE, bit_flip(0)), (ill, ill)),
+    "apply_cross_kerr": Entry(apply_cross_kerr, (KICKED, COUPLING), (ill, ill)),
     "qnd_photon_measure": Entry(
-        lambda q, outcome: qnd_photon_measure(STATE, q, rng(), outcome), (0, None), (index, label)
+        qnd_photon_measure, (STATE, 0, rng(), None), (ill, index, ill, label)
     ),
-    "recycle_ancilla": Entry(lambda q, outcome: recycle_ancilla(STATE, q, outcome), (1, "V"),
-                             (index, label)),
-    "parity_gate": Entry(lambda a, b, x: parity_gate(STATE, a, b, PROBE, rng(), x),
-                         (0, 1, None), (index, index, real)),
-    "entangler": Entry(lambda a, b, x: entangler(STATE, a, b, PROBE, rng(), x),
-                       (0, 1, None), (index, index, real)),
-    "entangler_45": Entry(lambda a, b, x: entangler_45(STATE, a, b, PROBE, rng(), x),
-                          (0, 1, None), (index, index, real)),
+    "recycle_ancilla": Entry(recycle_ancilla, (STATE, 1, "V"), (ill, index, label)),
+    "parity_gate": Entry(parity_gate, (STATE, 0, 1, PROBE, rng(), None),
+                         (ill, index, index, ill, ill, real)),
+    "entangler": Entry(entangler, (STATE, 0, 1, PROBE, rng(), None),
+                       (ill, index, index, ill, ill, real)),
+    "entangler_45": Entry(entangler_45, (STATE, 0, 1, PROBE, rng(), None),
+                          (ill, index, index, ill, ill, real)),
     "cnot": Entry(
-        lambda c, a, t, x1, x2, photon: cnot(CNOT_STATE, c, a, t, PROBE, rng(), x1, x2, photon),
-        (0, 1, 2, None, None, None), (index, index, index, real, real, label),
+        cnot, (CNOT_STATE, 0, 1, 2, PROBE, rng(), None, None, None),
+        (ill, index, index, index, ill, ill, real, real, label),
     ),
     "run_shots": Entry(
         lambda name, inputs, alpha, theta, shots, seed: run_shots(name, inputs, alpha, theta,
@@ -191,11 +205,6 @@ EXCUSED = {
     "PolBasisString": "a type alias, tuple[str, ...]",
     "ContractError": "an exception type",
     "ValidationError": "an exception type",
-    "apply_single_qubit": "takes a state and a gate, each checked when built (SingleQubitGate)",
-    "apply_cross_kerr": "takes a state and a coupling, each checked when built (KerrCoupling)",
-    "fidelity": "takes two states only",
-    "norm_squared": "takes a state only",
-    "sample_quadrature": "takes a state and a generator only",
 }
 
 
@@ -215,6 +224,12 @@ def finite(value) -> bool:
     raise AssertionError(f"unexpected return type {type(value)!r}")
 
 
+def call(entry: Entry, args):
+    """``entry.call`` on ``args``, each generator among them replaced by a
+    fresh ``rng()``, so that every call reads the same words."""
+    return entry.call(*(rng() if isinstance(a, np.random.Generator) else a for a in args))
+
+
 def check(entry: Entry, position: int, value, refused: bool = False) -> None:
     if position in entry.work and isinstance(value, int) and value > SLOW_COUNT:
         return
@@ -223,7 +238,7 @@ def check(entry: Entry, position: int, value, refused: bool = False) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            result = entry.call(*args)
+            result = call(entry, args)
         except (ValidationError, ContractError):
             return
         except TypeError:
@@ -258,4 +273,4 @@ def test_the_valid_call_returns(name):
     entry = FUZZ[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert finite(entry.call(*entry.valid))
+        assert finite(call(entry, entry.valid))

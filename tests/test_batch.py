@@ -61,7 +61,7 @@ from kerrgate.gates import (
 )
 from kerrgate.measurement import gaussian
 from kerrgate.optics import SingleQubitGate, bit_flip
-from kerrgate.states import ALPHA_MAX
+from kerrgate.states import ALPHA_MAX, check_normalized
 
 EXPERIMENTS = ("parity", "entangler", "entangler45", "cnot")
 SHOTS = 48
@@ -376,7 +376,7 @@ def test_program_feed_forward_equals_masked_matrix_products(case, flags):
 
 
 def assert_feed_forward(n, actions, steps, case, flags):
-    """``steps`` applied by ``_Shots.feed_forward`` to a random block equal
+    """``steps`` applied by ``ShotBlock.feed_forward`` to a random block equal
     ``actions``' masked matrix products, for the ``flags`` pattern named."""
     rng = np.random.default_rng([n, len(case), len(flags)])
     count = 37
@@ -391,7 +391,7 @@ def assert_feed_forward(n, actions, steps, case, flags):
     phi = rng.uniform(0.0, 2.0 * math.pi, count)
 
     circuit = batch.CIRCUITS["parity"]
-    shots = batch._Shots(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), circuit)
+    shots = batch.ShotBlock(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), circuit)
     # the engine hands feed-forward each collapse's (e^{-i phi}, e^{i phi})
     eip = np.exp(1j * phi)
     shots.amp, shots.flag, shots.flag_eip = amp.copy(), flag, np.stack([eip.conj(), eip])
@@ -556,7 +556,7 @@ def engine_rows(seed, start, count, circuit) -> np.ndarray:
     its program step declares, a homodyne's followed by the block's normal
     for its record, one row per shot."""
     rng = shot_rng(seed, start, circuit.words)
-    shots = batch._Shots(count, ProbeMode(8.0, 0.5), rng, circuit)
+    shots = batch.ShotBlock(count, ProbeMode(8.0, 0.5), rng, circuit)
     columns = []
     for kind, (word, *args) in compiled_measurements(circuit):
         columns += list(shots.words[:, word : word + STEP_KINDS[kind][1]].T)
@@ -618,7 +618,7 @@ TRIAL_INPUTS = ((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF))
 
 def assert_engines_run_alike(steps, shots=4):
     """``steps`` on two qubits as a batch circuit whose program calls each
-    step kind's own ``_Shots`` method, and whose shots replay through
+    step kind's own ``ShotBlock`` method, and whose shots replay through
     ``run_steps``, sampled (:func:`assert_same_shots`) and forced; return the
     block."""
     circuit = batch.Circuit(False, steps, trial_ideal)
@@ -868,6 +868,30 @@ def test_run_shots_does_not_depend_on_block_size(monkeypatch):
     assert split.logical_error_rate == reference.logical_error_rate
     assert split.parity_frequencies == reference.parity_frequencies
     assert split.mean_fidelity == pytest.approx(reference.mean_fidelity, abs=1e-14)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_run_shots_is_the_sum_of_its_blocks(experiment):
+    """``run_shots``' odd count, fidelity sum and error count are, bit for
+    bit, the sums over the ``run_block`` blocks it runs on one
+    ``Generator(PCG64(seed))``: a full block, then the 37 shots left."""
+    inputs = check_normalized(((0.6 + 0j, 0.8j), (SQRT_HALF, -SQRT_HALF)))
+    probe = ProbeMode(8.0, theta_for(8.0, 6.0))
+    shots, seed = analysis.BLOCK_SHOTS + 37, 3
+    rng = np.random.Generator(np.random.PCG64(seed))
+    odd = errors = 0
+    fidelity_sum = 0.0
+    for count in (analysis.BLOCK_SHOTS, 37):
+        block = batch.run_block(experiment, inputs, probe, rng, count)
+        odd += int(np.count_nonzero(block.odd[:, 0]))
+        fidelity_sum += float(np.add.reduce(block.fidelity))
+        errors += int(np.count_nonzero(block.fidelity < LOGICAL_ERROR_FIDELITY))
+    stats = run_shots(experiment, inputs, probe.alpha, probe.theta, shots, seed)
+    assert 0 < odd < shots and errors > 0
+    even = (shots - odd) / shots
+    assert stats.parity_frequencies == (even, 1.0 - even)
+    assert stats.mean_fidelity == fidelity_sum / shots
+    assert stats.logical_error_rate == errors / shots
 
 
 @pytest.mark.parametrize(

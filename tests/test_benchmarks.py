@@ -1,8 +1,8 @@
 """The micro-benchmarks in ``benchmarks/`` still run against this checkout.
 
-They call private names of :mod:`kerrgate.batch` (``_Shots`` and the
-steps of the circuits' compiled programs), which nothing else in the
-default test run exercises the same way.  Each case runs once,
+They call the steps of :mod:`kerrgate.batch`'s compiled programs, each a
+``ShotBlock`` method, one at a time on a block they prepare, which nothing
+else in the default test run exercises the same way.  Each case runs once,
 untimed, in a pytest process of its own: ``benchmarks/conftest.py`` pins the
 native thread pools before NumPy loads and refuses a process that has
 already imported it.  The files are named one by one because pytest collects

@@ -326,7 +326,8 @@ REFUSED_CONFIGS = {
 
 #: (fields, the message) of configs that argparse and the config-file reader
 #: refuse before any is built, which a direct build refuses too: a value
-#: outside its key's choices, or an integer key's value that is no integer
+#: outside its key's choices, an integer key's value that is no integer, or
+#: a real key's value as text, which the readers parse before a build
 REFUSED_BUILDS = {
     "format-xml": (
         dict(experiment="parity", alpha=8.0, theta=0.5, format="xml"),
@@ -345,6 +346,10 @@ REFUSED_BUILDS = {
     "shots-fractional": (
         dict(experiment="parity", alpha=8.0, theta=0.5, shots=2.5),
         "shots: must be an integer, got 2.5",
+    ),
+    "validate-oracle-text-alpha": (
+        dict(experiment="validate-oracle", alpha="8", theta=0.5),
+        "alpha: probe alpha must be a real number, got '8'",
     ),
     "experiment-unknown": (
         dict(experiment="teleport", alpha=8.0, theta=0.5),

@@ -399,23 +399,31 @@ class TestFeedForwardPlans:
         assert gate_corrections(name, flagged=False) == ()
         assert gate_corrections(name, flagged=True)[-len(expected) :] == expected
 
-    def test_a_fixed_factor_gate_is_built_once(self, monkeypatch):
-        """Two odd-odd-V CNOT shots build the sign flip's ``diag(1, -1)`` once:
-        a fixed-factor action's gate is cached, as ``optics.bit_flip`` is."""
-        gates._fixed_gate.cache_clear()
+    @pytest.mark.parametrize("gate", [entangler, entangler_45])
+    def test_a_numpy_qubit_is_traced_as_an_int(self, gate):
+        """The trace lists each action's qubit as the builtin ``int`` it
+        names, as the CNOT's does, whatever integer the caller passed."""
+        state = new_state([(0.6, 0.8), UNIFORM])
+        trace, _ = gate(state, np.int64(0), np.int64(1), STRONG, np.random.default_rng(0), X_ODD)
+        assert trace.corrections and all(type(q) is int for _, q in trace.corrections)
+
+    def test_feed_forward_builds_no_gate(self, monkeypatch):
+        """A CNOT whose every measurement flags runs each action kind from
+        its ``ACTIONS`` entry on the branches: once the frame gates are
+        cached, its feed-forward builds no ``SingleQubitGate``."""
+        state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
+        cnot(state, 0, 1, 2, STRONG, np.random.default_rng(0), X_ODD, X_ODD, "V")
         built = []
+        checked = SingleQubitGate.__post_init__
 
-        def counting(matrix, qubit):
-            built.append((np.asarray(matrix).tolist(), qubit))
-            return SingleQubitGate(matrix, qubit)
+        def counting(gate):
+            built.append(gate)
+            checked(gate)
 
-        monkeypatch.setattr(gates, "SingleQubitGate", counting)
-        for seed in range(2):
-            state = new_state([(0.6, 0.8), ANCILLA_PLUS, UNIFORM])
-            trace, _ = cnot(state, 0, 1, 2, STRONG, np.random.default_rng(seed),
-                            X_ODD, X_ODD, "V")
-            assert ("sign-flip", 0) in trace.corrections
-        assert built == [([[1, 0], [0, -1]], 0)]
+        monkeypatch.setattr(SingleQubitGate, "__post_init__", counting)
+        trace, _ = cnot(state, 0, 1, 2, STRONG, np.random.default_rng(1), X_ODD, X_ODD, "V")
+        assert {kind for kind, _ in trace.corrections} == set(ACTIONS)
+        assert built == []
 
     @pytest.mark.parametrize("experiment", list(batch.CIRCUITS))
     def test_the_trace_lists_each_flagged_steps_actions(self, experiment):

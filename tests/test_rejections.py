@@ -518,6 +518,16 @@ REJECTIONS = {
         lambda: SingleQubitGate(np.eye(2), "a"),
         ValidationError, r"^qubit index must be an integer, got 'a'$",
     ),
+    # NumPy promotes a bool among a list's numbers: this built the identity
+    "gate-bool-in-list": (
+        lambda: SingleQubitGate([[True, 0], [0, 1]], 0),
+        ValidationError, r"^gate matrix must hold complex numbers, got \[\[True, 0\], \[0, 1\]\]$",
+    ),
+    # an object of another kind raised AttributeError from deep inside
+    "parity_gate-string-probe": (
+        lambda: gates.parity_gate(TWO_QUBITS, 0, 1, "probe", np.random.default_rng(0)),
+        ValidationError, r"^probe must be a ProbeMode, got str$",
+    ),
     "kernel_value-nan-beta": (
         lambda: kernel_value(1.0, complex(math.nan, 0)),
         ValidationError, r"^coherent label beta must be finite, got \(nan\+0j\)$",
