@@ -13,6 +13,11 @@ Times, at 10, 50 and 1024 shots:
   compiled programs, with half of the shots flagged, on the ``(shots,
   2**n)`` block that ``run_block`` hands it: the prepared input row
   repeated into one row per shot, as the first collapse repeats it;
+- ``ShotBlock.photon``, the CNOT's readout of its ancilla, on that
+  3-qubit block of a row per shot;
+- ``pick_branches`` with a row per shot, as every homodyne after the first
+  picks (the first searches the one input row that its shots share), on 8
+  columns of random weights;
 - a block's random words for the ``cnot`` circuit (two homodynes and a
   photon readout: 7 words a shot): the block's stream words (one
   ``random((shots, 7))`` call on the run's generator), the Box-Muller
@@ -48,6 +53,7 @@ import pytest
 
 from kerrgate import ANCILLA_PLUS, ProbeMode, batch, run_shots
 from kerrgate.gates import STEP_KINDS
+from kerrgate.measurement import pick_branches
 
 
 def theta_for(alpha: float, xd: float = 20.0) -> float:
@@ -72,6 +78,8 @@ FEED_FORWARDS = {
 #: qubits -> the first step of the entangler's and the CNOT's program, the
 #: homodyne of their first parity check
 HOMODYNES = {2: batch.CIRCUITS["entangler"].program[0], 3: batch.CIRCUITS["cnot"].program[0]}
+#: the CNOT's photon readout of its ancilla, a step of its program
+PHOTON = next(s for s in batch.CIRCUITS["cnot"].program if s[0] is batch.ShotBlock.photon)
 
 
 def prepared(shots: int, qubits: int) -> batch.ShotBlock:
@@ -131,9 +139,33 @@ def test_feed_forward(benchmark, case, shots):
     block.flag = rng.random(shots) < 0.5
     # a collapse hands feed-forward its (e^{-i phi}, e^{i phi})
     eip = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shots))
-    block.flag_eip = np.stack([eip.conj(), eip])
+    block.flag_eip = np.stack([eip.conj(), eip], axis=1)
     benchmark(block.feed_forward, steps)
     assert block.amp.shape == (shots, 1 << qubits)
+
+
+@pytest.mark.parametrize("shots", SHOTS)
+def test_photon(benchmark, shots):
+    block = prepared(shots, 3)
+    # the readout follows two collapses, so it acts on a row per shot
+    amp = block.amp.repeat(shots, axis=0)
+    method, *args = PHOTON
+
+    def fresh():
+        block.amp = amp.copy()
+        return (block, *args), {}
+
+    benchmark.pedantic(method, setup=fresh, rounds=max(50, 20_000 // shots), warmup_rounds=5)
+    assert block.photon_v[:, 0].shape == (shots,)
+
+
+@pytest.mark.parametrize("shots", SHOTS)
+def test_pick_branches(benchmark, shots):
+    rng = np.random.default_rng(SEED)
+    weights = np.abs(rng.standard_normal((shots, 8)) + 1j * rng.standard_normal((shots, 8))) ** 2
+    u = rng.random(shots)
+    picks = benchmark(pick_branches, weights, u, np.add.reduce(weights, axis=1))
+    assert picks.shape == (shots,)
 
 
 def block_draws(rng: np.random.Generator, shots: int, circuit: batch.Circuit) -> list:

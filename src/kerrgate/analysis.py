@@ -117,7 +117,7 @@ def run_shots(
     odd = 0
     for start in range(0, shots, BLOCK_SHOTS):
         block = run_block(experiment, inputs, probe, rng, min(BLOCK_SHOTS, shots - start))
-        odd += int(np.count_nonzero(block.odd[:, 0]))
+        odd += int(np.count_nonzero(block._odd[0]))
         fidelity_sum += float(np.add.reduce(block.fidelity))
         errors += int(np.count_nonzero(block.fidelity < LOGICAL_ERROR_FIDELITY))
 

@@ -9,8 +9,11 @@ to the shot (``HH -> 0``, ``HV -> +1``, ``VH -> -1``, ``VV -> 0``).  A block
 of shots is one complex array of ``2**n`` columns: a single row, the product
 input every shot shares, until the first measurement, then one row per shot.
 At 10 to 50 shots a block's cost is mostly the number of NumPy calls it
-makes, so the steps make few, and reductions call the ufuncs
-(``np.add.reduce``, ``np.add.accumulate``) that ``sum`` and ``cumsum`` wrap.
+makes, so the steps make few and cheap ones: reductions call the ufuncs
+(``np.add.reduce``, ``np.add.accumulate``) that ``sum`` and ``cumsum`` wrap,
+a gather along an axis is ``ndarray.take``, about half the cost of the fancy
+index it equals, and a feed-forward keeps its flagged rows in place
+(``np.copyto(..., where=)``).
 
 Each experiment is a :class:`Circuit`: the steps that
 :func:`kerrgate.gates.run_steps` runs on one scalar shot, its hand-written
@@ -132,10 +135,10 @@ class _Step(NamedTuple):
 
     def apply(self, amp: np.ndarray, eip: np.ndarray | None) -> np.ndarray:
         if self.flip is not None:
-            amp = amp[:, self.flip]
+            amp = amp.take(self.flip, axis=1)
         if self.factor is not None:
             amp = amp * self.factor
-        return amp if self.phase is None else amp * eip.T[:, self.phase]
+        return amp if self.phase is None else amp * eip.take(self.phase, axis=1)
 
 
 def _step(n: int, kind: str, qubit: int) -> _Step:
@@ -154,13 +157,14 @@ class ShotBlock:
     ``photon``, each called with the tables its circuit resolved.
 
     ``amp`` holds the amplitudes, one shared input row until the first
-    collapse repeats it into a row per shot (see the module docstring).
+    measurement repeats it into a row per shot (see the module docstring).
     ``words`` holds the next ``count`` shots of ``rng`` for ``circuit``, a
     row each, which each measurement reads in place, and ``normals`` every
     homodyne's Box-Muller normal, a row per record, from one
     :func:`gaussian` call.  The steps write the records a row per record:
     homodyne record ``j`` in ``_x[j]``, ``_odd[j]`` and ``_eip[j]`` (its
-    collapse's ``(e^{-ip}, e^{ip})``), photon readout ``j`` in
+    collapse's ``(e^{-ip}, e^{ip})``, a row per shot, so that a feed-forward
+    gathers each column's factor along a row), photon readout ``j`` in
     ``_photon_v[j]``.  Each measurement leaves its outcome as ``flag`` (odd,
     or V) and its pair as ``flag_eip`` (``None`` after a photon readout) for
     the ``feed_forward`` after it, and itself as ``last``, ``(what, x)``,
@@ -179,12 +183,12 @@ class ShotBlock:
         self.count = count
         self.probe = probe
         self.words = rng.random((count, circuit.words))
-        u1, u2 = self.words.T[circuit.noise]
+        u1, u2 = self.words.T.take(circuit.noise, axis=0)
         self.normals = gaussian(u1, u2)
         records = len(self.normals)  # a row per homodyne record
         self._x = np.empty((records, count))
         self._odd = np.empty((records, count), bool)
-        self._eip = np.empty((records, 2, count), complex)
+        self._eip = np.empty((records, count, 2), complex)
         self._photon_v = np.empty((circuit.readouts, count), bool)
         self.last = None
 
@@ -202,7 +206,7 @@ class ShotBlock:
 
     @property
     def eip(self) -> np.ndarray:
-        return self._eip[:, 1]
+        return self._eip[..., 1]
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -251,22 +255,27 @@ class ShotBlock:
         if len(self.amp) == 1:
             self.amp = self.amp.repeat(self.count, axis=0)
         np.add(peaks[cols[pick]], self.normals[j], out=x)
-        # collapse onto <x|beta_k>, one kernel row per label, without its
+        # collapse onto <x|beta_k>, one kernel column per label, without its
         # constant factor KERNEL_PEAK, which the block's one norm cancels;
         # label(0) is real, label(+-1) carry the phases +-p, p = b (x - a)
         # (ProbeMode), reduced exactly by sin/cos into e^{ip} and conjugated
         # into e^{-ip}; states.ALPHA_MAX keeps every term finite
-        p = probe.b * (x - probe.a)
-        np.cos(p, out=eip[1].real)
-        np.sin(p, out=eip[1].imag)
-        np.conjugate(eip[1], out=eip[0])
+        p = x - probe.a
+        p *= probe.b
+        ep = eip[:, 1]
+        np.cos(p, out=ep.real)
+        np.sin(p, out=ep.imag)
+        np.conjugate(ep, out=eip[:, 0])
         # one exp over the two distinct peaks: peaks[:0:-1] is label +1's
         # (the magnitude of labels +-1) and label 0's
-        mag = np.exp(-0.25 * (x - peaks[:0:-1, None]) ** 2)
-        kernel = np.empty((3, self.count), complex)
-        np.multiply(mag[0], eip, out=kernel[::2])
-        kernel[1] = mag[1]
-        self.amp *= kernel.T[:, cols]
+        mag = x[:, None] - peaks[:0:-1]
+        np.square(mag, out=mag)
+        mag *= -0.25
+        np.exp(mag, out=mag)
+        kernel = np.empty((self.count, 3), complex)
+        np.multiply(mag[:, :1], eip, out=kernel[:, ::2])
+        kernel[:, 1] = mag[:, 1]
+        self.amp *= kernel.take(cols, axis=1)
         np.less_equal(x, probe.x0, out=odd)
         self.flag, self.flag_eip = odd, eip
         self.last = ("collapse", x)
@@ -287,11 +296,13 @@ class ShotBlock:
     def feed_forward(self, steps: tuple[_Step, ...]) -> None:
         """Apply the column ``steps`` to the shots whose ``flag`` the last
         measurement set.  The steps act on the whole block, and only the
-        flagged shots keep the result."""
+        flagged shots keep the result, copied into their rows in place: each
+        part of a step returns a new array, so the result is never ``amp``'s
+        own memory."""
         corrected = self.amp
         for step in steps:
             corrected = step.apply(corrected, self.flag_eip)
-        self.amp = np.where(self.flag[:, None], corrected, self.amp)
+        np.copyto(self.amp, corrected, where=self.flag[:, None])
 
 
 @dataclass(frozen=True)
@@ -353,7 +364,7 @@ class Circuit:
 
 def _parity_ideal(block: ShotBlock, c, d) -> np.ndarray:
     (c0, c1), (d0, d1) = c, d
-    emp, ep = block._eip[0]
+    emp, ep = block._eip[0].T
     odd = np.zeros((len(ep), 4), complex)
     odd[:, 1] = c0 * d1 * ep
     odd[:, 2] = c1 * d0 * emp

@@ -202,8 +202,16 @@ def gaussian(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     generator's ``random()`` per normal, so a block of them is one
     ``random`` call.  ``1 - u1 >= 2**-53`` caps ``|z|`` at
     ``sqrt(-2 ln 2**-53) ~ 8.57``.  Both engines draw their noise here.
+    The radius and the angle are each computed in place in one new array.
     """
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)
+    z = np.negative(u1)
+    np.log1p(z, out=z)
+    z *= -2.0
+    np.sqrt(z, out=z)
+    angle = u2 * _TWO_PI
+    np.cos(angle, out=angle)
+    z *= angle
+    return z
 
 
 def pick_branches(weights: np.ndarray, u: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -213,9 +221,16 @@ def pick_branches(weights: np.ndarray, u: np.ndarray, totals: np.ndarray) -> np.
     nonzero weight.  ``totals`` is ``np.add.reduce(weights, axis=-1)``, which
     each caller has already taken to check the norm.  Both shot engines pick
     their branches here.
+
+    A row every ``u`` shares (1-D weights, or one row) is searched once,
+    ``searchsorted(u, "right")``, which is that same count: the CDF never
+    decreases, or, once a weight is nan, is nan throughout, and the search
+    places nan after every ``u``.  A row each is compared and counted.
     """
     cdf = np.add.accumulate(weights / totals[..., None], axis=-1)
     cdf /= cdf[..., -1:]
+    if cdf.ndim == 1 or len(cdf) == 1:
+        return cdf.reshape(-1).searchsorted(u, "right")
     return np.add.reduce(cdf <= u[:, None], axis=-1)
 
 

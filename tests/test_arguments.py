@@ -13,7 +13,9 @@ value, or raise ``ValidationError``, ``ContractError`` or a ``TypeError``
 its docstring names; no warning may escape, and a bool or text
 (:data:`REFUSED`) is refused wherever it goes.  A parameter that takes a
 state, a probe, a gate, a coupling or a generator is fuzzed with the same
-values: only an object of its own class is taken.
+values: only an object of its own class is taken.  The gates that feed
+forward are fuzzed a second time (:data:`ODD`) with every outcome forced
+odd, so that a fuzzed value reaches their corrections.
 """
 
 import cmath
@@ -196,6 +198,32 @@ FUZZ = {
     ),
 }
 
+#: the odd peak, ``x0 - xd / 2``: an outcome forced there reads odd
+ODD_X = PROBE.x0 - 0.5 * PROBE.xd
+
+#: a second call of each gate that feeds forward, with every record forced
+#: odd and the CNOT's ancilla forced V, so that a fuzzed value reaches the
+#: corrections; the first record ``rng()`` gives ``entangler`` and
+#: ``entangler_45`` in :data:`FUZZ` reads even, and applies none.  A forced
+#: call reads no generator, so it passes none and fuzzes none.
+ODD = {
+    "entangler-odd": Entry(
+        lambda state, a, b, probe, x: entangler(state, a, b, probe, None, x),
+        (STATE, 0, 1, PROBE, ODD_X), (ill, index, index, ill, real),
+    ),
+    "entangler_45-odd": Entry(
+        lambda state, a, b, probe, x: entangler_45(state, a, b, probe, None, x),
+        (STATE, 0, 1, PROBE, ODD_X), (ill, index, index, ill, real),
+    ),
+    "cnot-odd": Entry(
+        lambda state, c, a, t, probe, x1, x2, v: cnot(state, c, a, t, probe, None, x1, x2, v),
+        (CNOT_STATE, 0, 1, 2, PROBE, ODD_X, ODD_X, "V"),
+        (ill, index, index, index, ill, real, real, label),
+    ),
+}
+#: every fuzzed call, by its public name or, for :data:`ODD`, that name and ``-odd``
+CASES = {**FUZZ, **ODD}
+
 #: the public callables left out of the fuzz, each with its reason
 EXCUSED = {
     "Branch": "a record the package builds; HybridState.from_branches checks each one given",
@@ -249,28 +277,37 @@ def check(entry: Entry, position: int, value, refused: bool = False) -> None:
     assert finite(result), result
 
 
-@pytest.mark.parametrize("name", list(FUZZ))
+@pytest.mark.parametrize("name", list(CASES))
 def test_each_ill_formed_value_is_refused_or_gives_a_finite_result(name):
-    entry = FUZZ[name]
+    entry = CASES[name]
     for position in range(len(entry.valid)):
         for value in ILL:
             check(entry, position, value, refused=any(value is r for r in REFUSED))
 
 
-@pytest.mark.parametrize("name", list(FUZZ))
+@pytest.mark.parametrize("name", list(CASES))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_drawn_arguments_are_refused_or_give_a_finite_result(name, data):
-    entry = FUZZ[name]
+    entry = CASES[name]
     position = data.draw(st.integers(0, len(entry.valid) - 1), label="position")
     check(entry, position, data.draw(entry.kinds[position], label="value"))
 
 
-@pytest.mark.parametrize("name", list(FUZZ))
+@pytest.mark.parametrize("name", list(CASES))
 def test_the_valid_call_returns(name):
     """Each entry's valid arguments return, so the fuzz starts from a call
     that works and each refusal is the fuzzed value's."""
-    entry = FUZZ[name]
+    entry = CASES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert finite(call(entry, entry.valid))
+
+
+@pytest.mark.parametrize("name", list(ODD))
+def test_the_odd_calls_feed_forward(name):
+    """Every record of an :data:`ODD` call reads odd, and its trace holds the
+    corrections the fuzzed values reach."""
+    trace, _ = call(ODD[name], ODD[name].valid)
+    assert [r.parity for r in trace.records] == ["odd"] * len(trace.records)
+    assert trace.corrections

@@ -394,7 +394,7 @@ def assert_feed_forward(n, actions, steps, case, flags):
     shots = batch.ShotBlock(count, ProbeMode(8.0, 0.5), np.random.default_rng(0), circuit)
     # the engine hands feed-forward each collapse's (e^{-i phi}, e^{i phi})
     eip = np.exp(1j * phi)
-    shots.amp, shots.flag, shots.flag_eip = amp.copy(), flag, np.stack([eip.conj(), eip])
+    shots.amp, shots.flag, shots.flag_eip = amp.copy(), flag, np.stack([eip.conj(), eip], axis=1)
     shots.feed_forward(steps)
     expected = masked_feed_forward(amp, n, actions, flag, phi)
     # equal as numbers; the sign of a zero may differ from the matrix product's
@@ -650,6 +650,31 @@ def test_two_photon_readouts_keep_their_records_and_replay_forced():
     assert batch.Circuit(False, steps, trial_ideal).readouts == 2
     assert block.photon_v.shape == (32, 2)
     assert np.any(block.photon_v[:, 0] != block.photon_v[:, 1])
+
+
+@pytest.mark.parametrize("shots", [1, 16])
+def test_a_photon_readout_of_the_shared_input_row_replays(shots):
+    """A photon readout before any homodyne reads the one input row that
+    every shot shares, and broadcasts it into a row per shot as it zeroes
+    the other outcome's columns; the feed-forward after it keeps its
+    flagged rows in place.  Records and finals replay through ``run_steps``."""
+    steps = (("photon", 0), ("feed_forward", ("flip", 1), ("sign-flip", 0)),
+             ("homodyne", 0, 1), ("feed_forward", ("undo-phase", 1)))
+    circuit = batch.Circuit(False, steps, trial_ideal)
+    block = batch.ShotBlock(shots, TRIAL_PROBE, np.random.default_rng(11), circuit)
+    block.prepare(TRIAL_INPUTS)
+    assert block.amp.shape == (1, 4)
+    for method, *args in circuit.program[:2]:
+        method(block, *args)
+    assert block.amp.shape == (shots, 4)
+    v = block.photon_v[:, 0]
+    # qubit 0 read as V zeroes its H columns, as H its V columns; the flip
+    # and sign flip of a V row keep its zeros
+    np.testing.assert_array_equal(block.amp[v, :2], 0j)
+    np.testing.assert_array_equal(block.amp[~v, 2:], 0j)
+    block = assert_engines_run_alike(steps, shots)
+    if shots > 1:
+        assert 0 < np.count_nonzero(block.photon_v[:, 0]) < shots  # both outcomes read
 
 
 #: action kinds that one more ``gates.ACTIONS`` entry could declare: an

@@ -409,6 +409,24 @@ def two_pass_picks(weights, u):
     return np.add.reduce(cdf <= u[:, None], axis=-1)
 
 
+def loop_picks(weights, u, totals) -> list[int]:
+    """The pick rule one ``u`` at a time in plain Python: the CDF of the
+    weights row shared by every ``u``, or of ``u``'s own row, each weight
+    over the row's total, summed left to right and divided by its last
+    entry, then the count of its entries ``<= u``."""
+    rows = np.reshape(weights, (-1, np.shape(weights)[-1]))
+    sums = np.reshape(totals, -1)
+    picks = []
+    for k, uk in enumerate(u):
+        i = 0 if len(rows) == 1 else k
+        cdf, running = [], 0.0
+        for w in rows[i]:
+            running += w / sums[i]  # NumPy scalars: 0 / 0 is nan, as in the array rule
+            cdf.append(running)
+        picks.append(sum(1 for c in cdf if c / cdf[-1] <= uk))
+    return picks
+
+
 class TestPickBranches:
     def test_each_u_picks_the_count_of_cdf_entries_at_or_below_it(self):
         # CDF (0, 0.25, 0.25, 1): the zero-weight branches 0 and 2 are never picked
@@ -450,6 +468,37 @@ class TestPickBranches:
         u = np.array(data.draw(st.lists(uniform, min_size=count, max_size=count)))
         picks = pick_branches(w, u, np.add.reduce(w, axis=-1))
         assert picks.tolist() == two_pass_picks(w, u).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.sampled_from([0, 1, 2, 5]), columns=st.integers(1, 8))
+    def test_each_pick_is_the_count_a_loop_takes(self, data, rows, columns):
+        """The sorted search of a shared row (1-D weights, ``rows == 0``, or
+        one row, ``rows == 1``) and the per-row rule of a row per ``u`` both
+        pick the count of CDF entries ``<= u`` that :func:`loop_picks`
+        takes: with zero weights, trailing ones among them, where the CDF
+        reaches 1.0 before its last entry; with ``u`` equal to a CDF entry,
+        which the count includes; and with a nan weight, which picks 0."""
+        shape = (columns,) if rows == 0 else (rows, columns)
+        size = int(np.prod(shape))
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+        w = np.array(data.draw(st.lists(weight, min_size=size, max_size=size))).reshape(shape)
+        if data.draw(st.booleans()):  # trailing zeros in every row
+            w[..., data.draw(st.integers(1, columns)) :] = 0.0
+        if data.draw(st.integers(0, 4)) == 0:
+            w[..., data.draw(st.integers(0, columns - 1))] = math.nan
+        with np.errstate(invalid="ignore"):  # an all-zero row is nan, as a nan weight makes it
+            totals = np.add.reduce(w, axis=-1)
+            count = rows if rows > 1 else data.draw(st.integers(1, 5))
+            cdf = np.add.accumulate(w / np.reshape(totals, (-1, 1)), axis=-1)
+            cdf /= cdf[:, -1:]
+        ties = [c for c in cdf.flat if 0.0 <= c < 1.0]  # each a u that random() can return
+        uniform = st.floats(0.0, 1.0, exclude_max=True)
+        draw_u = st.one_of(uniform, st.sampled_from(ties)) if ties else uniform
+        u = np.array(data.draw(st.lists(draw_u, min_size=count, max_size=count)))
+        with np.errstate(invalid="ignore"):
+            picks = pick_branches(w, u, totals)
+            assert picks.shape == u.shape
+            assert picks.tolist() == loop_picks(w, u, totals)
 
 
 # ---------------------------------------------------------------------------
