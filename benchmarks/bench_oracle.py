@@ -68,7 +68,7 @@ def test_coherent_coefficients(benchmark, point, phase):
 def test_oracle_embed(benchmark, point, kicked):
     state = point.after if kicked else point.before
     embedded = benchmark(fock.oracle_embed, state, point.n_trunc)
-    assert embedded.vector.shape == (4, point.n_trunc + 1)
+    assert embedded.vector.shape == (2, 2, point.n_trunc + 1)
 
 
 def test_oracle_cross_kerr(benchmark, point):

@@ -26,7 +26,7 @@ from .errors import ValidationError
 from .gates import ANCILLA_PLUS
 from .measurement import outcome_density
 from .optics import apply_cross_kerr, build_parity_coupling_pair
-from .states import ProbeMode, _integer, new_state
+from .states import ProbeMode, _integer, check_normalized, new_state
 
 EXPERIMENTS = analysis.EXPERIMENTS + ("sweep", "validate-oracle")
 
@@ -83,16 +83,26 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class _Key:
-    """How a run key's text is read, from its flag and from a config file alike.
-
-    ``parse`` turns the merged text into the field's value; such a value, an
-    amplitude list or a grid, may start with '-'.
-    """
+    """A run key: ``type`` reads its text, from its flag and from a config
+    file alike, and raises ``ValueError`` on text it cannot read;
+    :meth:`check` refuses a value the key may not take, however the value
+    was given."""
 
     type: Callable[[str], object] = str
     choices: tuple[str, ...] | None = None
     help: str | None = None
-    parse: Callable[[str], object] | None = None
+
+    def check(self, key: str, value) -> None:
+        """Raise a ``ConfigError`` naming ``key`` unless ``value`` is one of
+        the choices, or an integer for an ``int`` key."""
+        if self.choices is not None and value not in self.choices:
+            choices = ", ".join(self.choices)
+            raise ConfigError(f"{key}: invalid choice {value!r}, choose from {choices}")
+        if self.type is int:
+            try:
+                _integer(value, f"{key}:")
+            except ValidationError as exc:
+                raise ConfigError(str(exc)) from None
 
 
 def _key(*spec, default=MISSING, **named):
@@ -112,14 +122,14 @@ class ExperimentConfig:
     shots: int = _key(int, default=10_000)
     seed: int = _key(int, default=42)
     input: tuple[tuple[complex, complex], ...] = _key(
-        default=(ANCILLA_PLUS, ANCILLA_PLUS),
-        help="qubit amplitude pairs 'c0,c1;c0,c1' (renormalized; complex OK)", parse=_parse_pairs,
+        _parse_pairs, default=(ANCILLA_PLUS, ANCILLA_PLUS),
+        help="qubit amplitude pairs 'c0,c1;c0,c1' (renormalized; complex OK)",
     )
     grid_alpha: tuple[float, ...] | None = _key(
-        default=None, help="sweep grid 'start:stop:count'", parse=_parse_grid
+        _parse_grid, default=None, help="sweep grid 'start:stop:count'"
     )
     grid_theta: tuple[float, ...] | None = _key(
-        default=None, help="sweep grid 'start:stop:count'", parse=_parse_grid
+        _parse_grid, default=None, help="sweep grid 'start:stop:count'"
     )
     sweep_gate: str = _key(default="parity", choices=analysis.EXPERIMENTS)
     output: str = _key(default="results.csv", help="output file path")
@@ -127,16 +137,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Raise a ``ConfigError`` naming the key of a value the CLI refuses."""
-        for key, spec in _CHECKED_KEYS:
-            value = getattr(self, key)
-            if spec.choices is not None:
-                if value not in spec.choices:
-                    raise ConfigError(_invalid_choice(key, spec, value))
-            else:  # an int key
-                try:
-                    _integer(value, f"{key}:")
-                except ValidationError as exc:
-                    raise ConfigError(str(exc)) from None
+        for key, spec in _KEYS.items():
+            spec.check(key, getattr(self, key))
         if self.experiment == "sweep":  # no row reads --alpha, --theta; still required, so valid
             _probe(self.alpha, self.theta, "alpha", "theta")
             if self.grid_alpha is None or self.grid_theta is None:
@@ -152,7 +154,11 @@ class ExperimentConfig:
                 f"alpha: validate-oracle needs alpha <= {ORACLE_ALPHA_MAX} "
                 "(Fock truncation stays tractable only at small amplitude)"
             )
-        if len(self.input) != 2:
+        try:
+            pairs = check_normalized(self.input)
+        except ValidationError as exc:
+            raise ConfigError(f"input: {exc}") from None
+        if len(pairs) != 2:
             raise ConfigError("input: expected exactly two amplitude pairs")
         self.probes  # every row's probe, before any row runs; last, as it costs most
 
@@ -171,22 +177,14 @@ class ExperimentConfig:
 #: each run key's :class:`_Key`, by its :class:`ExperimentConfig` field
 _KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}
 
-#: the keys whose value a config checks against their choices or as an integer
-_CHECKED_KEYS = tuple(
-    (key, spec) for key, spec in _KEYS.items() if spec.choices is not None or spec.type is int
-)
-
-
-def _invalid_choice(key: str, spec: _Key, value) -> str:
-    return f"{key}: invalid choice {value!r}, choose from {', '.join(spec.choices)}"
-
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _read_config_file(path: str) -> dict:
-    values: dict = {}
+def _read_config_file(path: str) -> tuple[dict[str, str], dict[str, int]]:
+    """Each key's text in the config file at ``path``, and its line number."""
+    texts, linenos = {}, {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -199,38 +197,33 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        key, raw = key.strip(), raw.strip()
-        spec = _KEYS.get(key)
-        if spec is None:
+        key = key.strip()
+        if key not in _KEYS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = spec.type(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc} (config line {lineno})") from exc
-        if spec.choices is not None and values[key] not in spec.choices:
-            raise ConfigError(f"{_invalid_choice(key, spec, raw)} (config line {lineno})")
-    return values
+        texts[key], linenos[key] = raw.strip(), lineno
+    return texts, linenos
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The flag parser, built once; ``parse_args`` leaves it unchanged, so
-    every call shares it."""
+    every call shares it.  Each flag's value is its text."""
     parser = argparse.ArgumentParser(
         prog="kerrgate",
         description="Run weak-Kerr QND parity/entangler/CNOT experiments.",
     )
     parser.add_argument("--config", help="flat key = value config file; flags override it")
     for key, spec in _KEYS.items():
-        parser.add_argument(_flag(key), type=spec.type, choices=spec.choices, help=spec.help)
+        metavar = "{" + ",".join(spec.choices) + "}" if spec.choices else None
+        parser.add_argument(_flag(key), help=spec.help, metavar=metavar)
     return parser
 
 
-#: each flag whose value may start with '-', and each abbreviation of it
-#: longer than "--"
+#: each flag that takes a value, which may start with '-', and each
+#: abbreviation of it longer than "--"
 _SIGNED_VALUE_PREFIXES = frozenset(
     flag[:end]
-    for flag in (_flag(key) for key, spec in _KEYS.items() if spec.parse)
+    for flag in ("--config", *map(_flag, _KEYS))
     for end in range(3, len(flag) + 1)
 )
 
@@ -253,26 +246,35 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def parse_config(argv: list[str] | None = None) -> ExperimentConfig:
-    """Merge config file and flags (flags win) into a config."""
+    """Merge config file and flags (flags win) into a config, reading each
+    key's text once by its :class:`_Key`'s ``type``.  A refused value raises
+    ``ConfigError`` as ``key: reason``, then `` (config line N)`` if its
+    text came from the file."""
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_attach_signed_values(argv))
-    values = _read_config_file(args.config) if args.config else {}
+    values, linenos = _read_config_file(args.config) if args.config else ({}, {})
     for key in _KEYS:  # each flag's dest is its key
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
+            linenos.pop(key, None)
 
     if "experiment" not in values:
         raise ConfigError("experiment: required (flag --experiment or config key)")
     if "alpha" not in values or "theta" not in values:
         raise ConfigError("alpha, theta: both are required")
-    for key, spec in _KEYS.items():
-        if spec.parse is not None and key in values:
+    try:
+        for key, text in values.items():
             try:
-                values[key] = spec.parse(values[key])
-            except ValueError as exc:  # ConfigError, or a bad number in a grid
+                values[key] = _KEYS[key].type(text)
+            except ValueError as exc:  # ConfigError, or a bad number
                 raise ConfigError(f"{key}: {exc}") from None
-    return ExperimentConfig(**values)  # the keys left unset keep its defaults
+        return ExperimentConfig(**values)  # the keys left unset keep its defaults
+    except ConfigError as exc:
+        key = str(exc).partition(":")[0]  # every refusal names its key first
+        if key not in linenos:
+            raise
+        raise ConfigError(f"{exc} (config line {linenos[key]})") from None
 
 
 def _probe(alpha: float, theta: float, alpha_key: str, theta_key: str) -> ProbeMode:

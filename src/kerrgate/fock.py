@@ -15,9 +15,9 @@ runtime needs NumPy and the standard library only.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .measurement import _outcomes
 from .optics import KerrCoupling, SingleQubitGate
-from .states import HybridState, ProbeMode, _integer, _real
+from .states import HybridState, ProbeMode, _integer, _real, check_qubit
 
 #: largest admissible truncation loss when embedding a coherent state
 TRUNCATION_BOUND = 1e-10
@@ -179,10 +179,11 @@ def coherent_coefficients(beta: complex, n_trunc: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FockOracleState:
-    """Dense vector over (basis strings) x (Fock levels of the probe).
+    """Dense vector over the qubits' polarizations and the probe's Fock levels.
 
-    ``vector`` has shape ``(2**n_qubits, n_trunc + 1)``; basis strings index
-    the first axis with H=0, V=1, qubit 0 most significant.
+    ``vector`` has shape ``(2,) * n_qubits + (n_trunc + 1,)``: axis ``q`` is
+    qubit ``q``'s polarization rail (H = 0, V = 1) and the last axis the
+    probe's photon number.
     """
 
     vector: np.ndarray
@@ -190,18 +191,15 @@ class FockOracleState:
 
     @property
     def n_qubits(self) -> int:
-        return self.vector.shape[0].bit_length() - 1
+        return self.vector.ndim - 1
 
     @property
     def n_trunc(self) -> int:
-        return self.vector.shape[1] - 1
+        return self.vector.shape[-1] - 1
 
 
-def _basis_index(basis: tuple[str, ...]) -> int:
-    idx = 0
-    for lab in basis:
-        idx = (idx << 1) | (1 if lab == "V" else 0)
-    return idx
+#: the rail index of each polarization label
+_RAIL = {"H": 0, "V": 1}
 
 
 def oracle_embed(state: HybridState, n_trunc: int) -> FockOracleState:
@@ -214,7 +212,7 @@ def oracle_embed(state: HybridState, n_trunc: int) -> FockOracleState:
             f"truncation loss {loss:.3e} at N={n_trunc} exceeds {TRUNCATION_BOUND:.0e} "
             f"for alpha={probe.alpha}; need N >= {required_truncation(probe.alpha)}"
         )
-    vector = np.zeros((2**state.n_qubits, n_trunc + 1), dtype=complex)
+    vector = np.zeros((2,) * state.n_qubits + (n_trunc + 1,), dtype=complex)
     # branches share few labels (a parity kick leaves at most three), and the
     # coefficients depend on nothing else, so each label is expanded once
     expansions: dict[complex, np.ndarray] = {}
@@ -222,7 +220,8 @@ def oracle_embed(state: HybridState, n_trunc: int) -> FockOracleState:
         label = probe.label(b.phase)
         if label not in expansions:
             expansions[label] = coherent_coefficients(label, n_trunc)
-        vector[_basis_index(b.basis)] += b.amplitude * expansions[label]
+        # its basis string's rails; for one qubit an int, which indexes alike
+        vector[operator.itemgetter(*b.basis)(_RAIL)] += b.amplitude * expansions[label]
     return FockOracleState(vector, probe)
 
 
@@ -239,39 +238,31 @@ def oracle_fidelity(a: FockOracleState, b: FockOracleState) -> float:
     return abs(oracle_inner(a, b)) ** 2 / (na * nb)
 
 
-@lru_cache(maxsize=None)
-def _trigger_mask(n_qubits: int, qubit_index: int, trigger: str) -> np.ndarray:
-    """Read-only mask of the basis strings whose ``qubit_index`` is ``trigger``."""
-    idx = np.arange(2**n_qubits)
-    bit = (idx >> (n_qubits - 1 - qubit_index)) & 1
-    mask = bit == (1 if trigger == "V" else 0)
-    mask.setflags(write=False)  # cached and shared by every kick
-    return mask
+def _rails(state: FockOracleState, qubit_index: int) -> tuple[tuple, tuple]:
+    """The H and the V rail of qubit ``qubit_index``'s axis; a qubit out of
+    range, as the Fock axis lies past the qubits', raises ``ValidationError``."""
+    axis = (slice(None),) * check_qubit(qubit_index, state.n_qubits)
+    return axis + (0,), axis + (1,)
 
 
 def oracle_cross_kerr(state: FockOracleState, coupling: KerrCoupling) -> FockOracleState:
     """Exact diagonal unitary: e^{i sign theta n} per probe photon number on
-    the triggered basis strings."""
+    the coupled qubit's trigger rail."""
     phases = np.exp(1j * coupling.sign * state.probe.theta * np.arange(state.n_trunc + 1))
-    mask = _trigger_mask(state.n_qubits, coupling.qubit_index, coupling.trigger_polarization)
+    rail = _rails(state, coupling.qubit_index)[_RAIL[coupling.trigger_polarization]]
     vector = state.vector.copy()
-    vector[mask] = vector[mask] * phases
+    vector[rail] *= phases
     return FockOracleState(vector, state.probe)
 
 
 def oracle_apply_single_qubit(state: FockOracleState, gate: SingleQubitGate) -> FockOracleState:
-    """Mix basis-string pairs differing on one qubit by the gate matrix."""
-    n = state.n_qubits
-    bitpos = n - 1 - gate.qubit_index
+    """Mix the H and V rails of one qubit's axis by the gate matrix."""
+    h_rail, v_rail = _rails(state, gate.qubit_index)
+    h, v = state.vector[h_rail], state.vector[v_rail]
     m = gate.matrix
-    vector = state.vector.copy()
-    for idx in range(2**n):
-        if (idx >> bitpos) & 1:
-            continue
-        ih, iv = idx, idx | (1 << bitpos)
-        vh, vv = state.vector[ih], state.vector[iv]
-        vector[ih] = m[0, 0] * vh + m[0, 1] * vv
-        vector[iv] = m[1, 0] * vh + m[1, 1] * vv
+    vector = np.empty_like(state.vector)
+    vector[h_rail] = m[0, 0] * h + m[0, 1] * v
+    vector[v_rail] = m[1, 0] * h + m[1, 1] * v
     return FockOracleState(vector, state.probe)
 
 
@@ -328,13 +319,13 @@ def oscillator_eigenfunctions(n_max: int, x: np.ndarray) -> np.ndarray:
 def oracle_homodyne_density(state: FockOracleState) -> Callable[[np.ndarray], np.ndarray]:
     """Exact X-quadrature density of an oracle state's probe.
 
-    The density is sum_s |sum_n c_sn psi_n(x)|^2 over basis strings s.  The
-    eigenfunctions are real, so it is evaluated as
-    sum_s (Re c_s . psi)^2 + (Im c_s . psi)^2: one real matrix product with
-    the real and imaginary coefficient rows stacked.
+    The density is sum_s |sum_n c_sn psi_n(x)|^2 over basis strings s, the
+    rows of the vector's qubit axes.  The eigenfunctions are real, so it is
+    evaluated as sum_s (Re c_s . psi)^2 + (Im c_s . psi)^2: one real matrix
+    product with the real and imaginary coefficient rows stacked.
     """
-    # (2 * 2**n, n_trunc + 1): the real rows, then the imaginary rows
-    parts = np.concatenate([state.vector.real, state.vector.imag])
+    rows = state.vector.reshape(-1, state.n_trunc + 1)  # a view: (2**n, n_trunc + 1)
+    parts = np.concatenate([rows.real, rows.imag])  # the real rows, then the imaginary
 
     def density(x):
         psi = oscillator_eigenfunctions(state.n_trunc, np.atleast_1d(x))

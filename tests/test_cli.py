@@ -169,11 +169,14 @@ class TestParseConfig:
         assert spaced.read_bytes() == joined.read_bytes()
 
     def test_every_abbreviation_of_a_signed_flag_takes_a_signed_value(self):
-        """A flag (or an abbreviation of one, longer than ``--``) whose value
-        may start with '-' gets its value attached; no other flag does."""
-        signed = [f"--{key.replace('_', '-')}" for key, spec in cli._KEYS.items() if spec.parse]
+        """Every flag that takes a value (or an abbreviation of one, longer
+        than ``--``) gets a value starting with '-' attached; ``-h`` and
+        ``--help``, which take none, do not."""
         parser = cli._build_parser()
         flags = [option for action in parser._actions for option in action.option_strings]
+        signed = [option for action in parser._actions if action.nargs != 0
+                  for option in action.option_strings]
+        assert len(signed) == len(cli._KEYS) + 1  # every key's flag and --config
         for flag in flags:
             for end in range(1, len(flag) + 1):
                 prefix = flag[:end]
@@ -324,10 +327,11 @@ REFUSED_CONFIGS = {
 }
 
 
-#: (fields, the message) of configs that argparse and the config-file reader
-#: refuse before any is built, which a direct build refuses too: a value
-#: outside its key's choices, an integer key's value that is no integer, or
-#: a real key's value as text, which the readers parse before a build
+#: (fields, the message) of configs that a direct build refuses, with the
+#: message a flag or a config line gets too: a value outside its key's
+#: choices, an integer key's value that is no integer, a real key's value
+#: as text, which the CLI reads before a build, or an amplitude pair that is
+#: not normalized, which the CLI renormalizes
 REFUSED_BUILDS = {
     "format-xml": (
         dict(experiment="parity", alpha=8.0, theta=0.5, format="xml"),
@@ -355,6 +359,18 @@ REFUSED_BUILDS = {
         dict(experiment="teleport", alpha=8.0, theta=0.5),
         "experiment: invalid choice 'teleport', choose from parity, entangler, entangler45, "
         "cnot, sweep, validate-oracle",
+    ),
+    "input-unnormalized": (
+        dict(experiment="parity", alpha=8.0, theta=0.5, input=((1, 1), (1, 0))),
+        "input: qubit 0 amplitude pair is not normalized: |c0|^2+|c1|^2 = 2.0",
+    ),
+    "input-nan": (
+        dict(experiment="parity", alpha=8.0, theta=0.5, input=((1, 0), (math.nan, 1))),
+        "input: qubit 1 amplitude pair is not normalized: |c0|^2+|c1|^2 = nan",
+    ),
+    "validate-oracle-input-unnormalized": (
+        dict(experiment="validate-oracle", alpha=2.0, theta=0.5, input=((0.6, 0.6), (1, 0))),
+        "input: qubit 0 amplitude pair is not normalized: |c0|^2+|c1|^2 = 0.72",
     ),
 }
 
@@ -546,6 +562,27 @@ class TestRunKeys:
         assert repr(value) in err and "config line 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value", [("experiment", "teleport"), ("format", "xml"), ("sweep_gate", "sweep"),
+                      ("shots", "many")]
+    )
+    def test_a_bad_value_reads_the_same_from_its_flag_and_its_config_line(
+        self, key, value, tmp_path, capsys
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "run.csv"
+        args = ["--alpha", "8", "--theta", "0.5", "--output", str(out)]
+        if key != "experiment":
+            args += ["--experiment", "sweep", "--grid-alpha", "8:8:1", "--grid-theta", "0.5:0.5:1"]
+        assert main([*args, f"--{key.replace('_', '-')}", value]) == 2
+        from_flag = capsys.readouterr().err
+        assert main(["--config", str(cfg), *args]) == 2
+        from_file = capsys.readouterr().err
+        assert from_file.endswith(" (config line 1)\n")
+        assert from_file.replace(" (config line 1)", "") == from_flag
+        assert not out.exists()
+
 
 class TestParserReuse:
     """One parser serves every call; no call may leave state behind."""
@@ -568,12 +605,10 @@ class TestParserReuse:
             experiment="parity", alpha=8.0, theta=0.5
         )
 
-    def test_bad_experiment_still_exits_2_after_good_call(self, capsys):
+    def test_bad_experiment_still_exits_2_after_good_call(self):
         parse_config(self.BASE)
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(ConfigError, match="^experiment: invalid choice 'teleport'"):
             parse_config(["--experiment", "teleport", "--alpha", "8", "--theta", "0.5"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'teleport'" in capsys.readouterr().err
         assert parse_config(self.BASE).experiment == "parity"
 
     @pytest.mark.parametrize("experiment", ["validate-oracle", "cnot"])

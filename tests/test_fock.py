@@ -16,6 +16,7 @@ from kerrgate import (
     HybridState,
     KerrCoupling,
     ProbeMode,
+    SingleQubitGate,
     ValidationError,
     apply_cross_kerr,
     apply_single_qubit,
@@ -27,8 +28,6 @@ from kerrgate import (
 )
 from kerrgate.fock import (
     TRUNCATION_BOUND,
-    FockOracleState,
-    _trigger_mask,
     coherent_coefficients,
     oracle_apply_single_qubit,
     oracle_cross_kerr,
@@ -56,7 +55,7 @@ class TestEmbedding:
         state = new_state([(1, 0)]).activate_probe(ProbeMode(0.0, 0.3))
         embedded = oracle_embed(state, 10)
         occupied = np.nonzero(np.abs(embedded.vector) > 0)
-        assert list(occupied[1]) == [0]
+        assert list(occupied[-1]) == [0]
 
     def test_embedding_needs_an_active_probe(self):
         with pytest.raises(ContractError, match="no probe is active"):
@@ -89,10 +88,10 @@ class TestEmbedding:
         state = apply_single_qubit(state, diagonal_basis_change(1))
         assert len(state.branches) == 12
         n = required_truncation(1.4) + 5
-        expected = np.zeros((4, n + 1), dtype=complex)
+        expected = np.zeros((2, 2, n + 1), dtype=complex)
         for b in state.branches:
-            index = int("".join("1" if lab == "V" else "0" for lab in b.basis), 2)
-            expected[index] += b.amplitude * coherent_coefficients(probe.label(b.phase), n)
+            rails = tuple("HV".index(lab) for lab in b.basis)
+            expected[rails] += b.amplitude * coherent_coefficients(probe.label(b.phase), n)
         np.testing.assert_array_equal(oracle_embed(state, n).vector, expected)
 
     def test_coherent_coefficients_are_normalized(self):
@@ -226,12 +225,39 @@ class TestOracleCrossKerr:
         via_branches = oracle_embed(apply_single_qubit(state, gate), n)
         assert oracle_fidelity(via_oracle, via_branches) >= 1 - 1e-9
 
-    def test_trigger_mask_is_cached_and_read_only(self):
-        mask = _trigger_mask(2, 1, "V")
-        assert _trigger_mask(2, 1, "V") is mask
-        np.testing.assert_array_equal(mask, [False, True, False, True])
-        with pytest.raises(ValueError):
-            mask[0] = True
+    @pytest.mark.parametrize("qubit", [-1, 2])
+    def test_a_qubit_past_the_qubit_axes_is_refused(self, qubit):
+        # unchecked, qubit 2 of two would index the Fock axis and qubit -1 qubit 0's
+        embedded = oracle_embed(parity_state(1.5, 0.7), required_truncation(1.5) + 5)
+        with pytest.raises(ValidationError, match="qubit index"):
+            oracle_cross_kerr(embedded, KerrCoupling(qubit, "V", +1))
+        with pytest.raises(ValidationError, match="qubit index"):
+            oracle_apply_single_qubit(embedded, diagonal_basis_change(qubit))
+
+    def test_every_qubit_axis_of_three_follows_the_branch_model(self):
+        # every other oracle test has one or two qubits: the middle axis of
+        # three is indexed only here
+        rng = np.random.default_rng(2024)
+        probe = ProbeMode(1.5, 0.7)
+        pairs = [tuple(p / np.linalg.norm(p)) for p in rng.normal(size=(3, 2)) + 0.3j]
+        state = new_state(pairs).activate_probe(probe)
+        n = required_truncation(1.5) + 5
+        embedded = oracle_embed(state, n)
+        for qubit in range(3):
+            for trigger, sign in [("H", +1), ("V", +1), ("V", -1), ("H", -1)]:
+                coupling = KerrCoupling(qubit, trigger, sign)
+                state = apply_cross_kerr(state, coupling)
+                embedded = oracle_cross_kerr(embedded, coupling)
+                assert oracle_fidelity(embedded, oracle_embed(state, n)) >= 1 - 1e-9
+            # a Haar-random unitary, from the QR decomposition of a Ginibre matrix
+            q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            gate = SingleQubitGate(q * (np.diag(r) / np.abs(np.diag(r))), qubit)
+            state = apply_single_qubit(state, gate)
+            embedded = oracle_apply_single_qubit(embedded, gate)
+            assert oracle_fidelity(embedded, oracle_embed(state, n)) >= 1 - 1e-9
+        grid = np.linspace(-2 * 1.5 - 10, 2 * 1.5 + 10, 1001)
+        deviation = np.abs(oracle_homodyne_density(embedded)(grid) - outcome_density(state)(grid))
+        assert np.max(deviation) < 1e-6
 
 
 class TestOracleHomodyneDensity:
@@ -266,7 +292,8 @@ class TestOracleHomodyneDensity:
         embedded = oracle_embed(parity_state(alpha, theta, c, d), required_truncation(alpha) + 5)
         grid = np.linspace(2 * alpha * math.cos(theta) - 10, 2 * alpha + 10, 2001)
         psi = oscillator_eigenfunctions(embedded.n_trunc, grid)
-        expected = np.sum(np.abs(embedded.vector @ psi) ** 2, 0)
+        rows = embedded.vector.reshape(-1, embedded.n_trunc + 1)  # one per basis string
+        expected = np.sum(np.abs(rows @ psi) ** 2, 0)
         got = oracle_homodyne_density(embedded)(grid)
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(expected)
         assert oracle_homodyne_density(embedded)(grid[700]) == pytest.approx(got[700], rel=1e-14)
